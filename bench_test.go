@@ -228,6 +228,105 @@ func BenchmarkSnapshotObjectRead(b *testing.B) {
 	})
 }
 
+// BenchmarkSnapshotScan prices the engine side of a snapshot scan: one
+// Snapshot() transaction LoadWords-ing 4 096 eight-word objects on a
+// store-backed partition, quiet and beside a paced writer of whole-object
+// transfers (the shape of stmbench's snapshot-audit). The first attempt of
+// such a Run keeps no read set, so ns/object is the read protocol itself;
+// allocs/op must stay 0.
+func BenchmarkSnapshotScan(b *testing.B) {
+	const objects, objWords, balance = 4096, 8, 1 << 20
+	setup := func(b *testing.B) (*stm.Runtime, []stm.Addr) {
+		rt := stm.MustNew(stm.Config{SnapshotHistory: 1 << 16})
+		site := rt.RegisterSite("scan.object")
+		objs := make([]stm.Addr, objects)
+		for base := 0; base < objects; base += 64 {
+			err := rt.Run(func(tx *stm.Tx) error {
+				for i := base; i < base+64; i++ {
+					objs[i] = tx.Alloc(site, objWords)
+					tx.StoreWords(objs[i], []uint64{balance, 0, 0, 0, 0, 0, 0, 0})
+				}
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		return rt, objs
+	}
+	scan := func(b *testing.B, rt *stm.Runtime, objs []stm.Addr) {
+		th := rt.MustAttach()
+		defer rt.Detach(th)
+		var words [objWords]uint64
+		var sum uint64
+		body := func(tx *stm.Tx) error {
+			sum = 0
+			for _, o := range objs {
+				tx.LoadWords(o, words[:])
+				sum += words[0]
+			}
+			return nil
+		}
+		opts := []stm.TxOpt{stm.Snapshot()}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := th.Run(body, opts...); err != nil {
+				b.Fatal(err)
+			}
+			if sum != objects*balance {
+				b.Fatalf("scan saw total %d, want %d", sum, uint64(objects*balance))
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/objects, "ns/object")
+	}
+	b.Run("quiet", func(b *testing.B) {
+		rt, objs := setup(b)
+		defer rt.Close()
+		scan(b, rt, objs)
+	})
+	b.Run("writer", func(b *testing.B) {
+		rt, objs := setup(b)
+		defer rt.Close()
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() { // ~20 000 whole-object transfers/s in 1 ms bursts
+			defer close(done)
+			th := rt.MustAttach()
+			defer rt.Detach(th)
+			var a, c stm.Addr
+			var from, to [objWords]uint64
+			transfer := func(tx *stm.Tx) error {
+				tx.LoadWords(a, from[:])
+				tx.LoadWords(c, to[:])
+				from[0]--
+				to[0]++
+				tx.StoreWords(a, from[:])
+				tx.StoreWords(c, to[:])
+				return nil
+			}
+			tick := time.NewTicker(time.Millisecond)
+			defer tick.Stop()
+			for n := 0; ; {
+				select {
+				case <-stop:
+					return
+				case <-tick.C:
+				}
+				for k := 0; k < 20; k, n = k+1, n+1 {
+					a, c = objs[n%objects], objs[(n+objects/2)%objects]
+					if err := th.Run(transfer); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}
+		}()
+		scan(b, rt, objs)
+		close(stop)
+		<-done
+	})
+}
+
 // BenchmarkRefLoad is the typed-object hot path: loading an 8-word
 // object through Ref.Load (one footprint touch, one multi-word read)
 // against the same words loaded one at a time.

@@ -586,16 +586,9 @@ func (e *Engine) readOnlyAtomic(th *Thread, fn func(*Tx)) {
 	e.run(th, runCfg{readOnly: true}, func(tx *Tx) error { fn(tx); return nil })
 }
 
-// SnapshotAtomic runs fn as a snapshot read-only transaction: the
-// snapshot is pinned at the first access and reads of locations that
-// writers have since overwritten are reconstructed from the touched
-// partitions' multi-version stores (PartConfig.HistCap), so the
-// transaction neither extends nor validates — under sufficient retention
-// it commits without ever aborting, regardless of concurrent writers. A
-// partition without a store (or an evicted record) degrades to the
-// ordinary validate/extend read path; a write inside fn upgrades to a
-// normal update transaction, as in ReadOnlyAtomic. Equivalent to Run with
-// the Snapshot option.
+// SnapshotAtomic runs fn as a snapshot read-only transaction: Run with
+// the Snapshot option, which documents the mode (pinned first attempt,
+// logged retries, store-less partitions, upgrade on write).
 func (e *Engine) SnapshotAtomic(th *Thread, fn func(*Tx)) {
 	e.run(th, runCfg{readOnly: true, snap: true}, func(tx *Tx) error { fn(tx); return nil })
 }
@@ -604,11 +597,14 @@ func (e *Engine) run(th *Thread, cfg runCfg, fn func(*Tx) error) error {
 	tx := &th.tx
 	th.beginSeq.Store(e.txSeq.Add(1))
 	readOnly, snap := cfg.readOnly, cfg.snap
+	// Only the first attempt of a snapshot Run goes without a read set; any
+	// abort degrades the rest of the Run to logged reads (see Tx.unlogged).
+	unlogged := snap
 	attempt := 0
 	for {
 		attempt++
 		th.enterGate()
-		cause, userErr := e.attempt(tx, th, readOnly, snap, fn)
+		cause, userErr := e.attempt(tx, th, readOnly, snap, unlogged, fn)
 		th.exitGate()
 		if box := e.tracer.Load(); box != nil {
 			box.t.TraceAttempt(AttemptEvent{
@@ -653,6 +649,7 @@ func (e *Engine) run(th *Thread, cfg runCfg, fn func(*Tx) error) error {
 		if cfg.maxAttempts > 0 && attempt >= cfg.maxAttempts {
 			return &MaxAttemptsError{Attempts: attempt, Cause: cause}
 		}
+		unlogged = false
 		if cause == AbortUpgrade {
 			readOnly = false
 			snap = false
@@ -665,7 +662,7 @@ func (e *Engine) run(th *Thread, cfg runCfg, fn func(*Tx) error) error {
 // attempt executes one try of fn. It returns (AbortNone, nil) on commit,
 // (cause, nil) on a conflict abort, and (AbortExplicit, err) when user
 // code aborted with an error.
-func (e *Engine) attempt(tx *Tx, th *Thread, readOnly, snap bool, fn func(*Tx) error) (cause AbortCause, userErr error) {
+func (e *Engine) attempt(tx *Tx, th *Thread, readOnly, snap, unlogged bool, fn func(*Tx) error) (cause AbortCause, userErr error) {
 	defer func() {
 		if r := recover(); r != nil {
 			sig, ok := r.(abortSignal)
@@ -679,7 +676,7 @@ func (e *Engine) attempt(tx *Tx, th *Thread, readOnly, snap bool, fn func(*Tx) e
 			cause = sig.cause
 		}
 	}()
-	tx.begin(readOnly, snap)
+	tx.begin(readOnly, snap, unlogged)
 	if err := fn(tx); err != nil {
 		tx.rollback(AbortExplicit)
 		return AbortExplicit, err

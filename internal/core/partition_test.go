@@ -1,10 +1,10 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/memory"
 )
@@ -146,9 +146,16 @@ func TestReconfigureUnderLoad(t *testing.T) {
 		tx.Store(a, 0)
 	})
 	e.DetachThread(setup)
+	e.SetYieldEveryOps(4) // interleave inside transactions on one CPU too
 
+	// Event-driven in both directions, so the outcome does not depend on
+	// how a low-core scheduler slices the goroutines: workers increment
+	// until they have seen wantReconfigs reconfigurations, and every
+	// reconfiguration waits for the workers to have committed under the
+	// configuration before it.
 	const workers = 4
-	const perW = 3000
+	const wantReconfigs = 12 // every mode twice
+	var committed, reconfigs atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -156,51 +163,40 @@ func TestReconfigureUnderLoad(t *testing.T) {
 			defer wg.Done()
 			th := e.MustAttachThread()
 			defer e.DetachThread(th)
-			for i := 0; i < perW; i++ {
+			for reconfigs.Load() < wantReconfigs {
 				th.Atomic(func(tx *Tx) { tx.Store(a, tx.Load(a)+1) })
+				committed.Add(1)
 			}
 		}()
 	}
-	stop := make(chan struct{})
-	var reconfigs int
-	var rwg sync.WaitGroup
-	rwg.Add(1)
+	wg.Add(1)
 	go func() {
-		defer rwg.Done()
+		defer wg.Done()
+		defer reconfigs.Store(wantReconfigs) // release the workers on failure too
 		cfgs := []PartConfig{}
 		for _, c := range allModeConfigs() {
 			cfgs = append(cfgs, c)
 		}
-		i := 0
-		for {
-			select {
-			case <-stop:
-				return
-			default:
+		for i := 0; i < wantReconfigs; i++ {
+			for mark := committed.Load(); committed.Load() < mark+workers; {
+				runtime.Gosched()
 			}
 			if err := e.Reconfigure(GlobalPartition, cfgs[i%len(cfgs)]); err != nil {
 				t.Errorf("Reconfigure: %v", err)
 				return
 			}
-			reconfigs++
-			i++
-			time.Sleep(200 * time.Microsecond)
+			reconfigs.Add(1)
 		}
 	}()
 	wg.Wait()
-	close(stop)
-	rwg.Wait()
 
-	if reconfigs == 0 {
-		t.Fatal("no reconfigurations happened during the test")
-	}
 	if got := e.STWCount(); got == 0 {
 		t.Fatal("STWCount = 0")
 	}
 	check := e.MustAttachThread()
 	check.Atomic(func(tx *Tx) {
-		if got := tx.Load(a); got != workers*perW {
-			t.Errorf("counter = %d, want %d (lost updates across reconfiguration)", got, workers*perW)
+		if got := tx.Load(a); got != uint64(committed.Load()) {
+			t.Errorf("counter = %d, want %d (lost updates across reconfiguration)", got, committed.Load())
 		}
 	})
 }

@@ -57,12 +57,21 @@ func ReadOnly() TxOpt {
 }
 
 // Snapshot runs the transaction in snapshot mode (implies ReadOnly): reads
-// are answered at a snapshot pinned at the first access, with overwritten
-// values reconstructed from the touched partitions' multi-version stores
-// (PartConfig.HistCap) — under sufficient retention the transaction never
-// validates, extends or aborts, no matter how heavy the write traffic.
-// Partitions without a store, evicted records, and writes inside the
-// transaction all degrade gracefully (see Engine.SnapshotAtomic).
+// are answered at the snapshot sampled at begin, with overwritten values
+// reconstructed from the touched partitions' multi-version stores
+// (PartConfig.HistCap).
+//
+// The first attempt is pinned: on a partition that has a store it keeps no
+// read set — a read is either current at the snapshot or reconstructed at
+// it — so it never validates or extends, and under sufficient retention it
+// never aborts, no matter how heavy the write traffic. A stale read the
+// store cannot serve aborts the pinned attempt (AbortValidation), and the
+// Run degrades to logging: every retry records its reads and takes the
+// ordinary validate/extend path, so neither correctness nor progress
+// depends on retention. Partitions without a store are unaffected — their
+// snapshot-mode reads are logged, validated and extended from the first
+// attempt — and a write inside the transaction upgrades it to an update
+// transaction, as under ReadOnly.
 func Snapshot() TxOpt {
 	return func(c *runCfg) { c.readOnly, c.snap = true, true }
 }
@@ -89,10 +98,15 @@ func OnAbort(fn func(cause AbortCause, attempt int)) TxOpt {
 // transaction retried forever, whose user error aborts and surfaces. This
 // is the single entrypoint every other transaction method delegates to.
 func (e *Engine) Run(th *Thread, fn func(*Tx) error, opts ...TxOpt) error {
-	var cfg runCfg
+	// Options write into the Thread's scratch: a local whose address is
+	// handed to option closures would be heap-allocated on every call. The
+	// scratch is cleared again at once, so a pooled Thread does not keep the
+	// caller's OnAbort closure alive between Runs.
 	for _, o := range opts {
-		o(&cfg)
+		o(&th.cfg)
 	}
+	cfg := th.cfg
+	th.cfg = runCfg{}
 	return e.run(th, cfg, fn)
 }
 

@@ -47,6 +47,7 @@ type Thread struct {
 	stats atomic.Pointer[[]PartThreadStats]
 
 	rng uint64 // xorshift state for backoff jitter
+	cfg runCfg // Run's option scratch
 
 	_ [cacheLine]byte
 	// Owner-written, cross-thread-read: active gates quiescence, progress

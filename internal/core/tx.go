@@ -83,16 +83,28 @@ type Tx struct {
 	beginEpoch uint64
 	readOnly   bool
 	hasVisible bool
-	// snapMode marks a snapshot read-only attempt (SnapshotAtomic): the
-	// transaction pins its snapshot and, on encountering an orec newer
-	// than it, reconstructs the value at the snapshot from the partition's
-	// multi-version store (partState.hist) instead of extending. snapHits
-	// counts reconstructed reads this attempt; once nonzero the snapshot
-	// can no longer move (extend refuses), because reconstructed values
-	// are only correct at the pinned instant. snapMisses counts stale
-	// reads the store could not serve (record evicted), which fall back to
-	// the validate/extend path.
+	// snapMode marks a snapshot read-only attempt (Run with Snapshot()):
+	// reads are answered at the snapshot sampled at begin, and a location a
+	// commit has since overwritten is reconstructed from the partition's
+	// multi-version store (partState.hist) instead of extending; snapHits
+	// counts the words so reconstructed, snapMisses the stale words the
+	// store could not serve.
+	//
+	// unlogged marks the FIRST attempt of a snapshot-mode Run: on a
+	// partition that has a store, a read valid at the snapshot — fresh or
+	// reconstructed — is not recorded (rs, rsIdx and rsFilt stay untouched).
+	// pinned is set by the first such read, and by every reconstructed read,
+	// logged or not: from then on the snapshot cannot move (extend refuses),
+	// because unrecorded reads cannot be revalidated and reconstructed
+	// values are correct only at that instant. A miss then aborts the
+	// attempt, and Engine.run retries with unlogged off: retries log every
+	// read and take the ordinary validate/extend path, so neither
+	// correctness nor the progress of a scan over a too-small ring depends
+	// on retention. Partitions without a store always log — there is
+	// nothing to pin against.
 	snapMode   bool
+	unlogged   bool
+	pinned     bool
 	snapHits   uint64
 	snapMisses uint64
 	opCount    uint64
@@ -209,11 +221,13 @@ func (tx *Tx) SnapshotHits() uint64 { return tx.snapHits }
 // Thread returns the owning thread.
 func (tx *Tx) Thread() *Thread { return tx.th }
 
-func (tx *Tx) begin(readOnly, snap bool) {
+func (tx *Tx) begin(readOnly, snap, unlogged bool) {
 	tx.topo = tx.eng.topo.Load()
 	tx.readOnly = readOnly
 	tx.hasVisible = false
 	tx.snapMode = snap && readOnly
+	tx.unlogged = unlogged && tx.snapMode
+	tx.pinned = false
 	tx.snapHits = 0
 	tx.snapMisses = 0
 	tx.opCount = 0
@@ -588,24 +602,36 @@ func (tx *Tx) loadInvisible(ps *partState, o *orec, addr memory.Addr, st *PartTh
 			}
 			continue // re-read under the extended snapshot
 		}
-		// Dedup per orec: a repeat read of an orec whose recorded version
-		// still matches adds nothing to validate — the read set stays
-		// bounded by the unique orecs touched, not the loads executed. (A
-		// version mismatch on a repeat read cannot pass the snapshot check
-		// above — any commit to the orec postdates the snapshot — but if it
-		// ever did, appending a second entry keeps validation exact.) The
-		// first touch of an orec — the common case of a large scan — skips
-		// even the probe: a clear filter bit proves the orec is new. A set
-		// bit may be a false positive, so dedup still confirms via rsFind.
-		if tx.rsFilt.mayContain(orecKey(o)) {
-			if i := tx.rsFind(o); i >= 0 && tx.rs[i].ver == versionOf(l1) {
-				return v
-			}
-		}
-		tx.rs = append(tx.rs, readEntry{o: o, ver: versionOf(l1)})
-		tx.rsFilterAdd(o)
+		tx.logRead(ps, o, versionOf(l1))
 		return v
 	}
+}
+
+// logRead records a read of orec o that observed version ver, valid at the
+// snapshot. The first attempt of a snapshot-mode Run keeps no read set on a
+// store-backed partition: it pins the snapshot instead (see Tx.unlogged).
+//
+// Otherwise, dedup per orec: a repeat read of an orec whose recorded
+// version still matches adds nothing to validate — the read set stays
+// bounded by the unique orecs touched, not the loads executed. (A version
+// mismatch on a repeat read cannot pass the callers' snapshot check — any
+// commit to the orec postdates the snapshot — but if it ever did,
+// appending a second entry keeps validation exact.) The first touch of an
+// orec — the common case of a large scan — skips even the probe: a clear
+// filter bit proves the orec is new. A set bit may be a false positive, so
+// dedup still confirms via rsFind.
+func (tx *Tx) logRead(ps *partState, o *orec, ver uint64) {
+	if tx.unlogged && ps.hist != nil {
+		tx.pinned = true
+		return
+	}
+	if tx.rsFilt.mayContain(orecKey(o)) {
+		if i := tx.rsFind(o); i >= 0 && tx.rs[i].ver == ver {
+			return
+		}
+	}
+	tx.rs = append(tx.rs, readEntry{o: o, ver: ver})
+	tx.rsFilterAdd(o)
 }
 
 // loadVisible implements the visible read: register in the orec's reader
@@ -758,13 +784,18 @@ func (tx *Tx) loadWordsChunk(addr memory.Addr, dst []uint64) {
 		}
 		return
 	}
+	// An attempt that has written nothing yet (every read-only one) skips
+	// the per-word read-after-write probes altogether.
+	probeWS := len(tx.ws) > 0
 	i := 0
 	for i < len(dst) {
 		a := addr + memory.Addr(i)
-		if v, ok := tx.wsBuffered(a); ok {
-			dst[i] = v
-			i++
-			continue
+		if probeWS {
+			if v, ok := tx.wsBuffered(a); ok {
+				dst[i] = v
+				i++
+				continue
+			}
 		}
 		o := ps.table.of(a)
 		end := i + 1
@@ -773,8 +804,10 @@ func (tx *Tx) loadWordsChunk(addr memory.Addr, dst []uint64) {
 			if ps.table.of(na) != o {
 				break
 			}
-			if _, ok := tx.wsBuffered(na); ok {
-				break
+			if probeWS {
+				if _, ok := tx.wsBuffered(na); ok {
+					break
+				}
 			}
 			end++
 		}
@@ -821,14 +854,7 @@ func (tx *Tx) loadGroupInvisible(ps *partState, o *orec, base memory.Addr, out [
 			}
 			continue // re-read under the extended snapshot
 		}
-		// One entry per orec, exactly as the per-word path deduplicates.
-		if tx.rsFilt.mayContain(orecKey(o)) {
-			if i := tx.rsFind(o); i >= 0 && tx.rs[i].ver == versionOf(l1) {
-				return
-			}
-		}
-		tx.rs = append(tx.rs, readEntry{o: o, ver: versionOf(l1)})
-		tx.rsFilterAdd(o)
+		tx.logRead(ps, o, versionOf(l1)) // one entry per orec, not per word
 		return
 	}
 }
@@ -838,7 +864,8 @@ func (tx *Tx) loadGroupInvisible(ps *partState, o *orec, base memory.Addr, out [
 // ahead of) the pinned snapshot, reconstruction is attempted for the
 // WHOLE remaining chunk [i, len(dst)) in one mvstore range lookup — for
 // an object written by a single commit that is one index probe instead
-// of one per word. It returns the next unserved position.
+// of one per word — and then for the stale group alone (snapReadFrom).
+// It returns the next unserved position.
 func (tx *Tx) loadSnapWords(ps *partState, o *orec, addr memory.Addr, dst []uint64, i, end int, st *PartThreadStats, ti int) int {
 	spins := 0
 	probedHead := ^uint64(0)
@@ -857,8 +884,8 @@ func (tx *Tx) loadSnapWords(ps *partState, o *orec, addr memory.Addr, dst []uint
 			if ps.hist != nil {
 				if h := ps.hist.Head(); h != probedHead {
 					probedHead = h
-					if tx.snapReadRange(ps, addr+memory.Addr(i), dst[i:], tx.touched[ti].snap, st) {
-						return len(dst)
+					if n := tx.snapReadFrom(ps, addr, dst, i, end, tx.touched[ti].snap, st); n > i {
+						return n
 					}
 				}
 			}
@@ -875,8 +902,10 @@ func (tx *Tx) loadSnapWords(ps *partState, o *orec, addr memory.Addr, dst []uint
 			continue
 		}
 		if ver := versionOf(l1); ver > tx.touched[ti].snap {
-			if ps.hist != nil && tx.snapReadRange(ps, addr+memory.Addr(i), dst[i:], tx.touched[ti].snap, st) {
-				return len(dst)
+			if ps.hist != nil {
+				if n := tx.snapReadFrom(ps, addr, dst, i, end, tx.touched[ti].snap, st); n > i {
+					return n
+				}
 			}
 			st.SnapMisses.Add(uint64(end - i))
 			tx.snapMisses += uint64(end - i)
@@ -885,28 +914,30 @@ func (tx *Tx) loadSnapWords(ps *partState, o *orec, addr memory.Addr, dst []uint
 			}
 			continue // re-read under the extended snapshot
 		}
-		if tx.rsFilt.mayContain(orecKey(o)) {
-			if j := tx.rsFind(o); j >= 0 && tx.rs[j].ver == versionOf(l1) {
-				return end
-			}
-		}
-		tx.rs = append(tx.rs, readEntry{o: o, ver: versionOf(l1)})
-		tx.rsFilterAdd(o)
+		tx.logRead(ps, o, versionOf(l1))
 		return end
 	}
 }
 
-// snapReadRange attempts to serve a snapshot-mode read of the word range
-// [base, base+len(out)) at the pinned partition snapshot from the
-// multi-version store; all-or-nothing. A hit pins the snapshot for the
-// rest of the attempt (see extend).
-func (tx *Tx) snapReadRange(ps *partState, base memory.Addr, out []uint64, snap uint64, st *PartThreadStats) bool {
-	if !ps.hist.ReadRangeAt(uint64(base), snap, out) {
-		return false
+// snapReadFrom reconstructs dst[i:] — or, failing that, only the group
+// dst[i:end) whose orec is stale — at snapshot snap from the multi-version
+// store, and returns the next unserved position (i on a miss). The narrower
+// retry serves a commit that wrote only part of an object: the unwritten
+// words have no record, so the all-or-nothing range read fails, yet their
+// own orecs are fresh and the caller's loop reads them from memory.
+func (tx *Tx) snapReadFrom(ps *partState, addr memory.Addr, dst []uint64, i, end int, snap uint64, st *PartThreadStats) int {
+	base := uint64(addr) + uint64(i)
+	n := len(dst)
+	if !ps.hist.ReadRangeAt(base, snap, dst[i:]) {
+		if end == n || !ps.hist.ReadRangeAt(base, snap, dst[i:end]) {
+			return i
+		}
+		n = end
 	}
-	st.SnapHits.Add(uint64(len(out)))
-	tx.snapHits += uint64(len(out))
-	return true
+	st.SnapHits.Add(uint64(n - i))
+	tx.snapHits += uint64(n - i)
+	tx.pinned = true
+	return n
 }
 
 // StoreWords transactionally writes the len(src) consecutive words
@@ -1180,6 +1211,7 @@ func (tx *Tx) snapRead(ps *partState, addr memory.Addr, snap uint64, st *PartThr
 	if ok {
 		st.SnapHits.Add(1)
 		tx.snapHits++
+		tx.pinned = true
 	}
 	return v, ok
 }
@@ -1191,13 +1223,14 @@ func (tx *Tx) snapRead(ps *partState, addr memory.Addr, snap uint64, st *PartThr
 // later reads of it re-trigger extension — validation passing means every
 // read was current at some instant at or after the sample.
 //
-// A snapshot-mode attempt that has already reconstructed reads from the
-// multi-version store (snapHits > 0) refuses extension: those values are
-// correct only at the pinned instant, and moving the snapshot would mix
-// two instants in one read set. The caller then aborts and the retry
-// re-pins a fresher snapshot.
+// A pinned snapshot-mode attempt — one that has reconstructed a read from
+// the multi-version store, or served one without logging it (Tx.unlogged)
+// — refuses extension: reconstructed values are correct only at the pinned
+// instant and unlogged reads cannot be revalidated, so moving the snapshot
+// would mix two instants. The caller then aborts and the retry, which logs
+// every read, samples a fresher snapshot.
 func (tx *Tx) extend() bool {
-	if tx.snapHits > 0 {
+	if tx.pinned {
 		return false
 	}
 	if tx.pl {

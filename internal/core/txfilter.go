@@ -38,6 +38,9 @@ type txFilter struct {
 	mask  uint64   // current bitset size in bits - 1 (power of two)
 	n     int      // keys added since reset
 	grown bool
+	// set is setBit bound once: growth hands it to the caller's key
+	// enumerator, and binding it afresh there would allocate per growth.
+	set func(uint64)
 }
 
 // filterGrowBits is the bitset size installed at the first growth; with
@@ -83,12 +86,12 @@ func (f *txFilter) add(k uint64, smallMax int, keys func(yield func(uint64))) {
 			return
 		}
 		f.growTo(filterGrowBits)
-		keys(f.setBit)
+		keys(f.set)
 		return
 	}
 	if uint64(f.n) > (f.mask+1)>>3 {
 		f.growTo((f.mask + 1) << 2)
-		keys(f.setBit)
+		keys(f.set)
 		return
 	}
 	f.setBit(k)
@@ -128,4 +131,7 @@ func (f *txFilter) growTo(nbits uint64) {
 	}
 	f.mask = nbits - 1
 	f.grown = true
+	if f.set == nil {
+		f.set = f.setBit
+	}
 }

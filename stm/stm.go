@@ -98,15 +98,22 @@
 // values (internal/mvstore): update commits append the values they
 // replace — back to back per commit, so a multi-word object written by
 // one commit forms a contiguous grouped record — and read-only
-// transactions run through Run(fn, stm.Snapshot()) read at a snapshot
-// pinned at their first access, reconstructing any location a writer has
-// since overwritten from that history (a whole object in one index probe
-// when it was written by a single commit). Such
-// transactions never validate, never extend, and — while the needed
-// records are retained — never abort, no matter how heavy the write
-// traffic: long analytic scans coexist with saturating writers. A
-// missing or exhausted history degrades gracefully to the ordinary
-// validate/extend read path, so correctness never depends on retention.
+// transactions run through Run(fn, stm.Snapshot()) read at the snapshot
+// sampled when the attempt begins, reconstructing any location a writer
+// has since overwritten from that history (a whole object in one index
+// probe when it was written by a single commit). The first attempt of
+// such a Run is pinned: on a partition that has a store it keeps no read
+// set at all — every read is either current at the snapshot or
+// reconstructed at it, so there is nothing to validate and the snapshot
+// never moves. While the needed records are retained it never aborts,
+// no matter how heavy the write traffic: long analytic scans coexist
+// with saturating writers at the cost of the read protocol alone. When
+// the store cannot serve a stale read (record evicted), the pinned
+// attempt aborts and the Run degrades to logging: every retry records
+// its reads and takes the ordinary validate/extend path, so correctness
+// and progress never depend on retention. Partitions without a store are
+// unaffected: snapshot-mode reads there are logged, validated and
+// extended from the first attempt, as any invisible read is.
 // Enable per partition with PartConfig.HistCap, for the whole runtime
 // with Config.SnapshotHistory, or let the tuner manage stores itself
 // (TunerConfig.AdaptSnapshot: attach on unserved snapshot demand or a
@@ -212,10 +219,14 @@ type MaxAttemptsError = core.MaxAttemptsError
 func ReadOnly() TxOpt { return core.ReadOnly() }
 
 // Snapshot runs a Run transaction in snapshot mode (implies ReadOnly):
-// reads are served at a snapshot pinned at the first access, with
-// overwritten values reconstructed from the touched partitions'
-// multi-version stores — abort-free while the needed records are
-// retained. See the package comment's snapshot-mode section.
+// reads are served at the snapshot sampled at begin, with overwritten
+// values reconstructed from the touched partitions' multi-version stores.
+// The first attempt is pinned — no read set on store-backed partitions,
+// no validation, no extension — and abort-free while the needed records
+// are retained; a miss aborts it and every retry of that Run logs its
+// reads and validates/extends as usual. Partitions without a store log
+// from the first attempt. See the package comment's snapshot-mode
+// section.
 func Snapshot() TxOpt { return core.Snapshot() }
 
 // MaxAttempts bounds Run's retry loop: after n aborted attempts Run
