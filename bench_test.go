@@ -924,6 +924,7 @@ func BenchmarkNetPipelinedTxn(b *testing.B) {
 
 	const rate = 20000.0
 	measure := time.Duration(float64(b.N) / rate * float64(time.Second))
+	b.ReportAllocs()
 	b.ResetTimer()
 	res := bench.RunOpenLoopFunc(bench.OpenLoopConfig{
 		Threads: 8,

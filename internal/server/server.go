@@ -5,20 +5,27 @@
 //
 // # Connection model
 //
-// Each accepted connection runs two goroutines. A reader decodes frames
-// and dispatches every TXN batch onto its own goroutine through the
-// pooled stm.Runtime.Run path — the runtime's 64-slot thread pool with
-// FIFO waiter handoff IS the server's admission control, so a burst of
-// ten thousand pipelined batches queues at the slot pool instead of
-// thundering into the engine. A writer streams encoded responses out of
-// a per-connection channel IN COMPLETION ORDER: a slow batch never
-// blocks the responses of faster batches pipelined behind it, and the
-// client reorders by request id.
+// Each accepted connection is one goroutine that runs its requests to
+// completion: read a frame, execute the TXN batch through the pooled
+// stm.Runtime.Run path, append the reply to the connection's write
+// buffer. It flushes only when about to wait for the peer — not while a
+// whole next frame sits in its read buffer — so a pipelined burst that
+// arrived in one read leaves in one write, in request order, and no
+// request costs a goroutine, a channel hop or a syscall of its own.
 //
-// All-GET batches are dispatched in snapshot mode (stm.Snapshot()), so
-// heavy read traffic commits abort-free against any write load while
-// retention suffices; wire.FlagUpdate opts a batch out for
-// measurements. Write batches run as ordinary update transactions.
+// The exception is a write batch on a runtime whose commits park until
+// fsynced (DurabilitySync): run inline, a connection's pipelined commits
+// would each wait out a group commit alone, so these run on their own
+// goroutines, share one, and write and flush their own replies in
+// completion order (the client matches by request id). A connection has
+// at most maxDispatched of them; past that its reader blocks and TCP
+// holds the client back. A peer that pipelines and never reads likewise
+// blocks its own reader in the flush, and nothing else.
+//
+// All-GET batches run in snapshot mode (stm.Snapshot()), so heavy read
+// traffic commits abort-free against any write load while retention
+// suffices; wire.FlagUpdate opts a batch out for measurements. Write
+// batches run as ordinary update transactions.
 //
 // # Durability of an acked response
 //
@@ -33,15 +40,16 @@
 //
 // # Shutdown
 //
-// Close is graceful by construction: stop accepting, unblock every
-// reader, let all in-flight transactions finish and their responses
-// flush, and only then close the runtime's redo log — so a
-// DurabilitySync commit can never race the WAL teardown (stm/wal.go
-// documents that hazard).
+// Close is graceful by construction: stop accepting, expire every read
+// so each connection answers what it has already received, flushes
+// (within closeWriteGrace, for a peer that stopped reading) and ends,
+// and only then close the runtime's redo log — so a DurabilitySync
+// commit can never race the WAL teardown (a hazard stm/wal.go documents).
 package server
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -74,9 +82,6 @@ type Config struct {
 	// DisableSnapshotReads sends all-GET batches down the ordinary
 	// read-only path instead of snapshot mode.
 	DisableSnapshotReads bool
-	// WriteBuffer is the per-connection response channel depth (default
-	// 1024 frames).
-	WriteBuffer int
 }
 
 // serverStats holds the server's own counters (atomic mirrors of
@@ -100,10 +105,11 @@ const closeWriteGrace = 5 * time.Second
 
 // Server serves the keyed object space over a listener.
 type Server struct {
-	cfg   Config
-	rt    *stm.Runtime
-	space *KeySpace
-	stat  serverStats
+	cfg         Config
+	rt          *stm.Runtime
+	space       *KeySpace
+	stat        serverStats
+	syncCommits bool // commits park until fsynced: see conn.dispatch
 
 	mu       sync.Mutex
 	lis      net.Listener
@@ -130,27 +136,22 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Arity < 1 || cfg.Arity > wire.MaxArity {
 		return nil, fmt.Errorf("server: arity %d (want 1..%d)", cfg.Arity, wire.MaxArity)
 	}
-	if cfg.WriteBuffer <= 0 {
-		cfg.WriteBuffer = 1024
-	}
 	space, err := NewKeySpace(cfg.Runtime, cfg.SpaceName, cfg.Arity, cfg.DirBuckets)
 	if err != nil {
 		return nil, err
 	}
 	return &Server{
-		cfg:    cfg,
-		rt:     cfg.Runtime,
-		space:  space,
-		conns:  make(map[*conn]struct{}),
-		closed: make(chan struct{}),
+		cfg:         cfg,
+		rt:          cfg.Runtime,
+		space:       space,
+		syncCommits: cfg.Runtime.Durability() == stm.DurabilitySync,
+		conns:       make(map[*conn]struct{}),
+		closed:      make(chan struct{}),
 	}, nil
 }
 
 // Space exposes the keyed object space (for tests and embedding).
 func (s *Server) Space() *KeySpace { return s.space }
-
-// Runtime exposes the embedded runtime.
-func (s *Server) Runtime() *stm.Runtime { return s.rt }
 
 // ListenAndServe listens on addr (":7437"-style) and serves until
 // Close.
@@ -188,16 +189,6 @@ func (s *Server) Serve(lis net.Listener) error {
 	}
 }
 
-// Addr returns the listener's address (nil before Serve).
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.lis == nil {
-		return nil
-	}
-	return s.lis.Addr()
-}
-
 // Close shuts the server down gracefully: stop accepting, unblock every
 // connection's reader, wait for all in-flight transactions to finish
 // and their responses to flush, close the connections, and finally
@@ -208,22 +199,17 @@ func (s *Server) Close() error {
 		s.mu.Lock()
 		s.closing = true
 		lis := s.lis
-		live := make([]*conn, 0, len(s.conns))
+		// A read past this deadline fails at once: the connection answers
+		// what it has buffered, waits for its dispatched batches, flushes
+		// and ends. Writes get a bounded grace so a peer that stopped
+		// reading cannot hang shutdown — its remaining replies drop.
 		for c := range s.conns {
-			live = append(live, c)
+			c.nc.SetReadDeadline(time.Now())
+			c.nc.SetWriteDeadline(time.Now().Add(closeWriteGrace))
 		}
 		s.mu.Unlock()
 		if lis != nil {
 			lis.Close()
-		}
-		// Unblock every reader: a read past this deadline fails
-		// immediately, the reader sees closing==true and begins the
-		// drain (wait for in-flight, flush responses, close). Writes get
-		// a bounded grace so a peer that stopped reading cannot hang
-		// shutdown on TCP backpressure — its remaining responses drop.
-		for _, c := range live {
-			c.nc.SetReadDeadline(time.Now())
-			c.nc.SetWriteDeadline(time.Now().Add(closeWriteGrace))
 		}
 		s.connWG.Wait()
 		// No connection, no reader, no in-flight transaction: the redo
@@ -268,29 +254,36 @@ func (s *Server) statsPayload() *wire.StatsPayload {
 	return p
 }
 
-// conn is one accepted connection.
+// conn is one accepted connection, served by its reader goroutine.
 type conn struct {
 	srv *Server
 	nc  net.Conn
-	// out carries encoded response frames to the writer; send() drops
-	// the frame instead when the connection is already tearing down.
-	out chan []byte
-	// done closes when the connection starts tearing down (write error
-	// or dead peer); senders blocked on a full out channel unblock and
-	// drop.
-	done     chan struct{}
-	doneOnce sync.Once
-	// inflight tracks dispatched request goroutines.
-	inflight sync.WaitGroup
+	br  *bufio.Reader
+	b   *batch // the reader's scratch for inline batches
+
+	// wmu guards bw for the reader and the dispatched batches. bw keeps
+	// its first write error: a dead connection drops every later reply.
+	wmu sync.Mutex
+	bw  *bufio.Writer
+
+	// slots holds one token per dispatched batch in flight.
+	slots chan struct{}
 }
 
-// startConn registers and launches a connection.
+// maxDispatched caps the batches one connection has running on their
+// own goroutines at the runtime's slot-pool size: more could only queue
+// for a slot.
+const maxDispatched = 64
+
+// startConn registers a connection and launches its reader.
 func (s *Server) startConn(nc net.Conn) {
 	c := &conn{
-		srv:  s,
-		nc:   nc,
-		out:  make(chan []byte, s.cfg.WriteBuffer),
-		done: make(chan struct{}),
+		srv:   s,
+		nc:    nc,
+		br:    bufio.NewReaderSize(nc, 64<<10),
+		bw:    bufio.NewWriterSize(nc, 64<<10),
+		b:     s.newBatch(),
+		slots: make(chan struct{}, maxDispatched),
 	}
 	s.mu.Lock()
 	if s.closing {
@@ -304,128 +297,112 @@ func (s *Server) startConn(nc net.Conn) {
 	s.stat.Conns.Add(1)
 	s.stat.CurConns.Add(1)
 
-	go c.writeLoop()
-	go c.readLoop()
+	go c.serve()
 }
 
-// fail marks the connection dead so pending senders drop their frames.
-func (c *conn) fail() {
-	c.doneOnce.Do(func() { close(c.done) })
-}
-
-// send hands an encoded frame to the writer, dropping it when the
-// connection died first. Never blocks forever: a full out channel
-// resolves as soon as the writer drains or the connection fails.
-func (c *conn) send(frame []byte) {
-	select {
-	case c.out <- frame:
-	case <-c.done:
-	}
-}
-
-// readLoop decodes frames and dispatches requests until the peer hangs
-// up, a protocol error breaks the connection, or the server closes.
-// It then drains: every dispatched request finishes and its response is
-// flushed (or dropped, if the peer is gone) before the connection is
-// torn off the server.
-func (c *conn) readLoop() {
+// serve runs the connection until the peer hangs up, a protocol error
+// or a failed write breaks it, or the server closes. Every request read
+// by then is answered (or dropped, if the peer is gone) before teardown.
+func (c *conn) serve() {
 	defer c.teardown()
-	br := bufio.NewReaderSize(c.nc, 64<<10)
+	s := c.srv
 	var buf []byte
 	for {
-		payload, nbuf, err := wire.ReadFrame(br, buf)
+		// Flush before waiting for the peer, and only then: with a whole
+		// frame already buffered the read cannot block.
+		if !c.frameBuffered() {
+			c.write(nil, true)
+		}
+		payload, nbuf, err := wire.ReadFrame(c.br, buf)
 		if err != nil {
-			// EOF, peer reset, Close's read deadline, or a protocol
-			// error: stop reading. Graceful drain happens in teardown.
+			// EOF, peer reset, Close's read deadline, or a protocol error.
 			return
 		}
 		buf = nbuf
-		c.srv.stat.Frames.Add(1)
+		s.stat.Frames.Add(1)
 		switch wire.Kind(payload) {
 		case wire.KindTxnReq:
 			req, err := wire.DecodeTxnReq(payload)
 			if err != nil {
-				// Handshake-level garbage: answer nothing (the id is
-				// not trustworthy) and break the connection.
-				c.srv.stat.BadRequests.Add(1)
+				// Handshake-level garbage: answer nothing (the id is not
+				// trustworthy) and break the connection.
+				s.stat.BadRequests.Add(1)
 				return
 			}
-			c.dispatch(func() []byte {
-				return wire.AppendFrame(nil, wire.AppendTxnResp(nil, c.srv.execTxn(req)))
-			})
+			if s.syncCommits && !req.ReadOnly() {
+				c.dispatch(req)
+			} else {
+				c.write(s.execTxn(c.b, req), false)
+			}
 		case wire.KindStatsReq:
 			req, err := wire.DecodeStatsReq(payload)
 			if err != nil {
-				c.srv.stat.BadRequests.Add(1)
+				s.stat.BadRequests.Add(1)
 				return
 			}
-			c.dispatch(func() []byte {
-				body, err := json.Marshal(c.srv.statsPayload())
-				if err != nil {
-					return wire.AppendFrame(nil, wire.AppendStatsResp(nil, req.ID, wire.StatusInternal, nil, err.Error()))
-				}
-				return wire.AppendFrame(nil, wire.AppendStatsResp(nil, req.ID, wire.StatusOK, body, ""))
-			})
+			status, msg := wire.StatusOK, ""
+			body, err := json.Marshal(s.statsPayload())
+			if err != nil {
+				status, msg = wire.StatusInternal, err.Error()
+			}
+			c.write(wire.AppendStatsResp(nil, req.ID, status, body, msg), false)
 		default:
 			// Unknown kind: protocol error, break the connection.
-			c.srv.stat.BadRequests.Add(1)
+			s.stat.BadRequests.Add(1)
 			return
 		}
 	}
 }
 
-// dispatch runs fn on its own goroutine and sends its response frame.
-// Concurrency control is the runtime's slot pool: dispatch never blocks
-// the reader, and Run's FIFO admission queue bounds engine pressure.
-func (c *conn) dispatch(fn func() []byte) {
-	c.inflight.Add(1)
+// frameBuffered reports whether the read buffer holds a whole frame.
+func (c *conn) frameBuffered() bool {
+	have := c.br.Buffered() - wire.FrameHeaderSize
+	if have < 0 {
+		return false
+	}
+	hdr, _ := c.br.Peek(4)
+	return have >= int(binary.LittleEndian.Uint32(hdr))
+}
+
+// dispatch runs a write batch on its own goroutine, which writes and
+// flushes its own reply. At maxDispatched in flight it blocks the reader.
+func (c *conn) dispatch(req *wire.TxnReq) {
+	c.slots <- struct{}{}
 	go func() {
-		defer c.inflight.Done()
-		c.send(fn())
+		c.write(c.srv.execTxn(c.srv.newBatch(), req), true)
+		<-c.slots
 	}()
 }
 
-// teardown drains the connection after the reader stopped: wait for
-// in-flight requests, close the response channel so the writer exits
-// after flushing, and unregister.
+// write appends payload (if any) to the write buffer as one frame and
+// optionally flushes. A failed write closes the socket under the reader.
+func (c *conn) write(payload []byte, flush bool) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	var err error
+	if payload != nil {
+		_, err = c.bw.Write(wire.AppendFrame(c.bw.AvailableBuffer(), payload))
+	}
+	if err == nil && flush {
+		err = c.bw.Flush()
+	}
+	if err != nil {
+		c.nc.Close()
+	}
+}
+
+// teardown ends the connection: take every slot (no dispatched batch
+// is left), flush what was buffered, close the socket and unregister.
 func (c *conn) teardown() {
-	c.inflight.Wait()
-	close(c.out)
+	for range maxDispatched {
+		c.slots <- struct{}{}
+	}
+	c.write(nil, true)
+	c.nc.Close()
 	s := c.srv
 	s.mu.Lock()
 	delete(s.conns, c)
 	s.mu.Unlock()
 	s.stat.CurConns.Add(-1)
 	s.connWG.Done()
-}
-
-// writeLoop streams response frames in completion order, batching
-// flushes: it flushes only when the channel runs empty, so a pipelined
-// burst costs one syscall per drain, not per response.
-func (c *conn) writeLoop() {
-	bw := bufio.NewWriterSize(c.nc, 64<<10)
-	dead := false
-	for frame := range c.out {
-		if dead {
-			continue // drain without writing: the peer is gone
-		}
-		if _, err := bw.Write(frame); err != nil {
-			dead = true
-			c.fail()
-			c.nc.Close() // unblock the reader too
-			continue
-		}
-		if len(c.out) == 0 {
-			if err := bw.Flush(); err != nil {
-				dead = true
-				c.fail()
-				c.nc.Close()
-			}
-		}
-	}
-	if !dead {
-		bw.Flush()
-	}
-	c.fail()
-	c.nc.Close()
 }

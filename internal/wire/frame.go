@@ -65,11 +65,18 @@ func DecodeFrame(data []byte) (payload, rest []byte, err error) {
 // only on a clean frame boundary; a connection dying mid-frame is
 // io.ErrUnexpectedEOF.
 func ReadFrame(r io.Reader, buf []byte) (payload, newBuf []byte, err error) {
-	var hdr [FrameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The header is read into the front of buf and overwritten by the
+	// payload: a local array would escape through io.ReadFull's interface
+	// argument and cost one allocation per frame.
+	if cap(buf) < FrameHeaderSize {
+		buf = make([]byte, FrameHeaderSize, 512)
+	}
+	buf = buf[:FrameHeaderSize]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, buf, err
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
+	n := int(binary.LittleEndian.Uint32(buf))
+	sum := binary.LittleEndian.Uint32(buf[4:])
 	if n == 0 || n > MaxFramePayload {
 		return nil, buf, fmt.Errorf("wire: implausible frame length %d", n)
 	}
@@ -83,7 +90,7 @@ func ReadFrame(r io.Reader, buf []byte) (payload, newBuf []byte, err error) {
 		}
 		return nil, buf, err
 	}
-	if crc32.Checksum(buf, castagnoli) != binary.LittleEndian.Uint32(hdr[4:]) {
+	if crc32.Checksum(buf, castagnoli) != sum {
 		return nil, buf, fmt.Errorf("wire: frame checksum mismatch")
 	}
 	return buf, buf, nil

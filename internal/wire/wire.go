@@ -23,8 +23,8 @@
 // Every payload begins with a kind byte and a request id. Request ids
 // are chosen by the client and echoed verbatim in the response; they
 // need only be unique among the connection's in-flight requests, which
-// is what makes pipelining work — the server executes batches
-// concurrently and streams responses back in completion order, and the
+// is what makes pipelining work — the server may answer a connection's
+// requests in any order (internal/server says when it does), and the
 // client routes each response to its caller by id.
 //
 //	kind 1 (TxnReq):    id, flags, ops — one batched transaction

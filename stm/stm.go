@@ -346,6 +346,7 @@ type Runtime struct {
 	tuner    *tuning.Tuner
 	baseCfg  PartConfig
 	wal      *wal.Log
+	sync     bool // commits park until their redo record is fsynced
 	recovery *RecoveryInfo
 }
 

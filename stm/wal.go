@@ -135,7 +135,8 @@ func (r *Runtime) attachWAL(cfg *WALConfig) error {
 	if now := r.eng.Clock(); clockTarget > now {
 		r.eng.AdvanceClock(clockTarget - now)
 	}
-	r.eng.SetWAL(log, cfg.Durability == DurabilitySync)
+	r.sync = cfg.Durability == DurabilitySync
+	r.eng.SetWAL(log, r.sync)
 	r.wal = log
 	r.recovery = info
 	return nil
@@ -148,6 +149,20 @@ func (r *Runtime) Recovery() *RecoveryInfo { return r.recovery }
 // WAL exposes the underlying redo log (nil without Config.WAL); intended
 // for tests and crash-torture harnesses.
 func (r *Runtime) WAL() *WALLog { return r.wal }
+
+// Durability reports the commit contract in force: DurabilityOff
+// without a redo log (or after Close), DurabilitySync when every
+// committing Run parks until its record is fsynced, DurabilityAsync
+// otherwise.
+func (r *Runtime) Durability() Durability {
+	switch {
+	case r.wal == nil:
+		return DurabilityOff
+	case r.sync:
+		return DurabilitySync
+	}
+	return DurabilityAsync
+}
 
 // WALStats returns the redo log's counters; ok is false without
 // Config.WAL.

@@ -16,7 +16,7 @@
 // A Client is safe for concurrent use: every Do is tagged with a fresh
 // request id, written atomically, and matched to its response by id, so
 // any number of goroutines pipeline their batches over the one
-// connection and the server streams responses back in completion order.
+// connection, whatever order the server answers them in.
 //
 // Failures are typed end to end: a batch that exhausted the server's
 // retry budget returns a *stm.MaxAttemptsError (attempt count and final
