@@ -621,6 +621,65 @@ func BenchmarkReadOnlyScan(b *testing.B) {
 	}
 }
 
+// BenchmarkListWalk is the shape that dominates stmbench's multiset: a
+// read-only Contains over a 128-node sorted list, every node a three-word
+// object rebuilt with RefAt and read through Ref.Load. The probed key
+// cycles over the whole range, so the mean walk is half the list.
+func BenchmarkListWalk(b *testing.B) {
+	const nodes = 128
+	rt := stm.MustNew(stm.Config{HeapWords: 1 << 16})
+	th := rt.MustAttach()
+	defer rt.Detach(th)
+	var l *txds.List
+	th.Run(func(tx *stm.Tx) error {
+		l = txds.NewList(tx, rt, "walk")
+		for k := uint64(0); k < nodes; k++ {
+			l.Insert(tx, 2*k, k)
+		}
+		return nil
+	})
+	var k uint64
+	fn := func(tx *stm.Tx) error {
+		l.Contains(tx, k)
+		return nil
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k = uint64(i) % (2 * nodes)
+		if err := th.Run(fn, stm.ReadOnly()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkShortReadOnlyRun is the per-Run fixed cost: one Load in a
+// read-only transaction through the pooled entry point, so nearly all of
+// it is borrow, begin, commit, statistics and return.
+func BenchmarkShortReadOnlyRun(b *testing.B) {
+	rt := stm.MustNew(stm.Config{HeapWords: 1 << 16})
+	var a stm.Addr
+	if err := rt.Run(func(tx *stm.Tx) error {
+		a = tx.Alloc(stm.SiteID(0), 1)
+		tx.Store(a, 1)
+		return nil
+	}); err != nil {
+		b.Fatal(err)
+	}
+	var sink uint64
+	fn := func(tx *stm.Tx) error {
+		sink += tx.Load(a)
+		return nil
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := rt.Run(fn, stm.ReadOnly()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPartitionLookup isolates the cost table2 measures: transactions
 // against a partitioned heap vs the same heap unpartitioned.
 func BenchmarkPartitionLookup(b *testing.B) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -208,6 +209,173 @@ func TestTimestampCMOlderWins(t *testing.T) {
 	// unbounded number of attempts.
 	if attempts > 200 {
 		t.Fatalf("long transaction needed %d attempts under older-wins CM", attempts)
+	}
+}
+
+// TestKarmaOwnerProgressPublishedAtAcquire pins karma arbitration after
+// lazy publication: an owner's operation count reaches other threads when
+// it takes a lock — at encounter time or at commit time — not on every
+// operation, and that is enough: a challenger that has done less work than
+// the owner had done when it acquired does not kill it, one that has done
+// more does.
+func TestKarmaOwnerProgressPublishedAtAcquire(t *testing.T) {
+	for _, acq := range []AcquireMode{EncounterTime, CommitTime} {
+		t.Run(acq.String(), func(t *testing.T) {
+			cfg := cmConfig(CMKarma)
+			cfg.Acquire = acq
+			cfg.SpinBudget = 16
+			e := newTestEngine(t, cfg)
+			setup := e.MustAttachThread()
+			const pad = 32
+			var base memory.Addr
+			setup.Atomic(func(tx *Tx) {
+				base = tx.Alloc(memory.DefaultSite, pad+1)
+				for i := 0; i <= pad; i++ {
+					tx.Store(base+memory.Addr(i), 1)
+				}
+			})
+			e.DetachThread(setup)
+			hot := base + pad
+
+			const ownerOps = 10
+			owner := e.MustAttachThread()
+			held, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+			ownerAttempts := 0
+			go func() {
+				defer close(done)
+				owner.Atomic(func(tx *Tx) {
+					ownerAttempts++
+					for i := 0; i < ownerOps; i++ {
+						tx.Load(base + memory.Addr(i))
+					}
+					tx.Store(hot, 2)
+					if ownerAttempts > 1 {
+						return
+					}
+					if acq == CommitTime {
+						// Take the commit-time lock now, as commit would, and
+						// keep it while the challengers run.
+						tx.acquireAtCommit(&tx.ws[0])
+					}
+					close(held)
+					<-release
+				})
+			}()
+			<-held
+			if got := owner.progress.Load(); got != ownerOps+1 {
+				t.Fatalf("owner published progress %d at acquisition, want %d", got, ownerOps+1)
+			}
+
+			challenge := func(ops int) error {
+				th := e.MustAttachThread()
+				defer e.DetachThread(th)
+				return th.Run(func(tx *Tx) error {
+					for i := 0; i < ops; i++ {
+						tx.Load(base + memory.Addr(ownerOps+i))
+					}
+					tx.Load(hot)
+					return nil
+				}, MaxAttempts(1))
+			}
+			var mae *MaxAttemptsError
+			if err := challenge(ownerOps / 2); !errors.As(err, &mae) || mae.Cause != AbortLockedOnRead {
+				t.Fatalf("weaker challenger: err = %v, want a lock-conflict abort", err)
+			}
+			if owner.killed.Load() != 0 {
+				t.Fatal("a challenger with fewer operations than the owner killed it")
+			}
+			if err := challenge(2 * ownerOps); !errors.As(err, &mae) || mae.Cause != AbortLockedOnRead {
+				t.Fatalf("stronger challenger: err = %v, want a lock-conflict abort (victim parked in user code)", err)
+			}
+			if owner.killed.Load() == 0 {
+				t.Fatal("a challenger with more operations than the owner did not kill it")
+			}
+			close(release)
+			<-done
+			if ownerAttempts != 2 {
+				t.Fatalf("owner ran %d attempts, want 2 (killed once)", ownerAttempts)
+			}
+			if got := e.StatsSnapshot(GlobalPartition).Aborts[AbortKilled]; got != 1 {
+				t.Fatalf("killed aborts = %d, want 1", got)
+			}
+			e.DetachThread(owner)
+		})
+	}
+}
+
+// TestTimestampOrdinalDrawnOnDemand pins where CMTimestamp ordinals come
+// from now that Run no longer draws one unconditionally: a Run confined to
+// partitions under other policies leaves the engine's sequence alone; a Run
+// that locks in a CMTimestamp partition draws exactly one ordinal, keeps it
+// across its retries (older still wins), and the next Run starts without
+// one.
+func TestTimestampOrdinalDrawnOnDemand(t *testing.T) {
+	e := newTestEngine(t, DefaultPartConfig())
+	sites := e.Arena().Sites()
+	sa := sites.Register("ts.a")
+	sitePart := make([]PartID, sites.Count())
+	sitePart[sa] = 1
+	if err := e.InstallPlan(sitePart, []string{"g", "ts"},
+		[]PartConfig{DefaultPartConfig(), cmConfig(CMTimestamp)}); err != nil {
+		t.Fatal(err)
+	}
+	th := e.MustAttachThread()
+	defer e.DetachThread(th)
+	var plain, stamped memory.Addr
+	th.Atomic(func(tx *Tx) {
+		plain = tx.Alloc(memory.DefaultSite, 1)
+		tx.Store(plain, 0)
+	})
+	for i := 0; i < 10; i++ {
+		th.Atomic(func(tx *Tx) { tx.Store(plain, tx.Load(plain)+1) })
+		th.ReadOnlyAtomic(func(tx *Tx) { tx.Load(plain) })
+	}
+	if got := e.txSeq.Load(); got != 0 {
+		t.Fatalf("Runs confined to a CMSpin partition drew %d ordinals", got)
+	}
+	if got := th.beginSeq.Load(); got != 0 {
+		t.Fatalf("beginSeq = %d with no ordinal drawn", got)
+	}
+
+	var seen []uint64
+	attempts := 0
+	th.Atomic(func(tx *Tx) {
+		attempts++
+		if tx.seq != 0 && attempts == 1 {
+			t.Errorf("ordinal %d held before any CMTimestamp access", tx.seq)
+		}
+		if attempts == 1 {
+			stamped = tx.Alloc(sa, 1)
+		}
+		tx.Store(stamped, uint64(attempts)) // locks in the CMTimestamp partition
+		seen = append(seen, tx.seq)
+		if attempts < 3 {
+			tx.Abort()
+		}
+	})
+	if len(seen) != 3 || seen[0] != 1 || seen[1] != 1 || seen[2] != 1 {
+		t.Fatalf("ordinals over three attempts of one Run = %v, want [1 1 1]", seen)
+	}
+	if got := e.txSeq.Load(); got != 1 {
+		t.Fatalf("engine sequence = %d after one stamped Run, want 1", got)
+	}
+	if got := th.beginSeq.Load(); got != 1 {
+		t.Fatalf("published ordinal = %d, want 1", got)
+	}
+	// The next Run starts clean; a read-only one in the stamped partition
+	// meets no lock and no conflict, so it draws nothing.
+	th.ReadOnlyAtomic(func(tx *Tx) {
+		if th.beginSeq.Load() != 0 || tx.seq != 0 {
+			t.Errorf("stale ordinal %d/%d carried into the next Run", tx.seq, th.beginSeq.Load())
+		}
+		tx.Load(stamped)
+	})
+	if got := e.txSeq.Load(); got != 1 {
+		t.Fatalf("a conflict-free read in the stamped partition drew an ordinal (sequence %d)", got)
+	}
+	th.Atomic(func(tx *Tx) { tx.Store(stamped, 9) })
+	if got := e.txSeq.Load(); got != 2 {
+		t.Fatalf("engine sequence = %d after a second stamped Run, want 2", got)
 	}
 }
 

@@ -32,15 +32,19 @@
 // deduplicated per orec and the write set holds one entry per unique
 // address, so validation, extension and commit cost scale with the unique
 // locations a transaction touches, never with the operations it executes.
-// Set-membership lookups run as inline linear scans while sets are small
-// and through generation-stamped open-addressed indexes (txIndex) beyond;
-// a bloom-style first-touch filter (txFilter) in front of both makes the
-// dominant query of a large scan — "is this orec/address new to me?" —
-// answer without probing at all (a clear bit proves first touch; a set
-// bit still confirms through the exact lookup). Commit-time validation is
-// skipped when no foreign commit has landed in the footprint (the TL2
-// rule, generalized per partition). See tx.go, txindex.go and
-// txfilter.go.
+// Set-membership lookups run as inline linear scans behind a one-word
+// first-touch filter while sets are small, and as one find-or-insert probe
+// of a generation-stamped open-addressed index (txIndex) beyond.
+// Commit-time validation is skipped when no foreign commit has landed in
+// the footprint (the TL2 rule, generalized per partition). See tx.go and
+// txindex.go.
+//
+// The access path of a transaction that conflicts with nobody executes no
+// locked instruction, reads no clock and writes nothing outside its own
+// descriptor: per-access statistics accumulate in plain words per touched
+// partition and reach the shared counter blocks once per attempt
+// (PartThreadStats), and the state other threads' contention managers read
+// about a lock owner is published when a lock is taken (Tx.publishOwner).
 //
 // Partitions may additionally retain a bounded multi-version history of
 // overwritten values (PartConfig.HistCap, internal/mvstore), indexed by

@@ -83,9 +83,6 @@ type Engine struct {
 	// the tuner's trace).
 	stwCount atomic.Uint64
 
-	// txSeq issues begin ordinals for CMTimestamp arbitration.
-	txSeq atomic.Uint64
-
 	// tracer, when set, receives one event per transaction attempt
 	// outcome (commit or abort). One atomic pointer load per attempt when
 	// unset; see SetTracer.
@@ -112,6 +109,14 @@ type Engine struct {
 	// transactions actually overlap. Benchmarks enable it; unit tests of
 	// the protocol logic run with it off.
 	yieldMask atomic.Uint64
+
+	// txSeq issues CMTimestamp ordinals (Tx.ordinal): the one engine word
+	// transactions write besides the time base. It gets a line of its own
+	// so those writes never invalidate the read-mostly fields above, which
+	// every attempt of every thread loads.
+	_     [cacheLine]byte
+	txSeq atomic.Uint64
+	_     [cacheLine - 8]byte
 }
 
 // tbBox wraps the TimeBase interface so the engine can store it in an
@@ -478,7 +483,8 @@ func (e *Engine) quiesce(fn func()) {
 func (e *Engine) STWCount() uint64 { return e.stwCount.Load() }
 
 // StatsSnapshot aggregates per-thread counters for partition id. Counters
-// are atomics incremented by their owning threads; the aggregate is a
+// are atomics their owning threads add to once per attempt (see
+// PartThreadStats for what that makes visible when); the aggregate is a
 // momentary view, and every counter is monotonic, so deltas between
 // snapshots are exact in the long run — which is what the tuner consumes.
 // Across a plan install the engine folds all prior counters into the
@@ -595,7 +601,12 @@ func (e *Engine) SnapshotAtomic(th *Thread, fn func(*Tx)) {
 
 func (e *Engine) run(th *Thread, cfg runCfg, fn func(*Tx) error) error {
 	tx := &th.tx
-	th.beginSeq.Store(e.txSeq.Add(1))
+	// The CMTimestamp ordinal is drawn on demand (Tx.ordinal); forget the
+	// previous Run's.
+	tx.seq = 0
+	if th.beginSeq.Load() != 0 {
+		th.beginSeq.Store(0)
+	}
 	readOnly, snap := cfg.readOnly, cfg.snap
 	// Only the first attempt of a snapshot Run goes without a read set; any
 	// abort degrades the rest of the Run to logged reads (see Tx.unlogged).
@@ -614,14 +625,14 @@ func (e *Engine) run(th *Thread, cfg runCfg, fn func(*Tx) error) error {
 				Ops:            tx.opCount,
 				SnapHits:       tx.snapHits,
 				SnapMisses:     tx.snapMisses,
-				Yields:         tx.yields,
-				Parks:          tx.parks,
+				Yields:         tx.wait.yields,
+				Parks:          tx.wait.parks,
 				RetiredWords:   tx.retiredWords,
 				ReclaimedWords: tx.reclaimedWords,
 				DurationNs:     tx.durationNs,
-				SpinNs:         tx.spinNs,
-				YieldNs:        tx.yieldNs,
-				ParkNs:         tx.parkNs,
+				SpinNs:         tx.wait.spinNs,
+				YieldNs:        tx.wait.yieldNs,
+				ParkNs:         tx.wait.parkNs,
 			})
 		}
 		switch {

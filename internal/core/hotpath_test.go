@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -171,6 +172,14 @@ func TestInstallPlanStatsRace(t *testing.T) {
 	})
 	e.DetachThread(setup)
 
+	var before PartStats
+	for _, s := range e.AllStats() {
+		before.add(&s)
+	}
+	// What the workers execute, counted per attempt just before each access:
+	// every attempt's accesses must reach the statistics, committed or not,
+	// whichever plan was live when it ran.
+	var loads, stores, runs atomic.Uint64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
@@ -187,7 +196,13 @@ func TestInstallPlanStatsRace(t *testing.T) {
 				default:
 				}
 				a := addrs[rng.Intn(2)] + memory.Addr(rng.Intn(4))
-				th.Atomic(func(tx *Tx) { tx.Store(a, tx.Load(a)+1) })
+				th.Atomic(func(tx *Tx) {
+					loads.Add(1)
+					v := tx.Load(a)
+					stores.Add(1)
+					tx.Store(a, v+1)
+				})
+				runs.Add(1)
 			}
 		}(int64(w) + 1)
 	}
@@ -220,6 +235,20 @@ func TestInstallPlanStatsRace(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	// Live blocks plus the retired aggregate account for every access of
+	// every attempt across all forty installs.
+	var after PartStats
+	for _, s := range e.AllStats() {
+		after.add(&s)
+	}
+	d := after.Sub(before)
+	if d.Loads != loads.Load() || d.Stores != stores.Load() || d.Commits != runs.Load() {
+		t.Fatalf("after 40 installs: loads %d stores %d commits %d, executed %d %d %d",
+			d.Loads, d.Stores, d.Commits, loads.Load(), stores.Load(), runs.Load())
+	}
+	if attempts := loads.Load(); d.Commits+d.TotalAborts() != attempts {
+		t.Fatalf("commits %d + aborts %d != %d attempts", d.Commits, d.TotalAborts(), attempts)
+	}
 }
 
 // TestInstallPlanPreservesStats asserts commit/abort history survives a
@@ -264,10 +293,148 @@ func TestInstallPlanPreservesStats(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		th.Atomic(func(tx *Tx) { tx.Store(a, tx.Load(a)+1) })
 	}
+	// A plan installed BETWEEN two attempts of one Run (from the abort hook:
+	// the aborted attempt has been flushed and the thread has left the
+	// gate) loses neither attempt: the first one's accesses are in the
+	// retired aggregate, the second one's in the fresh blocks.
+	c2, l2 := total()
+	attempts := 0
+	err := th.Run(func(tx *Tx) error {
+		attempts++
+		for i := 0; i < 5; i++ {
+			tx.Load(a)
+		}
+		if attempts == 1 {
+			tx.Abort()
+		}
+		return nil
+	}, OnAbort(func(AbortCause, int) {
+		if err := e.InstallPlan(make([]PartID, sites.Count()), []string{"g"},
+			[]PartConfig{DefaultPartConfig()}); err != nil {
+			t.Error(err)
+		}
+	}))
+	if err != nil || attempts != 2 {
+		t.Fatalf("Run across an install: err %v after %d attempts", err, attempts)
+	}
+	c3, l3 := total()
+	if c3 != c2+1 || l3 != l2+10 {
+		t.Fatalf("install between attempts: commits %d -> %d (want +1), loads %d -> %d (want +10)", c2, c3, l2, l3)
+	}
+	var aborts uint64
+	for _, s := range e.AllStats() {
+		aborts += s.Aborts[AbortExplicit]
+	}
+	if aborts != 1 {
+		t.Fatalf("explicit aborts = %d after the install, want 1", aborts)
+	}
 	e.DetachThread(th)
-	c2, _ := total()
-	if c2 < c1+100 {
-		t.Fatalf("post-install commits not accumulating: %d -> %d", c1, c2)
+	c4, _ := total()
+	if c4 < c1+100 {
+		t.Fatalf("post-install commits not accumulating: %d -> %d", c1, c4)
+	}
+}
+
+// TestStatsExactAcrossAttempts checks that batching the per-access counters
+// on the attempt changed when they become visible and nothing else: after
+// the last Run returns, each partition's loads, stores, commits and abort
+// causes are exactly what the committed AND the aborted attempts executed —
+// word counts of multi-word accesses included.
+func TestStatsExactAcrossAttempts(t *testing.T) {
+	e := newTestEngine(t, DefaultPartConfig())
+	sites := e.Arena().Sites()
+	sa := sites.Register("exact.a")
+	sb := sites.Register("exact.b")
+	sitePart := make([]PartID, sites.Count())
+	sitePart[sa], sitePart[sb] = 1, 2
+	if err := e.InstallPlan(sitePart, []string{"g", "a", "b"},
+		[]PartConfig{DefaultPartConfig(), DefaultPartConfig(), DefaultPartConfig()}); err != nil {
+		t.Fatal(err)
+	}
+	th := e.MustAttachThread()
+	defer e.DetachThread(th)
+	var a, b memory.Addr
+	th.Atomic(func(tx *Tx) {
+		a = tx.Alloc(sa, 8)
+		b = tx.Alloc(sb, 8)
+		for i := 0; i < 8; i++ {
+			tx.Store(a+memory.Addr(i), 1)
+			tx.Store(b+memory.Addr(i), 1)
+		}
+	})
+	base := [3]PartStats{e.StatsSnapshot(0), e.StatsSnapshot(1), e.StatsSnapshot(2)}
+	var want [3]PartStats
+	var buf [8]uint64
+
+	// K committed attempts: 3 loads + 1 store in a, an 8-word load and a
+	// 2-word store in b.
+	const K = 7
+	for i := 0; i < K; i++ {
+		th.Atomic(func(tx *Tx) {
+			tx.Store(a, tx.Load(a)+tx.Load(a+1)+tx.Load(a+2))
+			tx.LoadWords(b, buf[:])
+			tx.StoreWords(b+4, buf[:2])
+		})
+	}
+	want[1].Loads, want[1].Stores, want[1].Commits, want[1].UpdateCommits = 3*K, K, K, K
+	want[2].Loads, want[2].Stores, want[2].Commits, want[2].UpdateCommits = 8*K, 2*K, K, K
+
+	// An explicit Abort after 2 loads in a and 1 store in b; the retry
+	// reads 1 word of a and commits read-only there.
+	attempts := 0
+	th.Atomic(func(tx *Tx) {
+		if attempts++; attempts == 1 {
+			tx.Load(a)
+			tx.Load(a + 1)
+			tx.Store(b, 5)
+			tx.Abort()
+		}
+		tx.Load(a)
+	})
+	want[1].Loads += 3
+	want[2].Stores++
+	want[1].Aborts[AbortExplicit]++
+	want[2].Aborts[AbortExplicit]++
+	want[1].Commits++
+	want[1].ROCommits++
+
+	// An upgrade restart: the read-only attempt loads 4 words of a and then
+	// stores to b — the store aborts before it counts or touches b — and
+	// the update-mode retry does both.
+	th.ReadOnlyAtomic(func(tx *Tx) {
+		tx.LoadWords(a, buf[:4])
+		tx.Store(b, 6)
+	})
+	want[1].Loads += 8
+	want[1].Aborts[AbortUpgrade]++
+	want[2].Stores++
+	want[1].Commits++
+	want[1].ROCommits++
+	want[2].Commits++
+	want[2].UpdateCommits++
+
+	// A MaxAttempts exhaustion: three attempts of 2 loads in b, all aborted.
+	err := th.Run(func(tx *Tx) error {
+		tx.Load(b)
+		tx.Load(b + 1)
+		tx.Abort()
+		return nil
+	}, MaxAttempts(3))
+	if !errors.Is(err, ErrMaxAttempts) {
+		t.Fatalf("err = %v, want ErrMaxAttempts", err)
+	}
+	want[2].Loads += 6
+	want[2].Aborts[AbortExplicit] += 3
+
+	for p := range want {
+		got := e.StatsSnapshot(PartID(p)).Sub(base[p])
+		w := want[p]
+		if got.Loads != w.Loads || got.Stores != w.Stores || got.Commits != w.Commits ||
+			got.UpdateCommits != w.UpdateCommits || got.ROCommits != w.ROCommits || got.Aborts != w.Aborts {
+			t.Errorf("partition %d:\n got  loads %d stores %d commits %d (update %d, ro %d) aborts %v\n want loads %d stores %d commits %d (update %d, ro %d) aborts %v",
+				p, got.Loads, got.Stores, got.Commits, got.UpdateCommits, got.ROCommits, got.Aborts,
+				w.Loads, w.Stores, w.Commits, w.UpdateCommits, w.ROCommits, w.Aborts)
+		}
 	}
 }
 

@@ -7,22 +7,32 @@ import (
 	"repro/internal/stats"
 )
 
-// PartThreadStats are one thread's counters for one partition. They are
-// incremented only by the owning thread (so the atomic adds stay on a
-// local cache line and are cheap) and read by the tuner's snapshot
-// aggregation, which may run concurrently — hence atomics, not plain
-// words.
+// PartThreadStats are one thread's counters for one partition: a single
+// writer, the owning thread, and concurrent readers (the tuner's snapshot
+// aggregation, StatsSnapshot) — hence atomics. An atomic add is a locked
+// instruction, some twenty cycles and a store-buffer drain even on a line
+// nobody else touches, so the owner does not pay one per access: an attempt
+// accumulates its loads, stores, snapshot hits and misses and its wait
+// accounting in plain words on its touchRec, and Tx.flushStats adds them
+// here once, when the attempt finishes — committed or aborted alike,
+// together with its outcome. Totals are exactly what per-access adds give.
+//
+// What changes is when they show: a concurrent reader sees an attempt's
+// accesses all at once, at its end, and nothing of an attempt still
+// running — a 32 k-word scan reports its 32 k loads when it commits. Every
+// counter is still monotone, and a Run's counters are all visible by the
+// time Run returns. The one exception is deliberate: a wait that escalates
+// past the spin budget flushes its wait accounting at every yield and park
+// (Tx.stall), so the tuner sees a stuck waiter while it is stuck.
 type PartThreadStats struct {
-	Loads   atomic.Uint64
-	Stores  atomic.Uint64
-	Commits atomic.Uint64
+	Loads  atomic.Uint64
+	Stores atomic.Uint64
 	// UpdateCommits counts committed transactions that wrote at least one
-	// word of this partition.
+	// word of this partition, ROCommits those that only read it; a commit
+	// is one or the other, so PartStats.Commits is their sum.
 	UpdateCommits atomic.Uint64
-	// ROCommits counts committed transactions that only read this
-	// partition.
-	ROCommits atomic.Uint64
-	Aborts    [NumAbortCauses]atomic.Uint64
+	ROCommits     atomic.Uint64
+	Aborts        [NumAbortCauses]atomic.Uint64
 	// WaitCycles approximates time spent spinning on this partition's
 	// orecs (CM wait-loop iterations).
 	WaitCycles atomic.Uint64
@@ -63,9 +73,10 @@ type PartThreadStats struct {
 func (s *PartThreadStats) accumulateInto(out *PartStats) {
 	out.Loads += s.Loads.Load()
 	out.Stores += s.Stores.Load()
-	out.Commits += s.Commits.Load()
-	out.UpdateCommits += s.UpdateCommits.Load()
-	out.ROCommits += s.ROCommits.Load()
+	u, r := s.UpdateCommits.Load(), s.ROCommits.Load()
+	out.Commits += u + r
+	out.UpdateCommits += u
+	out.ROCommits += r
 	out.WaitCycles += s.WaitCycles.Load()
 	out.Yields += s.Yields.Load()
 	out.Parks += s.Parks.Load()

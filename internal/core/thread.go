@@ -25,8 +25,8 @@ const cacheLine = 64
 // Layout: the owner-private fields come first; the control words that
 // cross thread boundaries are split into two cache-line-padded groups so
 // that (a) a contender's kill store never invalidates the line the owner
-// rewrites on every operation (progress), and (b) neither group shares a
-// line with the owner-hot Tx state behind it.
+// writes, and (b) neither group shares a line with the owner-hot Tx state
+// behind it.
 type Thread struct {
 	eng  *Engine
 	slot int
@@ -50,14 +50,19 @@ type Thread struct {
 	cfg runCfg // Run's option scratch
 
 	_ [cacheLine]byte
-	// Owner-written, cross-thread-read: active gates quiescence, progress
-	// and beginSeq feed karma/timestamp arbitration in other threads.
-	// progress is rewritten every transactional operation, so this line
-	// must hold nothing any other thread writes.
+	// Owner-written, cross-thread-read; they share a line because the owner
+	// writes all three and nobody else writes any. active gates quiescence
+	// and is stored twice per attempt (enterGate/exitGate). progress and
+	// beginSeq feed karma/timestamp arbitration in other threads and are
+	// written only when that can matter: progress (the attempt's operation
+	// count) when the attempt takes a lock in a CMKarma partition, beginSeq
+	// when a Run first locks or conflicts in a CMTimestamp partition
+	// (Tx.publishOwner, Tx.ordinal) — a transactional operation by itself
+	// writes nothing here.
 	active   atomic.Uint32
 	progress atomic.Uint64
-	// beginSeq is the transaction's begin ordinal, assigned once per
-	// top-level transaction (not per attempt) so that CMTimestamp's
+	// beginSeq is the Run's CMTimestamp ordinal (0: none drawn), assigned
+	// at most once per top-level transaction (not per attempt) so that
 	// older-wins arbitration gives long-retrying transactions priority.
 	beginSeq atomic.Uint64
 	_        [cacheLine - 20]byte
@@ -118,11 +123,6 @@ func (th *Thread) enterGate() {
 
 // exitGate marks the thread idle.
 func (th *Thread) exitGate() { th.active.Store(0) }
-
-// statsFor returns this thread's counter block for partition p.
-func (th *Thread) statsFor(p PartID) *PartThreadStats {
-	return &(*th.stats.Load())[p]
-}
 
 // Atomic runs fn as a transaction, retrying on conflict until it commits.
 // See Engine.Atomic.

@@ -3,6 +3,7 @@ package core
 import (
 	"math/bits"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
@@ -48,14 +49,20 @@ type allocRec struct {
 }
 
 type touchRec struct {
-	p     *Partition
-	wrote bool
+	p *Partition
 	// snap is the transaction's snapshot of this partition's commit
 	// counter. Under the global time base every entry mirrors tx.snapshot
 	// (one shared timeline); under the partition-local time base each
 	// partition has its own, sampled at first touch and re-anchored
 	// together by extensions and footprint alignment.
-	snap uint64
+	snap  uint64
+	wrote bool
+	// The attempt's counters for this partition, accumulated in plain words
+	// and flushed into the thread's PartThreadStats block once, by finish,
+	// whether the attempt commits or aborts (see PartThreadStats).
+	loads, stores        uint64
+	snapHits, snapMisses uint64
+	wait                 waitAcct
 }
 
 // Tx is a transaction descriptor. One lives in each Thread and is reused
@@ -88,11 +95,12 @@ type Tx struct {
 	// commit has since overwritten is reconstructed from the partition's
 	// multi-version store (partState.hist) instead of extending; snapHits
 	// counts the words so reconstructed, snapMisses the stale words the
-	// store could not serve.
+	// store could not serve (both are the attempt's totals, summed over the
+	// touched partitions by finish).
 	//
 	// unlogged marks the FIRST attempt of a snapshot-mode Run: on a
 	// partition that has a store, a read valid at the snapshot — fresh or
-	// reconstructed — is not recorded (rs, rsIdx and rsFilt stay untouched).
+	// reconstructed — is not recorded (rs and rsIdx stay untouched).
 	// pinned is set by the first such read, and by every reconstructed read,
 	// logged or not: from then on the snapshot cannot move (extend refuses),
 	// because unrecorded reads cannot be revalidated and reconstructed
@@ -108,17 +116,14 @@ type Tx struct {
 	snapHits   uint64
 	snapMisses uint64
 	opCount    uint64
-	// yields/parks count wait-loop escalations past the spin budget this
-	// attempt (see wait.go); they ride into AttemptEvent next to opCount.
-	yields uint64
-	parks  uint64
-	// spinNs/yieldNs/parkNs break this attempt's wait time down by phase,
-	// and stallMark is the clock reading of the last stall iteration (the
+	// seq is this Run's CMTimestamp ordinal, 0 until drawn (see ordinal).
+	seq uint64
+	// wait is the attempt's wait accounting summed over the touched
+	// partitions by finish; it rides into AttemptEvent next to opCount.
+	// stallMark is the clock reading of the last stall iteration (the
 	// attribution scheme is documented in wait.go).
-	spinNs    uint64
-	yieldNs   uint64
-	parkNs    uint64
-	stallMark time.Time
+	wait      waitAcct
+	stallMark time.Duration
 	// timed marks an attempt whose duration is being measured (latency
 	// tracking enabled or a tracer attached): attemptStart is sampled at
 	// begin and durationNs computed at finish, so committed attempts can
@@ -142,27 +147,17 @@ type Tx struct {
 	frees   []allocRec
 	touched []touchRec
 
-	// Footprint-bounded lookup structure: every per-access search (read-set
-	// dedup, write-set probe, own-lock lookup) runs an inline linear scan
-	// while the set is small and switches to a generation-stamped
-	// open-addressed index once it outgrows the scan. rsIndexed/wsIndexed/
-	// lkIndexed count how many entries of the corresponding slice have been
-	// mirrored into the index so far (the index is synced lazily on the
-	// first lookup past the small-set threshold).
+	// Footprint-bounded lookup structure (txindex.go): every per-access
+	// search (read-set dedup, write-set probe, own-lock lookup) runs an
+	// inline linear scan behind a one-word first-touch filter while the set
+	// is small, and one find-or-insert probe of a generation-stamped index
+	// once it outgrows the scan. The lock set, searched only by validation
+	// and history publication, mirrors new entries lazily (lkIndexed counts
+	// those mirrored so far).
 	rsIdx     txIndex
-	rsIndexed int
 	wsIdx     txIndex
-	wsIndexed int
 	lkIdx     txIndex
 	lkIndexed int
-
-	// First-touch filters (txfilter.go): a clear filter bit proves an orec
-	// (read set) or address (write set) was never recorded, so the first
-	// touch — the common case of every large scan — skips the membership
-	// probe entirely and appends directly. A set bit is only a hint; the
-	// exact find still runs before any dedup decision.
-	rsFilt txFilter
-	wsFilt txFilter
 
 	// touchIdx/touchGen give O(1) partition→touched lookup: touchIdx[pid]
 	// is the partition's position in tx.touched when touchGen[pid] matches
@@ -216,7 +211,13 @@ func (tx *Tx) SnapshotMode() bool { return tx.snapMode }
 // SnapshotHits reports how many reads of this attempt were reconstructed
 // from a partition's multi-version store (exposed for tests and
 // experiments).
-func (tx *Tx) SnapshotHits() uint64 { return tx.snapHits }
+func (tx *Tx) SnapshotHits() uint64 {
+	n := tx.snapHits // the flushed total once the attempt has finished
+	for i := range tx.touched {
+		n += tx.touched[i].snapHits
+	}
+	return n
+}
 
 // Thread returns the owning thread.
 func (tx *Tx) Thread() *Thread { return tx.th }
@@ -231,9 +232,7 @@ func (tx *Tx) begin(readOnly, snap, unlogged bool) {
 	tx.snapHits = 0
 	tx.snapMisses = 0
 	tx.opCount = 0
-	tx.yields = 0
-	tx.parks = 0
-	tx.spinNs, tx.yieldNs, tx.parkNs = 0, 0, 0
+	tx.wait = waitAcct{}
 	tx.retiredWords = 0
 	tx.reclaimedWords = 0
 	tx.durationNs = 0
@@ -253,16 +252,20 @@ func (tx *Tx) begin(readOnly, snap, unlogged bool) {
 	tx.rsIdx.reset()
 	tx.wsIdx.reset()
 	tx.lkIdx.reset()
-	tx.rsIndexed, tx.wsIndexed, tx.lkIndexed = 0, 0, 0
-	tx.rsFilt.reset()
-	tx.wsFilt.reset()
+	tx.lkIndexed = 0
 	if n := len(tx.topo.parts); len(tx.touchIdx) < n {
 		tx.touchIdx = make([]int32, n)
 		tx.touchGen = make([]uint64, n)
 	}
 	tx.touchGenVal++
-	tx.th.killed.Store(0) // stale kills from a previous attempt do not apply
-	tx.th.progress.Store(0)
+	// Stale arbitration state from a previous attempt does not apply; both
+	// words are almost always zero already, and finding that out is free.
+	if tx.th.killed.Load() != 0 {
+		tx.th.killed.Store(0)
+	}
+	if tx.th.progress.Load() != 0 {
+		tx.th.progress.Store(0)
+	}
 	tx.tb = tx.eng.timeBase()
 	tx.pl = tx.tb.Mode() == clock.ModePartitionLocal
 	// Publish the reclamation stamp BEFORE sampling any snapshot: the
@@ -326,84 +329,80 @@ func (tx *Tx) touch(p *Partition, wrote bool) int {
 			tx.snapshot = snap
 		}
 	}
-	tx.touched = append(tx.touched, touchRec{p: p, wrote: wrote, snap: snap})
-	tx.touchIdx[id] = int32(len(tx.touched) - 1)
+	n := len(tx.touched)
+	if n < cap(tx.touched) {
+		tx.touched = tx.touched[:n+1]
+	} else {
+		tx.touched = append(tx.touched, touchRec{})
+	}
+	// Filled in place: the record is a cache line and a half of counters.
+	tx.touched[n] = touchRec{p: p, snap: snap, wrote: wrote}
+	tx.touchIdx[id] = int32(n)
 	tx.touchGen[id] = tx.touchGenVal
-	return len(tx.touched) - 1
+	return n
 }
 
-// Small-set thresholds: below these, set membership runs as an inline
-// linear scan (the entries fit in a couple of cache lines and a scan beats
-// a hash probe); above, lookups go through the generation-stamped index.
+// Small-set thresholds: up to these many entries, set membership runs as an
+// inline linear scan behind the index's one-word filter (the entries fit in
+// a couple of cache lines and a scan beats a hash probe); above, lookups go
+// through the generation-stamped index.
 const (
 	rsSmallMax = 16
 	wsSmallMax = 8
 	lkSmallMax = 8
 )
 
-// rsFind returns the read-set position holding orec o, or -1. Past the
-// small-set threshold it lazily mirrors newly appended entries into rsIdx
-// and probes that instead, so the cost of a lookup — and with it the cost
-// of every load — is independent of how many loads the transaction has
-// executed.
-func (tx *Tx) rsFind(o *orec) int {
-	if tx.rsIndexed == 0 && len(tx.rs) <= rsSmallMax {
-		for i := range tx.rs {
-			if tx.rs[i].o == o {
-				return i
-			}
-		}
-		return -1
-	}
-	for ; tx.rsIndexed < len(tx.rs); tx.rsIndexed++ {
-		tx.rsIdx.put(orecKey(tx.rs[tx.rsIndexed].o), int32(tx.rsIndexed))
-	}
-	return tx.rsIdx.get(orecKey(o))
-}
-
-// wsFind returns the write-set position for addr, or -1 (same hybrid
-// scheme as rsFind, keyed by address).
+// wsFind returns the write-set position for addr, or -1. Read-after-write
+// trusts a clear filter bit or a missed probe to mean "never written", so
+// every write-set append goes through wsEntry, which keeps both exact.
 func (tx *Tx) wsFind(addr memory.Addr) int {
-	if tx.wsIndexed == 0 && len(tx.ws) <= wsSmallMax {
+	if tx.wsIdx.live() {
+		return tx.wsIdx.get(uint64(addr))
+	}
+	if tx.wsIdx.hint(uint64(addr)) {
 		for i := range tx.ws {
 			if tx.ws[i].addr == addr {
 				return i
 			}
 		}
-		return -1
 	}
-	for ; tx.wsIndexed < len(tx.ws); tx.wsIndexed++ {
-		tx.wsIdx.put(uint64(tx.ws[tx.wsIndexed].addr), int32(tx.wsIndexed))
+	return -1
+}
+
+// wsEntry returns addr's write-set entry, appending one (only addr set, for
+// the caller to fill in) when addr has not been written yet; fresh reports
+// which.
+func (tx *Tx) wsEntry(addr memory.Addr) (en *writeEntry, fresh bool) {
+	k, n := uint64(addr), len(tx.ws)
+	if !tx.wsIdx.live() && n < wsSmallMax {
+		if i := tx.wsFind(addr); i >= 0 {
+			return &tx.ws[i], false
+		}
+		tx.wsIdx.mark(k)
+	} else {
+		if tx.wsIdx.full() {
+			// The set outgrows the scan, or the table: (re)build the index.
+			tx.wsIdx.grow(n + 1)
+			for i := range tx.ws {
+				tx.wsIdx.put(uint64(tx.ws[i].addr), i)
+			}
+		}
+		s, found := tx.wsIdx.probe(k)
+		if found {
+			return &tx.ws[s.pos], false
+		}
+		s.pos = int32(n)
 	}
-	return tx.wsIdx.get(uint64(addr))
+	tx.ws = append(tx.ws, writeEntry{addr: addr})
+	return &tx.ws[n], true
 }
 
-// rsFilterAdd records orec o in the read-set filter. Call after appending
-// the entry: growth rehashes from tx.rs, which must already include o.
-func (tx *Tx) rsFilterAdd(o *orec) {
-	tx.rsFilt.add(orecKey(o), rsSmallMax, func(yield func(uint64)) {
-		for i := range tx.rs {
-			yield(orecKey(tx.rs[i].o))
-		}
-	})
-}
-
-// wsFilterAdd records addr in the write-set filter. Call after appending
-// the entry: growth rehashes from tx.ws, which must already include addr.
-// Every write-set append MUST be mirrored here — read-after-write trusts
-// a clear filter bit to mean "no buffered value for this address".
-func (tx *Tx) wsFilterAdd(addr memory.Addr) {
-	tx.wsFilt.add(uint64(addr), wsSmallMax, func(yield func(uint64)) {
-		for i := range tx.ws {
-			yield(uint64(tx.ws[i].addr))
-		}
-	})
-}
-
-// lkFind returns the lock-set position holding orec o, or -1 (same hybrid
-// scheme as rsFind; used by commit-time validation's own-lock lookups).
+// lkFind returns the lock-set position holding orec o, or -1. Past the
+// small-set threshold it lazily mirrors newly appended entries into lkIdx
+// and probes that instead (used by commit-time validation's own-lock
+// lookups and history publication; acquisition itself never searches).
 func (tx *Tx) lkFind(o *orec) int {
-	if tx.lkIndexed == 0 && len(tx.locks) <= lkSmallMax {
+	if len(tx.locks) <= lkSmallMax && !tx.lkIdx.live() {
 		for i := range tx.locks {
 			if tx.locks[i].o == o {
 				return i
@@ -411,8 +410,12 @@ func (tx *Tx) lkFind(o *orec) int {
 		}
 		return -1
 	}
+	if n := len(tx.locks); n > len(tx.lkIdx.slots)/2 {
+		tx.lkIdx.grow(n) // sized for all n: stays at most half full below
+		tx.lkIndexed = 0
+	}
 	for ; tx.lkIndexed < len(tx.locks); tx.lkIndexed++ {
-		tx.lkIdx.put(orecKey(tx.locks[tx.lkIndexed].o), int32(tx.lkIndexed))
+		tx.lkIdx.put(orecKey(tx.locks[tx.lkIndexed].o), tx.lkIndexed)
 	}
 	return tx.lkIdx.get(orecKey(o))
 }
@@ -476,11 +479,37 @@ func (tx *Tx) alignFootprint(p *Partition) uint64 {
 	}
 }
 
+// tick counts one transactional operation; the count reaches other threads
+// only when one of them can need it (publishOwner).
 func (tx *Tx) tick() {
 	tx.opCount++
-	tx.th.progress.Store(tx.opCount)
 	if m := tx.eng.yieldMask.Load(); m != 0 && tx.th.nextRand()&m == 0 {
 		runtime.Gosched()
+	}
+}
+
+// ordinal returns this Run's CMTimestamp ordinal, drawn from the engine's
+// sequence on first use and kept across retries (older still wins); a Run
+// that never meets a CMTimestamp partition never touches the shared word.
+func (tx *Tx) ordinal() uint64 {
+	if tx.seq == 0 {
+		tx.seq = tx.eng.txSeq.Add(1)
+		tx.th.beginSeq.Store(tx.seq)
+	}
+	return tx.seq
+}
+
+// publishOwner publishes what ps's contention manager lets a challenger
+// read about a lock owner — karma's operation count, timestamp's ordinal —
+// just before the lock CAS that can make this attempt an owner in ps, so
+// whoever sees the lock also sees the state. A challenger only consults
+// the owner of an orec of its own partition, under that partition's policy.
+func (tx *Tx) publishOwner(ps *partState) {
+	switch ps.cfg.CM {
+	case CMKarma:
+		tx.th.progress.Store(tx.opCount)
+	case CMTimestamp:
+		tx.ordinal()
 	}
 }
 
@@ -490,9 +519,8 @@ func (tx *Tx) Load(addr memory.Addr) uint64 {
 	tx.tick()
 	p := tx.eng.partOf(tx.topo, addr)
 	ps := p.loadState()
-	st := tx.th.statsFor(p.id)
-	st.Loads.Add(1)
 	ti := tx.touch(p, false)
+	tx.touched[ti].loads++
 
 	// Read-after-write: buffered values win; write-through values are
 	// already in memory and flow through the normal paths below.
@@ -508,17 +536,15 @@ func (tx *Tx) Load(addr memory.Addr) uint64 {
 	// protocol benefit.
 	if ps.cfg.Read == VisibleReads && !tx.snapMode {
 		tx.hasVisible = true
-		return tx.loadVisible(ps, o, addr, st, ti)
+		return tx.loadVisible(ps, o, addr, ti)
 	}
-	return tx.loadInvisible(ps, o, addr, st, ti)
+	return tx.loadInvisible(ps, o, addr, ti)
 }
 
 // wsBuffered returns the transaction's own buffered value for addr, when
-// a write-back or commit-time write covers it (read-after-write). The
-// filter's no-false-negative guarantee carries the correctness here: a
-// clear bit proves addr was never written, so memory is current.
+// a write-back or commit-time write covers it (read-after-write).
 func (tx *Tx) wsBuffered(addr memory.Addr) (uint64, bool) {
-	if len(tx.ws) > 0 && tx.wsFilt.mayContain(uint64(addr)) {
+	if len(tx.ws) > 0 {
 		if i := tx.wsFind(addr); i >= 0 && tx.ws[i].mode != modeWT {
 			return tx.ws[i].val, true
 		}
@@ -531,7 +557,7 @@ func (tx *Tx) wsBuffered(addr memory.Addr) (uint64, bool) {
 // newer than it. ti indexes the partition's entry in tx.touched, whose
 // snap is the snapshot the version is checked against (the global
 // snapshot mirrored there under the global time base).
-func (tx *Tx) loadInvisible(ps *partState, o *orec, addr memory.Addr, st *PartThreadStats, ti int) uint64 {
+func (tx *Tx) loadInvisible(ps *partState, o *orec, addr memory.Addr, ti int) uint64 {
 	spins := 0
 	// probedHead caches the store's append counter across spin iterations:
 	// a lookup that missed can only start hitting after a new record lands,
@@ -560,17 +586,17 @@ func (tx *Tx) loadInvisible(ps *partState, o *orec, addr memory.Addr, st *PartTh
 				if ps.hist != nil {
 					if h := ps.hist.Head(); h != probedHead {
 						probedHead = h
-						if hv, ok := tx.snapRead(ps, addr, tx.touched[ti].snap, st); ok {
+						if hv, ok := tx.snapRead(ps, addr, ti); ok {
 							return hv
 						}
 					}
 				}
 				tx.checkKilled()
 				spins++
-				tx.stall(spins, ps.cfg.SpinBudget, st)
+				tx.stall(spins, ps.cfg.SpinBudget, ti)
 				continue
 			}
-			tx.cmConflict(ps, o, l1, AbortLockedOnRead, &spins, st)
+			tx.cmConflict(ps, o, l1, AbortLockedOnRead, &spins, ti)
 			continue
 		}
 		v := tx.eng.arena.LoadAtomic(addr)
@@ -590,12 +616,11 @@ func (tx *Tx) loadInvisible(ps *partState, o *orec, addr memory.Addr, st *PartTh
 			// attachment and retention growth on.
 			if tx.snapMode {
 				if ps.hist != nil {
-					if hv, ok := tx.snapRead(ps, addr, tx.touched[ti].snap, st); ok {
+					if hv, ok := tx.snapRead(ps, addr, ti); ok {
 						return hv
 					}
 				}
-				st.SnapMisses.Add(1)
-				tx.snapMisses++
+				tx.touched[ti].snapMisses++
 			}
 			if !tx.extend() {
 				tx.abort(AbortValidation)
@@ -616,22 +641,40 @@ func (tx *Tx) loadInvisible(ps *partState, o *orec, addr memory.Addr, st *PartTh
 // bounded by the unique orecs touched, not the loads executed. (A version
 // mismatch on a repeat read cannot pass the callers' snapshot check — any
 // commit to the orec postdates the snapshot — but if it ever did,
-// appending a second entry keeps validation exact.) The first touch of an
-// orec — the common case of a large scan — skips even the probe: a clear
-// filter bit proves the orec is new. A set bit may be a false positive, so
-// dedup still confirms via rsFind.
+// appending a second entry keeps validation exact, and the index is
+// repointed at it so the next repeat dedups against the newer version.)
+// The first touch of an orec — the common case of a large scan — costs a
+// filter test while the set is small and one find-or-insert probe after.
 func (tx *Tx) logRead(ps *partState, o *orec, ver uint64) {
 	if tx.unlogged && ps.hist != nil {
 		tx.pinned = true
 		return
 	}
-	if tx.rsFilt.mayContain(orecKey(o)) {
-		if i := tx.rsFind(o); i >= 0 && tx.rs[i].ver == ver {
+	k, n := orecKey(o), len(tx.rs)
+	if !tx.rsIdx.live() && n < rsSmallMax {
+		if tx.rsIdx.hint(k) {
+			for i := range tx.rs {
+				if tx.rs[i].o == o && tx.rs[i].ver == ver {
+					return
+				}
+			}
+		}
+		tx.rsIdx.mark(k)
+	} else {
+		if tx.rsIdx.full() {
+			// The set outgrows the scan, or the table: (re)build the index.
+			tx.rsIdx.grow(n + 1)
+			for i := range tx.rs {
+				tx.rsIdx.put(orecKey(tx.rs[i].o), i)
+			}
+		}
+		s, found := tx.rsIdx.probe(k)
+		if found && tx.rs[s.pos].ver == ver {
 			return
 		}
+		s.pos = int32(n)
 	}
 	tx.rs = append(tx.rs, readEntry{o: o, ver: ver})
-	tx.rsFilterAdd(o)
 }
 
 // loadVisible implements the visible read: register in the orec's reader
@@ -639,7 +682,7 @@ func (tx *Tx) logRead(ps *partState, o *orec, ver uint64) {
 // version check against the snapshot is kept so that a transaction mixing
 // visible and invisible partitions still observes one consistent snapshot
 // (opacity); visible entries themselves never need commit validation.
-func (tx *Tx) loadVisible(ps *partState, o *orec, addr memory.Addr, st *PartThreadStats, ti int) uint64 {
+func (tx *Tx) loadVisible(ps *partState, o *orec, addr memory.Addr, ti int) uint64 {
 	bit := tx.th.readerBit()
 	spins := 0
 	for {
@@ -648,7 +691,7 @@ func (tx *Tx) loadVisible(ps *partState, o *orec, addr memory.Addr, st *PartThre
 			if lockOwner(l) == tx.th.slot {
 				return tx.eng.arena.LoadAtomic(addr)
 			}
-			tx.cmConflict(ps, o, l, AbortLockedOnRead, &spins, st)
+			tx.cmConflict(ps, o, l, AbortLockedOnRead, &spins, ti)
 			continue
 		}
 		old := o.readers.Or(bit)
@@ -664,7 +707,7 @@ func (tx *Tx) loadVisible(ps *partState, o *orec, addr memory.Addr, st *PartThre
 				o.readers.And(^bit)
 				tx.vreads = tx.vreads[:len(tx.vreads)-1]
 			}
-			tx.cmConflict(ps, o, l2, AbortLockedOnRead, &spins, st)
+			tx.cmConflict(ps, o, l2, AbortLockedOnRead, &spins, ti)
 			continue
 		}
 		if ver := versionOf(l2); ver > tx.touched[ti].snap {
@@ -686,46 +729,47 @@ func (tx *Tx) Store(addr memory.Addr, v uint64) {
 	}
 	p := tx.eng.partOf(tx.topo, addr)
 	ps := p.loadState()
-	st := tx.th.statsFor(p.id)
-	st.Stores.Add(1)
 	ti := tx.touch(p, true)
+	tx.touched[ti].stores++
 	if ps.cfg.Read == VisibleReads {
 		tx.hasVisible = true
 	}
 	o := ps.table.of(addr)
+	mode := ps.cfg.writeMode()
+	if mode != modeCTL {
+		tx.acquire(ps, o, ti)
+	}
+	tx.wsPut(addr, v, o, ps, mode)
+}
 
+// writeMode is how a write to a partition configured by c reaches memory.
+func (c *PartConfig) writeMode() writeMode {
 	switch {
-	case ps.cfg.Acquire == CommitTime:
-		tx.wsPut(addr, v, o, ps, modeCTL)
-	case ps.cfg.Write == WriteBack:
-		tx.acquire(ps, o, st, ti)
-		tx.wsPut(addr, v, o, ps, modeWB)
-	default: // encounter-time write-through
-		tx.acquire(ps, o, st, ti)
-		if !tx.wsFilt.mayContain(uint64(addr)) || tx.wsFind(addr) < 0 {
-			// First write to addr: capture the undo pre-image.
-			tx.ws = append(tx.ws, writeEntry{
-				addr: addr,
-				old:  tx.eng.arena.LoadAtomic(addr),
-				o:    o,
-				ps:   ps,
-				mode: modeWT,
-			})
-			tx.wsFilterAdd(addr)
-		}
-		tx.eng.arena.StoreAtomic(addr, v)
+	case c.Acquire == CommitTime:
+		return modeCTL
+	case c.Write == WriteBack:
+		return modeWB
+	default:
+		return modeWT
 	}
 }
 
+// wsPut records the write of v to addr: buffered in the write set (WB/CTL),
+// or stored in place under the already-held lock with the pre-image kept
+// for undo by the address's first write (WT).
 func (tx *Tx) wsPut(addr memory.Addr, v uint64, o *orec, ps *partState, mode writeMode) {
-	if tx.wsFilt.mayContain(uint64(addr)) {
-		if i := tx.wsFind(addr); i >= 0 {
-			tx.ws[i].val = v
-			return
+	en, fresh := tx.wsEntry(addr)
+	if fresh {
+		en.o, en.ps, en.mode = o, ps, mode
+		if mode == modeWT {
+			en.old = tx.eng.arena.LoadAtomic(addr)
 		}
 	}
-	tx.ws = append(tx.ws, writeEntry{addr: addr, val: v, o: o, ps: ps, mode: mode})
-	tx.wsFilterAdd(addr)
+	if mode == modeWT {
+		tx.eng.arena.StoreAtomic(addr, v)
+	} else {
+		en.val = v
+	}
 }
 
 // blockChunk bounds a multi-word access at the enclosing heap block: all
@@ -769,9 +813,8 @@ func (tx *Tx) LoadWords(addr memory.Addr, dst []uint64) {
 func (tx *Tx) loadWordsChunk(addr memory.Addr, dst []uint64) {
 	p := tx.eng.partOf(tx.topo, addr)
 	ps := p.loadState()
-	st := tx.th.statsFor(p.id)
-	st.Loads.Add(uint64(len(dst)))
 	ti := tx.touch(p, false)
+	tx.touched[ti].loads += uint64(len(dst))
 	if ps.cfg.Read == VisibleReads && !tx.snapMode {
 		tx.hasVisible = true
 		for i := range dst {
@@ -780,7 +823,7 @@ func (tx *Tx) loadWordsChunk(addr memory.Addr, dst []uint64) {
 				dst[i] = v
 				continue
 			}
-			dst[i] = tx.loadVisible(ps, ps.table.of(a), a, st, ti)
+			dst[i] = tx.loadVisible(ps, ps.table.of(a), a, ti)
 		}
 		return
 	}
@@ -812,10 +855,10 @@ func (tx *Tx) loadWordsChunk(addr memory.Addr, dst []uint64) {
 			end++
 		}
 		if tx.snapMode {
-			i = tx.loadSnapWords(ps, o, addr, dst, i, end, st, ti)
+			i = tx.loadSnapWords(ps, o, addr, dst, i, end, ti)
 			continue
 		}
-		tx.loadGroupInvisible(ps, o, a, dst[i:end], st, ti)
+		tx.loadGroupInvisible(ps, o, a, dst[i:end], ti)
 		i = end
 	}
 }
@@ -825,7 +868,7 @@ func (tx *Tx) loadWordsChunk(addr memory.Addr, dst []uint64) {
 // lock sample and one re-sample, and contributes one read-set entry — the
 // protocol steps a per-word loop would repeat per word happen once per
 // orec.
-func (tx *Tx) loadGroupInvisible(ps *partState, o *orec, base memory.Addr, out []uint64, st *PartThreadStats, ti int) {
+func (tx *Tx) loadGroupInvisible(ps *partState, o *orec, base memory.Addr, out []uint64, ti int) {
 	spins := 0
 	for {
 		l1 := o.lock.Load()
@@ -838,7 +881,7 @@ func (tx *Tx) loadGroupInvisible(ps *partState, o *orec, base memory.Addr, out [
 				}
 				return
 			}
-			tx.cmConflict(ps, o, l1, AbortLockedOnRead, &spins, st)
+			tx.cmConflict(ps, o, l1, AbortLockedOnRead, &spins, ti)
 			continue
 		}
 		for i := range out {
@@ -866,7 +909,7 @@ func (tx *Tx) loadGroupInvisible(ps *partState, o *orec, base memory.Addr, out [
 // an object written by a single commit that is one index probe instead
 // of one per word — and then for the stale group alone (snapReadFrom).
 // It returns the next unserved position.
-func (tx *Tx) loadSnapWords(ps *partState, o *orec, addr memory.Addr, dst []uint64, i, end int, st *PartThreadStats, ti int) int {
+func (tx *Tx) loadSnapWords(ps *partState, o *orec, addr memory.Addr, dst []uint64, i, end, ti int) int {
 	spins := 0
 	probedHead := ^uint64(0)
 	for {
@@ -884,14 +927,14 @@ func (tx *Tx) loadSnapWords(ps *partState, o *orec, addr memory.Addr, dst []uint
 			if ps.hist != nil {
 				if h := ps.hist.Head(); h != probedHead {
 					probedHead = h
-					if n := tx.snapReadFrom(ps, addr, dst, i, end, tx.touched[ti].snap, st); n > i {
+					if n := tx.snapReadFrom(ps, addr, dst, i, end, ti); n > i {
 						return n
 					}
 				}
 			}
 			tx.checkKilled()
 			spins++
-			tx.stall(spins, ps.cfg.SpinBudget, st)
+			tx.stall(spins, ps.cfg.SpinBudget, ti)
 			continue
 		}
 		for j := i; j < end; j++ {
@@ -903,12 +946,11 @@ func (tx *Tx) loadSnapWords(ps *partState, o *orec, addr memory.Addr, dst []uint
 		}
 		if ver := versionOf(l1); ver > tx.touched[ti].snap {
 			if ps.hist != nil {
-				if n := tx.snapReadFrom(ps, addr, dst, i, end, tx.touched[ti].snap, st); n > i {
+				if n := tx.snapReadFrom(ps, addr, dst, i, end, ti); n > i {
 					return n
 				}
 			}
-			st.SnapMisses.Add(uint64(end - i))
-			tx.snapMisses += uint64(end - i)
+			tx.touched[ti].snapMisses += uint64(end - i)
 			if !tx.extend() {
 				tx.abort(AbortValidation)
 			}
@@ -920,13 +962,14 @@ func (tx *Tx) loadSnapWords(ps *partState, o *orec, addr memory.Addr, dst []uint
 }
 
 // snapReadFrom reconstructs dst[i:] — or, failing that, only the group
-// dst[i:end) whose orec is stale — at snapshot snap from the multi-version
-// store, and returns the next unserved position (i on a miss). The narrower
-// retry serves a commit that wrote only part of an object: the unwritten
-// words have no record, so the all-or-nothing range read fails, yet their
-// own orecs are fresh and the caller's loop reads them from memory.
-func (tx *Tx) snapReadFrom(ps *partState, addr memory.Addr, dst []uint64, i, end int, snap uint64, st *PartThreadStats) int {
-	base := uint64(addr) + uint64(i)
+// dst[i:end) whose orec is stale — at the partition's snapshot from the
+// multi-version store, and returns the next unserved position (i on a
+// miss). The narrower retry serves a commit that wrote only part of an
+// object: the unwritten words have no record, so the all-or-nothing range
+// read fails, yet their own orecs are fresh and the caller's loop reads
+// them from memory.
+func (tx *Tx) snapReadFrom(ps *partState, addr memory.Addr, dst []uint64, i, end, ti int) int {
+	base, snap := uint64(addr)+uint64(i), tx.touched[ti].snap
 	n := len(dst)
 	if !ps.hist.ReadRangeAt(base, snap, dst[i:]) {
 		if end == n || !ps.hist.ReadRangeAt(base, snap, dst[i:end]) {
@@ -934,8 +977,7 @@ func (tx *Tx) snapReadFrom(ps *partState, addr memory.Addr, dst []uint64, i, end
 		}
 		n = end
 	}
-	st.SnapHits.Add(uint64(n - i))
-	tx.snapHits += uint64(n - i)
+	tx.touched[ti].snapHits += uint64(n - i)
 	tx.pinned = true
 	return n
 }
@@ -969,43 +1011,21 @@ func (tx *Tx) StoreWords(addr memory.Addr, src []uint64) {
 func (tx *Tx) storeWordsChunk(addr memory.Addr, src []uint64) {
 	p := tx.eng.partOf(tx.topo, addr)
 	ps := p.loadState()
-	st := tx.th.statsFor(p.id)
-	st.Stores.Add(uint64(len(src)))
 	ti := tx.touch(p, true)
+	tx.touched[ti].stores += uint64(len(src))
 	if ps.cfg.Read == VisibleReads {
 		tx.hasVisible = true
 	}
+	mode := ps.cfg.writeMode()
 	var held *orec // last orec acquired by this chunk: skip re-acquisition
 	for i := range src {
 		a := addr + memory.Addr(i)
 		o := ps.table.of(a)
-		switch {
-		case ps.cfg.Acquire == CommitTime:
-			tx.wsPut(a, src[i], o, ps, modeCTL)
-		case ps.cfg.Write == WriteBack:
-			if o != held {
-				tx.acquire(ps, o, st, ti)
-				held = o
-			}
-			tx.wsPut(a, src[i], o, ps, modeWB)
-		default: // encounter-time write-through
-			if o != held {
-				tx.acquire(ps, o, st, ti)
-				held = o
-			}
-			if !tx.wsFilt.mayContain(uint64(a)) || tx.wsFind(a) < 0 {
-				// First write to a: capture the undo pre-image.
-				tx.ws = append(tx.ws, writeEntry{
-					addr: a,
-					old:  tx.eng.arena.LoadAtomic(a),
-					o:    o,
-					ps:   ps,
-					mode: modeWT,
-				})
-				tx.wsFilterAdd(a)
-			}
-			tx.eng.arena.StoreAtomic(a, src[i])
+		if mode != modeCTL && o != held {
+			tx.acquire(ps, o, ti)
+			held = o
 		}
+		tx.wsPut(a, src[i], o, ps, mode)
 	}
 }
 
@@ -1039,7 +1059,7 @@ func (tx *Tx) LoadRange(addr memory.Addr, n int, fn func(i int, v uint64) bool) 
 // acquire takes the orec's write lock at encounter time, draining visible
 // readers per the partition's reader policy. ti indexes the partition in
 // tx.touched (for its snapshot).
-func (tx *Tx) acquire(ps *partState, o *orec, st *PartThreadStats, ti int) {
+func (tx *Tx) acquire(ps *partState, o *orec, ti int) {
 	spins := 0
 	for {
 		l := o.lock.Load()
@@ -1047,7 +1067,7 @@ func (tx *Tx) acquire(ps *partState, o *orec, st *PartThreadStats, ti int) {
 			if lockOwner(l) == tx.th.slot {
 				return
 			}
-			tx.cmConflict(ps, o, l, AbortLockedOnWrite, &spins, st)
+			tx.cmConflict(ps, o, l, AbortLockedOnWrite, &spins, ti)
 			continue
 		}
 		if versionOf(l) > tx.touched[ti].snap && len(tx.rs) > 0 {
@@ -1057,10 +1077,11 @@ func (tx *Tx) acquire(ps *partState, o *orec, st *PartThreadStats, ti int) {
 				tx.abort(AbortValidation)
 			}
 		}
+		tx.publishOwner(ps)
 		if o.lock.CompareAndSwap(l, lockWordFor(tx.th.slot)) {
 			tx.locks = append(tx.locks, lockRec{o: o, prev: l, pid: ps.part.id})
 			if ps.cfg.Read == VisibleReads {
-				tx.drainReaders(ps, o, st)
+				tx.drainReaders(ps, o, ti)
 			}
 			return
 		}
@@ -1070,7 +1091,7 @@ func (tx *Tx) acquire(ps *partState, o *orec, st *PartThreadStats, ti int) {
 // drainReaders resolves write-vs-visible-reader conflicts after the lock
 // is held: either kill the registered readers and wait for their bits to
 // clear, or yield (abort self) per the partition's reader policy.
-func (tx *Tx) drainReaders(ps *partState, o *orec, st *PartThreadStats) {
+func (tx *Tx) drainReaders(ps *partState, o *orec, ti int) {
 	bit := tx.th.readerBit()
 	spins := 0
 	for {
@@ -1090,7 +1111,7 @@ func (tx *Tx) drainReaders(ps *partState, o *orec, st *PartThreadStats) {
 			// their bits: an unbounded wait, so the full spin→yield→park
 			// escalation applies.
 			spins++
-			tx.stall(spins, ps.cfg.SpinBudget, st)
+			tx.stall(spins, ps.cfg.SpinBudget, ti)
 			tx.checkKilled() // we may be a visible reader elsewhere, under attack
 			continue
 		}
@@ -1099,14 +1120,14 @@ func (tx *Tx) drainReaders(ps *partState, o *orec, st *PartThreadStats) {
 		if spins > ps.cfg.SpinBudget {
 			tx.abort(AbortReaderWall)
 		}
-		tx.stall(spins, ps.cfg.SpinBudget, st)
+		tx.stall(spins, ps.cfg.SpinBudget, ti)
 		tx.checkKilled()
 	}
 }
 
 // cmConflict arbitrates a lock conflict per the partition's CM policy. It
 // either returns (caller retries the protocol loop) or aborts by panic.
-func (tx *Tx) cmConflict(ps *partState, o *orec, l uint64, cause AbortCause, spins *int, st *PartThreadStats) {
+func (tx *Tx) cmConflict(ps *partState, o *orec, l uint64, cause AbortCause, spins *int, ti int) {
 	tx.checkKilled()
 	switch ps.cfg.CM {
 	case CMSuicide:
@@ -1116,7 +1137,7 @@ func (tx *Tx) cmConflict(ps *partState, o *orec, l uint64, cause AbortCause, spi
 		if *spins > ps.cfg.SpinBudget {
 			tx.abort(cause)
 		}
-		tx.stall(*spins, ps.cfg.SpinBudget, st)
+		tx.stall(*spins, ps.cfg.SpinBudget, ti)
 	case CMKarma:
 		owner := tx.eng.threadBySlot(lockOwner(l))
 		*spins++
@@ -1124,7 +1145,7 @@ func (tx *Tx) cmConflict(ps *partState, o *orec, l uint64, cause AbortCause, spi
 			if *spins > ps.cfg.SpinBudget {
 				tx.abort(cause)
 			}
-			tx.stall(*spins, ps.cfg.SpinBudget, st)
+			tx.stall(*spins, ps.cfg.SpinBudget, ti)
 			return
 		}
 		if tx.opCount > owner.progress.Load() {
@@ -1134,13 +1155,13 @@ func (tx *Tx) cmConflict(ps *partState, o *orec, l uint64, cause AbortCause, spi
 			}
 			// The victim needs the processor to notice the kill; past the
 			// budget, stall yields it ours.
-			tx.stall(*spins, ps.cfg.SpinBudget, st)
+			tx.stall(*spins, ps.cfg.SpinBudget, ti)
 			return
 		}
 		if *spins > ps.cfg.SpinBudget {
 			tx.abort(cause)
 		}
-		tx.stall(*spins, ps.cfg.SpinBudget, st)
+		tx.stall(*spins, ps.cfg.SpinBudget, ti)
 	case CMAggressive:
 		owner := tx.eng.threadBySlot(lockOwner(l))
 		if owner != nil {
@@ -1150,10 +1171,10 @@ func (tx *Tx) cmConflict(ps *partState, o *orec, l uint64, cause AbortCause, spi
 		if *spins > 8*ps.cfg.SpinBudget {
 			tx.abort(cause)
 		}
-		tx.stall(*spins, ps.cfg.SpinBudget, st)
+		tx.stall(*spins, ps.cfg.SpinBudget, ti)
 	case CMBackoff:
 		*spins++
-		st.WaitCycles.Add(1)
+		tx.touched[ti].wait.cycles++
 		if *spins > ps.cfg.SpinBudget {
 			tx.abort(cause)
 		}
@@ -1180,24 +1201,24 @@ func (tx *Tx) cmConflict(ps *partState, o *orec, l uint64, cause AbortCause, spi
 			if *spins > ps.cfg.SpinBudget {
 				tx.abort(cause)
 			}
-			tx.stall(*spins, ps.cfg.SpinBudget, st)
+			tx.stall(*spins, ps.cfg.SpinBudget, ti)
 			return
 		}
-		if tx.th.beginSeq.Load() < owner.beginSeq.Load() {
+		if tx.ordinal() < owner.beginSeq.Load() {
 			// We are older: kill the owner and wait for the lock to drain
 			// (stall yields past the budget so the victim can run and die).
 			owner.kill()
 			if *spins > 8*ps.cfg.SpinBudget {
 				tx.abort(cause) // victim is not dying; give up
 			}
-			tx.stall(*spins, ps.cfg.SpinBudget, st)
+			tx.stall(*spins, ps.cfg.SpinBudget, ti)
 			return
 		}
 		// We are younger: wait briefly for the elder, then step aside.
 		if *spins > ps.cfg.SpinBudget {
 			tx.abort(cause)
 		}
-		tx.stall(*spins, ps.cfg.SpinBudget, st)
+		tx.stall(*spins, ps.cfg.SpinBudget, ti)
 	default:
 		tx.abort(cause)
 	}
@@ -1206,11 +1227,10 @@ func (tx *Tx) cmConflict(ps *partState, o *orec, l uint64, cause AbortCause, spi
 // snapRead attempts to serve a snapshot-mode read of addr at the pinned
 // partition snapshot from the multi-version store. A hit pins the
 // snapshot for the rest of the attempt (see extend).
-func (tx *Tx) snapRead(ps *partState, addr memory.Addr, snap uint64, st *PartThreadStats) (uint64, bool) {
-	v, ok := ps.hist.ReadAt(uint64(addr), snap)
+func (tx *Tx) snapRead(ps *partState, addr memory.Addr, ti int) (uint64, bool) {
+	v, ok := ps.hist.ReadAt(uint64(addr), tx.touched[ti].snap)
 	if ok {
-		st.SnapHits.Add(1)
-		tx.snapHits++
+		tx.touched[ti].snapHits++
 		tx.pinned = true
 	}
 	return v, ok
@@ -1332,7 +1352,7 @@ func (tx *Tx) commit() {
 		if tx.hasVisible && len(tx.rs) > 0 && !tx.validate() {
 			tx.abort(AbortValidation)
 		}
-		tx.finish(true)
+		tx.finish(AbortNone)
 		return
 	}
 	for i := range tx.ws {
@@ -1364,7 +1384,7 @@ func (tx *Tx) commit() {
 			tx.locks[i].o.lock.Store(wv)
 		}
 	}
-	tx.finish(true)
+	tx.finish(AbortNone)
 }
 
 // assignWriteVersions asks the time base for this commit's write versions
@@ -1534,7 +1554,9 @@ func (tx *Tx) appendHistory() {
 // acquireAtCommit locks a CTL entry's orec, deduplicating entries that
 // share an orec and draining visible readers when required.
 func (tx *Tx) acquireAtCommit(en *writeEntry) {
-	st := tx.th.statsFor(en.ps.part.id)
+	// A written partition is always in the footprint (Store touches it), so
+	// touchIdx is current for this attempt.
+	ti := int(tx.touchIdx[en.ps.part.id])
 	spins := 0
 	for {
 		l := en.o.lock.Load()
@@ -1542,13 +1564,14 @@ func (tx *Tx) acquireAtCommit(en *writeEntry) {
 			if lockOwner(l) == tx.th.slot {
 				return // another entry already acquired this orec
 			}
-			tx.cmConflict(en.ps, en.o, l, AbortLockedOnWrite, &spins, st)
+			tx.cmConflict(en.ps, en.o, l, AbortLockedOnWrite, &spins, ti)
 			continue
 		}
+		tx.publishOwner(en.ps)
 		if en.o.lock.CompareAndSwap(l, lockWordFor(tx.th.slot)) {
 			tx.locks = append(tx.locks, lockRec{o: en.o, prev: l, pid: en.ps.part.id})
 			if en.ps.cfg.Read == VisibleReads {
-				tx.drainReaders(en.ps, en.o, st)
+				tx.drainReaders(en.ps, en.o, ti)
 			}
 			return
 		}
@@ -1576,31 +1599,63 @@ func (tx *Tx) rollback(cause AbortCause) {
 	for _, a := range tx.allocs {
 		tx.th.alloc.Free(a.addr, a.n)
 	}
-	if len(tx.touched) == 0 {
+	tx.finish(cause)
+}
+
+// flushStats is the one place an attempt's counters reach the thread's
+// PartThreadStats blocks: what it accumulated in plain words per touched
+// partition, its outcome (commit kind or abort cause) and, while latency
+// tracking is on, a committed attempt's duration. Aborted attempts' accesses
+// and waits count exactly as committed ones'. Zero counters are skipped:
+// each add is a locked instruction.
+func (tx *Tx) flushStats(cause AbortCause) {
+	sts := *tx.th.stats.Load()
+	if len(tx.touched) == 0 && cause != AbortNone {
 		// Aborted before touching any partition (e.g. killed at the first
 		// operation): attribute to the global partition so the abort is
 		// not lost from the books.
-		tx.th.statsFor(GlobalPartition).Aborts[cause].Add(1)
+		sts[GlobalPartition].Aborts[cause].Add(1)
 	}
+	lat := tx.timed && cause == AbortNone && tx.eng.latency.Load()
 	for i := range tx.touched {
-		tx.th.statsFor(tx.touched[i].p.id).Aborts[cause].Add(1)
+		tr := &tx.touched[i]
+		st := &sts[tr.p.id]
+		addNonZero(&st.Loads, tr.loads)
+		addNonZero(&st.Stores, tr.stores)
+		addNonZero(&st.SnapHits, tr.snapHits)
+		addNonZero(&st.SnapMisses, tr.snapMisses)
+		tx.snapHits += tr.snapHits
+		tx.snapMisses += tr.snapMisses
+		tx.flushWait(st, &tr.wait)
+		switch {
+		case cause != AbortNone:
+			st.Aborts[cause].Add(1)
+		case tr.wrote:
+			st.UpdateCommits.Add(1)
+		default:
+			st.ROCommits.Add(1)
+		}
+		if lat {
+			st.Lat.Record(tx.durationNs)
+		}
 	}
-	tx.finish(false)
 }
 
-// finish releases per-attempt state. committed selects commit vs. abort
-// bookkeeping (locks/bits are handled by the caller for commits).
-func (tx *Tx) finish(committed bool) {
+func addNonZero(c *atomic.Uint64, n uint64) {
+	if n != 0 {
+		c.Add(n)
+	}
+}
+
+// finish releases per-attempt state. cause selects commit (AbortNone) vs.
+// abort bookkeeping (locks/bits are handled by the caller for commits).
+func (tx *Tx) finish(cause AbortCause) {
+	committed := cause == AbortNone
 	if tx.timed {
 		// Duration measured here, not in the run loop: finish is the last
 		// act of both commit and rollback, and tx.touched is still intact,
 		// so committed attempts can attribute their latency per partition.
 		tx.durationNs = uint64(time.Since(tx.attemptStart))
-		if committed && tx.eng.latency.Load() {
-			for i := range tx.touched {
-				tx.th.statsFor(tx.touched[i].p.id).Lat.Record(tx.durationNs)
-			}
-		}
 	}
 	// This attempt no longer reads anything: stop pinning the horizon
 	// before doing reclamation bookkeeping, so a solo thread's own retires
@@ -1631,16 +1686,8 @@ func (tx *Tx) finish(committed bool) {
 			// horizon costs a bounded fraction of commit work.
 			tx.reclaimedWords += tx.th.alloc.Reclaim(tx.eng.epochs.Horizon())
 		}
-		for i := range tx.touched {
-			st := tx.th.statsFor(tx.touched[i].p.id)
-			st.Commits.Add(1)
-			if tx.touched[i].wrote {
-				st.UpdateCommits.Add(1)
-			} else {
-				st.ROCommits.Add(1)
-			}
-		}
 	}
+	tx.flushStats(cause)
 	tx.rs = tx.rs[:0]
 	tx.ws = tx.ws[:0]
 	tx.locks = tx.locks[:0]

@@ -20,12 +20,10 @@ func BenchmarkWriteSetProbe(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("table/%d", n), func(b *testing.B) {
 			tx := &Tx{}
-			tx.ws = tx.ws[:0]
 			tx.wsIdx.reset()
-			tx.wsIndexed = 0
 			for i, k := range keys {
-				if tx.wsFind(k) < 0 {
-					tx.ws = append(tx.ws, writeEntry{addr: k, val: uint64(i)})
+				if en, fresh := tx.wsEntry(k); fresh {
+					en.val = uint64(i)
 				}
 			}
 			b.ResetTimer()

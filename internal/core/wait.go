@@ -27,19 +27,59 @@ import (
 // 1; the unbounded waits (snapshot lock waits, reader draining, the
 // 8x-budget karma/timestamp patience) are the ones the yield and park
 // phases exist for. Every stall counts one WaitCycle; phases 2 and 3
-// additionally count Yields and Parks — per partition (PartThreadStats)
-// and per attempt (AttemptEvent) — so the tuner's spin-budget heuristic
-// and the trace recorder see exactly how often waits escalate into the
-// scheduler.
+// additionally count Yields and Parks, so the tuner's spin-budget
+// heuristic and the trace recorder see exactly how often waits escalate
+// into the scheduler.
 //
 // Wait TIME is attributed alongside the counts (SpinNs/YieldNs/ParkNs):
-// stall samples the clock once per iteration and charges the interval
-// since the previous iteration — pause plus the caller's re-probe — to
-// the phase that pause belonged to. The first iteration of a wait loop
-// starts the clock and the final pause of a loop goes unattributed (the
-// loop exits without calling stall again), so the breakdown undercounts
-// each wait episode by one pause; in exchange the measurement costs one
-// clock read per iteration and covers probe time, not just pause time.
+// stall samples the monotonic clock once per iteration and charges the
+// interval since the previous iteration — pause plus the caller's re-probe
+// — to the phase that pause belonged to. The first iteration of a wait
+// loop starts the clock and the final pause of a loop goes unattributed
+// (the loop exits without calling stall again), so the breakdown
+// undercounts each wait episode by one pause; in exchange the measurement
+// costs one clock read per iteration and covers probe time, not just pause
+// time.
+//
+// Counts and time are booked once, in plain words, on the waitAcct of the
+// touchRec of the partition whose orec is being waited on, and flushed into
+// PartThreadStats and the attempt's total when the attempt finishes
+// (flushWait). An on-CPU iteration executes no atomic instruction; one that
+// escalates into the scheduler flushes first — it is about to spend far
+// longer than the adds cost, the wait may be unbounded, and the escalation
+// is the signal the tuner must see while the waiter is still stuck.
+
+// waitAcct is one attempt's wait accounting, per touched partition
+// (touchRec.wait) and summed for the attempt (Tx.wait).
+type waitAcct struct {
+	cycles, yields, parks   uint64
+	spinNs, yieldNs, parkNs uint64
+}
+
+// flushWait moves the partition wait account w into the partition's
+// counter block st and into the attempt's total.
+func (tx *Tx) flushWait(st *PartThreadStats, w *waitAcct) {
+	if w.cycles == 0 {
+		return
+	}
+	st.WaitCycles.Add(w.cycles)
+	addNonZero(&st.Yields, w.yields)
+	addNonZero(&st.Parks, w.parks)
+	addNonZero(&st.SpinNs, w.spinNs)
+	addNonZero(&st.YieldNs, w.yieldNs)
+	addNonZero(&st.ParkNs, w.parkNs)
+	tx.wait.cycles += w.cycles
+	tx.wait.yields += w.yields
+	tx.wait.parks += w.parks
+	tx.wait.spinNs += w.spinNs
+	tx.wait.yieldNs += w.yieldNs
+	tx.wait.parkNs += w.parkNs
+	*w = waitAcct{}
+}
+
+// stallEpoch anchors stall's clock: time.Since on a monotonic reading is a
+// single monotonic-clock read, half the cost of time.Now.
+var stallEpoch = time.Now()
 
 // parkFactor is the multiple of the spin budget past which a waiter
 // stops yielding and starts sleeping. It deliberately equals the
@@ -52,41 +92,42 @@ const parkFactor = 8
 const maxParkMicros = 100
 
 // stall advances one iteration of a bounded wait loop; spins is the
-// 1-based iteration count and budget the partition's SpinBudget.
-func (tx *Tx) stall(spins, budget int, st *PartThreadStats) {
-	st.WaitCycles.Add(1)
-	now := time.Now()
+// 1-based iteration count, budget the partition's SpinBudget and ti the
+// partition's position in tx.touched.
+func (tx *Tx) stall(spins, budget, ti int) {
+	w := &tx.touched[ti].wait
+	w.cycles++
+	now := time.Since(stallEpoch)
 	if spins > 1 {
 		// Charge the interval since the previous iteration to the phase of
 		// that iteration's pause.
-		d := uint64(now.Sub(tx.stallMark))
+		d := uint64(now - tx.stallMark)
 		switch prev := spins - 1; {
 		case prev <= budget:
-			tx.spinNs += d
-			st.SpinNs.Add(d)
+			w.spinNs += d
 		case prev <= parkFactor*budget:
-			tx.yieldNs += d
-			st.YieldNs.Add(d)
+			w.yieldNs += d
 		default:
-			tx.parkNs += d
-			st.ParkNs.Add(d)
+			w.parkNs += d
 		}
 	}
 	tx.stallMark = now
-	switch {
-	case spins <= budget:
+	if spins <= budget {
 		spinWait(tx.th.nextRand() & 15)
-	case spins <= parkFactor*budget:
-		st.Yields.Add(1)
-		tx.yields++
-		runtime.Gosched()
-	default:
-		st.Parks.Add(1)
-		tx.parks++
-		over := spins - parkFactor*budget
-		if over > maxParkMicros {
-			over = maxParkMicros
-		}
-		time.Sleep(time.Duration(over) * time.Microsecond)
+		return
 	}
+	st := &(*tx.th.stats.Load())[tx.touched[ti].p.id]
+	if spins <= parkFactor*budget {
+		w.yields++
+		tx.flushWait(st, w)
+		runtime.Gosched()
+		return
+	}
+	w.parks++
+	tx.flushWait(st, w)
+	over := spins - parkFactor*budget
+	if over > maxParkMicros {
+		over = maxParkMicros
+	}
+	time.Sleep(time.Duration(over) * time.Microsecond)
 }

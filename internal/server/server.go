@@ -164,13 +164,15 @@ func (s *Server) ListenAndServe(addr string) error {
 }
 
 // Serve accepts connections on lis until Close. It returns nil after a
-// graceful Close, or the first accept error otherwise.
+// graceful Close — including one that won the race against a Serve still
+// being started (`go srv.Serve(lis)` followed at once by Close): the
+// listener is closed and there was nothing to serve — or the first accept
+// error otherwise.
 func (s *Server) Serve(lis net.Listener) error {
 	s.mu.Lock()
 	if s.closing {
 		s.mu.Unlock()
-		lis.Close()
-		return fmt.Errorf("server: Serve after Close")
+		return lis.Close()
 	}
 	s.lis = lis
 	s.mu.Unlock()

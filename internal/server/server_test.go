@@ -294,6 +294,32 @@ func TestKilledConnLeaksNothing(t *testing.T) {
 	}
 }
 
+// TestCloseBeforeServeStarts pins the start/stop race: `go srv.Serve(lis)`
+// followed at once by Close (stmbench's repeated set-ups do exactly that)
+// may close the server before the Serve goroutine has run a line. That is
+// a graceful shutdown like any other: Serve returns nil and the listener is
+// closed, so nothing is left accepting.
+func TestCloseBeforeServeStarts(t *testing.T) {
+	srv, err := server.New(server.Config{Runtime: stm.MustNew(stm.Config{HeapWords: 1 << 16})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := srv.Serve(lis); err != nil {
+		t.Fatalf("Serve on a server closed first = %v, want nil", err)
+	}
+	if c, err := net.DialTimeout("tcp", lis.Addr().String(), time.Second); err == nil {
+		c.Close()
+		t.Fatal("listener still accepting after Serve returned")
+	}
+}
+
 // TestGracefulCloseDrains: Close completes with pipelined work in
 // flight, every in-flight batch gets an answer or a clean connection
 // error (never a hang), and the runtime closes without error.

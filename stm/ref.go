@@ -3,7 +3,7 @@ package stm
 import (
 	"fmt"
 	"reflect"
-	"sync"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -86,7 +86,8 @@ func (r Ref[T]) Load(tx *Tx) T {
 		tx.LoadWords(r.addr, unsafe.Slice((*uint64)(unsafe.Pointer(&v)), n))
 		return v
 	}
-	buf := make([]uint64, n)
+	var stack [refStackWords]uint64
+	buf := wordBuf(&stack, n)
 	tx.LoadWords(r.addr, buf)
 	copy(byteView(&v), wordBytes(buf))
 	return v
@@ -99,9 +100,24 @@ func (r Ref[T]) Store(tx *Tx, v T) {
 		tx.StoreWords(r.addr, unsafe.Slice((*uint64)(unsafe.Pointer(&v)), n))
 		return
 	}
-	buf := make([]uint64, n) // zero: the padding tail of the last word stays 0
+	var stack [refStackWords]uint64
+	buf := wordBuf(&stack, n) // zero: the padding tail of the last word stays 0
 	copy(wordBytes(buf), byteView(&v))
 	tx.StoreWords(r.addr, buf)
+}
+
+// refStackWords is the largest object Load and Store stage in a stack
+// array when T's layout is not word-viewable; larger ones take a heap
+// buffer.
+const refStackWords = 8
+
+// wordBuf returns a zeroed n-word staging buffer: the caller's stack array
+// when it is big enough, a fresh slice otherwise.
+func wordBuf(stack *[refStackWords]uint64, n int) []uint64 {
+	if n <= refStackWords {
+		return stack[:n]
+	}
+	return make([]uint64, n)
 }
 
 // wordViewable reports whether v's storage may be reinterpreted as
@@ -136,27 +152,63 @@ func wordBytes(w []uint64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&w[0])), len(w)*8)
 }
 
-// refWordsCache memoizes the validated word count per type: RefAt sits
-// on per-node traversal hot paths (list walks rebuild a handle per
-// node), where re-running the recursive reflect validation every call
-// would cost as much as the transactional read it wraps.
-var refWordsCache sync.Map // reflect.Type -> int
+// refTypes records which types have passed validation, as an insert-only
+// open-addressed set of type words: RefAt sits on per-node traversal hot
+// paths (list walks rebuild a handle per node), where T's size is a
+// constant of the instantiation and all that is left to answer is "has this
+// T been validated" — one atomic load of the type's home slot, no hashing of
+// an interface, no map.
+var refTypes [1 << refTypeBits]atomic.Uintptr
 
-// refWords computes (and validates) T's heap footprint in words.
+const refTypeBits = 9
+
+// typeWord returns the address of *T's runtime type descriptor: a per-type
+// constant, unique to T, read out of an interface value's type word.
+func typeWord[T any]() uintptr {
+	e := any((*T)(nil))
+	return *(*uintptr)(unsafe.Pointer(&e))
+}
+
+// refWords returns (and, the first time a type is seen, validates) T's heap
+// footprint in words.
 func refWords[T any]() int {
-	t := reflect.TypeFor[T]()
-	if w, ok := refWordsCache.Load(t); ok {
-		return w.(int)
+	tw := typeWord[T]()
+	home := (tw * 0x9E3779B97F4A7C15) >> (64 - refTypeBits)
+	if refTypes[home].Load() != tw {
+		admitRefType[T](tw, home)
 	}
+	var v T
+	return int((unsafe.Sizeof(v) + 7) / 8)
+}
+
+// admitRefType is refWords' slow path: find tw past its home slot, or
+// validate T (panicking if it cannot live in the heap) and claim the first
+// free slot of its probe sequence. A full table validates every call.
+func admitRefType[T any](tw, i uintptr) {
+	for range refTypes {
+		switch refTypes[i].Load() {
+		case tw:
+			return
+		case 0:
+			validateRefType(reflect.TypeFor[T]())
+			if refTypes[i].CompareAndSwap(0, tw) {
+				return
+			}
+			continue // lost the slot to a concurrent admit: look at it again
+		}
+		i = (i + 1) & (uintptr(len(refTypes)) - 1)
+	}
+	validateRefType(reflect.TypeFor[T]())
+}
+
+// validateRefType panics unless t is a valid heap object type (see Ref).
+func validateRefType(t reflect.Type) {
 	if t.Size() == 0 {
 		panic(fmt.Sprintf("stm: Ref[%v]: zero-size type has no heap footprint", t))
 	}
 	if bad, ok := pointerField(t); ok {
 		panic(fmt.Sprintf("stm: Ref[%v]: %s cannot live in the transactional heap (use Addr to link objects)", t, bad))
 	}
-	w := int((t.Size() + 7) / 8)
-	refWordsCache.Store(t, w)
-	return w
 }
 
 // pointerField walks t and reports the first pointer-carrying component,

@@ -86,6 +86,75 @@ func TestRefRoundTrip(t *testing.T) {
 	}
 }
 
+// twelveBytes is neither word-sized nor word-aligned: Load and Store stage
+// it through a word buffer, two words with a four-byte padding tail.
+type twelveBytes struct{ A, B, C uint32 }
+
+// bigOdd is past the stack staging buffer (9 words): the one shape that
+// still takes a heap buffer.
+type bigOdd struct{ V [17]uint32 }
+
+// TestRefStagingDoesNotAllocate pins the staging path of non-word-viewable
+// types to the stack, checks the padding tail of the last word is written
+// as zero — over stale heap contents — and reads back zero, and that the
+// heap fallback past the stack buffer still round-trips.
+func TestRefStagingDoesNotAllocate(t *testing.T) {
+	rt := stm.MustNew(stm.Config{HeapWords: 1 << 16})
+	site := rt.RegisterSite("ref.staging")
+	th := rt.MustAttach()
+	defer rt.Detach(th)
+
+	var r stm.Ref[twelveBytes]
+	var big stm.Ref[bigOdd]
+	th.Atomic(func(tx *stm.Tx) {
+		r = stm.AllocRef[twelveBytes](tx, site)
+		// Stale contents in both words, as recycled memory would hold.
+		tx.Store(r.WordAddr(0), ^uint64(0))
+		tx.Store(r.WordAddr(1), ^uint64(0))
+		big = stm.AllocRef[bigOdd](tx, site)
+	})
+	if r.Words() != 2 || big.Words() != 9 {
+		t.Fatalf("words = %d and %d, want 2 and 9", r.Words(), big.Words())
+	}
+	want := twelveBytes{A: 0xA1A2A3A4, B: 0xB1B2B3B4, C: 0xC1C2C3C4}
+	th.Atomic(func(tx *stm.Tx) { r.Store(tx, want) })
+	th.ReadOnlyAtomic(func(tx *stm.Tx) {
+		if got := r.Load(tx); got != want {
+			t.Fatalf("round trip = %+v, want %+v", got, want)
+		}
+		if tail := tx.Load(r.WordAddr(1)) >> 32; tail != 0 {
+			t.Fatalf("padding tail of the last word = %#x, want 0", tail)
+		}
+	})
+
+	var sink twelveBytes
+	store := func(tx *stm.Tx) error { r.Store(tx, want); return nil }
+	load := func(tx *stm.Tx) error { sink = r.Load(tx); return nil }
+	if n := testing.AllocsPerRun(200, func() {
+		th.Run(store)
+		th.Run(load, stm.ReadOnly())
+	}); n != 0 {
+		t.Fatalf("Store+Load of a 12-byte struct allocates %.1f times per run, want 0", n)
+	}
+	if sink != want {
+		t.Fatalf("load under AllocsPerRun = %+v, want %+v", sink, want)
+	}
+
+	var bw bigOdd
+	for i := range bw.V {
+		bw.V[i] = uint32(i + 1)
+	}
+	th.Atomic(func(tx *stm.Tx) { big.Store(tx, bw) })
+	th.ReadOnlyAtomic(func(tx *stm.Tx) {
+		if got := big.Load(tx); got != bw {
+			t.Fatalf("9-word round trip = %+v, want %+v", got, bw)
+		}
+		if tail := tx.Load(big.WordAddr(8)) >> 32; tail != 0 {
+			t.Fatalf("padding tail of the 9-word object = %#x, want 0", tail)
+		}
+	})
+}
+
 // TestRefRejectsPointerTypes checks the heap-type validation: Go
 // pointers (and pointer-carrying kinds) must not enter the heap.
 func TestRefRejectsPointerTypes(t *testing.T) {
