@@ -67,7 +67,7 @@ func (p *rawPeer) readOK() *wire.TxnResp {
 	if resp.Status != wire.StatusOK {
 		p.t.Fatalf("request %d: status %v %s", resp.ID, resp.Status, resp.Msg)
 	}
-	return resp
+	return &resp
 }
 
 // readAll reads n replies and requires ids 1..n answered exactly once,

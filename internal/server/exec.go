@@ -95,7 +95,7 @@ func (s *Server) exec(b *batch, req *wire.TxnReq) wire.TxnResp {
 	if req.ReadOnly() {
 		s.stat.ReadOnlyTxns.Add(1)
 		opts = b.roOpts
-		if !s.cfg.DisableSnapshotReads && req.Flags&wire.FlagUpdate == 0 {
+		if req.Flags&wire.FlagUpdate == 0 {
 			s.stat.SnapshotTxns.Add(1)
 			opts, b.snap = b.snapOpts, true
 		}

@@ -79,9 +79,6 @@ type Config struct {
 	// fails with StatusMaxAttempts instead of retrying forever. 0 means
 	// unlimited (the default).
 	MaxAttempts int
-	// DisableSnapshotReads sends all-GET batches down the ordinary
-	// read-only path instead of snapshot mode.
-	DisableSnapshotReads bool
 }
 
 // serverStats holds the server's own counters (atomic mirrors of

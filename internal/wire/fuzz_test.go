@@ -10,7 +10,9 @@ import (
 // frames, corrupt length fields and CRC flips never panic, never
 // allocate unboundedly, and never MISparse — any frame the decoder
 // accepts must re-encode to the exact accepted bytes, and message
-// payloads that decode must round-trip through their encoder.
+// payloads that decode must round-trip through their encoder. A decoded
+// TxnResp also owns its data: nothing in it aliases the payload, and no
+// result's Vals can be appended into its neighbour's.
 func FuzzDecodeFrame(f *testing.F) {
 	// Seed with well-formed traffic so mutations explore the interesting
 	// neighborhoods: a mixed TXN batch, responses of every status, stats.
@@ -30,6 +32,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(AppendFrame(nil, req))
 	f.Add(AppendFrame(nil, AppendTxnResp(nil, &TxnResp{ID: 8, Status: StatusOK, Results: []Result{
 		{Flag: true, Vals: []uint64{42}}, {Flag: false},
+	}})))
+	f.Add(AppendFrame(nil, AppendTxnResp(nil, &TxnResp{ID: 13, Status: StatusOK, Results: []Result{
+		{Flag: true, Vals: []uint64{1, 2, 3}}, {Flag: true, Vals: []uint64{4, 5}}, {Flag: true}, {Vals: []uint64{6}},
 	}})))
 	f.Add(AppendFrame(nil, AppendTxnResp(nil, &TxnResp{ID: 9, Status: StatusMaxAttempts, Attempts: 3, Cause: 2})))
 	f.Add(AppendFrame(nil, AppendTxnResp(nil, &TxnResp{ID: 10, Status: StatusNotDurable, Seq: 99})))
@@ -84,9 +89,23 @@ func fuzzPayload(t *testing.T, payload []byte) {
 			t.Fatalf("TxnReq round trip changed bytes")
 		}
 	}
-	if resp, err := DecodeTxnResp(payload); err == nil {
-		if !bytes.Equal(AppendTxnResp(nil, resp), payload) {
-			t.Fatalf("TxnResp round trip changed bytes")
+	// The client's reader reuses the payload buffer for the next frame
+	// while the caller still holds the results, so nothing decoded may
+	// alias it: decode a private copy and scribble over it.
+	own := bytes.Clone(payload)
+	if resp, err := DecodeTxnResp(own); err == nil {
+		for i := range own {
+			own[i] ^= 0xA5
+		}
+		if !bytes.Equal(AppendTxnResp(nil, &resp), payload) {
+			t.Fatalf("TxnResp round trip changed bytes, or its results alias the payload")
+		}
+		// The results share one backing array: an append to one must
+		// reallocate, not overwrite its neighbour.
+		for i, res := range resp.Results {
+			if cap(res.Vals) != len(res.Vals) {
+				t.Fatalf("result %d: Vals has cap %d past len %d", i, cap(res.Vals), len(res.Vals))
+			}
 		}
 	}
 	if req, err := DecodeStatsReq(payload); err == nil {

@@ -210,6 +210,14 @@ type Result struct {
 	Vals []uint64
 }
 
+// Val returns Vals[0], or 0 when absent — the common single-word read.
+func (r Result) Val() uint64 {
+	if len(r.Vals) == 0 {
+		return 0
+	}
+	return r.Vals[0]
+}
+
 // TxnResp answers one TxnReq.
 type TxnResp struct {
 	ID     uint64
@@ -529,34 +537,45 @@ func DecodeTxnReq(payload []byte) (*TxnReq, error) {
 	return req, nil
 }
 
-// DecodeTxnResp decodes a KindTxnResp payload.
-func DecodeTxnResp(payload []byte) (*TxnResp, error) {
+// DecodeTxnResp decodes a KindTxnResp payload. Nothing it returns
+// aliases payload, so the caller may reuse that buffer at once. Every
+// Vals is carved from one backing array, each capped at its own length
+// so an append to one result cannot run into its neighbour.
+func DecodeTxnResp(payload []byte) (TxnResp, error) {
 	r := &reader{b: payload}
 	if k := r.u8("kind"); k != KindTxnResp && r.err == nil {
-		return nil, fmt.Errorf("wire: kind %d is not a TxnResp", k)
+		return TxnResp{}, fmt.Errorf("wire: kind %d is not a TxnResp", k)
 	}
-	resp := &TxnResp{ID: r.u64("id"), Status: Status(r.u8("status"))}
+	resp := TxnResp{ID: r.u64("id"), Status: Status(r.u8("status"))}
 	switch resp.Status {
 	case StatusOK:
 		n := int(r.u16("result count"))
 		if r.err == nil && n > MaxOpsPerTxn {
-			return nil, fmt.Errorf("wire: %d results (max %d)", n, MaxOpsPerTxn)
+			return TxnResp{}, fmt.Errorf("wire: %d results (max %d)", n, MaxOpsPerTxn)
 		}
 		if r.err != nil {
-			return nil, r.err
+			return TxnResp{}, r.err
 		}
-		resp.Results = make([]Result, 0, n)
+		resp.Results = make([]Result, n)
+		// What is left of the payload bounds the words it can carry, so
+		// the appends below never grow the array.
+		words := make([]uint64, 0, (len(payload)-r.off)/8)
 		for i := 0; i < n && r.err == nil; i++ {
-			var res Result
+			res := &resp.Results[i]
 			res.Flag = r.u8("flag") != 0
 			nv := int(r.u8("val count"))
 			if r.err == nil && nv > MaxArity {
-				return nil, fmt.Errorf("wire: result %d with %d vals (max %d)", i, nv, MaxArity)
+				return TxnResp{}, fmt.Errorf("wire: result %d with %d vals (max %d)", i, nv, MaxArity)
 			}
-			if nv > 0 {
-				res.Vals = r.words(nv, "vals")
+			raw := r.bytes(8*nv, "vals")
+			if len(raw) == 0 {
+				continue
 			}
-			resp.Results = append(resp.Results, res)
+			start := len(words)
+			for ; len(raw) > 0; raw = raw[8:] {
+				words = append(words, binary.LittleEndian.Uint64(raw))
+			}
+			res.Vals = words[start:len(words):len(words)]
 		}
 	case StatusMaxAttempts:
 		resp.Attempts = r.u32("attempts")
@@ -568,7 +587,7 @@ func DecodeTxnResp(payload []byte) (*TxnResp, error) {
 		resp.Msg = string(r.bytes(ml, "msg"))
 	}
 	if err := r.done("TxnResp"); err != nil {
-		return nil, err
+		return TxnResp{}, err
 	}
 	return resp, nil
 }

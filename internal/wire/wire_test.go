@@ -158,7 +158,7 @@ func TestTxnRespRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", want.Status, err)
 		}
-		if !reflect.DeepEqual(got, want) {
+		if !reflect.DeepEqual(&got, want) {
 			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
 		}
 	}

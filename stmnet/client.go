@@ -18,6 +18,22 @@
 // any number of goroutines pipeline their batches over the one
 // connection, whatever order the server answers them in.
 //
+// When a request reaches the socket follows from what the client sees,
+// not from a setting. A Do that is the only call in flight on its
+// connection writes and flushes at once: a synchronous caller pays one
+// write per request and no added delay. A Do that finds other calls in
+// flight appends its frame to the connection's write buffer, yields the
+// processor once, and then flushes whatever is still buffered — callers
+// that one burst of replies made runnable together leave in one write,
+// which the server reads in one read and answers in one write. No frame
+// waits in the buffer longer than that one scheduler turn of its own
+// caller.
+//
+// What Do returns is the caller's: the []Result and every Vals in it are
+// freshly allocated per call (one array of results, one of words, each
+// Vals capped at its own length) and never reused by the client. A
+// steady-state Do allocates nothing else.
+//
 // Failures are typed end to end: a batch that exhausted the server's
 // retry budget returns a *stm.MaxAttemptsError (attempt count and final
 // abort cause) and a commit whose redo record never became durable
@@ -28,10 +44,12 @@ package stmnet
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -47,12 +65,25 @@ type Client struct {
 	enc []byte // reusable encode buffer, guarded by wmu
 
 	pmu     sync.Mutex
-	pending map[uint64]chan []byte // id → response payload (one shot)
-	err     error                  // sticky connection error, guarded by pmu
+	pending map[uint64]*waiter // id → the call parked on it
+	err     error              // sticky connection error, guarded by pmu
 	nextID  atomic.Uint64
 
 	readerDone chan struct{}
 }
+
+// waiter is where one call parks for its reply. Registering it in
+// pending buys exactly one token on wake — sent by whoever takes the
+// entry out again (the reader with the reply in buf, or failAll with
+// err set) — and the registrant always receives it before the waiter
+// goes back to the pool, so a pooled waiter is never signalled.
+type waiter struct {
+	wake chan struct{} // capacity 1
+	buf  []byte        // the reply payload; swapped with the reader's frame buffer, so it keeps its capacity
+	err  error
+}
+
+var waiters = sync.Pool{New: func() any { return &waiter{wake: make(chan struct{}, 1)} }}
 
 // Dial connects to a store server at addr.
 func Dial(addr string) (*Client, error) {
@@ -69,17 +100,17 @@ func NewClient(nc net.Conn) *Client {
 	c := &Client{
 		nc:         nc,
 		bw:         bufio.NewWriterSize(nc, 64<<10),
-		pending:    make(map[uint64]chan []byte),
+		pending:    make(map[uint64]*waiter),
 		readerDone: make(chan struct{}),
 	}
 	go c.readLoop()
 	return c
 }
 
-// Close tears the connection down. In-flight Do calls fail with
-// ErrClientClosed (or the connection's earlier sticky error).
+// Close tears the connection down. In-flight and later Do calls fail
+// with ErrClientClosed (or the connection's earlier sticky error).
 func (c *Client) Close() error {
-	err := c.nc.Close()
+	err := c.failAll(ErrClientClosed)
 	<-c.readerDone
 	return err
 }
@@ -90,7 +121,7 @@ func (c *Client) readLoop() {
 	br := bufio.NewReaderSize(c.nc, 64<<10)
 	var buf []byte
 	for {
-		payload, nbuf, err := wire.ReadFrame(br, buf)
+		payload, _, err := wire.ReadFrame(br, buf)
 		if err != nil {
 			if err == io.EOF {
 				err = ErrClientClosed
@@ -98,155 +129,150 @@ func (c *Client) readLoop() {
 			c.failAll(err)
 			return
 		}
-		buf = nbuf
-		var id uint64
 		switch wire.Kind(payload) {
-		case wire.KindTxnResp:
+		case wire.KindTxnResp, wire.KindStatsResp:
 			// Peek the id without a full decode; the waiter decodes.
 			if len(payload) < 9 {
 				c.failAll(fmt.Errorf("stmnet: short response payload"))
 				return
 			}
-			id = le64(payload[1:9])
-		case wire.KindStatsResp:
-			if len(payload) < 9 {
-				c.failAll(fmt.Errorf("stmnet: short response payload"))
-				return
-			}
-			id = le64(payload[1:9])
 		default:
 			c.failAll(fmt.Errorf("stmnet: unexpected message kind %d", wire.Kind(payload)))
 			return
 		}
+		id := binary.LittleEndian.Uint64(payload[1:9])
 		c.pmu.Lock()
-		ch, ok := c.pending[id]
+		w, ok := c.pending[id]
 		delete(c.pending, id)
 		c.pmu.Unlock()
 		if !ok {
 			c.failAll(fmt.Errorf("stmnet: response for unknown request id %d", id))
 			return
 		}
-		// The payload buffer is reused for the next frame: hand the
-		// waiter its own copy.
-		own := make([]byte, len(payload))
-		copy(own, payload)
-		ch <- own
+		// The waiter takes this frame's buffer and the next frame is read
+		// into the one its previous reply came in.
+		w.buf, buf = payload, w.buf
+		w.wake <- struct{}{}
 	}
 }
 
-func le64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-// failAll fails every pending call and makes the error sticky.
-func (c *Client) failAll(err error) {
+// failAll makes err sticky unless an earlier error already is, fails
+// every pending call with the sticky error and closes the socket.
+func (c *Client) failAll(err error) error {
 	c.pmu.Lock()
 	if c.err == nil {
 		c.err = err
 	}
+	err = c.err
 	pend := c.pending
-	c.pending = make(map[uint64]chan []byte)
+	c.pending = make(map[uint64]*waiter)
 	c.pmu.Unlock()
-	for _, ch := range pend {
-		close(ch) // a closed channel signals "look at the sticky error"
+	for _, w := range pend {
+		w.err = err
+		w.wake <- struct{}{}
 	}
-	c.nc.Close()
+	return c.nc.Close()
 }
 
-// roundTrip registers a pending id, writes the frame, and waits for the
-// response payload.
-func (c *Client) roundTrip(id uint64, encode func(buf []byte) ([]byte, error)) ([]byte, error) {
-	ch := make(chan []byte, 1)
+// roundTrip sends one request — req, or a StatsReq when req is nil —
+// under id and parks until its reply is in the returned waiter's buf.
+// The caller hands the waiter back to the pool once it has decoded.
+func (c *Client) roundTrip(id uint64, req *wire.TxnReq) (*waiter, error) {
+	c.wmu.Lock()
+	var err error
+	if req != nil {
+		// A batch that does not encode fails alone: nothing has reached
+		// the write buffer or the pending table yet.
+		if c.enc, err = wire.AppendTxnReq(c.enc[:0], req); err != nil {
+			c.wmu.Unlock()
+			return nil, err
+		}
+	} else {
+		c.enc = wire.AppendStatsReq(c.enc[:0], &wire.StatsReq{ID: id})
+	}
+	w := waiters.Get().(*waiter)
 	c.pmu.Lock()
-	if c.err != nil {
-		err := c.err
+	if err = c.err; err != nil {
 		c.pmu.Unlock()
+		c.wmu.Unlock()
+		waiters.Put(w)
 		return nil, err
 	}
-	c.pending[id] = ch
+	c.pending[id] = w
+	shared := len(c.pending) > 1
 	c.pmu.Unlock()
-
-	c.wmu.Lock()
-	payload, err := encode(c.enc[:0])
-	if err == nil {
-		c.enc = payload
-		frame := wire.AppendFrame(nil, payload)
-		_, err = c.bw.Write(frame)
-		if err == nil {
-			err = c.bw.Flush()
-		}
+	_, err = c.bw.Write(wire.AppendFrame(c.bw.AvailableBuffer(), c.enc))
+	if err == nil && !shared {
+		err = c.bw.Flush()
 	}
 	c.wmu.Unlock()
+	if err == nil && shared {
+		// Other calls are in flight, so their callers are likely runnable
+		// right now (one reply burst wakes them together): give them one
+		// scheduler turn to append their frames, then flush what nobody
+		// else has flushed yet.
+		runtime.Gosched()
+		c.wmu.Lock()
+		err = c.bw.Flush()
+		c.wmu.Unlock()
+	}
 	if err != nil {
-		c.pmu.Lock()
-		delete(c.pending, id)
-		c.pmu.Unlock()
+		// A failed write is terminal for the connection. Our entry is
+		// failed by this call or by whoever took it first; either way the
+		// token arrives below.
+		c.failAll(err)
+	}
+	<-w.wake
+	if err = w.err; err != nil {
+		w.err = nil
+		waiters.Put(w)
 		return nil, err
 	}
-
-	resp, ok := <-ch
-	if !ok {
-		c.pmu.Lock()
-		err := c.err
-		c.pmu.Unlock()
-		if err == nil {
-			err = ErrClientClosed
-		}
-		return nil, err
-	}
-	return resp, nil
+	return w, nil
 }
 
 // Do executes one batch as a single atomic transaction on the server
-// and returns one Result per op, in op order. Concurrent Do calls
-// pipeline over the connection. The returned error is nil only when the
-// batch committed (and, under DurabilitySync, its redo record is
-// durable); see the package comment for the typed failure modes.
+// and returns one Result per op, in op order; the results and their
+// Vals belong to the caller. Concurrent Do calls pipeline over the
+// connection. The returned error is nil only when the batch committed
+// (and, under DurabilitySync, its redo record is durable); see the
+// package comment for the typed failure modes.
 func (c *Client) Do(b *Batch) ([]Result, error) {
 	if len(b.ops) == 0 {
 		return nil, fmt.Errorf("stmnet: empty batch")
 	}
 	id := c.nextID.Add(1)
-	req := wire.TxnReq{ID: id, Flags: b.flags, Ops: b.ops}
-	payload, err := c.roundTrip(id, func(buf []byte) ([]byte, error) {
-		return wire.AppendTxnReq(buf, &req)
-	})
+	w, err := c.roundTrip(id, &wire.TxnReq{ID: id, Flags: b.flags, Ops: b.ops})
 	if err != nil {
 		return nil, err
 	}
-	resp, err := wire.DecodeTxnResp(payload)
+	resp, err := wire.DecodeTxnResp(w.buf)
+	waiters.Put(w)
 	if err != nil {
 		return nil, err
 	}
 	if resp.ID != id {
 		return nil, fmt.Errorf("stmnet: response id %d for request %d", resp.ID, id)
 	}
-	if err := respError(resp); err != nil {
+	if err := respError(&resp); err != nil {
 		return nil, err
 	}
 	if len(resp.Results) != len(b.ops) {
 		return nil, fmt.Errorf("stmnet: %d results for %d ops", len(resp.Results), len(b.ops))
 	}
-	out := make([]Result, len(resp.Results))
-	for i := range resp.Results {
-		out[i] = Result{Flag: resp.Results[i].Flag, Vals: resp.Results[i].Vals}
-	}
-	return out, nil
+	return resp.Results, nil
 }
 
 // Stats fetches the server's statistics snapshot: its own counters plus
 // the embedded runtime's partition statistics, commit-latency histogram,
 // pool counters and (when durable) redo-log counters.
 func (c *Client) Stats() (*wire.StatsPayload, error) {
-	id := c.nextID.Add(1)
-	payload, err := c.roundTrip(id, func(buf []byte) ([]byte, error) {
-		return wire.AppendStatsReq(buf, &wire.StatsReq{ID: id}), nil
-	})
+	w, err := c.roundTrip(c.nextID.Add(1), nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, body, err := wire.DecodeStatsResp(payload)
+	defer waiters.Put(w) // body aliases w.buf until it is unmarshaled
+	resp, body, err := wire.DecodeStatsResp(w.buf)
 	if err != nil {
 		return nil, err
 	}
@@ -260,22 +286,11 @@ func (c *Client) Stats() (*wire.StatsPayload, error) {
 	return &p, nil
 }
 
-// Result is one op's outcome, mirroring wire.Result: for GET, Flag is
-// "found" and Vals the value vector; for ADD, Vals[0] is the post-add
-// word; for CAS, Flag is "swapped" and Vals[0] the observed old word;
-// for PUT, Flag is always true.
-type Result struct {
-	Flag bool
-	Vals []uint64
-}
-
-// Val returns Vals[0], or 0 when absent — the common single-word read.
-func (r Result) Val() uint64 {
-	if len(r.Vals) == 0 {
-		return 0
-	}
-	return r.Vals[0]
-}
+// Result is one op's outcome: for GET, Flag is "found" and Vals the
+// value vector; for ADD, Vals[0] is the post-add word; for CAS, Flag is
+// "swapped" and Vals[0] the observed old word; for PUT, Flag is always
+// true.
+type Result = wire.Result
 
 // ServerStats re-exports the server counter block for report code.
 type ServerStats = wire.ServerStats
@@ -290,12 +305,17 @@ func Neg(n uint64) uint64 { return ^n + 1 }
 // Batch builds one atomic multi-key transaction. Methods chain; ops
 // execute (and their results index) in append order.
 type Batch struct {
-	ops   []wire.Op
-	flags uint8
+	ops    []wire.Op
+	flags  uint8
+	inline [8]wire.Op // ops' first backing array: a batch this small is one allocation
 }
 
 // NewBatch returns an empty batch.
-func NewBatch() *Batch { return &Batch{} }
+func NewBatch() *Batch {
+	b := &Batch{}
+	b.ops = b.inline[:0]
+	return b
+}
 
 // Get reads key's whole value vector.
 func (b *Batch) Get(key string) *Batch {
