@@ -607,6 +607,9 @@ func (e *Engine) run(th *Thread, cfg runCfg, fn func(*Tx) error) error {
 	if th.beginSeq.Load() != 0 {
 		th.beginSeq.Store(0)
 	}
+	if cfg.deferSeq != nil {
+		*cfg.deferSeq = 0
+	}
 	readOnly, snap := cfg.readOnly, cfg.snap
 	// Only the first attempt of a snapshot Run goes without a read set; any
 	// abort degrades the rest of the Run to logged reads (see Tx.unlogged).
@@ -646,7 +649,14 @@ func (e *Engine) run(th *Thread, cfg runCfg, fn func(*Tx) error) error {
 				// (walSeq 0), or died or closed before the fsync — the
 				// commit has still applied in memory, and that divergence
 				// must surface as ErrNotDurable, never as a silent nil.
-				if tx.walSeq == 0 || !box.log.WaitDurable(tx.walSeq) {
+				// Under DeferDurable the wait is the caller's, on the
+				// sequence handed back.
+				switch {
+				case tx.walSeq == 0:
+					return &NotDurableError{}
+				case cfg.deferSeq != nil:
+					*cfg.deferSeq = tx.walSeq
+				case !box.log.WaitDurable(tx.walSeq):
 					return &NotDurableError{Seq: tx.walSeq}
 				}
 			}

@@ -41,6 +41,9 @@ type runCfg struct {
 	maxAttempts int
 	// onAbort, when set, observes every aborted attempt.
 	onAbort func(cause AbortCause, attempt int)
+	// deferSeq, when set, receives the sequence of the durability wait Run
+	// would have made, instead of Run making it (DeferDurable).
+	deferSeq *uint64
 }
 
 // TxOpt is a functional option selecting how Run executes a transaction.
@@ -90,6 +93,21 @@ func MaxAttempts(n int) TxOpt {
 // it for backpressure, logging, or tests counting retries.
 func OnAbort(fn func(cause AbortCause, attempt int)) TxOpt {
 	return func(c *runCfg) { c.onAbort = fn }
+}
+
+// DeferDurable hands the Sync durability wait to the caller: where Run
+// would park until the commit's redo record is fsynced, it returns at
+// commit instead and stores the record's log sequence in *seq. The caller
+// owes the wait (wal.Log.WaitDurable on that sequence) before it tells
+// anyone the commit happened; until then the commit is applied in memory
+// and nothing more. *seq is 0 when Run returns and no wait is owed: the
+// transaction wrote nothing, failed, or the engine has no Sync log. A
+// commit the log refused outright still returns ErrNotDurable at once.
+// Sequences grow in commit order, so one wait on the largest of several
+// deferred sequences covers them all. Without this option Run is
+// unchanged.
+func DeferDurable(seq *uint64) TxOpt {
+	return func(c *runCfg) { c.deferSeq = seq }
 }
 
 // Run runs fn as a transaction on thread th, in the mode selected by opts,

@@ -51,23 +51,34 @@ func (p *rawPeer) write(b []byte) {
 	}
 }
 
-// readOK reads one reply within ten seconds and requires StatusOK.
-func (p *rawPeer) readOK() *wire.TxnResp {
+// read reads one reply within ten seconds; a connection that ends first
+// is (nil, err).
+func (p *rawPeer) read() (*wire.TxnResp, error) {
 	p.t.Helper()
 	p.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
 	payload, buf, err := wire.ReadFrame(p.br, p.buf)
 	if err != nil {
-		p.t.Fatalf("reading a reply: %v", err)
+		return nil, err
 	}
 	p.buf = buf
 	resp, err := wire.DecodeTxnResp(payload)
 	if err != nil {
 		p.t.Fatalf("decoding a reply: %v", err)
 	}
+	return &resp, nil
+}
+
+// readOK reads one reply and requires StatusOK.
+func (p *rawPeer) readOK() *wire.TxnResp {
+	p.t.Helper()
+	resp, err := p.read()
+	if err != nil {
+		p.t.Fatalf("reading a reply: %v", err)
+	}
 	if resp.Status != wire.StatusOK {
 		p.t.Fatalf("request %d: status %v %s", resp.ID, resp.Status, resp.Msg)
 	}
-	return &resp
+	return resp
 }
 
 // readAll reads n replies and requires ids 1..n answered exactly once,
@@ -116,9 +127,15 @@ func sumWord0(res []wire.Result) (sum uint64) {
 
 func syncRuntime(t *testing.T) *stm.Runtime {
 	t.Helper()
+	return syncRuntimeAt(t, t.TempDir())
+}
+
+// syncRuntimeAt recovers (or starts) a DurabilitySync runtime over dir.
+func syncRuntimeAt(t *testing.T, dir string) *stm.Runtime {
+	t.Helper()
 	rt, err := stm.New(stm.Config{
 		HeapWords: 1 << 20,
-		WAL:       &stm.WALConfig{Dir: t.TempDir(), Durability: stm.DurabilitySync},
+		WAL:       &stm.WALConfig{Dir: dir, Durability: stm.DurabilitySync},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -126,11 +143,13 @@ func syncRuntime(t *testing.T) *stm.Runtime {
 	return rt
 }
 
-// TestSyncDispatchIsBounded: write batches on a Sync runtime are the
-// only requests that get a goroutine, and a connection has at most 64 of
-// them. A peer pipelines 10 000 transfers; mid-flight the process never
-// holds more goroutines than that cap allows, and every reply arrives.
-func TestSyncDispatchIsBounded(t *testing.T) {
+// TestSyncHeldRepliesAreBounded: write batches on a Sync runtime run on
+// the connection's reader like any other, their replies held until
+// synced — at most 64 per connection, by one releaser goroutine. A peer
+// pipelines 10 000 transfers; mid-flight the connection never holds more
+// than the cap, the process never more than a constant number of
+// goroutines, and every reply arrives.
+func TestSyncHeldRepliesAreBounded(t *testing.T) {
 	srv, addr, _ := startServer(t, server.Config{Runtime: syncRuntime(t)})
 	defer srv.Close()
 	p := dialRaw(t, addr)
@@ -165,16 +184,21 @@ func TestSyncDispatchIsBounded(t *testing.T) {
 			}
 		}
 	}()
-	peak := 0
+	peak, held := 0, 0
 	p.readAll(n, func(resp *wire.TxnResp) {
-		if resp.ID%32 == 0 {
+		if resp.ID%8 == 0 {
 			peak = max(peak, runtime.NumGoroutine())
+			held = max(held, srv.HeldReplies())
 		}
 	})
-	// The pipelining goroutine above, 64 dispatched batches, and a little
-	// slack for the runtime's own.
-	if limit := base + 1 + 64 + 4; peak > limit {
+	// The connection's reader and releaser are in the baseline; on top of
+	// it, the pipelining goroutine above and a little slack for the
+	// runtime's own.
+	if limit := base + 1 + 4; peak > limit {
 		t.Fatalf("goroutines mid-flight: %d (baseline %d), want at most %d", peak, base, limit)
+	}
+	if held == 0 || held > server.MaxHeld {
+		t.Fatalf("most replies seen held at once: %d, want 1..%d", held, server.MaxHeld)
 	}
 	p.write(reqFrame(t, 1, getAll(nKeys)...))
 	if sum := sumWord0(p.readOK().Results); sum != 0 {
@@ -187,7 +211,23 @@ func TestSyncDispatchIsBounded(t *testing.T) {
 // else: another connection keeps full service, the server holds one
 // goroutine for it, and Close still returns within the write grace.
 func TestNeverReadingPeer(t *testing.T) {
-	srv, addr, serveDone := startServer(t, server.Config{})
+	neverReadingPeer(t, server.Config{}, 1, reqFrame(t, 1, getAll(256)...))
+}
+
+// TestNeverReadingPeerSync: the same on a Sync runtime, where the stuck
+// connection also holds replies and its releaser is the one blocked in
+// the flush (or behind the reader that is): two goroutines, stalled
+// alone, while the other connection's transfers keep being synced.
+func TestNeverReadingPeerSync(t *testing.T) {
+	frame := append(reqFrame(t, 1, transfer(1, 256)...), reqFrame(t, 2, getAll(256)...)...)
+	neverReadingPeer(t, server.Config{Runtime: syncRuntime(t)}, 2, frame)
+}
+
+// neverReadingPeer writes frame (requests over acct(0..255) with a large
+// reply) until the server stops reading, and checks that the stuck
+// connection costs connGoroutines goroutines and nobody else's service.
+func neverReadingPeer(t *testing.T, scfg server.Config, connGoroutines int, frame []byte) {
+	srv, addr, serveDone := startServer(t, scfg)
 	defer srv.Close()
 
 	const nKeys = 256
@@ -210,7 +250,6 @@ func TestNeverReadingPeer(t *testing.T) {
 	// forward fills too, and a write here times out.
 	stuck := dialRaw(t, addr)
 	stuck.nc.(*net.TCPConn).SetReadBuffer(4 << 10)
-	frame := reqFrame(t, 1, getAll(nKeys)...)
 	for wrote := 0; ; wrote++ {
 		if wrote == 100000 {
 			t.Fatal("the server read 100 000 requests from a peer that never read a reply")
@@ -240,9 +279,9 @@ func TestNeverReadingPeer(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("the other connection stalled behind the stuck peer")
 	}
-	// The stuck connection's reader, and the goroutine just above while
-	// it exits.
-	if n := runtime.NumGoroutine(); n > base+2 {
+	// The stuck connection's own, and the goroutine just above while it
+	// exits.
+	if n := runtime.NumGoroutine(); n > base+connGoroutines+1 {
 		t.Fatalf("goroutines with a stuck peer attached: %d, baseline %d", n, base)
 	}
 
@@ -491,4 +530,245 @@ func TestSyncMixedConnection(t *testing.T) {
 			t.Fatalf("request %d: %d results, want %d", resp.ID, len(resp.Results), want)
 		}
 	})
+}
+
+// TestAckImpliesDurable pins the Sync contract at the server's edge: a
+// peer pipelines ADD-1 requests, each to a key of its own, and the log
+// dies mid-stream. Every request is answered exactly once; after
+// recovering the directory, every key whose reply was StatusOK reads 1,
+// and every other reply is StatusNotDurable naming a sequence the
+// recovered log does not reach (or none: the log refused the record).
+func TestAckImpliesDurable(t *testing.T) {
+	dir := t.TempDir()
+	rt := syncRuntimeAt(t, dir)
+	srv, addr, _ := startServer(t, server.Config{Runtime: rt})
+	defer srv.Close()
+	p := dialRaw(t, addr)
+
+	const (
+		n     = 4000
+		chunk = 50
+	)
+	key := func(id uint64) string { return fmt.Sprintf("once:%05d", id) }
+	crashed := make(chan struct{})
+	go func() {
+		for i := 1; i <= n; i += chunk {
+			if i > n*3/4 {
+				<-crashed // the last quarter finds the log dead
+			}
+			var out []byte
+			for id := uint64(i); id < uint64(i+chunk); id++ {
+				out = append(out, reqFrame(t, id, wire.Op{Code: wire.OpAdd, Key: key(id), Delta: 1})...)
+			}
+			if _, err := p.nc.Write(out); err != nil {
+				t.Errorf("pipelining: %v", err)
+				return
+			}
+		}
+	}()
+
+	status := make([]wire.Status, n+1)
+	seq := make([]uint64, n+1)
+	answered := make([]bool, n+1)
+	acked := 0
+	for got := 0; got < n; got++ {
+		if got == n/4 {
+			rt.WAL().Abandon() // the crash
+			close(crashed)
+		}
+		resp, err := p.read()
+		if err != nil {
+			t.Fatalf("reply %d of %d: %v", got, n, err)
+		}
+		if resp.ID < 1 || resp.ID > n || answered[resp.ID] {
+			t.Fatalf("reply %d carries id %d (unknown or answered twice)", got, resp.ID)
+		}
+		answered[resp.ID], status[resp.ID], seq[resp.ID] = true, resp.Status, resp.Seq
+		switch resp.Status {
+		case wire.StatusOK:
+			acked++
+			if len(resp.Results) != 1 || resp.Results[0].Val() != 1 {
+				t.Fatalf("request %d: results %+v, want one value 1", resp.ID, resp.Results)
+			}
+		case wire.StatusNotDurable:
+		default:
+			t.Fatalf("request %d: status %v %s", resp.ID, resp.Status, resp.Msg)
+		}
+	}
+	if acked < n/4 || acked > n*3/4 {
+		t.Fatalf("%d of %d requests acked, with the log dead for the third and alive for the first quarter", acked, n)
+	}
+	addrs := make([]stm.Addr, n+1)
+	for id := uint64(1); id <= n; id++ {
+		addrs[id], _ = srv.Space().Lookup(key(id))
+	}
+	srv.Close()
+
+	rec := syncRuntimeAt(t, dir)
+	defer rec.Close()
+	last := rec.Recovery().LastSeq
+	err := rec.Run(func(tx *stm.Tx) error {
+		for id := uint64(1); id <= n; id++ {
+			switch {
+			case status[id] == wire.StatusOK:
+				if v := tx.Load(addrs[id]); v != 1 {
+					return fmt.Errorf("request %d was acked and its key reads %d after recovery", id, v)
+				}
+			case seq[id] != 0 && seq[id] <= last:
+				return fmt.Errorf("request %d: NOT_DURABLE names seq %d, the recovered log reaches %d", id, seq[id], last)
+			}
+		}
+		return nil
+	}, stm.ReadOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d acked, %d not durable, recovered through seq %d", acked, n-acked, last)
+}
+
+// TestGracefulCloseAnswersHeldReplies: Close with replies held waits out
+// the syncs they need — the log is closed only after the connections —
+// so every request the server executed is answered StatusOK.
+func TestGracefulCloseAnswersHeldReplies(t *testing.T) {
+	srv, addr, _ := startServer(t, server.Config{Runtime: syncRuntime(t)})
+	defer srv.Close()
+	p := dialRaw(t, addr)
+
+	const (
+		nKeys = 16
+		burst = 200 // requests and replies both fit the socket buffers
+	)
+	var create []wire.Op
+	for k := 0; k < nKeys; k++ {
+		create = append(create, wire.Op{Code: wire.OpAdd, Key: acct(k)})
+	}
+	p.write(reqFrame(t, 1, create...))
+	p.readOK()
+
+	// Bursts, until one is caught executed to the last request with the
+	// last replies still waiting for their sync.
+	sent, replies := 0, 0
+	for round := 0; srv.HeldReplies() == 0; round++ {
+		if round == 200 {
+			t.Fatal("never caught the server with replies held")
+		}
+		for ; replies < sent; replies++ {
+			p.readOK()
+		}
+		executed := srv.Stats().Txns + burst
+		var out []byte
+		for i := 0; i < burst; i++ {
+			sent++
+			out = append(out, reqFrame(t, uint64(sent), transfer(sent, nKeys)...)...)
+		}
+		p.write(out)
+		for srv.Stats().Txns < executed {
+			runtime.Gosched()
+		}
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	for {
+		resp, err := p.read()
+		if err != nil {
+			break // the server hung up after its last reply
+		}
+		if resp.Status != wire.StatusOK {
+			t.Fatalf("request %d: status %v %s", resp.ID, resp.Status, resp.Msg)
+		}
+		replies++
+	}
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if replies != sent {
+		t.Fatalf("%d replies for the %d requests the server executed", replies, sent)
+	}
+}
+
+// TestKeyCreationSharesSyncs: creating a key commits without waiting for
+// its own sync (KeySpace.Intern used to park for one, holding the intern
+// table's write lock): 1 000 never-seen keys, ADDed ten to a request over
+// one pipelined connection, cost at most a sync per request, and GETs on
+// a second connection are answered all the while.
+func TestKeyCreationSharesSyncs(t *testing.T) {
+	// A group-commit interval the test never reaches: the log syncs only
+	// when somebody waits.
+	rt, err := stm.New(stm.Config{
+		HeapWords: 1 << 20,
+		WAL:       &stm.WALConfig{Dir: t.TempDir(), Durability: stm.DurabilitySync, GroupCommitInterval: time.Minute},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, addr, _ := startServer(t, server.Config{Runtime: rt})
+	defer srv.Close()
+	p := dialRaw(t, addr)
+	p.write(reqFrame(t, 1, wire.Op{Code: wire.OpPut, Key: "seen", Vals: []uint64{7}}))
+	p.readOK()
+
+	reader, err := stmnet.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reader.Close()
+	stop, gets := make(chan struct{}), make(chan int, 1)
+	go func() {
+		n := 0
+		defer func() { gets <- n }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			res, err := reader.Do(stmnet.NewBatch().Get("seen"))
+			if err != nil || !res[0].Flag || res[0].Val() != 7 {
+				t.Errorf("GET beside the key creations: %+v, %v", res, err)
+				return
+			}
+			n++
+		}
+	}()
+
+	const (
+		requests = 100
+		perReq   = 10
+	)
+	var out []byte
+	for id := uint64(1); id <= requests; id++ {
+		ops := make([]wire.Op, perReq)
+		for k := range ops {
+			ops[k] = wire.Op{Code: wire.OpAdd, Key: fmt.Sprintf("new:%03d.%d", id, k), Delta: id}
+		}
+		out = append(out, reqFrame(t, id, ops...)...)
+	}
+	st, _ := rt.WALStats()
+	before := st.Fsyncs
+	go func() {
+		if _, err := p.nc.Write(out); err != nil {
+			t.Errorf("pipelining: %v", err)
+		}
+	}()
+	p.readAll(requests, func(resp *wire.TxnResp) {
+		for _, r := range resp.Results {
+			if r.Val() != resp.ID {
+				t.Fatalf("request %d: results %+v", resp.ID, resp.Results)
+			}
+		}
+	})
+	st, _ = rt.WALStats()
+	close(stop)
+	served := <-gets
+	// Every sync was asked for by a connection with a reply to release,
+	// so there is at most one per request however slowly they run —
+	// parking for each creation alone took a thousand.
+	if syncs := st.Fsyncs - before; syncs > requests {
+		t.Fatalf("%d syncs for %d keys created by %d requests", syncs, requests*perReq, requests)
+	} else {
+		t.Logf("%d syncs for %d keys created by %d requests, %d GETs served beside them", syncs, requests*perReq, requests, served)
+	}
+	if served == 0 {
+		t.Fatal("no GET was answered while the keys were created")
+	}
 }

@@ -9,13 +9,18 @@ import (
 )
 
 // batch is the scratch one TXN batch executes in. A connection's reader
-// runs every inline batch in its one batch, so a steady-state request
-// allocates nothing here; a dispatched batch gets its own. The body,
-// option lists and OnAbort hook handed to Run are built once per batch.
+// runs every batch in its one batch, so a steady-state request allocates
+// nothing here. The body, option lists and OnAbort hook handed to Run are
+// built once per batch.
 type batch struct {
 	srv  *Server
 	req  *wire.TxnReq
 	snap bool // req runs in snapshot mode; read by the OnAbort hook
+	// gate is the largest log sequence of any commit req made (its
+	// transaction's, a key creation's) that is not yet known durable: the
+	// reply may not leave before the durable watermark reaches it. 0 when
+	// nothing is owed. seq is where Run leaves the transaction's own.
+	gate, seq uint64
 
 	addrs   []stm.Addr // req's keys, resolved; Nil only for a GET of a never-created key
 	results []wire.Result
@@ -42,11 +47,16 @@ func (s *Server) newBatch() *batch {
 	}
 	b.roOpts = append([]stm.TxOpt{stm.ReadOnly()}, b.rwOpts...)
 	b.snapOpts = append([]stm.TxOpt{stm.Snapshot()}, b.rwOpts...)
+	if s.syncCommits {
+		// A write batch returns at commit and owes the fsync wait, which
+		// the connection pays by holding the reply (conn.hold).
+		b.rwOpts = append(b.rwOpts, stm.DeferDurable(&b.seq))
+	}
 	return b
 }
 
 // execTxn runs req in b and returns the encoded response, which aliases
-// b until b's next request.
+// b until b's next request, leaving in b.gate what the reply waits for.
 func (s *Server) execTxn(b *batch, req *wire.TxnReq) []byte {
 	resp := s.exec(b, req)
 	b.payload = wire.AppendTxnResp(b.payload[:0], &resp)
@@ -69,6 +79,7 @@ func (s *Server) exec(b *batch, req *wire.TxnReq) wire.TxnResp {
 		b.words = make([]uint64, 0, n*arity) // no op produces more than arity words
 	}
 	b.req, b.addrs, b.results = req, b.addrs[:n], b.results[:n]
+	b.gate, b.seq = 0, 0
 	for i := range req.Ops {
 		op := &req.Ops[i]
 		switch op.Code {
@@ -80,11 +91,11 @@ func (s *Server) exec(b *batch, req *wire.TxnReq) wire.TxnResp {
 			}
 			fallthrough
 		case wire.OpAdd, wire.OpCAS:
-			addr, err := s.space.Intern(op.Key)
+			addr, seq, err := s.space.intern(op.Key)
 			if err != nil {
-				return s.internalErr(req.ID, err)
+				return s.txnError(req.ID, err)
 			}
-			b.addrs[i] = addr
+			b.addrs[i], b.gate = addr, max(b.gate, seq)
 		default:
 			return s.badRequest(req.ID, fmt.Sprintf("op %d: unknown opcode %d", i, op.Code))
 		}
@@ -100,7 +111,9 @@ func (s *Server) exec(b *batch, req *wire.TxnReq) wire.TxnResp {
 			opts, b.snap = b.snapOpts, true
 		}
 	}
-	if err := s.rt.Run(b.body, opts...); err != nil {
+	err := s.rt.Run(b.body, opts...)
+	b.gate = max(b.gate, b.seq)
+	if err != nil {
 		return s.txnError(req.ID, err)
 	}
 	return wire.TxnResp{ID: req.ID, Status: wire.StatusOK, Results: b.results}

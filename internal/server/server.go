@@ -13,14 +13,20 @@
 // arrived in one read leaves in one write, in request order, and no
 // request costs a goroutine, a channel hop or a syscall of its own.
 //
-// The exception is a write batch on a runtime whose commits park until
-// fsynced (DurabilitySync): run inline, a connection's pipelined commits
-// would each wait out a group commit alone, so these run on their own
-// goroutines, share one, and write and flush their own replies in
-// completion order (the client matches by request id). A connection has
-// at most maxDispatched of them; past that its reader blocks and TCP
+// On a runtime whose commits must be fsynced before they are acknowledged
+// (DurabilitySync) a write batch runs inline all the same: it commits
+// without parking (stm.DeferDurable) and its encoded reply is held, with
+// the commit's log sequence as its gate, until the log's durable watermark
+// passes that sequence. The connection's releaser goroutine waits for the
+// oldest gate and then writes every held reply the sync covered in one
+// write — so a connection's pipelined commits share group commits with
+// each other and with every other connection's, and a request costs no
+// goroutine, no park and no syscall of its own. Replies that owe nothing
+// (GET batches, a failed CAS, an error) are written at once and may
+// overtake held ones; the client matches by request id. A connection
+// holds at most maxHeld replies; past that its reader blocks and TCP
 // holds the client back. A peer that pipelines and never reads likewise
-// blocks its own reader in the flush, and nothing else.
+// blocks its own reader and releaser in the flush, and nothing else.
 //
 // All-GET batches run in snapshot mode (stm.Snapshot()), so heavy read
 // traffic commits abort-free against any write load while retention
@@ -33,18 +39,28 @@
 // under DurabilityOff it means "committed in memory"; under
 // DurabilityAsync "committed in memory, redo record queued" (a crash
 // can lose the last group-commit interval); under DurabilitySync the
-// response is written only after Run returns, i.e. after the commit's
-// record is fsynced — an acked response survives any crash. A commit
-// whose record could not become durable is reported as
-// StatusNotDurable, never silently acked.
+// response leaves only after the record of every commit the request made
+// — its transaction's, and that of any key it created — is synced: an
+// acked response survives any crash. A commit whose record could not
+// become durable is reported as StatusNotDurable, never silently acked:
+// at once when the log refused the record, and for every held reply above
+// the final watermark when the log dies under them.
+//
+// Only the ack promises survival. The commit itself is visible in memory
+// from the moment it happens: a GET may return a value whose writer has
+// not been acked yet — on another connection it always could, and with
+// inline execution on the writer's own connection too — and a crash can
+// then take that value back.
 //
 // # Shutdown
 //
 // Close is graceful by construction: stop accepting, expire every read
-// so each connection answers what it has already received, flushes
-// (within closeWriteGrace, for a peer that stopped reading) and ends,
-// and only then close the runtime's redo log — so a DurabilitySync
-// commit can never race the WAL teardown (a hazard stm/wal.go documents).
+// so each connection answers what it has already received, waits out the
+// syncs its held replies need and releases them, flushes (within
+// closeWriteGrace, for a peer that stopped reading) and ends, and only
+// then close the runtime's redo log — so a DurabilitySync commit or a
+// held reply can never race the WAL teardown (a hazard stm/wal.go
+// documents).
 package server
 
 import (
@@ -106,7 +122,7 @@ type Server struct {
 	rt          *stm.Runtime
 	space       *KeySpace
 	stat        serverStats
-	syncCommits bool // commits park until fsynced: see conn.dispatch
+	syncCommits bool // acks wait for the fsync: see conn.hold
 
 	mu       sync.Mutex
 	lis      net.Listener
@@ -199,8 +215,8 @@ func (s *Server) Close() error {
 		s.closing = true
 		lis := s.lis
 		// A read past this deadline fails at once: the connection answers
-		// what it has buffered, waits for its dispatched batches, flushes
-		// and ends. Writes get a bounded grace so a peer that stopped
+		// what it has buffered, releases its held replies, flushes and
+		// ends. Writes get a bounded grace so a peer that stopped
 		// reading cannot hang shutdown — its remaining replies drop.
 		for c := range s.conns {
 			c.nc.SetReadDeadline(time.Now())
@@ -253,37 +269,55 @@ func (s *Server) statsPayload() *wire.StatsPayload {
 	return p
 }
 
-// conn is one accepted connection, served by its reader goroutine.
+// conn is one accepted connection, served by its reader goroutine and,
+// on a DurabilitySync runtime, a releaser goroutine beside it.
 type conn struct {
 	srv *Server
 	nc  net.Conn
 	br  *bufio.Reader
-	b   *batch // the reader's scratch for inline batches
+	b   *batch // the reader's scratch
 
-	// wmu guards bw for the reader and the dispatched batches. bw keeps
-	// its first write error: a dead connection drops every later reply.
+	// wmu guards bw for the reader and the releaser. bw keeps its first
+	// write error: a dead connection drops every later reply.
 	wmu sync.Mutex
 	bw  *bufio.Writer
 
-	// slots holds one token per dispatched batch in flight.
-	slots chan struct{}
+	// Replies waiting for the durable watermark, oldest first; gates
+	// ascend, because sequences grow in commit order and the reader
+	// commits one request at a time. hmu guards them; hcond wakes the
+	// releaser when there is one to wait for (or none will come: hdone)
+	// and the reader when there is room again.
+	hmu      sync.Mutex
+	hcond    sync.Cond
+	held     []heldReply
+	hframes  []byte        // the held replies' frames, back to back
+	hdone    bool          // the reader has finished
+	released chan struct{} // closed when the releaser has; nil without one
 }
 
-// maxDispatched caps the batches one connection has running on their
-// own goroutines at the runtime's slot-pool size: more could only queue
-// for a slot.
-const maxDispatched = 64
+// heldReply is one reply in conn.held: whom it answers, what it waits
+// for, and where its frame ends in conn.hframes.
+type heldReply struct {
+	id, gate uint64
+	end      int
+}
+
+// maxHeld caps the replies one connection holds back. A sync covers
+// everything published before it started, so more than a few groups'
+// worth in flight buys nothing; the bound is what the peer can make the
+// server buffer.
+const maxHeld = 64
 
 // startConn registers a connection and launches its reader.
 func (s *Server) startConn(nc net.Conn) {
 	c := &conn{
-		srv:   s,
-		nc:    nc,
-		br:    bufio.NewReaderSize(nc, 64<<10),
-		bw:    bufio.NewWriterSize(nc, 64<<10),
-		b:     s.newBatch(),
-		slots: make(chan struct{}, maxDispatched),
+		srv: s,
+		nc:  nc,
+		br:  bufio.NewReaderSize(nc, 64<<10),
+		bw:  bufio.NewWriterSize(nc, 64<<10),
+		b:   s.newBatch(),
 	}
+	c.hcond.L = &c.hmu
 	s.mu.Lock()
 	if s.closing {
 		s.mu.Unlock()
@@ -296,6 +330,10 @@ func (s *Server) startConn(nc net.Conn) {
 	s.stat.Conns.Add(1)
 	s.stat.CurConns.Add(1)
 
+	if s.syncCommits {
+		c.released = make(chan struct{})
+		go c.release()
+	}
 	go c.serve()
 }
 
@@ -328,10 +366,10 @@ func (c *conn) serve() {
 				s.stat.BadRequests.Add(1)
 				return
 			}
-			if s.syncCommits && !req.ReadOnly() {
-				c.dispatch(req)
+			if reply := s.execTxn(c.b, req); c.b.gate != 0 {
+				c.hold(req.ID, c.b.gate, reply)
 			} else {
-				c.write(s.execTxn(c.b, req), false)
+				c.write(reply, false)
 			}
 		case wire.KindStatsReq:
 			req, err := wire.DecodeStatsReq(payload)
@@ -363,25 +401,89 @@ func (c *conn) frameBuffered() bool {
 	return have >= int(binary.LittleEndian.Uint32(hdr))
 }
 
-// dispatch runs a write batch on its own goroutine, which writes and
-// flushes its own reply. At maxDispatched in flight it blocks the reader.
-func (c *conn) dispatch(req *wire.TxnReq) {
-	c.slots <- struct{}{}
-	go func() {
-		c.write(c.srv.execTxn(c.srv.newBatch(), req), true)
-		<-c.slots
-	}()
+// hold keeps a reply back until the durable watermark reaches gate. With
+// maxHeld replies held it blocks the reader until the releaser makes room.
+func (c *conn) hold(id, gate uint64, reply []byte) {
+	c.hmu.Lock()
+	for len(c.held) == maxHeld {
+		c.hcond.Wait()
+	}
+	c.hframes = wire.AppendFrame(c.hframes, reply)
+	c.held = append(c.held, heldReply{id: id, gate: gate, end: len(c.hframes)})
+	c.hmu.Unlock()
+	c.hcond.Signal()
+}
+
+// release is the releaser goroutine: wait for the oldest held reply's
+// gate, then send every reply the watermark now covers in one write. It
+// ends once the reader has and nothing is held.
+func (c *conn) release() {
+	defer close(c.released)
+	var out, scratch []byte
+	for {
+		c.hmu.Lock()
+		for len(c.held) == 0 && !c.hdone {
+			c.hcond.Wait()
+		}
+		if len(c.held) == 0 {
+			c.hmu.Unlock()
+			return
+		}
+		gate := c.held[0].gate
+		c.hmu.Unlock()
+
+		durable, ok := c.srv.rt.WaitDurable(gate)
+
+		c.hmu.Lock()
+		n := 0
+		for n < len(c.held) && c.held[n].gate <= durable {
+			n++
+		}
+		cut := 0
+		if n > 0 {
+			cut = c.held[n-1].end
+		}
+		out = append(out[:0], c.hframes[:cut]...)
+		if !ok {
+			// The log died or closed: nothing above its final watermark
+			// will ever be durable. Those commits are applied in memory
+			// and owed an answer that says so.
+			for _, h := range c.held[n:] {
+				scratch = wire.AppendTxnResp(scratch[:0], &wire.TxnResp{ID: h.id, Status: wire.StatusNotDurable, Seq: h.gate})
+				out = wire.AppendFrame(out, scratch)
+			}
+			n, cut = len(c.held), len(c.hframes)
+		}
+		c.hframes = c.hframes[:copy(c.hframes, c.hframes[cut:])]
+		c.held = c.held[:copy(c.held, c.held[n:])]
+		for i := range c.held {
+			c.held[i].end -= cut
+		}
+		c.hmu.Unlock()
+		c.hcond.Signal()
+		c.wmu.Lock()
+		c.writeLocked(out, true)
+		c.wmu.Unlock()
+	}
 }
 
 // write appends payload (if any) to the write buffer as one frame and
-// optionally flushes. A failed write closes the socket under the reader.
+// optionally flushes.
 func (c *conn) write(payload []byte, flush bool) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	var err error
+	var frame []byte
 	if payload != nil {
-		_, err = c.bw.Write(wire.AppendFrame(c.bw.AvailableBuffer(), payload))
+		frame = wire.AppendFrame(c.bw.AvailableBuffer(), payload)
 	}
+	c.writeLocked(frame, flush)
+}
+
+// writeLocked appends whole frames to the write buffer and optionally
+// flushes; the caller holds wmu. A failed write closes the socket under
+// the reader.
+func (c *conn) writeLocked(frames []byte, flush bool) {
+	_, err := c.bw.Write(frames)
 	if err == nil && flush {
 		err = c.bw.Flush()
 	}
@@ -390,11 +492,16 @@ func (c *conn) write(payload []byte, flush bool) {
 	}
 }
 
-// teardown ends the connection: take every slot (no dispatched batch
-// is left), flush what was buffered, close the socket and unregister.
+// teardown ends the connection: let the releaser send what is still held
+// (each reply after the sync it waits for), flush what was buffered, close
+// the socket and unregister.
 func (c *conn) teardown() {
-	for range maxDispatched {
-		c.slots <- struct{}{}
+	if c.released != nil {
+		c.hmu.Lock()
+		c.hdone = true
+		c.hmu.Unlock()
+		c.hcond.Signal()
+		<-c.released
 	}
 	c.write(nil, true)
 	c.nc.Close()

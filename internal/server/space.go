@@ -107,20 +107,37 @@ func (ks *KeySpace) Lookup(key string) (stm.Addr, bool) {
 
 // Intern resolves key, allocating its zeroed value object on first
 // touch (the PUT/ADD/CAS path). The allocation commits in its own
-// transaction; see the type comment for the visibility contract.
+// transaction; see the type comment for the visibility contract. On a
+// DurabilitySync runtime it does not wait for that commit's fsync: a
+// zeroed object nobody has written is worth nothing to a crash, and the
+// first write that makes the key matter commits later in the log, so
+// whoever waits for that write has waited for the creation.
 func (ks *KeySpace) Intern(key string) (stm.Addr, error) {
-	ks.mu.RLock()
-	addr, ok := ks.keys[key]
-	ks.mu.RUnlock()
-	if ok {
-		return addr, nil
+	addr, _, err := ks.intern(key)
+	return addr, err
+}
+
+// intern is Intern, also returning the log sequence of the creating
+// commit (stm.DeferDurable) when this call created the key on a
+// DurabilitySync runtime, 0 otherwise. Parking for the fsync here would
+// hold the table's write lock across it: every Lookup, on every
+// connection, would stall one sync per new key.
+func (ks *KeySpace) intern(key string) (stm.Addr, uint64, error) {
+	if addr, ok := ks.Lookup(key); ok {
+		return addr, 0, nil
 	}
+	return ks.create(key)
+}
+
+// create is intern's slow path, apart so that what its closure captures
+// is heap-allocated only here.
+func (ks *KeySpace) create(key string) (addr stm.Addr, seq uint64, err error) {
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
-	if addr, ok = ks.keys[key]; ok {
-		return addr, nil
+	if addr, ok := ks.keys[key]; ok {
+		return addr, 0, nil
 	}
-	err := ks.rt.Run(func(tx *stm.Tx) error {
+	err = ks.rt.Run(func(tx *stm.Tx) error {
 		addr = tx.Alloc(ks.valSite, ks.arity)
 		for i := 0; i < ks.arity; i++ {
 			tx.Store(addr+stm.Addr(i), 0)
@@ -131,12 +148,12 @@ func (ks *KeySpace) Intern(key string) (stm.Addr, error) {
 			ks.collisions.Add(1)
 		}
 		return nil
-	})
+	}, stm.DeferDurable(&seq))
 	if err != nil {
-		return stm.Nil, fmt.Errorf("server: interning %q: %w", key, err)
+		return stm.Nil, 0, fmt.Errorf("server: interning %q: %w", key, err)
 	}
 	ks.keys[key] = addr
-	return addr, nil
+	return addr, seq, nil
 }
 
 // hashKey maps a key onto the directory's uint64 key space (FNV-1a).

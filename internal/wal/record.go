@@ -231,78 +231,120 @@ func scanSegments(dir string) ([]segmentInfo, error) {
 }
 
 // walkFrames reads a segment's frames from data (everything after the
-// header), calling fn per validated frame payload. It returns the number
-// of valid payload bytes consumed (for torn-tail truncation) and, when
-// the tail failed validation, a description of the tear; err is non-nil
-// for I/O-level problems and when the failed tail is provably mid-log
-// corruption rather than a tear.
-func walkFrames(data []byte, fn func(payload []byte) error) (valid int, torn string, err error) {
-	off := 0
-	// tornAt classifies the invalid bytes at off. A torn group write
-	// leaves only trailing garbage: nothing after a half-written frame
-	// can be a completed write. So an invalid frame FOLLOWED by a frame
-	// that validates is mid-log corruption (bit rot, external damage) —
-	// refuse to repair rather than silently drop committed records. The
-	// search is byte-granular: the corrupt frame's own length field may
-	// be the damaged bytes, so it cannot be trusted to locate the next
-	// frame boundary.
-	tornAt := func(reason string) (int, string, error) {
-		if scanForValidFrame(data, off+1) {
-			return off, "", fmt.Errorf("wal: invalid frame at offset %d (%s) is followed by valid frames — mid-log corruption, not a torn tail", off, reason)
+// header), calling fn per validated frame payload. zeros is how many zero
+// bytes follow data in the file (readSegment cut them off): a frame may
+// end in zero bytes of its own, so a frame is read as far into them as its
+// length says, and the zeros no frame claims are preallocated space no
+// write reached, not a tear. It returns the number of valid bytes consumed
+// (where the file is to be cut) and, when the bytes after them failed
+// validation, a description of the tear; err is non-nil for I/O-level
+// problems and when the failed tail is provably mid-log corruption rather
+// than a tear.
+func walkFrames(data []byte, zeros int64, fn func(payload []byte) error) (valid int, torn string, err error) {
+	written := len(data)
+	// have reports whether the file holds n bytes at off, taking them from
+	// the zeros behind the written bytes if it must.
+	have := func(off, n int) bool {
+		short := off + n - len(data)
+		if short > 0 && int64(short) <= zeros {
+			data = append(data, make([]byte, short)...)
+			zeros -= int64(short)
 		}
-		return off, reason, nil
+		return off+n <= len(data)
 	}
-	for {
-		if off == len(data) {
-			return off, "", nil
-		}
-		if len(data)-off < frameHeaderSize {
-			return tornAt("short frame header")
+	// frameAt returns the payload of the frame at off, or why there is none.
+	frameAt := func(off int) (payload []byte, reason string) {
+		if !have(off, frameHeaderSize) {
+			return nil, "short frame header"
 		}
 		n := int(binary.LittleEndian.Uint32(data[off:]))
-		crc := binary.LittleEndian.Uint32(data[off+4:])
 		if n == 0 || n > maxFramePayload {
-			return tornAt(fmt.Sprintf("implausible frame length %d", n))
+			return nil, "implausible frame length"
 		}
-		if len(data)-off-frameHeaderSize < n {
-			return tornAt("short frame payload")
+		if !have(off, frameHeaderSize+n) {
+			return nil, "short frame payload"
 		}
-		payload := data[off+frameHeaderSize : off+frameHeaderSize+n]
-		if crc32.Checksum(payload, castagnoli) != crc {
-			return tornAt("frame checksum mismatch")
+		payload = data[off+frameHeaderSize : off+frameHeaderSize+n]
+		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[off+4:]) {
+			return nil, "frame checksum mismatch"
+		}
+		return payload, ""
+	}
+	off := 0
+	for off < written {
+		payload, reason := frameAt(off)
+		if reason != "" {
+			// A torn group write leaves only trailing garbage: nothing
+			// after a half-written frame can be a completed write. So an
+			// invalid frame FOLLOWED by a complete one — plausible length,
+			// matching CRC32C, decodable payload — is mid-log corruption
+			// (bit rot, external damage, or blocks of one group that a
+			// power loss persisted out of order): refuse to repair rather
+			// than silently drop committed records. The search is
+			// byte-granular: the corrupt frame's own length field may be
+			// the damaged bytes, so it cannot be trusted to locate the
+			// next frame boundary. Length fields are mostly implausible in
+			// garbage, so the CRC is computed rarely, and with the decode
+			// it makes an accidental match vanishingly unlikely.
+			for next := off + 1; next < written; next++ {
+				if p, r := frameAt(next); r == "" {
+					if _, err := decodePayload(p, nil); err == nil {
+						return off, "", fmt.Errorf("wal: invalid frame at offset %d (%s) is followed by valid frames — mid-log corruption, not a torn tail", off, reason)
+					}
+				}
+			}
+			return off, reason, nil
 		}
 		if fn != nil {
 			if err := fn(payload); err != nil {
 				return off, "", err
 			}
 		}
-		off += frameHeaderSize + n
+		off += frameHeaderSize + len(payload)
 	}
+	return off, "", nil
 }
 
-// scanForValidFrame reports whether data holds a complete frame —
-// plausible length, matching CRC32C, decodable payload — starting at any
-// byte offset >= from. Length fields are mostly implausible in garbage,
-// so the CRC is computed rarely; the full-payload checksum plus a clean
-// decode make an accidental match on torn-tail garbage vanishingly
-// unlikely, while a real surviving record past a damaged region is
-// always found no matter how the damage mangled earlier frame headers.
-func scanForValidFrame(data []byte, from int) bool {
-	for off := from; off+frameHeaderSize < len(data); off++ {
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		if n == 0 || n > maxFramePayload || len(data)-off-frameHeaderSize < n {
-			continue
-		}
-		payload := data[off+frameHeaderSize : off+frameHeaderSize+n]
-		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[off+4:]) {
-			continue
-		}
-		if _, err := decodePayload(payload, nil); err != nil {
-			continue
-		}
-		return true
+// readSegment reads a segment file up to its last non-zero byte and
+// reports how many zero bytes follow it. A crashed log's final segment is
+// mostly such zeros — the preallocated space no write reached — so they
+// are found from the end, a chunk at a time, and never loaded or walked.
+func readSegment(path string) (data []byte, zeros int64, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, err
 	}
-	return false
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, 0, err
+	}
+	end := st.Size()
+	chunk := make([]byte, 256<<10)
+	for end > 0 {
+		c := chunk[:min(int64(len(chunk)), end)]
+		if _, err := f.ReadAt(c, end-int64(len(c))); err != nil {
+			return nil, 0, err
+		}
+		n := len(c)
+		for n >= 8 && binary.LittleEndian.Uint64(c[n-8:]) == 0 {
+			n -= 8
+		}
+		for n > 0 && c[n-1] == 0 {
+			n--
+		}
+		end -= int64(len(c) - n)
+		if n > 0 {
+			break
+		}
+	}
+	// The header's checksum may itself end in zero bytes.
+	end = max(end, min(st.Size(), segHeaderSize))
+	data = make([]byte, end)
+	if _, err := f.ReadAt(data, 0); err != nil {
+		return nil, 0, err
+	}
+	return data, st.Size() - end, nil
 }
 
 // RecoveryInfo summarizes what Open found and repaired.
@@ -340,7 +382,7 @@ func recoverSegments(dir string, floor uint64) ([]segmentInfo, *RecoveryInfo, er
 	var lastRecs uint64 // record count of the newest surviving segment
 	for i, seg := range segs {
 		last := i == len(segs)-1
-		data, err := os.ReadFile(seg.path)
+		data, zeros, err := readSegment(seg.path)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -365,7 +407,7 @@ func recoverSegments(dir string, floor uint64) ([]segmentInfo, *RecoveryInfo, er
 			return nil, nil, fmt.Errorf("wal: segment %s starts at seq %d, want %d (gap)", seg.path, start, info.LastSeq+1)
 		}
 		expect := start
-		valid, torn, err := walkFrames(data[segHeaderSize:], func(payload []byte) error {
+		valid, torn, err := walkFrames(data[segHeaderSize:], zeros, func(payload []byte) error {
 			rec, err := decodePayload(payload, nil)
 			if err != nil {
 				return err
@@ -383,12 +425,15 @@ func recoverSegments(dir string, floor uint64) ([]segmentInfo, *RecoveryInfo, er
 			if !last {
 				return nil, nil, fmt.Errorf("wal: segment %s corrupt mid-log (%s); only the final segment may be torn", seg.path, torn)
 			}
-			tornBytes := int64(len(data)) - int64(segHeaderSize+valid)
-			if err := os.Truncate(seg.path, int64(segHeaderSize+valid)); err != nil {
+			info.TornBytes = int64(len(data) - (segHeaderSize + valid))
+			info.TornReason = torn
+		}
+		// Cut the file to its records: a torn tail's garbage, and the
+		// preallocated zeros a crash (no graceful seal) left behind.
+		if keep := int64(segHeaderSize + valid); keep < int64(len(data))+zeros {
+			if err := os.Truncate(seg.path, keep); err != nil {
 				return nil, nil, err
 			}
-			info.TornBytes = tornBytes
-			info.TornReason = torn
 		}
 		info.Records += expect - start
 		if expect > start {
@@ -444,7 +489,7 @@ func replaySegments(segs []segmentInfo, fromSeq uint64, fn func(Record) error) (
 		if len(data) < segHeaderSize {
 			return st, fmt.Errorf("wal: segment %s shrank below its header", seg.path)
 		}
-		_, torn, err := walkFrames(data[segHeaderSize:], func(payload []byte) error {
+		_, torn, err := walkFrames(data[segHeaderSize:], 0, func(payload []byte) error {
 			rec, err := decodePayload(payload, ops[:0])
 			if err != nil {
 				return err

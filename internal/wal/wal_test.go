@@ -551,7 +551,7 @@ func TestFrameEncodingRejectsOversize(t *testing.T) {
 	// Corrupt the declared length beyond the cap: walkFrames must stop.
 	oversize := make([]byte, frameHeaderSize)
 	binary.LittleEndian.PutUint32(oversize, uint32(maxFramePayload+1))
-	valid, torn, err := walkFrames(append(oversize, payload...), func([]byte) error { return nil })
+	valid, torn, err := walkFrames(append(oversize, payload...), 0, func([]byte) error { return nil })
 	if err != nil {
 		t.Fatalf("walkFrames: %v", err)
 	}

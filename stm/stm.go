@@ -238,6 +238,20 @@ func MaxAttempts(n int) TxOpt { return core.MaxAttempts(n) }
 // abort cause and the 1-based attempt number.
 func OnAbort(fn func(cause AbortCause, attempt int)) TxOpt { return core.OnAbort(fn) }
 
+// DeferDurable hands a DurabilitySync Run's durability wait to its caller:
+// Run returns at commit, without parking for the fsync, and stores in *seq
+// the log sequence the commit's survival hangs on. The caller owes
+// Runtime.WaitDurable(*seq) before it acknowledges the commit to anyone;
+// until that wait succeeds the commit is in memory only (other
+// transactions may already read it). *seq is 0 when Run returns and no
+// wait is owed — nothing was written, Run failed, or the runtime is not
+// DurabilitySync — and a commit the log refused outright is still
+// ErrNotDurable at once. Sequences grow in commit order: one wait on the
+// largest of several deferred sequences covers all of them, which is how a
+// caller shares one group commit among commits it makes back to back.
+// Without this option Run is unchanged.
+func DeferDurable(seq *uint64) TxOpt { return core.DeferDurable(seq) }
+
 // Nil is the null heap address.
 const Nil = memory.Nil
 

@@ -23,6 +23,7 @@ const (
 	// record is fsynced: once Run returns nil, the commit survives any
 	// crash. A commit whose record cannot become durable (the log died or
 	// closed first) still applies in memory but surfaces as ErrNotDurable.
+	// A Run under DeferDurable leaves that wait to its caller.
 	DurabilitySync = wal.Sync
 )
 
@@ -162,6 +163,21 @@ func (r *Runtime) Durability() Durability {
 		return DurabilitySync
 	}
 	return DurabilityAsync
+}
+
+// WaitDurable blocks until the redo log's durable watermark reaches seq —
+// the wait a DeferDurable Run left to its caller — and returns the
+// watermark: every sequence at or below it is fsynced. ok is false when
+// the log died or closed (or there is none) before seq became durable;
+// the returned watermark is then final, and a commit above it must be
+// reported as ErrNotDurable, never acknowledged. Like Run, it must not
+// race Close.
+func (r *Runtime) WaitDurable(seq uint64) (durable uint64, ok bool) {
+	if r.wal == nil {
+		return 0, false
+	}
+	ok = r.wal.WaitDurable(seq)
+	return r.wal.DurableSeq(), ok
 }
 
 // WALStats returns the redo log's counters; ok is false without
