@@ -108,18 +108,20 @@ func BenchmarkSnapshotAppend(b *testing.B) {
 			th := rt.MustAttach()
 			defer rt.Detach(th)
 			var a stm.Addr
-			th.Atomic(func(tx *stm.Tx) {
+			th.Run(func(tx *stm.Tx) error {
 				a = tx.Alloc(stm.SiteID(0), 4)
 				for i := 0; i < 4; i++ {
 					tx.Store(a+stm.Addr(i), 0)
 				}
+				return nil
 			})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				th.Atomic(func(tx *stm.Tx) {
+				th.Run(func(tx *stm.Tx) error {
 					for j := 0; j < 4; j++ {
 						tx.Store(a+stm.Addr(j), tx.Load(a+stm.Addr(j))+1)
 					}
+					return nil
 				})
 			}
 		})
@@ -376,20 +378,22 @@ func BenchmarkAllocFreeChurn(b *testing.B) {
 	th := rt.MustAttach()
 	defer rt.Detach(th)
 	var cell stm.Addr
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		cell = tx.Alloc(stm.SiteID(0), 1)
 		n := tx.Alloc(stm.SiteID(0), 8)
 		tx.Store(n, 1)
 		tx.StoreAddr(cell, n)
+		return nil
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		th.Atomic(func(tx *stm.Tx) {
+		th.Run(func(tx *stm.Tx) error {
 			old := tx.LoadAddr(cell)
 			n := tx.Alloc(stm.SiteID(0), 8)
 			tx.Store(n, tx.Load(old)+1)
 			tx.StoreAddr(cell, n)
 			tx.Free(old, 8)
+			return nil
 		})
 	}
 	b.StopTimer()
@@ -410,11 +414,12 @@ func BenchmarkAllocFreeChurnSnapshot(b *testing.B) {
 	th := rt.MustAttach()
 	defer rt.Detach(th)
 	var cell stm.Addr
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		cell = tx.Alloc(stm.SiteID(0), 1)
 		n := tx.Alloc(stm.SiteID(0), 8)
 		tx.Store(n, 1)
 		tx.StoreAddr(cell, n)
+		return nil
 	})
 	scan := func(tx *stm.Tx) error {
 		n := tx.LoadAddr(cell)
@@ -427,12 +432,13 @@ func BenchmarkAllocFreeChurnSnapshot(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		th.Atomic(func(tx *stm.Tx) {
+		th.Run(func(tx *stm.Tx) error {
 			old := tx.LoadAddr(cell)
 			n := tx.Alloc(stm.SiteID(0), 8)
 			tx.Store(n, tx.Load(old)+1)
 			tx.StoreAddr(cell, n)
 			tx.Free(old, 8)
+			return nil
 		})
 		if i&7 == 0 {
 			if err := rt.Run(scan, stm.Snapshot()); err != nil {
@@ -459,9 +465,10 @@ func BenchmarkRunPinned(b *testing.B) {
 	th := rt.MustAttach()
 	defer rt.Detach(th)
 	var a stm.Addr
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		a = tx.Alloc(stm.SiteID(0), 1)
 		tx.Store(a, 0)
+		return nil
 	})
 	fn := func(tx *stm.Tx) error {
 		tx.Store(a, tx.Load(a)+1)
@@ -520,13 +527,14 @@ func BenchmarkUncontendedIncrement(b *testing.B) {
 			th := rt.MustAttach()
 			defer rt.Detach(th)
 			var a stm.Addr
-			th.Atomic(func(tx *stm.Tx) {
+			th.Run(func(tx *stm.Tx) error {
 				a = tx.Alloc(stm.SiteID(0), 1)
 				tx.Store(a, 0)
+				return nil
 			})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				th.Atomic(func(tx *stm.Tx) { tx.Store(a, tx.Load(a)+1) })
+				th.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 			}
 		})
 	}
@@ -549,13 +557,14 @@ func BenchmarkTimeBaseIncrement(b *testing.B) {
 			th := rt.MustAttach()
 			defer rt.Detach(th)
 			var a stm.Addr
-			th.Atomic(func(tx *stm.Tx) {
+			th.Run(func(tx *stm.Tx) error {
 				a = tx.Alloc(stm.SiteID(0), 1)
 				tx.Store(a, 0)
+				return nil
 			})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				th.Atomic(func(tx *stm.Tx) { tx.Store(a, tx.Load(a)+1) })
+				th.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 			}
 		})
 	}
@@ -570,16 +579,17 @@ func BenchmarkRepeatedReadSweep(b *testing.B) {
 	th := rt.MustAttach()
 	defer rt.Detach(th)
 	var base stm.Addr
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		base = tx.Alloc(stm.SiteID(0), words)
 		for i := 0; i < words; i++ {
 			tx.Store(base+stm.Addr(i), uint64(i))
 		}
+		return nil
 	})
 	for _, passes := range []int{1, 8} {
 		b.Run(fmt.Sprintf("passes=%d", passes), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				th.ReadOnlyAtomic(func(tx *stm.Tx) {
+				th.Run(func(tx *stm.Tx) error {
 					var sink uint64
 					for p := 0; p < passes; p++ {
 						for j := 0; j < words; j++ {
@@ -587,7 +597,8 @@ func BenchmarkRepeatedReadSweep(b *testing.B) {
 						}
 					}
 					_ = sink
-				})
+					return nil
+				}, stm.ReadOnly())
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*passes*words), "ns/load")
 		})
@@ -611,10 +622,10 @@ func BenchmarkReadOnlyScan(b *testing.B) {
 			th := rt.MustAttach()
 			defer rt.Detach(th)
 			var c *txds.CounterArray
-			th.Atomic(func(tx *stm.Tx) { c = txds.NewCounterArray(tx, rt, "scan", n, 1) })
+			th.Run(func(tx *stm.Tx) error { c = txds.NewCounterArray(tx, rt, "scan", n, 1); return nil })
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				th.ReadOnlyAtomic(func(tx *stm.Tx) { c.Sum(tx) })
+				th.Run(func(tx *stm.Tx) error { c.Sum(tx); return nil }, stm.ReadOnly())
 			}
 			b.ReportMetric(float64(b.N)*n/b.Elapsed().Seconds(), "reads/s")
 		})
@@ -695,9 +706,9 @@ func BenchmarkPartitionLookup(b *testing.B) {
 			}
 			th := rt.MustAttach()
 			var tree *txds.RBTree
-			th.Atomic(func(tx *stm.Tx) { tree = txds.NewRBTree(tx, rt, "pl.tree") })
+			th.Run(func(tx *stm.Tx) error { tree = txds.NewRBTree(tx, rt, "pl.tree"); return nil })
 			for k := uint64(0); k < 512; k++ {
-				th.Atomic(func(tx *stm.Tx) { tree.Insert(tx, k*2, k) })
+				th.Run(func(tx *stm.Tx) error { tree.Insert(tx, k*2, k); return nil })
 			}
 			rt.Detach(th)
 			if partitioned {
@@ -711,7 +722,7 @@ func BenchmarkPartitionLookup(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				k := rng.Uint64() % 1024
-				th.ReadOnlyAtomic(func(tx *stm.Tx) { tree.Contains(tx, k) })
+				th.Run(func(tx *stm.Tx) error { tree.Contains(tx, k); return nil }, stm.ReadOnly())
 			}
 		})
 	}
@@ -768,9 +779,10 @@ func BenchmarkTracingOverhead(b *testing.B) {
 			th := rt.MustAttach()
 			defer rt.Detach(th)
 			var a stm.Addr
-			th.Atomic(func(tx *stm.Tx) {
+			th.Run(func(tx *stm.Tx) error {
 				a = tx.Alloc(stm.SiteID(0), 1)
 				tx.Store(a, 0)
+				return nil
 			})
 			if traced {
 				rt.StartTracing(4096)
@@ -778,7 +790,7 @@ func BenchmarkTracingOverhead(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				th.Atomic(func(tx *stm.Tx) { tx.Store(a, tx.Load(a)+1) })
+				th.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 			}
 		})
 	}
@@ -793,31 +805,35 @@ func BenchmarkRangeScan(b *testing.B) {
 	defer rt.Detach(th)
 	var rb *txds.RBTree
 	var bt *txds.BTree
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		rb = txds.NewRBTree(tx, rt, "rs.rb")
 		bt = txds.NewBTree(tx, rt, "rs.bt")
+		return nil
 	})
 	for k := uint64(0); k < n; k++ {
-		th.Atomic(func(tx *stm.Tx) {
+		th.Run(func(tx *stm.Tx) error {
 			rb.Insert(tx, k, k)
 			bt.Insert(tx, k, k)
+			return nil
 		})
 	}
 	rng := workload.NewRng(5)
 	b.Run("rbtree", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			lo := rng.Uint64() % (n - span)
-			th.ReadOnlyAtomic(func(tx *stm.Tx) {
+			th.Run(func(tx *stm.Tx) error {
 				rb.Range(tx, lo, lo+span, func(k, v uint64) bool { return true })
-			})
+				return nil
+			}, stm.ReadOnly())
 		}
 	})
 	b.Run("btree", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			lo := rng.Uint64() % (n - span)
-			th.ReadOnlyAtomic(func(tx *stm.Tx) {
+			th.Run(func(tx *stm.Tx) error {
 				bt.Range(tx, lo, lo+span, func(k, v uint64) bool { return true })
-			})
+				return nil
+			}, stm.ReadOnly())
 		}
 	})
 }
@@ -833,9 +849,10 @@ func BenchmarkOpenLoopLatency(b *testing.B) {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 16})
 	setup := rt.MustAttach()
 	var a stm.Addr
-	setup.Atomic(func(tx *stm.Tx) {
+	setup.Run(func(tx *stm.Tx) error {
 		a = tx.Alloc(stm.SiteID(0), 1)
 		tx.Store(a, 0)
+		return nil
 	})
 	rt.Detach(setup)
 	const rate = 50000.0
@@ -848,7 +865,7 @@ func BenchmarkOpenLoopLatency(b *testing.B) {
 		Measure: measure,
 		Seed:    11,
 	}, func(th *stm.Thread, rng *workload.Rng, _ uint64) {
-		th.Atomic(func(tx *stm.Tx) { tx.Store(a, tx.Load(a)+1) })
+		th.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 	})
 	if res.Ops == 0 {
 		b.Fatal("no measured ops")
@@ -898,8 +915,9 @@ func BenchmarkCommitSyncDurability(b *testing.B) {
 	defer rt.Close()
 	setup := rt.MustAttach()
 	var base stm.Addr
-	setup.Atomic(func(tx *stm.Tx) {
+	setup.Run(func(tx *stm.Tx) error {
 		base = tx.Alloc(stm.SiteID(0), 64)
+		return nil
 	})
 	rt.Detach(setup)
 	var next atomic.Uint64
@@ -923,14 +941,15 @@ func BenchmarkContendedCounter(b *testing.B) {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 16, YieldEveryOps: 8})
 	setup := rt.MustAttach()
 	var a stm.Addr
-	setup.Atomic(func(tx *stm.Tx) {
+	setup.Run(func(tx *stm.Tx) error {
 		a = tx.Alloc(stm.SiteID(0), 1)
 		tx.Store(a, 0)
+		return nil
 	})
 	rt.Detach(setup)
 	b.ResetTimer()
 	res := bench.RunOps(rt, 8, b.N/8+1, 3, func(th *stm.Thread, rng *workload.Rng) {
-		th.Atomic(func(tx *stm.Tx) { tx.Store(a, tx.Load(a)+1) })
+		th.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 	})
 	b.ReportMetric(res.Throughput, "ops/s")
 	b.ReportMetric(res.AbortRate, "abort-rate")

@@ -20,12 +20,11 @@ const slots = 1 << 10
 
 func main() {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 20, YieldEveryOps: 8})
-	setup := rt.MustAttach()
 	var arr *txds.CounterArray
-	setup.Atomic(func(tx *stm.Tx) {
+	rt.Run(func(tx *stm.Tx) error {
 		arr = txds.NewCounterArray(tx, rt, "adaptive.arr", slots, 100)
+		return nil
 	})
-	rt.Detach(setup)
 
 	tc := stm.DefaultTunerConfig()
 	tc.Interval = 25 * time.Millisecond
@@ -48,7 +47,7 @@ func main() {
 			for !stop.Load() {
 				if updatePhase.Load() && rng.Float64() < 0.5 {
 					to := rng.Intn(slots)
-					th.Atomic(func(tx *stm.Tx) { // long update: scan + move
+					th.Run(func(tx *stm.Tx) error { // long update: scan + move
 						maxI, maxV := 0, uint64(0)
 						for i := 0; i < slots; i++ {
 							if v := arr.Get(tx, i); v > maxV {
@@ -58,19 +57,21 @@ func main() {
 						if maxI != to && maxV > 0 {
 							arr.Transfer(tx, maxI, to, 1)
 						}
+						return nil
 					})
 				} else if updatePhase.Load() {
 					from, to := rng.Intn(slots), rng.Intn(slots)
-					th.Atomic(func(tx *stm.Tx) { arr.Transfer(tx, from, to, 1) })
+					th.Run(func(tx *stm.Tx) error { arr.Transfer(tx, from, to, 1); return nil })
 				} else {
 					start := rng.Intn(slots - 128)
-					th.ReadOnlyAtomic(func(tx *stm.Tx) { // read-only audit
+					th.Run(func(tx *stm.Tx) error { // read-only audit
 						var s uint64
 						for i := 0; i < 128; i++ {
 							s += arr.Get(tx, start+i)
 						}
 						_ = s
-					})
+						return nil
+					}, stm.ReadOnly())
 				}
 			}
 		}(uint64(w) + 3)
@@ -99,8 +100,6 @@ func main() {
 	rt.StopTuner()
 
 	var sum uint64
-	th := rt.MustAttach()
-	th.ReadOnlyAtomic(func(tx *stm.Tx) { sum = arr.Sum(tx) })
-	rt.Detach(th)
+	rt.Run(func(tx *stm.Tx) error { sum = arr.Sum(tx); return nil }, stm.ReadOnly())
 	fmt.Printf("final array total: %d (want %d — conserved)\n", sum, slots*100)
 }

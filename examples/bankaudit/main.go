@@ -26,13 +26,11 @@ const (
 func main() {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 20, YieldEveryOps: 8})
 
-	setup := rt.MustAttach()
 	var arr *txds.CounterArray
-	setup.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		arr = txds.NewCounterArray(tx, rt, "bank.accounts", accounts, initBal)
 		return nil
 	})
-	rt.Detach(setup)
 
 	var (
 		stop      atomic.Bool

@@ -26,27 +26,27 @@ func main() {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 20, YieldEveryOps: 8})
 
 	rt.StartProfiling()
-	setup := rt.MustAttach()
 	var (
 		pending *txds.PriorityQueue
 		running *txds.Deque
 		done    *txds.Stack
 	)
-	setup.Atomic(func(tx *stm.Tx) {
+	rt.Run(func(tx *stm.Tx) error {
 		pending = txds.NewPriorityQueue(tx, rt, "graph.pending", 1)
 		running = txds.NewDeque(tx, rt, "graph.running")
 		done = txds.NewStack(tx, rt, "graph.done")
+		return nil
 	})
 	// Prime each structure so the profiler sees its pointer links.
-	setup.Atomic(func(tx *stm.Tx) {
+	rt.Run(func(tx *stm.Tx) error {
 		pending.Insert(tx, 0, 0)
 		running.PushBack(tx, 0)
 		done.Push(tx, 0)
 		pending.PopMin(tx)
 		running.PopFront(tx)
 		done.Pop(tx)
+		return nil
 	})
-	rt.Detach(setup)
 	plan, err := rt.StopProfilingAndPartition()
 	if err != nil {
 		panic(err)
@@ -75,7 +75,7 @@ func main() {
 			for i := 0; i < tasks/producers; i++ {
 				taskID := id*1_000_000 + uint64(i)
 				prio := taskID % 17
-				th.Atomic(func(tx *stm.Tx) { pending.Insert(tx, prio, taskID) })
+				th.Run(func(tx *stm.Tx) error { pending.Insert(tx, prio, taskID); return nil })
 				produced.Add(1)
 			}
 		}(uint64(p))
@@ -93,16 +93,17 @@ func main() {
 			for completed.Load() < tasks {
 				var task uint64
 				var got bool
-				th.Atomic(func(tx *stm.Tx) {
+				th.Run(func(tx *stm.Tx) error {
 					_, task, got = pending.PopMin(tx)
 					if got {
 						running.PushBack(tx, task)
 					}
+					return nil
 				})
 				if !got {
 					continue
 				}
-				th.Atomic(func(tx *stm.Tx) {
+				th.Run(func(tx *stm.Tx) error {
 					var t uint64
 					var ok bool
 					if id%2 == 0 {
@@ -113,6 +114,7 @@ func main() {
 					if ok {
 						done.Push(tx, t)
 					}
+					return nil
 				})
 				completed.Add(1)
 			}
@@ -121,11 +123,10 @@ func main() {
 	wg.Wait()
 	decisions := rt.StopTuner()
 
-	check := rt.MustAttach()
-	defer rt.Detach(check)
-	check.Atomic(func(tx *stm.Tx) {
+	rt.Run(func(tx *stm.Tx) error {
 		fmt.Printf("produced=%d completed(done stack)=%d pending-left=%d running-left=%d\n",
 			produced.Load(), done.Len(tx), pending.Len(tx), running.Len(tx))
+		return nil
 	})
 	for _, s := range rt.Stats() {
 		if s.Commits > 0 {

@@ -43,8 +43,9 @@ func DefaultBankConfig() BankConfig {
 // NewBank allocates and fills the account array.
 func NewBank(rt *stm.Runtime, th *stm.Thread, cfg BankConfig) *Bank {
 	b := &Bank{n: cfg.Accounts, initial: cfg.InitialBalance}
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		b.accounts = txds.NewCounterArray(tx, rt, "bank.accounts", cfg.Accounts, cfg.InitialBalance)
+		return nil
 	})
 	return b
 }
@@ -54,8 +55,9 @@ func (b *Bank) Transfer(th *stm.Thread, rng *workload.Rng, maxAmount uint64) {
 	from := rng.Intn(b.n)
 	to := rng.Intn(b.n)
 	amount := 1 + rng.Uint64()%maxAmount
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		b.accounts.Transfer(tx, from, to, amount)
+		return nil
 	})
 }
 
@@ -63,9 +65,10 @@ func (b *Bank) Transfer(th *stm.Thread, rng *workload.Rng, maxAmount uint64) {
 // total.
 func (b *Bank) Audit(th *stm.Thread) uint64 {
 	var sum uint64
-	th.ReadOnlyAtomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		sum = b.accounts.Sum(tx)
-	})
+		return nil
+	}, stm.ReadOnly())
 	return sum
 }
 

@@ -62,10 +62,11 @@ func NewGenome(rt *stm.Runtime, th *stm.Thread, cfg GenomeConfig) *Genome {
 		nLinks: cfg.LinkSlots,
 		segGen: workload.Uniform{N: cfg.SegmentSpace},
 	}
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		g.segments = txds.NewHashSet(tx, rt, "genome.segments", cfg.Buckets)
 		g.index = txds.NewHashSet(tx, rt, "genome.index", cfg.Buckets)
 		g.links = txds.NewCounterArray(tx, rt, "genome.links", cfg.LinkSlots, 0)
+		return nil
 	})
 	return g
 }
@@ -79,9 +80,9 @@ func (g *Genome) Op(th *stm.Thread, rng *workload.Rng) {
 	// Derive a segment whose suffix half overlaps another segment's prefix
 	// half with reasonable probability: fold the space onto 16-bit halves.
 	seg := ((raw&0xFFFF)<<16 | (raw>>16)&0xFFFF) | 1
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		if !g.segments.Insert(tx, seg, 1) {
-			return // duplicate: dedup rejected it, nothing else to do
+			return nil // duplicate: dedup rejected it, nothing else to do
 		}
 		prefix := seg >> 16 & 0xFFFF
 		suffix := seg & 0xFFFF
@@ -91,16 +92,18 @@ func (g *Genome) Op(th *stm.Thread, rng *workload.Rng) {
 			slot := int((seg*0x9E3779B97F4A7C15 ^ other) % uint64(g.nLinks))
 			g.links.Add(tx, slot, 1)
 		}
+		return nil
 	})
 }
 
 // Stats summarizes assembly progress.
 func (g *Genome) Stats(th *stm.Thread) (unique, indexed int, linkCount uint64) {
-	th.ReadOnlyAtomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		unique = g.segments.Len(tx)
 		indexed = g.index.Len(tx)
 		linkCount = g.links.Sum(tx)
-	})
+		return nil
+	}, stm.ReadOnly())
 	return unique, indexed, linkCount
 }
 

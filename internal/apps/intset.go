@@ -74,7 +74,7 @@ func NewIntSet(rt *stm.Runtime, th *stm.Thread, spec IntSetSpec) *IntSet {
 		keys: workload.Uniform{N: spec.KeyRange},
 		mix:  workload.Mix{UpdateRatio: spec.UpdateRatio},
 	}
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		switch spec.Kind {
 		case SetList:
 			is.s = txds.NewList(tx, rt, spec.Name)
@@ -93,6 +93,7 @@ func NewIntSet(rt *stm.Runtime, th *stm.Thread, spec IntSetSpec) *IntSet {
 		default:
 			panic(fmt.Sprintf("apps: unknown set kind %d", spec.Kind))
 		}
+		return nil
 	})
 	// Populate to half occupancy, a few keys per transaction.
 	rng := workload.NewRng(uint64(spec.Kind) + 99)
@@ -100,7 +101,7 @@ func NewIntSet(rt *stm.Runtime, th *stm.Thread, spec IntSetSpec) *IntSet {
 	added := uint64(0)
 	for added < target {
 		before := added
-		th.Atomic(func(tx *stm.Tx) {
+		th.Run(func(tx *stm.Tx) error {
 			added = before // retries must not double-count
 			for i := 0; i < 32 && added < target; i++ {
 				k := is.keys.Next(rng)
@@ -108,6 +109,7 @@ func NewIntSet(rt *stm.Runtime, th *stm.Thread, spec IntSetSpec) *IntSet {
 					added++
 				}
 			}
+			return nil
 		})
 	}
 	return is
@@ -118,18 +120,18 @@ func (is *IntSet) Op(th *stm.Thread, rng *workload.Rng) {
 	k := is.keys.Next(rng)
 	switch is.mix.Next(rng) {
 	case workload.OpLookup:
-		th.ReadOnlyAtomic(func(tx *stm.Tx) { is.s.Contains(tx, k) })
+		th.Run(func(tx *stm.Tx) error { is.s.Contains(tx, k); return nil }, stm.ReadOnly())
 	case workload.OpInsert:
-		th.Atomic(func(tx *stm.Tx) { is.s.Insert(tx, k, k) })
+		th.Run(func(tx *stm.Tx) error { is.s.Insert(tx, k, k); return nil })
 	case workload.OpRemove:
-		th.Atomic(func(tx *stm.Tx) { is.s.Remove(tx, k) })
+		th.Run(func(tx *stm.Tx) error { is.s.Remove(tx, k); return nil })
 	}
 }
 
 // Len returns the current element count.
 func (is *IntSet) Len(th *stm.Thread) int {
 	var n int
-	th.Atomic(func(tx *stm.Tx) { n = is.s.Len(tx) })
+	th.Run(func(tx *stm.Tx) error { n = is.s.Len(tx); return nil })
 	return n
 }
 
@@ -156,8 +158,9 @@ type LedgerSpec struct {
 // NewLedger builds the ledger.
 func NewLedger(rt *stm.Runtime, th *stm.Thread, name string, spec LedgerSpec) *Ledger {
 	l := &Ledger{slots: spec.Slots, rebalanceFrac: spec.RebalanceFrac}
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		l.arr = txds.NewCounterArray(tx, rt, name, spec.Slots, 100)
+		return nil
 	})
 	return l
 }
@@ -166,7 +169,7 @@ func NewLedger(rt *stm.Runtime, th *stm.Thread, name string, spec LedgerSpec) *L
 func (l *Ledger) Op(th *stm.Thread, rng *workload.Rng) {
 	if rng.Float64() < l.rebalanceFrac {
 		to := rng.Intn(l.slots)
-		th.Atomic(func(tx *stm.Tx) {
+		th.Run(func(tx *stm.Tx) error {
 			maxI, maxV := 0, uint64(0)
 			for i := 0; i < l.slots; i++ {
 				if v := l.arr.Get(tx, i); v > maxV {
@@ -176,17 +179,18 @@ func (l *Ledger) Op(th *stm.Thread, rng *workload.Rng) {
 			if maxI != to && maxV > 0 {
 				l.arr.Transfer(tx, maxI, to, 1)
 			}
+			return nil
 		})
 		return
 	}
 	from, to := rng.Intn(l.slots), rng.Intn(l.slots)
-	th.Atomic(func(tx *stm.Tx) { l.arr.Transfer(tx, from, to, 1) })
+	th.Run(func(tx *stm.Tx) error { l.arr.Transfer(tx, from, to, 1); return nil })
 }
 
 // Total returns the conserved array sum (invariant check).
 func (l *Ledger) Total(th *stm.Thread) uint64 {
 	var s uint64
-	th.ReadOnlyAtomic(func(tx *stm.Tx) { s = l.arr.Sum(tx) })
+	th.Run(func(tx *stm.Tx) error { s = l.arr.Sum(tx); return nil }, stm.ReadOnly())
 	return s
 }
 

@@ -59,10 +59,11 @@ func NewKMeans(rt *stm.Runtime, th *stm.Thread, cfg KMeansConfig, seed uint64) *
 	}
 	km := &KMeans{k: cfg.K, dim: cfg.Dim, n: cfg.Points}
 	rng := workload.NewRng(seed)
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		km.points = txds.NewCounterArray(tx, rt, "kmeans.points", cfg.Points*cfg.Dim, 0)
 		km.cents = txds.NewCounterArray(tx, rt, "kmeans.centroids", cfg.K*cfg.Dim, 0)
 		km.accum = txds.NewCounterArray(tx, rt, "kmeans.accum", cfg.K*(cfg.Dim+1), 0)
+		return nil
 	})
 	// Fill points in batches (one giant transaction would dwarf the arena
 	// write set; batches keep populate cheap and conflict-free).
@@ -72,18 +73,20 @@ func NewKMeans(rt *stm.Runtime, th *stm.Thread, cfg KMeansConfig, seed uint64) *
 		if end > cfg.Points*cfg.Dim {
 			end = cfg.Points * cfg.Dim
 		}
-		th.Atomic(func(tx *stm.Tx) {
+		th.Run(func(tx *stm.Tx) error {
 			for i := base; i < end; i++ {
 				km.points.Set(tx, i, rng.Uint64()%1024)
 			}
+			return nil
 		})
 	}
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		for c := 0; c < cfg.K; c++ {
 			for d := 0; d < cfg.Dim; d++ {
 				km.cents.Set(tx, c*cfg.Dim+d, km.points.Get(tx, c*cfg.Dim+d))
 			}
 		}
+		return nil
 	})
 	return km
 }
@@ -94,7 +97,7 @@ func NewKMeans(rt *stm.Runtime, th *stm.Thread, cfg KMeansConfig, seed uint64) *
 func (km *KMeans) Assign(th *stm.Thread, rng *workload.Rng) int {
 	p := rng.Intn(km.n)
 	var chosen int
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		var coords [16]uint64
 		for d := 0; d < km.dim; d++ {
 			coords[d] = km.points.Get(tx, p*km.dim+d)
@@ -119,6 +122,7 @@ func (km *KMeans) Assign(th *stm.Thread, rng *workload.Rng) int {
 		}
 		km.accum.Add(tx, best*(km.dim+1)+km.dim, 1)
 		chosen = best
+		return nil
 	})
 	return chosen
 }
@@ -126,7 +130,7 @@ func (km *KMeans) Assign(th *stm.Thread, rng *workload.Rng) int {
 // Recompute folds the accumulators into new centroid positions and clears
 // them — the long update transaction that sweeps both partitions.
 func (km *KMeans) Recompute(th *stm.Thread) {
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		for c := 0; c < km.k; c++ {
 			count := km.accum.Get(tx, c*(km.dim+1)+km.dim)
 			if count == 0 {
@@ -139,6 +143,7 @@ func (km *KMeans) Recompute(th *stm.Thread) {
 			}
 			km.accum.Set(tx, c*(km.dim+1)+km.dim, 0)
 		}
+		return nil
 	})
 }
 
@@ -155,11 +160,12 @@ func (km *KMeans) Op(th *stm.Thread, rng *workload.Rng, cfg KMeansConfig) {
 // recompute).
 func (km *KMeans) AssignedCount(th *stm.Thread) uint64 {
 	var total uint64
-	th.ReadOnlyAtomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		for c := 0; c < km.k; c++ {
 			total += km.accum.Get(tx, c*(km.dim+1)+km.dim)
 		}
-	})
+		return nil
+	}, stm.ReadOnly())
 	return total
 }
 
@@ -168,12 +174,12 @@ func (km *KMeans) AssignedCount(th *stm.Thread) uint64 {
 // accumulator counts are consistent with their sums.
 func (km *KMeans) CheckInvariants(th *stm.Thread) string {
 	var bad string
-	th.ReadOnlyAtomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		for c := 0; c < km.k; c++ {
 			for d := 0; d < km.dim; d++ {
 				if v := km.cents.Get(tx, c*km.dim+d); v >= 1024 {
 					bad = fmt.Sprintf("kmeans: centroid %d dim %d = %d out of domain", c, d, v)
-					return
+					return nil
 				}
 			}
 			count := km.accum.Get(tx, c*(km.dim+1)+km.dim)
@@ -181,14 +187,15 @@ func (km *KMeans) CheckInvariants(th *stm.Thread) string {
 				sum := km.accum.Get(tx, c*(km.dim+1)+d)
 				if count == 0 && sum != 0 {
 					bad = fmt.Sprintf("kmeans: cluster %d has sum %d with zero count", c, sum)
-					return
+					return nil
 				}
 				if sum > count*1024 {
 					bad = fmt.Sprintf("kmeans: cluster %d sum %d exceeds count %d * max", c, sum, count)
-					return
+					return nil
 				}
 			}
 		}
-	})
+		return nil
+	}, stm.ReadOnly())
 	return bad
 }

@@ -46,8 +46,9 @@ func NewLabyrinth(rt *stm.Runtime, th *stm.Thread, cfg LabyrinthConfig) *Labyrin
 		cfg = DefaultLabyrinthConfig()
 	}
 	l := &Labyrinth{w: cfg.Width, h: cfg.Height}
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		l.grid = txds.NewCounterArray(tx, rt, "labyrinth.grid", cfg.Width*cfg.Height, 0)
+		return nil
 	})
 	return l
 }
@@ -61,10 +62,10 @@ func (l *Labyrinth) cell(x, y int) int { return y*l.w + x }
 func (l *Labyrinth) Route(th *stm.Thread, x1, y1, x2, y2 int) int {
 	pathID := l.pathID.Add(1)<<8 | 1 // nonzero marker
 	var length int
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		length = 0
 		if tx.Load(l.grid.Addr(l.cell(x1, y1))) != 0 || tx.Load(l.grid.Addr(l.cell(x2, y2))) != 0 {
-			return
+			return nil
 		}
 		// BFS from src to dst over free cells. prev[c] = c2+1 encodes the
 		// predecessor; 0 = unvisited. Private (non-transactional) scratch:
@@ -99,7 +100,7 @@ func (l *Labyrinth) Route(th *stm.Thread, x1, y1, x2, y2 int) int {
 			}
 		}
 		if !found {
-			return
+			return nil
 		}
 		// Walk back and claim the path.
 		for c := dst; ; c = prev[c] - 1 {
@@ -109,16 +110,18 @@ func (l *Labyrinth) Route(th *stm.Thread, x1, y1, x2, y2 int) int {
 				break
 			}
 		}
+		return nil
 	})
 	return length
 }
 
 // Clear wipes the grid in one (very large) transaction.
 func (l *Labyrinth) Clear(th *stm.Thread) {
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		for i := 0; i < l.w*l.h; i++ {
 			l.grid.Set(tx, i, 0)
 		}
+		return nil
 	})
 }
 
@@ -135,13 +138,14 @@ func (l *Labyrinth) Op(th *stm.Thread, rng *workload.Rng) bool {
 	}
 	// Congestion heuristic: if more than half the grid is claimed, clear.
 	var used uint64
-	th.ReadOnlyAtomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		for i := 0; i < l.w*l.h; i++ {
 			if l.grid.Get(tx, i) != 0 {
 				used++
 			}
 		}
-	})
+		return nil
+	}, stm.ReadOnly())
 	if used > uint64(l.w*l.h/2) {
 		l.Clear(th)
 	}
@@ -151,13 +155,14 @@ func (l *Labyrinth) Op(th *stm.Thread, rng *workload.Rng) bool {
 // Occupancy returns the number of claimed cells.
 func (l *Labyrinth) Occupancy(th *stm.Thread) int {
 	n := 0
-	th.ReadOnlyAtomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		for i := 0; i < l.w*l.h; i++ {
 			if l.grid.Get(tx, i) != 0 {
 				n++
 			}
 		}
-	})
+		return nil
+	}, stm.ReadOnly())
 	return n
 }
 
@@ -166,12 +171,13 @@ func (l *Labyrinth) Occupancy(th *stm.Thread) int {
 // (serializability of routing transactions implies exactly this).
 func (l *Labyrinth) CheckInvariants(th *stm.Thread) string {
 	var snapshot []uint64
-	th.ReadOnlyAtomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		snapshot = make([]uint64, l.w*l.h)
 		for i := range snapshot {
 			snapshot[i] = l.grid.Get(tx, i)
 		}
-	})
+		return nil
+	}, stm.ReadOnly())
 	// Group cells by path id and check connectivity per group.
 	cellsByID := map[uint64][]int{}
 	for c, id := range snapshot {

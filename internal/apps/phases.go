@@ -77,8 +77,9 @@ func NewPhases(rt *stm.Runtime, th *stm.Thread, cfg PhasesConfig) *Phases {
 			workload.Phase{Ops: cfg.PhaseOps, UpdateRatio: cfg.WritePhaseRebalanceRatio, Label: "update-heavy"},
 		),
 	}
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		p.arr = txds.NewCounterArray(tx, rt, "phases.arr", cfg.Slots, cfg.InitialBalance)
+		return nil
 	})
 	return p
 }
@@ -111,26 +112,27 @@ func (p *Phases) Op(th *stm.Thread, rng *workload.Rng) {
 // audit is a read-only range sum.
 func (p *Phases) audit(th *stm.Thread, rng *workload.Rng) {
 	start := rng.Intn(p.slots - p.cfg.AuditRange + 1)
-	th.ReadOnlyAtomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		var s uint64
 		for i := 0; i < p.cfg.AuditRange; i++ {
 			s += p.arr.Get(tx, start+i)
 		}
 		_ = s
-	})
+		return nil
+	}, stm.ReadOnly())
 }
 
 // transfer is a short two-slot update.
 func (p *Phases) transfer(th *stm.Thread, rng *workload.Rng) {
 	from, to := rng.Intn(p.slots), rng.Intn(p.slots)
-	th.Atomic(func(tx *stm.Tx) { p.arr.Transfer(tx, from, to, 1) })
+	th.Run(func(tx *stm.Tx) error { p.arr.Transfer(tx, from, to, 1); return nil })
 }
 
 // rebalance scans the whole array, finds the fullest and emptiest slots,
 // and moves one unit between them — a long update transaction whose read
 // set spans the array.
 func (p *Phases) rebalance(th *stm.Thread, rng *workload.Rng) {
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		maxI, minI := 0, 0
 		var maxV, minV uint64
 		maxV, minV = 0, ^uint64(0)
@@ -146,13 +148,14 @@ func (p *Phases) rebalance(th *stm.Thread, rng *workload.Rng) {
 		if maxI != minI && maxV > 0 {
 			p.arr.Transfer(tx, maxI, minI, 1)
 		}
+		return nil
 	})
 }
 
 // CheckInvariants verifies conservation of the array total.
 func (p *Phases) CheckInvariants(th *stm.Thread) string {
 	var sum uint64
-	th.ReadOnlyAtomic(func(tx *stm.Tx) { sum = p.arr.Sum(tx) })
+	th.Run(func(tx *stm.Tx) error { sum = p.arr.Sum(tx); return nil }, stm.ReadOnly())
 	want := uint64(p.slots) * p.initial
 	if sum != want {
 		return fmt.Sprintf("phases: array total %d, want %d", sum, want)

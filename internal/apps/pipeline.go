@@ -33,18 +33,20 @@ type PipelineConfig struct {
 func NewPipeline(rt *stm.Runtime, th *stm.Thread, cfg PipelineConfig) *Pipeline {
 	p := &Pipeline{}
 	ctrSite := rt.RegisterSite("pipeline.counters")
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		p.intake = txds.NewQueue(tx, rt, "pipeline.intake")
 		p.output = txds.NewQueue(tx, rt, "pipeline.output")
 		p.counters = tx.Alloc(ctrSite, 2)
 		tx.Store(p.counters, 0)
 		tx.Store(p.counters+1, 0)
+		return nil
 	})
 	for i := 0; i < cfg.InitialTokens; i++ {
 		v := uint64(i)
-		th.Atomic(func(tx *stm.Tx) {
+		th.Run(func(tx *stm.Tx) error {
 			p.intake.Enqueue(tx, v)
 			tx.Store(p.counters, tx.Load(p.counters)+1)
+			return nil
 		})
 	}
 	return p
@@ -53,9 +55,10 @@ func NewPipeline(rt *stm.Runtime, th *stm.Thread, cfg PipelineConfig) *Pipeline 
 // Produce enqueues a fresh token.
 func (p *Pipeline) Produce(th *stm.Thread, rng *workload.Rng) {
 	v := rng.Uint64() >> 1
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		p.intake.Enqueue(tx, v)
 		tx.Store(p.counters, tx.Load(p.counters)+1)
+		return nil
 	})
 }
 
@@ -63,14 +66,15 @@ func (p *Pipeline) Produce(th *stm.Thread, rng *workload.Rng) {
 // computation; it reports whether a token was available.
 func (p *Pipeline) Transform(th *stm.Thread) bool {
 	moved := false
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		moved = false
 		v, ok := p.intake.Dequeue(tx)
 		if !ok {
-			return
+			return nil
 		}
 		p.output.Enqueue(tx, v*2+1)
 		moved = true
+		return nil
 	})
 	return moved
 }
@@ -79,13 +83,14 @@ func (p *Pipeline) Transform(th *stm.Thread) bool {
 // available.
 func (p *Pipeline) Consume(th *stm.Thread) bool {
 	got := false
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		got = false
 		if _, ok := p.output.Dequeue(tx); !ok {
-			return
+			return nil
 		}
 		tx.Store(p.counters+1, tx.Load(p.counters+1)+1)
 		got = true
+		return nil
 	})
 	return got
 }
@@ -106,7 +111,7 @@ func (p *Pipeline) Op(th *stm.Thread, rng *workload.Rng) {
 // produced == consumed + in(intake) + in(output).
 func (p *Pipeline) CheckInvariants(th *stm.Thread) string {
 	var msg string
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		msg = ""
 		produced := tx.Load(p.counters)
 		consumed := tx.Load(p.counters + 1)
@@ -115,6 +120,7 @@ func (p *Pipeline) CheckInvariants(th *stm.Thread) string {
 			msg = fmt.Sprintf("pipeline: produced %d != consumed %d + in-flight %d",
 				produced, consumed, inFlight)
 		}
+		return nil
 	})
 	return msg
 }

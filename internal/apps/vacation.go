@@ -106,30 +106,33 @@ type Vacation struct {
 // the profiling workload for partition discovery.
 func NewVacation(rt *stm.Runtime, th *stm.Thread, cfg VacationConfig) *Vacation {
 	v := &Vacation{cfg: cfg}
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		v.tables[KindFlight] = txds.NewRBTree(tx, rt, "vacation.flights")
 		v.tables[KindCar] = txds.NewRBTree(tx, rt, "vacation.cars")
 		v.tables[KindRoom] = txds.NewRBTree(tx, rt, "vacation.rooms")
 		v.customers = txds.NewRBTree(tx, rt, "vacation.customers")
 		v.custSite = rt.RegisterSite("vacation.customers.record")
 		v.resvSite = rt.RegisterSite("vacation.customers.resv")
+		return nil
 	})
 	rng := workload.NewRng(1)
 	for i := 0; i < cfg.ItemsPerTable; i++ {
 		id := uint64(i)
 		price := 50 + uint64(rng.Intn(450))
-		th.Atomic(func(tx *stm.Tx) {
+		th.Run(func(tx *stm.Tx) error {
 			for k := ReservationKind(0); k < numKinds; k++ {
 				v.tables[k].Insert(tx, id, packItem(cfg.InitialSeats, cfg.InitialSeats, price))
 			}
+			return nil
 		})
 	}
 	for c := 0; c < cfg.Customers; c++ {
 		id := uint64(c)
-		th.Atomic(func(tx *stm.Tx) {
+		th.Run(func(tx *stm.Tx) error {
 			rec := tx.Alloc(v.custSite, custWords)
 			tx.Store(rec, uint64(stm.Nil))
 			v.customers.Insert(tx, id, uint64(rec))
+			return nil
 		})
 	}
 	return v
@@ -149,7 +152,7 @@ func (v *Vacation) MakeReservation(th *stm.Thread, rng *workload.Rng) bool {
 		ids[i] = uint64(rng.Intn(v.cfg.ItemsPerTable))
 	}
 	booked := false
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		booked = false // reset on retry
 		table := v.tables[kind]
 		bestID, bestPrice := uint64(0), ^uint64(0)
@@ -165,16 +168,16 @@ func (v *Vacation) MakeReservation(th *stm.Thread, rng *workload.Rng) bool {
 			}
 		}
 		if !found {
-			return
+			return nil
 		}
 		recAddr, ok := v.customers.Lookup(tx, custID)
 		if !ok {
-			return // customer deleted concurrently
+			return nil // customer deleted concurrently
 		}
 		val, _ := table.Lookup(tx, bestID)
 		total, free, price := unpackItem(val)
 		if free == 0 {
-			return
+			return nil
 		}
 		table.Set(tx, bestID, packItem(total, free-1, price))
 		n := tx.Alloc(v.resvSite, resvWords)
@@ -185,6 +188,7 @@ func (v *Vacation) MakeReservation(th *stm.Thread, rng *workload.Rng) bool {
 		tx.StoreAddr(n+resvNext, tx.LoadAddr(rec))
 		tx.StoreAddr(rec, n)
 		booked = true
+		return nil
 	})
 	return booked
 }
@@ -194,11 +198,11 @@ func (v *Vacation) MakeReservation(th *stm.Thread, rng *workload.Rng) bool {
 func (v *Vacation) DeleteCustomer(th *stm.Thread, rng *workload.Rng) bool {
 	custID := uint64(rng.Intn(v.cfg.Customers))
 	existed := false
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		existed = false
 		recAddr, ok := v.customers.Remove(tx, custID)
 		if !ok {
-			return
+			return nil
 		}
 		existed = true
 		rec := stm.Addr(recAddr)
@@ -221,6 +225,7 @@ func (v *Vacation) DeleteCustomer(th *stm.Thread, rng *workload.Rng) bool {
 		fresh := tx.Alloc(v.custSite, custWords)
 		tx.Store(fresh, uint64(stm.Nil))
 		v.customers.Insert(tx, custID, uint64(fresh))
+		return nil
 	})
 	return existed
 }
@@ -236,7 +241,7 @@ func (v *Vacation) UpdateTables(th *stm.Thread, rng *workload.Rng) {
 		ids[i] = uint64(rng.Intn(v.cfg.ItemsPerTable))
 		prices[i] = 50 + uint64(rng.Intn(450))
 	}
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		table := v.tables[kind]
 		for i, id := range ids {
 			if val, ok := table.Lookup(tx, id); ok {
@@ -246,6 +251,7 @@ func (v *Vacation) UpdateTables(th *stm.Thread, rng *workload.Rng) {
 				table.Insert(tx, id, packItem(v.cfg.InitialSeats, v.cfg.InitialSeats, prices[i]))
 			}
 		}
+		return nil
 	})
 }
 
@@ -271,17 +277,17 @@ func (v *Vacation) Op(th *stm.Thread, rng *workload.Rng) string {
 // shapes are valid red-black trees. Returns "" when consistent.
 func (v *Vacation) CheckInvariants(th *stm.Thread) string {
 	var msg string
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		msg = ""
 		for k := ReservationKind(0); k < numKinds; k++ {
 			if m := v.tables[k].CheckInvariants(tx); m != "" {
 				msg = fmt.Sprintf("%s table: %s", k, m)
-				return
+				return nil
 			}
 		}
 		if m := v.customers.CheckInvariants(tx); m != "" {
 			msg = "customers table: " + m
-			return
+			return nil
 		}
 		// Count reservations per (kind, item).
 		used := make(map[[2]uint64]uint64)
@@ -298,10 +304,11 @@ func (v *Vacation) CheckInvariants(th *stm.Thread) string {
 				u := used[[2]uint64{uint64(k), id}]
 				if free+u != total {
 					msg = fmt.Sprintf("%s item %d: free %d + used %d != total %d", k, id, free, u, total)
-					return
+					return nil
 				}
 			}
 		}
+		return nil
 	})
 	return msg
 }

@@ -22,9 +22,10 @@ func TestRunMeasuresWindow(t *testing.T) {
 	site := rt.RegisterSite("h.c")
 	setup := rt.MustAttach()
 	var a stm.Addr
-	setup.Atomic(func(tx *stm.Tx) {
+	setup.Run(func(tx *stm.Tx) error {
 		a = tx.Alloc(site, 1)
 		tx.Store(a, 0)
+		return nil
 	})
 	rt.Detach(setup)
 	res := Run(rt, RunConfig{
@@ -33,7 +34,7 @@ func TestRunMeasuresWindow(t *testing.T) {
 		Measure: 60 * time.Millisecond,
 		Seed:    1,
 	}, func(th *stm.Thread, rng *workload.Rng) {
-		th.Atomic(func(tx *stm.Tx) { tx.Store(a, tx.Load(a)+1) })
+		th.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 	})
 	if res.Ops == 0 || res.Throughput <= 0 {
 		t.Fatalf("no throughput measured: %+v", res)
@@ -57,14 +58,14 @@ func TestRunSampleLatency(t *testing.T) {
 	site := rt.RegisterSite("h.l")
 	setup := rt.MustAttach()
 	var a stm.Addr
-	setup.Atomic(func(tx *stm.Tx) { a = tx.Alloc(site, 1) })
+	setup.Run(func(tx *stm.Tx) error { a = tx.Alloc(site, 1); return nil })
 	rt.Detach(setup)
 	res := Run(rt, RunConfig{
 		Threads:       1,
 		Measure:       50 * time.Millisecond,
 		SampleLatency: true,
 	}, func(th *stm.Thread, rng *workload.Rng) {
-		th.Atomic(func(tx *stm.Tx) { tx.Store(a, tx.Load(a)+1) })
+		th.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 	})
 	if res.Latency.Count() == 0 {
 		t.Fatal("no latency samples recorded")
@@ -79,30 +80,32 @@ func TestRunOpsExactCount(t *testing.T) {
 	site := rt.RegisterSite("h.o")
 	setup := rt.MustAttach()
 	var a stm.Addr
-	setup.Atomic(func(tx *stm.Tx) {
+	setup.Run(func(tx *stm.Tx) error {
 		a = tx.Alloc(site, 1)
 		tx.Store(a, 0)
+		return nil
 	})
 	rt.Detach(setup)
 	res := RunOps(rt, 3, 500, 2, func(th *stm.Thread, rng *workload.Rng) {
-		th.Atomic(func(tx *stm.Tx) { tx.Store(a, tx.Load(a)+1) })
+		th.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 	})
 	if res.Ops != 1500 {
 		t.Fatalf("Ops = %d", res.Ops)
 	}
 	th := rt.MustAttach()
 	defer rt.Detach(th)
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		if got := tx.Load(a); got != 1500 {
 			t.Fatalf("counter = %d", got)
 		}
+		return nil
 	})
 }
 
 func TestRunDefaultsThreads(t *testing.T) {
 	rt := newRT(t)
 	res := Run(rt, RunConfig{Measure: 20 * time.Millisecond}, func(th *stm.Thread, rng *workload.Rng) {
-		th.Atomic(func(tx *stm.Tx) {})
+		th.Run(func(tx *stm.Tx) error { return nil })
 	})
 	if res.Ops == 0 {
 		t.Fatal("zero ops with defaulted thread count")

@@ -17,9 +17,10 @@ func newTestRuntime(t testing.TB) (*stm.Runtime, stm.Addr) {
 	}
 	th := rt.MustAttach()
 	var a stm.Addr
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		a = tx.Alloc(stm.SiteID(0), 1)
 		tx.Store(a, 0)
+		return nil
 	})
 	rt.Detach(th)
 	return rt, a
@@ -38,7 +39,7 @@ func TestOpenLoopKeepsSchedule(t *testing.T) {
 		Seed:    1,
 	}
 	res := RunOpenLoop(rt, cfg, func(th *stm.Thread, rng *workload.Rng, i uint64) {
-		th.Atomic(func(tx *stm.Tx) { tx.Store(a, tx.Load(a)+1) })
+		th.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 	})
 	if res.Ops == 0 {
 		t.Fatal("no measured ops")
@@ -94,7 +95,7 @@ func TestCoordinatedOmission(t *testing.T) {
 			if armed.CompareAndSwap(true, false) {
 				time.Sleep(stall)
 			}
-			th.Atomic(func(tx *stm.Tx) { tx.Store(a, tx.Load(a)+1) })
+			th.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 		})
 		snap := res.Latency.Snapshot()
 		if snap.Count() < 10_000 {
@@ -129,7 +130,7 @@ func TestCoordinatedOmission(t *testing.T) {
 			if i == stallIndex {
 				time.Sleep(stall)
 			}
-			th.Atomic(func(tx *stm.Tx) { tx.Store(a, tx.Load(a)+1) })
+			th.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 		})
 		// ~rate*stall arrivals queued behind the stall: 200 of ~4000
 		// measured, i.e. ~5% of samples — far past the 0.1% mark.

@@ -26,7 +26,7 @@
 //
 // # Snapshot pinning
 //
-// Snapshot read-only transactions (core's SnapshotAtomic) pin the instant
+// Snapshot read-only transactions (Run's Snapshot option) pin the instant
 // they read at and reconstruct overwritten values from the multi-version
 // store instead of extending. Both time bases support pinning through the
 // same two properties, which they must preserve:

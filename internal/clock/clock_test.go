@@ -129,7 +129,7 @@ func TestModeString(t *testing.T) {
 }
 
 // TestSnapshotPinningProperties checks the two contracts snapshot
-// pinning (core's SnapshotAtomic) relies on, for both time bases:
+// pinning (Run's Snapshot option) relies on, for both time bases:
 // a Begin/Now sample covers every version already published (coverage),
 // and no sequence of commits ever moves a counter below a pin taken
 // earlier (monotonicity) — any commit after the pin lands strictly above

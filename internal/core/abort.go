@@ -59,13 +59,14 @@ func (c AbortCause) String() string {
 }
 
 // abortSignal is the panic payload used internally to unwind a transaction
-// attempt. It never escapes the engine: Engine.Atomic recovers it and
-// retries. Using panic/recover for the abort path keeps user code free of
+// attempt. It never escapes the engine: Run recovers it and retries.
+// Using panic/recover for the abort path keeps user code free of
 // per-operation error plumbing, which is the established pattern for STM
 // retry loops.
 type abortSignal struct {
 	cause AbortCause
 }
 
-// ErrExplicitAbort is returned by AtomicErr when user code calls Tx.Abort.
+// ErrExplicitAbort is an error for fn to return when it wants Run to
+// discard the transaction without retrying (Tx.Abort retries instead).
 var ErrExplicitAbort = fmt.Errorf("stm: transaction explicitly aborted")

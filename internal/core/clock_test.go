@@ -36,13 +36,14 @@ func plTestSetup(t *testing.T, e *Engine, nParts, cellsPer int, initVal uint64) 
 
 	bases := make([]memory.Addr, nParts)
 	setup := e.MustAttachThread()
-	setup.Atomic(func(tx *Tx) {
+	setup.Run(func(tx *Tx) error {
 		for i := 0; i < nParts; i++ {
 			bases[i] = tx.Alloc(siteIDs[i], cellsPer)
 			for j := 0; j < cellsPer; j++ {
 				tx.Store(bases[i]+memory.Addr(j), initVal)
 			}
 		}
+		return nil
 	})
 	e.DetachThread(setup)
 	return siteIDs, bases
@@ -68,9 +69,10 @@ func TestPartitionLocalNoSharedRMW(t *testing.T) {
 	const updates = 500
 	for i := 0; i < updates; i++ {
 		p := i % 2
-		th.Atomic(func(tx *Tx) {
+		th.Run(func(tx *Tx) error {
 			a := bases[p] + memory.Addr(i%4)
 			tx.Store(a, tx.Load(a)+1)
+			return nil
 		})
 	}
 	cs1 := e.ClockStats()
@@ -85,9 +87,10 @@ func TestPartitionLocalNoSharedRMW(t *testing.T) {
 	}
 
 	// One transaction spanning both partitions: exactly one epoch bump.
-	th.Atomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		tx.Store(bases[0], tx.Load(bases[0])+1)
 		tx.Store(bases[1], tx.Load(bases[1])-1)
+		return nil
 	})
 	cs2 := e.ClockStats()
 	if got := cs2.CrossCommits - cs1.CrossCommits; got != 1 {
@@ -138,21 +141,22 @@ func TestPartitionLocalCrossPartitionBank(t *testing.T) {
 					}
 					fc, tc := rng.Intn(cellsPer), rng.Intn(cellsPer)
 					amt := uint64(rng.Intn(5) + 1)
-					th.Atomic(func(tx *Tx) {
+					th.Run(func(tx *Tx) error {
 						src := bases[fp] + memory.Addr(fc)
 						dst := bases[tp] + memory.Addr(tc)
 						if src == dst {
-							return
+							return nil
 						}
 						v := tx.Load(src)
 						if v < amt {
-							return
+							return nil
 						}
 						tx.Store(src, v-amt)
 						tx.Store(dst, tx.Load(dst)+amt)
+						return nil
 					})
 				default: // audit: cross-partition read-only scan
-					th.ReadOnlyAtomic(func(tx *Tx) {
+					th.Run(func(tx *Tx) error {
 						var sum uint64
 						for p := 0; p < nParts; p++ {
 							for j := 0; j < cellsPer; j++ {
@@ -162,7 +166,8 @@ func TestPartitionLocalCrossPartitionBank(t *testing.T) {
 						if sum != wantTotal {
 							badSum.Add(1)
 						}
-					})
+						return nil
+					}, ReadOnly())
 				}
 			}
 		}(int64(w) + 1)
@@ -198,7 +203,7 @@ func TestPartitionLocalCrossPartitionBank(t *testing.T) {
 	}
 	check := e.MustAttachThread()
 	defer e.DetachThread(check)
-	check.Atomic(func(tx *Tx) {
+	check.Run(func(tx *Tx) error {
 		var sum uint64
 		for p := 0; p < nParts; p++ {
 			for j := 0; j < cellsPer; j++ {
@@ -208,6 +213,7 @@ func TestPartitionLocalCrossPartitionBank(t *testing.T) {
 		if sum != wantTotal {
 			t.Fatalf("final sum %d, want %d", sum, wantTotal)
 		}
+		return nil
 	})
 }
 
@@ -226,11 +232,12 @@ func TestInstallPlanMidTrafficTimeBaseMonotonic(t *testing.T) {
 
 	var a0, a1 memory.Addr
 	setup := e.MustAttachThread()
-	setup.Atomic(func(tx *Tx) {
+	setup.Run(func(tx *Tx) error {
 		a0 = tx.Alloc(s0, 1)
 		a1 = tx.Alloc(s1, 1)
 		tx.Store(a0, 500)
 		tx.Store(a1, 500)
+		return nil
 	})
 	e.DetachThread(setup)
 
@@ -251,20 +258,22 @@ func TestInstallPlanMidTrafficTimeBaseMonotonic(t *testing.T) {
 				default:
 				}
 				if rng.Intn(3) == 0 {
-					th.ReadOnlyAtomic(func(tx *Tx) {
+					th.Run(func(tx *Tx) error {
 						if tx.Load(a0)+tx.Load(a1) != 1000 {
 							badSum.Add(1)
 						}
-					})
+						return nil
+					}, ReadOnly())
 					continue
 				}
-				th.Atomic(func(tx *Tx) {
+				th.Run(func(tx *Tx) error {
 					v := tx.Load(a0)
 					if v == 0 {
-						return
+						return nil
 					}
 					tx.Store(a0, v-1)
 					tx.Store(a1, tx.Load(a1)+1)
+					return nil
 				})
 			}
 		}(int64(w) + 7)
@@ -331,11 +340,12 @@ func TestPartitionLocalAllPartConfigs(t *testing.T) {
 
 			var aa, ab memory.Addr
 			setup := e.MustAttachThread()
-			setup.Atomic(func(tx *Tx) {
+			setup.Run(func(tx *Tx) error {
 				aa = tx.Alloc(sa, 1)
 				ab = tx.Alloc(sb, 1)
 				tx.Store(aa, 300)
 				tx.Store(ab, 300)
+				return nil
 			})
 			e.DetachThread(setup)
 
@@ -350,20 +360,22 @@ func TestPartitionLocalAllPartConfigs(t *testing.T) {
 					rng := rand.New(rand.NewSource(seed))
 					for i := 0; i < 400; i++ {
 						if rng.Intn(4) == 0 {
-							th.ReadOnlyAtomic(func(tx *Tx) {
+							th.Run(func(tx *Tx) error {
 								if tx.Load(aa)+tx.Load(ab) != 600 {
 									bad.Add(1)
 								}
-							})
+								return nil
+							}, ReadOnly())
 							continue
 						}
-						th.Atomic(func(tx *Tx) {
+						th.Run(func(tx *Tx) error {
 							v := tx.Load(aa)
 							if v == 0 {
-								return
+								return nil
 							}
 							tx.Store(aa, v-1)
 							tx.Store(ab, tx.Load(ab)+1)
+							return nil
 						})
 					}
 				}(int64(w) + 3)
@@ -385,14 +397,16 @@ func TestAdvanceClockPartitionLocal(t *testing.T) {
 	e.AdvanceClock(1 << 40)
 	th := e.MustAttachThread()
 	defer e.DetachThread(th)
-	th.Atomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		tx.Store(bases[0], tx.Load(bases[0])+1)
 		tx.Store(bases[1], tx.Load(bases[1])+1)
+		return nil
 	})
-	th.Atomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		if got := tx.Load(bases[0]) + tx.Load(bases[1]); got != 16 {
 			t.Errorf("sum = %d, want 16", got)
 		}
+		return nil
 	})
 	if e.Clock() < 1<<40 {
 		t.Fatalf("ceiling = %d", e.Clock())

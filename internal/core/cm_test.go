@@ -25,9 +25,10 @@ func TestCMPoliciesProgress(t *testing.T) {
 			e := newTestEngine(t, cmConfig(pol))
 			setup := e.MustAttachThread()
 			var a memory.Addr
-			setup.Atomic(func(tx *Tx) {
+			setup.Run(func(tx *Tx) error {
 				a = tx.Alloc(memory.DefaultSite, 1)
 				tx.Store(a, 0)
+				return nil
 			})
 			e.DetachThread(setup)
 			const workers, perW = 6, 1500
@@ -39,16 +40,17 @@ func TestCMPoliciesProgress(t *testing.T) {
 					th := e.MustAttachThread()
 					defer e.DetachThread(th)
 					for i := 0; i < perW; i++ {
-						th.Atomic(func(tx *Tx) { tx.Store(a, tx.Load(a)+1) })
+						th.Run(func(tx *Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 					}
 				}()
 			}
 			wg.Wait()
 			check := e.MustAttachThread()
-			check.Atomic(func(tx *Tx) {
+			check.Run(func(tx *Tx) error {
 				if got := tx.Load(a); got != workers*perW {
 					t.Errorf("counter = %d, want %d", got, workers*perW)
 				}
+				return nil
 			})
 		})
 	}
@@ -67,11 +69,12 @@ func TestVisibleReaderArbitration(t *testing.T) {
 			setup := e.MustAttachThread()
 			var base memory.Addr
 			const slots = 16
-			setup.Atomic(func(tx *Tx) {
+			setup.Run(func(tx *Tx) error {
 				base = tx.Alloc(memory.DefaultSite, slots)
 				for i := 0; i < slots; i++ {
 					tx.Store(base+memory.Addr(i), 5)
 				}
+				return nil
 			})
 			e.DetachThread(setup)
 
@@ -84,7 +87,7 @@ func TestVisibleReaderArbitration(t *testing.T) {
 					defer e.DetachThread(th)
 					for i := 0; i < 1000; i++ {
 						if id%2 == 0 {
-							th.Atomic(func(tx *Tx) {
+							th.Run(func(tx *Tx) error {
 								// Sum must always be slots*5.
 								var s uint64
 								for j := 0; j < slots; j++ {
@@ -93,16 +96,18 @@ func TestVisibleReaderArbitration(t *testing.T) {
 								if s != slots*5 {
 									t.Errorf("reader saw sum %d", s)
 								}
+								return nil
 							})
 						} else {
-							th.Atomic(func(tx *Tx) {
+							th.Run(func(tx *Tx) error {
 								j := memory.Addr(i % (slots - 1))
 								v := tx.Load(base + j)
 								if v == 0 {
-									return
+									return nil
 								}
 								tx.Store(base+j, v-1)
 								tx.Store(base+j+1, tx.Load(base+j+1)+1)
+								return nil
 							})
 						}
 					}
@@ -128,17 +133,19 @@ func TestKillFlagAbortsVictim(t *testing.T) {
 	e := newTestEngine(t, DefaultPartConfig())
 	th := e.MustAttachThread()
 	var a memory.Addr
-	th.Atomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)
 		tx.Store(a, 0)
+		return nil
 	})
 	attempts := 0
-	th.Atomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		attempts++
 		if attempts == 1 {
 			th.kill() // simulate another thread's CM decision
 		}
 		tx.Load(a) // polls the flag
+		return nil
 	})
 	if attempts != 2 {
 		t.Fatalf("attempts = %d, want 2", attempts)
@@ -159,11 +166,12 @@ func TestTimestampCMOlderWins(t *testing.T) {
 	setup := e.MustAttachThread()
 	const words = 32
 	var base memory.Addr
-	setup.Atomic(func(tx *Tx) {
+	setup.Run(func(tx *Tx) error {
 		base = tx.Alloc(memory.DefaultSite, words)
 		for i := 0; i < words; i++ {
 			tx.Store(base+memory.Addr(i), 1)
 		}
+		return nil
 	})
 	e.DetachThread(setup)
 
@@ -183,9 +191,10 @@ func TestTimestampCMOlderWins(t *testing.T) {
 				default:
 				}
 				i++
-				th.Atomic(func(tx *Tx) {
+				th.Run(func(tx *Tx) error {
 					a := base + memory.Addr(i%words)
 					tx.Store(a, tx.Load(a))
+					return nil
 				})
 			}
 		}(w * 7)
@@ -193,13 +202,14 @@ func TestTimestampCMOlderWins(t *testing.T) {
 
 	long := e.MustAttachThread()
 	attempts := 0
-	long.Atomic(func(tx *Tx) {
+	long.Run(func(tx *Tx) error {
 		attempts++
 		var s uint64
 		for i := 0; i < words; i++ {
 			s += tx.Load(base + memory.Addr(i))
 		}
 		tx.Store(base, s-uint64(words)+1) // keep the constant-sum invariant
+		return nil
 	})
 	e.DetachThread(long)
 	close(stop)
@@ -228,11 +238,12 @@ func TestKarmaOwnerProgressPublishedAtAcquire(t *testing.T) {
 			setup := e.MustAttachThread()
 			const pad = 32
 			var base memory.Addr
-			setup.Atomic(func(tx *Tx) {
+			setup.Run(func(tx *Tx) error {
 				base = tx.Alloc(memory.DefaultSite, pad+1)
 				for i := 0; i <= pad; i++ {
 					tx.Store(base+memory.Addr(i), 1)
 				}
+				return nil
 			})
 			e.DetachThread(setup)
 			hot := base + pad
@@ -243,14 +254,14 @@ func TestKarmaOwnerProgressPublishedAtAcquire(t *testing.T) {
 			ownerAttempts := 0
 			go func() {
 				defer close(done)
-				owner.Atomic(func(tx *Tx) {
+				owner.Run(func(tx *Tx) error {
 					ownerAttempts++
 					for i := 0; i < ownerOps; i++ {
 						tx.Load(base + memory.Addr(i))
 					}
 					tx.Store(hot, 2)
 					if ownerAttempts > 1 {
-						return
+						return nil
 					}
 					if acq == CommitTime {
 						// Take the commit-time lock now, as commit would, and
@@ -259,6 +270,7 @@ func TestKarmaOwnerProgressPublishedAtAcquire(t *testing.T) {
 					}
 					close(held)
 					<-release
+					return nil
 				})
 			}()
 			<-held
@@ -322,13 +334,14 @@ func TestTimestampOrdinalDrawnOnDemand(t *testing.T) {
 	th := e.MustAttachThread()
 	defer e.DetachThread(th)
 	var plain, stamped memory.Addr
-	th.Atomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		plain = tx.Alloc(memory.DefaultSite, 1)
 		tx.Store(plain, 0)
+		return nil
 	})
 	for i := 0; i < 10; i++ {
-		th.Atomic(func(tx *Tx) { tx.Store(plain, tx.Load(plain)+1) })
-		th.ReadOnlyAtomic(func(tx *Tx) { tx.Load(plain) })
+		th.Run(func(tx *Tx) error { tx.Store(plain, tx.Load(plain)+1); return nil })
+		th.Run(func(tx *Tx) error { tx.Load(plain); return nil }, ReadOnly())
 	}
 	if got := e.txSeq.Load(); got != 0 {
 		t.Fatalf("Runs confined to a CMSpin partition drew %d ordinals", got)
@@ -339,7 +352,7 @@ func TestTimestampOrdinalDrawnOnDemand(t *testing.T) {
 
 	var seen []uint64
 	attempts := 0
-	th.Atomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		attempts++
 		if tx.seq != 0 && attempts == 1 {
 			t.Errorf("ordinal %d held before any CMTimestamp access", tx.seq)
@@ -352,6 +365,7 @@ func TestTimestampOrdinalDrawnOnDemand(t *testing.T) {
 		if attempts < 3 {
 			tx.Abort()
 		}
+		return nil
 	})
 	if len(seen) != 3 || seen[0] != 1 || seen[1] != 1 || seen[2] != 1 {
 		t.Fatalf("ordinals over three attempts of one Run = %v, want [1 1 1]", seen)
@@ -364,16 +378,17 @@ func TestTimestampOrdinalDrawnOnDemand(t *testing.T) {
 	}
 	// The next Run starts clean; a read-only one in the stamped partition
 	// meets no lock and no conflict, so it draws nothing.
-	th.ReadOnlyAtomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		if th.beginSeq.Load() != 0 || tx.seq != 0 {
 			t.Errorf("stale ordinal %d/%d carried into the next Run", tx.seq, th.beginSeq.Load())
 		}
 		tx.Load(stamped)
-	})
+		return nil
+	}, ReadOnly())
 	if got := e.txSeq.Load(); got != 1 {
 		t.Fatalf("a conflict-free read in the stamped partition drew an ordinal (sequence %d)", got)
 	}
-	th.Atomic(func(tx *Tx) { tx.Store(stamped, 9) })
+	th.Run(func(tx *Tx) error { tx.Store(stamped, 9); return nil })
 	if got := e.txSeq.Load(); got != 2 {
 		t.Fatalf("engine sequence = %d after a second stamped Run, want 2", got)
 	}
@@ -385,9 +400,10 @@ func TestBackoffCMRecordsWaitCycles(t *testing.T) {
 	e := newTestEngine(t, cmConfig(CMBackoff))
 	setup := e.MustAttachThread()
 	var a memory.Addr
-	setup.Atomic(func(tx *Tx) {
+	setup.Run(func(tx *Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)
 		tx.Store(a, 0)
+		return nil
 	})
 	e.DetachThread(setup)
 	var wg sync.WaitGroup
@@ -399,16 +415,17 @@ func TestBackoffCMRecordsWaitCycles(t *testing.T) {
 			th := e.MustAttachThread()
 			defer e.DetachThread(th)
 			for i := 0; i < perW; i++ {
-				th.Atomic(func(tx *Tx) { tx.Store(a, tx.Load(a)+1) })
+				th.Run(func(tx *Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 			}
 		}()
 	}
 	wg.Wait()
 	check := e.MustAttachThread()
-	check.Atomic(func(tx *Tx) {
+	check.Run(func(tx *Tx) error {
 		if got := tx.Load(a); got != workers*perW {
 			t.Errorf("counter = %d, want %d", got, workers*perW)
 		}
+		return nil
 	})
 	s := e.StatsSnapshot(GlobalPartition)
 	if s.Commits < workers*perW {
@@ -506,9 +523,10 @@ func TestWriteThroughVisibleCombination(t *testing.T) {
 	e := newTestEngine(t, cfg)
 	setup := e.MustAttachThread()
 	var a memory.Addr
-	setup.Atomic(func(tx *Tx) {
+	setup.Run(func(tx *Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)
 		tx.Store(a, 0)
+		return nil
 	})
 	e.DetachThread(setup)
 	var wg sync.WaitGroup
@@ -520,15 +538,16 @@ func TestWriteThroughVisibleCombination(t *testing.T) {
 			th := e.MustAttachThread()
 			defer e.DetachThread(th)
 			for i := 0; i < perW; i++ {
-				th.Atomic(func(tx *Tx) { tx.Store(a, tx.Load(a)+1) })
+				th.Run(func(tx *Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 			}
 		}()
 	}
 	wg.Wait()
 	check := e.MustAttachThread()
-	check.Atomic(func(tx *Tx) {
+	check.Run(func(tx *Tx) error {
 		if got := tx.Load(a); got != workers*perW {
 			t.Errorf("counter = %d, want %d", got, workers*perW)
 		}
+		return nil
 	})
 }

@@ -18,11 +18,10 @@
 // and keeps cross-partition transactions serializable through snapshot
 // alignment and commit-time validation. See TimeBaseMode.
 //
-// Transactions run through Engine.Run (Thread.Run), the single
-// options-driven entrypoint: TxOpt functional options select read-only,
-// snapshot, bounded-retry (MaxAttempts) and abort-observing (OnAbort)
-// behaviour, and the legacy Atomic/ReadOnlyAtomic/SnapshotAtomic
-// entrypoints are thin wrappers over it. Word access is single
+// Transactions run through Thread.Run (Engine.RunPooled borrows a Thread
+// for it), the single options-driven entrypoint: TxOpt functional options
+// select read-only, snapshot, bounded-retry (MaxAttempts) and
+// abort-observing (OnAbort) behaviour. Word access is single
 // (Tx.Load/Store) or multi-word (Tx.LoadWords/StoreWords/LoadRange); the
 // multi-word forms pay per-access overhead once per object and handle
 // words sharing an orec with one protocol round trip — the primitives
@@ -49,8 +48,8 @@
 // Partitions may additionally retain a bounded multi-version history of
 // overwritten values (PartConfig.HistCap, internal/mvstore), indexed by
 // address so both hits and misses cost O(1) in the ring capacity.
-// Read-only transactions run in snapshot mode (Engine.SnapshotAtomic)
-// then pin their snapshot and reconstruct any location a writer has
+// Read-only transactions run in snapshot mode (the Snapshot option) then
+// pin their snapshot and reconstruct any location a writer has
 // since committed over from that history instead of extending or
 // aborting — abort-free read-only transactions under write traffic,
 // degrading to the ordinary validate/extend path when a needed record
@@ -249,7 +248,7 @@ type PartConfig struct {
 	// HistCap, when nonzero, attaches a multi-version snapshot store of
 	// that many overwrite records to the partition (internal/mvstore):
 	// update commits append the values they overwrite, and read-only
-	// transactions in snapshot mode (Thread.SnapshotAtomic) reconstruct
+	// transactions in snapshot mode (the Snapshot option) reconstruct
 	// reads at their pinned snapshot from it instead of extending or
 	// aborting. 0 disables the store (and with it any append cost on the
 	// commit path). Capacity is rounded up to a power of two and clamped

@@ -571,34 +571,6 @@ func (e *Engine) AllStats() []PartStats {
 	return out
 }
 
-// Atomic runs fn transactionally on thread th, retrying with randomized
-// exponential backoff until the transaction commits. It is Run with no
-// options, kept as the concise entrypoint for the common case.
-func (e *Engine) Atomic(th *Thread, fn func(*Tx)) {
-	e.run(th, runCfg{}, func(tx *Tx) error { fn(tx); return nil })
-}
-
-// AtomicErr runs fn transactionally; if fn returns a non-nil error the
-// transaction aborts (all effects discarded) and the error is returned.
-// Equivalent to Run(th, fn) with no options.
-func (e *Engine) AtomicErr(th *Thread, fn func(*Tx) error) error {
-	return e.run(th, runCfg{}, fn)
-}
-
-// readOnlyAtomic runs fn with the read-only fast path; it upgrades to an
-// update transaction transparently if fn writes. Equivalent to Run with
-// the ReadOnly option.
-func (e *Engine) readOnlyAtomic(th *Thread, fn func(*Tx)) {
-	e.run(th, runCfg{readOnly: true}, func(tx *Tx) error { fn(tx); return nil })
-}
-
-// SnapshotAtomic runs fn as a snapshot read-only transaction: Run with
-// the Snapshot option, which documents the mode (pinned first attempt,
-// logged retries, store-less partitions, upgrade on write).
-func (e *Engine) SnapshotAtomic(th *Thread, fn func(*Tx)) {
-	e.run(th, runCfg{readOnly: true, snap: true}, func(tx *Tx) error { fn(tx); return nil })
-}
-
 func (e *Engine) run(th *Thread, cfg runCfg, fn func(*Tx) error) error {
 	tx := &th.tx
 	// The CMTimestamp ordinal is drawn on demand (Tx.ordinal); forget the
@@ -688,9 +660,12 @@ func (e *Engine) attempt(tx *Tx, th *Thread, readOnly, snap, unlogged bool, fn f
 		if r := recover(); r != nil {
 			sig, ok := r.(abortSignal)
 			if !ok {
-				// A user panic: roll the transaction back, then let the
-				// panic continue so the caller sees it.
+				// A user panic: roll the transaction back and leave the
+				// quiescence gate (the unwind skips run's exitGate, and a
+				// slot left active blocks every later quiesce), then let
+				// the panic continue so the caller sees it.
 				tx.rollback(AbortExplicit)
+				th.exitGate()
 				panic(r)
 			}
 			tx.rollback(sig.cause)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/memory"
 )
@@ -50,7 +51,7 @@ func TestLoadStoreRoundTrip(t *testing.T) {
 			e := newTestEngine(t, cfg)
 			th := e.MustAttachThread()
 			var a memory.Addr
-			th.Atomic(func(tx *Tx) {
+			th.Run(func(tx *Tx) error {
 				a = tx.Alloc(memory.DefaultSite, 4)
 				tx.Store(a, 11)
 				tx.Store(a+1, 22)
@@ -58,14 +59,16 @@ func TestLoadStoreRoundTrip(t *testing.T) {
 					t.Errorf("read-after-write = %d, want 11", got)
 				}
 				tx.Store(a, 33) // overwrite in same tx
+				return nil
 			})
-			th.Atomic(func(tx *Tx) {
+			th.Run(func(tx *Tx) error {
 				if got := tx.Load(a); got != 33 {
 					t.Errorf("Load(a) = %d, want 33", got)
 				}
 				if got := tx.Load(a + 1); got != 22 {
 					t.Errorf("Load(a+1) = %d, want 22", got)
 				}
+				return nil
 			})
 		})
 	}
@@ -77,76 +80,104 @@ func TestAbortDiscardsWrites(t *testing.T) {
 			e := newTestEngine(t, cfg)
 			th := e.MustAttachThread()
 			var a memory.Addr
-			th.Atomic(func(tx *Tx) {
+			th.Run(func(tx *Tx) error {
 				a = tx.Alloc(memory.DefaultSite, 1)
 				tx.Store(a, 100)
+				return nil
 			})
-			err := th.AtomicErr(func(tx *Tx) error {
+			err := th.Run(func(tx *Tx) error {
 				tx.Store(a, 999)
 				return fmt.Errorf("boom")
 			})
 			if err == nil || err.Error() != "boom" {
-				t.Fatalf("AtomicErr = %v, want boom", err)
+				t.Fatalf("Run = %v, want boom", err)
 			}
-			th.Atomic(func(tx *Tx) {
+			th.Run(func(tx *Tx) error {
 				if got := tx.Load(a); got != 100 {
 					t.Errorf("aborted write leaked: %d", got)
 				}
+				return nil
 			})
 		})
 	}
 }
 
+// TestUserPanicRollsBackAndPropagates pins what a panic in fn leaves
+// behind, on a pinned Thread and through the pool: the panic reaches the
+// caller, the write is undone, the thread is reusable, and no quiescence
+// (here Reconfigure) waits on the panicked slot.
 func TestUserPanicRollsBackAndPropagates(t *testing.T) {
 	cfg := DefaultPartConfig()
 	cfg.Write = WriteThrough
-	e := newTestEngine(t, cfg)
-	th := e.MustAttachThread()
-	var a memory.Addr
-	th.Atomic(func(tx *Tx) {
-		a = tx.Alloc(memory.DefaultSite, 1)
-		tx.Store(a, 5)
-	})
-	func() {
-		defer func() {
-			if r := recover(); r == nil {
-				t.Fatal("user panic swallowed")
+	for _, pooled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pooled=%v", pooled), func(t *testing.T) {
+			e := newTestEngine(t, cfg)
+			run := e.RunPooled
+			if !pooled {
+				run = e.MustAttachThread().Run
 			}
-		}()
-		th.Atomic(func(tx *Tx) {
-			tx.Store(a, 6)
-			panic("user bug")
+			var a memory.Addr
+			run(func(tx *Tx) error {
+				a = tx.Alloc(memory.DefaultSite, 1)
+				tx.Store(a, 5)
+				return nil
+			})
+			func() {
+				defer func() {
+					if r := recover(); r == nil {
+						t.Fatal("user panic swallowed")
+					}
+				}()
+				run(func(tx *Tx) error {
+					tx.Store(a, 6)
+					panic("user bug")
+				})
+			}()
+			done := make(chan error, 1)
+			go func() { done <- e.Reconfigure(GlobalPartition, cfg) }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("Reconfigure: %v", err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("Reconfigure still blocked 2s after a recovered panic: the slot stayed active")
+			}
+			run(func(tx *Tx) error {
+				if got := tx.Load(a); got != 5 {
+					t.Errorf("write-through undo failed: %d", got)
+				}
+				return nil
+			})
+			// The engine must still be usable (locks released).
+			run(func(tx *Tx) error { tx.Store(a, 7); return nil })
 		})
-	}()
-	th.Atomic(func(tx *Tx) {
-		if got := tx.Load(a); got != 5 {
-			t.Errorf("write-through undo failed: %d", got)
-		}
-	})
-	// The engine must still be usable (locks released).
-	th.Atomic(func(tx *Tx) { tx.Store(a, 7) })
+	}
 }
 
 func TestReadOnlyUpgrade(t *testing.T) {
 	e := newTestEngine(t, DefaultPartConfig())
 	th := e.MustAttachThread()
 	var a memory.Addr
-	th.Atomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)
 		tx.Store(a, 1)
+		return nil
 	})
 	attempts := 0
-	th.ReadOnlyAtomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		attempts++
 		tx.Store(a, tx.Load(a)+1) // forces an upgrade on the first attempt
-	})
+		return nil
+	}, ReadOnly())
 	if attempts != 2 {
 		t.Fatalf("attempts = %d, want 2 (RO attempt + upgraded attempt)", attempts)
 	}
-	th.Atomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		if got := tx.Load(a); got != 2 {
 			t.Errorf("value = %d, want 2", got)
 		}
+		return nil
 	})
 }
 
@@ -160,9 +191,10 @@ func TestConcurrentCounter(t *testing.T) {
 			e := newTestEngine(t, cfg)
 			setup := e.MustAttachThread()
 			var a memory.Addr
-			setup.Atomic(func(tx *Tx) {
+			setup.Run(func(tx *Tx) error {
 				a = tx.Alloc(memory.DefaultSite, 1)
 				tx.Store(a, 0)
+				return nil
 			})
 			e.DetachThread(setup)
 
@@ -174,8 +206,9 @@ func TestConcurrentCounter(t *testing.T) {
 					th := e.MustAttachThread()
 					defer e.DetachThread(th)
 					for i := 0; i < perG; i++ {
-						th.Atomic(func(tx *Tx) {
+						th.Run(func(tx *Tx) error {
 							tx.Store(a, tx.Load(a)+1)
+							return nil
 						})
 					}
 				}()
@@ -183,10 +216,11 @@ func TestConcurrentCounter(t *testing.T) {
 			wg.Wait()
 
 			check := e.MustAttachThread()
-			check.Atomic(func(tx *Tx) {
+			check.Run(func(tx *Tx) error {
 				if got := tx.Load(a); got != goroutines*perG {
 					t.Errorf("counter = %d, want %d", got, goroutines*perG)
 				}
+				return nil
 			})
 		})
 	}
@@ -208,11 +242,12 @@ func TestSnapshotConsistency(t *testing.T) {
 			e := newTestEngine(t, cfg)
 			setup := e.MustAttachThread()
 			var base memory.Addr
-			setup.Atomic(func(tx *Tx) {
+			setup.Run(func(tx *Tx) error {
 				base = tx.Alloc(memory.DefaultSite, slots)
 				for i := 0; i < slots; i++ {
 					tx.Store(base+memory.Addr(i), initial)
 				}
+				return nil
 			})
 			e.DetachThread(setup)
 
@@ -231,13 +266,14 @@ func TestSnapshotConsistency(t *testing.T) {
 						rng ^= rng << 17
 						from := memory.Addr(rng % slots)
 						to := memory.Addr((rng >> 8) % slots)
-						th.Atomic(func(tx *Tx) {
+						th.Run(func(tx *Tx) error {
 							v := tx.Load(base + from)
 							if v == 0 {
-								return
+								return nil
 							}
 							tx.Store(base+from, v-1)
 							tx.Store(base+to, tx.Load(base+to)+1)
+							return nil
 						})
 					}
 				}(uint64(w) + 1)
@@ -256,12 +292,13 @@ func TestSnapshotConsistency(t *testing.T) {
 						default:
 						}
 						var sum uint64
-						th.ReadOnlyAtomic(func(tx *Tx) {
+						th.Run(func(tx *Tx) error {
 							sum = 0
 							for i := 0; i < slots; i++ {
 								sum += tx.Load(base + memory.Addr(i))
 							}
-						})
+							return nil
+						}, ReadOnly())
 						if sum != slots*initial {
 							select {
 							case errs <- fmt.Errorf("inconsistent sum %d, want %d", sum, slots*initial):

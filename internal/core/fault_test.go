@@ -22,9 +22,10 @@ func TestKillStorm(t *testing.T) {
 			e.SetYieldEveryOps(4) // let the assassin interleave on one CPU
 			victim := e.MustAttachThread()
 			var a memory.Addr
-			victim.Atomic(func(tx *Tx) {
+			victim.Run(func(tx *Tx) error {
 				a = tx.Alloc(memory.DefaultSite, 1)
 				tx.Store(a, 0)
+				return nil
 			})
 
 			var wg sync.WaitGroup
@@ -44,14 +45,15 @@ func TestKillStorm(t *testing.T) {
 			}()
 			const iters = 5000
 			for i := 0; i < iters; i++ {
-				victim.Atomic(func(tx *Tx) { tx.Store(a, tx.Load(a)+1) })
+				victim.Run(func(tx *Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 			}
 			close(stop)
 			wg.Wait()
-			victim.Atomic(func(tx *Tx) {
+			victim.Run(func(tx *Tx) error {
 				if got := tx.Load(a); got != iters {
 					t.Errorf("counter = %d, want %d", got, iters)
 				}
+				return nil
 			})
 			assertCleanOrecs(t, e)
 			s := e.StatsSnapshot(GlobalPartition)
@@ -88,11 +90,12 @@ func TestReconfigStorm(t *testing.T) {
 	setup := e.MustAttachThread()
 	const slots = 64
 	var base memory.Addr
-	setup.Atomic(func(tx *Tx) {
+	setup.Run(func(tx *Tx) error {
 		base = tx.Alloc(memory.DefaultSite, slots)
 		for i := 0; i < slots; i++ {
 			tx.Store(base+memory.Addr(i), 100)
 		}
+		return nil
 	})
 	e.DetachThread(setup)
 
@@ -110,13 +113,14 @@ func TestReconfigStorm(t *testing.T) {
 				rng ^= rng << 17
 				from := memory.Addr(rng % slots)
 				to := memory.Addr((rng >> 16) % slots)
-				th.Atomic(func(tx *Tx) {
+				th.Run(func(tx *Tx) error {
 					v := tx.Load(base + from)
 					if v == 0 {
-						return
+						return nil
 					}
 					tx.Store(base+from, v-1)
 					tx.Store(base+to, tx.Load(base+to)+1)
+					return nil
 				})
 			}
 		}(uint64(w)*7919 + 3)
@@ -154,7 +158,7 @@ func TestReconfigStorm(t *testing.T) {
 
 	check := e.MustAttachThread()
 	defer e.DetachThread(check)
-	check.Atomic(func(tx *Tx) {
+	check.Run(func(tx *Tx) error {
 		var sum uint64
 		for i := 0; i < slots; i++ {
 			sum += tx.Load(base + memory.Addr(i))
@@ -162,6 +166,7 @@ func TestReconfigStorm(t *testing.T) {
 		if sum != slots*100 {
 			t.Errorf("sum = %d, want %d", sum, slots*100)
 		}
+		return nil
 	})
 	assertCleanOrecs(t, e)
 }
@@ -174,7 +179,7 @@ func TestAllocAbortRecycles(t *testing.T) {
 	th := e.MustAttachThread()
 	var firstAttempt memory.Addr
 	attempt := 0
-	th.Atomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		attempt++
 		a := tx.Alloc(memory.DefaultSite, 5)
 		if attempt == 1 {
@@ -185,6 +190,7 @@ func TestAllocAbortRecycles(t *testing.T) {
 			t.Errorf("retry allocated %d, want recycled %d", a, firstAttempt)
 		}
 		tx.Store(a, 1)
+		return nil
 	})
 	if attempt != 2 {
 		t.Fatalf("attempts = %d", attempt)
@@ -198,26 +204,27 @@ func TestFreeRecyclesAfterCommit(t *testing.T) {
 	e := newTestEngine(t, DefaultPartConfig())
 	th := e.MustAttachThread()
 	var a memory.Addr
-	th.Atomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 7)
 		tx.Store(a, 1)
+		return nil
 	})
 	// Free in an aborted tx: must NOT recycle.
-	_ = th.AtomicErr(func(tx *Tx) error {
+	_ = th.Run(func(tx *Tx) error {
 		tx.Free(a, 7)
 		return ErrExplicitAbort
 	})
 	var b memory.Addr
-	th.Atomic(func(tx *Tx) { b = tx.Alloc(memory.DefaultSite, 7) })
+	th.Run(func(tx *Tx) error { b = tx.Alloc(memory.DefaultSite, 7); return nil })
 	if b == a {
 		t.Fatal("free from aborted transaction took effect")
 	}
 	// Free in a committed tx: must recycle once reclaimed. No transaction
 	// is live here, so the horizon is idle and one drain suffices.
-	th.Atomic(func(tx *Tx) { tx.Free(a, 7) })
+	th.Run(func(tx *Tx) error { tx.Free(a, 7); return nil })
 	th.Reclaim()
 	var c memory.Addr
-	th.Atomic(func(tx *Tx) { c = tx.Alloc(memory.DefaultSite, 7) })
+	th.Run(func(tx *Tx) error { c = tx.Alloc(memory.DefaultSite, 7); return nil })
 	if c != a {
 		t.Fatalf("committed free not recycled: got %d, want %d", c, a)
 	}
@@ -233,12 +240,13 @@ func TestSequentialSemanticsProperty(t *testing.T) {
 			th := e.MustAttachThread()
 			const slots = 32
 			var base memory.Addr
-			th.Atomic(func(tx *Tx) {
+			th.Run(func(tx *Tx) error {
 				base = tx.Alloc(memory.DefaultSite, slots)
+				return nil
 			})
 			model := make(map[memory.Addr]uint64)
 			f := func(ops []uint32) bool {
-				th.Atomic(func(tx *Tx) {
+				th.Run(func(tx *Tx) error {
 					for _, op := range ops {
 						slot := memory.Addr(op % slots)
 						if op&(1<<20) != 0 {
@@ -249,6 +257,7 @@ func TestSequentialSemanticsProperty(t *testing.T) {
 							t.Error("read diverged from model")
 						}
 					}
+					return nil
 				})
 				return !t.Failed()
 			}
@@ -266,19 +275,21 @@ func TestSnapshotMonotonic(t *testing.T) {
 	th := e.MustAttachThread()
 	other := e.MustAttachThread()
 	var a, b memory.Addr
-	th.Atomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)
 		b = tx.Alloc(memory.DefaultSite, 1)
+		return nil
 	})
-	th.Atomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		s0 := tx.Snapshot()
 		tx.Load(a)
 		// A foreign commit advances the clock; the next read forces an
 		// extension.
-		other.Atomic(func(tx2 *Tx) { tx2.Store(b, 1) })
+		other.Run(func(tx2 *Tx) error { tx2.Store(b, 1); return nil })
 		tx.Load(b)
 		if tx.Snapshot() < s0 {
 			t.Errorf("snapshot moved backwards: %d -> %d", s0, tx.Snapshot())
 		}
+		return nil
 	})
 }

@@ -37,13 +37,14 @@ func TestReadSetBoundedByFootprint(t *testing.T) {
 			th := e.MustAttachThread()
 			defer e.DetachThread(th)
 			var base memory.Addr
-			th.Atomic(func(tx *Tx) {
+			th.Run(func(tx *Tx) error {
 				base = tx.Alloc(memory.SiteID(0), tc.words)
 				for i := 0; i < tc.words; i++ {
 					tx.Store(base+memory.Addr(i), uint64(i))
 				}
+				return nil
 			})
-			th.ReadOnlyAtomic(func(tx *Tx) {
+			th.Run(func(tx *Tx) error {
 				for p := 0; p < tc.passes; p++ {
 					for i := 0; i < tc.words; i++ {
 						if got := tx.Load(base + memory.Addr(i)); got != uint64(i) {
@@ -55,7 +56,8 @@ func TestReadSetBoundedByFootprint(t *testing.T) {
 					t.Fatalf("read set has %d entries after %d loads; want %d (unique orecs)",
 						got, tc.passes*tc.words, tc.wantOrecs)
 				}
-			})
+				return nil
+			}, ReadOnly())
 		})
 	}
 }
@@ -86,13 +88,14 @@ func TestWriteSetDedupAllModes(t *testing.T) {
 				th := e.MustAttachThread()
 				defer e.DetachThread(th)
 				var base memory.Addr
-				th.Atomic(func(tx *Tx) {
+				th.Run(func(tx *Tx) error {
 					base = tx.Alloc(memory.SiteID(0), words)
 					for i := 0; i < words; i++ {
 						tx.Store(base+memory.Addr(i), 0)
 					}
+					return nil
 				})
-				th.Atomic(func(tx *Tx) {
+				th.Run(func(tx *Tx) error {
 					for round := 0; round < 5; round++ {
 						for i := 0; i < words; i++ {
 							tx.Store(base+memory.Addr(i), uint64(round*1000+i))
@@ -107,14 +110,16 @@ func TestWriteSetDedupAllModes(t *testing.T) {
 							t.Fatalf("read-after-write %d = %d, want %d", i, got, 4000+i)
 						}
 					}
+					return nil
 				})
-				th.ReadOnlyAtomic(func(tx *Tx) {
+				th.Run(func(tx *Tx) error {
 					for i := 0; i < words; i++ {
 						if got := tx.Load(base + memory.Addr(i)); got != uint64(4000+i) {
 							t.Fatalf("committed %d = %d, want %d", i, got, 4000+i)
 						}
 					}
-				})
+					return nil
+				}, ReadOnly())
 			})
 		}
 	}
@@ -161,7 +166,7 @@ func TestInstallPlanStatsRace(t *testing.T) {
 	sb := sites.Register("race.b")
 	var addrs [2]memory.Addr
 	setup := e.MustAttachThread()
-	setup.Atomic(func(tx *Tx) {
+	setup.Run(func(tx *Tx) error {
 		addrs[0] = tx.Alloc(sa, 4)
 		addrs[1] = tx.Alloc(sb, 4)
 		for _, a := range addrs {
@@ -169,6 +174,7 @@ func TestInstallPlanStatsRace(t *testing.T) {
 				tx.Store(a+memory.Addr(j), 1)
 			}
 		}
+		return nil
 	})
 	e.DetachThread(setup)
 
@@ -196,11 +202,12 @@ func TestInstallPlanStatsRace(t *testing.T) {
 				default:
 				}
 				a := addrs[rng.Intn(2)] + memory.Addr(rng.Intn(4))
-				th.Atomic(func(tx *Tx) {
+				th.Run(func(tx *Tx) error {
 					loads.Add(1)
 					v := tx.Load(a)
 					stores.Add(1)
 					tx.Store(a, v+1)
+					return nil
 				})
 				runs.Add(1)
 			}
@@ -260,13 +267,14 @@ func TestInstallPlanPreservesStats(t *testing.T) {
 	sa := sites.Register("keep.a")
 	th := e.MustAttachThread()
 	var a memory.Addr
-	th.Atomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		a = tx.Alloc(sa, 1)
 		tx.Store(a, 0)
+		return nil
 	})
 	const n = 500
 	for i := 0; i < n; i++ {
-		th.Atomic(func(tx *Tx) { tx.Store(a, tx.Load(a)+1) })
+		th.Run(func(tx *Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 	}
 	total := func() (commits, loads uint64) {
 		for _, s := range e.AllStats() {
@@ -291,7 +299,7 @@ func TestInstallPlanPreservesStats(t *testing.T) {
 	}
 	// And the clock keeps running on top of the preserved aggregate.
 	for i := 0; i < 100; i++ {
-		th.Atomic(func(tx *Tx) { tx.Store(a, tx.Load(a)+1) })
+		th.Run(func(tx *Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 	}
 	// A plan installed BETWEEN two attempts of one Run (from the abort hook:
 	// the aborted attempt has been flushed and the thread has left the
@@ -354,13 +362,14 @@ func TestStatsExactAcrossAttempts(t *testing.T) {
 	th := e.MustAttachThread()
 	defer e.DetachThread(th)
 	var a, b memory.Addr
-	th.Atomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		a = tx.Alloc(sa, 8)
 		b = tx.Alloc(sb, 8)
 		for i := 0; i < 8; i++ {
 			tx.Store(a+memory.Addr(i), 1)
 			tx.Store(b+memory.Addr(i), 1)
 		}
+		return nil
 	})
 	base := [3]PartStats{e.StatsSnapshot(0), e.StatsSnapshot(1), e.StatsSnapshot(2)}
 	var want [3]PartStats
@@ -370,10 +379,11 @@ func TestStatsExactAcrossAttempts(t *testing.T) {
 	// 2-word store in b.
 	const K = 7
 	for i := 0; i < K; i++ {
-		th.Atomic(func(tx *Tx) {
+		th.Run(func(tx *Tx) error {
 			tx.Store(a, tx.Load(a)+tx.Load(a+1)+tx.Load(a+2))
 			tx.LoadWords(b, buf[:])
 			tx.StoreWords(b+4, buf[:2])
+			return nil
 		})
 	}
 	want[1].Loads, want[1].Stores, want[1].Commits, want[1].UpdateCommits = 3*K, K, K, K
@@ -382,7 +392,7 @@ func TestStatsExactAcrossAttempts(t *testing.T) {
 	// An explicit Abort after 2 loads in a and 1 store in b; the retry
 	// reads 1 word of a and commits read-only there.
 	attempts := 0
-	th.Atomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		if attempts++; attempts == 1 {
 			tx.Load(a)
 			tx.Load(a + 1)
@@ -390,6 +400,7 @@ func TestStatsExactAcrossAttempts(t *testing.T) {
 			tx.Abort()
 		}
 		tx.Load(a)
+		return nil
 	})
 	want[1].Loads += 3
 	want[2].Stores++
@@ -401,10 +412,11 @@ func TestStatsExactAcrossAttempts(t *testing.T) {
 	// An upgrade restart: the read-only attempt loads 4 words of a and then
 	// stores to b — the store aborts before it counts or touches b — and
 	// the update-mode retry does both.
-	th.ReadOnlyAtomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		tx.LoadWords(a, buf[:4])
 		tx.Store(b, 6)
-	})
+		return nil
+	}, ReadOnly())
 	want[1].Loads += 8
 	want[1].Aborts[AbortUpgrade]++
 	want[2].Stores++
@@ -465,11 +477,12 @@ func TestTortureWriteModes(t *testing.T) {
 			const initVal = 1000
 			var base memory.Addr
 			setup := e.MustAttachThread()
-			setup.Atomic(func(tx *Tx) {
+			setup.Run(func(tx *Tx) error {
 				base = tx.Alloc(memory.SiteID(0), cells)
 				for i := 0; i < cells; i++ {
 					tx.Store(base+memory.Addr(i), initVal)
 				}
+				return nil
 			})
 			e.DetachThread(setup)
 			const wantTotal = cells * initVal
@@ -492,7 +505,7 @@ func TestTortureWriteModes(t *testing.T) {
 						}
 						if rng.Intn(4) == 0 {
 							// Full scan: the sum is invariant.
-							th.ReadOnlyAtomic(func(tx *Tx) {
+							th.Run(func(tx *Tx) error {
 								var sum uint64
 								for i := 0; i < cells; i++ {
 									sum += tx.Load(base + memory.Addr(i))
@@ -500,24 +513,26 @@ func TestTortureWriteModes(t *testing.T) {
 								if sum != wantTotal {
 									badSum.Add(1)
 								}
-							})
+								return nil
+							}, ReadOnly())
 							continue
 						}
 						// Wide transfer: move one unit along a 12-cell ring,
 						// touching each cell twice (read+write) — a write set
 						// past the inline-probe threshold.
 						start := rng.Intn(cells)
-						th.Atomic(func(tx *Tx) {
+						th.Run(func(tx *Tx) error {
 							for k := 0; k < 12; k++ {
 								src := base + memory.Addr((start+k)%cells)
 								dst := base + memory.Addr((start+k+1)%cells)
 								v := tx.Load(src)
 								if v == 0 {
-									return
+									return nil
 								}
 								tx.Store(src, v-1)
 								tx.Store(dst, tx.Load(dst)+1)
 							}
+							return nil
 						})
 					}
 				}(int64(w) + 1)
@@ -530,7 +545,7 @@ func TestTortureWriteModes(t *testing.T) {
 			}
 			check := e.MustAttachThread()
 			defer e.DetachThread(check)
-			check.Atomic(func(tx *Tx) {
+			check.Run(func(tx *Tx) error {
 				var sum uint64
 				for i := 0; i < cells; i++ {
 					sum += tx.Load(base + memory.Addr(i))
@@ -538,6 +553,7 @@ func TestTortureWriteModes(t *testing.T) {
 				if sum != wantTotal {
 					t.Fatalf("final sum %d, want %d", sum, wantTotal)
 				}
+				return nil
 			})
 		})
 	}

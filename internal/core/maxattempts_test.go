@@ -17,9 +17,10 @@ func TestMaxAttemptsErrorLockConflict(t *testing.T) {
 
 	setup := e.MustAttachThread()
 	var a memory.Addr
-	setup.Atomic(func(tx *Tx) {
+	setup.Run(func(tx *Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)
 		tx.Store(a, 0)
+		return nil
 	})
 	e.DetachThread(setup)
 
@@ -30,10 +31,11 @@ func TestMaxAttemptsErrorLockConflict(t *testing.T) {
 		defer close(done)
 		th := e.MustAttachThread()
 		defer e.DetachThread(th)
-		th.Atomic(func(tx *Tx) {
+		th.Run(func(tx *Tx) error {
 			tx.Store(a, 1) // encounter-time lock taken here
 			close(held)
 			<-release // park holding the lock
+			return nil
 		})
 	}()
 	<-held
@@ -69,8 +71,9 @@ func TestMaxAttemptsErrorKilled(t *testing.T) {
 	e := newTestEngine(t, DefaultPartConfig())
 	setup := e.MustAttachThread()
 	var a memory.Addr
-	setup.Atomic(func(tx *Tx) {
+	setup.Run(func(tx *Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)
+		return nil
 	})
 	e.DetachThread(setup)
 

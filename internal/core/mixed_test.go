@@ -52,11 +52,12 @@ func TestFourConfigRingConservation(t *testing.T) {
 	setup := e.MustAttachThread()
 	var cells [4]memory.Addr
 	const perCell = 1000
-	setup.Atomic(func(tx *Tx) {
+	setup.Run(func(tx *Tx) error {
 		for i, site := range s {
 			cells[i] = tx.Alloc(site, 1)
 			tx.Store(cells[i], perCell)
 		}
+		return nil
 	})
 	e.DetachThread(setup)
 
@@ -71,7 +72,7 @@ func TestFourConfigRingConservation(t *testing.T) {
 			defer e.DetachThread(th)
 			for i := 0; i < iters; i++ {
 				if id%3 == 2 {
-					th.ReadOnlyAtomic(func(tx *Tx) {
+					th.Run(func(tx *Tx) error {
 						var sum uint64
 						for _, c := range cells {
 							sum += tx.Load(c)
@@ -79,18 +80,20 @@ func TestFourConfigRingConservation(t *testing.T) {
 						if sum != 4*perCell {
 							bad.Add(1)
 						}
-					})
+						return nil
+					}, ReadOnly())
 					continue
 				}
 				from := (id + i) % 4
 				to := (from + 1) % 4
-				th.Atomic(func(tx *Tx) {
+				th.Run(func(tx *Tx) error {
 					v := tx.Load(cells[from])
 					if v == 0 {
-						return
+						return nil
 					}
 					tx.Store(cells[from], v-1)
 					tx.Store(cells[to], tx.Load(cells[to])+1)
+					return nil
 				})
 			}
 		}(w)
@@ -100,7 +103,7 @@ func TestFourConfigRingConservation(t *testing.T) {
 		t.Fatalf("%d auditors saw a broken four-partition sum", n)
 	}
 	check := e.MustAttachThread()
-	check.Atomic(func(tx *Tx) {
+	check.Run(func(tx *Tx) error {
 		var sum uint64
 		for _, c := range cells {
 			sum += tx.Load(c)
@@ -108,6 +111,7 @@ func TestFourConfigRingConservation(t *testing.T) {
 		if sum != 4*perCell {
 			t.Fatalf("final sum = %d, want %d", sum, 4*perCell)
 		}
+		return nil
 	})
 }
 
@@ -123,11 +127,12 @@ func TestGranularityAliasingCorrectness(t *testing.T) {
 	setup := e.MustAttachThread()
 	const slots = 64
 	var base memory.Addr
-	setup.Atomic(func(tx *Tx) {
+	setup.Run(func(tx *Tx) error {
 		base = tx.Alloc(memory.DefaultSite, slots)
 		for i := 0; i < slots; i++ {
 			tx.Store(base+memory.Addr(i), 0)
 		}
+		return nil
 	})
 	e.DetachThread(setup)
 
@@ -141,15 +146,16 @@ func TestGranularityAliasingCorrectness(t *testing.T) {
 			defer e.DetachThread(th)
 			for i := 0; i < perW; i++ {
 				slot := memory.Addr((id*perW + i) % slots)
-				th.Atomic(func(tx *Tx) {
+				th.Run(func(tx *Tx) error {
 					tx.Store(base+slot, tx.Load(base+slot)+1)
+					return nil
 				})
 			}
 		}(w)
 	}
 	wg.Wait()
 	check := e.MustAttachThread()
-	check.Atomic(func(tx *Tx) {
+	check.Run(func(tx *Tx) error {
 		var sum uint64
 		for i := 0; i < slots; i++ {
 			sum += tx.Load(base + memory.Addr(i))
@@ -157,6 +163,7 @@ func TestGranularityAliasingCorrectness(t *testing.T) {
 		if sum != workers*perW {
 			t.Fatalf("sum = %d, want %d (updates lost to aliasing)", sum, workers*perW)
 		}
+		return nil
 	})
 }
 
@@ -169,11 +176,12 @@ func TestCTLSymmetricOrders(t *testing.T) {
 	e := newTestEngine(t, cfg)
 	setup := e.MustAttachThread()
 	var a, b memory.Addr
-	setup.Atomic(func(tx *Tx) {
+	setup.Run(func(tx *Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)
 		b = tx.Alloc(memory.DefaultSite, 1)
 		tx.Store(a, 0)
 		tx.Store(b, 0)
+		return nil
 	})
 	e.DetachThread(setup)
 
@@ -187,14 +195,16 @@ func TestCTLSymmetricOrders(t *testing.T) {
 			defer e.DetachThread(th)
 			for i := 0; i < perW; i++ {
 				if id%2 == 0 {
-					th.Atomic(func(tx *Tx) {
+					th.Run(func(tx *Tx) error {
 						tx.Store(a, tx.Load(a)+1)
 						tx.Store(b, tx.Load(b)+1)
+						return nil
 					})
 				} else {
-					th.Atomic(func(tx *Tx) {
+					th.Run(func(tx *Tx) error {
 						tx.Store(b, tx.Load(b)+1)
 						tx.Store(a, tx.Load(a)+1)
+						return nil
 					})
 				}
 			}
@@ -202,11 +212,12 @@ func TestCTLSymmetricOrders(t *testing.T) {
 	}
 	wg.Wait()
 	check := e.MustAttachThread()
-	check.Atomic(func(tx *Tx) {
+	check.Run(func(tx *Tx) error {
 		va, vb := tx.Load(a), tx.Load(b)
 		if va != workers*perW || vb != workers*perW {
 			t.Fatalf("a=%d b=%d, want both %d", va, vb, workers*perW)
 		}
+		return nil
 	})
 }
 
@@ -220,12 +231,13 @@ func TestWriteThroughUndoVisibility(t *testing.T) {
 	th := e.MustAttachThread()
 	defer e.DetachThread(th)
 	var a memory.Addr
-	th.Atomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)
 		tx.Store(a, 7)
+		return nil
 	})
 	attempts := 0
-	err := th.AtomicErr(func(tx *Tx) error {
+	err := th.Run(func(tx *Tx) error {
 		attempts++
 		tx.Store(a, 999) // written in place under lock
 		return ErrExplicitAbort
@@ -233,10 +245,11 @@ func TestWriteThroughUndoVisibility(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected user error")
 	}
-	th.Atomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		if got := tx.Load(a); got != 7 {
 			t.Fatalf("pre-image not restored: %d", got)
 		}
+		return nil
 	})
 	if attempts != 1 {
 		t.Fatalf("user-error abort retried: attempts=%d", attempts)
@@ -251,11 +264,12 @@ func TestMixedVisibilityOpacity(t *testing.T) {
 	e, s := installFourConfigPlan(t)
 	setup := e.MustAttachThread()
 	var inv, vis memory.Addr
-	setup.Atomic(func(tx *Tx) {
+	setup.Run(func(tx *Tx) error {
 		inv = tx.Alloc(s[0], 1) // invisible/WB partition
 		vis = tx.Alloc(s[1], 1) // visible/WB partition
 		tx.Store(inv, 0)
 		tx.Store(vis, 0)
+		return nil
 	})
 	e.DetachThread(setup)
 
@@ -272,10 +286,11 @@ func TestMixedVisibilityOpacity(t *testing.T) {
 				return
 			default:
 			}
-			th.Atomic(func(tx *Tx) {
+			th.Run(func(tx *Tx) error {
 				v := tx.Load(inv) + 1
 				tx.Store(inv, v)
 				tx.Store(vis, v)
+				return nil
 			})
 		}
 	}()
@@ -288,7 +303,7 @@ func TestMixedVisibilityOpacity(t *testing.T) {
 			th := e.MustAttachThread()
 			defer e.DetachThread(th)
 			for i := 0; i < 2000; i++ {
-				th.Atomic(func(tx *Tx) {
+				th.Run(func(tx *Tx) error {
 					var x, y uint64
 					if flip {
 						x, y = tx.Load(vis), tx.Load(inv)
@@ -298,6 +313,7 @@ func TestMixedVisibilityOpacity(t *testing.T) {
 					if x != y {
 						torn.Add(1)
 					}
+					return nil
 				})
 			}
 		}(w%2 == 0)
@@ -318,11 +334,12 @@ func TestMixedModeSequentialEquivalence(t *testing.T) {
 	th := e.MustAttachThread()
 	defer e.DetachThread(th)
 	var cells [4]memory.Addr
-	th.Atomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		for i, site := range s {
 			cells[i] = tx.Alloc(site, 1)
 			tx.Store(cells[i], 100)
 		}
+		return nil
 	})
 	model := [4]uint64{100, 100, 100, 100}
 
@@ -331,13 +348,14 @@ func TestMixedModeSequentialEquivalence(t *testing.T) {
 			from := int(m) % 4
 			to := int(m>>2) % 4
 			amt := uint64(m>>4) % 8
-			th.Atomic(func(tx *Tx) {
+			th.Run(func(tx *Tx) error {
 				v := tx.Load(cells[from])
 				if v < amt {
-					return
+					return nil
 				}
 				tx.Store(cells[from], v-amt)
 				tx.Store(cells[to], tx.Load(cells[to])+amt)
+				return nil
 			})
 			if model[from] >= amt {
 				model[from] -= amt
@@ -345,12 +363,13 @@ func TestMixedModeSequentialEquivalence(t *testing.T) {
 			}
 		}
 		ok := true
-		th.Atomic(func(tx *Tx) {
+		th.Run(func(tx *Tx) error {
 			for i := range cells {
 				if tx.Load(cells[i]) != model[i] {
 					ok = false
 				}
 			}
+			return nil
 		})
 		return ok
 	}

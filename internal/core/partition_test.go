@@ -28,13 +28,14 @@ func TestInstallPlanRoutesSitesToPartitions(t *testing.T) {
 
 	th := e.MustAttachThread()
 	var aA, aB, aD memory.Addr
-	th.Atomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		aA = tx.Alloc(sA, 2)
 		aB = tx.Alloc(sB, 2)
 		aD = tx.Alloc(memory.DefaultSite, 2)
 		tx.Store(aA, 1)
 		tx.Store(aB, 2)
 		tx.Store(aD, 3)
+		return nil
 	})
 	if p := e.PartitionOfAddr(aA); p.ID() != 1 || p.Name() != "partA" {
 		t.Fatalf("aA in partition %d (%s)", p.ID(), p.Name())
@@ -84,11 +85,12 @@ func TestCrossPartitionAtomicity(t *testing.T) {
 
 	setup := e.MustAttachThread()
 	var accA, accB memory.Addr
-	setup.Atomic(func(tx *Tx) {
+	setup.Run(func(tx *Tx) error {
 		accA = tx.Alloc(sA, 1)
 		accB = tx.Alloc(sB, 1)
 		tx.Store(accA, 10000)
 		tx.Store(accB, 10000)
+		return nil
 	})
 	e.DetachThread(setup)
 
@@ -104,20 +106,22 @@ func TestCrossPartitionAtomicity(t *testing.T) {
 			defer e.DetachThread(th)
 			for i := 0; i < iters; i++ {
 				if id%2 == 0 {
-					th.Atomic(func(tx *Tx) {
+					th.Run(func(tx *Tx) error {
 						a := tx.Load(accA)
 						if a == 0 {
-							return
+							return nil
 						}
 						tx.Store(accA, a-1)
 						tx.Store(accB, tx.Load(accB)+1)
+						return nil
 					})
 				} else {
-					th.Atomic(func(tx *Tx) {
+					th.Run(func(tx *Tx) error {
 						sum := tx.Load(accA) + tx.Load(accB)
 						if sum != 20000 {
 							inconsistent.Add(1)
 						}
+						return nil
 					})
 				}
 			}
@@ -129,7 +133,7 @@ func TestCrossPartitionAtomicity(t *testing.T) {
 	}
 	var final uint64
 	check := e.MustAttachThread()
-	check.Atomic(func(tx *Tx) { final = tx.Load(accA) + tx.Load(accB) })
+	check.Run(func(tx *Tx) error { final = tx.Load(accA) + tx.Load(accB); return nil })
 	if final != 20000 {
 		t.Fatalf("final sum = %d, want 20000", final)
 	}
@@ -141,9 +145,10 @@ func TestReconfigureUnderLoad(t *testing.T) {
 	e := newTestEngine(t, DefaultPartConfig())
 	setup := e.MustAttachThread()
 	var a memory.Addr
-	setup.Atomic(func(tx *Tx) {
+	setup.Run(func(tx *Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)
 		tx.Store(a, 0)
+		return nil
 	})
 	e.DetachThread(setup)
 	e.SetYieldEveryOps(4) // interleave inside transactions on one CPU too
@@ -164,7 +169,7 @@ func TestReconfigureUnderLoad(t *testing.T) {
 			th := e.MustAttachThread()
 			defer e.DetachThread(th)
 			for reconfigs.Load() < wantReconfigs {
-				th.Atomic(func(tx *Tx) { tx.Store(a, tx.Load(a)+1) })
+				th.Run(func(tx *Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 				committed.Add(1)
 			}
 		}()
@@ -194,10 +199,11 @@ func TestReconfigureUnderLoad(t *testing.T) {
 		t.Fatal("STWCount = 0")
 	}
 	check := e.MustAttachThread()
-	check.Atomic(func(tx *Tx) {
+	check.Run(func(tx *Tx) error {
 		if got := tx.Load(a); got != uint64(committed.Load()) {
 			t.Errorf("counter = %d, want %d (lost updates across reconfiguration)", got, committed.Load())
 		}
+		return nil
 	})
 }
 
@@ -229,15 +235,16 @@ func TestStatsAccounting(t *testing.T) {
 	e := newTestEngine(t, DefaultPartConfig())
 	th := e.MustAttachThread()
 	var a memory.Addr
-	th.Atomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)
 		tx.Store(a, 0)
+		return nil
 	})
 	for i := 0; i < 10; i++ {
-		th.Atomic(func(tx *Tx) { tx.Store(a, tx.Load(a)+1) })
+		th.Run(func(tx *Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 	}
 	for i := 0; i < 5; i++ {
-		th.ReadOnlyAtomic(func(tx *Tx) { tx.Load(a) })
+		th.Run(func(tx *Tx) error { tx.Load(a); return nil }, ReadOnly())
 	}
 	s := e.StatsSnapshot(GlobalPartition)
 	if s.Commits != 16 {
@@ -287,16 +294,18 @@ func TestAdvanceClockStress(t *testing.T) {
 	e := newTestEngine(t, DefaultPartConfig())
 	th := e.MustAttachThread()
 	var a memory.Addr
-	th.Atomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)
 		tx.Store(a, 1)
+		return nil
 	})
 	e.AdvanceClock(1 << 40)
-	th.Atomic(func(tx *Tx) { tx.Store(a, tx.Load(a)+1) })
-	th.Atomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
+	th.Run(func(tx *Tx) error {
 		if got := tx.Load(a); got != 2 {
 			t.Errorf("value = %d", got)
 		}
+		return nil
 	})
 	if e.Clock() < 1<<40 {
 		t.Fatalf("clock = %d", e.Clock())
@@ -326,24 +335,27 @@ func TestExplicitAbortRetries(t *testing.T) {
 	e := newTestEngine(t, DefaultPartConfig())
 	th := e.MustAttachThread()
 	var a memory.Addr
-	th.Atomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)
 		tx.Store(a, 0)
+		return nil
 	})
 	tries := 0
-	th.Atomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		tries++
 		if tries < 3 {
 			tx.Abort()
 		}
 		tx.Store(a, uint64(tries))
+		return nil
 	})
 	if tries != 3 {
 		t.Fatalf("tries = %d, want 3", tries)
 	}
-	th.Atomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		if got := tx.Load(a); got != 3 {
 			t.Errorf("value = %d, want 3", got)
 		}
+		return nil
 	})
 }

@@ -23,11 +23,12 @@ func pinObjects(t testing.TB, e *Engine, n int, balance uint64) []memory.Addr {
 	th := e.MustAttachThread()
 	defer e.DetachThread(th)
 	for base := 0; base < n; base += 64 {
-		th.Atomic(func(tx *Tx) {
+		th.Run(func(tx *Tx) error {
 			for i := base; i < min(base+64, n); i++ {
 				objs[i] = tx.Alloc(memory.DefaultSite, pinObjWords)
 				tx.StoreWords(objs[i], []uint64{balance, 0, 0, 0, 0, 0, 0, 0})
 			}
+			return nil
 		})
 	}
 	return objs
@@ -54,7 +55,7 @@ func startTransfers(e *Engine, objs []memory.Addr) (budget *atomic.Int64, stop f
 				continue
 			}
 			budget.Add(-1)
-			th.Atomic(func(tx *Tx) {
+			th.Run(func(tx *Tx) error {
 				tx.LoadWords(from, a[:])
 				tx.LoadWords(to, b[:])
 				a[0]--
@@ -62,6 +63,7 @@ func startTransfers(e *Engine, objs []memory.Addr) (budget *atomic.Int64, stop f
 				a[1]++
 				tx.StoreWords(from, a[:])
 				tx.StoreWords(to, b[:])
+				return nil
 			})
 		}
 	}()
@@ -145,7 +147,7 @@ func TestSnapshotWithoutStoreStillLogs(t *testing.T) {
 			t.Errorf("read set = %d entries after %d loads, want one per orec", got, cells/2)
 		}
 		before := tx.Snapshot()
-		writer.Atomic(func(wtx *Tx) { wtx.Store(base+cells-1, 8) })
+		writer.Run(func(wtx *Tx) error { wtx.Store(base+cells-1, 8); return nil })
 		if got := tx.Load(base + cells - 1); got != 8 {
 			t.Errorf("read %d after the extension, want the new value 8", got)
 		}
@@ -188,11 +190,12 @@ func TestPinnedMissDegradesToLogging(t *testing.T) {
 		rng := rand.New(rand.NewSource(1))
 		for !halt.Load() {
 			i, j := memory.Addr(rng.Intn(cells)), memory.Addr(rng.Intn(cells))
-			th.Atomic(func(tx *Tx) {
+			th.Run(func(tx *Tx) error {
 				if vi := tx.Load(base + i); vi > 0 {
 					tx.Store(base+i, vi-1)
 					tx.Store(base+j, tx.Load(base+j)+1)
 				}
+				return nil
 			})
 		}
 	}()
@@ -273,14 +276,15 @@ func TestMixedFootprintNeverExtendsOnceUnlogged(t *testing.T) {
 	defer e.DetachThread(reader)
 	defer e.DetachThread(writer)
 	var backed, bare memory.Addr
-	writer.Atomic(func(tx *Tx) {
+	writer.Run(func(tx *Tx) error {
 		backed, bare = tx.Alloc(backedSite, 1), tx.Alloc(bareSite, 2)
 		tx.Store(backed, 1)
 		tx.Store(bare, 1)
 		tx.Store(bare+1, 1)
+		return nil
 	})
 	bump := func(a memory.Addr) {
-		writer.Atomic(func(tx *Tx) { tx.Store(a, tx.Load(a)+1) })
+		writer.Run(func(tx *Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 	}
 
 	// Logged reads only: the stale store-less read extends.
@@ -353,7 +357,7 @@ func TestSnapshotPartialObjectWrite(t *testing.T) {
 	attempts := 0
 	err := reader.Run(func(tx *Tx) error {
 		attempts++
-		writer.Atomic(func(wtx *Tx) { wtx.Store(obj, wtx.Load(obj)+5) })
+		writer.Run(func(wtx *Tx) error { wtx.Store(obj, wtx.Load(obj)+5); return nil })
 		tx.LoadWords(obj, got[:])
 		if hits := tx.SnapshotHits(); hits != 1 {
 			t.Errorf("reconstructed %d words, want only the written one", hits)

@@ -15,9 +15,10 @@ func poolCounter(t *testing.T, e *Engine) memory.Addr {
 	th := e.MustAttachThread()
 	defer e.DetachThread(th)
 	var a memory.Addr
-	th.Atomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		a = tx.Alloc(memory.SiteID(0), 1)
 		tx.Store(a, 0)
+		return nil
 	})
 	return a
 }
@@ -196,7 +197,7 @@ func TestPooledRunHandsOffToWaiter(t *testing.T) {
 		t.Fatalf("pool size = %d with one free registry slot", ps.Size)
 	}
 	var got uint64
-	pinned[0].Atomic(func(tx *Tx) { got = tx.Load(a) })
+	pinned[0].Run(func(tx *Tx) error { got = tx.Load(a); return nil })
 	if got != goroutines*25 {
 		t.Fatalf("counter = %d, want %d", got, goroutines*25)
 	}

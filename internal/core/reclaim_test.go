@@ -20,10 +20,11 @@ func TestEpochStampHygienePooled(t *testing.T) {
 		t.Fatalf("borrowed idle slot publishes stamp %d, want HorizonIdle", got)
 	}
 	var inside uint64
-	th.Atomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		a := tx.Alloc(memory.DefaultSite, 1)
 		tx.Store(a, 1)
 		inside = e.EpochStamp(slot)
+		return nil
 	})
 	if inside == HorizonIdle {
 		t.Fatal("live transaction did not publish a stamp")
@@ -172,7 +173,7 @@ func TestChurnArenaFlat(t *testing.T) {
 	const perSize = 8
 	round := func() {
 		var addrs []memory.Addr
-		th.Atomic(func(tx *Tx) {
+		th.Run(func(tx *Tx) error {
 			addrs = addrs[:0]
 			for _, n := range sizes {
 				for i := 0; i < perSize; i++ {
@@ -181,11 +182,13 @@ func TestChurnArenaFlat(t *testing.T) {
 					addrs = append(addrs, a)
 				}
 			}
+			return nil
 		})
-		th.Atomic(func(tx *Tx) {
+		th.Run(func(tx *Tx) error {
 			for i, a := range addrs {
 				tx.Free(a, sizes[i/perSize])
 			}
+			return nil
 		})
 		// Horizon is idle here (no live transaction): drain the limbo so
 		// the next round reuses this round's memory.

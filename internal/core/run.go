@@ -32,7 +32,7 @@ func (e *MaxAttemptsError) Error() string {
 func (e *MaxAttemptsError) Is(target error) bool { return target == ErrMaxAttempts }
 
 // runCfg is the resolved execution mode of one Run call. The zero value is
-// a plain update transaction retried until commit — exactly Atomic.
+// a plain update transaction retried until commit.
 type runCfg struct {
 	readOnly bool
 	snap     bool
@@ -110,12 +110,13 @@ func DeferDurable(seq *uint64) TxOpt {
 	return func(c *runCfg) { c.deferSeq = seq }
 }
 
-// Run runs fn as a transaction on thread th, in the mode selected by opts,
+// Run runs fn as a transaction on th, in the mode selected by opts,
 // retrying on conflict until it commits (or until a MaxAttempts budget is
-// exhausted). With no options it is exactly AtomicErr: an update
-// transaction retried forever, whose user error aborts and surfaces. This
-// is the single entrypoint every other transaction method delegates to.
-func (e *Engine) Run(th *Thread, fn func(*Tx) error, opts ...TxOpt) error {
+// exhausted). With no options it is an update transaction retried forever;
+// a non-nil error from fn aborts it (its effects are discarded) and is
+// returned. This and Engine.RunPooled, which borrows a Thread and calls
+// it, are the only ways to start a transaction.
+func (th *Thread) Run(fn func(*Tx) error, opts ...TxOpt) error {
 	// Options write into the Thread's scratch: a local whose address is
 	// handed to option closures would be heap-allocated on every call. The
 	// scratch is cleared again at once, so a pooled Thread does not keep the
@@ -125,11 +126,5 @@ func (e *Engine) Run(th *Thread, fn func(*Tx) error, opts ...TxOpt) error {
 	}
 	cfg := th.cfg
 	th.cfg = runCfg{}
-	return e.run(th, cfg, fn)
-}
-
-// Run runs fn as a transaction in the mode selected by opts. See
-// Engine.Run; Thread.Atomic and friends are thin wrappers over this.
-func (th *Thread) Run(fn func(*Tx) error, opts ...TxOpt) error {
-	return th.eng.Run(th, fn, opts...)
+	return th.eng.run(th, cfg, fn)
 }

@@ -17,17 +17,18 @@ func snapTestSetup(t *testing.T, cfg PartConfig, cells int, initVal uint64) (*En
 	e := newTestEngine(t, cfg)
 	var base memory.Addr
 	setup := e.MustAttachThread()
-	setup.Atomic(func(tx *Tx) {
+	setup.Run(func(tx *Tx) error {
 		base = tx.Alloc(memory.SiteID(0), cells)
 		for j := 0; j < cells; j++ {
 			tx.Store(base+memory.Addr(j), initVal)
 		}
+		return nil
 	})
 	e.DetachThread(setup)
 	return e, base
 }
 
-// TestSnapshotTortureWriteModes mixes SnapshotAtomic scans with transfer
+// TestSnapshotTortureWriteModes mixes snapshot-mode scans with transfer
 // transactions in all three write modes. Writers conserve the array sum;
 // every snapshot scan must observe exactly that sum — a torn snapshot
 // (two instants mixed in one scan) breaks it immediately. The snapshot
@@ -74,13 +75,14 @@ func TestSnapshotTortureWriteModes(t *testing.T) {
 						i := memory.Addr(rng.Intn(cells))
 						j := memory.Addr(rng.Intn(cells))
 						d := uint64(rng.Intn(5))
-						th.Atomic(func(tx *Tx) {
+						th.Run(func(tx *Tx) error {
 							vi := tx.Load(base + i)
 							if vi < d {
-								return
+								return nil
 							}
 							tx.Store(base+i, vi-d)
 							tx.Store(base+j, tx.Load(base+j)+d)
+							return nil
 						})
 					}
 				}(int64(w) + 1)
@@ -94,7 +96,7 @@ func TestSnapshotTortureWriteModes(t *testing.T) {
 					defer e.DetachThread(th)
 					for !stop.Load() {
 						attempts := uint64(0)
-						th.SnapshotAtomic(func(tx *Tx) {
+						th.Run(func(tx *Tx) error {
 							attempts++
 							var sum uint64
 							for j := 0; j < cells; j++ {
@@ -103,7 +105,8 @@ func TestSnapshotTortureWriteModes(t *testing.T) {
 							if sum != cells*initVal {
 								sumViolated.Store(sum)
 							}
-						})
+							return nil
+						}, Snapshot())
 						scans.Add(1)
 						scanAborts.Add(attempts - 1)
 					}
@@ -164,13 +167,14 @@ func TestSnapshotOverflowFallsBack(t *testing.T) {
 			for !stop.Load() {
 				i := memory.Addr(rng.Intn(cells))
 				j := memory.Addr(rng.Intn(cells))
-				th.Atomic(func(tx *Tx) {
+				th.Run(func(tx *Tx) error {
 					vi := tx.Load(base + i)
 					if vi == 0 {
-						return
+						return nil
 					}
 					tx.Store(base+i, vi-1)
 					tx.Store(base+j, tx.Load(base+j)+1)
+					return nil
 				})
 			}
 		}(int64(w) + 1)
@@ -181,7 +185,7 @@ func TestSnapshotOverflowFallsBack(t *testing.T) {
 		th := e.MustAttachThread()
 		defer e.DetachThread(th)
 		for !stop.Load() {
-			th.SnapshotAtomic(func(tx *Tx) {
+			th.Run(func(tx *Tx) error {
 				var sum uint64
 				for j := 0; j < cells; j++ {
 					sum += tx.Load(base + memory.Addr(j))
@@ -189,7 +193,8 @@ func TestSnapshotOverflowFallsBack(t *testing.T) {
 				if sum != cells*initVal {
 					bad.Store(sum)
 				}
-			})
+				return nil
+			}, Snapshot())
 		}
 	}()
 	time.Sleep(300 * time.Millisecond)
@@ -208,8 +213,8 @@ func TestSnapshotOverflowFallsBack(t *testing.T) {
 	}
 }
 
-// TestSnapshotUpgradeOnWrite: a write inside SnapshotAtomic restarts the
-// transaction in update mode, like ReadOnlyAtomic.
+// TestSnapshotUpgradeOnWrite: a write inside a Snapshot Run restarts the
+// transaction in update mode, as under ReadOnly.
 func TestSnapshotUpgradeOnWrite(t *testing.T) {
 	cfg := DefaultPartConfig()
 	cfg.HistCap = 64
@@ -217,19 +222,20 @@ func TestSnapshotUpgradeOnWrite(t *testing.T) {
 	th := e.MustAttachThread()
 	defer e.DetachThread(th)
 	sawSnap, sawUpdate := false, false
-	th.SnapshotAtomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		if tx.SnapshotMode() {
 			sawSnap = true
 		} else {
 			sawUpdate = true
 		}
 		tx.Store(base, tx.Load(base)+1)
-	})
+		return nil
+	}, Snapshot())
 	if !sawSnap || !sawUpdate {
 		t.Fatalf("snapshot upgrade: first attempt snap=%v, retry update=%v", sawSnap, sawUpdate)
 	}
 	var v uint64
-	th.ReadOnlyAtomic(func(tx *Tx) { v = tx.Load(base) })
+	th.Run(func(tx *Tx) error { v = tx.Load(base); return nil }, ReadOnly())
 	if v != 8 {
 		t.Fatalf("upgraded write lost: %d, want 8", v)
 	}
@@ -253,16 +259,17 @@ func TestSnapshotReadsHistoricalValue(t *testing.T) {
 	defer e.DetachThread(writer)
 
 	var hits uint64
-	reader.SnapshotAtomic(func(tx *Tx) {
+	reader.Run(func(tx *Tx) error {
 		// First load pins the snapshot.
 		if got := tx.Load(base); got != 11 {
 			t.Errorf("cell 0 = %d, want 11", got)
 		}
 		// A writer commits over every cell AFTER the pin.
-		writer.Atomic(func(wtx *Tx) {
+		writer.Run(func(wtx *Tx) error {
 			for j := 0; j < cells; j++ {
 				wtx.Store(base+memory.Addr(j), 99)
 			}
+			return nil
 		})
 		for j := 1; j < cells; j++ {
 			if got := tx.Load(base + memory.Addr(j)); got != 11 {
@@ -270,12 +277,13 @@ func TestSnapshotReadsHistoricalValue(t *testing.T) {
 			}
 		}
 		hits = tx.SnapshotHits()
-	})
+		return nil
+	}, Snapshot())
 	if hits != cells-1 {
 		t.Fatalf("snapshot hits = %d, want %d (one per overwritten cell read)", hits, cells-1)
 	}
 	var now uint64
-	reader.ReadOnlyAtomic(func(tx *Tx) { now = tx.Load(base) })
+	reader.Run(func(tx *Tx) error { now = tx.Load(base); return nil }, ReadOnly())
 	if now != 99 {
 		t.Fatalf("post-snapshot read = %d, want 99", now)
 	}
@@ -306,18 +314,19 @@ func TestInstallPlanSiteKeyedCarryover(t *testing.T) {
 
 	th := e.MustAttachThread()
 	var aAddr, bAddr memory.Addr
-	th.Atomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		aAddr = tx.Alloc(sa, 1)
 		bAddr = tx.Alloc(sb, 1)
 		tx.Store(aAddr, 0)
 		tx.Store(bAddr, 0)
+		return nil
 	})
 	const nA, nB = 300, 100
 	for i := 0; i < nA; i++ {
-		th.Atomic(func(tx *Tx) { tx.Store(aAddr, tx.Load(aAddr)+1) })
+		th.Run(func(tx *Tx) error { tx.Store(aAddr, tx.Load(aAddr)+1); return nil })
 	}
 	for i := 0; i < nB; i++ {
-		th.Atomic(func(tx *Tx) { tx.Store(bAddr, tx.Load(bAddr)+1) })
+		th.Run(func(tx *Tx) error { tx.Store(bAddr, tx.Load(bAddr)+1); return nil })
 	}
 	aBefore := e.StatsSnapshot(1).Commits
 	bBefore := e.StatsSnapshot(2).Commits

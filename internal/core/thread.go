@@ -20,7 +20,9 @@ const cacheLine = 64
 // one explicitly (Engine.AttachThread) and run transactions through
 // Thread.Run; ordinary goroutines never see one — Engine.RunPooled (the
 // facade's Runtime.Run) borrows a pooled Thread per call. A Thread must
-// not be shared across goroutines.
+// not be shared across goroutines. A panic in a transaction's fn rolls the
+// transaction back and propagates to Run's caller; the Thread stays
+// reusable.
 //
 // Layout: the owner-private fields come first; the control words that
 // cross thread boundaries are split into two cache-line-padded groups so
@@ -123,39 +125,3 @@ func (th *Thread) enterGate() {
 
 // exitGate marks the thread idle.
 func (th *Thread) exitGate() { th.active.Store(0) }
-
-// Atomic runs fn as a transaction, retrying on conflict until it commits.
-// See Engine.Atomic.
-//
-// Deprecated: equivalent to Run with no options (modulo fn's missing
-// error return). Kept as a thin wrapper; new code should prefer Run.
-func (th *Thread) Atomic(fn func(*Tx)) { th.eng.Atomic(th, fn) }
-
-// AtomicErr runs fn as a transaction; a non-nil error from fn aborts the
-// transaction (its effects are discarded) and is returned to the caller.
-// Conflict aborts still retry.
-//
-// Deprecated: identical to Run with no options. Kept as a thin wrapper;
-// new code should prefer Run.
-func (th *Thread) AtomicErr(fn func(*Tx) error) error { return th.eng.AtomicErr(th, fn) }
-
-// ReadOnlyAtomic runs fn as a read-only transaction. If fn attempts a
-// write the transaction restarts in update mode, so the hint is safe even
-// when occasionally wrong.
-//
-// Deprecated: equivalent to Run with the ReadOnly option. Kept as a thin
-// wrapper; new code should prefer Run.
-func (th *Thread) ReadOnlyAtomic(fn func(*Tx)) { th.eng.readOnlyAtomic(th, fn) }
-
-// SnapshotAtomic runs fn as a snapshot read-only transaction: reads are
-// answered at a snapshot pinned at the first access, with values that
-// concurrent writers have since overwritten reconstructed from the
-// touched partitions' multi-version stores (PartConfig.HistCap) — so
-// under sufficient retention the transaction never extends, validates or
-// aborts, no matter how heavy the write traffic. Partitions without a
-// store, evicted records, and writes inside fn all degrade gracefully to
-// ReadOnlyAtomic behaviour. See Engine.SnapshotAtomic.
-//
-// Deprecated: equivalent to Run with the Snapshot option. Kept as a thin
-// wrapper; new code should prefer Run.
-func (th *Thread) SnapshotAtomic(fn func(*Tx)) { th.eng.SnapshotAtomic(th, fn) }

@@ -59,13 +59,14 @@ func TestTortureMixedEverything(t *testing.T) {
 	const initVal = 100
 	var bases [nParts]memory.Addr
 	setup := e.MustAttachThread()
-	setup.Atomic(func(tx *Tx) {
+	setup.Run(func(tx *Tx) error {
 		for i := 0; i < nParts; i++ {
 			bases[i] = tx.Alloc(siteIDs[i], cellsPer)
 			for j := 0; j < cellsPer; j++ {
 				tx.Store(bases[i]+memory.Addr(j), initVal)
 			}
 		}
+		return nil
 	})
 	e.DetachThread(setup)
 	const wantTotal = nParts * cellsPer * initVal
@@ -93,21 +94,22 @@ func TestTortureMixedEverything(t *testing.T) {
 					fp, tp := rng.Intn(nParts), rng.Intn(nParts)
 					fc, tc := rng.Intn(cellsPer), rng.Intn(cellsPer)
 					amt := uint64(rng.Intn(5) + 1)
-					th.Atomic(func(tx *Tx) {
+					th.Run(func(tx *Tx) error {
 						src := bases[fp] + memory.Addr(fc)
 						dst := bases[tp] + memory.Addr(tc)
 						if src == dst {
-							return
+							return nil
 						}
 						v := tx.Load(src)
 						if v < amt {
-							return
+							return nil
 						}
 						tx.Store(src, v-amt)
 						tx.Store(dst, tx.Load(dst)+amt)
+						return nil
 					})
 				case 6, 7: // full read-only scan: sum must be exact
-					th.ReadOnlyAtomic(func(tx *Tx) {
+					th.Run(func(tx *Tx) error {
 						var sum uint64
 						for p := 0; p < nParts; p++ {
 							for j := 0; j < cellsPer; j++ {
@@ -117,18 +119,20 @@ func TestTortureMixedEverything(t *testing.T) {
 						if sum != wantTotal {
 							badSum.Add(1)
 						}
-					})
+						return nil
+					}, ReadOnly())
 				case 8: // allocation churn in a random partition
 					p := rng.Intn(nParts)
-					th.Atomic(func(tx *Tx) {
+					th.Run(func(tx *Tx) error {
 						a := tx.Alloc(siteIDs[p], 4)
 						tx.Store(a, 1)
 						tx.Free(a, 4)
+						return nil
 					})
 				default: // doomed transaction: writes then aborts via user error
 					p := rng.Intn(nParts)
 					c := rng.Intn(cellsPer)
-					_ = th.AtomicErr(func(tx *Tx) error {
+					_ = th.Run(func(tx *Tx) error {
 						a := bases[p] + memory.Addr(c)
 						tx.Store(a, tx.Load(a)+1_000_000) // would break the sum
 						return ErrExplicitAbort           // ...but never commits
@@ -184,7 +188,7 @@ func TestTortureMixedEverything(t *testing.T) {
 	}
 	check := e.MustAttachThread()
 	defer e.DetachThread(check)
-	check.Atomic(func(tx *Tx) {
+	check.Run(func(tx *Tx) error {
 		var sum uint64
 		for p := 0; p < nParts; p++ {
 			for j := 0; j < cellsPer; j++ {
@@ -194,6 +198,7 @@ func TestTortureMixedEverything(t *testing.T) {
 		if sum != wantTotal {
 			t.Fatalf("final sum %d, want %d", sum, wantTotal)
 		}
+		return nil
 	})
 	// No locks or reader bits may survive quiescence.
 	for _, p := range e.Partitions() {

@@ -67,9 +67,9 @@ type touchRec struct {
 
 // Tx is a transaction descriptor. One lives in each Thread and is reused
 // across attempts; all methods must be called from the owning goroutine,
-// inside Engine.Atomic. Transactional operations abort by panicking with
-// an internal signal that Engine.Atomic recovers; user code simply calls
-// Load/Store and lets the engine retry.
+// inside Run. Transactional operations abort by panicking with an internal
+// signal that Run recovers; user code simply calls Load/Store and lets the
+// engine retry.
 type Tx struct {
 	eng  *Engine
 	th   *Thread
@@ -205,7 +205,7 @@ func (tx *Tx) Snapshot() uint64 { return tx.snapshot }
 func (tx *Tx) ReadOnly() bool { return tx.readOnly }
 
 // SnapshotMode reports whether this attempt runs as a snapshot read-only
-// transaction (see Engine.SnapshotAtomic).
+// transaction (see the Snapshot option).
 func (tx *Tx) SnapshotMode() bool { return tx.snapMode }
 
 // SnapshotHits reports how many reads of this attempt were reconstructed

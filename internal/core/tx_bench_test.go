@@ -59,16 +59,17 @@ func BenchmarkRepeatedReadTx(b *testing.B) {
 	th := e.MustAttachThread()
 	defer e.DetachThread(th)
 	var base memory.Addr
-	th.Atomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		base = tx.Alloc(memory.SiteID(0), words)
 		for i := 0; i < words; i++ {
 			tx.Store(base+memory.Addr(i), uint64(i))
 		}
+		return nil
 	})
 	for _, passes := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("passes=%d", passes), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				th.ReadOnlyAtomic(func(tx *Tx) {
+				th.Run(func(tx *Tx) error {
 					var sink uint64
 					for p := 0; p < passes; p++ {
 						for j := 0; j < words; j++ {
@@ -76,7 +77,8 @@ func BenchmarkRepeatedReadTx(b *testing.B) {
 						}
 					}
 					_ = sink
-				})
+					return nil
+				}, ReadOnly())
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*passes*words), "ns/load")
 		})
@@ -106,18 +108,20 @@ func BenchmarkWideWriteTx(b *testing.B) {
 				th := e.MustAttachThread()
 				defer e.DetachThread(th)
 				var base memory.Addr
-				th.Atomic(func(tx *Tx) {
+				th.Run(func(tx *Tx) error {
 					base = tx.Alloc(memory.SiteID(0), n)
 					for i := 0; i < n; i++ {
 						tx.Store(base+memory.Addr(i), 0)
 					}
+					return nil
 				})
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					th.Atomic(func(tx *Tx) {
+					th.Run(func(tx *Tx) error {
 						for j := 0; j < n; j++ {
 							tx.Store(base+memory.Addr(j), uint64(i+j))
 						}
+						return nil
 					})
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/store")

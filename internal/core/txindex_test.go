@@ -201,13 +201,14 @@ func TestRepeatReadAtDifferentVersion(t *testing.T) {
 		e := newTestEngine(t, cfg)
 		th := e.MustAttachThread()
 		var base memory.Addr
-		th.Atomic(func(tx *Tx) {
+		th.Run(func(tx *Tx) error {
 			base = tx.Alloc(memory.DefaultSite, prior+1)
 			for i := 0; i <= prior; i++ {
 				tx.Store(base+memory.Addr(i), 1)
 			}
+			return nil
 		})
-		th.ReadOnlyAtomic(func(tx *Tx) {
+		th.Run(func(tx *Tx) error {
 			for i := 0; i <= prior; i++ {
 				tx.Load(base + memory.Addr(i))
 			}
@@ -238,7 +239,8 @@ func TestRepeatReadAtDifferentVersion(t *testing.T) {
 				t.Fatalf("prior=%d: validation passed with two versions of one orec recorded", prior)
 			}
 			tx.rs = tx.rs[:n] // drop the fabricated entry so the commit is clean
-		})
+			return nil
+		}, ReadOnly())
 		e.DetachThread(th)
 	}
 }
@@ -257,11 +259,12 @@ func TestFilterFalsePositivesConfirmed(t *testing.T) {
 	defer e.DetachThread(th)
 	const words = 500
 	var base memory.Addr
-	th.Atomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		base = tx.Alloc(memory.DefaultSite, words)
 		for i := 0; i < words; i++ {
 			tx.Store(base+memory.Addr(i), uint64(i))
 		}
+		return nil
 	})
 	// Count the distinct orecs covering the range (addresses can collide
 	// in the orec table; the read set is deduplicated per orec).
@@ -270,7 +273,7 @@ func TestFilterFalsePositivesConfirmed(t *testing.T) {
 	for i := 0; i < words; i++ {
 		distinct[ps.table.of(base+memory.Addr(i))] = true
 	}
-	th.ReadOnlyAtomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		for pass := 0; pass < 3; pass++ {
 			for i := 0; i < words; i++ {
 				_ = tx.Load(base + memory.Addr(i))
@@ -279,7 +282,8 @@ func TestFilterFalsePositivesConfirmed(t *testing.T) {
 		if got := tx.ReadSetLen(); got != len(distinct) {
 			t.Fatalf("read set = %d entries after 3 passes over %d distinct orecs", got, len(distinct))
 		}
-	})
+		return nil
+	}, ReadOnly())
 }
 
 // TestFilterWriteSetExact mirrors the read-set check for writes: repeated
@@ -304,13 +308,14 @@ func TestFilterWriteSetExact(t *testing.T) {
 			defer e.DetachThread(th)
 			const words = 300
 			var base memory.Addr
-			th.Atomic(func(tx *Tx) {
+			th.Run(func(tx *Tx) error {
 				base = tx.Alloc(memory.DefaultSite, words)
 				for i := 0; i < words; i++ {
 					tx.Store(base+memory.Addr(i), 0)
 				}
+				return nil
 			})
-			th.Atomic(func(tx *Tx) {
+			th.Run(func(tx *Tx) error {
 				for pass := 0; pass < 2; pass++ {
 					for i := 0; i < words; i++ {
 						tx.Store(base+memory.Addr(i), uint64(1000+pass*words+i))
@@ -325,16 +330,18 @@ func TestFilterWriteSetExact(t *testing.T) {
 						t.Fatalf("read-after-write at %d = %d, want %d", i, got, want)
 					}
 				}
+				return nil
 			})
 			// Committed state must reflect the buffered values.
-			th.ReadOnlyAtomic(func(tx *Tx) {
+			th.Run(func(tx *Tx) error {
 				for i := 0; i < words; i++ {
 					want := uint64(1000 + words + i)
 					if got := tx.Load(base + memory.Addr(i)); got != want {
 						t.Fatalf("committed value at %d = %d, want %d", i, got, want)
 					}
 				}
-			})
+				return nil
+			}, ReadOnly())
 		})
 	}
 }

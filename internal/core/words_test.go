@@ -21,15 +21,16 @@ func TestLoadStoreWordsMatchesPerWord(t *testing.T) {
 				defer e.DetachThread(th)
 				const n = 24
 				var base memory.Addr
-				th.Atomic(func(tx *Tx) {
+				th.Run(func(tx *Tx) error {
 					base = tx.Alloc(memory.DefaultSite, n)
 					vals := make([]uint64, n)
 					for i := range vals {
 						vals[i] = uint64(100 + i)
 					}
 					tx.StoreWords(base, vals)
+					return nil
 				})
-				th.Atomic(func(tx *Tx) {
+				th.Run(func(tx *Tx) error {
 					// Committed state readable per word.
 					for i := 0; i < n; i++ {
 						if got := tx.Load(base + memory.Addr(i)); got != uint64(100+i) {
@@ -61,9 +62,10 @@ func TestLoadStoreWordsMatchesPerWord(t *testing.T) {
 							t.Fatalf("RAW after StoreWords[%d] = %d, want %d", i, got, want)
 						}
 					}
+					return nil
 				})
 				// LoadRange sees the committed state, and early exit stops.
-				th.ReadOnlyAtomic(func(tx *Tx) {
+				th.Run(func(tx *Tx) error {
 					seen := 0
 					tx.LoadRange(base, n, func(i int, v uint64) bool {
 						seen++
@@ -72,7 +74,8 @@ func TestLoadStoreWordsMatchesPerWord(t *testing.T) {
 					if seen != 4 { // i=3 returns false: words 0..3 visited
 						t.Fatalf("LoadRange visited %d words after early exit, want 4", seen)
 					}
-				})
+					return nil
+				}, ReadOnly())
 			})
 		}
 	}
@@ -91,15 +94,16 @@ func TestWordsAcrossBlocks(t *testing.T) {
 	defer e.DetachThread(th)
 	const n = 40 // 3 blocks of 16 words
 	var base memory.Addr
-	th.Atomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		base = tx.Alloc(memory.DefaultSite, n)
 		vals := make([]uint64, n)
 		for i := range vals {
 			vals[i] = uint64(i) * 3
 		}
 		tx.StoreWords(base, vals)
+		return nil
 	})
-	th.ReadOnlyAtomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		dst := make([]uint64, n)
 		tx.LoadWords(base, dst)
 		for i := range dst {
@@ -107,7 +111,8 @@ func TestWordsAcrossBlocks(t *testing.T) {
 				t.Fatalf("word %d = %d, want %d", i, dst[i], i*3)
 			}
 		}
-	})
+		return nil
+	}, ReadOnly())
 }
 
 // TestLoadWordsReadSetGrouping pins the amortization contract: a
@@ -121,24 +126,26 @@ func TestLoadWordsReadSetGrouping(t *testing.T) {
 	defer e.DetachThread(th)
 	const n = 64
 	var base memory.Addr
-	th.Atomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		base = tx.Alloc(memory.DefaultSite, n)
 		for i := 0; i < n; i++ {
 			tx.Store(base+memory.Addr(i), uint64(i))
 		}
+		return nil
 	})
 	ps := e.Partition(GlobalPartition).loadState()
 	distinct := make(map[*orec]bool)
 	for i := 0; i < n; i++ {
 		distinct[ps.table.of(base+memory.Addr(i))] = true
 	}
-	th.ReadOnlyAtomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		dst := make([]uint64, n)
 		tx.LoadWords(base, dst)
 		if got := tx.ReadSetLen(); got != len(distinct) {
 			t.Fatalf("read set = %d entries for %d distinct orecs", got, len(distinct))
 		}
-	})
+		return nil
+	}, ReadOnly())
 }
 
 // TestSnapshotWordsGroupedReconstruction checks the snapshot-mode range
@@ -154,13 +161,14 @@ func TestSnapshotWordsGroupedReconstruction(t *testing.T) {
 	defer e.DetachThread(th)
 	const n = 8
 	var base memory.Addr
-	th.Atomic(func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		base = tx.Alloc(memory.DefaultSite, n)
 		vals := make([]uint64, n)
 		for i := range vals {
 			vals[i] = 1
 		}
 		tx.StoreWords(base, vals)
+		return nil
 	})
 
 	// Pin a snapshot, then overwrite the whole object from a second
@@ -169,23 +177,25 @@ func TestSnapshotWordsGroupedReconstruction(t *testing.T) {
 	defer e.DetachThread(th2)
 	var got [n]uint64
 	var hits uint64
-	e.SnapshotAtomic(th, func(tx *Tx) {
+	th.Run(func(tx *Tx) error {
 		_ = tx.Load(base) // pin the snapshot at the first access
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			th2.Atomic(func(tx2 *Tx) {
+			th2.Run(func(tx2 *Tx) error {
 				newVals := make([]uint64, n)
 				for i := range newVals {
 					newVals[i] = 2
 				}
 				tx2.StoreWords(base, newVals)
+				return nil
 			})
 		}()
 		<-done
 		tx.LoadWords(base, got[:])
 		hits = tx.SnapshotHits()
-	})
+		return nil
+	}, Snapshot())
 	for i, v := range got {
 		if v != 1 {
 			t.Fatalf("snapshot word %d = %d, want the pre-overwrite 1", i, v)

@@ -25,16 +25,15 @@ type branchBank struct {
 
 func newBranchBank(rt *stm.Runtime, nBranches, perBranch int, crossRatio float64) (*branchBank, error) {
 	b := &branchBank{perBr: perBranch, crossRatio: crossRatio}
-	th := rt.MustAttach()
 	groups := make(map[string][]string, nBranches)
 	for i := 0; i < nBranches; i++ {
 		name := fmt.Sprintf("branch%d", i)
-		th.Atomic(func(tx *stm.Tx) {
+		rt.Run(func(tx *stm.Tx) error {
 			b.branches = append(b.branches, txds.NewCounterArray(tx, rt, name, perBranch, 1000))
+			return nil
 		})
 		groups[name] = []string{name + ".slots"}
 	}
-	rt.Detach(th)
 	if _, err := rt.ManualPartition(groups); err != nil {
 		return nil, err
 	}
@@ -48,14 +47,15 @@ func (b *branchBank) op(th *stm.Thread, rng *workload.Rng) {
 		tb = rng.Intn(len(b.branches))
 	}
 	fi, ti := rng.Intn(b.perBr), rng.Intn(b.perBr)
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		amt := 1 + rng.Uint64()%10
 		v := b.branches[fb].Get(tx, fi)
 		if v < amt || (fb == tb && fi == ti) {
-			return
+			return nil
 		}
 		b.branches[fb].Set(tx, fi, v-amt)
 		b.branches[tb].Add(tx, ti, amt)
+		return nil
 	})
 }
 

@@ -51,15 +51,14 @@ func Contend(o Options) (*Report, error) {
 			cfg := stm.DefaultPartConfig()
 			cfg.CM = c.cm
 			rt := newRuntime(o, &cfg)
-			th := rt.MustAttach()
 			var base stm.Addr
-			th.Atomic(func(tx *stm.Tx) {
+			rt.Run(func(tx *stm.Tx) error {
 				base = tx.Alloc(stm.SiteID(0), cells)
 				for i := 0; i < cells; i++ {
 					tx.Store(base+stm.Addr(i), 100)
 				}
+				return nil
 			})
-			rt.Detach(th)
 			res := bench.Run(rt, bench.RunConfig{
 				Threads: threads,
 				Warmup:  o.Warmup,
@@ -69,7 +68,7 @@ func Contend(o Options) (*Report, error) {
 				start := rng.Intn(cells)
 				i := stm.Addr(rng.Intn(cells))
 				j := stm.Addr(rng.Intn(cells))
-				th.Atomic(func(tx *stm.Tx) {
+				th.Run(func(tx *stm.Tx) error {
 					var sum uint64
 					for k := 0; k < scan; k++ {
 						sum += tx.Load(base + stm.Addr((start+k)%cells))
@@ -77,10 +76,11 @@ func Contend(o Options) (*Report, error) {
 					d := sum % 3
 					vi := tx.Load(base + i)
 					if vi < d || i == j {
-						return
+						return nil
 					}
 					tx.Store(base+i, vi-d)
 					tx.Store(base+j, tx.Load(base+j)+d)
+					return nil
 				})
 			})
 			commitRate := float64(res.Commits) / res.Elapsed.Seconds()

@@ -56,10 +56,8 @@ func Fig3(o Options) (*Report, error) {
 		for _, m := range modes {
 			cfg := m.cfg
 			rt := newRuntime(o, &cfg)
-			th := rt.MustAttach()
 			var c *txds.CounterArray
-			th.Atomic(func(tx *stm.Tx) { c = txds.NewCounterArray(tx, rt, "fig3.arr", slots, 100) })
-			rt.Detach(th)
+			rt.Run(func(tx *stm.Tx) error { c = txds.NewCounterArray(tx, rt, "fig3.arr", slots, 100); return nil })
 			res := bench.Run(rt, bench.RunConfig{
 				Threads: o.Threads,
 				Warmup:  o.Warmup,
@@ -116,7 +114,7 @@ func scanUpdateOp(c *txds.CounterArray, ratio float64) bench.OpFunc {
 	return func(th *stm.Thread, rng *workload.Rng) {
 		if rng.Float64() < ratio {
 			to := rng.Intn(c.N())
-			th.Atomic(func(tx *stm.Tx) {
+			th.Run(func(tx *stm.Tx) error {
 				maxI := 0
 				maxV := uint64(0)
 				for i := 0; i < c.N(); i++ {
@@ -127,11 +125,12 @@ func scanUpdateOp(c *txds.CounterArray, ratio float64) bench.OpFunc {
 				if maxI != to && maxV > 0 {
 					c.Transfer(tx, maxI, to, 1)
 				}
+				return nil
 			})
 			return
 		}
 		from, to := rng.Intn(c.N()), rng.Intn(c.N())
-		th.Atomic(func(tx *stm.Tx) { c.Transfer(tx, from, to, 1) })
+		th.Run(func(tx *stm.Tx) error { c.Transfer(tx, from, to, 1); return nil })
 	}
 }
 

@@ -33,11 +33,11 @@ func Fig4(o Options) (*Report, error) {
 	op := func(c *txds.CounterArray) bench.OpFunc {
 		return func(th *stm.Thread, rng *workload.Rng) {
 			if rng.Float64() < 0.02 {
-				th.ReadOnlyAtomic(func(tx *stm.Tx) { c.Sum(tx) })
+				th.Run(func(tx *stm.Tx) error { c.Sum(tx); return nil }, stm.ReadOnly())
 				return
 			}
 			from, to := rng.Intn(c.N()), rng.Intn(c.N())
-			th.Atomic(func(tx *stm.Tx) { c.Transfer(tx, from, to, 1) })
+			th.Run(func(tx *stm.Tx) error { c.Transfer(tx, from, to, 1); return nil })
 		}
 	}
 
@@ -48,10 +48,8 @@ func Fig4(o Options) (*Report, error) {
 		cfg.LockBits = bits
 		cfg.CM = stm.CMSuicide
 		rt := newRuntime(o, &cfg)
-		th := rt.MustAttach()
 		var c *txds.CounterArray
-		th.Atomic(func(tx *stm.Tx) { c = txds.NewCounterArray(tx, rt, "fig4.counters", slots, 100) })
-		rt.Detach(th)
+		rt.Run(func(tx *stm.Tx) error { c = txds.NewCounterArray(tx, rt, "fig4.counters", slots, 100); return nil })
 		res := bench.Run(rt, bench.RunConfig{
 			Threads: o.Threads,
 			Warmup:  o.Warmup,
@@ -70,10 +68,8 @@ func Fig4(o Options) (*Report, error) {
 	start.LockBits = 4
 	start.CM = stm.CMSuicide
 	rt := newRuntime(o, &start)
-	th := rt.MustAttach()
 	var c *txds.CounterArray
-	th.Atomic(func(tx *stm.Tx) { c = txds.NewCounterArray(tx, rt, "fig4.counters", slots, 100) })
-	rt.Detach(th)
+	rt.Run(func(tx *stm.Tx) error { c = txds.NewCounterArray(tx, rt, "fig4.counters", slots, 100); return nil })
 	tc := stm.DefaultTunerConfig()
 	tc.Interval = 25 * time.Millisecond
 	tc.ToVisibleAbortRate = 2.0 // isolate the granularity knob

@@ -59,15 +59,13 @@ func Fig9(o Options) (*Report, error) {
 			cfg := stm.DefaultPartConfig()
 			cfg.LockBits = g.lockBits
 			rt := newRuntime(o, &cfg)
-			th := rt.MustAttach()
 			var hs *txds.HashSet
-			th.Atomic(func(tx *stm.Tx) { hs = txds.NewHashSet(tx, rt, "fig9.hash", buckets) })
+			rt.Run(func(tx *stm.Tx) error { hs = txds.NewHashSet(tx, rt, "fig9.hash", buckets); return nil })
 			prng := workload.NewRng(41)
 			for i := uint64(0); i < keyRange/2; i++ {
 				k := gen.Next(prng)
-				th.Atomic(func(tx *stm.Tx) { hs.Insert(tx, k, k) })
+				rt.Run(func(tx *stm.Tx) error { hs.Insert(tx, k, k); return nil })
 			}
-			rt.Detach(th)
 			mix := workload.Mix{UpdateRatio: 0.2}
 			res := bench.Run(rt, bench.RunConfig{
 				Threads: o.Threads, Warmup: o.Warmup, Measure: o.PointDuration,
@@ -76,11 +74,11 @@ func Fig9(o Options) (*Report, error) {
 				k := gen.Next(rng)
 				switch mix.Next(rng) {
 				case workload.OpInsert:
-					th.Atomic(func(tx *stm.Tx) { hs.Insert(tx, k, k) })
+					th.Run(func(tx *stm.Tx) error { hs.Insert(tx, k, k); return nil })
 				case workload.OpRemove:
-					th.Atomic(func(tx *stm.Tx) { hs.Remove(tx, k) })
+					th.Run(func(tx *stm.Tx) error { hs.Remove(tx, k); return nil })
 				default:
-					th.ReadOnlyAtomic(func(tx *stm.Tx) { hs.Contains(tx, k) })
+					th.Run(func(tx *stm.Tx) error { hs.Contains(tx, k); return nil }, stm.ReadOnly())
 				}
 			})
 			fig.SeriesNamed(g.name).Add(hot*100, res.Throughput)

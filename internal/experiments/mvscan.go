@@ -14,7 +14,7 @@ import (
 // MVScan quantifies what the multi-version snapshot store buys read-only
 // transactions under writer contention: full-array scans run against
 // saturating transfer writers, first on the classic validate/extend
-// read path (ReadOnlyAtomic) and then in snapshot mode (SnapshotAtomic).
+// read path (stm.ReadOnly) and then in snapshot mode (stm.Snapshot).
 // The validate/extend readers abort and re-extend whenever a writer
 // commits under them; the snapshot readers pin their snapshot and
 // reconstruct overwritten cells from the store, so with adequate
@@ -70,13 +70,14 @@ func MVScan(o Options) (*Report, error) {
 					i := stm.Addr(rng.Intn(cells))
 					j := stm.Addr(rng.Intn(cells))
 					d := rng.Uint64() % 16
-					th.Atomic(func(tx *stm.Tx) {
+					th.Run(func(tx *stm.Tx) error {
 						vi := tx.Load(base + i)
 						if vi < d {
-							return
+							return nil
 						}
 						tx.Store(base+i, vi-d)
 						tx.Store(base+j, tx.Load(base+j)+d)
+						return nil
 					})
 				}
 			}(uint64(w) + 7)
@@ -93,9 +94,13 @@ func MVScan(o Options) (*Report, error) {
 			defer wg.Done()
 			th := rt.MustAttach()
 			defer rt.Detach(th)
-			run := func(fn func(func(*stm.Tx))) {
+			mode := stm.ReadOnly()
+			if snapshot {
+				mode = stm.Snapshot()
+			}
+			for !stop.Load() {
 				attempts := uint64(0)
-				fn(func(tx *stm.Tx) {
+				th.Run(func(tx *stm.Tx) error {
 					attempts++
 					var sum uint64
 					for c := 0; c < cells; c++ {
@@ -104,16 +109,10 @@ func MVScan(o Options) (*Report, error) {
 					if sum != uint64(cells)*initVal {
 						res.sumViolation = sum
 					}
-				})
+					return nil
+				}, mode)
 				res.scans++
 				res.aborts += attempts - 1
-			}
-			for !stop.Load() {
-				if snapshot {
-					run(th.SnapshotAtomic)
-				} else {
-					run(th.ReadOnlyAtomic)
-				}
 			}
 		}()
 		time.Sleep(o.Warmup + o.PointDuration)
@@ -131,15 +130,14 @@ func MVScan(o Options) (*Report, error) {
 			YieldEveryOps:   o.YieldEveryOps,
 			SnapshotHistory: hist,
 		})
-		th := rt.MustAttach()
 		var base stm.Addr
-		th.Atomic(func(tx *stm.Tx) {
+		rt.Run(func(tx *stm.Tx) error {
 			base = tx.Alloc(stm.SiteID(0), cells)
 			for c := 0; c < cells; c++ {
 				tx.Store(base+stm.Addr(c), initVal)
 			}
+			return nil
 		})
-		rt.Detach(th)
 		return rt, base
 	}
 
@@ -220,13 +218,14 @@ func MVScan(o Options) (*Report, error) {
 					i := stm.Addr(rng.Intn(cells))
 					j := stm.Addr(rng.Intn(cells))
 					d := rng.Uint64() % 16
-					wth.Atomic(func(tx *stm.Tx) {
+					wth.Run(func(tx *stm.Tx) error {
 						vi := tx.Load(sbase + i)
 						if vi < d {
-							return
+							return nil
 						}
 						tx.Store(sbase+i, vi-d)
 						tx.Store(sbase+j, tx.Load(sbase+j)+d)
+						return nil
 					})
 				}
 			}(uint64(w) + 31)
@@ -241,7 +240,7 @@ func MVScan(o Options) (*Report, error) {
 			// retries scan fresh and commit; the aged attempt is the one
 			// that exercises — and times — the miss path.
 			aged := false
-			rth.SnapshotAtomic(func(tx *stm.Tx) {
+			rth.Run(func(tx *stm.Tx) error {
 				attempts++
 				sum := tx.Load(sbase) // first access pins the snapshot
 				if !aged {
@@ -265,7 +264,8 @@ func MVScan(o Options) (*Report, error) {
 				if sum != uint64(cells)*initVal {
 					badSum = sum
 				}
-			})
+				return nil
+			}, stm.Snapshot())
 		}
 		srt.Detach(rth)
 		stop.Store(true)

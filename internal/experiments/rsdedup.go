@@ -34,15 +34,14 @@ func RsDedup(o Options) (*Report, error) {
 	// Single-thread latency measurement: interleaving simulation
 	// (YieldEveryOps) would only add scheduler noise, so it stays off.
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 22})
-	th := rt.MustAttach()
 	var base stm.Addr
-	th.Atomic(func(tx *stm.Tx) {
+	rt.Run(func(tx *stm.Tx) error {
 		base = tx.Alloc(stm.SiteID(0), words)
 		for i := 0; i < words; i++ {
 			tx.Store(base+stm.Addr(i), uint64(i))
 		}
+		return nil
 	})
-	rt.Detach(th)
 
 	iters := 4000
 	if o.Quick {
@@ -53,7 +52,7 @@ func RsDedup(o Options) (*Report, error) {
 	for _, passes := range passesSweep {
 		p := passes
 		res := bench.MeasureOp(rt, iters/4, iters, func(th *stm.Thread, _ *workload.Rng) {
-			th.ReadOnlyAtomic(func(tx *stm.Tx) {
+			th.Run(func(tx *stm.Tx) error {
 				var sink uint64
 				for k := 0; k < p; k++ {
 					for i := 0; i < words; i++ {
@@ -62,7 +61,8 @@ func RsDedup(o Options) (*Report, error) {
 				}
 				_ = sink
 				rsLen = tx.ReadSetLen()
-			})
+				return nil
+			}, stm.ReadOnly())
 		})
 		loads := p * words
 		nsPerLoad := res.NsPerOp / float64(loads)
@@ -98,15 +98,14 @@ func RsDedup(o Options) (*Report, error) {
 			cfg := stm.DefaultPartConfig()
 			m.mut(&cfg)
 			wrt := stm.MustNew(stm.Config{HeapWords: 1 << 22, Default: &cfg})
-			wth := wrt.MustAttach()
 			var wbase stm.Addr
-			wth.Atomic(func(tx *stm.Tx) {
+			wrt.Run(func(tx *stm.Tx) error {
 				wbase = tx.Alloc(stm.SiteID(0), n)
 				for i := 0; i < n; i++ {
 					tx.Store(wbase+stm.Addr(i), 0)
 				}
+				return nil
 			})
-			wrt.Detach(wth)
 			wn := n
 			var wsLen int
 			witers := 2000
@@ -114,7 +113,7 @@ func RsDedup(o Options) (*Report, error) {
 				witers = 400
 			}
 			res := bench.MeasureOp(wrt, witers/4, witers, func(th *stm.Thread, _ *workload.Rng) {
-				th.Atomic(func(tx *stm.Tx) {
+				th.Run(func(tx *stm.Tx) error {
 					// Two rounds per address: the second round must dedup.
 					for round := 0; round < 2; round++ {
 						for i := 0; i < wn; i++ {
@@ -122,6 +121,7 @@ func RsDedup(o Options) (*Report, error) {
 						}
 					}
 					wsLen = tx.WriteSetLen()
+					return nil
 				})
 			})
 			out.WriteString(fmt.Sprintf("%-5s %-10d %-9d %.1f\n",

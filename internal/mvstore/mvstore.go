@@ -1,7 +1,7 @@
 // Package mvstore implements the multi-version snapshot store: a bounded,
 // per-partition ring buffer of recently overwritten values, indexed by
-// address, that lets read-only transactions in snapshot mode (Tx under
-// SnapshotAtomic) read a consistent past state instead of extending their
+// address, that lets read-only transactions in snapshot mode (Run with the
+// Snapshot option) read a consistent past state instead of extending their
 // snapshot or aborting when a writer commits under them — the LSA-style
 // payoff of keeping a few recent committed versions around.
 //

@@ -148,13 +148,14 @@ func TestPlanInstallAndRun(t *testing.T) {
 	e.SetProfiler(an, true)
 	th := e.MustAttachThread()
 	var headL, headT memory.Addr
-	th.Atomic(func(tx *core.Tx) {
+	th.Run(func(tx *core.Tx) error {
 		headL = tx.Alloc(sL, 2)
 		n := tx.Alloc(sL, 2)
 		tx.StoreAddr(headL, n)
 		headT = tx.Alloc(sT, 2)
 		m := tx.Alloc(sT, 2)
 		tx.StoreAddr(headT, m)
+		return nil
 	})
 	e.SetProfiler(nil, false)
 
@@ -177,14 +178,16 @@ func TestPlanInstallAndRun(t *testing.T) {
 		t.Fatalf("tree partition read mode = %v", got)
 	}
 	// Transactions still work after the install.
-	th.Atomic(func(tx *core.Tx) {
+	th.Run(func(tx *core.Tx) error {
 		tx.Store(headL+1, 42)
 		tx.Store(headT+1, 43)
+		return nil
 	})
-	th.Atomic(func(tx *core.Tx) {
+	th.Run(func(tx *core.Tx) error {
 		if tx.Load(headL+1) != 42 || tx.Load(headT+1) != 43 {
 			t.Error("values lost across plan install")
 		}
+		return nil
 	})
 }
 

@@ -218,10 +218,11 @@ func TestTypedErrorsRoundTrip(t *testing.T) {
 		defer close(holderDone)
 		th := rt.MustAttach()
 		defer rt.Detach(th)
-		th.Atomic(func(tx *stm.Tx) {
+		th.Run(func(tx *stm.Tx) error {
 			tx.Store(hot, 99)
 			close(held)
 			<-release
+			return nil
 		})
 	}()
 	<-held

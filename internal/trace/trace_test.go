@@ -27,13 +27,14 @@ func TestRecorderCountsCommitsExactly(t *testing.T) {
 	th := e.MustAttachThread()
 	defer e.DetachThread(th)
 	var a memory.Addr
-	th.Atomic(func(tx *core.Tx) {
+	th.Run(func(tx *core.Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)
 		tx.Store(a, 0)
+		return nil
 	})
 	const n = 100
 	for i := 0; i < n; i++ {
-		th.Atomic(func(tx *core.Tx) { tx.Store(a, tx.Load(a)+1) })
+		th.Run(func(tx *core.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 	}
 	e.SetTracer(nil)
 	if got := r.Commits(); got != n+1 {
@@ -59,18 +60,20 @@ func TestRecorderSeesAborts(t *testing.T) {
 	th := e.MustAttachThread()
 	defer e.DetachThread(th)
 	var a memory.Addr
-	th.Atomic(func(tx *core.Tx) {
+	th.Run(func(tx *core.Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)
 		tx.Store(a, 0)
+		return nil
 	})
 	attempts := 0
-	th.Atomic(func(tx *core.Tx) {
+	th.Run(func(tx *core.Tx) error {
 		attempts++
 		if attempts == 1 {
 			tx.Load(a)
 			tx.Abort()
 		}
 		tx.Load(a)
+		return nil
 	})
 	e.SetTracer(nil)
 	if got := r.Aborts(core.AbortExplicit); got != 1 {
@@ -120,9 +123,10 @@ func TestRecorderConcurrent(t *testing.T) {
 	e.SetTracer(r)
 	setup := e.MustAttachThread()
 	var a memory.Addr
-	setup.Atomic(func(tx *core.Tx) {
+	setup.Run(func(tx *core.Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)
 		tx.Store(a, 0)
+		return nil
 	})
 	e.DetachThread(setup)
 	const workers, perW = 6, 500
@@ -134,7 +138,7 @@ func TestRecorderConcurrent(t *testing.T) {
 			th := e.MustAttachThread()
 			defer e.DetachThread(th)
 			for i := 0; i < perW; i++ {
-				th.Atomic(func(tx *core.Tx) { tx.Store(a, tx.Load(a)+1) })
+				th.Run(func(tx *core.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 			}
 		}()
 	}
@@ -161,14 +165,15 @@ func TestTracerRemovalStopsRecording(t *testing.T) {
 	th := e.MustAttachThread()
 	defer e.DetachThread(th)
 	var a memory.Addr
-	th.Atomic(func(tx *core.Tx) {
+	th.Run(func(tx *core.Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)
 		tx.Store(a, 0)
+		return nil
 	})
 	before := r.Len()
 	e.SetTracer(nil)
 	for i := 0; i < 50; i++ {
-		th.Atomic(func(tx *core.Tx) { tx.Store(a, tx.Load(a)+1) })
+		th.Run(func(tx *core.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 	}
 	if r.Len() != before {
 		t.Fatalf("recorder grew after removal: %d -> %d", before, r.Len())

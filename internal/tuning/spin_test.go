@@ -20,13 +20,14 @@ func holdLock(e *core.Engine, a memory.Addr, held, release, done chan struct{}) 
 		th := e.MustAttachThread()
 		defer e.DetachThread(th)
 		first := true
-		th.Atomic(func(tx *core.Tx) {
+		th.Run(func(tx *core.Tx) error {
 			tx.Store(a, 7)
 			if first {
 				first = false
 				close(held)
 				<-release
 			}
+			return nil
 		})
 	}()
 }
@@ -46,9 +47,10 @@ func TestSpinBudgetShrinksOnEscalatedWaits(t *testing.T) {
 	th := e.MustAttachThread()
 	defer e.DetachThread(th)
 	var a memory.Addr
-	th.Atomic(func(tx *core.Tx) {
+	th.Run(func(tx *core.Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)
 		tx.Store(a, 0)
+		return nil
 	})
 
 	startBudget := mustConfig(t, e).SpinBudget
@@ -90,7 +92,7 @@ func TestSpinBudgetShrinksOnEscalatedWaits(t *testing.T) {
 		<-readerDone
 		// A few clean commits so the partition counts as active.
 		for i := 0; i < 20; i++ {
-			th.Atomic(func(tx *core.Tx) { tx.Store(a, tx.Load(a)+1) })
+			th.Run(func(tx *core.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 		}
 		tn.Tick()
 	}
@@ -117,9 +119,10 @@ func TestSpinBudgetGrowsOnNonEscalatingLockAborts(t *testing.T) {
 	th := e.MustAttachThread()
 	defer e.DetachThread(th)
 	var a memory.Addr
-	th.Atomic(func(tx *core.Tx) {
+	th.Run(func(tx *core.Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)
 		tx.Store(a, 0)
+		return nil
 	})
 
 	startBudget := mustConfig(t, e).SpinBudget
@@ -147,7 +150,7 @@ func TestSpinBudgetGrowsOnNonEscalatingLockAborts(t *testing.T) {
 		close(release)
 		<-done
 		for i := 0; i < 20; i++ {
-			th.Atomic(func(tx *core.Tx) { tx.Store(a, tx.Load(a)+1) })
+			th.Run(func(tx *core.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 		}
 		tn.Tick()
 	}

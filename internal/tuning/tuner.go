@@ -37,7 +37,7 @@
 //     actuated at the engine level rather than per partition.
 //
 //  5. Snapshot history (optional, AdaptSnapshot): a partition showing
-//     unserved snapshot demand — SnapshotAtomic readers hitting stale
+//     unserved snapshot demand — snapshot-mode readers hitting stale
 //     orecs the store cannot reconstruct (SnapMisses) — or a
 //     read-dominated commit mix under update traffic attaches a
 //     multi-version snapshot store (PartConfig.HistCap,

@@ -21,7 +21,7 @@ func TestTunerInstallPlanStatsRace(t *testing.T) {
 	sb := sites.Register("trace.b")
 	var addrs [2]memory.Addr
 	setup := e.MustAttachThread()
-	setup.Atomic(func(tx *core.Tx) {
+	setup.Run(func(tx *core.Tx) error {
 		addrs[0] = tx.Alloc(sa, 4)
 		addrs[1] = tx.Alloc(sb, 4)
 		for _, a := range addrs {
@@ -29,6 +29,7 @@ func TestTunerInstallPlanStatsRace(t *testing.T) {
 				tx.Store(a+memory.Addr(j), 1)
 			}
 		}
+		return nil
 	})
 	e.DetachThread(setup)
 
@@ -54,7 +55,7 @@ func TestTunerInstallPlanStatsRace(t *testing.T) {
 				default:
 				}
 				a := addrs[rng.Intn(2)] + memory.Addr(rng.Intn(4))
-				th.Atomic(func(tx *core.Tx) { tx.Store(a, tx.Load(a)+1) })
+				th.Run(func(tx *core.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 			}
 		}(int64(w) + 1)
 	}

@@ -51,9 +51,10 @@ func TestVisibilitySwitchToVisible(t *testing.T) {
 
 	th := e.MustAttachThread()
 	var a memory.Addr
-	th.Atomic(func(tx *core.Tx) {
+	th.Run(func(tx *core.Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)
 		tx.Store(a, 0)
+		return nil
 	})
 
 	// Update-heavy contended workload: two threads increment one word.
@@ -70,7 +71,7 @@ func TestVisibilitySwitchToVisible(t *testing.T) {
 				return
 			default:
 			}
-			th2.Atomic(func(tx *core.Tx) { tx.Store(a, tx.Load(a)+1) })
+			th2.Run(func(tx *core.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 		}
 	}()
 
@@ -78,7 +79,7 @@ func TestVisibilitySwitchToVisible(t *testing.T) {
 	switched := false
 	for time.Now().Before(deadline) && !switched {
 		for i := 0; i < 500; i++ {
-			th.Atomic(func(tx *core.Tx) { tx.Store(a, tx.Load(a)+1) })
+			th.Run(func(tx *core.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 		}
 		tn.Tick()
 		if e.Partition(core.GlobalPartition).Config().Read == core.VisibleReads {
@@ -112,15 +113,16 @@ func TestVisibilitySwitchBackToInvisible(t *testing.T) {
 
 	th := e.MustAttachThread()
 	var a memory.Addr
-	th.Atomic(func(tx *core.Tx) {
+	th.Run(func(tx *core.Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 8)
 		tx.Store(a, 0)
+		return nil
 	})
 
 	// Read-only workload: update ratio ~0, abort rate ~0.
 	decisions := drive(t, e, tn, 6, func(th *core.Thread) {
 		for i := 0; i < 200; i++ {
-			th.ReadOnlyAtomic(func(tx *core.Tx) { tx.Load(a) })
+			th.Run(func(tx *core.Tx) error { tx.Load(a); return nil }, core.ReadOnly())
 		}
 	})
 	if got := e.Partition(core.GlobalPartition).Config().Read; got != core.InvisibleReads {
@@ -140,12 +142,13 @@ func TestHillClimbProbesAndReverts(t *testing.T) {
 	startBits := e.Partition(core.GlobalPartition).Config().LockBits
 	drive(t, e, tn, 12, func(th *core.Thread) {
 		var a memory.Addr
-		th.Atomic(func(tx *core.Tx) {
+		th.Run(func(tx *core.Tx) error {
 			a = tx.Alloc(memory.DefaultSite, 4)
 			tx.Store(a, 1)
+			return nil
 		})
 		for i := 0; i < 100; i++ {
-			th.Atomic(func(tx *core.Tx) { tx.Store(a, tx.Load(a)+1) })
+			th.Run(func(tx *core.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 		}
 	})
 	tr := tn.Trace()
@@ -188,12 +191,13 @@ func TestHillClimbRespectsBounds(t *testing.T) {
 	tn := New(e, cfg)
 	drive(t, e, tn, 20, func(th *core.Thread) {
 		var a memory.Addr
-		th.Atomic(func(tx *core.Tx) {
+		th.Run(func(tx *core.Tx) error {
 			a = tx.Alloc(memory.DefaultSite, 4)
 			tx.Store(a, 1)
+			return nil
 		})
 		for i := 0; i < 100; i++ {
-			th.Atomic(func(tx *core.Tx) { tx.Store(a, tx.Load(a)+1) })
+			th.Run(func(tx *core.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 		}
 	})
 	got := e.Partition(core.GlobalPartition).Config().LockBits
@@ -210,12 +214,13 @@ func TestIdlePartitionLeftAlone(t *testing.T) {
 	th := e.MustAttachThread()
 	defer e.DetachThread(th)
 	var a memory.Addr
-	th.Atomic(func(tx *core.Tx) {
+	th.Run(func(tx *core.Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)
 		tx.Store(a, 0)
+		return nil
 	})
 	for i := 0; i < 8; i++ {
-		th.Atomic(func(tx *core.Tx) { tx.Store(a, tx.Load(a)+1) })
+		th.Run(func(tx *core.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 		tn.Tick()
 	}
 	if got := len(tn.Trace()); got != 0 {
@@ -250,22 +255,24 @@ func TestCMAdaptationToArbiter(t *testing.T) {
 	th := e.MustAttachThread()
 	const span = 32
 	var a memory.Addr
-	th.Atomic(func(tx *core.Tx) {
+	th.Run(func(tx *core.Tx) error {
 		a = tx.Alloc(memory.DefaultSite, span)
 		for i := 0; i < span; i++ {
 			tx.Store(a+memory.Addr(i), 0)
 		}
+		return nil
 	})
 
 	// The transaction writes the hot word FIRST (taking its encounter-time
 	// lock) and then reads a span of other words; the stretched critical
 	// section makes concurrent attempts find the orec locked, so aborts
 	// show up as lock conflicts — the signal heuristic (3) watches.
-	hotTx := func(tx *core.Tx) {
+	hotTx := func(tx *core.Tx) error {
 		tx.Store(a, tx.Load(a)+1)
 		for i := 1; i < span; i++ {
 			tx.Load(a + memory.Addr(i))
 		}
+		return nil
 	}
 
 	var wg sync.WaitGroup
@@ -281,7 +288,7 @@ func TestCMAdaptationToArbiter(t *testing.T) {
 				return
 			default:
 			}
-			th2.Atomic(hotTx)
+			th2.Run(hotTx)
 		}
 	}()
 
@@ -289,7 +296,7 @@ func TestCMAdaptationToArbiter(t *testing.T) {
 	switched := false
 	for time.Now().Before(deadline) && !switched {
 		for i := 0; i < 500; i++ {
-			th.Atomic(hotTx)
+			th.Run(hotTx)
 		}
 		tn.Tick()
 		if e.Partition(core.GlobalPartition).Config().CM == core.CMTimestamp {
@@ -324,12 +331,13 @@ func TestCMAdaptationBackToSpin(t *testing.T) {
 
 	decisions := drive(t, e, tn, 8, func(th *core.Thread) {
 		var a memory.Addr
-		th.Atomic(func(tx *core.Tx) {
+		th.Run(func(tx *core.Tx) error {
 			a = tx.Alloc(memory.DefaultSite, 1)
 			tx.Store(a, 0)
+			return nil
 		})
 		for i := 0; i < 200; i++ {
-			th.Atomic(func(tx *core.Tx) { tx.Store(a, tx.Load(a)+1) })
+			th.Run(func(tx *core.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 		}
 	})
 	if got := e.Partition(core.GlobalPartition).Config().CM; got != core.CMSpin {
@@ -373,11 +381,12 @@ func TestTimeBaseAdaptation(t *testing.T) {
 
 	var aa, ab memory.Addr
 	setup := e.MustAttachThread()
-	setup.Atomic(func(tx *core.Tx) {
+	setup.Run(func(tx *core.Tx) error {
 		aa = tx.Alloc(sa, 1)
 		ab = tx.Alloc(sb, 1)
 		tx.Store(aa, 0)
 		tx.Store(ab, 0)
+		return nil
 	})
 	e.DetachThread(setup)
 
@@ -389,7 +398,7 @@ func TestTimeBaseAdaptation(t *testing.T) {
 			if i%2 == 0 {
 				a = ab
 			}
-			th.Atomic(func(tx *core.Tx) { tx.Store(a, tx.Load(a)+1) })
+			th.Run(func(tx *core.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 		}
 	})
 	toLocal := false
@@ -409,9 +418,10 @@ func TestTimeBaseAdaptation(t *testing.T) {
 	// cross-partition share hits 1.0 and the engine must fall back.
 	decs = drive(t, e, tn, 16, func(th *core.Thread) {
 		for i := 0; i < 200; i++ {
-			th.Atomic(func(tx *core.Tx) {
+			th.Run(func(tx *core.Tx) error {
 				tx.Store(aa, tx.Load(aa)+1)
 				tx.Store(ab, tx.Load(ab)+1)
+				return nil
 			})
 		}
 	})
@@ -475,17 +485,18 @@ func TestSnapshotAdaptation(t *testing.T) {
 	th := e.MustAttachThread()
 	defer e.DetachThread(th)
 	var a memory.Addr
-	th.Atomic(func(tx *core.Tx) {
+	th.Run(func(tx *core.Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 4)
 		tx.Store(a, 0)
+		return nil
 	})
 
 	readHeavy := func(th *core.Thread) {
 		for i := 0; i < 200; i++ {
 			if i%10 == 0 {
-				th.Atomic(func(tx *core.Tx) { tx.Store(a, tx.Load(a)+1) })
+				th.Run(func(tx *core.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 			} else {
-				th.ReadOnlyAtomic(func(tx *core.Tx) { _ = tx.Load(a) })
+				th.Run(func(tx *core.Tx) error { _ = tx.Load(a); return nil }, core.ReadOnly())
 			}
 		}
 	}
@@ -507,7 +518,7 @@ func TestSnapshotAdaptation(t *testing.T) {
 
 	writeHeavy := func(th *core.Thread) {
 		for i := 0; i < 200; i++ {
-			th.Atomic(func(tx *core.Tx) { tx.Store(a, tx.Load(a)+1) })
+			th.Run(func(tx *core.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 		}
 	}
 	dropped := false
@@ -532,18 +543,19 @@ func TestSnapshotAdaptation(t *testing.T) {
 	// any read-only commit share.
 	snapDemand := func(th *core.Thread) {
 		for i := 0; i < 100; i++ {
-			th.Atomic(func(tx *core.Tx) { tx.Store(a, tx.Load(a)+1) })
-			th.SnapshotAtomic(func(tx *core.Tx) {
+			th.Run(func(tx *core.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
+			th.Run(func(tx *core.Tx) error {
 				// Pin the snapshot on word 0, then force staleness by
 				// committing an update to word 1 before reading it.
 				_ = tx.Load(a)
 				if tx.SnapshotMode() {
 					th2 := e.MustAttachThread()
-					th2.Atomic(func(wtx *core.Tx) { wtx.Store(a+1, wtx.Load(a+1)+1) })
+					th2.Run(func(wtx *core.Tx) error { wtx.Store(a+1, wtx.Load(a+1)+1); return nil })
 					e.DetachThread(th2)
 				}
 				_ = tx.Load(a + 1)
-			})
+				return nil
+			}, core.Snapshot())
 		}
 	}
 	reattached := false
@@ -589,10 +601,11 @@ func TestSnapshotRetentionGrowth(t *testing.T) {
 	th := e.MustAttachThread()
 	defer e.DetachThread(th)
 	var a memory.Addr
-	th.Atomic(func(tx *core.Tx) {
+	th.Run(func(tx *core.Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 2)
 		tx.Store(a, 0)
 		tx.Store(a+1, 0)
+		return nil
 	})
 	// Each burst: a snapshot reader pins its snapshot on word 0, then a
 	// helper thread commits enough updates to word 1 to wrap the 8-record
@@ -600,18 +613,19 @@ func TestSnapshotRetentionGrowth(t *testing.T) {
 	// evicted, producing a retention miss on every burst.
 	burst := func(th *core.Thread) {
 		for i := 0; i < 30; i++ {
-			th.Atomic(func(tx *core.Tx) { tx.Store(a, tx.Load(a)+1) })
-			th.SnapshotAtomic(func(tx *core.Tx) {
+			th.Run(func(tx *core.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
+			th.Run(func(tx *core.Tx) error {
 				_ = tx.Load(a)
 				if tx.SnapshotMode() {
 					th2 := e.MustAttachThread()
 					for j := 0; j < 16; j++ {
-						th2.Atomic(func(wtx *core.Tx) { wtx.Store(a+1, wtx.Load(a+1)+1) })
+						th2.Run(func(wtx *core.Tx) error { wtx.Store(a+1, wtx.Load(a+1)+1); return nil })
 					}
 					e.DetachThread(th2)
 				}
 				_ = tx.Load(a + 1)
-			})
+				return nil
+			}, core.Snapshot())
 		}
 	}
 	grown := false

@@ -12,18 +12,17 @@ import (
 func Example() {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 16})
 	site := rt.RegisterSite("example.counter")
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 
 	var counter stm.Addr
-	th.Atomic(func(tx *stm.Tx) {
+	rt.Run(func(tx *stm.Tx) error {
 		counter = tx.Alloc(site, 1)
 		tx.Store(counter, 0)
+		return nil
 	})
 	for i := 0; i < 10; i++ {
-		th.Atomic(func(tx *stm.Tx) { tx.Store(counter, tx.Load(counter)+1) })
+		rt.Run(func(tx *stm.Tx) error { tx.Store(counter, tx.Load(counter)+1); return nil })
 	}
-	th.ReadOnlyAtomic(func(tx *stm.Tx) { fmt.Println(tx.Load(counter)) })
+	rt.Run(func(tx *stm.Tx) error { fmt.Println(tx.Load(counter)); return nil }, stm.ReadOnly())
 	// Output: 10
 }
 
@@ -32,18 +31,18 @@ func Example() {
 func ExampleRuntime_StopProfilingAndPartition() {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 18})
 	rt.StartProfiling()
-	th := rt.MustAttach()
 	var tree *txds.RBTree
 	var queue *txds.Queue
-	th.Atomic(func(tx *stm.Tx) {
+	rt.Run(func(tx *stm.Tx) error {
 		tree = txds.NewRBTree(tx, rt, "orders.index")
 		queue = txds.NewQueue(tx, rt, "orders.inbox")
+		return nil
 	})
-	th.Atomic(func(tx *stm.Tx) {
+	rt.Run(func(tx *stm.Tx) error {
 		tree.Insert(tx, 1, 100)
 		queue.Enqueue(tx, 1)
+		return nil
 	})
-	rt.Detach(th)
 	plan, err := rt.StopProfilingAndPartition()
 	if err != nil {
 		panic(err)
@@ -78,21 +77,22 @@ func ExampleRuntime_ManualPartition() {
 	// Output: hot partition: visible
 }
 
-// ExampleThread_AtomicErr shows aborting a transaction from user code:
-// the error is returned and all effects are discarded.
-func ExampleThread_AtomicErr() {
+// ExampleThread_Run shows aborting a transaction from user code: the
+// error is returned and all effects are discarded.
+func ExampleThread_Run() {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 16})
 	site := rt.RegisterSite("example.balance")
 	th := rt.MustAttach()
 	defer rt.Detach(th)
 
 	var balance stm.Addr
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		balance = tx.Alloc(site, 1)
 		tx.Store(balance, 30)
+		return nil
 	})
 	withdraw := func(amount uint64) error {
-		return th.AtomicErr(func(tx *stm.Tx) error {
+		return th.Run(func(tx *stm.Tx) error {
 			b := tx.Load(balance)
 			if b < amount {
 				return fmt.Errorf("insufficient funds: %d < %d", b, amount)
@@ -103,7 +103,7 @@ func ExampleThread_AtomicErr() {
 	}
 	fmt.Println(withdraw(20))
 	fmt.Println(withdraw(20))
-	th.ReadOnlyAtomic(func(tx *stm.Tx) { fmt.Println("balance:", tx.Load(balance)) })
+	th.Run(func(tx *stm.Tx) error { fmt.Println("balance:", tx.Load(balance)); return nil }, stm.ReadOnly())
 	// Output:
 	// <nil>
 	// insufficient funds: 10 < 20

@@ -18,11 +18,12 @@ func TestUnPartitionRestoresSingleGlobal(t *testing.T) {
 	sB := rt.RegisterSite("up.b")
 	th := rt.MustAttach()
 	var a, b stm.Addr
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		a = tx.Alloc(sA, 2)
 		b = tx.Alloc(sB, 2)
 		tx.StoreAddr(a, a+1) // self-edges so both sites appear in the graph
 		tx.StoreAddr(b, b+1)
+		return nil
 	})
 	rt.Detach(th)
 	if _, err := rt.StopProfilingAndPartition(); err != nil {
@@ -42,11 +43,12 @@ func TestUnPartitionRestoresSingleGlobal(t *testing.T) {
 	}
 	th = rt.MustAttach()
 	defer rt.Detach(th)
-	th.Atomic(func(tx *stm.Tx) { tx.Store(a, 42) })
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error { tx.Store(a, 42); return nil })
+	th.Run(func(tx *stm.Tx) error {
 		if tx.Load(a) != 42 {
 			t.Error("lost store after UnPartition")
 		}
+		return nil
 	})
 }
 
@@ -109,39 +111,42 @@ func TestHeapInUseBlocksGrows(t *testing.T) {
 	site := rt.RegisterSite("hb")
 	th := rt.MustAttach()
 	defer rt.Detach(th)
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		for i := 0; i < 10; i++ {
 			tx.Alloc(site, 200) // most of a block each
 		}
+		return nil
 	})
 	if after := rt.HeapInUseBlocks(); after <= before {
 		t.Fatalf("blocks in use did not grow: %d -> %d", before, after)
 	}
 }
 
-// TestAtomicErrPropagatesUserError checks user errors abort and surface.
-func TestAtomicErrPropagatesUserError(t *testing.T) {
+// TestRunPropagatesUserError checks user errors abort and surface.
+func TestRunPropagatesUserError(t *testing.T) {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 14})
 	th := rt.MustAttach()
 	defer rt.Detach(th)
 	site := rt.RegisterSite("ae")
 	var a stm.Addr
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		a = tx.Alloc(site, 1)
 		tx.Store(a, 1)
+		return nil
 	})
 	sentinel := errSentinel{}
-	err := th.AtomicErr(func(tx *stm.Tx) error {
+	err := th.Run(func(tx *stm.Tx) error {
 		tx.Store(a, 999)
 		return sentinel
 	})
 	if err != sentinel {
 		t.Fatalf("err = %v, want sentinel", err)
 	}
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		if got := tx.Load(a); got != 1 {
 			t.Fatalf("error abort leaked store: %d", got)
 		}
+		return nil
 	})
 }
 
@@ -176,12 +181,13 @@ func TestTracingLifecycle(t *testing.T) {
 	defer rt.Detach(th)
 	rec := rt.StartTracing(128)
 	var a stm.Addr
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		a = tx.Alloc(site, 1)
 		tx.Store(a, 0)
+		return nil
 	})
 	for i := 0; i < 20; i++ {
-		th.Atomic(func(tx *stm.Tx) { tx.Store(a, tx.Load(a)+1) })
+		th.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 	}
 	rt.StopTracing()
 	if got := rec.Commits(); got != 21 {
@@ -191,7 +197,7 @@ func TestTracingLifecycle(t *testing.T) {
 		t.Fatalf("snapshot = %d events", len(rec.Snapshot()))
 	}
 	before := rec.Len()
-	th.Atomic(func(tx *stm.Tx) { tx.Store(a, 0) })
+	th.Run(func(tx *stm.Tx) error { tx.Store(a, 0); return nil })
 	if rec.Len() != before {
 		t.Fatal("recorder still attached after StopTracing")
 	}
@@ -208,7 +214,7 @@ func TestPlanPersistenceAcrossRuntimes(t *testing.T) {
 		rt1.RegisterSite(s)
 	}
 	th := rt1.MustAttach()
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		sa, _ := rt1.Sites().Lookup("pp.a.head")
 		san, _ := rt1.Sites().Lookup("pp.a.node")
 		sb, _ := rt1.Sites().Lookup("pp.b.head")
@@ -219,6 +225,7 @@ func TestPlanPersistenceAcrossRuntimes(t *testing.T) {
 		bn := tx.Alloc(sbn, 1)
 		tx.StoreAddr(a, an)
 		tx.StoreAddr(b, bn)
+		return nil
 	})
 	rt1.Detach(th)
 	plan, err := rt1.StopProfilingAndPartition()
@@ -270,12 +277,13 @@ func TestPlanPersistenceAcrossRuntimes(t *testing.T) {
 	th2 := rt2.MustAttach()
 	defer rt2.Detach(th2)
 	site, _ := rt2.Sites().Lookup("pp.a.node")
-	th2.Atomic(func(tx *stm.Tx) {
+	th2.Run(func(tx *stm.Tx) error {
 		a := tx.Alloc(site, 1)
 		tx.Store(a, 42)
 		if tx.Load(a) != 42 {
 			t.Error("lost store after plan reload")
 		}
+		return nil
 	})
 }
 
@@ -286,9 +294,10 @@ func TestManyThreadsAttachDetachChurn(t *testing.T) {
 	site := rt.RegisterSite("churn")
 	setup := rt.MustAttach()
 	var a stm.Addr
-	setup.Atomic(func(tx *stm.Tx) {
+	setup.Run(func(tx *stm.Tx) error {
 		a = tx.Alloc(site, 1)
 		tx.Store(a, 0)
+		return nil
 	})
 	rt.Detach(setup)
 	const workers, rounds, perRound = 8, 20, 50
@@ -300,7 +309,7 @@ func TestManyThreadsAttachDetachChurn(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				th := rt.MustAttach()
 				for i := 0; i < perRound; i++ {
-					th.Atomic(func(tx *stm.Tx) { tx.Store(a, tx.Load(a)+1) })
+					th.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 				}
 				rt.Detach(th)
 			}
@@ -309,10 +318,11 @@ func TestManyThreadsAttachDetachChurn(t *testing.T) {
 	wg.Wait()
 	th := rt.MustAttach()
 	defer rt.Detach(th)
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		if got := tx.Load(a); got != workers*rounds*perRound {
 			t.Fatalf("counter = %d, want %d", got, workers*rounds*perRound)
 		}
+		return nil
 	})
 }
 
@@ -329,11 +339,12 @@ func TestTimeBaseFacade(t *testing.T) {
 	sB := rt.RegisterSite("tbf.b")
 	th := rt.MustAttach()
 	var a, b stm.Addr
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		a = tx.Alloc(sA, 1)
 		b = tx.Alloc(sB, 1)
 		tx.Store(a, 10)
 		tx.Store(b, 20)
+		return nil
 	})
 	rt.Detach(th)
 	if _, err := rt.ManualPartition(map[string][]string{"pa": {"tbf.a"}, "pb": {"tbf.b"}}); err != nil {
@@ -352,8 +363,8 @@ func TestTimeBaseFacade(t *testing.T) {
 	// cross-partition epoch stays put.
 	th = rt.MustAttach()
 	for i := 0; i < 50; i++ {
-		th.Atomic(func(tx *stm.Tx) { tx.Store(a, tx.Load(a)+1) })
-		th.Atomic(func(tx *stm.Tx) { tx.Store(b, tx.Load(b)+1) })
+		th.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
+		th.Run(func(tx *stm.Tx) error { tx.Store(b, tx.Load(b)+1); return nil })
 	}
 	cs2 := rt.ClockStats()
 	if cs2.SharedRMWs != cs.SharedRMWs {
@@ -372,10 +383,11 @@ func TestTimeBaseFacade(t *testing.T) {
 			t.Fatalf("migration moved time backwards: %v -> %v", before.Parts, after.Parts)
 		}
 	}
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		if got := tx.Load(a) + tx.Load(b); got != 10+20+100 {
 			t.Fatalf("sum = %d", got)
 		}
+		return nil
 	})
 	rt.Detach(th)
 }

@@ -38,7 +38,7 @@ func TestLatencyStatsOpenLoopContention(t *testing.T) {
 		Measure: 100 * time.Millisecond,
 		Seed:    5,
 	}, func(th *stm.Thread, rng *workload.Rng, i uint64) {
-		th.Atomic(func(tx *stm.Tx) { tx.Store(a, tx.Load(a)+1) })
+		th.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 	})
 	rt.StopTracing()
 	if res.Ops == 0 {

@@ -106,26 +106,28 @@ func TestRefStagingDoesNotAllocate(t *testing.T) {
 
 	var r stm.Ref[twelveBytes]
 	var big stm.Ref[bigOdd]
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		r = stm.AllocRef[twelveBytes](tx, site)
 		// Stale contents in both words, as recycled memory would hold.
 		tx.Store(r.WordAddr(0), ^uint64(0))
 		tx.Store(r.WordAddr(1), ^uint64(0))
 		big = stm.AllocRef[bigOdd](tx, site)
+		return nil
 	})
 	if r.Words() != 2 || big.Words() != 9 {
 		t.Fatalf("words = %d and %d, want 2 and 9", r.Words(), big.Words())
 	}
 	want := twelveBytes{A: 0xA1A2A3A4, B: 0xB1B2B3B4, C: 0xC1C2C3C4}
-	th.Atomic(func(tx *stm.Tx) { r.Store(tx, want) })
-	th.ReadOnlyAtomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error { r.Store(tx, want); return nil })
+	th.Run(func(tx *stm.Tx) error {
 		if got := r.Load(tx); got != want {
 			t.Fatalf("round trip = %+v, want %+v", got, want)
 		}
 		if tail := tx.Load(r.WordAddr(1)) >> 32; tail != 0 {
 			t.Fatalf("padding tail of the last word = %#x, want 0", tail)
 		}
-	})
+		return nil
+	}, stm.ReadOnly())
 
 	var sink twelveBytes
 	store := func(tx *stm.Tx) error { r.Store(tx, want); return nil }
@@ -144,15 +146,16 @@ func TestRefStagingDoesNotAllocate(t *testing.T) {
 	for i := range bw.V {
 		bw.V[i] = uint32(i + 1)
 	}
-	th.Atomic(func(tx *stm.Tx) { big.Store(tx, bw) })
-	th.ReadOnlyAtomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error { big.Store(tx, bw); return nil })
+	th.Run(func(tx *stm.Tx) error {
 		if got := big.Load(tx); got != bw {
 			t.Fatalf("9-word round trip = %+v, want %+v", got, bw)
 		}
 		if tail := tx.Load(big.WordAddr(8)) >> 32; tail != 0 {
 			t.Fatalf("padding tail of the 9-word object = %#x, want 0", tail)
 		}
-	})
+		return nil
+	}, stm.ReadOnly())
 }
 
 // TestRefRejectsPointerTypes checks the heap-type validation: Go

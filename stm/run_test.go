@@ -7,117 +7,6 @@ import (
 	"repro/stm"
 )
 
-// driveWorkload runs a fixed deterministic mix of update, read-only and
-// snapshot transactions through `via`, which maps each step onto either
-// the legacy wrappers or Run+options, and returns the final counter
-// values plus the global partition's statistics. Both entrypoints must
-// produce identical results and identical books.
-type txDriver struct {
-	update   func(th *stm.Thread, fn func(*stm.Tx))
-	readOnly func(th *stm.Thread, fn func(*stm.Tx))
-	snapshot func(th *stm.Thread, fn func(*stm.Tx))
-	withErr  func(th *stm.Thread, fn func(*stm.Tx) error) error
-}
-
-func wrapperDriver() txDriver {
-	return txDriver{
-		update:   func(th *stm.Thread, fn func(*stm.Tx)) { th.Atomic(fn) },
-		readOnly: func(th *stm.Thread, fn func(*stm.Tx)) { th.ReadOnlyAtomic(fn) },
-		snapshot: func(th *stm.Thread, fn func(*stm.Tx)) { th.SnapshotAtomic(fn) },
-		withErr:  func(th *stm.Thread, fn func(*stm.Tx) error) error { return th.AtomicErr(fn) },
-	}
-}
-
-func runDriver() txDriver {
-	void := func(fn func(*stm.Tx)) func(*stm.Tx) error {
-		return func(tx *stm.Tx) error { fn(tx); return nil }
-	}
-	return txDriver{
-		update:   func(th *stm.Thread, fn func(*stm.Tx)) { th.Run(void(fn)) },
-		readOnly: func(th *stm.Thread, fn func(*stm.Tx)) { th.Run(void(fn), stm.ReadOnly()) },
-		snapshot: func(th *stm.Thread, fn func(*stm.Tx)) { th.Run(void(fn), stm.Snapshot()) },
-		withErr:  func(th *stm.Thread, fn func(*stm.Tx) error) error { return th.Run(fn) },
-	}
-}
-
-func driveWorkload(t *testing.T, d txDriver) ([]uint64, stm.PartStats) {
-	t.Helper()
-	rt := stm.MustNew(stm.Config{HeapWords: 1 << 16, SnapshotHistory: 256})
-	site := rt.RegisterSite("eq.slots")
-	th := rt.MustAttach()
-	defer rt.Detach(th)
-	const n = 64
-	var base stm.Addr
-	d.update(th, func(tx *stm.Tx) {
-		base = tx.Alloc(site, n)
-		for i := 0; i < n; i++ {
-			tx.Store(base+stm.Addr(i), uint64(i))
-		}
-	})
-	for round := 0; round < 10; round++ {
-		d.update(th, func(tx *stm.Tx) {
-			for i := 0; i < n; i += 2 {
-				tx.Store(base+stm.Addr(i), tx.Load(base+stm.Addr(i))+1)
-			}
-		})
-		d.readOnly(th, func(tx *stm.Tx) {
-			var s uint64
-			for i := 0; i < n; i++ {
-				s += tx.Load(base + stm.Addr(i))
-			}
-			_ = s
-		})
-		d.snapshot(th, func(tx *stm.Tx) {
-			var s uint64
-			tx.LoadRange(base, n, func(_ int, v uint64) bool { s += v; return true })
-			_ = s
-		})
-		// A read-only hint that writes: both entrypoints must upgrade.
-		d.readOnly(th, func(tx *stm.Tx) {
-			tx.Store(base+stm.Addr(1), tx.Load(base+stm.Addr(1))+1)
-		})
-		// A user error: both entrypoints must roll back and surface it.
-		if err := d.withErr(th, func(tx *stm.Tx) error {
-			tx.Store(base, 99999)
-			return errSentinel{}
-		}); err != (errSentinel{}) {
-			t.Fatalf("user error = %v, want sentinel", err)
-		}
-	}
-	vals := make([]uint64, n)
-	d.readOnly(th, func(tx *stm.Tx) {
-		for i := 0; i < n; i++ {
-			vals[i] = tx.Load(base + stm.Addr(i))
-		}
-	})
-	return vals, rt.PartitionStats(stm.GlobalPartition)
-}
-
-// TestRunEquivalence proves the deprecated wrappers and Run with the
-// corresponding options execute bit-for-bit alike: same final heap
-// state, and the same statistics footprint (commit counts by kind,
-// loads, stores, upgrade aborts) over a deterministic single-thread mix.
-func TestRunEquivalence(t *testing.T) {
-	wVals, wStats := driveWorkload(t, wrapperDriver())
-	rVals, rStats := driveWorkload(t, runDriver())
-	for i := range wVals {
-		if wVals[i] != rVals[i] {
-			t.Fatalf("heap diverged at word %d: wrappers %d, Run %d", i, wVals[i], rVals[i])
-		}
-	}
-	if wStats.Commits != rStats.Commits ||
-		wStats.UpdateCommits != rStats.UpdateCommits ||
-		wStats.ROCommits != rStats.ROCommits ||
-		wStats.Loads != rStats.Loads ||
-		wStats.Stores != rStats.Stores ||
-		wStats.TotalAborts() != rStats.TotalAborts() ||
-		wStats.Aborts[stm.AbortUpgrade] != rStats.Aborts[stm.AbortUpgrade] ||
-		wStats.SnapHits != rStats.SnapHits ||
-		wStats.SnapMisses != rStats.SnapMisses {
-		t.Fatalf("statistics diverged:\nwrappers: %+v\nrun:      %+v", wStats, rStats)
-	}
-}
-
 // TestRunMaxAttempts checks the bounded retry loop: a transaction that
 // explicitly aborts every attempt exhausts its budget, returns
 // ErrMaxAttempts, leaves no effects behind, and reports every attempt to

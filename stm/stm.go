@@ -45,9 +45,8 @@
 // read-only fast path; Run(fn, stm.Snapshot()) reads at a pinned snapshot
 // served by the multi-version store (see below); stm.MaxAttempts bounds
 // the retry loop (ErrMaxAttempts) and stm.OnAbort observes every aborted
-// attempt. The older entrypoints — Thread.Atomic, AtomicErr,
-// ReadOnlyAtomic, SnapshotAtomic — remain as thin deprecated wrappers
-// delegating to Run with the corresponding options.
+// attempt. Runtime.Run and Thread.Run are the only two ways to start a
+// transaction, and they take the same function and options.
 //
 // # Words and objects
 //
@@ -147,7 +146,7 @@ type (
 	Addr = memory.Addr
 	// SiteID names an allocation site.
 	SiteID = memory.SiteID
-	// Tx is a transaction handle, valid inside an Atomic block.
+	// Tx is a transaction handle, valid only inside Run's fn.
 	Tx = core.Tx
 	// Thread is a per-goroutine transaction context.
 	Thread = core.Thread

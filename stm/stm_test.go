@@ -40,26 +40,29 @@ func TestBasicTransactions(t *testing.T) {
 	th := rt.MustAttach()
 	defer rt.Detach(th)
 	var a stm.Addr
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		a = tx.Alloc(site, 2)
 		tx.Store(a, 7)
 		tx.Store(a+1, 8)
+		return nil
 	})
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		if tx.Load(a) != 7 || tx.Load(a+1) != 8 {
 			t.Error("values lost")
 		}
+		return nil
 	})
-	if err := th.AtomicErr(func(tx *stm.Tx) error {
+	if err := th.Run(func(tx *stm.Tx) error {
 		tx.Store(a, 99)
 		return fmt.Errorf("user abort")
 	}); err == nil {
-		t.Fatal("AtomicErr swallowed the error")
+		t.Fatal("Run swallowed the error")
 	}
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		if got := tx.Load(a); got != 7 {
 			t.Errorf("aborted write visible: %d", got)
 		}
+		return nil
 	})
 }
 
@@ -106,9 +109,10 @@ func TestManualPartitionAndReconfigure(t *testing.T) {
 	th := rt.MustAttach()
 	defer rt.Detach(th)
 	var addr stm.Addr
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		addr = tx.Alloc(sa, 1)
 		tx.Store(addr, 1)
+		return nil
 	})
 	if rt.PartitionOf(addr) != 1 {
 		t.Fatalf("addr in partition %d", rt.PartitionOf(addr))
@@ -130,10 +134,11 @@ func TestProfilingPipeline(t *testing.T) {
 	sNode := rt.RegisterSite("pp.node")
 	th := rt.MustAttach()
 	defer rt.Detach(th)
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		h := tx.Alloc(sHead, 1)
 		n := tx.Alloc(sNode, 2)
 		tx.StoreAddr(h, n)
+		return nil
 	})
 	plan, err := rt.StopProfilingAndPartition()
 	if err != nil {
@@ -170,12 +175,13 @@ func TestStatsSurface(t *testing.T) {
 	defer rt.Detach(th)
 	site := rt.RegisterSite("ss.x")
 	var a stm.Addr
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		a = tx.Alloc(site, 1)
 		tx.Store(a, 0)
+		return nil
 	})
 	for i := 0; i < 5; i++ {
-		th.Atomic(func(tx *stm.Tx) { tx.Store(a, tx.Load(a)+1) })
+		th.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 	}
 	all := rt.Stats()
 	if len(all) != 1 {
@@ -196,11 +202,12 @@ func TestConcurrentFacadeUse(t *testing.T) {
 	setup := rt.MustAttach()
 	var base stm.Addr
 	const slots = 16
-	setup.Atomic(func(tx *stm.Tx) {
+	setup.Run(func(tx *stm.Tx) error {
 		base = tx.Alloc(site, slots)
 		for i := 0; i < slots; i++ {
 			tx.Store(base+stm.Addr(i), 100)
 		}
+		return nil
 	})
 	rt.Detach(setup)
 	var wg sync.WaitGroup
@@ -213,13 +220,14 @@ func TestConcurrentFacadeUse(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				from := stm.Addr(seed+uint64(i)) % slots
 				to := stm.Addr(seed+uint64(i)*7+3) % slots
-				th.Atomic(func(tx *stm.Tx) {
+				th.Run(func(tx *stm.Tx) error {
 					v := tx.Load(base + from)
 					if v == 0 {
-						return
+						return nil
 					}
 					tx.Store(base+from, v-1)
 					tx.Store(base+to, tx.Load(base+to)+1)
+					return nil
 				})
 			}
 		}(uint64(w))
@@ -227,7 +235,7 @@ func TestConcurrentFacadeUse(t *testing.T) {
 	wg.Wait()
 	th := rt.MustAttach()
 	defer rt.Detach(th)
-	th.ReadOnlyAtomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		var sum uint64
 		for i := 0; i < slots; i++ {
 			sum += tx.Load(base + stm.Addr(i))
@@ -235,7 +243,8 @@ func TestConcurrentFacadeUse(t *testing.T) {
 		if sum != slots*100 {
 			t.Errorf("sum = %d", sum)
 		}
-	})
+		return nil
+	}, stm.ReadOnly())
 }
 
 func TestDefaultConfigOverride(t *testing.T) {
@@ -254,7 +263,7 @@ func TestDefaultConfigOverride(t *testing.T) {
 
 // TestSnapshotModeFacade exercises the snapshot surface end to end:
 // Config.SnapshotHistory attaches stores to every partition,
-// Thread.SnapshotAtomic reads a pinned snapshot through writer traffic,
+// Thread.Run with Snapshot reads a pinned snapshot through writer traffic,
 // and SnapshotHistory/stats report the reconstructions.
 func TestSnapshotModeFacade(t *testing.T) {
 	rt, err := stm.New(stm.Config{HeapWords: 1 << 18, BlockShift: 8, SnapshotHistory: 256})
@@ -273,28 +282,31 @@ func TestSnapshotModeFacade(t *testing.T) {
 	site := rt.RegisterSite("snap.cells")
 	const cells = 8
 	var base stm.Addr
-	writer.Atomic(func(tx *stm.Tx) {
+	writer.Run(func(tx *stm.Tx) error {
 		base = tx.Alloc(site, cells)
 		for i := 0; i < cells; i++ {
 			tx.Store(base+stm.Addr(i), 5)
 		}
+		return nil
 	})
 
-	reader.SnapshotAtomic(func(tx *stm.Tx) {
+	reader.Run(func(tx *stm.Tx) error {
 		if got := tx.Load(base); got != 5 {
 			t.Errorf("pin read = %d, want 5", got)
 		}
-		writer.Atomic(func(wtx *stm.Tx) {
+		writer.Run(func(wtx *stm.Tx) error {
 			for i := 0; i < cells; i++ {
 				wtx.Store(base+stm.Addr(i), 6)
 			}
+			return nil
 		})
 		for i := 1; i < cells; i++ {
 			if got := tx.Load(base + stm.Addr(i)); got != 5 {
 				t.Errorf("cell %d = %d at pinned snapshot, want 5", i, got)
 			}
 		}
-	})
+		return nil
+	}, stm.Snapshot())
 
 	hist := rt.SnapshotHistory(stm.GlobalPartition)
 	if hist.Cap != 256 || hist.Appends == 0 {

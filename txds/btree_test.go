@@ -17,7 +17,7 @@ func TestBTreeAgainstModel(t *testing.T) {
 	th := rt.MustAttach()
 	defer rt.Detach(th)
 	var bt *BTree
-	th.Atomic(func(tx *stm.Tx) { bt = NewBTree(tx, rt, "btm") })
+	th.Run(func(tx *stm.Tx) error { bt = NewBTree(tx, rt, "btm"); return nil })
 
 	model := make(map[uint64]uint64)
 	rng := rand.New(rand.NewSource(61))
@@ -28,7 +28,7 @@ func TestBTreeAgainstModel(t *testing.T) {
 		switch rng.Intn(5) {
 		case 0, 1: // insert
 			var got bool
-			th.Atomic(func(tx *stm.Tx) { got = bt.Insert(tx, k, v) })
+			th.Run(func(tx *stm.Tx) error { got = bt.Insert(tx, k, v); return nil })
 			_, existed := model[k]
 			if got == existed {
 				t.Fatalf("op %d: Insert(%d) = %v, existed=%v", i, k, got, existed)
@@ -37,12 +37,12 @@ func TestBTreeAgainstModel(t *testing.T) {
 				model[k] = v
 			}
 		case 2: // set (upsert)
-			th.Atomic(func(tx *stm.Tx) { bt.Set(tx, k, v) })
+			th.Run(func(tx *stm.Tx) error { bt.Set(tx, k, v); return nil })
 			model[k] = v
 		case 3: // remove
 			var got uint64
 			var ok bool
-			th.Atomic(func(tx *stm.Tx) { got, ok = bt.Remove(tx, k) })
+			th.Run(func(tx *stm.Tx) error { got, ok = bt.Remove(tx, k); return nil })
 			want, existed := model[k]
 			if ok != existed || (ok && got != want) {
 				t.Fatalf("op %d: Remove(%d) = (%d,%v), model (%d,%v)", i, k, got, ok, want, existed)
@@ -51,21 +51,22 @@ func TestBTreeAgainstModel(t *testing.T) {
 		default: // lookup
 			var got uint64
 			var ok bool
-			th.ReadOnlyAtomic(func(tx *stm.Tx) { got, ok = bt.Lookup(tx, k) })
+			th.Run(func(tx *stm.Tx) error { got, ok = bt.Lookup(tx, k); return nil }, stm.ReadOnly())
 			want, existed := model[k]
 			if ok != existed || (ok && got != want) {
 				t.Fatalf("op %d: Lookup(%d) = (%d,%v), model (%d,%v)", i, k, got, ok, want, existed)
 			}
 		}
 		if i%250 == 0 {
-			th.ReadOnlyAtomic(func(tx *stm.Tx) {
+			th.Run(func(tx *stm.Tx) error {
 				if msg := bt.CheckInvariants(tx); msg != "" {
 					t.Fatalf("op %d: %s", i, msg)
 				}
 				if n := bt.Len(tx); n != len(model) {
 					t.Fatalf("op %d: Len = %d, model %d", i, n, len(model))
 				}
-			})
+				return nil
+			}, stm.ReadOnly())
 		}
 	}
 	// Final: full key comparison.
@@ -74,7 +75,7 @@ func TestBTreeAgainstModel(t *testing.T) {
 		want = append(want, k)
 	}
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	th.ReadOnlyAtomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		got := bt.Keys(tx)
 		if len(got) != len(want) {
 			t.Fatalf("Keys len %d, want %d", len(got), len(want))
@@ -84,7 +85,8 @@ func TestBTreeAgainstModel(t *testing.T) {
 				t.Fatalf("Keys[%d] = %d, want %d", i, got[i], want[i])
 			}
 		}
-	})
+		return nil
+	}, stm.ReadOnly())
 }
 
 // TestBTreeSplitsAndMerges drives the tree deep enough that splits,
@@ -94,49 +96,54 @@ func TestBTreeSplitsAndMerges(t *testing.T) {
 	th := rt.MustAttach()
 	defer rt.Detach(th)
 	var bt *BTree
-	th.Atomic(func(tx *stm.Tx) { bt = NewBTree(tx, rt, "btsm") })
+	th.Run(func(tx *stm.Tx) error { bt = NewBTree(tx, rt, "btsm"); return nil })
 	const n = 2000
 	perm := rand.New(rand.NewSource(67)).Perm(n)
 	for _, k := range perm {
 		kk := uint64(k)
-		th.Atomic(func(tx *stm.Tx) {
+		th.Run(func(tx *stm.Tx) error {
 			if !bt.Insert(tx, kk, kk*2) {
 				t.Fatalf("fresh key %d rejected", kk)
 			}
+			return nil
 		})
 	}
-	th.ReadOnlyAtomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		if msg := bt.CheckInvariants(tx); msg != "" {
 			t.Fatal(msg)
 		}
 		if got := bt.Len(tx); got != n {
 			t.Fatalf("Len = %d, want %d", got, n)
 		}
-	})
+		return nil
+	}, stm.ReadOnly())
 	// Remove in a different random order; every removal must succeed and
 	// keep the invariants (checked in batches for speed).
 	perm2 := rand.New(rand.NewSource(71)).Perm(n)
 	for i, k := range perm2 {
 		kk := uint64(k)
-		th.Atomic(func(tx *stm.Tx) {
+		th.Run(func(tx *stm.Tx) error {
 			v, ok := bt.Remove(tx, kk)
 			if !ok || v != kk*2 {
 				t.Fatalf("Remove(%d) = (%d,%v)", kk, v, ok)
 			}
+			return nil
 		})
 		if i%200 == 0 {
-			th.ReadOnlyAtomic(func(tx *stm.Tx) {
+			th.Run(func(tx *stm.Tx) error {
 				if msg := bt.CheckInvariants(tx); msg != "" {
 					t.Fatalf("after %d removals: %s", i+1, msg)
 				}
-			})
+				return nil
+			}, stm.ReadOnly())
 		}
 	}
-	th.ReadOnlyAtomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		if got := bt.Len(tx); got != 0 {
 			t.Fatalf("Len = %d after draining", got)
 		}
-	})
+		return nil
+	}, stm.ReadOnly())
 }
 
 // TestBTreeProperty is the testing/quick law: inserting any key set then
@@ -150,36 +157,37 @@ func TestBTreeProperty(t *testing.T) {
 	f := func(ins []uint16, del []uint16) bool {
 		idx++
 		var bt *BTree
-		th.Atomic(func(tx *stm.Tx) { bt = NewBTree(tx, rt, "btp"+itoa(idx)) })
+		th.Run(func(tx *stm.Tx) error { bt = NewBTree(tx, rt, "btp"+itoa(idx)); return nil })
 		model := map[uint64]bool{}
 		for _, k := range ins {
 			kk := uint64(k)
-			th.Atomic(func(tx *stm.Tx) { bt.Insert(tx, kk, kk) })
+			th.Run(func(tx *stm.Tx) error { bt.Insert(tx, kk, kk); return nil })
 			model[kk] = true
 		}
 		for _, k := range del {
 			kk := uint64(k)
-			th.Atomic(func(tx *stm.Tx) { bt.Remove(tx, kk) })
+			th.Run(func(tx *stm.Tx) error { bt.Remove(tx, kk); return nil })
 			delete(model, kk)
 		}
 		ok := true
-		th.ReadOnlyAtomic(func(tx *stm.Tx) {
+		th.Run(func(tx *stm.Tx) error {
 			if msg := bt.CheckInvariants(tx); msg != "" {
 				ok = false
-				return
+				return nil
 			}
 			keys := bt.Keys(tx)
 			if len(keys) != len(model) {
 				ok = false
-				return
+				return nil
 			}
 			for i, k := range keys {
 				if !model[k] || (i > 0 && keys[i-1] >= k) {
 					ok = false
-					return
+					return nil
 				}
 			}
-		})
+			return nil
+		}, stm.ReadOnly())
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -193,7 +201,7 @@ func TestBTreeConcurrent(t *testing.T) {
 	rt := newRT(t)
 	setup := rt.MustAttach()
 	var bt *BTree
-	setup.Atomic(func(tx *stm.Tx) { bt = NewBTree(tx, rt, "btc") })
+	setup.Run(func(tx *stm.Tx) error { bt = NewBTree(tx, rt, "btc"); return nil })
 	rt.Detach(setup)
 	const workers, perW = 4, 500
 	var wg sync.WaitGroup
@@ -205,10 +213,11 @@ func TestBTreeConcurrent(t *testing.T) {
 			defer rt.Detach(th)
 			for i := 0; i < perW; i++ {
 				k := uint64(id*perW + i) // disjoint ranges: all inserts fresh
-				th.Atomic(func(tx *stm.Tx) {
+				th.Run(func(tx *stm.Tx) error {
 					if !bt.Insert(tx, k, k) {
 						t.Errorf("fresh key %d rejected", k)
 					}
+					return nil
 				})
 			}
 		}(w)
@@ -216,14 +225,15 @@ func TestBTreeConcurrent(t *testing.T) {
 	wg.Wait()
 	th := rt.MustAttach()
 	defer rt.Detach(th)
-	th.ReadOnlyAtomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		if got := bt.Len(tx); got != workers*perW {
 			t.Fatalf("Len = %d, want %d", got, workers*perW)
 		}
 		if msg := bt.CheckInvariants(tx); msg != "" {
 			t.Fatal(msg)
 		}
-	})
+		return nil
+	}, stm.ReadOnly())
 }
 
 // TestBTreeZeroAndMaxKeys exercises the key-domain edges.
@@ -232,14 +242,15 @@ func TestBTreeZeroAndMaxKeys(t *testing.T) {
 	th := rt.MustAttach()
 	defer rt.Detach(th)
 	var bt *BTree
-	th.Atomic(func(tx *stm.Tx) { bt = NewBTree(tx, rt, "btz") })
+	th.Run(func(tx *stm.Tx) error { bt = NewBTree(tx, rt, "btz"); return nil })
 	maxK := ^uint64(0)
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		bt.Insert(tx, 0, 10)
 		bt.Insert(tx, maxK, 20)
 		bt.Insert(tx, 1, 11)
+		return nil
 	})
-	th.ReadOnlyAtomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		if v, ok := bt.Lookup(tx, 0); !ok || v != 10 {
 			t.Fatalf("Lookup(0) = (%d,%v)", v, ok)
 		}
@@ -250,13 +261,15 @@ func TestBTreeZeroAndMaxKeys(t *testing.T) {
 		if len(keys) != 3 || keys[0] != 0 || keys[2] != maxK {
 			t.Fatalf("keys = %v", keys)
 		}
-	})
-	th.Atomic(func(tx *stm.Tx) {
+		return nil
+	}, stm.ReadOnly())
+	th.Run(func(tx *stm.Tx) error {
 		if _, ok := bt.Remove(tx, 0); !ok {
 			t.Fatal("Remove(0) failed")
 		}
 		if bt.Contains(tx, 0) {
 			t.Fatal("0 still present")
 		}
+		return nil
 	})
 }

@@ -17,7 +17,7 @@ func TestDequeAgainstModel(t *testing.T) {
 	th := rt.MustAttach()
 	defer rt.Detach(th)
 	var d *Deque
-	th.Atomic(func(tx *stm.Tx) { d = NewDeque(tx, rt, "dqm") })
+	th.Run(func(tx *stm.Tx) error { d = NewDeque(tx, rt, "dqm"); return nil })
 
 	var model []uint64
 	rng := rand.New(rand.NewSource(17))
@@ -25,15 +25,15 @@ func TestDequeAgainstModel(t *testing.T) {
 		v := rng.Uint64() % 1000
 		switch rng.Intn(6) {
 		case 0, 1:
-			th.Atomic(func(tx *stm.Tx) { d.PushFront(tx, v) })
+			th.Run(func(tx *stm.Tx) error { d.PushFront(tx, v); return nil })
 			model = append([]uint64{v}, model...)
 		case 2, 3:
-			th.Atomic(func(tx *stm.Tx) { d.PushBack(tx, v) })
+			th.Run(func(tx *stm.Tx) error { d.PushBack(tx, v); return nil })
 			model = append(model, v)
 		case 4:
 			var got uint64
 			var ok bool
-			th.Atomic(func(tx *stm.Tx) { got, ok = d.PopFront(tx) })
+			th.Run(func(tx *stm.Tx) error { got, ok = d.PopFront(tx); return nil })
 			if ok != (len(model) > 0) {
 				t.Fatalf("op %d: PopFront ok=%v, model len %d", i, ok, len(model))
 			}
@@ -46,7 +46,7 @@ func TestDequeAgainstModel(t *testing.T) {
 		case 5:
 			var got uint64
 			var ok bool
-			th.Atomic(func(tx *stm.Tx) { got, ok = d.PopBack(tx) })
+			th.Run(func(tx *stm.Tx) error { got, ok = d.PopBack(tx); return nil })
 			if ok != (len(model) > 0) {
 				t.Fatalf("op %d: PopBack ok=%v, model len %d", i, ok, len(model))
 			}
@@ -58,7 +58,7 @@ func TestDequeAgainstModel(t *testing.T) {
 			}
 		}
 		if i%500 == 0 {
-			th.ReadOnlyAtomic(func(tx *stm.Tx) {
+			th.Run(func(tx *stm.Tx) error {
 				vals := d.Values(tx)
 				if len(vals) != len(model) {
 					t.Fatalf("op %d: Values len %d, model %d", i, len(vals), len(model))
@@ -74,7 +74,8 @@ func TestDequeAgainstModel(t *testing.T) {
 				if bk, ok := d.Back(tx); ok != (len(model) > 0) || (ok && bk != model[len(model)-1]) {
 					t.Fatalf("op %d: Back mismatch", i)
 				}
-			})
+				return nil
+			}, stm.ReadOnly())
 		}
 	}
 }
@@ -90,10 +91,10 @@ func TestDequeSymmetry(t *testing.T) {
 	f := func(vals []uint64, lifo bool) bool {
 		idx++
 		var d *Deque
-		th.Atomic(func(tx *stm.Tx) { d = NewDeque(tx, rt, "dqs"+itoa(idx)) })
+		th.Run(func(tx *stm.Tx) error { d = NewDeque(tx, rt, "dqs"+itoa(idx)); return nil })
 		for _, v := range vals {
 			vv := v
-			th.Atomic(func(tx *stm.Tx) { d.PushBack(tx, vv) })
+			th.Run(func(tx *stm.Tx) error { d.PushBack(tx, vv); return nil })
 		}
 		for i := range vals {
 			want := vals[i]
@@ -102,19 +103,20 @@ func TestDequeSymmetry(t *testing.T) {
 			}
 			var got uint64
 			var ok bool
-			th.Atomic(func(tx *stm.Tx) {
+			th.Run(func(tx *stm.Tx) error {
 				if lifo {
 					got, ok = d.PopBack(tx)
 				} else {
 					got, ok = d.PopFront(tx)
 				}
+				return nil
 			})
 			if !ok || got != want {
 				return false
 			}
 		}
 		var empty bool
-		th.Atomic(func(tx *stm.Tx) { empty = d.Len(tx) == 0 })
+		th.Run(func(tx *stm.Tx) error { empty = d.Len(tx) == 0; return nil })
 		return empty
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -128,19 +130,19 @@ func TestStackAgainstModel(t *testing.T) {
 	th := rt.MustAttach()
 	defer rt.Detach(th)
 	var s *Stack
-	th.Atomic(func(tx *stm.Tx) { s = NewStack(tx, rt, "stm") })
+	th.Run(func(tx *stm.Tx) error { s = NewStack(tx, rt, "stm"); return nil })
 	var model []uint64
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 6000; i++ {
 		v := rng.Uint64() % 1000
 		if rng.Intn(2) == 0 {
-			th.Atomic(func(tx *stm.Tx) { s.Push(tx, v) })
+			th.Run(func(tx *stm.Tx) error { s.Push(tx, v); return nil })
 			model = append(model, v)
 			continue
 		}
 		var got uint64
 		var ok bool
-		th.Atomic(func(tx *stm.Tx) { got, ok = s.Pop(tx) })
+		th.Run(func(tx *stm.Tx) error { got, ok = s.Pop(tx); return nil })
 		if ok != (len(model) > 0) {
 			t.Fatalf("op %d: Pop ok=%v, model len %d", i, ok, len(model))
 		}
@@ -151,14 +153,15 @@ func TestStackAgainstModel(t *testing.T) {
 			model = model[:len(model)-1]
 		}
 		if i%500 == 0 {
-			th.ReadOnlyAtomic(func(tx *stm.Tx) {
+			th.Run(func(tx *stm.Tx) error {
 				if n := s.Len(tx); n != len(model) {
 					t.Fatalf("op %d: Len = %d, model %d", i, n, len(model))
 				}
 				if top, ok := s.Peek(tx); ok != (len(model) > 0) || (ok && top != model[len(model)-1]) {
 					t.Fatalf("op %d: Peek mismatch", i)
 				}
-			})
+				return nil
+			}, stm.ReadOnly())
 		}
 	}
 }

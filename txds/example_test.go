@@ -7,29 +7,29 @@ import (
 	"repro/txds"
 )
 
-func newExampleRT() (*stm.Runtime, *stm.Thread) {
-	rt := stm.MustNew(stm.Config{HeapWords: 1 << 18})
-	return rt, rt.MustAttach()
+func newExampleRT() *stm.Runtime {
+	return stm.MustNew(stm.Config{HeapWords: 1 << 18})
 }
 
 // ExampleRBTree shows the ordered-map surface of the red/black tree.
 func ExampleRBTree() {
-	rt, th := newExampleRT()
-	defer rt.Detach(th)
+	rt := newExampleRT()
 	var tree *txds.RBTree
-	th.Atomic(func(tx *stm.Tx) { tree = txds.NewRBTree(tx, rt, "ex.tree") })
-	th.Atomic(func(tx *stm.Tx) {
+	rt.Run(func(tx *stm.Tx) error { tree = txds.NewRBTree(tx, rt, "ex.tree"); return nil })
+	rt.Run(func(tx *stm.Tx) error {
 		tree.Insert(tx, 30, 300)
 		tree.Insert(tx, 10, 100)
 		tree.Insert(tx, 20, 200)
+		return nil
 	})
-	th.ReadOnlyAtomic(func(tx *stm.Tx) {
+	rt.Run(func(tx *stm.Tx) error {
 		fmt.Println("keys:", tree.Keys(tx))
 		v, _ := tree.Lookup(tx, 20)
 		fmt.Println("tree[20] =", v)
 		minK, _ := tree.Min(tx)
 		fmt.Println("min key =", minK)
-	})
+		return nil
+	}, stm.ReadOnly())
 	// Output:
 	// keys: [10 20 30]
 	// tree[20] = 200
@@ -38,17 +38,17 @@ func ExampleRBTree() {
 
 // ExamplePriorityQueue shows min-priority ordering with duplicates.
 func ExamplePriorityQueue() {
-	rt, th := newExampleRT()
-	defer rt.Detach(th)
+	rt := newExampleRT()
 	var pq *txds.PriorityQueue
-	th.Atomic(func(tx *stm.Tx) { pq = txds.NewPriorityQueue(tx, rt, "ex.pq", 1) })
-	th.Atomic(func(tx *stm.Tx) {
+	rt.Run(func(tx *stm.Tx) error { pq = txds.NewPriorityQueue(tx, rt, "ex.pq", 1); return nil })
+	rt.Run(func(tx *stm.Tx) error {
 		pq.Insert(tx, 5, 50)
 		pq.Insert(tx, 1, 10)
 		pq.Insert(tx, 5, 51)
 		pq.Insert(tx, 3, 30)
+		return nil
 	})
-	th.Atomic(func(tx *stm.Tx) {
+	rt.Run(func(tx *stm.Tx) error {
 		for {
 			prio, _, ok := pq.PopMin(tx)
 			if !ok {
@@ -57,26 +57,28 @@ func ExamplePriorityQueue() {
 			fmt.Print(prio, " ")
 		}
 		fmt.Println()
+		return nil
 	})
 	// Output: 1 3 5 5
 }
 
 // ExampleDeque shows both ends of the double-ended queue.
 func ExampleDeque() {
-	rt, th := newExampleRT()
-	defer rt.Detach(th)
+	rt := newExampleRT()
 	var d *txds.Deque
-	th.Atomic(func(tx *stm.Tx) { d = txds.NewDeque(tx, rt, "ex.deque") })
-	th.Atomic(func(tx *stm.Tx) {
+	rt.Run(func(tx *stm.Tx) error { d = txds.NewDeque(tx, rt, "ex.deque"); return nil })
+	rt.Run(func(tx *stm.Tx) error {
 		d.PushBack(tx, 2)
 		d.PushFront(tx, 1)
 		d.PushBack(tx, 3)
+		return nil
 	})
-	th.ReadOnlyAtomic(func(tx *stm.Tx) { fmt.Println(d.Values(tx)) })
-	th.Atomic(func(tx *stm.Tx) {
+	rt.Run(func(tx *stm.Tx) error { fmt.Println(d.Values(tx)); return nil }, stm.ReadOnly())
+	rt.Run(func(tx *stm.Tx) error {
 		front, _ := d.PopFront(tx)
 		back, _ := d.PopBack(tx)
 		fmt.Println(front, back)
+		return nil
 	})
 	// Output:
 	// [1 2 3]
@@ -85,18 +87,17 @@ func ExampleDeque() {
 
 // ExampleQueue shows FIFO ordering across transactions.
 func ExampleQueue() {
-	rt, th := newExampleRT()
-	defer rt.Detach(th)
+	rt := newExampleRT()
 	var q *txds.Queue
-	th.Atomic(func(tx *stm.Tx) { q = txds.NewQueue(tx, rt, "ex.queue") })
+	rt.Run(func(tx *stm.Tx) error { q = txds.NewQueue(tx, rt, "ex.queue"); return nil })
 	for v := uint64(1); v <= 3; v++ {
 		vv := v
-		th.Atomic(func(tx *stm.Tx) { q.Enqueue(tx, vv) })
+		rt.Run(func(tx *stm.Tx) error { q.Enqueue(tx, vv); return nil })
 	}
 	for {
 		var v uint64
 		var ok bool
-		th.Atomic(func(tx *stm.Tx) { v, ok = q.Dequeue(tx) })
+		rt.Run(func(tx *stm.Tx) error { v, ok = q.Dequeue(tx); return nil })
 		if !ok {
 			break
 		}
@@ -108,15 +109,16 @@ func ExampleQueue() {
 
 // ExampleCounterArray shows the invariant-preserving transfer helper.
 func ExampleCounterArray() {
-	rt, th := newExampleRT()
-	defer rt.Detach(th)
+	rt := newExampleRT()
 	var accounts *txds.CounterArray
-	th.Atomic(func(tx *stm.Tx) {
+	rt.Run(func(tx *stm.Tx) error {
 		accounts = txds.NewCounterArray(tx, rt, "ex.accounts", 4, 100)
+		return nil
 	})
-	th.Atomic(func(tx *stm.Tx) { accounts.Transfer(tx, 0, 3, 25) })
-	th.ReadOnlyAtomic(func(tx *stm.Tx) {
+	rt.Run(func(tx *stm.Tx) error { accounts.Transfer(tx, 0, 3, 25); return nil })
+	rt.Run(func(tx *stm.Tx) error {
 		fmt.Println("a0:", accounts.Get(tx, 0), "a3:", accounts.Get(tx, 3), "sum:", accounts.Sum(tx))
-	})
+		return nil
+	}, stm.ReadOnly())
 	// Output: a0: 75 a3: 125 sum: 400
 }

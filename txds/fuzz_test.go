@@ -33,14 +33,14 @@ func FuzzBTreeOps(f *testing.F) {
 		th := rt.MustAttach()
 		defer rt.Detach(th)
 		var bt *BTree
-		th.Atomic(func(tx *stm.Tx) { bt = NewBTree(tx, rt, "fz") })
+		th.Run(func(tx *stm.Tx) error { bt = NewBTree(tx, rt, "fz"); return nil })
 		model := map[uint64]uint64{}
 		for i := 0; i+1 < len(script); i += 2 {
 			op, k := script[i]%3, uint64(script[i+1]%64)
 			switch op {
 			case 0:
 				var got bool
-				th.Atomic(func(tx *stm.Tx) { got = bt.Insert(tx, k, k) })
+				th.Run(func(tx *stm.Tx) error { got = bt.Insert(tx, k, k); return nil })
 				_, existed := model[k]
 				if got == existed {
 					t.Fatalf("op %d: Insert(%d)=%v existed=%v", i, k, got, existed)
@@ -48,27 +48,28 @@ func FuzzBTreeOps(f *testing.F) {
 				model[k] = k
 			case 1:
 				var ok bool
-				th.Atomic(func(tx *stm.Tx) { _, ok = bt.Remove(tx, k) })
+				th.Run(func(tx *stm.Tx) error { _, ok = bt.Remove(tx, k); return nil })
 				if _, existed := model[k]; ok != existed {
 					t.Fatalf("op %d: Remove(%d)=%v existed=%v", i, k, ok, existed)
 				}
 				delete(model, k)
 			default:
 				var ok bool
-				th.ReadOnlyAtomic(func(tx *stm.Tx) { ok = bt.Contains(tx, k) })
+				th.Run(func(tx *stm.Tx) error { ok = bt.Contains(tx, k); return nil }, stm.ReadOnly())
 				if _, existed := model[k]; ok != existed {
 					t.Fatalf("op %d: Contains(%d)=%v existed=%v", i, k, ok, existed)
 				}
 			}
 		}
-		th.ReadOnlyAtomic(func(tx *stm.Tx) {
+		th.Run(func(tx *stm.Tx) error {
 			if msg := bt.CheckInvariants(tx); msg != "" {
 				t.Fatal(msg)
 			}
 			if got := bt.Len(tx); got != len(model) {
 				t.Fatalf("Len=%d model=%d", got, len(model))
 			}
-		})
+			return nil
+		}, stm.ReadOnly())
 	})
 }
 
@@ -86,21 +87,21 @@ func FuzzDequeOps(f *testing.F) {
 		th := rt.MustAttach()
 		defer rt.Detach(th)
 		var d *Deque
-		th.Atomic(func(tx *stm.Tx) { d = NewDeque(tx, rt, "fzd") })
+		th.Run(func(tx *stm.Tx) error { d = NewDeque(tx, rt, "fzd"); return nil })
 		var model []uint64
 		for i, b := range script {
 			v := uint64(b)
 			switch b % 4 {
 			case 0:
-				th.Atomic(func(tx *stm.Tx) { d.PushFront(tx, v) })
+				th.Run(func(tx *stm.Tx) error { d.PushFront(tx, v); return nil })
 				model = append([]uint64{v}, model...)
 			case 1:
-				th.Atomic(func(tx *stm.Tx) { d.PushBack(tx, v) })
+				th.Run(func(tx *stm.Tx) error { d.PushBack(tx, v); return nil })
 				model = append(model, v)
 			case 2:
 				var got uint64
 				var ok bool
-				th.Atomic(func(tx *stm.Tx) { got, ok = d.PopFront(tx) })
+				th.Run(func(tx *stm.Tx) error { got, ok = d.PopFront(tx); return nil })
 				if ok != (len(model) > 0) || (ok && got != model[0]) {
 					t.Fatalf("op %d: PopFront mismatch", i)
 				}
@@ -110,7 +111,7 @@ func FuzzDequeOps(f *testing.F) {
 			default:
 				var got uint64
 				var ok bool
-				th.Atomic(func(tx *stm.Tx) { got, ok = d.PopBack(tx) })
+				th.Run(func(tx *stm.Tx) error { got, ok = d.PopBack(tx); return nil })
 				if ok != (len(model) > 0) || (ok && got != model[len(model)-1]) {
 					t.Fatalf("op %d: PopBack mismatch", i)
 				}
@@ -119,11 +120,12 @@ func FuzzDequeOps(f *testing.F) {
 				}
 			}
 		}
-		th.ReadOnlyAtomic(func(tx *stm.Tx) {
+		th.Run(func(tx *stm.Tx) error {
 			if got := d.Len(tx); got != len(model) {
 				t.Fatalf("Len=%d model=%d", got, len(model))
 			}
-		})
+			return nil
+		}, stm.ReadOnly())
 	})
 }
 
@@ -142,14 +144,14 @@ func FuzzPriorityQueueOps(f *testing.F) {
 		th := rt.MustAttach()
 		defer rt.Detach(th)
 		var q *PriorityQueue
-		th.Atomic(func(tx *stm.Tx) { q = NewPriorityQueue(tx, rt, "fzq", 1) })
+		th.Run(func(tx *stm.Tx) error { q = NewPriorityQueue(tx, rt, "fzq", 1); return nil })
 		counts := map[uint64]int{} // priority multiset
 		size := 0
 		for i, b := range script {
 			if b%3 != 0 && size > 0 {
 				var prio uint64
 				var ok bool
-				th.Atomic(func(tx *stm.Tx) { prio, _, ok = q.PopMin(tx) })
+				th.Run(func(tx *stm.Tx) error { prio, _, ok = q.PopMin(tx); return nil })
 				if !ok {
 					t.Fatalf("op %d: PopMin failed with size %d", i, size)
 				}
@@ -164,14 +166,15 @@ func FuzzPriorityQueueOps(f *testing.F) {
 				continue
 			}
 			p := uint64(b % 32)
-			th.Atomic(func(tx *stm.Tx) { q.Insert(tx, p, p) })
+			th.Run(func(tx *stm.Tx) error { q.Insert(tx, p, p); return nil })
 			counts[p]++
 			size++
 		}
-		th.ReadOnlyAtomic(func(tx *stm.Tx) {
+		th.Run(func(tx *stm.Tx) error {
 			if got := q.Len(tx); got != size {
 				t.Fatalf("Len=%d model=%d", got, size)
 			}
-		})
+			return nil
+		}, stm.ReadOnly())
 	})
 }

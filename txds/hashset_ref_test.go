@@ -17,18 +17,20 @@ func TestHashSetInsertRefProfilingEdge(t *testing.T) {
 	rt.StartProfiling()
 	th := rt.MustAttach()
 	var hs *HashSet
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		hs = NewHashSet(tx, rt, "dir", 16)
+		return nil
 	})
 	vals := make(map[uint64]stm.Addr)
 	for i := uint64(0); i < 32; i++ {
-		th.Atomic(func(tx *stm.Tx) {
+		th.Run(func(tx *stm.Tx) error {
 			obj := tx.Alloc(valSite, 4)
 			tx.Store(obj, i*100)
 			if !hs.InsertRef(tx, i, obj) {
 				t.Fatalf("InsertRef(%d) found a duplicate", i)
 			}
 			vals[i] = obj
+			return nil
 		})
 	}
 	plan, err := rt.StopProfilingAndPartition()
@@ -37,7 +39,7 @@ func TestHashSetInsertRefProfilingEdge(t *testing.T) {
 	}
 	// dir.buckets, dir.node and dir.value must share one partition.
 	var part stm.PartID
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		addr, ok := hs.Lookup(tx, 3)
 		if !ok {
 			t.Fatal("key 3 lost")
@@ -46,16 +48,18 @@ func TestHashSetInsertRefProfilingEdge(t *testing.T) {
 			t.Fatalf("Lookup(3) = %#x, want %#x", addr, vals[3])
 		}
 		part = rt.PartitionOf(stm.Addr(addr))
+		return nil
 	})
 	if dirPart := rt.PartitionOf(hs.buckets); dirPart != part {
 		t.Fatalf("value objects in partition %d, directory in %d — InsertRef edge not profiled\n%s",
 			part, dirPart, plan.Describe(rt.Sites()))
 	}
 	// InsertRef refuses duplicates like Insert.
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		if hs.InsertRef(tx, 3, vals[3]) {
 			t.Fatal("duplicate InsertRef succeeded")
 		}
+		return nil
 	})
 	rt.Detach(th)
 }

@@ -17,23 +17,24 @@ func TestPriorityQueueOrdering(t *testing.T) {
 	th := rt.MustAttach()
 	defer rt.Detach(th)
 	var q *PriorityQueue
-	th.Atomic(func(tx *stm.Tx) { q = NewPriorityQueue(tx, rt, "pqo", 1) })
+	th.Run(func(tx *stm.Tx) error { q = NewPriorityQueue(tx, rt, "pqo", 1); return nil })
 
 	rng := rand.New(rand.NewSource(11))
 	want := make([]uint64, 0, 500)
 	for i := 0; i < 500; i++ {
 		p := uint64(rng.Intn(50)) // few distinct priorities: force duplicates
 		want = append(want, p)
-		th.Atomic(func(tx *stm.Tx) { q.Insert(tx, p, uint64(i)) })
+		th.Run(func(tx *stm.Tx) error { q.Insert(tx, p, uint64(i)); return nil })
 	}
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 
 	var got []uint64
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		if n := q.Len(tx); n != len(want) {
 			t.Fatalf("Len = %d, want %d", n, len(want))
 		}
 		got, _ = q.Drain(tx)
+		return nil
 	})
 	if len(got) != len(want) {
 		t.Fatalf("drained %d elements, want %d", len(got), len(want))
@@ -43,7 +44,7 @@ func TestPriorityQueueOrdering(t *testing.T) {
 			t.Fatalf("pop %d: priority %d, want %d", i, got[i], want[i])
 		}
 	}
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		if _, _, ok := q.PopMin(tx); ok {
 			t.Fatal("PopMin succeeded on empty queue")
 		}
@@ -53,6 +54,7 @@ func TestPriorityQueueOrdering(t *testing.T) {
 		if q.Len(tx) != 0 {
 			t.Fatal("drained queue not empty")
 		}
+		return nil
 	})
 }
 
@@ -63,21 +65,22 @@ func TestPriorityQueueMinMatchesPop(t *testing.T) {
 	th := rt.MustAttach()
 	defer rt.Detach(th)
 	var q *PriorityQueue
-	th.Atomic(func(tx *stm.Tx) { q = NewPriorityQueue(tx, rt, "pqm", 3) })
+	th.Run(func(tx *stm.Tx) error { q = NewPriorityQueue(tx, rt, "pqm", 3); return nil })
 	rng := rand.New(rand.NewSource(13))
 	live := 0
 	for i := 0; i < 2000; i++ {
 		if live == 0 || rng.Intn(3) != 0 {
-			th.Atomic(func(tx *stm.Tx) { q.Insert(tx, uint64(rng.Intn(1000)), uint64(i)) })
+			th.Run(func(tx *stm.Tx) error { q.Insert(tx, uint64(rng.Intn(1000)), uint64(i)); return nil })
 			live++
 			continue
 		}
-		th.Atomic(func(tx *stm.Tx) {
+		th.Run(func(tx *stm.Tx) error {
 			mp, mv, mok := q.Min(tx)
 			pp, pv, pok := q.PopMin(tx)
 			if !mok || !pok || mp != pp || mv != pv {
 				t.Fatalf("Min (%d,%d,%v) != PopMin (%d,%d,%v)", mp, mv, mok, pp, pv, pok)
 			}
+			return nil
 		})
 		live--
 	}
@@ -93,10 +96,13 @@ func TestPriorityQueueProperty(t *testing.T) {
 	f := func(prios []uint16) bool {
 		idx++
 		var q *PriorityQueue
-		th.Atomic(func(tx *stm.Tx) { q = NewPriorityQueue(tx, rt, "pqq"+string(rune('a'+idx%26))+itoa(idx), uint64(idx)) })
+		th.Run(func(tx *stm.Tx) error {
+			q = NewPriorityQueue(tx, rt, "pqq"+string(rune('a'+idx%26))+itoa(idx), uint64(idx))
+			return nil
+		})
 		for i, p := range prios {
 			pp := uint64(p)
-			th.Atomic(func(tx *stm.Tx) { q.Insert(tx, pp, uint64(i)) })
+			th.Run(func(tx *stm.Tx) error { q.Insert(tx, pp, uint64(i)); return nil })
 		}
 		want := make([]uint64, len(prios))
 		for i, p := range prios {
@@ -104,7 +110,7 @@ func TestPriorityQueueProperty(t *testing.T) {
 		}
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		var got []uint64
-		th.Atomic(func(tx *stm.Tx) { got, _ = q.Drain(tx) })
+		th.Run(func(tx *stm.Tx) error { got, _ = q.Drain(tx); return nil })
 		if len(got) != len(want) {
 			return false
 		}
@@ -139,7 +145,7 @@ func TestPriorityQueueConcurrent(t *testing.T) {
 	rt := newRT(t)
 	setup := rt.MustAttach()
 	var q *PriorityQueue
-	setup.Atomic(func(tx *stm.Tx) { q = NewPriorityQueue(tx, rt, "pqc", 5) })
+	setup.Run(func(tx *stm.Tx) error { q = NewPriorityQueue(tx, rt, "pqc", 5); return nil })
 	rt.Detach(setup)
 
 	const producers, perP = 4, 300
@@ -152,7 +158,7 @@ func TestPriorityQueueConcurrent(t *testing.T) {
 			defer rt.Detach(th)
 			for i := 0; i < perP; i++ {
 				tag := uint64(id*perP + i)
-				th.Atomic(func(tx *stm.Tx) { q.Insert(tx, tag%37, tag) })
+				th.Run(func(tx *stm.Tx) error { q.Insert(tx, tag%37, tag); return nil })
 			}
 		}(w)
 	}
@@ -175,7 +181,7 @@ func TestPriorityQueueConcurrent(t *testing.T) {
 				}
 				var tag uint64
 				var ok bool
-				th.Atomic(func(tx *stm.Tx) { _, tag, ok = q.PopMin(tx) })
+				th.Run(func(tx *stm.Tx) error { _, tag, ok = q.PopMin(tx); return nil })
 				if !ok {
 					misses++
 					if misses > 1_000_000 {

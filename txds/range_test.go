@@ -32,17 +32,18 @@ func TestRangeAgainstModel(t *testing.T) {
 	th := rt.MustAttach()
 	defer rt.Detach(th)
 	var rs map[string]ranger
-	th.Atomic(func(tx *stm.Tx) { rs = makeRangers(tx, rt, "rng") })
+	th.Run(func(tx *stm.Tx) error { rs = makeRangers(tx, rt, "rng"); return nil })
 
 	rng := rand.New(rand.NewSource(83))
 	model := map[uint64]uint64{}
 	for i := 0; i < 400; i++ {
 		k := uint64(rng.Intn(1000))
 		v := uint64(i)
-		th.Atomic(func(tx *stm.Tx) {
+		th.Run(func(tx *stm.Tx) error {
 			for _, r := range rs {
 				r.Insert(tx, k, v)
 			}
+			return nil
 		})
 		if _, ok := model[k]; !ok {
 			model[k] = v
@@ -67,13 +68,14 @@ func TestRangeAgainstModel(t *testing.T) {
 				}
 			}
 			var got [][2]uint64
-			th.ReadOnlyAtomic(func(tx *stm.Tx) {
+			th.Run(func(tx *stm.Tx) error {
 				got = got[:0]
 				r.Range(tx, lo, hi, func(k, v uint64) bool {
 					got = append(got, [2]uint64{k, v})
 					return true
 				})
-			})
+				return nil
+			}, stm.ReadOnly())
 			if len(got) != len(want) {
 				t.Fatalf("%s Range[%d,%d]: %d results, want %d", name, lo, hi, len(got), len(want))
 			}
@@ -93,23 +95,25 @@ func TestRangeEarlyStop(t *testing.T) {
 	th := rt.MustAttach()
 	defer rt.Detach(th)
 	var rs map[string]ranger
-	th.Atomic(func(tx *stm.Tx) { rs = makeRangers(tx, rt, "res") })
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error { rs = makeRangers(tx, rt, "res"); return nil })
+	th.Run(func(tx *stm.Tx) error {
 		for k := uint64(0); k < 100; k++ {
 			for _, r := range rs {
 				r.Insert(tx, k, k)
 			}
 		}
+		return nil
 	})
 	for name, r := range rs {
 		count := 0
-		th.ReadOnlyAtomic(func(tx *stm.Tx) {
+		th.Run(func(tx *stm.Tx) error {
 			count = 0
 			r.Range(tx, 0, 99, func(k, v uint64) bool {
 				count++
 				return count < 5
 			})
-		})
+			return nil
+		}, stm.ReadOnly())
 		if count != 5 {
 			t.Fatalf("%s visited %d after early stop, want 5", name, count)
 		}
@@ -126,19 +130,20 @@ func TestRangeProperty(t *testing.T) {
 	f := func(ks []uint16) bool {
 		idx++
 		var rs map[string]ranger
-		th.Atomic(func(tx *stm.Tx) { rs = makeRangers(tx, rt, "rp"+itoa(idx)) })
+		th.Run(func(tx *stm.Tx) error { rs = makeRangers(tx, rt, "rp"+itoa(idx)); return nil })
 		set := map[uint64]bool{}
 		for _, k := range ks {
 			kk := uint64(k)
-			th.Atomic(func(tx *stm.Tx) {
+			th.Run(func(tx *stm.Tx) error {
 				for _, r := range rs {
 					r.Insert(tx, kk, kk)
 				}
+				return nil
 			})
 			set[kk] = true
 		}
 		ok := true
-		th.ReadOnlyAtomic(func(tx *stm.Tx) {
+		th.Run(func(tx *stm.Tx) error {
 			for _, r := range rs {
 				var got []uint64
 				r.Range(tx, 0, ^uint64(0), func(k, v uint64) bool {
@@ -147,16 +152,17 @@ func TestRangeProperty(t *testing.T) {
 				})
 				if len(got) != len(set) {
 					ok = false
-					return
+					return nil
 				}
 				for i, k := range got {
 					if !set[k] || (i > 0 && got[i-1] >= k) {
 						ok = false
-						return
+						return nil
 					}
 				}
 			}
-		})
+			return nil
+		}, stm.ReadOnly())
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {

@@ -19,20 +19,21 @@ func TestNodeRecyclingBoundsHeap(t *testing.T) {
 	th := rt.MustAttach()
 	defer rt.Detach(th)
 	structures := map[string]setAPI{}
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		structures["list"] = NewList(tx, rt, "reuse.list")
 		structures["skiplist"] = NewSkipList(tx, rt, "reuse.skip", 9)
 		structures["rbtree"] = NewRBTree(tx, rt, "reuse.tree")
 		structures["hashset"] = NewHashSet(tx, rt, "reuse.hash", 32)
+		return nil
 	})
 	for name, s := range structures {
 		t.Run(name, func(t *testing.T) {
 			// Prime: one full population to reach the steady footprint.
 			for k := uint64(0); k < 64; k++ {
-				th.Atomic(func(tx *stm.Tx) { s.Insert(tx, k, k) })
+				th.Run(func(tx *stm.Tx) error { s.Insert(tx, k, k); return nil })
 			}
 			for k := uint64(0); k < 64; k++ {
-				th.Atomic(func(tx *stm.Tx) { s.Remove(tx, k) })
+				th.Run(func(tx *stm.Tx) error { s.Remove(tx, k); return nil })
 			}
 			base := rt.HeapInUseBlocks()
 			// Churn: 50 more populate/drain cycles must not grow the heap by
@@ -40,10 +41,10 @@ func TestNodeRecyclingBoundsHeap(t *testing.T) {
 			// ~50x growth leaking nodes would cause.
 			for cycle := 0; cycle < 50; cycle++ {
 				for k := uint64(0); k < 64; k++ {
-					th.Atomic(func(tx *stm.Tx) { s.Insert(tx, k, k) })
+					th.Run(func(tx *stm.Tx) error { s.Insert(tx, k, k); return nil })
 				}
 				for k := uint64(0); k < 64; k++ {
-					th.Atomic(func(tx *stm.Tx) { s.Remove(tx, k) })
+					th.Run(func(tx *stm.Tx) error { s.Remove(tx, k); return nil })
 				}
 			}
 			grown := rt.HeapInUseBlocks() - base
@@ -67,11 +68,12 @@ func TestQueueDequeStackRecycling(t *testing.T) {
 	var d *Deque
 	var s *Stack
 	var p *PriorityQueue
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		q = NewQueue(tx, rt, "reuse.q")
 		d = NewDeque(tx, rt, "reuse.d")
 		s = NewStack(tx, rt, "reuse.s")
 		p = NewPriorityQueue(tx, rt, "reuse.p", 3)
+		return nil
 	})
 	churn := func(fill, drain func(i uint64)) {
 		for c := 0; c < 30; c++ {
@@ -83,17 +85,17 @@ func TestQueueDequeStackRecycling(t *testing.T) {
 			}
 		}
 	}
-	churn(func(i uint64) { th.Atomic(func(tx *stm.Tx) { q.Enqueue(tx, i) }) },
-		func(i uint64) { th.Atomic(func(tx *stm.Tx) { q.Dequeue(tx) }) })
+	churn(func(i uint64) { th.Run(func(tx *stm.Tx) error { q.Enqueue(tx, i); return nil }) },
+		func(i uint64) { th.Run(func(tx *stm.Tx) error { q.Dequeue(tx); return nil }) })
 	base := rt.HeapInUseBlocks()
-	churn(func(i uint64) { th.Atomic(func(tx *stm.Tx) { q.Enqueue(tx, i) }) },
-		func(i uint64) { th.Atomic(func(tx *stm.Tx) { q.Dequeue(tx) }) })
-	churn(func(i uint64) { th.Atomic(func(tx *stm.Tx) { d.PushFront(tx, i) }) },
-		func(i uint64) { th.Atomic(func(tx *stm.Tx) { d.PopBack(tx) }) })
-	churn(func(i uint64) { th.Atomic(func(tx *stm.Tx) { s.Push(tx, i) }) },
-		func(i uint64) { th.Atomic(func(tx *stm.Tx) { s.Pop(tx) }) })
-	churn(func(i uint64) { th.Atomic(func(tx *stm.Tx) { p.Insert(tx, i%7, i) }) },
-		func(i uint64) { th.Atomic(func(tx *stm.Tx) { p.PopMin(tx) }) })
+	churn(func(i uint64) { th.Run(func(tx *stm.Tx) error { q.Enqueue(tx, i); return nil }) },
+		func(i uint64) { th.Run(func(tx *stm.Tx) error { q.Dequeue(tx); return nil }) })
+	churn(func(i uint64) { th.Run(func(tx *stm.Tx) error { d.PushFront(tx, i); return nil }) },
+		func(i uint64) { th.Run(func(tx *stm.Tx) error { d.PopBack(tx); return nil }) })
+	churn(func(i uint64) { th.Run(func(tx *stm.Tx) error { s.Push(tx, i); return nil }) },
+		func(i uint64) { th.Run(func(tx *stm.Tx) error { s.Pop(tx); return nil }) })
+	churn(func(i uint64) { th.Run(func(tx *stm.Tx) error { p.Insert(tx, i%7, i); return nil }) },
+		func(i uint64) { th.Run(func(tx *stm.Tx) error { p.PopMin(tx); return nil }) })
 	if grown := rt.HeapInUseBlocks() - base; grown > 6 {
 		t.Fatalf("containers grew %d blocks over churn; nodes are leaking", grown)
 	}
@@ -106,7 +108,7 @@ func TestRBTreeInvariantsUnderConcurrentChurn(t *testing.T) {
 	rt := newRT(t)
 	setup := rt.MustAttach()
 	var tree *RBTree
-	setup.Atomic(func(tx *stm.Tx) { tree = NewRBTree(tx, rt, "churn.tree") })
+	setup.Run(func(tx *stm.Tx) error { tree = NewRBTree(tx, rt, "churn.tree"); return nil })
 	rt.Detach(setup)
 	const workers, perW, keyRange = 6, 1200, 512
 	var wg sync.WaitGroup
@@ -121,11 +123,11 @@ func TestRBTreeInvariantsUnderConcurrentChurn(t *testing.T) {
 				k := uint64(rng.Intn(keyRange))
 				switch rng.Intn(3) {
 				case 0:
-					th.Atomic(func(tx *stm.Tx) { tree.Insert(tx, k, k) })
+					th.Run(func(tx *stm.Tx) error { tree.Insert(tx, k, k); return nil })
 				case 1:
-					th.Atomic(func(tx *stm.Tx) { tree.Remove(tx, k) })
+					th.Run(func(tx *stm.Tx) error { tree.Remove(tx, k); return nil })
 				default:
-					th.ReadOnlyAtomic(func(tx *stm.Tx) { tree.Contains(tx, k) })
+					th.Run(func(tx *stm.Tx) error { tree.Contains(tx, k); return nil }, stm.ReadOnly())
 				}
 			}
 		}(int64(w) + 41)
@@ -133,7 +135,7 @@ func TestRBTreeInvariantsUnderConcurrentChurn(t *testing.T) {
 	wg.Wait()
 	th := rt.MustAttach()
 	defer rt.Detach(th)
-	th.ReadOnlyAtomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		if msg := tree.CheckInvariants(tx); msg != "" {
 			t.Fatal(msg)
 		}
@@ -143,7 +145,8 @@ func TestRBTreeInvariantsUnderConcurrentChurn(t *testing.T) {
 				t.Fatalf("Keys not strictly ascending at %d: %d >= %d", i, keys[i-1], keys[i])
 			}
 		}
-	})
+		return nil
+	}, stm.ReadOnly())
 }
 
 // TestKeysSortedEverywhere checks every ordered structure reports keys in
@@ -155,21 +158,23 @@ func TestKeysSortedEverywhere(t *testing.T) {
 	var list *List
 	var skip *SkipList
 	var tree *RBTree
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		list = NewList(tx, rt, "sort.list")
 		skip = NewSkipList(tx, rt, "sort.skip", 77)
 		tree = NewRBTree(tx, rt, "sort.tree")
+		return nil
 	})
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 400; i++ {
 		k := rng.Uint64() % 10000
-		th.Atomic(func(tx *stm.Tx) {
+		th.Run(func(tx *stm.Tx) error {
 			list.Insert(tx, k, uint64(i))
 			skip.Insert(tx, k, uint64(i))
 			tree.Insert(tx, k, uint64(i))
+			return nil
 		})
 	}
-	th.ReadOnlyAtomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		for name, keys := range map[string][]uint64{
 			"list": list.Keys(tx), "skiplist": skip.Keys(tx), "rbtree": tree.Keys(tx),
 		} {
@@ -182,5 +187,6 @@ func TestKeysSortedEverywhere(t *testing.T) {
 		if a, b, c := list.Len(tx), skip.Len(tx), tree.Len(tx); a != b || b != c {
 			t.Fatalf("structure sizes diverge: list=%d skip=%d tree=%d", a, b, c)
 		}
-	})
+		return nil
+	}, stm.ReadOnly())
 }

@@ -48,7 +48,7 @@ func TestSetsAgainstModel(t *testing.T) {
 	th := rt.MustAttach()
 	defer rt.Detach(th)
 	var sets map[string]setAPI
-	th.Atomic(func(tx *stm.Tx) { sets = makeSets(tx, rt, "model") })
+	th.Run(func(tx *stm.Tx) error { sets = makeSets(tx, rt, "model"); return nil })
 
 	for name, s := range sets {
 		t.Run(name, func(t *testing.T) {
@@ -61,7 +61,7 @@ func TestSetsAgainstModel(t *testing.T) {
 				switch rng.Intn(4) {
 				case 0: // insert
 					var got bool
-					th.Atomic(func(tx *stm.Tx) { got = s.Insert(tx, k, v) })
+					th.Run(func(tx *stm.Tx) error { got = s.Insert(tx, k, v); return nil })
 					_, existed := model[k]
 					if got == existed {
 						t.Fatalf("op %d: Insert(%d) = %v, model existed=%v", i, k, got, existed)
@@ -72,7 +72,7 @@ func TestSetsAgainstModel(t *testing.T) {
 				case 1: // remove
 					var got uint64
 					var ok bool
-					th.Atomic(func(tx *stm.Tx) { got, ok = s.Remove(tx, k) })
+					th.Run(func(tx *stm.Tx) error { got, ok = s.Remove(tx, k); return nil })
 					want, existed := model[k]
 					if ok != existed || (ok && got != want) {
 						t.Fatalf("op %d: Remove(%d) = (%d,%v), model (%d,%v)", i, k, got, ok, want, existed)
@@ -81,21 +81,21 @@ func TestSetsAgainstModel(t *testing.T) {
 				case 2: // lookup
 					var got uint64
 					var ok bool
-					th.Atomic(func(tx *stm.Tx) { got, ok = s.Lookup(tx, k) })
+					th.Run(func(tx *stm.Tx) error { got, ok = s.Lookup(tx, k); return nil })
 					want, existed := model[k]
 					if ok != existed || (ok && got != want) {
 						t.Fatalf("op %d: Lookup(%d) = (%d,%v), model (%d,%v)", i, k, got, ok, want, existed)
 					}
 				case 3: // contains
 					var got bool
-					th.Atomic(func(tx *stm.Tx) { got = s.Contains(tx, k) })
+					th.Run(func(tx *stm.Tx) error { got = s.Contains(tx, k); return nil })
 					if _, existed := model[k]; got != existed {
 						t.Fatalf("op %d: Contains(%d) = %v, model %v", i, k, got, existed)
 					}
 				}
 			}
 			var n int
-			th.Atomic(func(tx *stm.Tx) { n = s.Len(tx) })
+			th.Run(func(tx *stm.Tx) error { n = s.Len(tx); return nil })
 			if n != len(model) {
 				t.Fatalf("Len = %d, model %d", n, len(model))
 			}
@@ -111,17 +111,19 @@ func TestSortedKeys(t *testing.T) {
 	var l *List
 	var sl *SkipList
 	var rb *RBTree
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		l = NewList(tx, rt, "sk.list")
 		sl = NewSkipList(tx, rt, "sk.skip", 9)
 		rb = NewRBTree(tx, rt, "sk.tree")
+		return nil
 	})
 	keys := []uint64{42, 7, 0, 99, 13, 55, 1, 100, 64}
 	for _, k := range keys {
-		th.Atomic(func(tx *stm.Tx) {
+		th.Run(func(tx *stm.Tx) error {
 			l.Insert(tx, k, k*10)
 			sl.Insert(tx, k, k*10)
 			rb.Insert(tx, k, k*10)
+			return nil
 		})
 	}
 	want := append([]uint64(nil), keys...)
@@ -136,10 +138,11 @@ func TestSortedKeys(t *testing.T) {
 			}
 		}
 	}
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		check("list", l.Keys(tx))
 		check("skiplist", sl.Keys(tx))
 		check("rbtree", rb.Keys(tx))
+		return nil
 	})
 }
 
@@ -148,14 +151,14 @@ func TestUpsert(t *testing.T) {
 	th := rt.MustAttach()
 	defer rt.Detach(th)
 	var sets map[string]setAPI
-	th.Atomic(func(tx *stm.Tx) { sets = makeSets(tx, rt, "ups") })
+	th.Run(func(tx *stm.Tx) error { sets = makeSets(tx, rt, "ups"); return nil })
 	for name, s := range sets {
 		up, ok := s.(upserter)
 		if !ok {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
-			th.Atomic(func(tx *stm.Tx) {
+			th.Run(func(tx *stm.Tx) error {
 				if !up.Set(tx, 5, 50) {
 					t.Error("Set of fresh key reported update")
 				}
@@ -165,6 +168,7 @@ func TestUpsert(t *testing.T) {
 				if v, ok := s.Lookup(tx, 5); !ok || v != 60 {
 					t.Errorf("Lookup = (%d,%v)", v, ok)
 				}
+				return nil
 			})
 		})
 	}
@@ -177,11 +181,11 @@ func TestRBTreeInvariants(t *testing.T) {
 	th := rt.MustAttach()
 	defer rt.Detach(th)
 	var rb *RBTree
-	th.Atomic(func(tx *stm.Tx) { rb = NewRBTree(tx, rt, "inv.tree") })
+	th.Run(func(tx *stm.Tx) error { rb = NewRBTree(tx, rt, "inv.tree"); return nil })
 	rng := rand.New(rand.NewSource(3))
 	live := make(map[uint64]bool)
 	for batch := 0; batch < 60; batch++ {
-		th.Atomic(func(tx *stm.Tx) {
+		th.Run(func(tx *stm.Tx) error {
 			for i := 0; i < 40; i++ {
 				k := uint64(rng.Intn(300))
 				if rng.Intn(2) == 0 {
@@ -194,14 +198,16 @@ func TestRBTreeInvariants(t *testing.T) {
 					}
 				}
 			}
+			return nil
 		})
-		th.Atomic(func(tx *stm.Tx) {
+		th.Run(func(tx *stm.Tx) error {
 			if msg := rb.CheckInvariants(tx); msg != "" {
 				t.Fatalf("batch %d: %s", batch, msg)
 			}
 			if n := rb.Len(tx); n != len(live) {
 				t.Fatalf("batch %d: Len=%d live=%d", batch, n, len(live))
 			}
+			return nil
 		})
 	}
 	// Note: the live map above is mutated inside transactions; single
@@ -213,8 +219,8 @@ func TestRBTreeMin(t *testing.T) {
 	th := rt.MustAttach()
 	defer rt.Detach(th)
 	var rb *RBTree
-	th.Atomic(func(tx *stm.Tx) { rb = NewRBTree(tx, rt, "min.tree") })
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error { rb = NewRBTree(tx, rt, "min.tree"); return nil })
+	th.Run(func(tx *stm.Tx) error {
 		if _, ok := rb.Min(tx); ok {
 			t.Error("Min on empty tree")
 		}
@@ -228,6 +234,7 @@ func TestRBTreeMin(t *testing.T) {
 		if k, _ := rb.Min(tx); k != 7 {
 			t.Errorf("Min after remove = %d", k)
 		}
+		return nil
 	})
 }
 
@@ -240,7 +247,7 @@ func TestConcurrentSetMembership(t *testing.T) {
 	}
 	setup := rt.MustAttach()
 	var sets map[string]setAPI
-	setup.Atomic(func(tx *stm.Tx) { sets = makeSets(tx, rt, "conc") })
+	setup.Run(func(tx *stm.Tx) error { sets = makeSets(tx, rt, "conc"); return nil })
 	rt.Detach(setup)
 
 	for name, s := range sets {
@@ -255,7 +262,7 @@ func TestConcurrentSetMembership(t *testing.T) {
 					defer rt.Detach(th)
 					for i := uint64(0); i < perW; i++ {
 						k := base*perW + i
-						th.Atomic(func(tx *stm.Tx) { s.Insert(tx, k, k) })
+						th.Run(func(tx *stm.Tx) error { s.Insert(tx, k, k); return nil })
 					}
 				}(uint64(w))
 			}
@@ -263,11 +270,11 @@ func TestConcurrentSetMembership(t *testing.T) {
 			th := rt.MustAttach()
 			defer rt.Detach(th)
 			var n int
-			th.Atomic(func(tx *stm.Tx) { n = s.Len(tx) })
+			th.Run(func(tx *stm.Tx) error { n = s.Len(tx); return nil })
 			if n != workers*perW {
 				t.Fatalf("Len = %d, want %d", n, workers*perW)
 			}
-			th.Atomic(func(tx *stm.Tx) {
+			th.Run(func(tx *stm.Tx) error {
 				for w := 0; w < workers; w++ {
 					for i := uint64(0); i < perW; i += 37 {
 						k := uint64(w)*perW + i
@@ -276,6 +283,7 @@ func TestConcurrentSetMembership(t *testing.T) {
 						}
 					}
 				}
+				return nil
 			})
 		})
 	}
@@ -290,7 +298,7 @@ func TestConcurrentRBTreeShape(t *testing.T) {
 	}
 	setup := rt.MustAttach()
 	var rb *RBTree
-	setup.Atomic(func(tx *stm.Tx) { rb = NewRBTree(tx, rt, "cshape") })
+	setup.Run(func(tx *stm.Tx) error { rb = NewRBTree(tx, rt, "cshape"); return nil })
 	rt.Detach(setup)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -303,9 +311,9 @@ func TestConcurrentRBTreeShape(t *testing.T) {
 			for i := 0; i < 1200; i++ {
 				k := uint64(rng.Intn(500))
 				if rng.Intn(100) < 50 {
-					th.Atomic(func(tx *stm.Tx) { rb.Insert(tx, k, k) })
+					th.Run(func(tx *stm.Tx) error { rb.Insert(tx, k, k); return nil })
 				} else {
-					th.Atomic(func(tx *stm.Tx) { rb.Remove(tx, k) })
+					th.Run(func(tx *stm.Tx) error { rb.Remove(tx, k); return nil })
 				}
 			}
 		}(int64(w) + 1)
@@ -313,10 +321,11 @@ func TestConcurrentRBTreeShape(t *testing.T) {
 	wg.Wait()
 	th := rt.MustAttach()
 	defer rt.Detach(th)
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		if msg := rb.CheckInvariants(tx); msg != "" {
 			t.Fatal(msg)
 		}
+		return nil
 	})
 }
 
@@ -325,40 +334,44 @@ func TestQueueFIFO(t *testing.T) {
 	th := rt.MustAttach()
 	defer rt.Detach(th)
 	var q *Queue
-	th.Atomic(func(tx *stm.Tx) { q = NewQueue(tx, rt, "fifo") })
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error { q = NewQueue(tx, rt, "fifo"); return nil })
+	th.Run(func(tx *stm.Tx) error {
 		if _, ok := q.Dequeue(tx); ok {
 			t.Error("dequeue from empty queue")
 		}
 		if _, ok := q.Peek(tx); ok {
 			t.Error("peek on empty queue")
 		}
+		return nil
 	})
 	for i := uint64(1); i <= 5; i++ {
-		th.Atomic(func(tx *stm.Tx) { q.Enqueue(tx, i) })
+		th.Run(func(tx *stm.Tx) error { q.Enqueue(tx, i); return nil })
 	}
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		if n := q.Len(tx); n != 5 {
 			t.Errorf("Len = %d", n)
 		}
 		if v, _ := q.Peek(tx); v != 1 {
 			t.Errorf("Peek = %d", v)
 		}
+		return nil
 	})
 	for i := uint64(1); i <= 5; i++ {
-		th.Atomic(func(tx *stm.Tx) {
+		th.Run(func(tx *stm.Tx) error {
 			v, ok := q.Dequeue(tx)
 			if !ok || v != i {
 				t.Errorf("Dequeue = (%d,%v), want %d", v, ok, i)
 			}
+			return nil
 		})
 	}
 	// Empty again; enqueue after drain must relink head.
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		q.Enqueue(tx, 42)
 		if v, ok := q.Dequeue(tx); !ok || v != 42 {
 			t.Errorf("after drain: (%d,%v)", v, ok)
 		}
+		return nil
 	})
 }
 
@@ -372,12 +385,13 @@ func TestQueueConcurrentTransfer(t *testing.T) {
 	setup := rt.MustAttach()
 	var q1, q2 *Queue
 	const tokens = 500
-	setup.Atomic(func(tx *stm.Tx) {
+	setup.Run(func(tx *stm.Tx) error {
 		q1 = NewQueue(tx, rt, "xfer.q1")
 		q2 = NewQueue(tx, rt, "xfer.q2")
+		return nil
 	})
 	for i := uint64(0); i < tokens; i++ {
-		setup.Atomic(func(tx *stm.Tx) { q1.Enqueue(tx, i) })
+		setup.Run(func(tx *stm.Tx) error { q1.Enqueue(tx, i); return nil })
 	}
 	rt.Detach(setup)
 	var wg sync.WaitGroup
@@ -389,11 +403,12 @@ func TestQueueConcurrentTransfer(t *testing.T) {
 			defer rt.Detach(th)
 			for {
 				moved := false
-				th.Atomic(func(tx *stm.Tx) {
+				th.Run(func(tx *stm.Tx) error {
 					if v, ok := q1.Dequeue(tx); ok {
 						q2.Enqueue(tx, v)
 						moved = true
 					}
+					return nil
 				})
 				if !moved {
 					return
@@ -404,18 +419,19 @@ func TestQueueConcurrentTransfer(t *testing.T) {
 	wg.Wait()
 	th := rt.MustAttach()
 	defer rt.Detach(th)
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		if n := q1.Len(tx); n != 0 {
 			t.Errorf("q1 still has %d", n)
 		}
 		if n := q2.Len(tx); n != tokens {
 			t.Errorf("q2 has %d, want %d", n, tokens)
 		}
+		return nil
 	})
 	// All tokens distinct.
 	seen := make(map[uint64]bool)
 	for i := 0; i < tokens; i++ {
-		th.Atomic(func(tx *stm.Tx) {
+		th.Run(func(tx *stm.Tx) error {
 			v, ok := q2.Dequeue(tx)
 			if !ok {
 				t.Fatal("queue drained early")
@@ -424,6 +440,7 @@ func TestQueueConcurrentTransfer(t *testing.T) {
 				t.Fatalf("duplicate token %d", v)
 			}
 			seen[v] = true
+			return nil
 		})
 	}
 }
@@ -433,11 +450,11 @@ func TestCounterArray(t *testing.T) {
 	th := rt.MustAttach()
 	defer rt.Detach(th)
 	var c *CounterArray
-	th.Atomic(func(tx *stm.Tx) { c = NewCounterArray(tx, rt, "cnt", 16, 100) })
+	th.Run(func(tx *stm.Tx) error { c = NewCounterArray(tx, rt, "cnt", 16, 100); return nil })
 	if c.N() != 16 {
 		t.Fatalf("N = %d", c.N())
 	}
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		if s := c.Sum(tx); s != 1600 {
 			t.Errorf("Sum = %d", s)
 		}
@@ -458,6 +475,7 @@ func TestCounterArray(t *testing.T) {
 		if s := c.Sum(tx); s != 1600+5-100+7 {
 			t.Errorf("final Sum = %d", s)
 		}
+		return nil
 	})
 }
 
@@ -470,7 +488,7 @@ func TestCounterConservation(t *testing.T) {
 	setup := rt.MustAttach()
 	var c *CounterArray
 	const n, initBal = 32, 1000
-	setup.Atomic(func(tx *stm.Tx) { c = NewCounterArray(tx, rt, "bankc", n, initBal) })
+	setup.Run(func(tx *stm.Tx) error { c = NewCounterArray(tx, rt, "bankc", n, initBal); return nil })
 	rt.Detach(setup)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -482,17 +500,18 @@ func TestCounterConservation(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 2000; i++ {
 				from, to := rng.Intn(n), rng.Intn(n)
-				th.Atomic(func(tx *stm.Tx) { c.Transfer(tx, from, to, uint64(rng.Intn(20))) })
+				th.Run(func(tx *stm.Tx) error { c.Transfer(tx, from, to, uint64(rng.Intn(20))); return nil })
 			}
 		}(int64(w) * 13)
 	}
 	wg.Wait()
 	th := rt.MustAttach()
 	defer rt.Detach(th)
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		if s := c.Sum(tx); s != n*initBal {
 			t.Fatalf("Sum = %d, want %d", s, n*initBal)
 		}
+		return nil
 	})
 }
 
@@ -506,18 +525,20 @@ func TestStructuresFormDistinctPartitions(t *testing.T) {
 	var sl *SkipList
 	var rb *RBTree
 	var hs *HashSet
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		l = NewList(tx, rt, "pp.list")
 		sl = NewSkipList(tx, rt, "pp.skip", 1)
 		rb = NewRBTree(tx, rt, "pp.tree")
 		hs = NewHashSet(tx, rt, "pp.hash", 16)
+		return nil
 	})
 	for i := uint64(0); i < 30; i++ {
-		th.Atomic(func(tx *stm.Tx) {
+		th.Run(func(tx *stm.Tx) error {
 			l.Insert(tx, i, i)
 			sl.Insert(tx, i, i)
 			rb.Insert(tx, i, i)
 			hs.Insert(tx, i, i)
+			return nil
 		})
 	}
 	plan, err := rt.StopProfilingAndPartition()
@@ -529,10 +550,11 @@ func TestStructuresFormDistinctPartitions(t *testing.T) {
 		t.Fatalf("NumPartitions = %d, want 5\n%s", got, plan.Describe(rt.Sites()))
 	}
 	// Structures keep working after partitioning, in their own partitions.
-	th.Atomic(func(tx *stm.Tx) {
+	th.Run(func(tx *stm.Tx) error {
 		if !l.Contains(tx, 7) || !sl.Contains(tx, 7) || !rb.Contains(tx, 7) || !hs.Contains(tx, 7) {
 			t.Error("data lost across partitioning")
 		}
+		return nil
 	})
 	rt.Detach(th)
 }
