@@ -235,7 +235,8 @@ func BenchmarkSnapshotObjectRead(b *testing.B) {
 // store-backed partition, quiet and beside a paced writer of whole-object
 // transfers (the shape of stmbench's snapshot-audit). The first attempt of
 // such a Run keeps no read set, so ns/object is the read protocol itself;
-// allocs/op must stay 0.
+// allocs/op must stay 0. readonly is the same quiet scan as a ReadOnly()
+// Run, which logs one read-set entry per orec.
 func BenchmarkSnapshotScan(b *testing.B) {
 	const objects, objWords, balance = 4096, 8, 1 << 20
 	setup := func(b *testing.B) (*stm.Runtime, []stm.Addr) {
@@ -256,7 +257,7 @@ func BenchmarkSnapshotScan(b *testing.B) {
 		}
 		return rt, objs
 	}
-	scan := func(b *testing.B, rt *stm.Runtime, objs []stm.Addr) {
+	scan := func(b *testing.B, rt *stm.Runtime, objs []stm.Addr, opt stm.TxOpt) {
 		th := rt.MustAttach()
 		defer rt.Detach(th)
 		var words [objWords]uint64
@@ -269,7 +270,7 @@ func BenchmarkSnapshotScan(b *testing.B) {
 			}
 			return nil
 		}
-		opts := []stm.TxOpt{stm.Snapshot()}
+		opts := []stm.TxOpt{opt}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -285,7 +286,12 @@ func BenchmarkSnapshotScan(b *testing.B) {
 	b.Run("quiet", func(b *testing.B) {
 		rt, objs := setup(b)
 		defer rt.Close()
-		scan(b, rt, objs)
+		scan(b, rt, objs, stm.Snapshot())
+	})
+	b.Run("readonly", func(b *testing.B) {
+		rt, objs := setup(b)
+		defer rt.Close()
+		scan(b, rt, objs, stm.ReadOnly())
 	})
 	b.Run("writer", func(b *testing.B) {
 		rt, objs := setup(b)
@@ -323,7 +329,7 @@ func BenchmarkSnapshotScan(b *testing.B) {
 				}
 			}
 		}()
-		scan(b, rt, objs)
+		scan(b, rt, objs, stm.Snapshot())
 		close(stop)
 		<-done
 	})

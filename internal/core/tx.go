@@ -561,7 +561,7 @@ func (tx *Tx) loadInvisible(ps *partState, o *orec, addr memory.Addr, ti int) ui
 	spins := 0
 	// probedHead caches the store's append counter across spin iterations:
 	// a lookup that missed can only start hitting after a new record lands,
-	// so the O(capacity) scan is repeated only when the counter moved.
+	// so a repeat probe is skipped until the counter moves.
 	probedHead := ^uint64(0)
 	for {
 		l1 := o.lock.Load()
@@ -787,12 +787,19 @@ func (tx *Tx) blockChunk(addr memory.Addr, n int) int {
 // LoadWords transactionally reads the len(dst) consecutive words starting
 // at addr into dst. It is equivalent to len(dst) calls of Load but pays
 // the per-access overhead (partition lookup, footprint touch, statistics)
-// once per object instead of once per word, reads words sharing an
-// ownership record under a single lock-sample/re-sample pair with one
-// read-set entry, and — in snapshot mode — reconstructs a whole object
-// from the partition's multi-version store with one index probe when the
-// object was written by a single commit (mvstore.ReadRangeAt). This is
-// the primitive behind the typed object layer (stm.Ref).
+// once per object instead of once per word. An attempt that has written
+// nothing yet (every read-only one) reads up to sweepWords words in one
+// sweep: sample every word's orec, load every word, re-sample every orec;
+// each word is then certified by two identical unlocked samples of its own
+// orec at or below the snapshot, and the read set gets one entry per
+// distinct orec (or, on a pinned snapshot attempt, none). A locked, stale
+// or changed orec sends that window to the per-orec path, which also
+// serves attempts with buffered writes: words sharing an ownership record
+// are read under a single lock-sample/re-sample pair with one read-set
+// entry, and — in snapshot mode — a whole object is reconstructed from
+// the partition's multi-version store with one index probe when it was
+// written by a single commit (mvstore.ReadRangeAt). This is the primitive
+// behind the typed object layer (stm.Ref).
 func (tx *Tx) LoadWords(addr memory.Addr, dst []uint64) {
 	if len(dst) == 0 {
 		return
@@ -807,9 +814,12 @@ func (tx *Tx) LoadWords(addr memory.Addr, dst []uint64) {
 	}
 }
 
+// sweepWords is the window of one LoadWords sweep: its orecs and lock
+// samples live in stack arrays of this many entries.
+const sweepWords = 16
+
 // loadWordsChunk reads a word range confined to one heap block (one
-// partition): per-orec groups of consecutive words are read together, and
-// buffered writes (read-after-write) are honored per word.
+// partition), a sweep per window when nothing is buffered, else per orec.
 func (tx *Tx) loadWordsChunk(addr memory.Addr, dst []uint64) {
 	p := tx.eng.partOf(tx.topo, addr)
 	ps := p.loadState()
@@ -827,8 +837,62 @@ func (tx *Tx) loadWordsChunk(addr memory.Addr, dst []uint64) {
 		}
 		return
 	}
-	// An attempt that has written nothing yet (every read-only one) skips
-	// the per-word read-after-write probes altogether.
+	if len(tx.ws) > 0 {
+		tx.loadGroups(ps, addr, dst, ti)
+		return
+	}
+	for len(dst) > 0 {
+		c := min(len(dst), sweepWords)
+		if !tx.sweep(ps, addr, dst[:c], ti) {
+			tx.loadGroups(ps, addr, dst[:c], ti)
+		}
+		addr += memory.Addr(c)
+		dst = dst[c:]
+	}
+}
+
+// sweep reads dst (at most sweepWords words) in three passes and reports
+// whether every word was certified; on false the caller re-reads dst on
+// the per-orec path, which owns every conflict case.
+func (tx *Tx) sweep(ps *partState, addr memory.Addr, dst []uint64, ti int) bool {
+	var lbuf [sweepWords]uint64
+	var obuf [sweepWords]*orec
+	t, snap := ps.table, tx.touched[ti].snap
+	ls, orecs := lbuf[:len(dst)], obuf[:len(dst)]
+	for i := range orecs {
+		o := t.of(addr + memory.Addr(i))
+		l := o.lock.Load()
+		if isLocked(l) || versionOf(l) > snap {
+			return false
+		}
+		orecs[i], ls[i] = o, l
+	}
+	for i := range dst {
+		dst[i] = tx.eng.arena.LoadAtomic(addr + memory.Addr(i))
+	}
+	for i, o := range orecs {
+		if o.lock.Load() != ls[i] {
+			return false
+		}
+	}
+	if tx.unlogged && ps.hist != nil {
+		tx.pinned = true
+		return true
+	}
+	var last *orec
+	for i, o := range orecs {
+		if o != last {
+			tx.logRead(ps, o, versionOf(ls[i]))
+			last = o
+		}
+	}
+	return true
+}
+
+// loadGroups is the per-orec read of dst: consecutive words sharing an
+// orec form one group read by loadGroup, and buffered writes
+// (read-after-write) are honored per word.
+func (tx *Tx) loadGroups(ps *partState, addr memory.Addr, dst []uint64, ti int) {
 	probeWS := len(tx.ws) > 0
 	i := 0
 	for i < len(dst) {
@@ -854,72 +918,36 @@ func (tx *Tx) loadWordsChunk(addr memory.Addr, dst []uint64) {
 			}
 			end++
 		}
-		if tx.snapMode {
-			i = tx.loadSnapWords(ps, o, addr, dst, i, end, ti)
-			continue
-		}
-		tx.loadGroupInvisible(ps, o, a, dst[i:end], ti)
-		i = end
+		i = tx.loadGroup(ps, o, addr, dst, i, end, ti)
 	}
 }
 
-// loadGroupInvisible is loadInvisible generalized to a run of consecutive
-// words sharing one ownership record: the whole group is read between one
-// lock sample and one re-sample, and contributes one read-set entry — the
-// protocol steps a per-word loop would repeat per word happen once per
-// orec.
-func (tx *Tx) loadGroupInvisible(ps *partState, o *orec, base memory.Addr, out []uint64, ti int) {
-	spins := 0
-	for {
-		l1 := o.lock.Load()
-		if isLocked(l1) {
-			if lockOwner(l1) == tx.th.slot {
-				// Self-locked: memory is stable under our own lock (WB
-				// buffered values were peeled off by the caller).
-				for i := range out {
-					out[i] = tx.eng.arena.LoadAtomic(base + memory.Addr(i))
-				}
-				return
-			}
-			tx.cmConflict(ps, o, l1, AbortLockedOnRead, &spins, ti)
-			continue
-		}
-		for i := range out {
-			out[i] = tx.eng.arena.LoadAtomic(base + memory.Addr(i))
-		}
-		if o.lock.Load() != l1 {
-			spins++
-			continue
-		}
-		if ver := versionOf(l1); ver > tx.touched[ti].snap {
-			if !tx.extend() {
-				tx.abort(AbortValidation)
-			}
-			continue // re-read under the extended snapshot
-		}
-		tx.logRead(ps, o, versionOf(l1)) // one entry per orec, not per word
-		return
-	}
-}
-
-// loadSnapWords is the snapshot-mode word-range read: the group
-// [i, end) shares orec o; when the orec has moved past (or is locked
-// ahead of) the pinned snapshot, reconstruction is attempted for the
-// WHOLE remaining chunk [i, len(dst)) in one mvstore range lookup — for
-// an object written by a single commit that is one index probe instead
-// of one per word — and then for the stale group alone (snapReadFrom).
-// It returns the next unserved position.
-func (tx *Tx) loadSnapWords(ps *partState, o *orec, addr memory.Addr, dst []uint64, i, end, ti int) int {
+// loadGroup is loadInvisible generalized to the group [i, end) of
+// consecutive words sharing orec o: the group is read between one lock
+// sample and one re-sample and contributes one read-set entry. In
+// snapshot mode, when o has moved past (or is locked ahead of) the pinned
+// snapshot, reconstruction is attempted for the WHOLE remaining range
+// [i, len(dst)) in one mvstore range lookup — for an object written by a
+// single commit that is one index probe instead of one per word — and
+// then for the stale group alone (snapReadFrom). It returns the next
+// unserved position.
+func (tx *Tx) loadGroup(ps *partState, o *orec, addr memory.Addr, dst []uint64, i, end, ti int) int {
 	spins := 0
 	probedHead := ^uint64(0)
 	for {
 		l1 := o.lock.Load()
 		if isLocked(l1) {
 			if lockOwner(l1) == tx.th.slot {
+				// Self-locked: memory is stable under our own lock (WB
+				// buffered values were peeled off by the caller).
 				for j := i; j < end; j++ {
 					dst[j] = tx.eng.arena.LoadAtomic(addr + memory.Addr(j))
 				}
 				return end
+			}
+			if !tx.snapMode {
+				tx.cmConflict(ps, o, l1, AbortLockedOnRead, &spins, ti)
+				continue
 			}
 			// As in the per-word snapshot read: reconstruct past the lock
 			// if the store covers the snapshot, else wait the owner out
@@ -945,18 +973,20 @@ func (tx *Tx) loadSnapWords(ps *partState, o *orec, addr memory.Addr, dst []uint
 			continue
 		}
 		if ver := versionOf(l1); ver > tx.touched[ti].snap {
-			if ps.hist != nil {
-				if n := tx.snapReadFrom(ps, addr, dst, i, end, ti); n > i {
-					return n
+			if tx.snapMode {
+				if ps.hist != nil {
+					if n := tx.snapReadFrom(ps, addr, dst, i, end, ti); n > i {
+						return n
+					}
 				}
+				tx.touched[ti].snapMisses += uint64(end - i)
 			}
-			tx.touched[ti].snapMisses += uint64(end - i)
 			if !tx.extend() {
 				tx.abort(AbortValidation)
 			}
 			continue // re-read under the extended snapshot
 		}
-		tx.logRead(ps, o, versionOf(l1))
+		tx.logRead(ps, o, versionOf(l1)) // one entry per orec, not per word
 		return end
 	}
 }
