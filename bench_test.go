@@ -844,13 +844,12 @@ func BenchmarkRangeScan(b *testing.B) {
 	})
 }
 
-// BenchmarkOpenLoopLatency is the tail-latency smoke guard: a contended
+// BenchmarkOpenLoopLatency is the tail-latency smoke bench: a contended
 // counter driven open-loop (fixed 50k/s arrival schedule, 4 workers), so
 // each op's latency counts from its scheduled due time and queueing
 // shows up in the tail. The primary ns/op figure just tracks the
-// arrival interval (constant by construction); the guarded figure is the
-// p99-ns/op secondary metric, which cmd/benchdiff diffs against the
-// checked-in baseline with its own regression threshold.
+// arrival interval (constant by construction); the figure to read is the
+// p99-ns/op secondary metric.
 func BenchmarkOpenLoopLatency(b *testing.B) {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 16})
 	setup := rt.MustAttach()
@@ -961,14 +960,14 @@ func BenchmarkContendedCounter(b *testing.B) {
 	b.ReportMetric(res.AbortRate, "abort-rate")
 }
 
-// BenchmarkNetPipelinedTxn is the network-path tail guard: a loopback
+// BenchmarkNetPipelinedTxn is the network-path tail bench: a loopback
 // stmd-equivalent server driven open-loop (fixed 20k/s arrivals, 8
 // workers pipelining over 2 connections), each arrival one two-key
 // transfer batch through the full stack — client encode, TCP, frame
 // decode, pooled Run, response stream, client decode. As with
 // BenchmarkOpenLoopLatency the primary ns/op figure just tracks the
-// arrival interval; the guarded figure is the coordinated-omission-safe
-// p99-ns/op secondary metric diffed by cmd/benchdiff.
+// arrival interval; the figure to read is the coordinated-omission-safe
+// p99-ns/op secondary metric.
 func BenchmarkNetPipelinedTxn(b *testing.B) {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 20, SnapshotHistory: 1 << 10})
 	srv, err := server.New(server.Config{Runtime: rt})

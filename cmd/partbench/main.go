@@ -6,9 +6,8 @@
 //	partbench -exp all                  # the whole evaluation
 //	partbench -exp fig2 -threads 16 -point 1s -csv
 //
-// Each experiment prints the rows/series of the corresponding artefact
-// (see DESIGN.md §5 for the experiment index and EXPERIMENTS.md for
-// paper-vs-measured notes).
+// Each experiment prints the rows/series of the corresponding artefact;
+// -list prints the index (experiments.All).
 package main
 
 import (

@@ -12,9 +12,7 @@
 // loop cannot observe — lands in the measured tail. Use Run for
 // capacity questions, RunOpenLoop for latency questions. Both record
 // every measured operation into per-worker histogram shards
-// (internal/stats) merged after the run. ParseGoBench/CompareBench and
-// friends parse and diff `go test -bench` output for the CI trajectory
-// guard (cmd/benchdiff).
+// (internal/stats) merged after the run.
 package bench
 
 import (
@@ -124,19 +122,7 @@ func Run(rt *stm.Runtime, cfg RunConfig, op OpFunc) Result {
 		Latency: hist,
 	}
 	res.Throughput = float64(res.Ops) / elapsed.Seconds()
-	n := len(after)
-	if len(before) < n {
-		n = len(before)
-	}
-	for i := 0; i < n; i++ {
-		d := after[i].Sub(before[i])
-		res.PerPart = append(res.PerPart, d)
-		res.Commits += d.Commits
-		res.Aborts += d.TotalAborts()
-	}
-	if res.Commits+res.Aborts > 0 {
-		res.AbortRate = float64(res.Aborts) / float64(res.Commits+res.Aborts)
-	}
+	res.PerPart, res.Commits, res.Aborts, res.AbortRate = window(before, after)
 	return res
 }
 
@@ -167,15 +153,21 @@ func RunOps(rt *stm.Runtime, threads int, opsPerThread int, seed uint64, op OpFu
 		Elapsed: elapsed,
 	}
 	res.Throughput = float64(res.Ops) / elapsed.Seconds()
-	n := min(len(after), len(before))
-	for i := 0; i < n; i++ {
-		d := after[i].Sub(before[i])
-		res.PerPart = append(res.PerPart, d)
-		res.Commits += d.Commits
-		res.Aborts += d.TotalAborts()
-	}
-	if res.Commits+res.Aborts > 0 {
-		res.AbortRate = float64(res.Aborts) / float64(res.Commits+res.Aborts)
-	}
+	res.PerPart, res.Commits, res.Aborts, res.AbortRate = window(before, after)
 	return res
+}
+
+// window diffs two rt.Stats() snapshots into per-partition deltas, their
+// commit and abort totals, and the abort rate aborts/(commits+aborts).
+func window(before, after []core.PartStats) (perPart []core.PartStats, commits, aborts uint64, abortRate float64) {
+	for i := range min(len(before), len(after)) {
+		d := after[i].Sub(before[i])
+		perPart = append(perPart, d)
+		commits += d.Commits
+		aborts += d.TotalAborts()
+	}
+	if commits+aborts > 0 {
+		abortRate = float64(aborts) / float64(commits+aborts)
+	}
+	return perPart, commits, aborts, abortRate
 }

@@ -227,18 +227,7 @@ func RunOpenLoop(rt *stm.Runtime, cfg OpenLoopConfig, op IndexedOpFunc) OpenLoop
 			op(th, rng, i)
 		}, func() { rt.Detach(th) }
 	})
-	after := rt.Stats()
-
-	n := min(len(after), len(before))
-	for i := 0; i < n; i++ {
-		d := after[i].Sub(before[i])
-		res.PerPart = append(res.PerPart, d)
-		res.Commits += d.Commits
-		res.Aborts += d.TotalAborts()
-	}
-	if res.Commits+res.Aborts > 0 {
-		res.AbortRate = float64(res.Aborts) / float64(res.Commits+res.Aborts)
-	}
+	res.PerPart, res.Commits, res.Aborts, res.AbortRate = window(before, rt.Stats())
 	return res
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/apps"
 	"repro/internal/bench"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -64,48 +63,31 @@ func (b *branchBank) op(th *stm.Thread, rng *workload.Rng) {
 // benchmark operation.
 type clockCase struct {
 	name  string
-	build func(o Options, rt *stm.Runtime) (bench.OpFunc, error)
+	build func(rt *stm.Runtime) (bench.OpFunc, error)
 }
 
 func clockCases(o Options) []clockCase {
+	branches, per := 8, 1024
+	if o.Quick {
+		branches, per = 4, 256
+	}
+	fromCatalog := func(name string) func(*stm.Runtime) (bench.OpFunc, error) {
+		a := appNamed(o, name)
+		return func(rt *stm.Runtime) (bench.OpFunc, error) {
+			op, _, err := partitioned(rt, a)
+			return op, err
+		}
+	}
 	return []clockCase{
-		{"bank", func(o Options, rt *stm.Runtime) (bench.OpFunc, error) {
-			branches, per := 8, 1024
-			if o.Quick {
-				branches, per = 4, 256
-			}
+		{"bank", func(rt *stm.Runtime) (bench.OpFunc, error) {
 			b, err := newBranchBank(rt, branches, per, 0.02)
 			if err != nil {
 				return nil, err
 			}
-			return func(th *stm.Thread, rng *workload.Rng) { b.op(th, rng) }, nil
+			return b.op, nil
 		}},
-		{"intset", func(o Options, rt *stm.Runtime) (bench.OpFunc, error) {
-			m, _, err := buildMultiSetPartitioned(rt, multiSetConfig(o))
-			if err != nil {
-				return nil, err
-			}
-			return func(th *stm.Thread, rng *workload.Rng) { m.Op(th, rng) }, nil
-		}},
-		{"vacation", func(o Options, rt *stm.Runtime) (bench.OpFunc, error) {
-			vcfg := apps.DefaultVacationConfig()
-			if o.Quick {
-				vcfg.ItemsPerTable = 128
-				vcfg.Customers = 128
-			}
-			rt.StartProfiling()
-			th := rt.MustAttach()
-			v := apps.NewVacation(rt, th, vcfg)
-			rng := workload.NewRng(31)
-			for i := 0; i < 300; i++ {
-				v.Op(th, rng)
-			}
-			rt.Detach(th)
-			if _, err := rt.StopProfilingAndPartition(); err != nil {
-				return nil, err
-			}
-			return func(th *stm.Thread, rng *workload.Rng) { v.Op(th, rng) }, nil
-		}},
+		{"intset", fromCatalog("intset-multi")},
+		{"vacation", fromCatalog("vacation")},
 	}
 }
 
@@ -142,7 +124,7 @@ func ClockScale(o Options) (*Report, error) {
 		for _, m := range modes {
 			for _, threads := range o.threadSweep() {
 				rt := newRuntime(o, nil)
-				op, err := c.build(o, rt)
+				op, err := c.build(rt)
 				if err != nil {
 					return nil, fmt.Errorf("clockscale %s: %w", c.name, err)
 				}

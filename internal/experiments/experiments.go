@@ -1,8 +1,8 @@
 // Package experiments defines the reproduction of every table and figure
-// of the paper's evaluation (as reconstructed in DESIGN.md §5). Each
-// experiment builds fresh runtimes, drives the harness, and renders the
-// same rows/series the paper reports. cmd/partbench exposes them on the
-// command line; bench_test.go runs scaled-down versions under testing.B.
+// of the paper's evaluation; All lists them. Each experiment builds
+// fresh runtimes, drives the harness, and renders the same rows/series
+// the paper reports. cmd/partbench exposes them on the command line;
+// bench_test.go runs scaled-down versions under testing.B.
 package experiments
 
 import (
@@ -75,7 +75,7 @@ type Report struct {
 	ID     string
 	Title  string
 	Output string
-	// Summary is a one-line verdict used by EXPERIMENTS.md.
+	// Summary is a one-line verdict (cmd/partbench prints it after Output).
 	Summary string
 }
 

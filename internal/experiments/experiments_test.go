@@ -57,11 +57,30 @@ func TestOptionsNormalization(t *testing.T) {
 }
 
 // TestAllExperimentsSmoke runs every artefact at tiny scale: each must
-// produce non-empty output and a summary without error. This is the
-// regression net for the whole evaluation pipeline.
+// produce non-empty output and a summary without error, and the
+// application reports must keep their titles, columns, series and rows.
+// This is the regression net for the whole evaluation pipeline.
 func TestAllExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test skipped in -short mode")
+	}
+	regimes := []string{"global-invisible", "global-visible", "partitioned+tuned"}
+	pinned := map[string][]string{
+		"table1": {
+			"Table 1a — intset-multi partitions",
+			"Table 1b — vacation partitions",
+			"Table 1c — bank partitions",
+			"Table 1d — genome partitions (extension)",
+			"Table 1e — kmeans partitions (extension)",
+			"partition", "sites", "commits", "upd-ratio", "reads/tx", "writes/tx", "abort-rate",
+		},
+		"fig2":  regimes,
+		"fig5":  regimes,
+		"fig10": append([]string{"\ngenome ", "\nkmeans ", "app", "tuned/best-global"}, regimes...),
+		"clockscale": {
+			"bank/global", "bank/plocal", "intset/global", "intset/plocal",
+			"vacation/global", "vacation/plocal",
+		},
 	}
 	for _, e := range All() {
 		e := e
@@ -78,6 +97,11 @@ func TestAllExperimentsSmoke(t *testing.T) {
 			}
 			if strings.TrimSpace(rep.Summary) == "" {
 				t.Fatal("empty summary")
+			}
+			for _, want := range pinned[e.ID] {
+				if !strings.Contains(rep.Output, want) {
+					t.Errorf("output lacks %q:\n%s", want, rep.Output)
+				}
 			}
 		})
 	}

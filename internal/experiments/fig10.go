@@ -2,118 +2,40 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
-	"repro/internal/apps"
-	"repro/internal/bench"
 	"repro/internal/stats"
-	"repro/internal/workload"
-	"repro/stm"
 )
 
 // Fig10 extends the application study (fig5) to the two STAMP-inspired
-// extension workloads, genome and kmeans (extension experiment; see
-// DESIGN.md §5). Both contain structures whose transactional profiles
-// differ sharply (genome: dedup set vs read-only index; kmeans: read-
-// mostly centroids vs write-hot accumulators), so the partitioned+tuned
-// configuration should track the better of the two global configurations
-// on each application without per-application hand-tuning.
+// extension workloads, genome and kmeans (extension experiment). Both
+// contain structures whose transactional profiles differ sharply (genome:
+// dedup set vs read-only index; kmeans: read-mostly centroids vs
+// write-hot accumulators), so the partitioned+tuned configuration should
+// track the better of the two global configurations on each application
+// without per-application hand-tuning.
 func Fig10(o Options) (*Report, error) {
 	o = o.normalized()
 	tbl := stats.NewTable("Fig. 10 — genome & kmeans (ops/s)",
 		"app", "global-invisible", "global-visible", "partitioned+tuned", "tuned/best-global")
 
-	type appCase struct {
-		name  string
-		setup func(rt *stm.Runtime, th *stm.Thread) (op func(*stm.Thread, *workload.Rng), warm func(*stm.Thread))
-	}
-
-	gcfg := apps.DefaultGenomeConfig()
-	kcfg := apps.DefaultKMeansConfig()
-	if o.Quick {
-		gcfg.SegmentSpace = 1 << 10
-		gcfg.Buckets = 64
-		gcfg.LinkSlots = 128
-		kcfg.Points = 512
-	}
-
-	cases := []appCase{
-		{"genome", func(rt *stm.Runtime, th *stm.Thread) (func(*stm.Thread, *workload.Rng), func(*stm.Thread)) {
-			g := apps.NewGenome(rt, th, gcfg)
-			return func(th *stm.Thread, rng *workload.Rng) { g.Op(th, rng) },
-				func(th *stm.Thread) {
-					rng := workload.NewRng(51)
-					for i := 0; i < 300; i++ {
-						g.Op(th, rng)
-					}
-				}
-		}},
-		{"kmeans", func(rt *stm.Runtime, th *stm.Thread) (func(*stm.Thread, *workload.Rng), func(*stm.Thread)) {
-			km := apps.NewKMeans(rt, th, kcfg, 7)
-			return func(th *stm.Thread, rng *workload.Rng) { km.Op(th, rng, kcfg) },
-				func(th *stm.Thread) {
-					rng := workload.NewRng(53)
-					for i := 0; i < 300; i++ {
-						km.Op(th, rng, kcfg)
-					}
-				}
-		}},
-	}
-
-	inv := stm.DefaultPartConfig()
-	vis := visibleConfig()
+	tc := regimeTuner()
 	var summaries []string
-	for _, c := range cases {
-		var results [3]float64
-		for i, regime := range []struct {
-			global      *stm.PartConfig
-			partitioned bool
-		}{
-			{&inv, false},
-			{&vis, false},
-			{nil, true},
-		} {
-			rt := newRuntime(o, regime.global)
-			if regime.partitioned {
-				rt.StartProfiling()
-			}
-			th := rt.MustAttach()
-			op, warm := c.setup(rt, th)
-			if regime.partitioned {
-				warm(th)
-			}
-			rt.Detach(th)
-			warmup := o.Warmup
-			if regime.partitioned {
-				if _, err := rt.StopProfilingAndPartition(); err != nil {
-					return nil, err
-				}
-				tc := stm.DefaultTunerConfig()
-				tc.Interval = 30 * time.Millisecond
-				tc.HillClimb = false
-				rt.StartTuner(tc)
-				warmup += 10 * 30 * time.Millisecond
-			}
-			res := bench.Run(rt, bench.RunConfig{
-				Threads: o.Threads, Warmup: warmup, Measure: o.PointDuration,
-				Seed: uint64(i) + 501,
-			}, op)
-			if regime.partitioned {
-				rt.StopTuner()
-			}
-			results[i] = res.Throughput
+	for _, a := range catalog(o) {
+		if !a.extension {
+			continue
 		}
-		bestGlobal := results[0]
-		if results[1] > bestGlobal {
-			bestGlobal = results[1]
+		row := []string{a.name}
+		var tput [3]float64
+		for r := range regimes {
+			var err error
+			if tput[r], err = runRegime(o, a, r, tc, o.Threads, uint64(r)+501); err != nil {
+				return nil, err
+			}
+			row = append(row, fmt.Sprintf("%.0f", tput[r]))
 		}
-		ratio := safeDiv(results[2], bestGlobal)
-		tbl.AddRow(c.name,
-			fmt.Sprintf("%.0f", results[0]),
-			fmt.Sprintf("%.0f", results[1]),
-			fmt.Sprintf("%.0f", results[2]),
-			fmtFloat(ratio, 2))
-		summaries = append(summaries, fmt.Sprintf("%s tuned/best-global %.2f", c.name, ratio))
+		ratio := safeDiv(tput[tunedRegime], max(tput[0], tput[1]))
+		tbl.AddRow(append(row, fmtFloat(ratio, 2))...)
+		summaries = append(summaries, fmt.Sprintf("%s tuned/best-global %.2f", a.name, ratio))
 	}
 
 	return &Report{

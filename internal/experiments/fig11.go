@@ -10,9 +10,9 @@ import (
 	"repro/stm"
 )
 
-// Fig11 studies how to protect long transactions (extension experiment;
-// see DESIGN.md §5). Labyrinth routes read hundreds of grid cells and
-// write tens in one transaction, so one short conflicting commit can doom
+// Fig11 studies how to protect long transactions (extension
+// experiment). Labyrinth routes read hundreds of grid cells and write
+// tens in one transaction, so one short conflicting commit can doom
 // an almost-finished route. Two mechanisms could help:
 //
 //   - CM policy (suicide/spin/timestamp) — arbitrates what a route does

@@ -1,15 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-	"time"
-
-	"repro/internal/apps"
-	"repro/internal/bench"
-	"repro/internal/stats"
-	"repro/internal/workload"
-	"repro/stm"
-)
+import "fmt"
 
 // Fig2 reproduces the multi-structure microbenchmark figure: throughput
 // of the composite intset application (four structures with different
@@ -25,73 +16,13 @@ import (
 // composability").
 func Fig2(o Options) (*Report, error) {
 	o = o.normalized()
-	fig := stats.NewFigure("Fig. 2 — intset-multi throughput (ops/s)", "threads", "operations per second")
-
-	type cfgCase struct {
-		name        string
-		global      *stm.PartConfig
-		partitioned bool
-	}
-	inv := stm.DefaultPartConfig()
-	vis := visibleConfig()
-	cases := []cfgCase{
-		{"global-invisible", &inv, false},
-		{"global-visible", &vis, false},
-		{"partitioned+tuned", nil, true},
-	}
-
-	var tunedBest, globalBest float64
-	for _, threads := range o.threadSweep() {
-		for _, c := range cases {
-			rt := newRuntime(o, c.global)
-			mcfg := multiSetConfig(o)
-			var op bench.OpFunc
-			if c.partitioned {
-				m, _, err := buildMultiSetPartitioned(rt, mcfg)
-				if err != nil {
-					return nil, err
-				}
-				tc := stm.DefaultTunerConfig()
-				tc.Interval = 30 * time.Millisecond
-				tc.HillClimb = false // visibility is the per-partition knob here; fig4 studies granularity
-				tc.Hysteresis = 1
-				tc.MinCommits = 50
-				rt.StartTuner(tc)
-				op = func(th *stm.Thread, rng *workload.Rng) { m.Op(th, rng) }
-			} else {
-				th := rt.MustAttach()
-				m := apps.NewMultiSetApp(rt, th, mcfg)
-				rt.Detach(th)
-				op = func(th *stm.Thread, rng *workload.Rng) { m.Op(th, rng) }
-			}
-			warmup := o.Warmup
-			if c.partitioned {
-				// Give the tuner a convergence window before measuring, as
-				// the paper does (tuning happens continuously; steady-state
-				// throughput is what the figure reports).
-				warmup += 10 * 30 * time.Millisecond
-			}
-			res := bench.Run(rt, bench.RunConfig{
-				Threads: threads,
-				Warmup:  warmup,
-				Measure: o.PointDuration,
-				Seed:    uint64(threads),
-			}, op)
-			if c.partitioned {
-				rt.StopTuner()
-				if res.Throughput > tunedBest {
-					tunedBest = res.Throughput
-				}
-			} else if res.Throughput > globalBest {
-				globalBest = res.Throughput
-			}
-			fig.SeriesNamed(c.name).Add(float64(threads), res.Throughput)
-		}
-	}
-
-	out := fig.Render()
-	if o.CSV {
-		out += "\n" + fig.CSV()
+	tc := regimeTuner()
+	tc.Hysteresis = 1
+	tc.MinCommits = 50
+	out, tunedBest, globalBest, err := regimeFigure(o, "Fig. 2 — intset-multi throughput (ops/s)",
+		appNamed(o, "intset-multi"), tc, 0)
+	if err != nil {
+		return nil, err
 	}
 	verdict := "partitioned+tuned matches or beats the best global configuration"
 	if tunedBest < globalBest*0.9 {

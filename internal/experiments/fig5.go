@@ -1,15 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-	"time"
-
-	"repro/internal/apps"
-	"repro/internal/bench"
-	"repro/internal/stats"
-	"repro/internal/workload"
-	"repro/stm"
-)
+import "fmt"
 
 // Fig5 reproduces the application benchmark: vacation (four tables plus
 // customer records) under three regimes — global default, global
@@ -20,79 +11,14 @@ import (
 // match or beat either global choice.
 func Fig5(o Options) (*Report, error) {
 	o = o.normalized()
-	fig := stats.NewFigure("Fig. 5 — vacation throughput (ops/s)", "threads", "operations per second")
-
-	vcfg := apps.DefaultVacationConfig()
-	if o.Quick {
-		vcfg.ItemsPerTable = 128
-		vcfg.Customers = 128
-	}
+	vcfg := vacationConfig(o)
 	// Raise the contention the way the paper's vacation-high mix does.
 	vcfg.DeleteCustomerRatio = 0.05
 	vcfg.UpdateTableRatio = 0.05
-
-	inv := stm.DefaultPartConfig()
-	vis := visibleConfig()
-	cases := []struct {
-		name        string
-		global      *stm.PartConfig
-		partitioned bool
-	}{
-		{"global-invisible", &inv, false},
-		{"global-visible", &vis, false},
-		{"partitioned+tuned", nil, true},
-	}
-
-	var tunedBest, globalBest float64
-	for _, threads := range o.threadSweep() {
-		for _, c := range cases {
-			rt := newRuntime(o, c.global)
-			if c.partitioned {
-				rt.StartProfiling()
-			}
-			th := rt.MustAttach()
-			v := apps.NewVacation(rt, th, vcfg)
-			if c.partitioned {
-				rng := workload.NewRng(31)
-				for i := 0; i < 300; i++ {
-					v.Op(th, rng)
-				}
-			}
-			rt.Detach(th)
-			if c.partitioned {
-				if _, err := rt.StopProfilingAndPartition(); err != nil {
-					return nil, err
-				}
-				tc := stm.DefaultTunerConfig()
-				tc.Interval = 30 * time.Millisecond
-				tc.HillClimb = false // visibility is the per-partition knob here; fig4 studies granularity
-				rt.StartTuner(tc)
-			}
-			warmup := o.Warmup
-			if c.partitioned {
-				warmup += 10 * 30 * time.Millisecond // tuner convergence window
-			}
-			res := bench.Run(rt, bench.RunConfig{
-				Threads: threads,
-				Warmup:  warmup,
-				Measure: o.PointDuration,
-				Seed:    uint64(threads) + 77,
-			}, func(th *stm.Thread, rng *workload.Rng) { v.Op(th, rng) })
-			if c.partitioned {
-				rt.StopTuner()
-				if res.Throughput > tunedBest {
-					tunedBest = res.Throughput
-				}
-			} else if res.Throughput > globalBest {
-				globalBest = res.Throughput
-			}
-			fig.SeriesNamed(c.name).Add(float64(threads), res.Throughput)
-		}
-	}
-
-	out := fig.Render()
-	if o.CSV {
-		out += "\n" + fig.CSV()
+	out, tunedBest, globalBest, err := regimeFigure(o, "Fig. 5 — vacation throughput (ops/s)",
+		vacationApp(vcfg), regimeTuner(), 77)
+	if err != nil {
+		return nil, err
 	}
 	return &Report{
 		ID:     "fig5",

@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/apps"
 	"repro/internal/bench"
 	"repro/internal/stats"
-	"repro/internal/workload"
 	"repro/stm"
 )
 
@@ -40,15 +38,12 @@ func Fig7(o Options) (*Report, error) {
 		for _, strat := range strategies {
 			cfg := strat.acquire
 			rt := newRuntime(o, &cfg)
-			th := rt.MustAttach()
-			is := apps.NewIntSet(rt, th, s)
-			rt.Detach(th)
 			res := bench.Run(rt, bench.RunConfig{
 				Threads: o.Threads,
 				Warmup:  o.Warmup,
 				Measure: o.PointDuration,
 				Seed:    uint64(len(row)) + 3,
-			}, func(th *stm.Thread, rng *workload.Rng) { is.Op(th, rng) })
+			}, built(rt, intSetApp(s)))
 			row = append(row, fmt.Sprintf("%.0f", res.Throughput))
 			if res.Throughput > best {
 				best, bestName = res.Throughput, strat.name

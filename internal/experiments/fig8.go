@@ -10,10 +10,10 @@ import (
 	"repro/stm"
 )
 
-// Fig8 is the contention-management ablation (extension experiment; see
-// DESIGN.md §5). The paper delegates lock-conflict arbitration to a
-// per-partition CM policy but, with the evaluation text unavailable, does
-// not pin a winner; this experiment measures every policy the engine
+// Fig8 is the contention-management ablation (extension experiment).
+// The paper delegates lock-conflict arbitration to a per-partition CM
+// policy but, with the evaluation text unavailable, does not pin a
+// winner; this experiment measures every policy the engine
 // implements on two workloads at the contention extremes:
 //
 //   - hot-bank: transfers over a tiny account array (every transaction
@@ -72,15 +72,13 @@ func Fig8(o Options) (*Report, error) {
 
 		// Low contention: wide red/black tree, 20% updates.
 		rtTree := newRuntime(o, &pol)
-		th = rtTree.MustAttach()
-		set := apps.NewIntSet(rtTree, th, apps.IntSetSpec{
+		treeOp := built(rtTree, intSetApp(apps.IntSetSpec{
 			Kind: apps.SetRBTree, Name: "fig8.tree", KeyRange: keyRange, UpdateRatio: 0.2,
-		})
-		rtTree.Detach(th)
+		}))
 		tree := bench.Run(rtTree, bench.RunConfig{
 			Threads: o.Threads, Warmup: o.Warmup, Measure: o.PointDuration,
 			Seed: uint64(i) + 201,
-		}, func(th *stm.Thread, rng *workload.Rng) { set.Op(th, rng) })
+		}, treeOp)
 
 		rows = append(rows, outcome{
 			name: name,

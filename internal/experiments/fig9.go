@@ -10,9 +10,9 @@ import (
 	"repro/txds"
 )
 
-// Fig9 is the skew-sensitivity study (extension experiment; see DESIGN.md
-// §5): how the conflict-detection granularity decision interacts with key
-// skew. A hash set under a hotspot distribution is driven at several
+// Fig9 is the skew-sensitivity study (extension experiment): how the
+// conflict-detection granularity decision interacts with key skew. A
+// hash set under a hotspot distribution is driven at several
 // hot-fractions; for each skew level the static coarse (few orecs) and
 // fine (many orecs) geometries are measured against the hill-climbing
 // tuner.

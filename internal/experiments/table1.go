@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/apps"
 	"repro/internal/bench"
 	"repro/internal/stats"
-	"repro/internal/workload"
 	"repro/stm"
 )
 
@@ -18,13 +16,10 @@ import (
 // differ enough that a single STM configuration cannot fit all of them.
 func Table1(o Options) (*Report, error) {
 	o = o.normalized()
-	out := &strings.Builder{}
-	summary := []string{}
-
-	// --- intset-multi ---
-	{
+	var tables, summary []string
+	for i, a := range catalog(o) {
 		rt := newRuntime(o, nil)
-		m, plan, err := buildMultiSetPartitioned(rt, multiSetConfig(o))
+		op, plan, err := partitioned(rt, a)
 		if err != nil {
 			return nil, err
 		}
@@ -32,155 +27,25 @@ func Table1(o Options) (*Report, error) {
 			Threads: o.Threads,
 			Warmup:  o.Warmup,
 			Measure: o.PointDuration,
-			Seed:    1,
-		}, func(th *stm.Thread, rng *workload.Rng) { m.Op(th, rng) })
-
-		tbl := statsTable("Table 1a — intset-multi partitions", rt, plan, res)
-		out.WriteString(tbl.Render())
-		out.WriteByte('\n')
-		summary = append(summary, fmt.Sprintf("intset-multi: %d partitions discovered", plan.NumPartitions()-1))
+			Seed:    uint64(i) + 1,
+		}, op)
+		title := fmt.Sprintf("Table 1%c — %s partitions", 'a'+i, a.name)
+		if a.extension {
+			title += " (extension)"
+		}
+		tables = append(tables, statsTable(title, plan, res).Render())
+		summary = append(summary, fmt.Sprintf("%s: %d partitions discovered", a.name, plan.NumPartitions()-1))
 	}
-
-	// --- vacation ---
-	{
-		rt := newRuntime(o, nil)
-		rt.StartProfiling()
-		th := rt.MustAttach()
-		vcfg := apps.DefaultVacationConfig()
-		if o.Quick {
-			vcfg.ItemsPerTable = 128
-			vcfg.Customers = 128
-		}
-		v := apps.NewVacation(rt, th, vcfg)
-		rng := workload.NewRng(2)
-		for i := 0; i < 300; i++ {
-			v.Op(th, rng)
-		}
-		rt.Detach(th)
-		plan, err := rt.StopProfilingAndPartition()
-		if err != nil {
-			return nil, err
-		}
-		res := bench.Run(rt, bench.RunConfig{
-			Threads: o.Threads,
-			Warmup:  o.Warmup,
-			Measure: o.PointDuration,
-			Seed:    2,
-		}, func(th *stm.Thread, rng *workload.Rng) { v.Op(th, rng) })
-
-		tbl := statsTable("Table 1b — vacation partitions", rt, plan, res)
-		out.WriteString(tbl.Render())
-		out.WriteByte('\n')
-		summary = append(summary, fmt.Sprintf("vacation: %d partitions discovered", plan.NumPartitions()-1))
-	}
-
-	// --- bank ---
-	{
-		rt := newRuntime(o, nil)
-		rt.StartProfiling()
-		th := rt.MustAttach()
-		bcfg := apps.DefaultBankConfig()
-		if o.Quick {
-			bcfg.Accounts = 256
-		}
-		b := apps.NewBank(rt, th, bcfg)
-		rng := workload.NewRng(3)
-		for i := 0; i < 300; i++ {
-			b.Op(th, rng, bcfg)
-		}
-		rt.Detach(th)
-		plan, err := rt.StopProfilingAndPartition()
-		if err != nil {
-			return nil, err
-		}
-		res := bench.Run(rt, bench.RunConfig{
-			Threads: o.Threads,
-			Warmup:  o.Warmup,
-			Measure: o.PointDuration,
-			Seed:    3,
-		}, func(th *stm.Thread, rng *workload.Rng) { b.Op(th, rng, bcfg) })
-
-		tbl := statsTable("Table 1c — bank partitions", rt, plan, res)
-		out.WriteString(tbl.Render())
-		out.WriteByte('\n')
-		summary = append(summary, fmt.Sprintf("bank: %d partitions discovered", plan.NumPartitions()-1))
-	}
-
-	// --- genome (extension application) ---
-	{
-		rt := newRuntime(o, nil)
-		rt.StartProfiling()
-		th := rt.MustAttach()
-		gcfg := apps.DefaultGenomeConfig()
-		if o.Quick {
-			gcfg.SegmentSpace = 1 << 10
-			gcfg.Buckets = 64
-			gcfg.LinkSlots = 128
-		}
-		g := apps.NewGenome(rt, th, gcfg)
-		rng := workload.NewRng(4)
-		for i := 0; i < 300; i++ {
-			g.Op(th, rng)
-		}
-		rt.Detach(th)
-		plan, err := rt.StopProfilingAndPartition()
-		if err != nil {
-			return nil, err
-		}
-		res := bench.Run(rt, bench.RunConfig{
-			Threads: o.Threads,
-			Warmup:  o.Warmup,
-			Measure: o.PointDuration,
-			Seed:    4,
-		}, func(th *stm.Thread, rng *workload.Rng) { g.Op(th, rng) })
-
-		tbl := statsTable("Table 1d — genome partitions (extension)", rt, plan, res)
-		out.WriteString(tbl.Render())
-		out.WriteByte('\n')
-		summary = append(summary, fmt.Sprintf("genome: %d partitions discovered", plan.NumPartitions()-1))
-	}
-
-	// --- kmeans (extension application) ---
-	{
-		rt := newRuntime(o, nil)
-		rt.StartProfiling()
-		th := rt.MustAttach()
-		kcfg := apps.DefaultKMeansConfig()
-		if o.Quick {
-			kcfg.Points = 512
-		}
-		km := apps.NewKMeans(rt, th, kcfg, 11)
-		rng := workload.NewRng(5)
-		for i := 0; i < 300; i++ {
-			km.Op(th, rng, kcfg)
-		}
-		rt.Detach(th)
-		plan, err := rt.StopProfilingAndPartition()
-		if err != nil {
-			return nil, err
-		}
-		res := bench.Run(rt, bench.RunConfig{
-			Threads: o.Threads,
-			Warmup:  o.Warmup,
-			Measure: o.PointDuration,
-			Seed:    5,
-		}, func(th *stm.Thread, rng *workload.Rng) { km.Op(th, rng, kcfg) })
-
-		tbl := statsTable("Table 1e — kmeans partitions (extension)", rt, plan, res)
-		out.WriteString(tbl.Render())
-		summary = append(summary, fmt.Sprintf("kmeans: %d partitions discovered", plan.NumPartitions()-1))
-	}
-
 	return &Report{
 		ID:      "table1",
 		Title:   "Partition inventory and per-partition characteristics",
-		Output:  out.String(),
+		Output:  strings.Join(tables, "\n"),
 		Summary: strings.Join(summary, "; "),
 	}, nil
 }
 
 // statsTable renders one application's per-partition characteristics.
-func statsTable(title string, rt *stm.Runtime, plan *stm.Plan, res bench.Result) *stats.Table {
+func statsTable(title string, plan *stm.Plan, res bench.Result) *stats.Table {
 	tbl := stats.NewTable(title,
 		"partition", "sites", "commits", "upd-ratio", "reads/tx", "writes/tx", "abort-rate")
 	for i, d := range res.PerPart {

@@ -6,7 +6,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/bench"
 	"repro/internal/stats"
-	"repro/internal/workload"
 	"repro/stm"
 )
 
@@ -58,24 +57,23 @@ func Table2(o Options) (*Report, error) {
 }
 
 // measureSingle runs one structure single-threaded and returns ops/s.
-func measureSingle(o Options, spec apps.IntSetSpec, partitioned bool) float64 {
+func measureSingle(o Options, spec apps.IntSetSpec, partition bool) float64 {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 22}) // no yield injection
-	if partitioned {
-		rt.StartProfiling()
-	}
-	th := rt.MustAttach()
-	is := apps.NewIntSet(rt, th, spec)
-	rt.Detach(th)
-	if partitioned {
-		if _, err := rt.StopProfilingAndPartition(); err != nil {
+	a := intSetApp(spec)
+	var op bench.OpFunc
+	if partition {
+		var err error
+		if op, _, err = partitioned(rt, a); err != nil {
 			panic(err) // configuration error in the experiment itself
 		}
+	} else {
+		op = built(rt, a)
 	}
 	res := bench.Run(rt, bench.RunConfig{
 		Threads: 1,
 		Warmup:  o.Warmup,
 		Measure: o.PointDuration,
 		Seed:    7,
-	}, func(th *stm.Thread, rng *workload.Rng) { is.Op(th, rng) })
+	}, op)
 	return res.Throughput
 }

@@ -3,15 +3,13 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/apps"
 	"repro/internal/bench"
 	"repro/internal/stats"
-	"repro/internal/workload"
 	"repro/stm"
 )
 
-// Table3 measures operation-latency distributions (extension experiment;
-// see DESIGN.md §5): mean and tail latency per intset structure under the
+// Table3 measures operation-latency distributions (extension
+// experiment): mean and tail latency per intset structure under the
 // default configuration and under visible reads, at 20% updates with the
 // standard worker count. Throughput (fig2/fig3) hides tails; visible
 // reads add a constant per-read RMW cost but remove validation-failure
@@ -39,16 +37,13 @@ func Table3(o Options) (*Report, error) {
 		for _, c := range configs {
 			cfg := c.cfg
 			rt := newRuntime(o, &cfg)
-			th := rt.MustAttach()
-			is := apps.NewIntSet(rt, th, s)
-			rt.Detach(th)
 			res := bench.Run(rt, bench.RunConfig{
 				Threads:       o.Threads,
 				Warmup:        o.Warmup,
 				Measure:       o.PointDuration,
 				Seed:          uint64(rows) + 31,
 				SampleLatency: true,
-			}, func(th *stm.Thread, rng *workload.Rng) { is.Op(th, rng) })
+			}, built(rt, intSetApp(s)))
 			if res.Latency == nil || res.Latency.Count() == 0 {
 				continue
 			}
