@@ -734,6 +734,54 @@ func BenchmarkPartitionLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkScatteredLoad is multiset's conflict-metadata footprint without
+// its structures: uniformly random single-word Loads (ReadOnly Runs of 64)
+// over six partitions of 1<<16 words and 1<<16 orecs each, so nearly
+// every Load touches a lock word no recent Load touched. ns/op is per
+// Load.
+func BenchmarkScatteredLoad(b *testing.B) {
+	const parts, words, objWords, perRun = 6, 1 << 16, 256, 64
+	rt := stm.MustNew(stm.Config{})
+	defer rt.Close()
+	groups := make(map[string][]string, parts)
+	objs := make([]stm.Addr, 0, parts*words/objWords)
+	for p := 0; p < parts; p++ {
+		name := fmt.Sprintf("scatter.%d", p)
+		site := rt.RegisterSite(name)
+		groups[name] = []string{name}
+		err := rt.Run(func(tx *stm.Tx) error {
+			objs = objs[:p*words/objWords] // a retried attempt starts over
+			for i := 0; i < words/objWords; i++ {
+				objs = append(objs, tx.Alloc(site, objWords))
+			}
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := rt.ManualPartition(groups); err != nil {
+		b.Fatal(err)
+	}
+	th := rt.MustAttach()
+	defer rt.Detach(th)
+	rng := workload.NewRng(1)
+	var sum uint64
+	body := func(tx *stm.Tx) error {
+		for k := 0; k < perRun; k++ {
+			r := rng.Uint64()
+			sum += tx.Load(objs[r%uint64(len(objs))] + stm.Addr((r>>32)%objWords))
+		}
+		return nil
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i += perRun {
+		if err := th.Run(body, stm.ReadOnly()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkIntsetStructures measures single-thread operation cost per
 // structure at 20% updates (the per-structure baseline of the intset
 // microbenchmarks).

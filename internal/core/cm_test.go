@@ -118,11 +118,13 @@ func TestVisibleReaderArbitration(t *testing.T) {
 			// Reader bits must all be clear when no transaction runs.
 			ps := e.Partition(GlobalPartition).loadState()
 			for i := range ps.table.orecs {
-				if r := ps.table.orecs[i].readers.Load(); r != 0 {
-					t.Fatalf("orec %d leaked reader bits %b", i, r)
-				}
 				if l := ps.table.orecs[i].lock.Load(); isLocked(l) {
 					t.Fatalf("orec %d leaked lock %x", i, l)
+				}
+			}
+			for i := range ps.table.readers {
+				if r := ps.table.readers[i].Load(); r != 0 {
+					t.Fatalf("orec %d leaked reader bits %b", i, r)
 				}
 			}
 		})
@@ -453,7 +455,7 @@ func TestOrecEncoding(t *testing.T) {
 }
 
 func TestOrecTableMapping(t *testing.T) {
-	tbl := newOrecTable(4, 2) // 16 orecs, 4 words per orec
+	tbl := newOrecTable(4, 2, false) // 16 orecs, 4 words per orec
 	if len(tbl.orecs) != 16 {
 		t.Fatalf("orecs = %d", len(tbl.orecs))
 	}

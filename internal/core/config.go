@@ -234,7 +234,9 @@ type PartConfig struct {
 	Read    ReadMode
 	Acquire AcquireMode
 	Write   WriteMode
-	// LockBits: the partition's orec table has 1<<LockBits entries.
+	// LockBits: the partition's orec table has 1<<LockBits entries and
+	// takes 8<<LockBits bytes (512 KiB at 16), twice that under
+	// VisibleReads, whose reader bitmaps sit beside the lock words.
 	LockBits uint
 	// GranShift: 1<<GranShift consecutive words share one orec
 	// (conflict-detection granularity).

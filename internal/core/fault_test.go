@@ -74,7 +74,9 @@ func assertCleanOrecs(t *testing.T, e *Engine) {
 			if l := ps.table.orecs[i].lock.Load(); isLocked(l) {
 				t.Fatalf("partition %d orec %d leaked lock %x", p.ID(), i, l)
 			}
-			if r := ps.table.orecs[i].readers.Load(); r != 0 {
+		}
+		for i := range ps.table.readers {
+			if r := ps.table.readers[i].Load(); r != 0 {
 				t.Fatalf("partition %d orec %d leaked readers %b", p.ID(), i, r)
 			}
 		}

@@ -15,18 +15,13 @@ import (
 //	                             commit that wrote a word mapping here)
 //	locked:   ownerSlot<<1 | 1  (ownerSlot = thread slot of the writer)
 //
-// The readers word is the visible-reader bitmap: bit i set means the
-// thread in slot i currently holds a visible read on this orec. It is
-// only used by partitions configured with VisibleReads, but the space is
-// always present so a partition can switch visibility without changing
-// table layout.
-//
-// The struct is padded to a 64-byte cache line to avoid false sharing
-// between adjacent orecs.
+// The lock array is dense, as in TinySTM: an orec is its lock word alone,
+// so eight consecutive orecs share a cache line and a table of 1<<LockBits
+// entries is 8<<LockBits bytes — 512 KiB per partition at the default
+// LockBits 16, 8 MiB at the tuner's MaxLockBits 20. Visible-reader
+// bitmaps live in a parallel array (orecTable.readers).
 type orec struct {
-	lock    atomic.Uint64
-	readers atomic.Uint64
-	_       [6]uint64 // pad to 64 bytes
+	lock atomic.Uint64
 }
 
 const lockedBit uint64 = 1
@@ -46,30 +41,40 @@ func versionOf(l uint64) uint64 { return l >> 1 }
 func versionWord(ts uint64) uint64 { return ts << 1 }
 
 // orecTable is one partition's lock array. Tables are immutable once
-// published (the tuner swaps in a whole new table during quiescence when
-// it changes LockBits or GranShift).
+// published: every reconfiguration swaps in a whole new table during
+// quiescence, so a table is always built for its partition's LockBits,
+// GranShift and read mode.
 type orecTable struct {
-	orecs     []orec
+	orecs []orec
+	// readers[i] is orecs[i]'s visible-reader bitmap: bit s set means the
+	// thread in slot s holds a visible read on it. Only a VisibleReads
+	// partition's table has them (same length as orecs); otherwise nil.
+	readers   []atomic.Uint64
 	mask      uint64
 	granShift uint
 }
 
-func newOrecTable(lockBits, granShift uint) *orecTable {
+func newOrecTable(lockBits, granShift uint, visible bool) *orecTable {
 	n := uint64(1) << lockBits
-	return &orecTable{
-		orecs:     make([]orec, n),
-		mask:      n - 1,
-		granShift: granShift,
+	t := &orecTable{orecs: make([]orec, n), mask: n - 1, granShift: granShift}
+	if visible {
+		t.readers = make([]atomic.Uint64, n)
 	}
+	return t
 }
 
 // of maps a word address to its ownership record.
 func (t *orecTable) of(addr memory.Addr) *orec {
-	return &t.orecs[(uint64(addr)>>t.granShift)&t.mask]
+	return &t.orecs[t.indexOf(addr)]
 }
 
-// indexOf returns the orec index for addr (used by tests and by
-// commit-time deduplication).
+// indexOf returns the orec index for addr: of and readersOf index by it,
+// and LoadWords' sweep derives an object's whole orec span from it.
 func (t *orecTable) indexOf(addr memory.Addr) uint64 {
 	return (uint64(addr) >> t.granShift) & t.mask
+}
+
+// readersOf returns the visible-reader bitmap of addr's orec.
+func (t *orecTable) readersOf(addr memory.Addr) *atomic.Uint64 {
+	return &t.readers[t.indexOf(addr)]
 }

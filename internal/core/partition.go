@@ -41,7 +41,7 @@ type partState struct {
 func newPartState(p *Partition, cfg PartConfig, gen uint64) *partState {
 	st := &partState{
 		cfg:   cfg,
-		table: newOrecTable(cfg.LockBits, cfg.GranShift),
+		table: newOrecTable(cfg.LockBits, cfg.GranShift, cfg.Read == VisibleReads),
 		gen:   gen,
 		part:  p,
 	}

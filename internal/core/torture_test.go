@@ -207,7 +207,9 @@ func TestTortureMixedEverything(t *testing.T) {
 			if l := ps.table.orecs[i].lock.Load(); isLocked(l) {
 				t.Fatalf("partition %s orec %d leaked lock", p.Name(), i)
 			}
-			if r := ps.table.orecs[i].readers.Load(); r != 0 {
+		}
+		for i := range ps.table.readers {
+			if r := ps.table.readers[i].Load(); r != 0 {
 				t.Fatalf("partition %s orec %d leaked readers %b", p.Name(), i, r)
 			}
 		}

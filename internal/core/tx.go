@@ -142,7 +142,7 @@ type Tx struct {
 	rs      []readEntry
 	ws      []writeEntry
 	locks   []lockRec
-	vreads  []*orec
+	vreads  []*atomic.Uint64
 	allocs  []allocRec
 	frees   []allocRec
 	touched []touchRec
@@ -683,7 +683,7 @@ func (tx *Tx) logRead(ps *partState, o *orec, ver uint64) {
 // visible and invisible partitions still observes one consistent snapshot
 // (opacity); visible entries themselves never need commit validation.
 func (tx *Tx) loadVisible(ps *partState, o *orec, addr memory.Addr, ti int) uint64 {
-	bit := tx.th.readerBit()
+	bit, readers := tx.th.readerBit(), ps.table.readersOf(addr)
 	spins := 0
 	for {
 		l := o.lock.Load()
@@ -694,17 +694,17 @@ func (tx *Tx) loadVisible(ps *partState, o *orec, addr memory.Addr, ti int) uint
 			tx.cmConflict(ps, o, l, AbortLockedOnRead, &spins, ti)
 			continue
 		}
-		old := o.readers.Or(bit)
+		old := readers.Or(bit)
 		mine := old&bit != 0
 		if !mine {
-			tx.vreads = append(tx.vreads, o)
+			tx.vreads = append(tx.vreads, readers)
 		}
 		l2 := o.lock.Load()
 		if isLocked(l2) {
 			// A writer slipped in between the check and the registration;
 			// withdraw and arbitrate.
 			if !mine {
-				o.readers.And(^bit)
+				readers.And(^bit)
 				tx.vreads = tx.vreads[:len(tx.vreads)-1]
 			}
 			tx.cmConflict(ps, o, l2, AbortLockedOnRead, &spins, ti)
@@ -737,7 +737,7 @@ func (tx *Tx) Store(addr memory.Addr, v uint64) {
 	o := ps.table.of(addr)
 	mode := ps.cfg.writeMode()
 	if mode != modeCTL {
-		tx.acquire(ps, o, ti)
+		tx.acquire(ps, o, addr, ti)
 	}
 	tx.wsPut(addr, v, o, ps, mode)
 }
@@ -789,17 +789,18 @@ func (tx *Tx) blockChunk(addr memory.Addr, n int) int {
 // the per-access overhead (partition lookup, footprint touch, statistics)
 // once per object instead of once per word. An attempt that has written
 // nothing yet (every read-only one) reads up to sweepWords words in one
-// sweep: sample every word's orec, load every word, re-sample every orec;
-// each word is then certified by two identical unlocked samples of its own
-// orec at or below the snapshot, and the read set gets one entry per
-// distinct orec (or, on a pinned snapshot attempt, none). A locked, stale
-// or changed orec sends that window to the per-orec path, which also
-// serves attempts with buffered writes: words sharing an ownership record
-// are read under a single lock-sample/re-sample pair with one read-set
-// entry, and — in snapshot mode — a whole object is reconstructed from
-// the partition's multi-version store with one index probe when it was
-// written by a single commit (mvstore.ReadRangeAt). This is the primitive
-// behind the typed object layer (stm.Ref).
+// sweep: sample the object's orec span, load every word, re-sample the
+// span; each word is then certified by two identical unlocked samples of
+// its own orec at or below the snapshot, and the read set gets one entry
+// per orec of the span (or, on a pinned snapshot attempt, none). A locked,
+// stale or changed orec, or a span that wraps the table end, sends that
+// window to the per-orec path, which also serves attempts with buffered
+// writes: words sharing an ownership record are read under a single
+// lock-sample/re-sample pair with one read-set entry, and — in snapshot
+// mode — a whole object is reconstructed from the partition's
+// multi-version store with one index probe when it was written by a
+// single commit (mvstore.ReadRangeAt). This is the primitive behind the
+// typed object layer (stm.Ref).
 func (tx *Tx) LoadWords(addr memory.Addr, dst []uint64) {
 	if len(dst) == 0 {
 		return
@@ -814,8 +815,8 @@ func (tx *Tx) LoadWords(addr memory.Addr, dst []uint64) {
 	}
 }
 
-// sweepWords is the window of one LoadWords sweep: its orecs and lock
-// samples live in stack arrays of this many entries.
+// sweepWords is the window of one LoadWords sweep: its lock samples live
+// in a stack array of this many entries.
 const sweepWords = 16
 
 // loadWordsChunk reads a word range confined to one heap block (one
@@ -851,27 +852,32 @@ func (tx *Tx) loadWordsChunk(addr memory.Addr, dst []uint64) {
 	}
 }
 
-// sweep reads dst (at most sweepWords words) in three passes and reports
-// whether every word was certified; on false the caller re-reads dst on
-// the per-orec path, which owns every conflict case.
+// sweep reads dst (at most sweepWords words) in three passes over the
+// range's orec span — the consecutive table entries its words map to —
+// and reports whether every word was certified; on false the caller
+// re-reads dst on the per-orec path, which owns every conflict case and
+// serves a span that wraps the table end.
 func (tx *Tx) sweep(ps *partState, addr memory.Addr, dst []uint64, ti int) bool {
 	var lbuf [sweepWords]uint64
-	var obuf [sweepWords]*orec
 	t, snap := ps.table, tx.touched[ti].snap
-	ls, orecs := lbuf[:len(dst)], obuf[:len(dst)]
-	for i := range orecs {
-		o := t.of(addr + memory.Addr(i))
-		l := o.lock.Load()
+	i0 := t.indexOf(addr)
+	n := (uint64(addr)+uint64(len(dst))-1)>>t.granShift - uint64(addr)>>t.granShift + 1
+	if i0+n > uint64(len(t.orecs)) {
+		return false
+	}
+	span, ls := t.orecs[i0:i0+n], lbuf[:n]
+	for i := range span {
+		l := span[i].lock.Load()
 		if isLocked(l) || versionOf(l) > snap {
 			return false
 		}
-		orecs[i], ls[i] = o, l
+		ls[i] = l
 	}
 	for i := range dst {
 		dst[i] = tx.eng.arena.LoadAtomic(addr + memory.Addr(i))
 	}
-	for i, o := range orecs {
-		if o.lock.Load() != ls[i] {
+	for i := range span {
+		if span[i].lock.Load() != ls[i] {
 			return false
 		}
 	}
@@ -879,12 +885,8 @@ func (tx *Tx) sweep(ps *partState, addr memory.Addr, dst []uint64, ti int) bool 
 		tx.pinned = true
 		return true
 	}
-	var last *orec
-	for i, o := range orecs {
-		if o != last {
-			tx.logRead(ps, o, versionOf(ls[i]))
-			last = o
-		}
+	for i := range span {
+		tx.logRead(ps, &span[i], versionOf(ls[i]))
 	}
 	return true
 }
@@ -1052,7 +1054,7 @@ func (tx *Tx) storeWordsChunk(addr memory.Addr, src []uint64) {
 		a := addr + memory.Addr(i)
 		o := ps.table.of(a)
 		if mode != modeCTL && o != held {
-			tx.acquire(ps, o, ti)
+			tx.acquire(ps, o, a, ti)
 			held = o
 		}
 		tx.wsPut(a, src[i], o, ps, mode)
@@ -1086,10 +1088,10 @@ func (tx *Tx) LoadRange(addr memory.Addr, n int, fn func(i int, v uint64) bool) 
 	}
 }
 
-// acquire takes the orec's write lock at encounter time, draining visible
-// readers per the partition's reader policy. ti indexes the partition in
-// tx.touched (for its snapshot).
-func (tx *Tx) acquire(ps *partState, o *orec, ti int) {
+// acquire takes the write lock of addr's orec o at encounter time,
+// draining visible readers per the partition's reader policy. ti indexes
+// the partition in tx.touched (for its snapshot).
+func (tx *Tx) acquire(ps *partState, o *orec, addr memory.Addr, ti int) {
 	spins := 0
 	for {
 		l := o.lock.Load()
@@ -1111,7 +1113,7 @@ func (tx *Tx) acquire(ps *partState, o *orec, ti int) {
 		if o.lock.CompareAndSwap(l, lockWordFor(tx.th.slot)) {
 			tx.locks = append(tx.locks, lockRec{o: o, prev: l, pid: ps.part.id})
 			if ps.cfg.Read == VisibleReads {
-				tx.drainReaders(ps, o, ti)
+				tx.drainReaders(ps, ps.table.readersOf(addr), ti)
 			}
 			return
 		}
@@ -1119,13 +1121,14 @@ func (tx *Tx) acquire(ps *partState, o *orec, ti int) {
 }
 
 // drainReaders resolves write-vs-visible-reader conflicts after the lock
-// is held: either kill the registered readers and wait for their bits to
-// clear, or yield (abort self) per the partition's reader policy.
-func (tx *Tx) drainReaders(ps *partState, o *orec, ti int) {
+// is held: either kill the readers registered in the orec's bitmap and
+// wait for their bits to clear, or yield (abort self) per the partition's
+// reader policy.
+func (tx *Tx) drainReaders(ps *partState, readers *atomic.Uint64, ti int) {
 	bit := tx.th.readerBit()
 	spins := 0
 	for {
-		r := o.readers.Load() &^ bit
+		r := readers.Load() &^ bit
 		if r == 0 {
 			return
 		}
@@ -1601,7 +1604,7 @@ func (tx *Tx) acquireAtCommit(en *writeEntry) {
 		if en.o.lock.CompareAndSwap(l, lockWordFor(tx.th.slot)) {
 			tx.locks = append(tx.locks, lockRec{o: en.o, prev: l, pid: en.ps.part.id})
 			if en.ps.cfg.Read == VisibleReads {
-				tx.drainReaders(en.ps, en.o, ti)
+				tx.drainReaders(en.ps, en.ps.table.readersOf(en.addr), ti)
 			}
 			return
 		}
@@ -1623,8 +1626,8 @@ func (tx *Tx) rollback(cause AbortCause) {
 		lr.o.lock.Store(lr.prev)
 	}
 	bit := tx.th.readerBit()
-	for _, o := range tx.vreads {
-		o.readers.And(^bit)
+	for _, r := range tx.vreads {
+		r.And(^bit)
 	}
 	for _, a := range tx.allocs {
 		tx.th.alloc.Free(a.addr, a.n)
@@ -1693,8 +1696,8 @@ func (tx *Tx) finish(cause AbortCause) {
 	tx.eng.epochs.Clear(tx.th.slot)
 	if committed {
 		bit := tx.th.readerBit()
-		for _, o := range tx.vreads {
-			o.readers.And(^bit)
+		for _, r := range tx.vreads {
+			r.And(^bit)
 		}
 		if len(tx.frees) > 0 {
 			// Commit-time frees enter limbo stamped with a ceiling sampled

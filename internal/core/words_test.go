@@ -122,7 +122,9 @@ func TestWordsAcrossBlocks(t *testing.T) {
 
 // TestLoadWordsReadSetGrouping pins the amortization contract: a
 // multi-word read of words sharing one orec (GranShift > 0) contributes
-// one read-set entry per orec, not per word.
+// one read-set entry per orec, not per word — also when the range is not
+// aligned to the orec grain, so its orec span has a partial orec at each
+// end.
 func TestLoadWordsReadSetGrouping(t *testing.T) {
 	cfg := DefaultPartConfig()
 	cfg.GranShift = 3 // 8 words per orec
@@ -151,6 +153,73 @@ func TestLoadWordsReadSetGrouping(t *testing.T) {
 		}
 		return nil
 	}, ReadOnly())
+
+	// GranShift 2: eight words starting two words into a 4-word grain
+	// touch 2 + 4 + 2 words of three orecs.
+	cfg.GranShift = 2
+	if err := e.Reconfigure(GlobalPartition, cfg); err != nil {
+		t.Fatal(err)
+	}
+	start := base + memory.Addr(6-uint64(base)&3) // ≡ 2 mod 4
+	th.Run(func(tx *Tx) error {
+		var dst [8]uint64
+		tx.LoadWords(start, dst[:])
+		for i, v := range dst {
+			if want := uint64(start-base) + uint64(i); v != want {
+				t.Fatalf("word %d = %d, want %d", i, v, want)
+			}
+		}
+		if got := tx.ReadSetLen(); got != 3 {
+			t.Fatalf("misaligned 8-word read logged %d entries, want 3", got)
+		}
+		return nil
+	}, ReadOnly())
+}
+
+// TestLoadWordsSpanWrap: on a 16-orec table, a range whose orec span runs
+// past the table end (and, at 20 words, aliases its own first orecs)
+// reads the right words and logs exactly the read set of one Load per
+// word.
+func TestLoadWordsSpanWrap(t *testing.T) {
+	cfg := DefaultPartConfig()
+	cfg.LockBits = 4
+	e := newTestEngine(t, cfg)
+	th := e.MustAttachThread()
+	defer e.DetachThread(th)
+	const n = 64
+	var base memory.Addr
+	th.Run(func(tx *Tx) error {
+		base = tx.Alloc(memory.DefaultSite, n)
+		for i := 0; i < n; i++ {
+			tx.Store(base+memory.Addr(i), uint64(i)*7)
+		}
+		return nil
+	})
+	// start maps to orec 12: an 8-word span is orecs 12..15, 0..3.
+	start := base + memory.Addr((12-uint64(base))&15)
+	for _, words := range []int{8, 20} {
+		perWord := -1
+		th.Run(func(tx *Tx) error {
+			for i := 0; i < words; i++ {
+				tx.Load(start + memory.Addr(i))
+			}
+			perWord = tx.ReadSetLen()
+			return nil
+		}, ReadOnly())
+		th.Run(func(tx *Tx) error {
+			dst := make([]uint64, words)
+			tx.LoadWords(start, dst)
+			for i, v := range dst {
+				if want := (uint64(start-base) + uint64(i)) * 7; v != want {
+					t.Fatalf("%d words: word %d = %d, want %d", words, i, v, want)
+				}
+			}
+			if got := tx.ReadSetLen(); got != perWord {
+				t.Fatalf("%d words: read set = %d entries, per-word path %d", words, got, perWord)
+			}
+			return nil
+		}, ReadOnly())
+	}
 }
 
 // TestSnapshotWordsGroupedReconstruction checks the snapshot-mode range
@@ -344,15 +413,22 @@ func TestSweepFallbackLockedWord(t *testing.T) {
 // LoadWords/StoreWords, and single-word ADD pairs through Load/Store —
 // beside Snapshot() and ReadOnly() scanners that check the exact total in
 // every scan. Objects are 20 words, so every object read crosses a sweep
-// window.
+// window; at LockBits 4 every object's orec span also wraps the table.
 func TestSweepTorture(t *testing.T) {
 	if testing.Short() {
 		t.Skip("torture test skipped in -short mode")
 	}
-	for _, gran := range []uint{0, 3} {
-		t.Run("gran="+string(rune('0'+gran)), func(t *testing.T) {
+	for _, c := range []struct {
+		name           string
+		gran, lockBits uint
+	}{
+		{"gran=0", 0, 16},
+		{"gran=3", 3, 16},
+		{"lockbits=4", 0, 4}, // 16 orecs: 20-word spans wrap and alias
+	} {
+		t.Run(c.name, func(t *testing.T) {
 			cfg := DefaultPartConfig()
-			cfg.GranShift = gran
+			cfg.GranShift, cfg.LockBits = c.gran, c.lockBits
 			cfg.HistCap = 1 << 14
 			e := newTestEngine(t, cfg)
 			e.SetYieldEveryOps(16)
