@@ -105,10 +105,8 @@ func BenchmarkSnapshotAppend(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			rt := stm.MustNew(stm.Config{HeapWords: 1 << 16, SnapshotHistory: c.hist})
-			th := rt.MustAttach()
-			defer rt.Detach(th)
 			var a stm.Addr
-			th.Run(func(tx *stm.Tx) error {
+			rt.Run(func(tx *stm.Tx) error {
 				a = tx.Alloc(stm.SiteID(0), 4)
 				for i := 0; i < 4; i++ {
 					tx.Store(a+stm.Addr(i), 0)
@@ -117,7 +115,7 @@ func BenchmarkSnapshotAppend(b *testing.B) {
 			})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				th.Run(func(tx *stm.Tx) error {
+				rt.Run(func(tx *stm.Tx) error {
 					for j := 0; j < 4; j++ {
 						tx.Store(a+stm.Addr(j), tx.Load(a+stm.Addr(j))+1)
 					}
@@ -258,8 +256,6 @@ func BenchmarkSnapshotScan(b *testing.B) {
 		return rt, objs
 	}
 	scan := func(b *testing.B, rt *stm.Runtime, objs []stm.Addr, opt stm.TxOpt) {
-		th := rt.MustAttach()
-		defer rt.Detach(th)
 		var words [objWords]uint64
 		var sum uint64
 		body := func(tx *stm.Tx) error {
@@ -274,7 +270,7 @@ func BenchmarkSnapshotScan(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := th.Run(body, opts...); err != nil {
+			if err := rt.Run(body, opts...); err != nil {
 				b.Fatal(err)
 			}
 			if sum != objects*balance {
@@ -299,8 +295,6 @@ func BenchmarkSnapshotScan(b *testing.B) {
 		stop, done := make(chan struct{}), make(chan struct{})
 		go func() { // ~20 000 whole-object transfers/s in 1 ms bursts
 			defer close(done)
-			th := rt.MustAttach()
-			defer rt.Detach(th)
 			var a, c stm.Addr
 			var from, to [objWords]uint64
 			transfer := func(tx *stm.Tx) error {
@@ -322,7 +316,7 @@ func BenchmarkSnapshotScan(b *testing.B) {
 				}
 				for k := 0; k < 20; k, n = k+1, n+1 {
 					a, c = objs[n%objects], objs[(n+objects/2)%objects]
-					if err := th.Run(transfer); err != nil {
+					if err := rt.Run(transfer); err != nil {
 						b.Error(err)
 						return
 					}
@@ -341,17 +335,15 @@ func BenchmarkSnapshotScan(b *testing.B) {
 func BenchmarkRefLoad(b *testing.B) {
 	type obj struct{ A, B, C, D, E, F, G, H uint64 }
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 16})
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	var r stm.Ref[obj]
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		r = stm.AllocRef[obj](tx, stm.SiteID(0))
 		r.Store(tx, obj{A: 1, H: 8})
 		return nil
 	})
 	b.Run("ref", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			th.Run(func(tx *stm.Tx) error {
+			rt.Run(func(tx *stm.Tx) error {
 				o := r.Load(tx)
 				_ = o
 				return nil
@@ -361,7 +353,7 @@ func BenchmarkRefLoad(b *testing.B) {
 	b.Run("per-word", func(b *testing.B) {
 		base := r.Addr()
 		for i := 0; i < b.N; i++ {
-			th.Run(func(tx *stm.Tx) error {
+			rt.Run(func(tx *stm.Tx) error {
 				var s uint64
 				for w := 0; w < 8; w++ {
 					s += tx.Load(base + stm.Addr(w))
@@ -381,10 +373,8 @@ func BenchmarkRefLoad(b *testing.B) {
 // everything retired (words/op approaches 8).
 func BenchmarkAllocFreeChurn(b *testing.B) {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 18})
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	var cell stm.Addr
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		cell = tx.Alloc(stm.SiteID(0), 1)
 		n := tx.Alloc(stm.SiteID(0), 8)
 		tx.Store(n, 1)
@@ -393,7 +383,7 @@ func BenchmarkAllocFreeChurn(b *testing.B) {
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		th.Run(func(tx *stm.Tx) error {
+		rt.Run(func(tx *stm.Tx) error {
 			old := tx.LoadAddr(cell)
 			n := tx.Alloc(stm.SiteID(0), 8)
 			tx.Store(n, tx.Load(old)+1)
@@ -403,7 +393,7 @@ func BenchmarkAllocFreeChurn(b *testing.B) {
 		})
 	}
 	b.StopTimer()
-	th.Reclaim()
+	rt.Reclaim()
 	rs := rt.ReclaimStats()
 	if rs.RetiredWords != rs.ReclaimedWords {
 		b.Fatalf("limbo not drained at quiesce: retired %d, reclaimed %d", rs.RetiredWords, rs.ReclaimedWords)
@@ -417,10 +407,8 @@ func BenchmarkAllocFreeChurn(b *testing.B) {
 // readers that actually publish pinned stamps into the epoch table.
 func BenchmarkAllocFreeChurnSnapshot(b *testing.B) {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 18, SnapshotHistory: 1 << 10})
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	var cell stm.Addr
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		cell = tx.Alloc(stm.SiteID(0), 1)
 		n := tx.Alloc(stm.SiteID(0), 8)
 		tx.Store(n, 1)
@@ -438,7 +426,7 @@ func BenchmarkAllocFreeChurnSnapshot(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		th.Run(func(tx *stm.Tx) error {
+		rt.Run(func(tx *stm.Tx) error {
 			old := tx.LoadAddr(cell)
 			n := tx.Alloc(stm.SiteID(0), 8)
 			tx.Store(n, tx.Load(old)+1)
@@ -453,8 +441,7 @@ func BenchmarkAllocFreeChurnSnapshot(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	th.Reclaim() // the pinned writer's limbo
-	rt.Reclaim() // the pooled scan threads' + shared overflow
+	rt.Reclaim()
 	rs := rt.ReclaimStats()
 	if rs.LimboWords != 0 {
 		b.Fatalf("limbo not drained at quiesce: %d words", rs.LimboWords)
@@ -463,36 +450,11 @@ func BenchmarkAllocFreeChurnSnapshot(b *testing.B) {
 
 // --- primitive-cost micro-benchmarks ---
 
-// BenchmarkRunPinned is the baseline for the pooled-entry overhead
-// budget: the minimal update transaction on a Thread the caller pinned
-// once and reuses directly.
-func BenchmarkRunPinned(b *testing.B) {
-	rt := stm.MustNew(stm.Config{HeapWords: 1 << 16})
-	th := rt.MustAttach()
-	defer rt.Detach(th)
-	var a stm.Addr
-	th.Run(func(tx *stm.Tx) error {
-		a = tx.Alloc(stm.SiteID(0), 1)
-		tx.Store(a, 0)
-		return nil
-	})
-	fn := func(tx *stm.Tx) error {
-		tx.Store(a, tx.Load(a)+1)
-		return nil
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := th.Run(fn); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRunPooled measures the goroutine-native entry point: every
-// transaction borrows a pooled Thread through Runtime.Run and returns it.
-// The steady-state borrow is one sync.Pool hint get plus one CAS on the
-// free-slot bitmap; the acceptance budget is <= 15% over BenchmarkRunPinned
-// on this workload.
+// BenchmarkRunPooled measures the minimal update transaction through
+// Runtime.Run, the only entry point: every call borrows a slot from the
+// pool and returns it. In steady state the borrow is one CAS lifting the
+// caller's last slot out of the victim cache (claimCache) and the return
+// is one CAS parking it there again.
 func BenchmarkRunPooled(b *testing.B) {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 16})
 	var a stm.Addr
@@ -530,17 +492,15 @@ func BenchmarkUncontendedIncrement(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			cfg := mode.cfg
 			rt := stm.MustNew(stm.Config{HeapWords: 1 << 16, Default: &cfg})
-			th := rt.MustAttach()
-			defer rt.Detach(th)
 			var a stm.Addr
-			th.Run(func(tx *stm.Tx) error {
+			rt.Run(func(tx *stm.Tx) error {
 				a = tx.Alloc(stm.SiteID(0), 1)
 				tx.Store(a, 0)
 				return nil
 			})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				th.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
+				rt.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 			}
 		})
 	}
@@ -560,17 +520,15 @@ func BenchmarkTimeBaseIncrement(b *testing.B) {
 	} {
 		b.Run(m.name, func(b *testing.B) {
 			rt := stm.MustNew(stm.Config{HeapWords: 1 << 16, TimeBase: m.tb})
-			th := rt.MustAttach()
-			defer rt.Detach(th)
 			var a stm.Addr
-			th.Run(func(tx *stm.Tx) error {
+			rt.Run(func(tx *stm.Tx) error {
 				a = tx.Alloc(stm.SiteID(0), 1)
 				tx.Store(a, 0)
 				return nil
 			})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				th.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
+				rt.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 			}
 		})
 	}
@@ -582,10 +540,8 @@ func BenchmarkTimeBaseIncrement(b *testing.B) {
 func BenchmarkRepeatedReadSweep(b *testing.B) {
 	const words = 64
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 16})
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	var base stm.Addr
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		base = tx.Alloc(stm.SiteID(0), words)
 		for i := 0; i < words; i++ {
 			tx.Store(base+stm.Addr(i), uint64(i))
@@ -595,7 +551,7 @@ func BenchmarkRepeatedReadSweep(b *testing.B) {
 	for _, passes := range []int{1, 8} {
 		b.Run(fmt.Sprintf("passes=%d", passes), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				th.Run(func(tx *stm.Tx) error {
+				rt.Run(func(tx *stm.Tx) error {
 					var sink uint64
 					for p := 0; p < passes; p++ {
 						for j := 0; j < words; j++ {
@@ -625,13 +581,11 @@ func BenchmarkReadOnlyScan(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			cfg := mode.read
 			rt := stm.MustNew(stm.Config{HeapWords: 1 << 16, Default: &cfg})
-			th := rt.MustAttach()
-			defer rt.Detach(th)
 			var c *txds.CounterArray
-			th.Run(func(tx *stm.Tx) error { c = txds.NewCounterArray(tx, rt, "scan", n, 1); return nil })
+			rt.Run(func(tx *stm.Tx) error { c = txds.NewCounterArray(tx, rt, "scan", n, 1); return nil })
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				th.Run(func(tx *stm.Tx) error { c.Sum(tx); return nil }, stm.ReadOnly())
+				rt.Run(func(tx *stm.Tx) error { c.Sum(tx); return nil }, stm.ReadOnly())
 			}
 			b.ReportMetric(float64(b.N)*n/b.Elapsed().Seconds(), "reads/s")
 		})
@@ -645,10 +599,8 @@ func BenchmarkReadOnlyScan(b *testing.B) {
 func BenchmarkListWalk(b *testing.B) {
 	const nodes = 128
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 16})
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	var l *txds.List
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		l = txds.NewList(tx, rt, "walk")
 		for k := uint64(0); k < nodes; k++ {
 			l.Insert(tx, 2*k, k)
@@ -664,7 +616,7 @@ func BenchmarkListWalk(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k = uint64(i) % (2 * nodes)
-		if err := th.Run(fn, stm.ReadOnly()); err != nil {
+		if err := rt.Run(fn, stm.ReadOnly()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -710,25 +662,21 @@ func BenchmarkPartitionLookup(b *testing.B) {
 			if partitioned {
 				rt.StartProfiling()
 			}
-			th := rt.MustAttach()
 			var tree *txds.RBTree
-			th.Run(func(tx *stm.Tx) error { tree = txds.NewRBTree(tx, rt, "pl.tree"); return nil })
+			rt.Run(func(tx *stm.Tx) error { tree = txds.NewRBTree(tx, rt, "pl.tree"); return nil })
 			for k := uint64(0); k < 512; k++ {
-				th.Run(func(tx *stm.Tx) error { tree.Insert(tx, k*2, k); return nil })
+				rt.Run(func(tx *stm.Tx) error { tree.Insert(tx, k*2, k); return nil })
 			}
-			rt.Detach(th)
 			if partitioned {
 				if _, err := rt.StopProfilingAndPartition(); err != nil {
 					b.Fatal(err)
 				}
 			}
-			th = rt.MustAttach()
-			defer rt.Detach(th)
 			rng := workload.NewRng(1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				k := rng.Uint64() % 1024
-				th.Run(func(tx *stm.Tx) error { tree.Contains(tx, k); return nil }, stm.ReadOnly())
+				rt.Run(func(tx *stm.Tx) error { tree.Contains(tx, k); return nil }, stm.ReadOnly())
 			}
 		})
 	}
@@ -763,8 +711,6 @@ func BenchmarkScatteredLoad(b *testing.B) {
 	if _, err := rt.ManualPartition(groups); err != nil {
 		b.Fatal(err)
 	}
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	rng := workload.NewRng(1)
 	var sum uint64
 	body := func(tx *stm.Tx) error {
@@ -776,7 +722,7 @@ func BenchmarkScatteredLoad(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i += perRun {
-		if err := th.Run(body, stm.ReadOnly()); err != nil {
+		if err := rt.Run(body, stm.ReadOnly()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -789,15 +735,13 @@ func BenchmarkIntsetStructures(b *testing.B) {
 	for _, kind := range []apps.IntSetKind{apps.SetList, apps.SetSkipList, apps.SetRBTree, apps.SetHash, apps.SetBTree} {
 		b.Run(kind.String(), func(b *testing.B) {
 			rt := stm.MustNew(stm.Config{HeapWords: 1 << 20})
-			th := rt.MustAttach()
-			is := apps.NewIntSet(rt, th, apps.IntSetSpec{
+			is := apps.NewIntSet(rt, apps.IntSetSpec{
 				Kind: kind, Name: "b." + kind.String(), KeyRange: 1024, UpdateRatio: 0.2, Buckets: 128,
 			})
-			defer rt.Detach(th)
 			rng := workload.NewRng(7)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				is.Op(th, rng)
+				is.Op(rng)
 			}
 		})
 	}
@@ -806,47 +750,14 @@ func BenchmarkIntsetStructures(b *testing.B) {
 // BenchmarkVacationOps measures the reservation transaction cost.
 func BenchmarkVacationOps(b *testing.B) {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 22})
-	th := rt.MustAttach()
 	cfg := apps.DefaultVacationConfig()
 	cfg.ItemsPerTable = 256
 	cfg.Customers = 256
-	v := apps.NewVacation(rt, th, cfg)
-	defer rt.Detach(th)
+	v := apps.NewVacation(rt, cfg)
 	rng := workload.NewRng(9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v.Op(th, rng)
-	}
-}
-
-// BenchmarkTracingOverhead measures the per-transaction cost of the
-// attempt tracer (one atomic pointer load when detached; one ring-buffer
-// store when attached).
-func BenchmarkTracingOverhead(b *testing.B) {
-	for _, traced := range []bool{false, true} {
-		name := "off"
-		if traced {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			rt := stm.MustNew(stm.Config{HeapWords: 1 << 16})
-			th := rt.MustAttach()
-			defer rt.Detach(th)
-			var a stm.Addr
-			th.Run(func(tx *stm.Tx) error {
-				a = tx.Alloc(stm.SiteID(0), 1)
-				tx.Store(a, 0)
-				return nil
-			})
-			if traced {
-				rt.StartTracing(4096)
-				defer rt.StopTracing()
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				th.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
-			}
-		})
+		v.Op(rng)
 	}
 }
 
@@ -855,17 +766,15 @@ func BenchmarkTracingOverhead(b *testing.B) {
 func BenchmarkRangeScan(b *testing.B) {
 	const n, span = 4096, 256
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 21})
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	var rb *txds.RBTree
 	var bt *txds.BTree
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		rb = txds.NewRBTree(tx, rt, "rs.rb")
 		bt = txds.NewBTree(tx, rt, "rs.bt")
 		return nil
 	})
 	for k := uint64(0); k < n; k++ {
-		th.Run(func(tx *stm.Tx) error {
+		rt.Run(func(tx *stm.Tx) error {
 			rb.Insert(tx, k, k)
 			bt.Insert(tx, k, k)
 			return nil
@@ -875,7 +784,7 @@ func BenchmarkRangeScan(b *testing.B) {
 	b.Run("rbtree", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			lo := rng.Uint64() % (n - span)
-			th.Run(func(tx *stm.Tx) error {
+			rt.Run(func(tx *stm.Tx) error {
 				rb.Range(tx, lo, lo+span, func(k, v uint64) bool { return true })
 				return nil
 			}, stm.ReadOnly())
@@ -884,7 +793,7 @@ func BenchmarkRangeScan(b *testing.B) {
 	b.Run("btree", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			lo := rng.Uint64() % (n - span)
-			th.Run(func(tx *stm.Tx) error {
+			rt.Run(func(tx *stm.Tx) error {
 				bt.Range(tx, lo, lo+span, func(k, v uint64) bool { return true })
 				return nil
 			}, stm.ReadOnly())
@@ -900,14 +809,12 @@ func BenchmarkRangeScan(b *testing.B) {
 // p99-ns/op secondary metric.
 func BenchmarkOpenLoopLatency(b *testing.B) {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 16})
-	setup := rt.MustAttach()
 	var a stm.Addr
-	setup.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		a = tx.Alloc(stm.SiteID(0), 1)
 		tx.Store(a, 0)
 		return nil
 	})
-	rt.Detach(setup)
 	const rate = 50000.0
 	measure := time.Duration(float64(b.N) / rate * float64(time.Second))
 	b.ResetTimer()
@@ -917,8 +824,8 @@ func BenchmarkOpenLoopLatency(b *testing.B) {
 		Warmup:  5 * time.Millisecond,
 		Measure: measure,
 		Seed:    11,
-	}, func(th *stm.Thread, rng *workload.Rng, _ uint64) {
-		th.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
+	}, func(rng *workload.Rng, _ uint64) {
+		rt.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 	})
 	if res.Ops == 0 {
 		b.Fatal("no measured ops")
@@ -966,21 +873,17 @@ func BenchmarkCommitSyncDurability(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer rt.Close()
-	setup := rt.MustAttach()
 	var base stm.Addr
-	setup.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		base = tx.Alloc(stm.SiteID(0), 64)
 		return nil
 	})
-	rt.Detach(setup)
 	var next atomic.Uint64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		th := rt.MustAttach()
-		defer rt.Detach(th)
 		slot := stm.Addr(next.Add(1) % 64)
 		for pb.Next() {
-			th.Run(func(tx *stm.Tx) error {
+			rt.Run(func(tx *stm.Tx) error {
 				tx.Store(base+slot, tx.Load(base+slot)+1)
 				return nil
 			})
@@ -992,17 +895,15 @@ func BenchmarkCommitSyncDurability(b *testing.B) {
 // workload under the harness (8 goroutines, interleaving simulation).
 func BenchmarkContendedCounter(b *testing.B) {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 16, YieldEveryOps: 8})
-	setup := rt.MustAttach()
 	var a stm.Addr
-	setup.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		a = tx.Alloc(stm.SiteID(0), 1)
 		tx.Store(a, 0)
 		return nil
 	})
-	rt.Detach(setup)
 	b.ResetTimer()
-	res := bench.RunOps(rt, 8, b.N/8+1, 3, func(th *stm.Thread, rng *workload.Rng) {
-		th.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
+	res := bench.RunOps(rt, 8, b.N/8+1, 3, func(rng *workload.Rng) {
+		rt.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 	})
 	b.ReportMetric(res.Throughput, "ops/s")
 	b.ReportMetric(res.AbortRate, "abort-rate")
@@ -1063,7 +964,7 @@ func BenchmarkNetPipelinedTxn(b *testing.B) {
 		Warmup:  5 * time.Millisecond,
 		Measure: measure,
 		Seed:    13,
-	}, func(worker int) (bench.RawOpFunc, func()) {
+	}, func(worker int) (bench.IndexedOpFunc, func()) {
 		c := clients[worker%len(clients)]
 		return func(rng *workload.Rng, _ uint64) {
 			from := rng.Intn(nKeys)

@@ -138,7 +138,7 @@ func runPoint(addr string, cfg bench.OpenLoopConfig, conns, keys int, readFrac f
 	}()
 
 	var errors atomic.Uint64
-	res := bench.RunOpenLoopFunc(cfg, func(worker int) (bench.RawOpFunc, func()) {
+	res := bench.RunOpenLoopFunc(cfg, func(worker int) (bench.IndexedOpFunc, func()) {
 		c := clients[worker%len(clients)]
 		return func(rng *workload.Rng, i uint64) {
 			var b *stmnet.Batch

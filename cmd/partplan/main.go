@@ -37,8 +37,7 @@ func main() {
 
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 22, YieldEveryOps: *yield})
 	rt.StartProfiling()
-	th := rt.MustAttach()
-	op, err := buildApp(rt, th, *app)
+	op, err := buildApp(rt, *app)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -46,9 +45,8 @@ func main() {
 	// Warm-up drives the profiler.
 	rng := workload.NewRng(1)
 	for i := 0; i < 500; i++ {
-		op(th, rng)
+		op(rng)
 	}
-	rt.Detach(th)
 
 	if *check != "" {
 		rt.StopProfiling()
@@ -98,25 +96,25 @@ func main() {
 }
 
 // buildApp constructs the named application and returns its op function.
-func buildApp(rt *stm.Runtime, th *stm.Thread, name string) (bench.OpFunc, error) {
+func buildApp(rt *stm.Runtime, name string) (bench.OpFunc, error) {
 	switch name {
 	case "intset":
-		m := apps.NewMultiSet(rt, th, apps.DefaultMultiSetSpecs())
-		return func(th *stm.Thread, rng *workload.Rng) { m.Op(th, rng) }, nil
+		m := apps.NewMultiSet(rt, apps.DefaultMultiSetSpecs())
+		return m.Op, nil
 	case "vacation":
-		v := apps.NewVacation(rt, th, apps.DefaultVacationConfig())
-		return func(th *stm.Thread, rng *workload.Rng) { v.Op(th, rng) }, nil
+		v := apps.NewVacation(rt, apps.DefaultVacationConfig())
+		return func(rng *workload.Rng) { v.Op(rng) }, nil
 	case "bank":
 		cfg := apps.DefaultBankConfig()
-		b := apps.NewBank(rt, th, cfg)
-		return func(th *stm.Thread, rng *workload.Rng) { b.Op(th, rng, cfg) }, nil
+		b := apps.NewBank(rt, cfg)
+		return func(rng *workload.Rng) { b.Op(rng, cfg) }, nil
 	case "genome":
-		g := apps.NewGenome(rt, th, apps.DefaultGenomeConfig())
-		return func(th *stm.Thread, rng *workload.Rng) { g.Op(th, rng) }, nil
+		g := apps.NewGenome(rt, apps.DefaultGenomeConfig())
+		return g.Op, nil
 	case "kmeans":
 		cfg := apps.DefaultKMeansConfig()
-		km := apps.NewKMeans(rt, th, cfg, 11)
-		return func(th *stm.Thread, rng *workload.Rng) { km.Op(th, rng, cfg) }, nil
+		km := apps.NewKMeans(rt, cfg, 11)
+		return func(rng *workload.Rng) { km.Op(rng, cfg) }, nil
 	default:
 		return nil, fmt.Errorf("partplan: unknown app %q (have intset, vacation, bank, genome, kmeans)", name)
 	}

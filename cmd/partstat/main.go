@@ -46,80 +46,68 @@ func main() {
 func profileIntset(ops int) {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 22})
 	rt.StartProfiling()
-	th := rt.MustAttach()
-	m := apps.NewMultiSet(rt, th, apps.DefaultMultiSetSpecs())
+	m := apps.NewMultiSet(rt, apps.DefaultMultiSetSpecs())
 	rng := workload.NewRng(1)
 	for i := 0; i < ops; i++ {
-		m.Op(th, rng)
+		m.Op(rng)
 	}
-	rt.Detach(th)
 	report(rt, "intset-multi")
 }
 
 func profileVacation(ops int) {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 22})
 	rt.StartProfiling()
-	th := rt.MustAttach()
-	v := apps.NewVacation(rt, th, apps.DefaultVacationConfig())
+	v := apps.NewVacation(rt, apps.DefaultVacationConfig())
 	rng := workload.NewRng(2)
 	for i := 0; i < ops; i++ {
-		v.Op(th, rng)
+		v.Op(rng)
 	}
-	rt.Detach(th)
 	report(rt, "vacation")
 }
 
 func profileBank(ops int) {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 22})
 	rt.StartProfiling()
-	th := rt.MustAttach()
 	cfg := apps.DefaultBankConfig()
-	b := apps.NewBank(rt, th, cfg)
+	b := apps.NewBank(rt, cfg)
 	rng := workload.NewRng(3)
 	for i := 0; i < ops; i++ {
-		b.Op(th, rng, cfg)
+		b.Op(rng, cfg)
 	}
-	rt.Detach(th)
 	report(rt, "bank")
 }
 
 func profileGenome(ops int) {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 22})
 	rt.StartProfiling()
-	th := rt.MustAttach()
-	g := apps.NewGenome(rt, th, apps.DefaultGenomeConfig())
+	g := apps.NewGenome(rt, apps.DefaultGenomeConfig())
 	rng := workload.NewRng(4)
 	for i := 0; i < ops; i++ {
-		g.Op(th, rng)
+		g.Op(rng)
 	}
-	rt.Detach(th)
 	report(rt, "genome")
 }
 
 func profileKMeans(ops int) {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 22})
 	rt.StartProfiling()
-	th := rt.MustAttach()
 	cfg := apps.DefaultKMeansConfig()
-	km := apps.NewKMeans(rt, th, cfg, 11)
+	km := apps.NewKMeans(rt, cfg, 11)
 	rng := workload.NewRng(5)
 	for i := 0; i < ops; i++ {
-		km.Op(th, rng, cfg)
+		km.Op(rng, cfg)
 	}
-	rt.Detach(th)
 	report(rt, "kmeans")
 }
 
 func profileLabyrinth(ops int) {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 22})
 	rt.StartProfiling()
-	th := rt.MustAttach()
-	l := apps.NewLabyrinth(rt, th, apps.DefaultLabyrinthConfig())
+	l := apps.NewLabyrinth(rt, apps.DefaultLabyrinthConfig())
 	rng := workload.NewRng(6)
 	for i := 0; i < ops/10; i++ { // routes are long transactions
-		l.Op(th, rng)
+		l.Op(rng)
 	}
-	rt.Detach(th)
 	report(rt, "labyrinth")
 }
 

@@ -34,16 +34,14 @@ func main() {
 	if *partition {
 		rt.StartProfiling()
 	}
-	setup := rt.MustAttach()
 	fmt.Printf("building vacation: %d items/table, %d customers...\n", *items, *customers)
-	v := apps.NewVacation(rt, setup, cfg)
+	v := apps.NewVacation(rt, cfg)
 	if *partition {
 		rng := workload.NewRng(1)
 		for i := 0; i < 500; i++ {
-			v.Op(setup, rng)
+			v.Op(rng)
 		}
 	}
-	rt.Detach(setup)
 
 	if *partition {
 		plan, err := rt.StopProfilingAndPartition()
@@ -61,7 +59,7 @@ func main() {
 		Warmup:  200 * time.Millisecond,
 		Measure: *duration,
 		Seed:    42,
-	}, func(th *stm.Thread, rng *workload.Rng) { v.Op(th, rng) })
+	}, func(rng *workload.Rng) { v.Op(rng) })
 	fmt.Println("result:", res)
 
 	fmt.Println("\nper-partition statistics:")
@@ -81,9 +79,7 @@ func main() {
 		}
 	}
 
-	check := rt.MustAttach()
-	defer rt.Detach(check)
-	if msg := v.CheckInvariants(check); msg != "" {
+	if msg := v.CheckInvariants(); msg != "" {
 		fmt.Println("INVARIANT VIOLATION:", msg)
 	} else {
 		fmt.Println("\ninvariants: OK (seats conserved, trees well-formed)")

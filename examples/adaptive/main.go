@@ -41,13 +41,11 @@ func main() {
 		wg.Add(1)
 		go func(seed uint64) {
 			defer wg.Done()
-			th := rt.MustAttach()
-			defer rt.Detach(th)
 			rng := workload.NewRng(seed)
 			for !stop.Load() {
 				if updatePhase.Load() && rng.Float64() < 0.5 {
 					to := rng.Intn(slots)
-					th.Run(func(tx *stm.Tx) error { // long update: scan + move
+					rt.Run(func(tx *stm.Tx) error { // long update: scan + move
 						maxI, maxV := 0, uint64(0)
 						for i := 0; i < slots; i++ {
 							if v := arr.Get(tx, i); v > maxV {
@@ -61,10 +59,10 @@ func main() {
 					})
 				} else if updatePhase.Load() {
 					from, to := rng.Intn(slots), rng.Intn(slots)
-					th.Run(func(tx *stm.Tx) error { arr.Transfer(tx, from, to, 1); return nil })
+					rt.Run(func(tx *stm.Tx) error { arr.Transfer(tx, from, to, 1); return nil })
 				} else {
 					start := rng.Intn(slots - 128)
-					th.Run(func(tx *stm.Tx) error { // read-only audit
+					rt.Run(func(tx *stm.Tx) error { // read-only audit
 						var s uint64
 						for i := 0; i < 128; i++ {
 							s += arr.Get(tx, start+i)

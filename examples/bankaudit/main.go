@@ -47,12 +47,10 @@ func main() {
 		wg.Add(1)
 		go func(seed uint64) {
 			defer wg.Done()
-			th := rt.MustAttach()
-			defer rt.Detach(th)
 			rng := workload.NewRng(seed)
 			for !stop.Load() {
 				from, to := rng.Intn(accounts), rng.Intn(accounts)
-				err := th.Run(func(tx *stm.Tx) error {
+				err := rt.Run(func(tx *stm.Tx) error {
 					arr.Transfer(tx, from, to, 1+rng.Uint64()%50)
 					return nil
 				},
@@ -72,11 +70,9 @@ func main() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			th := rt.MustAttach()
-			defer rt.Detach(th)
 			for !stop.Load() {
 				var sum uint64
-				th.Run(func(tx *stm.Tx) error {
+				rt.Run(func(tx *stm.Tx) error {
 					sum = arr.Sum(tx)
 					return nil
 				}, stm.ReadOnly())

@@ -53,8 +53,7 @@ func main() {
 	// Concurrent workers: every Run block is one serializable
 	// transaction; conflicts retry automatically. Transactions are
 	// goroutine-native — workers call rt.Run directly, and the runtime's
-	// slot pool hands each hot goroutine the same warm Thread on every
-	// call (pin one with rt.MustAttach only to shave that last cost).
+	// slot pool hands each hot goroutine the same warm slot on every call.
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

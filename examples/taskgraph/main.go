@@ -70,12 +70,10 @@ func main() {
 		wg.Add(1)
 		go func(id uint64) {
 			defer wg.Done()
-			th := rt.MustAttach()
-			defer rt.Detach(th)
 			for i := 0; i < tasks/producers; i++ {
 				taskID := id*1_000_000 + uint64(i)
 				prio := taskID % 17
-				th.Run(func(tx *stm.Tx) error { pending.Insert(tx, prio, taskID); return nil })
+				rt.Run(func(tx *stm.Tx) error { pending.Insert(tx, prio, taskID); return nil })
 				produced.Add(1)
 			}
 		}(uint64(p))
@@ -88,12 +86,10 @@ func main() {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			th := rt.MustAttach()
-			defer rt.Detach(th)
 			for completed.Load() < tasks {
 				var task uint64
 				var got bool
-				th.Run(func(tx *stm.Tx) error {
+				rt.Run(func(tx *stm.Tx) error {
 					_, task, got = pending.PopMin(tx)
 					if got {
 						running.PushBack(tx, task)
@@ -103,7 +99,7 @@ func main() {
 				if !got {
 					continue
 				}
-				th.Run(func(tx *stm.Tx) error {
+				rt.Run(func(tx *stm.Tx) error {
 					var t uint64
 					var ok bool
 					if id%2 == 0 {

@@ -30,13 +30,11 @@ func main() {
 	// ---- Run 1: discover, tune, save -----------------------------------
 	rt1 := stm.MustNew(stm.Config{HeapWords: 1 << 20, YieldEveryOps: 8})
 	rt1.StartProfiling()
-	th := rt1.MustAttach()
-	bank := apps.NewBank(rt1, th, bankCfg)
+	bank := apps.NewBank(rt1, bankCfg)
 	rng := workload.NewRng(1)
 	for i := 0; i < 300; i++ {
-		bank.Op(th, rng, bankCfg)
+		bank.Op(rng, bankCfg)
 	}
-	rt1.Detach(th)
 	plan, err := rt1.StopProfilingAndPartition()
 	if err != nil {
 		panic(err)
@@ -46,7 +44,7 @@ func main() {
 	tc.Interval = 20 * time.Millisecond
 	rt1.StartTuner(tc)
 	res1 := bench.Run(rt1, bench.RunConfig{Threads: 4, Measure: 1500 * time.Millisecond, Seed: 2},
-		func(th *stm.Thread, rng *workload.Rng) { bank.Op(th, rng, bankCfg) })
+		func(rng *workload.Rng) { bank.Op(rng, bankCfg) })
 	decisions := rt1.StopTuner()
 
 	// SavePlanFile writes atomically (checksummed temp file + rename), so
@@ -65,9 +63,7 @@ func main() {
 	// The application registers its sites during construction, so build it
 	// first, then install the saved plan (installation re-routes existing
 	// and future blocks of those sites).
-	th2 := rt2.MustAttach()
-	bank2 := apps.NewBank(rt2, th2, bankCfg)
-	rt2.Detach(th2)
+	bank2 := apps.NewBank(rt2, bankCfg)
 	loaded, err := rt2.LoadAndInstallPlanFile(planPath)
 	if errors.Is(err, stm.ErrCorruptPlan) || errors.Is(err, os.ErrNotExist) {
 		// The warm-start contract: a damaged or missing plan file means a
@@ -86,7 +82,7 @@ func main() {
 	}
 
 	res2 := bench.Run(rt2, bench.RunConfig{Threads: 4, Measure: 1500 * time.Millisecond, Seed: 3},
-		func(th *stm.Thread, rng *workload.Rng) { bank2.Op(th, rng, bankCfg) })
+		func(rng *workload.Rng) { bank2.Op(rng, bankCfg) })
 	fmt.Printf("run 2: %.0f ops/s with the reloaded configuration (abort rate %.3f)\n",
 		res2.Throughput, res2.AbortRate)
 }

@@ -34,8 +34,6 @@ func TestItemPacking(t *testing.T) {
 
 func TestVacationSequential(t *testing.T) {
 	rt := newRT(t, 0)
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	cfg := VacationConfig{
 		ItemsPerTable:       64,
 		Customers:           32,
@@ -44,25 +42,24 @@ func TestVacationSequential(t *testing.T) {
 		UpdateTableRatio:    0.05,
 		DeleteCustomerRatio: 0.05,
 	}
-	v := NewVacation(rt, th, cfg)
+	v := NewVacation(rt, cfg)
 	rng := workload.NewRng(2)
 	booked := 0
 	for i := 0; i < 2000; i++ {
-		if v.Op(th, rng) == "reserve" {
+		if v.Op(rng) == "reserve" {
 			booked++
 		}
 	}
 	if booked == 0 {
 		t.Fatal("no reservations made")
 	}
-	if msg := v.CheckInvariants(th); msg != "" {
+	if msg := v.CheckInvariants(); msg != "" {
 		t.Fatal(msg)
 	}
 }
 
 func TestVacationConcurrentInvariants(t *testing.T) {
 	rt := newRT(t, 8)
-	setup := rt.MustAttach()
 	cfg := VacationConfig{
 		ItemsPerTable:       128,
 		Customers:           64,
@@ -71,25 +68,20 @@ func TestVacationConcurrentInvariants(t *testing.T) {
 		UpdateTableRatio:    0.02,
 		DeleteCustomerRatio: 0.05,
 	}
-	v := NewVacation(rt, setup, cfg)
-	rt.Detach(setup)
+	v := NewVacation(rt, cfg)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(seed uint64) {
 			defer wg.Done()
-			th := rt.MustAttach()
-			defer rt.Detach(th)
 			rng := workload.NewRng(seed)
 			for i := 0; i < 1500; i++ {
-				v.Op(th, rng)
+				v.Op(rng)
 			}
 		}(uint64(w) + 10)
 	}
 	wg.Wait()
-	th := rt.MustAttach()
-	defer rt.Detach(th)
-	if msg := v.CheckInvariants(th); msg != "" {
+	if msg := v.CheckInvariants(); msg != "" {
 		t.Fatal(msg)
 	}
 }
@@ -97,15 +89,13 @@ func TestVacationConcurrentInvariants(t *testing.T) {
 func TestVacationPartitions(t *testing.T) {
 	rt := newRT(t, 0)
 	rt.StartProfiling()
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	cfg := DefaultVacationConfig()
 	cfg.ItemsPerTable = 64
 	cfg.Customers = 32
-	v := NewVacation(rt, th, cfg)
+	v := NewVacation(rt, cfg)
 	rng := workload.NewRng(4)
 	for i := 0; i < 500; i++ {
-		v.Op(th, rng)
+		v.Op(rng)
 	}
 	plan, err := rt.StopProfilingAndPartition()
 	if err != nil {
@@ -119,30 +109,26 @@ func TestVacationPartitions(t *testing.T) {
 	if got := plan.NumPartitions(); got < 5 {
 		t.Fatalf("NumPartitions = %d, want >= 5\n%s", got, plan.Describe(rt.Sites()))
 	}
-	if msg := v.CheckInvariants(th); msg != "" {
+	if msg := v.CheckInvariants(); msg != "" {
 		t.Fatal(msg)
 	}
 }
 
 func TestBankConservationConcurrent(t *testing.T) {
 	rt := newRT(t, 8)
-	setup := rt.MustAttach()
 	cfg := BankConfig{Accounts: 128, InitialBalance: 500, AuditRatio: 0.1, MaxTransfer: 30}
-	b := NewBank(rt, setup, cfg)
-	rt.Detach(setup)
+	b := NewBank(rt, cfg)
 	var wg sync.WaitGroup
 	audits := make(chan uint64, 10000)
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(seed uint64) {
 			defer wg.Done()
-			th := rt.MustAttach()
-			defer rt.Detach(th)
 			rng := workload.NewRng(seed)
 			for i := 0; i < 2000; i++ {
-				if b.Op(th, rng, cfg) == "audit" {
+				if b.Op(rng, cfg) == "audit" {
 					// Op discards the audit result; re-audit to record it.
-					audits <- b.Audit(th)
+					audits <- b.Audit()
 				}
 			}
 		}(uint64(w) * 7)
@@ -155,34 +141,30 @@ func TestBankConservationConcurrent(t *testing.T) {
 			t.Fatalf("audit saw %d, want %d", got, want)
 		}
 	}
-	th := rt.MustAttach()
-	defer rt.Detach(th)
-	if msg := b.CheckInvariants(th); msg != "" {
+	if msg := b.CheckInvariants(); msg != "" {
 		t.Fatal(msg)
 	}
 }
 
 func TestIntSetPopulation(t *testing.T) {
 	rt := newRT(t, 0)
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	for _, spec := range []IntSetSpec{
 		{Kind: SetList, Name: "tl.list", KeyRange: 64, UpdateRatio: 0.5},
 		{Kind: SetSkipList, Name: "tl.skip", KeyRange: 128, UpdateRatio: 0.2},
 		{Kind: SetRBTree, Name: "tl.tree", KeyRange: 256, UpdateRatio: 0.1},
 		{Kind: SetHash, Name: "tl.hash", KeyRange: 256, UpdateRatio: 0.5, Buckets: 32},
 	} {
-		is := NewIntSet(rt, th, spec)
-		n := is.Len(th)
+		is := NewIntSet(rt, spec)
+		n := is.Len()
 		if n != int(spec.KeyRange/2) {
 			t.Errorf("%s: populated %d, want %d", spec.Name, n, spec.KeyRange/2)
 		}
 		rng := workload.NewRng(3)
 		for i := 0; i < 500; i++ {
-			is.Op(th, rng)
+			is.Op(rng)
 		}
 		// Stationary mix: size should stay in a broad band around half.
-		n = is.Len(th)
+		n = is.Len()
 		if n < int(spec.KeyRange/4) || n > int(3*spec.KeyRange/4) {
 			t.Errorf("%s: size drifted to %d (range %d)", spec.Name, n, spec.KeyRange)
 		}
@@ -192,18 +174,16 @@ func TestIntSetPopulation(t *testing.T) {
 func TestMultiSetPartitions(t *testing.T) {
 	rt := newRT(t, 0)
 	rt.StartProfiling()
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	specs := []IntSetSpec{
 		{Kind: SetList, Name: "mm.list", KeyRange: 64, UpdateRatio: 0.5},
 		{Kind: SetSkipList, Name: "mm.skip", KeyRange: 128, UpdateRatio: 0.2},
 		{Kind: SetRBTree, Name: "mm.tree", KeyRange: 128, UpdateRatio: 0.05},
 		{Kind: SetHash, Name: "mm.hash", KeyRange: 128, UpdateRatio: 0.5, Buckets: 32},
 	}
-	m := NewMultiSet(rt, th, specs)
+	m := NewMultiSet(rt, specs)
 	rng := workload.NewRng(8)
 	for i := 0; i < 1000; i++ {
-		m.Op(th, rng)
+		m.Op(rng)
 	}
 	plan, err := rt.StopProfilingAndPartition()
 	if err != nil {
@@ -216,8 +196,6 @@ func TestMultiSetPartitions(t *testing.T) {
 
 func TestPhasesFlip(t *testing.T) {
 	rt := newRT(t, 0)
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	cfg := PhasesConfig{
 		Slots:                    64,
 		InitialBalance:           100,
@@ -226,7 +204,7 @@ func TestPhasesFlip(t *testing.T) {
 		ReadPhaseUpdateRatio:     0.05,
 		WritePhaseRebalanceRatio: 0.5,
 	}
-	p := NewPhases(rt, th, cfg)
+	p := NewPhases(rt, cfg)
 	if p.CurrentPhase() != "read-heavy" {
 		t.Fatalf("initial phase = %s", p.CurrentPhase())
 	}
@@ -234,19 +212,18 @@ func TestPhasesFlip(t *testing.T) {
 	seen := map[string]bool{}
 	for i := 0; i < 450; i++ {
 		seen[p.CurrentPhase()] = true
-		p.Op(th, rng)
+		p.Op(rng)
 	}
 	if !seen["read-heavy"] || !seen["update-heavy"] {
 		t.Fatalf("phases seen: %v", seen)
 	}
-	if msg := p.CheckInvariants(th); msg != "" {
+	if msg := p.CheckInvariants(); msg != "" {
 		t.Fatal(msg)
 	}
 }
 
 func TestPhasesConcurrentConservation(t *testing.T) {
 	rt := newRT(t, 8)
-	setup := rt.MustAttach()
 	cfg := PhasesConfig{
 		Slots:                    128,
 		InitialBalance:           100,
@@ -255,25 +232,20 @@ func TestPhasesConcurrentConservation(t *testing.T) {
 		ReadPhaseUpdateRatio:     0.1,
 		WritePhaseRebalanceRatio: 0.5,
 	}
-	p := NewPhases(rt, setup, cfg)
-	rt.Detach(setup)
+	p := NewPhases(rt, cfg)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(seed uint64) {
 			defer wg.Done()
-			th := rt.MustAttach()
-			defer rt.Detach(th)
 			rng := workload.NewRng(seed)
 			for i := 0; i < 1000; i++ {
-				p.Op(th, rng)
+				p.Op(rng)
 			}
 		}(uint64(w) + 21)
 	}
 	wg.Wait()
-	th := rt.MustAttach()
-	defer rt.Detach(th)
-	if msg := p.CheckInvariants(th); msg != "" {
+	if msg := p.CheckInvariants(); msg != "" {
 		t.Fatal(msg)
 	}
 }

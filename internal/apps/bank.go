@@ -15,6 +15,7 @@ import (
 // the two faces the paper's visible/invisible discussion contrasts,
 // inside a single application.
 type Bank struct {
+	rt       *stm.Runtime
 	accounts *txds.CounterArray
 	n        int
 	initial  uint64
@@ -41,9 +42,9 @@ func DefaultBankConfig() BankConfig {
 }
 
 // NewBank allocates and fills the account array.
-func NewBank(rt *stm.Runtime, th *stm.Thread, cfg BankConfig) *Bank {
-	b := &Bank{n: cfg.Accounts, initial: cfg.InitialBalance}
-	th.Run(func(tx *stm.Tx) error {
+func NewBank(rt *stm.Runtime, cfg BankConfig) *Bank {
+	b := &Bank{rt: rt, n: cfg.Accounts, initial: cfg.InitialBalance}
+	rt.Run(func(tx *stm.Tx) error {
 		b.accounts = txds.NewCounterArray(tx, rt, "bank.accounts", cfg.Accounts, cfg.InitialBalance)
 		return nil
 	})
@@ -51,11 +52,11 @@ func NewBank(rt *stm.Runtime, th *stm.Thread, cfg BankConfig) *Bank {
 }
 
 // Transfer moves a random amount between two random accounts.
-func (b *Bank) Transfer(th *stm.Thread, rng *workload.Rng, maxAmount uint64) {
+func (b *Bank) Transfer(rng *workload.Rng, maxAmount uint64) {
 	from := rng.Intn(b.n)
 	to := rng.Intn(b.n)
 	amount := 1 + rng.Uint64()%maxAmount
-	th.Run(func(tx *stm.Tx) error {
+	b.rt.Run(func(tx *stm.Tx) error {
 		b.accounts.Transfer(tx, from, to, amount)
 		return nil
 	})
@@ -63,9 +64,9 @@ func (b *Bank) Transfer(th *stm.Thread, rng *workload.Rng, maxAmount uint64) {
 
 // Audit sums all accounts in a read-only transaction and returns the
 // total.
-func (b *Bank) Audit(th *stm.Thread) uint64 {
+func (b *Bank) Audit() uint64 {
 	var sum uint64
-	th.Run(func(tx *stm.Tx) error {
+	b.rt.Run(func(tx *stm.Tx) error {
 		sum = b.accounts.Sum(tx)
 		return nil
 	}, stm.ReadOnly())
@@ -76,18 +77,18 @@ func (b *Bank) Audit(th *stm.Thread) uint64 {
 func (b *Bank) ExpectedTotal() uint64 { return uint64(b.n) * b.initial }
 
 // Op runs one operation from the configured mix.
-func (b *Bank) Op(th *stm.Thread, rng *workload.Rng, cfg BankConfig) string {
+func (b *Bank) Op(rng *workload.Rng, cfg BankConfig) string {
 	if rng.Float64() < cfg.AuditRatio {
-		b.Audit(th)
+		b.Audit()
 		return "audit"
 	}
-	b.Transfer(th, rng, cfg.MaxTransfer)
+	b.Transfer(rng, cfg.MaxTransfer)
 	return "transfer"
 }
 
 // CheckInvariants verifies conservation of money.
-func (b *Bank) CheckInvariants(th *stm.Thread) string {
-	if got, want := b.Audit(th), b.ExpectedTotal(); got != want {
+func (b *Bank) CheckInvariants() string {
+	if got, want := b.Audit(), b.ExpectedTotal(); got != want {
 		return fmt.Sprintf("bank: total %d, want %d", got, want)
 	}
 	return ""

@@ -28,6 +28,7 @@ import (
 // the paper's DNA strings is modeled as suffix-half == prefix-half, which
 // preserves the index-lookup-then-link transaction shape.
 type Genome struct {
+	rt       *stm.Runtime
 	segments *txds.HashSet // segment value → 1 (dedup set)
 	index    *txds.HashSet // prefix (high 32 bits) → segment value
 	links    *txds.CounterArray
@@ -54,15 +55,16 @@ func DefaultGenomeConfig() GenomeConfig {
 
 // NewGenome allocates the three structures (empty; segments arrive through
 // Op).
-func NewGenome(rt *stm.Runtime, th *stm.Thread, cfg GenomeConfig) *Genome {
+func NewGenome(rt *stm.Runtime, cfg GenomeConfig) *Genome {
 	if cfg.SegmentSpace == 0 {
 		cfg = DefaultGenomeConfig()
 	}
 	g := &Genome{
+		rt:     rt,
 		nLinks: cfg.LinkSlots,
 		segGen: workload.Uniform{N: cfg.SegmentSpace},
 	}
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		g.segments = txds.NewHashSet(tx, rt, "genome.segments", cfg.Buckets)
 		g.index = txds.NewHashSet(tx, rt, "genome.index", cfg.Buckets)
 		g.links = txds.NewCounterArray(tx, rt, "genome.links", cfg.LinkSlots, 0)
@@ -75,12 +77,12 @@ func NewGenome(rt *stm.Runtime, th *stm.Thread, cfg GenomeConfig) *Genome {
 // index its prefix and try to link it to an already-indexed segment whose
 // prefix equals this segment's suffix. One transaction, the same shape as
 // STAMP genome's per-segment work.
-func (g *Genome) Op(th *stm.Thread, rng *workload.Rng) {
+func (g *Genome) Op(rng *workload.Rng) {
 	raw := g.segGen.Next(rng)
 	// Derive a segment whose suffix half overlaps another segment's prefix
 	// half with reasonable probability: fold the space onto 16-bit halves.
 	seg := ((raw&0xFFFF)<<16 | (raw>>16)&0xFFFF) | 1
-	th.Run(func(tx *stm.Tx) error {
+	g.rt.Run(func(tx *stm.Tx) error {
 		if !g.segments.Insert(tx, seg, 1) {
 			return nil // duplicate: dedup rejected it, nothing else to do
 		}
@@ -97,8 +99,8 @@ func (g *Genome) Op(th *stm.Thread, rng *workload.Rng) {
 }
 
 // Stats summarizes assembly progress.
-func (g *Genome) Stats(th *stm.Thread) (unique, indexed int, linkCount uint64) {
-	th.Run(func(tx *stm.Tx) error {
+func (g *Genome) Stats() (unique, indexed int, linkCount uint64) {
+	g.rt.Run(func(tx *stm.Tx) error {
 		unique = g.segments.Len(tx)
 		indexed = g.index.Len(tx)
 		linkCount = g.links.Sum(tx)
@@ -110,8 +112,8 @@ func (g *Genome) Stats(th *stm.Thread) (unique, indexed int, linkCount uint64) {
 // CheckInvariants verifies the dedup and index relationship: the index
 // holds at most one entry per distinct prefix, and never more entries
 // than unique segments.
-func (g *Genome) CheckInvariants(th *stm.Thread) string {
-	unique, indexed, _ := g.Stats(th)
+func (g *Genome) CheckInvariants() string {
+	unique, indexed, _ := g.Stats()
 	if indexed > unique {
 		return fmt.Sprintf("genome: %d indexed prefixes > %d unique segments", indexed, unique)
 	}

@@ -19,14 +19,12 @@ func newAppRT(t testing.TB) *stm.Runtime {
 
 func TestGenomeSingleThread(t *testing.T) {
 	rt := newAppRT(t)
-	th := rt.MustAttach()
-	defer rt.Detach(th)
-	g := NewGenome(rt, th, GenomeConfig{SegmentSpace: 1 << 10, Buckets: 64, LinkSlots: 128})
+	g := NewGenome(rt, GenomeConfig{SegmentSpace: 1 << 10, Buckets: 64, LinkSlots: 128})
 	rng := workload.NewRng(3)
 	for i := 0; i < 4000; i++ {
-		g.Op(th, rng)
+		g.Op(rng)
 	}
-	unique, indexed, links := g.Stats(th)
+	unique, indexed, links := g.Stats()
 	if unique == 0 {
 		t.Fatal("no unique segments deduplicated")
 	}
@@ -36,7 +34,7 @@ func TestGenomeSingleThread(t *testing.T) {
 	if links == 0 {
 		t.Fatal("no overlaps linked — segment folding should produce matches")
 	}
-	if msg := g.CheckInvariants(th); msg != "" {
+	if msg := g.CheckInvariants(); msg != "" {
 		t.Fatal(msg)
 	}
 	// The pool must saturate: with a 1024-value space, 4000 arrivals leave
@@ -50,48 +48,40 @@ func TestGenomeSingleThread(t *testing.T) {
 // exactly once even when every arrival is a duplicate storm.
 func TestGenomeDedupExact(t *testing.T) {
 	rt := newAppRT(t)
-	th := rt.MustAttach()
-	defer rt.Detach(th)
-	g := NewGenome(rt, th, GenomeConfig{SegmentSpace: 32, Buckets: 16, LinkSlots: 64})
+	g := NewGenome(rt, GenomeConfig{SegmentSpace: 32, Buckets: 16, LinkSlots: 64})
 	rng := workload.NewRng(5)
 	for i := 0; i < 2000; i++ {
-		g.Op(th, rng)
+		g.Op(rng)
 	}
-	unique, _, _ := g.Stats(th)
+	unique, _, _ := g.Stats()
 	// 32 raw values fold to at most 32 distinct segments.
 	if unique > 32 {
 		t.Fatalf("unique = %d from a 32-value space", unique)
 	}
-	if msg := g.CheckInvariants(th); msg != "" {
+	if msg := g.CheckInvariants(); msg != "" {
 		t.Fatal(msg)
 	}
 }
 
 func TestGenomeConcurrent(t *testing.T) {
 	rt := newAppRT(t)
-	setup := rt.MustAttach()
-	g := NewGenome(rt, setup, GenomeConfig{SegmentSpace: 1 << 10, Buckets: 64, LinkSlots: 128})
-	rt.Detach(setup)
+	g := NewGenome(rt, GenomeConfig{SegmentSpace: 1 << 10, Buckets: 64, LinkSlots: 128})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(seed uint64) {
 			defer wg.Done()
-			th := rt.MustAttach()
-			defer rt.Detach(th)
 			rng := workload.NewRng(seed)
 			for i := 0; i < 1500; i++ {
-				g.Op(th, rng)
+				g.Op(rng)
 			}
 		}(uint64(w) + 11)
 	}
 	wg.Wait()
-	th := rt.MustAttach()
-	defer rt.Detach(th)
-	if msg := g.CheckInvariants(th); msg != "" {
+	if msg := g.CheckInvariants(); msg != "" {
 		t.Fatal(msg)
 	}
-	unique, indexed, _ := g.Stats(th)
+	unique, indexed, _ := g.Stats()
 	if unique == 0 || indexed == 0 {
 		t.Fatalf("no progress under concurrency: unique=%d indexed=%d", unique, indexed)
 	}
@@ -102,13 +92,11 @@ func TestGenomeConcurrent(t *testing.T) {
 func TestGenomePartitionDiscovery(t *testing.T) {
 	rt := newAppRT(t)
 	rt.StartProfiling()
-	th := rt.MustAttach()
-	g := NewGenome(rt, th, GenomeConfig{SegmentSpace: 1 << 10, Buckets: 64, LinkSlots: 128})
+	g := NewGenome(rt, GenomeConfig{SegmentSpace: 1 << 10, Buckets: 64, LinkSlots: 128})
 	rng := workload.NewRng(7)
 	for i := 0; i < 1000; i++ {
-		g.Op(th, rng)
+		g.Op(rng)
 	}
-	rt.Detach(th)
 	plan, err := rt.StopProfilingAndPartition()
 	if err != nil {
 		t.Fatal(err)
@@ -120,19 +108,17 @@ func TestGenomePartitionDiscovery(t *testing.T) {
 
 func TestKMeansSingleThread(t *testing.T) {
 	rt := newAppRT(t)
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	cfg := KMeansConfig{K: 4, Dim: 2, Points: 256, RecomputeRatio: 0.01}
-	km := NewKMeans(rt, th, cfg, 1)
+	km := NewKMeans(rt, cfg, 1)
 	rng := workload.NewRng(9)
 	for i := 0; i < 3000; i++ {
-		km.Op(th, rng, cfg)
+		km.Op(rng, cfg)
 	}
-	if msg := km.CheckInvariants(th); msg != "" {
+	if msg := km.CheckInvariants(); msg != "" {
 		t.Fatal(msg)
 	}
-	km.Recompute(th)
-	if got := km.AssignedCount(th); got != 0 {
+	km.Recompute()
+	if got := km.AssignedCount(); got != 0 {
 		t.Fatalf("accumulators not cleared after recompute: %d", got)
 	}
 }
@@ -141,44 +127,36 @@ func TestKMeansSingleThread(t *testing.T) {
 // accumulator count.
 func TestKMeansAssignCounts(t *testing.T) {
 	rt := newAppRT(t)
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	cfg := KMeansConfig{K: 4, Dim: 2, Points: 128, RecomputeRatio: 0}
-	km := NewKMeans(rt, th, cfg, 2)
+	km := NewKMeans(rt, cfg, 2)
 	rng := workload.NewRng(4)
 	const ops = 500
 	for i := 0; i < ops; i++ {
-		km.Assign(th, rng)
+		km.Assign(rng)
 	}
-	if got := km.AssignedCount(th); got != ops {
+	if got := km.AssignedCount(); got != ops {
 		t.Fatalf("assigned count = %d, want %d", got, ops)
 	}
 }
 
 func TestKMeansConcurrent(t *testing.T) {
 	rt := newAppRT(t)
-	setup := rt.MustAttach()
 	cfg := KMeansConfig{K: 4, Dim: 2, Points: 512, RecomputeRatio: 0.005}
-	km := NewKMeans(rt, setup, cfg, 3)
-	rt.Detach(setup)
+	km := NewKMeans(rt, cfg, 3)
 	const workers, perW = 4, 800
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(seed uint64) {
 			defer wg.Done()
-			th := rt.MustAttach()
-			defer rt.Detach(th)
 			rng := workload.NewRng(seed)
 			for i := 0; i < perW; i++ {
-				km.Op(th, rng, cfg)
+				km.Op(rng, cfg)
 			}
 		}(uint64(w) + 31)
 	}
 	wg.Wait()
-	th := rt.MustAttach()
-	defer rt.Detach(th)
-	if msg := km.CheckInvariants(th); msg != "" {
+	if msg := km.CheckInvariants(); msg != "" {
 		t.Fatal(msg)
 	}
 }
@@ -188,14 +166,12 @@ func TestKMeansConcurrent(t *testing.T) {
 func TestKMeansPartitionDiscovery(t *testing.T) {
 	rt := newAppRT(t)
 	rt.StartProfiling()
-	th := rt.MustAttach()
 	cfg := KMeansConfig{K: 4, Dim: 2, Points: 256, RecomputeRatio: 0.01}
-	km := NewKMeans(rt, th, cfg, 5)
+	km := NewKMeans(rt, cfg, 5)
 	rng := workload.NewRng(6)
 	for i := 0; i < 500; i++ {
-		km.Op(th, rng, cfg)
+		km.Op(rng, cfg)
 	}
-	rt.Detach(th)
 	if _, err := rt.StopProfilingAndPartition(); err != nil {
 		t.Fatal(err)
 	}

@@ -50,6 +50,7 @@ type set interface {
 // operation mix), pre-populated to half its key range so inserts and
 // removes succeed about half the time (the standard intset methodology).
 type IntSet struct {
+	rt   *stm.Runtime
 	Kind IntSetKind
 	Name string
 	s    set
@@ -67,14 +68,15 @@ type IntSetSpec struct {
 }
 
 // NewIntSet builds and populates one intset structure.
-func NewIntSet(rt *stm.Runtime, th *stm.Thread, spec IntSetSpec) *IntSet {
+func NewIntSet(rt *stm.Runtime, spec IntSetSpec) *IntSet {
 	is := &IntSet{
+		rt:   rt,
 		Kind: spec.Kind,
 		Name: spec.Name,
 		keys: workload.Uniform{N: spec.KeyRange},
 		mix:  workload.Mix{UpdateRatio: spec.UpdateRatio},
 	}
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		switch spec.Kind {
 		case SetList:
 			is.s = txds.NewList(tx, rt, spec.Name)
@@ -101,7 +103,7 @@ func NewIntSet(rt *stm.Runtime, th *stm.Thread, spec IntSetSpec) *IntSet {
 	added := uint64(0)
 	for added < target {
 		before := added
-		th.Run(func(tx *stm.Tx) error {
+		rt.Run(func(tx *stm.Tx) error {
 			added = before // retries must not double-count
 			for i := 0; i < 32 && added < target; i++ {
 				k := is.keys.Next(rng)
@@ -116,22 +118,22 @@ func NewIntSet(rt *stm.Runtime, th *stm.Thread, spec IntSetSpec) *IntSet {
 }
 
 // Op runs one operation from the structure's mix.
-func (is *IntSet) Op(th *stm.Thread, rng *workload.Rng) {
+func (is *IntSet) Op(rng *workload.Rng) {
 	k := is.keys.Next(rng)
 	switch is.mix.Next(rng) {
 	case workload.OpLookup:
-		th.Run(func(tx *stm.Tx) error { is.s.Contains(tx, k); return nil }, stm.ReadOnly())
+		is.rt.Run(func(tx *stm.Tx) error { is.s.Contains(tx, k); return nil }, stm.ReadOnly())
 	case workload.OpInsert:
-		th.Run(func(tx *stm.Tx) error { is.s.Insert(tx, k, k); return nil })
+		is.rt.Run(func(tx *stm.Tx) error { is.s.Insert(tx, k, k); return nil })
 	case workload.OpRemove:
-		th.Run(func(tx *stm.Tx) error { is.s.Remove(tx, k); return nil })
+		is.rt.Run(func(tx *stm.Tx) error { is.s.Remove(tx, k); return nil })
 	}
 }
 
 // Len returns the current element count.
-func (is *IntSet) Len(th *stm.Thread) int {
+func (is *IntSet) Len() int {
 	var n int
-	th.Run(func(tx *stm.Tx) error { n = is.s.Len(tx); return nil })
+	is.rt.Run(func(tx *stm.Tx) error { n = is.s.Len(tx); return nil })
 	return n
 }
 
@@ -144,6 +146,7 @@ func (is *IntSet) Len(th *stm.Thread) int {
 // reader priority, while the set structures next to it want invisible
 // reads. No global configuration satisfies both.
 type Ledger struct {
+	rt            *stm.Runtime
 	arr           *txds.CounterArray
 	slots         int
 	rebalanceFrac float64
@@ -156,9 +159,9 @@ type LedgerSpec struct {
 }
 
 // NewLedger builds the ledger.
-func NewLedger(rt *stm.Runtime, th *stm.Thread, name string, spec LedgerSpec) *Ledger {
-	l := &Ledger{slots: spec.Slots, rebalanceFrac: spec.RebalanceFrac}
-	th.Run(func(tx *stm.Tx) error {
+func NewLedger(rt *stm.Runtime, name string, spec LedgerSpec) *Ledger {
+	l := &Ledger{rt: rt, slots: spec.Slots, rebalanceFrac: spec.RebalanceFrac}
+	rt.Run(func(tx *stm.Tx) error {
 		l.arr = txds.NewCounterArray(tx, rt, name, spec.Slots, 100)
 		return nil
 	})
@@ -166,10 +169,10 @@ func NewLedger(rt *stm.Runtime, th *stm.Thread, name string, spec LedgerSpec) *L
 }
 
 // Op runs one ledger operation.
-func (l *Ledger) Op(th *stm.Thread, rng *workload.Rng) {
+func (l *Ledger) Op(rng *workload.Rng) {
 	if rng.Float64() < l.rebalanceFrac {
 		to := rng.Intn(l.slots)
-		th.Run(func(tx *stm.Tx) error {
+		l.rt.Run(func(tx *stm.Tx) error {
 			maxI, maxV := 0, uint64(0)
 			for i := 0; i < l.slots; i++ {
 				if v := l.arr.Get(tx, i); v > maxV {
@@ -184,13 +187,13 @@ func (l *Ledger) Op(th *stm.Thread, rng *workload.Rng) {
 		return
 	}
 	from, to := rng.Intn(l.slots), rng.Intn(l.slots)
-	th.Run(func(tx *stm.Tx) error { l.arr.Transfer(tx, from, to, 1); return nil })
+	l.rt.Run(func(tx *stm.Tx) error { l.arr.Transfer(tx, from, to, 1); return nil })
 }
 
 // Total returns the conserved array sum (invariant check).
-func (l *Ledger) Total(th *stm.Thread) uint64 {
+func (l *Ledger) Total() uint64 {
 	var s uint64
-	th.Run(func(tx *stm.Tx) error { s = l.arr.Sum(tx); return nil }, stm.ReadOnly())
+	l.rt.Run(func(tx *stm.Tx) error { s = l.arr.Sum(tx); return nil }, stm.ReadOnly())
 	return s
 }
 
@@ -232,19 +235,19 @@ func DefaultLedgerSpec() LedgerSpec {
 }
 
 // NewMultiSet builds all structures of the composite application.
-func NewMultiSet(rt *stm.Runtime, th *stm.Thread, specs []IntSetSpec) *MultiSet {
-	return NewMultiSetApp(rt, th, MultiSetConfig{Specs: specs})
+func NewMultiSet(rt *stm.Runtime, specs []IntSetSpec) *MultiSet {
+	return NewMultiSetApp(rt, MultiSetConfig{Specs: specs})
 }
 
 // NewMultiSetApp builds the composite application, including the ledger
 // when configured.
-func NewMultiSetApp(rt *stm.Runtime, th *stm.Thread, cfg MultiSetConfig) *MultiSet {
+func NewMultiSetApp(rt *stm.Runtime, cfg MultiSetConfig) *MultiSet {
 	m := &MultiSet{}
 	for _, sp := range cfg.Specs {
-		m.Sets = append(m.Sets, NewIntSet(rt, th, sp))
+		m.Sets = append(m.Sets, NewIntSet(rt, sp))
 	}
 	if cfg.Ledger != nil {
-		m.Ledger = NewLedger(rt, th, "intset.ledger", *cfg.Ledger)
+		m.Ledger = NewLedger(rt, "intset.ledger", *cfg.Ledger)
 	}
 	return m
 }
@@ -252,15 +255,15 @@ func NewMultiSetApp(rt *stm.Runtime, th *stm.Thread, cfg MultiSetConfig) *MultiS
 // Op picks a component uniformly and runs one of its operations — every
 // transaction touches exactly one structure, as in the paper's
 // per-data-structure workload model.
-func (m *MultiSet) Op(th *stm.Thread, rng *workload.Rng) {
+func (m *MultiSet) Op(rng *workload.Rng) {
 	n := len(m.Sets)
 	if m.Ledger != nil {
 		n++
 	}
 	i := rng.Intn(n)
 	if i < len(m.Sets) {
-		m.Sets[i].Op(th, rng)
+		m.Sets[i].Op(rng)
 		return
 	}
-	m.Ledger.Op(th, rng)
+	m.Ledger.Op(rng)
 }

@@ -25,6 +25,7 @@ import (
 // read-only partition. K is small, so accumulator contention is real, as
 // in STAMP where kmeans is the high-contention member of the suite.
 type KMeans struct {
+	rt     *stm.Runtime
 	k      int
 	dim    int
 	points *txds.CounterArray // n*dim point coordinates, written once
@@ -50,16 +51,16 @@ func DefaultKMeansConfig() KMeansConfig {
 
 // NewKMeans allocates and fills the point table and seeds centroids with
 // the first K points.
-func NewKMeans(rt *stm.Runtime, th *stm.Thread, cfg KMeansConfig, seed uint64) *KMeans {
+func NewKMeans(rt *stm.Runtime, cfg KMeansConfig, seed uint64) *KMeans {
 	if cfg.K == 0 {
 		cfg = DefaultKMeansConfig()
 	}
 	if cfg.Dim > 16 {
 		cfg.Dim = 16 // Assign's coordinate buffer is fixed-size
 	}
-	km := &KMeans{k: cfg.K, dim: cfg.Dim, n: cfg.Points}
+	km := &KMeans{rt: rt, k: cfg.K, dim: cfg.Dim, n: cfg.Points}
 	rng := workload.NewRng(seed)
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		km.points = txds.NewCounterArray(tx, rt, "kmeans.points", cfg.Points*cfg.Dim, 0)
 		km.cents = txds.NewCounterArray(tx, rt, "kmeans.centroids", cfg.K*cfg.Dim, 0)
 		km.accum = txds.NewCounterArray(tx, rt, "kmeans.accum", cfg.K*(cfg.Dim+1), 0)
@@ -73,14 +74,14 @@ func NewKMeans(rt *stm.Runtime, th *stm.Thread, cfg KMeansConfig, seed uint64) *
 		if end > cfg.Points*cfg.Dim {
 			end = cfg.Points * cfg.Dim
 		}
-		th.Run(func(tx *stm.Tx) error {
+		rt.Run(func(tx *stm.Tx) error {
 			for i := base; i < end; i++ {
 				km.points.Set(tx, i, rng.Uint64()%1024)
 			}
 			return nil
 		})
 	}
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		for c := 0; c < cfg.K; c++ {
 			for d := 0; d < cfg.Dim; d++ {
 				km.cents.Set(tx, c*cfg.Dim+d, km.points.Get(tx, c*cfg.Dim+d))
@@ -94,10 +95,10 @@ func NewKMeans(rt *stm.Runtime, th *stm.Thread, cfg KMeansConfig, seed uint64) *
 // Assign runs one assignment transaction: read a random point, find the
 // nearest centroid (reads K*dim centroid words), and fold the point into
 // that centroid's accumulator (dim+1 writes to the hot partition).
-func (km *KMeans) Assign(th *stm.Thread, rng *workload.Rng) int {
+func (km *KMeans) Assign(rng *workload.Rng) int {
 	p := rng.Intn(km.n)
 	var chosen int
-	th.Run(func(tx *stm.Tx) error {
+	km.rt.Run(func(tx *stm.Tx) error {
 		var coords [16]uint64
 		for d := 0; d < km.dim; d++ {
 			coords[d] = km.points.Get(tx, p*km.dim+d)
@@ -129,8 +130,8 @@ func (km *KMeans) Assign(th *stm.Thread, rng *workload.Rng) int {
 
 // Recompute folds the accumulators into new centroid positions and clears
 // them — the long update transaction that sweeps both partitions.
-func (km *KMeans) Recompute(th *stm.Thread) {
-	th.Run(func(tx *stm.Tx) error {
+func (km *KMeans) Recompute() {
+	km.rt.Run(func(tx *stm.Tx) error {
 		for c := 0; c < km.k; c++ {
 			count := km.accum.Get(tx, c*(km.dim+1)+km.dim)
 			if count == 0 {
@@ -148,19 +149,19 @@ func (km *KMeans) Recompute(th *stm.Thread) {
 }
 
 // Op runs one operation from the configured mix.
-func (km *KMeans) Op(th *stm.Thread, rng *workload.Rng, cfg KMeansConfig) {
+func (km *KMeans) Op(rng *workload.Rng, cfg KMeansConfig) {
 	if rng.Float64() < cfg.RecomputeRatio {
-		km.Recompute(th)
+		km.Recompute()
 		return
 	}
-	km.Assign(th, rng)
+	km.Assign(rng)
 }
 
 // AssignedCount sums the accumulator counts (assignments since the last
 // recompute).
-func (km *KMeans) AssignedCount(th *stm.Thread) uint64 {
+func (km *KMeans) AssignedCount() uint64 {
 	var total uint64
-	th.Run(func(tx *stm.Tx) error {
+	km.rt.Run(func(tx *stm.Tx) error {
 		for c := 0; c < km.k; c++ {
 			total += km.accum.Get(tx, c*(km.dim+1)+km.dim)
 		}
@@ -172,9 +173,9 @@ func (km *KMeans) AssignedCount(th *stm.Thread) uint64 {
 // CheckInvariants verifies centroid coordinates stay inside the point
 // coordinate domain (means of values < 1024 must be < 1024) and that
 // accumulator counts are consistent with their sums.
-func (km *KMeans) CheckInvariants(th *stm.Thread) string {
+func (km *KMeans) CheckInvariants() string {
 	var bad string
-	th.Run(func(tx *stm.Tx) error {
+	km.rt.Run(func(tx *stm.Tx) error {
 		for c := 0; c < km.k; c++ {
 			for d := 0; d < km.dim; d++ {
 				if v := km.cents.Get(tx, c*km.dim+d); v >= 1024 {

@@ -20,6 +20,7 @@ import (
 // lets them finish. When the grid congests, a clearing transaction wipes
 // it (the STAMP benchmark instead pre-sizes its grid to fit all paths).
 type Labyrinth struct {
+	rt   *stm.Runtime
 	grid *txds.CounterArray
 	w, h int
 	// pathID hands out path ids; it intentionally lives OUTSIDE the
@@ -41,12 +42,12 @@ func DefaultLabyrinthConfig() LabyrinthConfig {
 }
 
 // NewLabyrinth allocates the grid (all cells free).
-func NewLabyrinth(rt *stm.Runtime, th *stm.Thread, cfg LabyrinthConfig) *Labyrinth {
+func NewLabyrinth(rt *stm.Runtime, cfg LabyrinthConfig) *Labyrinth {
 	if cfg.Width == 0 {
 		cfg = DefaultLabyrinthConfig()
 	}
-	l := &Labyrinth{w: cfg.Width, h: cfg.Height}
-	th.Run(func(tx *stm.Tx) error {
+	l := &Labyrinth{rt: rt, w: cfg.Width, h: cfg.Height}
+	rt.Run(func(tx *stm.Tx) error {
 		l.grid = txds.NewCounterArray(tx, rt, "labyrinth.grid", cfg.Width*cfg.Height, 0)
 		return nil
 	})
@@ -59,10 +60,10 @@ func (l *Labyrinth) cell(x, y int) int { return y*l.w + x }
 // returns the path length, or 0 when no free path exists or an endpoint
 // is occupied. The BFS reads grid cells transactionally, so the claimed
 // path is consistent with every concurrent routing transaction.
-func (l *Labyrinth) Route(th *stm.Thread, x1, y1, x2, y2 int) int {
+func (l *Labyrinth) Route(x1, y1, x2, y2 int) int {
 	pathID := l.pathID.Add(1)<<8 | 1 // nonzero marker
 	var length int
-	th.Run(func(tx *stm.Tx) error {
+	l.rt.Run(func(tx *stm.Tx) error {
 		length = 0
 		if tx.Load(l.grid.Addr(l.cell(x1, y1))) != 0 || tx.Load(l.grid.Addr(l.cell(x2, y2))) != 0 {
 			return nil
@@ -116,8 +117,8 @@ func (l *Labyrinth) Route(th *stm.Thread, x1, y1, x2, y2 int) int {
 }
 
 // Clear wipes the grid in one (very large) transaction.
-func (l *Labyrinth) Clear(th *stm.Thread) {
-	th.Run(func(tx *stm.Tx) error {
+func (l *Labyrinth) Clear() {
+	l.rt.Run(func(tx *stm.Tx) error {
 		for i := 0; i < l.w*l.h; i++ {
 			l.grid.Set(tx, i, 0)
 		}
@@ -127,18 +128,18 @@ func (l *Labyrinth) Clear(th *stm.Thread) {
 
 // Op routes between two random cells, clearing the grid when it has
 // congested (routing keeps failing).
-func (l *Labyrinth) Op(th *stm.Thread, rng *workload.Rng) bool {
+func (l *Labyrinth) Op(rng *workload.Rng) bool {
 	x1, y1 := rng.Intn(l.w), rng.Intn(l.h)
 	x2, y2 := rng.Intn(l.w), rng.Intn(l.h)
 	if x1 == x2 && y1 == y2 {
 		return false
 	}
-	if l.Route(th, x1, y1, x2, y2) > 0 {
+	if l.Route(x1, y1, x2, y2) > 0 {
 		return true
 	}
 	// Congestion heuristic: if more than half the grid is claimed, clear.
 	var used uint64
-	th.Run(func(tx *stm.Tx) error {
+	l.rt.Run(func(tx *stm.Tx) error {
 		for i := 0; i < l.w*l.h; i++ {
 			if l.grid.Get(tx, i) != 0 {
 				used++
@@ -147,15 +148,15 @@ func (l *Labyrinth) Op(th *stm.Thread, rng *workload.Rng) bool {
 		return nil
 	}, stm.ReadOnly())
 	if used > uint64(l.w*l.h/2) {
-		l.Clear(th)
+		l.Clear()
 	}
 	return false
 }
 
 // Occupancy returns the number of claimed cells.
-func (l *Labyrinth) Occupancy(th *stm.Thread) int {
+func (l *Labyrinth) Occupancy() int {
 	n := 0
-	th.Run(func(tx *stm.Tx) error {
+	l.rt.Run(func(tx *stm.Tx) error {
 		for i := 0; i < l.w*l.h; i++ {
 			if l.grid.Get(tx, i) != 0 {
 				n++
@@ -169,9 +170,9 @@ func (l *Labyrinth) Occupancy(th *stm.Thread) int {
 // CheckInvariants verifies every claimed path is intact: cells sharing a
 // path id form one 4-connected component with no cell claimed twice
 // (serializability of routing transactions implies exactly this).
-func (l *Labyrinth) CheckInvariants(th *stm.Thread) string {
+func (l *Labyrinth) CheckInvariants() string {
 	var snapshot []uint64
-	th.Run(func(tx *stm.Tx) error {
+	l.rt.Run(func(tx *stm.Tx) error {
 		snapshot = make([]uint64, l.w*l.h)
 		for i := range snapshot {
 			snapshot[i] = l.grid.Get(tx, i)

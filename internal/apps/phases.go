@@ -23,6 +23,7 @@ import (
 // the runtime tuner should follow the flips. The conserved array total
 // doubles as the invariant check.
 type Phases struct {
+	rt       *stm.Runtime
 	arr      *txds.CounterArray
 	slots    int
 	initial  uint64
@@ -64,11 +65,12 @@ func DefaultPhasesConfig() PhasesConfig {
 }
 
 // NewPhases builds the array.
-func NewPhases(rt *stm.Runtime, th *stm.Thread, cfg PhasesConfig) *Phases {
+func NewPhases(rt *stm.Runtime, cfg PhasesConfig) *Phases {
 	if cfg.AuditRange <= 0 || cfg.AuditRange > cfg.Slots {
 		cfg.AuditRange = cfg.Slots
 	}
 	p := &Phases{
+		rt:      rt,
 		slots:   cfg.Slots,
 		initial: cfg.InitialBalance,
 		cfg:     cfg,
@@ -77,7 +79,7 @@ func NewPhases(rt *stm.Runtime, th *stm.Thread, cfg PhasesConfig) *Phases {
 			workload.Phase{Ops: cfg.PhaseOps, UpdateRatio: cfg.WritePhaseRebalanceRatio, Label: "update-heavy"},
 		),
 	}
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		p.arr = txds.NewCounterArray(tx, rt, "phases.arr", cfg.Slots, cfg.InitialBalance)
 		return nil
 	})
@@ -90,29 +92,29 @@ func (p *Phases) CurrentPhase() string {
 }
 
 // Op runs one operation under the phase active at the global counter.
-func (p *Phases) Op(th *stm.Thread, rng *workload.Rng) {
+func (p *Phases) Op(rng *workload.Rng) {
 	idx := int(p.opIndex.Add(1))
 	phase := p.schedule.At(idx)
 	switch phase.Label {
 	case "read-heavy":
 		if rng.Float64() < phase.UpdateRatio {
-			p.transfer(th, rng)
+			p.transfer(rng)
 		} else {
-			p.audit(th, rng)
+			p.audit(rng)
 		}
 	default: // update-heavy
 		if rng.Float64() < phase.UpdateRatio {
-			p.rebalance(th, rng)
+			p.rebalance(rng)
 		} else {
-			p.transfer(th, rng)
+			p.transfer(rng)
 		}
 	}
 }
 
 // audit is a read-only range sum.
-func (p *Phases) audit(th *stm.Thread, rng *workload.Rng) {
+func (p *Phases) audit(rng *workload.Rng) {
 	start := rng.Intn(p.slots - p.cfg.AuditRange + 1)
-	th.Run(func(tx *stm.Tx) error {
+	p.rt.Run(func(tx *stm.Tx) error {
 		var s uint64
 		for i := 0; i < p.cfg.AuditRange; i++ {
 			s += p.arr.Get(tx, start+i)
@@ -123,16 +125,16 @@ func (p *Phases) audit(th *stm.Thread, rng *workload.Rng) {
 }
 
 // transfer is a short two-slot update.
-func (p *Phases) transfer(th *stm.Thread, rng *workload.Rng) {
+func (p *Phases) transfer(rng *workload.Rng) {
 	from, to := rng.Intn(p.slots), rng.Intn(p.slots)
-	th.Run(func(tx *stm.Tx) error { p.arr.Transfer(tx, from, to, 1); return nil })
+	p.rt.Run(func(tx *stm.Tx) error { p.arr.Transfer(tx, from, to, 1); return nil })
 }
 
 // rebalance scans the whole array, finds the fullest and emptiest slots,
 // and moves one unit between them — a long update transaction whose read
 // set spans the array.
-func (p *Phases) rebalance(th *stm.Thread, rng *workload.Rng) {
-	th.Run(func(tx *stm.Tx) error {
+func (p *Phases) rebalance(rng *workload.Rng) {
+	p.rt.Run(func(tx *stm.Tx) error {
 		maxI, minI := 0, 0
 		var maxV, minV uint64
 		maxV, minV = 0, ^uint64(0)
@@ -153,9 +155,9 @@ func (p *Phases) rebalance(th *stm.Thread, rng *workload.Rng) {
 }
 
 // CheckInvariants verifies conservation of the array total.
-func (p *Phases) CheckInvariants(th *stm.Thread) string {
+func (p *Phases) CheckInvariants() string {
 	var sum uint64
-	th.Run(func(tx *stm.Tx) error { sum = p.arr.Sum(tx); return nil }, stm.ReadOnly())
+	p.rt.Run(func(tx *stm.Tx) error { sum = p.arr.Sum(tx); return nil }, stm.ReadOnly())
 	want := uint64(p.slots) * p.initial
 	if sum != want {
 		return fmt.Sprintf("phases: array total %d, want %d", sum, want)

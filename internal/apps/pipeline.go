@@ -16,6 +16,7 @@ import (
 // different concurrency-control configuration (short spins, coarse
 // detection) than a tree partition.
 type Pipeline struct {
+	rt     *stm.Runtime
 	intake *txds.Queue
 	output *txds.Queue
 	// produced/consumed counters live on the heap so the token balance
@@ -30,10 +31,10 @@ type PipelineConfig struct {
 }
 
 // NewPipeline builds the queues and preloads tokens.
-func NewPipeline(rt *stm.Runtime, th *stm.Thread, cfg PipelineConfig) *Pipeline {
-	p := &Pipeline{}
+func NewPipeline(rt *stm.Runtime, cfg PipelineConfig) *Pipeline {
+	p := &Pipeline{rt: rt}
 	ctrSite := rt.RegisterSite("pipeline.counters")
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		p.intake = txds.NewQueue(tx, rt, "pipeline.intake")
 		p.output = txds.NewQueue(tx, rt, "pipeline.output")
 		p.counters = tx.Alloc(ctrSite, 2)
@@ -43,7 +44,7 @@ func NewPipeline(rt *stm.Runtime, th *stm.Thread, cfg PipelineConfig) *Pipeline 
 	})
 	for i := 0; i < cfg.InitialTokens; i++ {
 		v := uint64(i)
-		th.Run(func(tx *stm.Tx) error {
+		rt.Run(func(tx *stm.Tx) error {
 			p.intake.Enqueue(tx, v)
 			tx.Store(p.counters, tx.Load(p.counters)+1)
 			return nil
@@ -53,9 +54,9 @@ func NewPipeline(rt *stm.Runtime, th *stm.Thread, cfg PipelineConfig) *Pipeline 
 }
 
 // Produce enqueues a fresh token.
-func (p *Pipeline) Produce(th *stm.Thread, rng *workload.Rng) {
+func (p *Pipeline) Produce(rng *workload.Rng) {
 	v := rng.Uint64() >> 1
-	th.Run(func(tx *stm.Tx) error {
+	p.rt.Run(func(tx *stm.Tx) error {
 		p.intake.Enqueue(tx, v)
 		tx.Store(p.counters, tx.Load(p.counters)+1)
 		return nil
@@ -64,9 +65,9 @@ func (p *Pipeline) Produce(th *stm.Thread, rng *workload.Rng) {
 
 // Transform moves one token from intake to output, applying a small
 // computation; it reports whether a token was available.
-func (p *Pipeline) Transform(th *stm.Thread) bool {
+func (p *Pipeline) Transform() bool {
 	moved := false
-	th.Run(func(tx *stm.Tx) error {
+	p.rt.Run(func(tx *stm.Tx) error {
 		moved = false
 		v, ok := p.intake.Dequeue(tx)
 		if !ok {
@@ -81,9 +82,9 @@ func (p *Pipeline) Transform(th *stm.Thread) bool {
 
 // Consume removes one token from the output; it reports whether one was
 // available.
-func (p *Pipeline) Consume(th *stm.Thread) bool {
+func (p *Pipeline) Consume() bool {
 	got := false
-	th.Run(func(tx *stm.Tx) error {
+	p.rt.Run(func(tx *stm.Tx) error {
 		got = false
 		if _, ok := p.output.Dequeue(tx); !ok {
 			return nil
@@ -96,22 +97,22 @@ func (p *Pipeline) Consume(th *stm.Thread) bool {
 }
 
 // Op runs one pipeline step drawn from a balanced mix.
-func (p *Pipeline) Op(th *stm.Thread, rng *workload.Rng) {
+func (p *Pipeline) Op(rng *workload.Rng) {
 	switch rng.Intn(3) {
 	case 0:
-		p.Produce(th, rng)
+		p.Produce(rng)
 	case 1:
-		p.Transform(th)
+		p.Transform()
 	default:
-		p.Consume(th)
+		p.Consume()
 	}
 }
 
 // CheckInvariants verifies token conservation:
 // produced == consumed + in(intake) + in(output).
-func (p *Pipeline) CheckInvariants(th *stm.Thread) string {
+func (p *Pipeline) CheckInvariants() string {
 	var msg string
-	th.Run(func(tx *stm.Tx) error {
+	p.rt.Run(func(tx *stm.Tx) error {
 		msg = ""
 		produced := tx.Load(p.counters)
 		consumed := tx.Load(p.counters + 1)

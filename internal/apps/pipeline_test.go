@@ -9,53 +9,45 @@ import (
 
 func TestPipelineSequential(t *testing.T) {
 	rt := newRT(t, 0)
-	th := rt.MustAttach()
-	defer rt.Detach(th)
-	p := NewPipeline(rt, th, PipelineConfig{InitialTokens: 10})
-	if msg := p.CheckInvariants(th); msg != "" {
+	p := NewPipeline(rt, PipelineConfig{InitialTokens: 10})
+	if msg := p.CheckInvariants(); msg != "" {
 		t.Fatal(msg)
 	}
-	if !p.Transform(th) {
+	if !p.Transform() {
 		t.Fatal("transform with tokens available failed")
 	}
-	if !p.Consume(th) {
+	if !p.Consume() {
 		t.Fatal("consume with output available failed")
 	}
 	// Drain completely.
-	for p.Transform(th) {
+	for p.Transform() {
 	}
-	for p.Consume(th) {
+	for p.Consume() {
 	}
-	if p.Transform(th) || p.Consume(th) {
+	if p.Transform() || p.Consume() {
 		t.Fatal("empty pipeline still moved tokens")
 	}
-	if msg := p.CheckInvariants(th); msg != "" {
+	if msg := p.CheckInvariants(); msg != "" {
 		t.Fatal(msg)
 	}
 }
 
 func TestPipelineConcurrentConservation(t *testing.T) {
 	rt := newRT(t, 8)
-	setup := rt.MustAttach()
-	p := NewPipeline(rt, setup, PipelineConfig{InitialTokens: 50})
-	rt.Detach(setup)
+	p := NewPipeline(rt, PipelineConfig{InitialTokens: 50})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(seed uint64) {
 			defer wg.Done()
-			th := rt.MustAttach()
-			defer rt.Detach(th)
 			rng := workload.NewRng(seed)
 			for i := 0; i < 2000; i++ {
-				p.Op(th, rng)
+				p.Op(rng)
 			}
 		}(uint64(w) + 40)
 	}
 	wg.Wait()
-	th := rt.MustAttach()
-	defer rt.Detach(th)
-	if msg := p.CheckInvariants(th); msg != "" {
+	if msg := p.CheckInvariants(); msg != "" {
 		t.Fatal(msg)
 	}
 }
@@ -63,13 +55,11 @@ func TestPipelineConcurrentConservation(t *testing.T) {
 func TestPipelinePartitions(t *testing.T) {
 	rt := newRT(t, 0)
 	rt.StartProfiling()
-	th := rt.MustAttach()
-	p := NewPipeline(rt, th, PipelineConfig{InitialTokens: 20})
+	p := NewPipeline(rt, PipelineConfig{InitialTokens: 20})
 	rng := workload.NewRng(3)
 	for i := 0; i < 200; i++ {
-		p.Op(th, rng)
+		p.Op(rng)
 	}
-	rt.Detach(th)
 	plan, err := rt.StopProfilingAndPartition()
 	if err != nil {
 		t.Fatal(err)

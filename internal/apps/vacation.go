@@ -1,9 +1,9 @@
 // Package apps contains the application benchmarks of the evaluation:
 // vacation (a STAMP-style travel reservation system), bank (transfers and
 // audits over an account array), the phase-switching composite workload,
-// and the multi-structure intset application. Each app exposes a Setup
-// step, per-thread operation drivers, and invariant checks used by the
-// tests.
+// and the multi-structure intset application. Each app is built on the
+// *stm.Runtime its constructor takes and exposes an operation driver that
+// any goroutine may call, plus invariant checks used by the tests.
 package apps
 
 import (
@@ -94,6 +94,7 @@ func DefaultVacationConfig() VacationConfig {
 
 // Vacation is the travel reservation system.
 type Vacation struct {
+	rt        *stm.Runtime
 	cfg       VacationConfig
 	tables    [numKinds]*txds.RBTree
 	customers *txds.RBTree
@@ -101,12 +102,12 @@ type Vacation struct {
 	resvSite  stm.SiteID
 }
 
-// NewVacation builds the tables and populates them. Call inside a setup
-// thread; population runs many small transactions so it also serves as
-// the profiling workload for partition discovery.
-func NewVacation(rt *stm.Runtime, th *stm.Thread, cfg VacationConfig) *Vacation {
-	v := &Vacation{cfg: cfg}
-	th.Run(func(tx *stm.Tx) error {
+// NewVacation builds the tables and populates them. Population runs many
+// small transactions, so it also serves as the profiling workload for
+// partition discovery.
+func NewVacation(rt *stm.Runtime, cfg VacationConfig) *Vacation {
+	v := &Vacation{rt: rt, cfg: cfg}
+	rt.Run(func(tx *stm.Tx) error {
 		v.tables[KindFlight] = txds.NewRBTree(tx, rt, "vacation.flights")
 		v.tables[KindCar] = txds.NewRBTree(tx, rt, "vacation.cars")
 		v.tables[KindRoom] = txds.NewRBTree(tx, rt, "vacation.rooms")
@@ -119,7 +120,7 @@ func NewVacation(rt *stm.Runtime, th *stm.Thread, cfg VacationConfig) *Vacation 
 	for i := 0; i < cfg.ItemsPerTable; i++ {
 		id := uint64(i)
 		price := 50 + uint64(rng.Intn(450))
-		th.Run(func(tx *stm.Tx) error {
+		rt.Run(func(tx *stm.Tx) error {
 			for k := ReservationKind(0); k < numKinds; k++ {
 				v.tables[k].Insert(tx, id, packItem(cfg.InitialSeats, cfg.InitialSeats, price))
 			}
@@ -128,7 +129,7 @@ func NewVacation(rt *stm.Runtime, th *stm.Thread, cfg VacationConfig) *Vacation 
 	}
 	for c := 0; c < cfg.Customers; c++ {
 		id := uint64(c)
-		th.Run(func(tx *stm.Tx) error {
+		rt.Run(func(tx *stm.Tx) error {
 			rec := tx.Alloc(v.custSite, custWords)
 			tx.Store(rec, uint64(stm.Nil))
 			v.customers.Insert(tx, id, uint64(rec))
@@ -144,7 +145,7 @@ func (v *Vacation) Config() VacationConfig { return v.cfg }
 // MakeReservation examines QueriesPerTx random items in a random table
 // and books the cheapest one with free capacity for the customer. It
 // reports whether a booking was made.
-func (v *Vacation) MakeReservation(th *stm.Thread, rng *workload.Rng) bool {
+func (v *Vacation) MakeReservation(rng *workload.Rng) bool {
 	kind := ReservationKind(rng.Intn(int(numKinds)))
 	custID := uint64(rng.Intn(v.cfg.Customers))
 	ids := make([]uint64, v.cfg.QueriesPerTx)
@@ -152,7 +153,7 @@ func (v *Vacation) MakeReservation(th *stm.Thread, rng *workload.Rng) bool {
 		ids[i] = uint64(rng.Intn(v.cfg.ItemsPerTable))
 	}
 	booked := false
-	th.Run(func(tx *stm.Tx) error {
+	v.rt.Run(func(tx *stm.Tx) error {
 		booked = false // reset on retry
 		table := v.tables[kind]
 		bestID, bestPrice := uint64(0), ^uint64(0)
@@ -195,10 +196,10 @@ func (v *Vacation) MakeReservation(th *stm.Thread, rng *workload.Rng) bool {
 
 // DeleteCustomer removes a customer and releases all their reservations
 // back to the tables. Reports whether the customer existed.
-func (v *Vacation) DeleteCustomer(th *stm.Thread, rng *workload.Rng) bool {
+func (v *Vacation) DeleteCustomer(rng *workload.Rng) bool {
 	custID := uint64(rng.Intn(v.cfg.Customers))
 	existed := false
-	th.Run(func(tx *stm.Tx) error {
+	v.rt.Run(func(tx *stm.Tx) error {
 		existed = false
 		recAddr, ok := v.customers.Remove(tx, custID)
 		if !ok {
@@ -232,7 +233,7 @@ func (v *Vacation) DeleteCustomer(th *stm.Thread, rng *workload.Rng) bool {
 
 // UpdateTables performs the STAMP "manager" operation: for a few random
 // items, either re-price them or toggle them out of/into existence.
-func (v *Vacation) UpdateTables(th *stm.Thread, rng *workload.Rng) {
+func (v *Vacation) UpdateTables(rng *workload.Rng) {
 	kind := ReservationKind(rng.Intn(int(numKinds)))
 	n := 1 + rng.Intn(4)
 	ids := make([]uint64, n)
@@ -241,7 +242,7 @@ func (v *Vacation) UpdateTables(th *stm.Thread, rng *workload.Rng) {
 		ids[i] = uint64(rng.Intn(v.cfg.ItemsPerTable))
 		prices[i] = 50 + uint64(rng.Intn(450))
 	}
-	th.Run(func(tx *stm.Tx) error {
+	v.rt.Run(func(tx *stm.Tx) error {
 		table := v.tables[kind]
 		for i, id := range ids {
 			if val, ok := table.Lookup(tx, id); ok {
@@ -257,17 +258,17 @@ func (v *Vacation) UpdateTables(th *stm.Thread, rng *workload.Rng) {
 
 // Op runs one operation drawn from the configured mix; it returns a label
 // for throughput accounting.
-func (v *Vacation) Op(th *stm.Thread, rng *workload.Rng) string {
+func (v *Vacation) Op(rng *workload.Rng) string {
 	u := rng.Float64()
 	switch {
 	case u < v.cfg.UpdateTableRatio:
-		v.UpdateTables(th, rng)
+		v.UpdateTables(rng)
 		return "update"
 	case u < v.cfg.UpdateTableRatio+v.cfg.DeleteCustomerRatio:
-		v.DeleteCustomer(th, rng)
+		v.DeleteCustomer(rng)
 		return "delete"
 	default:
-		v.MakeReservation(th, rng)
+		v.MakeReservation(rng)
 		return "reserve"
 	}
 }
@@ -275,9 +276,9 @@ func (v *Vacation) Op(th *stm.Thread, rng *workload.Rng) string {
 // CheckInvariants validates that for every item, used seats (reservations
 // held by customers) + free seats == total seats, and that all table
 // shapes are valid red-black trees. Returns "" when consistent.
-func (v *Vacation) CheckInvariants(th *stm.Thread) string {
+func (v *Vacation) CheckInvariants() string {
 	var msg string
-	th.Run(func(tx *stm.Tx) error {
+	v.rt.Run(func(tx *stm.Tx) error {
 		msg = ""
 		for k := ReservationKind(0); k < numKinds; k++ {
 			if m := v.tables[k].CheckInvariants(tx); m != "" {

@@ -61,8 +61,8 @@ func (r Result) String() string {
 }
 
 // OpFunc is one benchmark operation: it may run any number of
-// transactions on th.
-type OpFunc func(th *stm.Thread, rng *workload.Rng)
+// transactions (Runtime.Run).
+type OpFunc func(rng *workload.Rng)
 
 // Run drives cfg.Threads workers executing op in a loop: warm-up window,
 // then a measured window, and returns aggregate and per-partition deltas.
@@ -82,17 +82,15 @@ func Run(rt *stm.Runtime, cfg RunConfig, op OpFunc) Result {
 		wg.Add(1)
 		go func(seed uint64, shard *stats.Histogram) {
 			defer wg.Done()
-			th := rt.MustAttach()
-			defer rt.Detach(th)
 			rng := workload.NewRng(seed)
 			local := uint64(0)
 			for !stop.Load() {
 				if cfg.SampleLatency && measure.Load() {
 					t0 := time.Now()
-					op(th, rng)
+					op(rng)
 					shard.RecordSince(t0)
 				} else {
-					op(th, rng)
+					op(rng)
 				}
 				if measure.Load() {
 					local++
@@ -137,11 +135,9 @@ func RunOps(rt *stm.Runtime, threads int, opsPerThread int, seed uint64, op OpFu
 		wg.Add(1)
 		go func(s uint64) {
 			defer wg.Done()
-			th := rt.MustAttach()
-			defer rt.Detach(th)
 			rng := workload.NewRng(s)
 			for i := 0; i < opsPerThread; i++ {
-				op(th, rng)
+				op(rng)
 			}
 		}(seed*1000 + uint64(w) + 1)
 	}

@@ -15,20 +15,17 @@ type MicroResult struct {
 	NsPerOp float64
 }
 
-// MeasureOp times op on a single freshly attached thread: warmup
-// iterations untimed, then iters timed. Use it for microbenchmarks of
-// primitive transaction costs inside experiments, where testing.B is not
-// available.
+// MeasureOp times op on a single goroutine: warmup iterations untimed,
+// then iters timed. Use it for microbenchmarks of primitive transaction
+// costs inside experiments, where testing.B is not available.
 func MeasureOp(rt *stm.Runtime, warmup, iters int, op OpFunc) MicroResult {
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	rng := workload.NewRng(42)
 	for i := 0; i < warmup; i++ {
-		op(th, rng)
+		op(rng)
 	}
 	t0 := time.Now()
 	for i := 0; i < iters; i++ {
-		op(th, rng)
+		op(rng)
 	}
 	total := time.Since(t0)
 	return MicroResult{

@@ -39,24 +39,18 @@ import (
 // the STM: its ops are plain closures, so the same harness (and the same
 // coordinated-omission discipline) drives in-process transactions and
 // remote ones over network connections (cmd/netbench). RunOpenLoop is
-// the *stm.Runtime wrapper, adding per-worker thread attachment and
-// partition-stats windowing.
+// the *stm.Runtime wrapper, adding partition-stats windowing.
 
 // IndexedOpFunc is one open-loop operation; i is the op's global arrival
 // index (0-based, dense), which deterministic fault-injection harnesses
 // can key on (e.g. "stall on arrival 5000").
-type IndexedOpFunc func(th *stm.Thread, rng *workload.Rng, i uint64)
-
-// RawOpFunc is one open-loop operation for harnesses that do not run over
-// an attached STM thread (e.g. a network client): same contract as
-// IndexedOpFunc minus the thread.
-type RawOpFunc func(rng *workload.Rng, i uint64)
+type IndexedOpFunc func(rng *workload.Rng, i uint64)
 
 // WorkerSetup prepares one open-loop worker. It runs on the worker's own
 // goroutine before its first arrival and returns the worker's op plus a
-// teardown (either may close over per-worker state: an attached thread,
-// a network connection). teardown may be nil.
-type WorkerSetup func(worker int) (op RawOpFunc, teardown func())
+// teardown (either may close over per-worker state, such as a network
+// connection). teardown may be nil.
+type WorkerSetup func(worker int) (op IndexedOpFunc, teardown func())
 
 // OpenLoopConfig configures one open-loop run.
 type OpenLoopConfig struct {
@@ -208,10 +202,9 @@ func RunOpenLoopFunc(cfg OpenLoopConfig, setup WorkerSetup) OpenLoopResult {
 	return res
 }
 
-// RunOpenLoop is RunOpenLoopFunc over an *stm.Runtime: each worker runs
-// with its own attached thread, and partition stats are windowed to the
-// measured interval (snapshot at the warmup/measure boundary without
-// stopping the workers, again after the drain).
+// RunOpenLoop is RunOpenLoopFunc over an *stm.Runtime: partition stats
+// are windowed to the measured interval (snapshot at the warmup/measure
+// boundary without stopping the workers, again after the drain).
 func RunOpenLoop(rt *stm.Runtime, cfg OpenLoopConfig, op IndexedOpFunc) OpenLoopResult {
 	var before []core.PartStats
 	userBoundary := cfg.OnMeasureStart
@@ -221,12 +214,7 @@ func RunOpenLoop(rt *stm.Runtime, cfg OpenLoopConfig, op IndexedOpFunc) OpenLoop
 			userBoundary()
 		}
 	}
-	res := RunOpenLoopFunc(cfg, func(worker int) (RawOpFunc, func()) {
-		th := rt.MustAttach()
-		return func(rng *workload.Rng, i uint64) {
-			op(th, rng, i)
-		}, func() { rt.Detach(th) }
-	})
+	res := RunOpenLoopFunc(cfg, func(int) (IndexedOpFunc, func()) { return op, nil })
 	res.PerPart, res.Commits, res.Aborts, res.AbortRate = window(before, rt.Stats())
 	return res
 }

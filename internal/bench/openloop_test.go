@@ -15,14 +15,12 @@ func newTestRuntime(t testing.TB) (*stm.Runtime, stm.Addr) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	th := rt.MustAttach()
 	var a stm.Addr
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		a = tx.Alloc(stm.SiteID(0), 1)
 		tx.Store(a, 0)
 		return nil
 	})
-	rt.Detach(th)
 	return rt, a
 }
 
@@ -38,8 +36,8 @@ func TestOpenLoopKeepsSchedule(t *testing.T) {
 		Measure: 200 * time.Millisecond,
 		Seed:    1,
 	}
-	res := RunOpenLoop(rt, cfg, func(th *stm.Thread, rng *workload.Rng, i uint64) {
-		th.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
+	res := RunOpenLoop(rt, cfg, func(rng *workload.Rng, i uint64) {
+		rt.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 	})
 	if res.Ops == 0 {
 		t.Fatal("no measured ops")
@@ -91,11 +89,11 @@ func TestCoordinatedOmission(t *testing.T) {
 			Measure:       measure,
 			Seed:          3,
 			SampleLatency: true,
-		}, func(th *stm.Thread, rng *workload.Rng) {
+		}, func(rng *workload.Rng) {
 			if armed.CompareAndSwap(true, false) {
 				time.Sleep(stall)
 			}
-			th.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
+			rt.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 		})
 		snap := res.Latency.Snapshot()
 		if snap.Count() < 10_000 {
@@ -126,11 +124,11 @@ func TestCoordinatedOmission(t *testing.T) {
 			Warmup:  warmup,
 			Measure: measure,
 			Seed:    3,
-		}, func(th *stm.Thread, rng *workload.Rng, i uint64) {
+		}, func(rng *workload.Rng, i uint64) {
 			if i == stallIndex {
 				time.Sleep(stall)
 			}
-			th.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
+			rt.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 		})
 		// ~rate*stall arrivals queued behind the stall: 200 of ~4000
 		// measured, i.e. ~5% of samples — far past the 0.1% mark.

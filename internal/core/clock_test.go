@@ -35,7 +35,7 @@ func plTestSetup(t *testing.T, e *Engine, nParts, cellsPer int, initVal uint64) 
 	e.SetTimeBaseMode(TimeBasePartitionLocal)
 
 	bases := make([]memory.Addr, nParts)
-	setup := e.MustAttachThread()
+	setup := e.BorrowThread()
 	setup.Run(func(tx *Tx) error {
 		for i := 0; i < nParts; i++ {
 			bases[i] = tx.Alloc(siteIDs[i], cellsPer)
@@ -45,7 +45,7 @@ func plTestSetup(t *testing.T, e *Engine, nParts, cellsPer int, initVal uint64) 
 		}
 		return nil
 	})
-	e.DetachThread(setup)
+	e.ReturnThread(setup)
 	return siteIDs, bases
 }
 
@@ -64,8 +64,8 @@ func TestPartitionLocalNoSharedRMW(t *testing.T) {
 		t.Fatalf("mode = %v", cs0.Mode)
 	}
 
-	th := e.MustAttachThread()
-	defer e.DetachThread(th)
+	th := e.BorrowThread()
+	defer e.ReturnThread(th)
 	const updates = 500
 	for i := 0; i < updates; i++ {
 		p := i % 2
@@ -123,8 +123,8 @@ func TestPartitionLocalCrossPartitionBank(t *testing.T) {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
-			th := e.MustAttachThread()
-			defer e.DetachThread(th)
+			th := e.BorrowThread()
+			defer e.ReturnThread(th)
 			rng := rand.New(rand.NewSource(seed))
 			for {
 				select {
@@ -201,8 +201,8 @@ func TestPartitionLocalCrossPartitionBank(t *testing.T) {
 	if n := badSum.Load(); n != 0 {
 		t.Fatalf("%d audits observed a broken total", n)
 	}
-	check := e.MustAttachThread()
-	defer e.DetachThread(check)
+	check := e.BorrowThread()
+	defer e.ReturnThread(check)
 	check.Run(func(tx *Tx) error {
 		var sum uint64
 		for p := 0; p < nParts; p++ {
@@ -231,7 +231,7 @@ func TestInstallPlanMidTrafficTimeBaseMonotonic(t *testing.T) {
 	e.SetTimeBaseMode(TimeBasePartitionLocal)
 
 	var a0, a1 memory.Addr
-	setup := e.MustAttachThread()
+	setup := e.BorrowThread()
 	setup.Run(func(tx *Tx) error {
 		a0 = tx.Alloc(s0, 1)
 		a1 = tx.Alloc(s1, 1)
@@ -239,7 +239,7 @@ func TestInstallPlanMidTrafficTimeBaseMonotonic(t *testing.T) {
 		tx.Store(a1, 500)
 		return nil
 	})
-	e.DetachThread(setup)
+	e.ReturnThread(setup)
 
 	stop := make(chan struct{})
 	var badSum atomic.Uint64
@@ -248,8 +248,8 @@ func TestInstallPlanMidTrafficTimeBaseMonotonic(t *testing.T) {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
-			th := e.MustAttachThread()
-			defer e.DetachThread(th)
+			th := e.BorrowThread()
+			defer e.ReturnThread(th)
 			rng := rand.New(rand.NewSource(seed))
 			for {
 				select {
@@ -339,7 +339,7 @@ func TestPartitionLocalAllPartConfigs(t *testing.T) {
 			e.SetTimeBaseMode(TimeBasePartitionLocal)
 
 			var aa, ab memory.Addr
-			setup := e.MustAttachThread()
+			setup := e.BorrowThread()
 			setup.Run(func(tx *Tx) error {
 				aa = tx.Alloc(sa, 1)
 				ab = tx.Alloc(sb, 1)
@@ -347,7 +347,7 @@ func TestPartitionLocalAllPartConfigs(t *testing.T) {
 				tx.Store(ab, 300)
 				return nil
 			})
-			e.DetachThread(setup)
+			e.ReturnThread(setup)
 
 			var wg sync.WaitGroup
 			var bad atomic.Uint64
@@ -355,8 +355,8 @@ func TestPartitionLocalAllPartConfigs(t *testing.T) {
 				wg.Add(1)
 				go func(seed int64) {
 					defer wg.Done()
-					th := e.MustAttachThread()
-					defer e.DetachThread(th)
+					th := e.BorrowThread()
+					defer e.ReturnThread(th)
 					rng := rand.New(rand.NewSource(seed))
 					for i := 0; i < 400; i++ {
 						if rng.Intn(4) == 0 {
@@ -395,8 +395,8 @@ func TestAdvanceClockPartitionLocal(t *testing.T) {
 	e := newTestEngine(t, DefaultPartConfig())
 	_, bases := plTestSetup(t, e, 2, 2, 7)
 	e.AdvanceClock(1 << 40)
-	th := e.MustAttachThread()
-	defer e.DetachThread(th)
+	th := e.BorrowThread()
+	defer e.ReturnThread(th)
 	th.Run(func(tx *Tx) error {
 		tx.Store(bases[0], tx.Load(bases[0])+1)
 		tx.Store(bases[1], tx.Load(bases[1])+1)

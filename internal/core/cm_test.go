@@ -23,29 +23,29 @@ func TestCMPoliciesProgress(t *testing.T) {
 	for _, pol := range []CMPolicy{CMSuicide, CMSpin, CMKarma, CMAggressive, CMBackoff, CMTimestamp} {
 		t.Run(pol.String(), func(t *testing.T) {
 			e := newTestEngine(t, cmConfig(pol))
-			setup := e.MustAttachThread()
+			setup := e.BorrowThread()
 			var a memory.Addr
 			setup.Run(func(tx *Tx) error {
 				a = tx.Alloc(memory.DefaultSite, 1)
 				tx.Store(a, 0)
 				return nil
 			})
-			e.DetachThread(setup)
+			e.ReturnThread(setup)
 			const workers, perW = 6, 1500
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					th := e.MustAttachThread()
-					defer e.DetachThread(th)
+					th := e.BorrowThread()
+					defer e.ReturnThread(th)
 					for i := 0; i < perW; i++ {
 						th.Run(func(tx *Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 					}
 				}()
 			}
 			wg.Wait()
-			check := e.MustAttachThread()
+			check := e.BorrowThread()
 			check.Run(func(tx *Tx) error {
 				if got := tx.Load(a); got != workers*perW {
 					t.Errorf("counter = %d, want %d", got, workers*perW)
@@ -66,7 +66,7 @@ func TestVisibleReaderArbitration(t *testing.T) {
 			cfg.ReaderCM = rp
 			cfg.LockBits = 4 // few orecs: force reader/writer collisions
 			e := newTestEngine(t, cfg)
-			setup := e.MustAttachThread()
+			setup := e.BorrowThread()
 			var base memory.Addr
 			const slots = 16
 			setup.Run(func(tx *Tx) error {
@@ -76,15 +76,15 @@ func TestVisibleReaderArbitration(t *testing.T) {
 				}
 				return nil
 			})
-			e.DetachThread(setup)
+			e.ReturnThread(setup)
 
 			var wg sync.WaitGroup
 			for w := 0; w < 4; w++ {
 				wg.Add(1)
 				go func(id int) {
 					defer wg.Done()
-					th := e.MustAttachThread()
-					defer e.DetachThread(th)
+					th := e.BorrowThread()
+					defer e.ReturnThread(th)
 					for i := 0; i < 1000; i++ {
 						if id%2 == 0 {
 							th.Run(func(tx *Tx) error {
@@ -133,7 +133,7 @@ func TestVisibleReaderArbitration(t *testing.T) {
 
 func TestKillFlagAbortsVictim(t *testing.T) {
 	e := newTestEngine(t, DefaultPartConfig())
-	th := e.MustAttachThread()
+	th := e.BorrowThread()
 	var a memory.Addr
 	th.Run(func(tx *Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)
@@ -165,7 +165,7 @@ func TestKillFlagAbortsVictim(t *testing.T) {
 // longer, which is exactly the behaviour the policy exists to fix.
 func TestTimestampCMOlderWins(t *testing.T) {
 	e := newTestEngine(t, cmConfig(CMTimestamp))
-	setup := e.MustAttachThread()
+	setup := e.BorrowThread()
 	const words = 32
 	var base memory.Addr
 	setup.Run(func(tx *Tx) error {
@@ -175,7 +175,7 @@ func TestTimestampCMOlderWins(t *testing.T) {
 		}
 		return nil
 	})
-	e.DetachThread(setup)
+	e.ReturnThread(setup)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -183,8 +183,8 @@ func TestTimestampCMOlderWins(t *testing.T) {
 		wg.Add(1)
 		go func(seed int) {
 			defer wg.Done()
-			th := e.MustAttachThread()
-			defer e.DetachThread(th)
+			th := e.BorrowThread()
+			defer e.ReturnThread(th)
 			i := seed
 			for {
 				select {
@@ -202,7 +202,7 @@ func TestTimestampCMOlderWins(t *testing.T) {
 		}(w * 7)
 	}
 
-	long := e.MustAttachThread()
+	long := e.BorrowThread()
 	attempts := 0
 	long.Run(func(tx *Tx) error {
 		attempts++
@@ -213,7 +213,7 @@ func TestTimestampCMOlderWins(t *testing.T) {
 		tx.Store(base, s-uint64(words)+1) // keep the constant-sum invariant
 		return nil
 	})
-	e.DetachThread(long)
+	e.ReturnThread(long)
 	close(stop)
 	wg.Wait()
 	// The long transaction gets the oldest ordinal as soon as its first
@@ -237,7 +237,7 @@ func TestKarmaOwnerProgressPublishedAtAcquire(t *testing.T) {
 			cfg.Acquire = acq
 			cfg.SpinBudget = 16
 			e := newTestEngine(t, cfg)
-			setup := e.MustAttachThread()
+			setup := e.BorrowThread()
 			const pad = 32
 			var base memory.Addr
 			setup.Run(func(tx *Tx) error {
@@ -247,11 +247,11 @@ func TestKarmaOwnerProgressPublishedAtAcquire(t *testing.T) {
 				}
 				return nil
 			})
-			e.DetachThread(setup)
+			e.ReturnThread(setup)
 			hot := base + pad
 
 			const ownerOps = 10
-			owner := e.MustAttachThread()
+			owner := e.BorrowThread()
 			held, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
 			ownerAttempts := 0
 			go func() {
@@ -281,8 +281,8 @@ func TestKarmaOwnerProgressPublishedAtAcquire(t *testing.T) {
 			}
 
 			challenge := func(ops int) error {
-				th := e.MustAttachThread()
-				defer e.DetachThread(th)
+				th := e.BorrowThread()
+				defer e.ReturnThread(th)
 				return th.Run(func(tx *Tx) error {
 					for i := 0; i < ops; i++ {
 						tx.Load(base + memory.Addr(ownerOps+i))
@@ -312,7 +312,7 @@ func TestKarmaOwnerProgressPublishedAtAcquire(t *testing.T) {
 			if got := e.StatsSnapshot(GlobalPartition).Aborts[AbortKilled]; got != 1 {
 				t.Fatalf("killed aborts = %d, want 1", got)
 			}
-			e.DetachThread(owner)
+			e.ReturnThread(owner)
 		})
 	}
 }
@@ -333,8 +333,8 @@ func TestTimestampOrdinalDrawnOnDemand(t *testing.T) {
 		[]PartConfig{DefaultPartConfig(), cmConfig(CMTimestamp)}); err != nil {
 		t.Fatal(err)
 	}
-	th := e.MustAttachThread()
-	defer e.DetachThread(th)
+	th := e.BorrowThread()
+	defer e.ReturnThread(th)
 	var plain, stamped memory.Addr
 	th.Run(func(tx *Tx) error {
 		plain = tx.Alloc(memory.DefaultSite, 1)
@@ -400,29 +400,29 @@ func TestTimestampOrdinalDrawnOnDemand(t *testing.T) {
 // aborting immediately) and accounts its waiting in the partition stats.
 func TestBackoffCMRecordsWaitCycles(t *testing.T) {
 	e := newTestEngine(t, cmConfig(CMBackoff))
-	setup := e.MustAttachThread()
+	setup := e.BorrowThread()
 	var a memory.Addr
 	setup.Run(func(tx *Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)
 		tx.Store(a, 0)
 		return nil
 	})
-	e.DetachThread(setup)
+	e.ReturnThread(setup)
 	var wg sync.WaitGroup
 	const workers, perW = 4, 400
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			th := e.MustAttachThread()
-			defer e.DetachThread(th)
+			th := e.BorrowThread()
+			defer e.ReturnThread(th)
 			for i := 0; i < perW; i++ {
 				th.Run(func(tx *Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 			}
 		}()
 	}
 	wg.Wait()
-	check := e.MustAttachThread()
+	check := e.BorrowThread()
 	check.Run(func(tx *Tx) error {
 		if got := tx.Load(a); got != workers*perW {
 			t.Errorf("counter = %d, want %d", got, workers*perW)
@@ -523,29 +523,29 @@ func TestWriteThroughVisibleCombination(t *testing.T) {
 	cfg.Write = WriteThrough
 	cfg.ReaderCM = WriterKillsReaders
 	e := newTestEngine(t, cfg)
-	setup := e.MustAttachThread()
+	setup := e.BorrowThread()
 	var a memory.Addr
 	setup.Run(func(tx *Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)
 		tx.Store(a, 0)
 		return nil
 	})
-	e.DetachThread(setup)
+	e.ReturnThread(setup)
 	var wg sync.WaitGroup
 	const workers, perW = 8, 800
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			th := e.MustAttachThread()
-			defer e.DetachThread(th)
+			th := e.BorrowThread()
+			defer e.ReturnThread(th)
 			for i := 0; i < perW; i++ {
 				th.Run(func(tx *Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 			}
 		}()
 	}
 	wg.Wait()
-	check := e.MustAttachThread()
+	check := e.BorrowThread()
 	check.Run(func(tx *Tx) error {
 		if got := tx.Load(a); got != workers*perW {
 			t.Errorf("counter = %d, want %d", got, workers*perW)

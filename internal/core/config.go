@@ -18,8 +18,8 @@
 // and keeps cross-partition transactions serializable through snapshot
 // alignment and commit-time validation. See TimeBaseMode.
 //
-// Transactions run through Thread.Run (Engine.RunPooled borrows a Thread
-// for it), the single options-driven entrypoint: TxOpt functional options
+// Transactions run through Engine.RunPooled (which borrows a Thread and
+// calls Thread.Run), the single options-driven entrypoint: TxOpt options
 // select read-only, snapshot, bounded-retry (MaxAttempts) and
 // abort-observing (OnAbort) behaviour. Word access is single
 // (Tx.Load/Store) or multi-word (Tx.LoadWords/StoreWords/LoadRange); the

@@ -38,8 +38,8 @@ func (t *topology) partForSite(site memory.SiteID) *Partition {
 	return t.parts[GlobalPartition]
 }
 
-// Engine is the STM runtime: commit time base, partitions, attached
-// threads, and the quiescence gate used for reconfiguration.
+// Engine is the STM runtime: commit time base, partitions, the Thread
+// slot pool, and the quiescence gate used for reconfiguration.
 type Engine struct {
 	arena      *memory.Arena
 	blockShift uint
@@ -63,16 +63,15 @@ type Engine struct {
 
 	topo atomic.Pointer[topology]
 
-	mu       sync.Mutex // serializes attach/detach and plan installs
-	threads  [MaxThreads]atomic.Pointer[Thread]
-	nthreads int
+	mu      sync.Mutex // serializes pool growth, plan installs and stats reads
+	threads [MaxThreads]atomic.Pointer[Thread]
 
 	// poolState is the goroutine-native slot pool behind RunPooled
-	// (pool.go): pooled Threads live in the same registry as pinned ones,
-	// so every engine mechanism treats them uniformly.
+	// (pool.go); it is the only creator of the Threads in the registry.
 	poolState
-	// retired accumulates the counters of detached threads so statistics
-	// survive thread churn; guarded by mu.
+	// retired holds the counters InstallPlan folded out of the replaced
+	// per-thread blocks, so statistics survive plan installs; guarded by
+	// mu.
 	retired []PartStats
 
 	profiling atomic.Bool
@@ -82,11 +81,6 @@ type Engine struct {
 	// stwCount counts quiescent reconfigurations (exposed for tests and
 	// the tuner's trace).
 	stwCount atomic.Uint64
-
-	// tracer, when set, receives one event per transaction attempt
-	// outcome (commit or abort). One atomic pointer load per attempt when
-	// unset; see SetTracer.
-	tracer atomic.Pointer[txTracerBox]
 
 	// walState, when set, makes every update commit tee its write set
 	// into the attached redo log (wal.go). One atomic pointer load per
@@ -190,44 +184,6 @@ func (e *Engine) SetYieldEveryOps(n uint64) {
 	e.yieldMask.Store(m - 1)
 }
 
-// AttachThread registers the calling goroutine and returns its Thread.
-// At most MaxThreads threads may be attached simultaneously — pinned
-// attachments share the slot space with the RunPooled slot pool. Pin a
-// Thread for long-lived workers that run many transactions back to back
-// (or tests that need a stable slot); everything else should go through
-// RunPooled.
-func (e *Engine) AttachThread() (*Thread, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.attachLocked()
-}
-
-// attachLocked is AttachThread under e.mu; pool growth reuses it.
-func (e *Engine) attachLocked() (*Thread, error) {
-	slot := -1
-	for i := 0; i < MaxThreads; i++ {
-		if e.threads[i].Load() == nil {
-			slot = i
-			break
-		}
-	}
-	if slot < 0 {
-		return nil, fmt.Errorf("core: all %d thread slots in use", MaxThreads)
-	}
-	th := &Thread{
-		eng:   e,
-		slot:  slot,
-		alloc: memory.NewAllocator(e.arena),
-		rng:   uint64(slot)*0x9E3779B97F4A7C15 + 0x1234567,
-	}
-	st := make([]PartThreadStats, len(e.topo.Load().parts))
-	th.stats.Store(&st)
-	th.tx.init(e, th)
-	e.threads[slot].Store(th)
-	e.nthreads++
-	return th, nil
-}
-
 // threadBySlot returns the thread occupying slot, or nil.
 func (e *Engine) threadBySlot(slot int) *Thread {
 	if slot < 0 || slot >= MaxThreads {
@@ -243,43 +199,6 @@ func (e *Engine) recordPointer(from, to memory.SiteID) {
 	e.profMu.Unlock()
 	if p != nil {
 		p.RecordPointer(from, to)
-	}
-}
-
-// MustAttachThread is AttachThread that panics on slot exhaustion.
-func (e *Engine) MustAttachThread() *Thread {
-	th, err := e.AttachThread()
-	if err != nil {
-		panic(err)
-	}
-	return th
-}
-
-// DetachThread releases a thread's slot. The thread must not be inside a
-// transaction. Pooled threads are returned with ReturnThread, never
-// detached: their slot belongs to the pool for the engine's lifetime.
-func (e *Engine) DetachThread(th *Thread) {
-	if th.pooled {
-		panic("core: DetachThread on a pooled Thread (use ReturnThread)")
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.threads[th.slot].Load() == th {
-		// Slot hygiene: the thread is outside any transaction, so its epoch
-		// slot must be idle — clear defensively so a recycled slot can never
-		// stall the horizon — and its pending retires move to the arena's
-		// shared overflow limbo, where any thread's next reclaim finds them.
-		e.epochs.Clear(th.slot)
-		th.alloc.FlushLimbo()
-		e.threads[th.slot].Store(nil)
-		e.nthreads--
-		st := *th.stats.Load()
-		for len(e.retired) < len(st) {
-			e.retired = append(e.retired, PartStats{})
-		}
-		for p := range st {
-			st[p].accumulateInto(&e.retired[p])
-		}
 	}
 }
 
@@ -348,7 +267,7 @@ func (e *Engine) InstallPlan(sitePart []PartID, names []string, cfgs []PartConfi
 	copy(sp, sitePart)
 
 	e.quiesce(func() {
-		// mu serializes the stats swap against attach/detach and against
+		// mu serializes the stats swap against pool growth and against
 		// StatsSnapshot's read of the retired aggregate.
 		e.mu.Lock()
 		defer e.mu.Unlock()
@@ -456,7 +375,7 @@ func (e *Engine) Reconfigure(id PartID, cfg PartConfig) error {
 	return nil
 }
 
-// quiesce raises the gate, waits for every attached thread to leave its
+// quiesce raises the gate, waits for every Thread to leave its
 // transaction, runs fn, and reopens the gate. New orec tables installed
 // by fn start with all versions at 0, which is safe because fresh
 // transactions take snapshots at or above the current clock and version 0
@@ -592,24 +511,6 @@ func (e *Engine) run(th *Thread, cfg runCfg, fn func(*Tx) error) error {
 		th.enterGate()
 		cause, userErr := e.attempt(tx, th, readOnly, snap, unlogged, fn)
 		th.exitGate()
-		if box := e.tracer.Load(); box != nil {
-			box.t.TraceAttempt(AttemptEvent{
-				Slot:           th.slot,
-				Attempt:        attempt,
-				Cause:          cause,
-				Ops:            tx.opCount,
-				SnapHits:       tx.snapHits,
-				SnapMisses:     tx.snapMisses,
-				Yields:         tx.wait.yields,
-				Parks:          tx.wait.parks,
-				RetiredWords:   tx.retiredWords,
-				ReclaimedWords: tx.reclaimedWords,
-				DurationNs:     tx.durationNs,
-				SpinNs:         tx.wait.spinNs,
-				YieldNs:        tx.wait.yieldNs,
-				ParkNs:         tx.wait.parkNs,
-			})
-		}
 		switch {
 		case cause == AbortNone && userErr == nil:
 			if box := tx.walDst; box != nil && box.sync {
@@ -679,68 +580,6 @@ func (e *Engine) attempt(tx *Tx, th *Thread, readOnly, snap, unlogged bool, fn f
 	}
 	tx.commit()
 	return AbortNone, nil
-}
-
-// AttemptEvent describes one transaction attempt outcome for tracing.
-type AttemptEvent struct {
-	// Slot is the executing thread's slot.
-	Slot int
-	// Attempt is 1 for the first try of a transaction, 2 for its first
-	// retry, and so on.
-	Attempt int
-	// Cause is AbortNone for a commit, the abort cause otherwise.
-	Cause AbortCause
-	// Ops is the number of transactional operations the attempt executed.
-	Ops uint64
-	// SnapHits and SnapMisses count snapshot-mode reads served from (or
-	// missed by) the multi-version store during the attempt; both are 0
-	// outside snapshot mode.
-	SnapHits   uint64
-	SnapMisses uint64
-	// Yields and Parks count wait-loop iterations that escalated past the
-	// spin budget into a scheduler yield or a timed sleep (see the waiting
-	// discipline in wait.go) — how much this attempt cooperated with the
-	// Go scheduler instead of spinning.
-	Yields uint64
-	Parks  uint64
-	// RetiredWords counts heap words this attempt's commit retired into
-	// limbo (0 for aborts: their allocations recycle immediately without
-	// entering limbo); ReclaimedWords counts words the attempt migrated
-	// from limbo back to free lists when its commit-path reclaim ran.
-	RetiredWords   uint64
-	ReclaimedWords uint64
-	// DurationNs is the attempt's wall-clock duration, begin to outcome.
-	// Measured whenever a tracer is attached (and also when the engine's
-	// latency tracking is on); each attempt is its own sample, so a
-	// transaction that retries contributes one event per try.
-	DurationNs uint64
-	// SpinNs/YieldNs/ParkNs break the attempt's wait time down by stall
-	// phase (on-CPU spin, scheduler yield, timed park) — the time-domain
-	// companions of Yields/Parks; see the attribution note in wait.go.
-	SpinNs  uint64
-	YieldNs uint64
-	ParkNs  uint64
-}
-
-// TxTracer receives one event per transaction attempt. Implementations
-// must be safe for concurrent use and should be cheap: the engine calls
-// TraceAttempt inline on every attempt of every thread while tracing is
-// enabled.
-type TxTracer interface {
-	TraceAttempt(ev AttemptEvent)
-}
-
-// txTracerBox wraps the interface so the engine can store it in an
-// atomic.Pointer (interfaces are two words and not directly atomic).
-type txTracerBox struct{ t TxTracer }
-
-// SetTracer installs (or, with nil, removes) the attempt tracer.
-func (e *Engine) SetTracer(t TxTracer) {
-	if t == nil {
-		e.tracer.Store(nil)
-		return
-	}
-	e.tracer.Store(&txTracerBox{t: t})
 }
 
 // backoff performs randomized exponential backoff between attempts; the

@@ -49,7 +49,7 @@ func TestLoadStoreRoundTrip(t *testing.T) {
 	for name, cfg := range allModeConfigs() {
 		t.Run(name, func(t *testing.T) {
 			e := newTestEngine(t, cfg)
-			th := e.MustAttachThread()
+			th := e.BorrowThread()
 			var a memory.Addr
 			th.Run(func(tx *Tx) error {
 				a = tx.Alloc(memory.DefaultSite, 4)
@@ -78,7 +78,7 @@ func TestAbortDiscardsWrites(t *testing.T) {
 	for name, cfg := range allModeConfigs() {
 		t.Run(name, func(t *testing.T) {
 			e := newTestEngine(t, cfg)
-			th := e.MustAttachThread()
+			th := e.BorrowThread()
 			var a memory.Addr
 			th.Run(func(tx *Tx) error {
 				a = tx.Alloc(memory.DefaultSite, 1)
@@ -103,7 +103,7 @@ func TestAbortDiscardsWrites(t *testing.T) {
 }
 
 // TestUserPanicRollsBackAndPropagates pins what a panic in fn leaves
-// behind, on a pinned Thread and through the pool: the panic reaches the
+// behind, on a borrowed Thread and through RunPooled: the panic reaches the
 // caller, the write is undone, the thread is reusable, and no quiescence
 // (here Reconfigure) waits on the panicked slot.
 func TestUserPanicRollsBackAndPropagates(t *testing.T) {
@@ -114,7 +114,7 @@ func TestUserPanicRollsBackAndPropagates(t *testing.T) {
 			e := newTestEngine(t, cfg)
 			run := e.RunPooled
 			if !pooled {
-				run = e.MustAttachThread().Run
+				run = e.BorrowThread().Run
 			}
 			var a memory.Addr
 			run(func(tx *Tx) error {
@@ -157,7 +157,7 @@ func TestUserPanicRollsBackAndPropagates(t *testing.T) {
 
 func TestReadOnlyUpgrade(t *testing.T) {
 	e := newTestEngine(t, DefaultPartConfig())
-	th := e.MustAttachThread()
+	th := e.BorrowThread()
 	var a memory.Addr
 	th.Run(func(tx *Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)
@@ -189,22 +189,22 @@ func TestConcurrentCounter(t *testing.T) {
 	for name, cfg := range allModeConfigs() {
 		t.Run(name, func(t *testing.T) {
 			e := newTestEngine(t, cfg)
-			setup := e.MustAttachThread()
+			setup := e.BorrowThread()
 			var a memory.Addr
 			setup.Run(func(tx *Tx) error {
 				a = tx.Alloc(memory.DefaultSite, 1)
 				tx.Store(a, 0)
 				return nil
 			})
-			e.DetachThread(setup)
+			e.ReturnThread(setup)
 
 			var wg sync.WaitGroup
 			for g := 0; g < goroutines; g++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					th := e.MustAttachThread()
-					defer e.DetachThread(th)
+					th := e.BorrowThread()
+					defer e.ReturnThread(th)
 					for i := 0; i < perG; i++ {
 						th.Run(func(tx *Tx) error {
 							tx.Store(a, tx.Load(a)+1)
@@ -215,7 +215,7 @@ func TestConcurrentCounter(t *testing.T) {
 			}
 			wg.Wait()
 
-			check := e.MustAttachThread()
+			check := e.BorrowThread()
 			check.Run(func(tx *Tx) error {
 				if got := tx.Load(a); got != goroutines*perG {
 					t.Errorf("counter = %d, want %d", got, goroutines*perG)
@@ -240,7 +240,7 @@ func TestSnapshotConsistency(t *testing.T) {
 	for name, cfg := range allModeConfigs() {
 		t.Run(name, func(t *testing.T) {
 			e := newTestEngine(t, cfg)
-			setup := e.MustAttachThread()
+			setup := e.BorrowThread()
 			var base memory.Addr
 			setup.Run(func(tx *Tx) error {
 				base = tx.Alloc(memory.DefaultSite, slots)
@@ -249,7 +249,7 @@ func TestSnapshotConsistency(t *testing.T) {
 				}
 				return nil
 			})
-			e.DetachThread(setup)
+			e.ReturnThread(setup)
 
 			var writerWG, readerWG sync.WaitGroup
 			stop := make(chan struct{})
@@ -257,8 +257,8 @@ func TestSnapshotConsistency(t *testing.T) {
 				writerWG.Add(1)
 				go func(seed uint64) {
 					defer writerWG.Done()
-					th := e.MustAttachThread()
-					defer e.DetachThread(th)
+					th := e.BorrowThread()
+					defer e.ReturnThread(th)
 					rng := seed*2654435761 + 1
 					for i := 0; i < transfer; i++ {
 						rng ^= rng << 13
@@ -283,8 +283,8 @@ func TestSnapshotConsistency(t *testing.T) {
 				readerWG.Add(1)
 				go func() {
 					defer readerWG.Done()
-					th := e.MustAttachThread()
-					defer e.DetachThread(th)
+					th := e.BorrowThread()
+					defer e.ReturnThread(th)
 					for {
 						select {
 						case <-stop:

@@ -20,7 +20,7 @@ func TestKillStorm(t *testing.T) {
 			cfg.Read = read
 			e := newTestEngine(t, cfg)
 			e.SetYieldEveryOps(4) // let the assassin interleave on one CPU
-			victim := e.MustAttachThread()
+			victim := e.BorrowThread()
 			var a memory.Addr
 			victim.Run(func(tx *Tx) error {
 				a = tx.Alloc(memory.DefaultSite, 1)
@@ -89,7 +89,7 @@ func assertCleanOrecs(t *testing.T, e *Engine) {
 func TestReconfigStorm(t *testing.T) {
 	e := newTestEngine(t, DefaultPartConfig())
 	e.SetYieldEveryOps(4)
-	setup := e.MustAttachThread()
+	setup := e.BorrowThread()
 	const slots = 64
 	var base memory.Addr
 	setup.Run(func(tx *Tx) error {
@@ -99,15 +99,15 @@ func TestReconfigStorm(t *testing.T) {
 		}
 		return nil
 	})
-	e.DetachThread(setup)
+	e.ReturnThread(setup)
 
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
 		go func(seed uint64) {
 			defer wg.Done()
-			th := e.MustAttachThread()
-			defer e.DetachThread(th)
+			th := e.BorrowThread()
+			defer e.ReturnThread(th)
 			rng := seed
 			for i := 0; i < 3000; i++ {
 				rng ^= rng << 13
@@ -158,8 +158,8 @@ func TestReconfigStorm(t *testing.T) {
 	close(done)
 	rwg.Wait()
 
-	check := e.MustAttachThread()
-	defer e.DetachThread(check)
+	check := e.BorrowThread()
+	defer e.ReturnThread(check)
 	check.Run(func(tx *Tx) error {
 		var sum uint64
 		for i := 0; i < slots; i++ {
@@ -178,7 +178,7 @@ func TestReconfigStorm(t *testing.T) {
 // address).
 func TestAllocAbortRecycles(t *testing.T) {
 	e := newTestEngine(t, DefaultPartConfig())
-	th := e.MustAttachThread()
+	th := e.BorrowThread()
 	var firstAttempt memory.Addr
 	attempt := 0
 	th.Run(func(tx *Tx) error {
@@ -204,7 +204,7 @@ func TestAllocAbortRecycles(t *testing.T) {
 // reclaim pass sees the horizon move past the freeing commit.
 func TestFreeRecyclesAfterCommit(t *testing.T) {
 	e := newTestEngine(t, DefaultPartConfig())
-	th := e.MustAttachThread()
+	th := e.BorrowThread()
 	var a memory.Addr
 	th.Run(func(tx *Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 7)
@@ -224,7 +224,7 @@ func TestFreeRecyclesAfterCommit(t *testing.T) {
 	// Free in a committed tx: must recycle once reclaimed. No transaction
 	// is live here, so the horizon is idle and one drain suffices.
 	th.Run(func(tx *Tx) error { tx.Free(a, 7); return nil })
-	th.Reclaim()
+	th.alloc.Reclaim(e.Horizon())
 	var c memory.Addr
 	th.Run(func(tx *Tx) error { c = tx.Alloc(memory.DefaultSite, 7); return nil })
 	if c != a {
@@ -239,7 +239,7 @@ func TestSequentialSemanticsProperty(t *testing.T) {
 	for name, cfg := range allModeConfigs() {
 		t.Run(name, func(t *testing.T) {
 			e := newTestEngine(t, cfg)
-			th := e.MustAttachThread()
+			th := e.BorrowThread()
 			const slots = 32
 			var base memory.Addr
 			th.Run(func(tx *Tx) error {
@@ -274,8 +274,8 @@ func TestSequentialSemanticsProperty(t *testing.T) {
 // decreases across extensions.
 func TestSnapshotMonotonic(t *testing.T) {
 	e := newTestEngine(t, DefaultPartConfig())
-	th := e.MustAttachThread()
-	other := e.MustAttachThread()
+	th := e.BorrowThread()
+	other := e.BorrowThread()
 	var a, b memory.Addr
 	th.Run(func(tx *Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)

@@ -34,8 +34,8 @@ func TestReadSetBoundedByFootprint(t *testing.T) {
 			cfg := DefaultPartConfig()
 			cfg.GranShift = tc.granShift
 			e := newTestEngine(t, cfg)
-			th := e.MustAttachThread()
-			defer e.DetachThread(th)
+			th := e.BorrowThread()
+			defer e.ReturnThread(th)
 			var base memory.Addr
 			th.Run(func(tx *Tx) error {
 				base = tx.Alloc(memory.SiteID(0), tc.words)
@@ -85,8 +85,8 @@ func TestWriteSetDedupAllModes(t *testing.T) {
 				cfg := DefaultPartConfig()
 				m.mut(&cfg)
 				e := newTestEngine(t, cfg)
-				th := e.MustAttachThread()
-				defer e.DetachThread(th)
+				th := e.BorrowThread()
+				defer e.ReturnThread(th)
 				var base memory.Addr
 				th.Run(func(tx *Tx) error {
 					base = tx.Alloc(memory.SiteID(0), words)
@@ -165,7 +165,7 @@ func TestInstallPlanStatsRace(t *testing.T) {
 	sa := sites.Register("race.a")
 	sb := sites.Register("race.b")
 	var addrs [2]memory.Addr
-	setup := e.MustAttachThread()
+	setup := e.BorrowThread()
 	setup.Run(func(tx *Tx) error {
 		addrs[0] = tx.Alloc(sa, 4)
 		addrs[1] = tx.Alloc(sb, 4)
@@ -176,7 +176,7 @@ func TestInstallPlanStatsRace(t *testing.T) {
 		}
 		return nil
 	})
-	e.DetachThread(setup)
+	e.ReturnThread(setup)
 
 	var before PartStats
 	for _, s := range e.AllStats() {
@@ -192,8 +192,8 @@ func TestInstallPlanStatsRace(t *testing.T) {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
-			th := e.MustAttachThread()
-			defer e.DetachThread(th)
+			th := e.BorrowThread()
+			defer e.ReturnThread(th)
 			rng := rand.New(rand.NewSource(seed))
 			for {
 				select {
@@ -265,7 +265,7 @@ func TestInstallPlanPreservesStats(t *testing.T) {
 	e := newTestEngine(t, DefaultPartConfig())
 	sites := e.Arena().Sites()
 	sa := sites.Register("keep.a")
-	th := e.MustAttachThread()
+	th := e.BorrowThread()
 	var a memory.Addr
 	th.Run(func(tx *Tx) error {
 		a = tx.Alloc(sa, 1)
@@ -336,7 +336,7 @@ func TestInstallPlanPreservesStats(t *testing.T) {
 	if aborts != 1 {
 		t.Fatalf("explicit aborts = %d after the install, want 1", aborts)
 	}
-	e.DetachThread(th)
+	e.ReturnThread(th)
 	c4, _ := total()
 	if c4 < c1+100 {
 		t.Fatalf("post-install commits not accumulating: %d -> %d", c1, c4)
@@ -359,8 +359,8 @@ func TestStatsExactAcrossAttempts(t *testing.T) {
 		[]PartConfig{DefaultPartConfig(), DefaultPartConfig(), DefaultPartConfig()}); err != nil {
 		t.Fatal(err)
 	}
-	th := e.MustAttachThread()
-	defer e.DetachThread(th)
+	th := e.BorrowThread()
+	defer e.ReturnThread(th)
 	var a, b memory.Addr
 	th.Run(func(tx *Tx) error {
 		a = tx.Alloc(sa, 8)
@@ -476,7 +476,7 @@ func TestTortureWriteModes(t *testing.T) {
 			const cells = 64
 			const initVal = 1000
 			var base memory.Addr
-			setup := e.MustAttachThread()
+			setup := e.BorrowThread()
 			setup.Run(func(tx *Tx) error {
 				base = tx.Alloc(memory.SiteID(0), cells)
 				for i := 0; i < cells; i++ {
@@ -484,7 +484,7 @@ func TestTortureWriteModes(t *testing.T) {
 				}
 				return nil
 			})
-			e.DetachThread(setup)
+			e.ReturnThread(setup)
 			const wantTotal = cells * initVal
 
 			stop := make(chan struct{})
@@ -494,8 +494,8 @@ func TestTortureWriteModes(t *testing.T) {
 				wg.Add(1)
 				go func(seed int64) {
 					defer wg.Done()
-					th := e.MustAttachThread()
-					defer e.DetachThread(th)
+					th := e.BorrowThread()
+					defer e.ReturnThread(th)
 					rng := rand.New(rand.NewSource(seed))
 					for {
 						select {
@@ -543,8 +543,8 @@ func TestTortureWriteModes(t *testing.T) {
 			if n := badSum.Load(); n != 0 {
 				t.Fatalf("%d scans observed a broken sum", n)
 			}
-			check := e.MustAttachThread()
-			defer e.DetachThread(check)
+			check := e.BorrowThread()
+			defer e.ReturnThread(check)
 			check.Run(func(tx *Tx) error {
 				var sum uint64
 				for i := 0; i < cells; i++ {

@@ -15,22 +15,22 @@ func TestMaxAttemptsErrorLockConflict(t *testing.T) {
 	cfg.CM = CMSuicide // abort immediately on lock conflict, no waiting
 	e := newTestEngine(t, cfg)
 
-	setup := e.MustAttachThread()
+	setup := e.BorrowThread()
 	var a memory.Addr
 	setup.Run(func(tx *Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)
 		tx.Store(a, 0)
 		return nil
 	})
-	e.DetachThread(setup)
+	e.ReturnThread(setup)
 
 	held := make(chan struct{})
 	release := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		th := e.MustAttachThread()
-		defer e.DetachThread(th)
+		th := e.BorrowThread()
+		defer e.ReturnThread(th)
 		th.Run(func(tx *Tx) error {
 			tx.Store(a, 1) // encounter-time lock taken here
 			close(held)
@@ -40,8 +40,8 @@ func TestMaxAttemptsErrorLockConflict(t *testing.T) {
 	}()
 	<-held
 
-	th := e.MustAttachThread()
-	defer e.DetachThread(th)
+	th := e.BorrowThread()
+	defer e.ReturnThread(th)
 	err := th.Run(func(tx *Tx) error {
 		tx.Store(a, 2)
 		return nil
@@ -69,16 +69,16 @@ func TestMaxAttemptsErrorLockConflict(t *testing.T) {
 // flavors are distinguishable from the error alone.
 func TestMaxAttemptsErrorKilled(t *testing.T) {
 	e := newTestEngine(t, DefaultPartConfig())
-	setup := e.MustAttachThread()
+	setup := e.BorrowThread()
 	var a memory.Addr
 	setup.Run(func(tx *Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)
 		return nil
 	})
-	e.DetachThread(setup)
+	e.ReturnThread(setup)
 
-	th := e.MustAttachThread()
-	defer e.DetachThread(th)
+	th := e.BorrowThread()
+	defer e.ReturnThread(th)
 	err := th.Run(func(tx *Tx) error {
 		tx.th.kill() // simulate a CM kill landing mid-attempt
 		tx.Store(a, 1)

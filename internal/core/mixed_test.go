@@ -49,7 +49,7 @@ func installFourConfigPlan(t *testing.T) (*Engine, [4]memory.SiteID) {
 // timeline across heterogeneous protocols.
 func TestFourConfigRingConservation(t *testing.T) {
 	e, s := installFourConfigPlan(t)
-	setup := e.MustAttachThread()
+	setup := e.BorrowThread()
 	var cells [4]memory.Addr
 	const perCell = 1000
 	setup.Run(func(tx *Tx) error {
@@ -59,7 +59,7 @@ func TestFourConfigRingConservation(t *testing.T) {
 		}
 		return nil
 	})
-	e.DetachThread(setup)
+	e.ReturnThread(setup)
 
 	const workers, iters = 6, 1500
 	var bad atomic.Uint64
@@ -68,8 +68,8 @@ func TestFourConfigRingConservation(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			th := e.MustAttachThread()
-			defer e.DetachThread(th)
+			th := e.BorrowThread()
+			defer e.ReturnThread(th)
 			for i := 0; i < iters; i++ {
 				if id%3 == 2 {
 					th.Run(func(tx *Tx) error {
@@ -102,7 +102,7 @@ func TestFourConfigRingConservation(t *testing.T) {
 	if n := bad.Load(); n != 0 {
 		t.Fatalf("%d auditors saw a broken four-partition sum", n)
 	}
-	check := e.MustAttachThread()
+	check := e.BorrowThread()
 	check.Run(func(tx *Tx) error {
 		var sum uint64
 		for _, c := range cells {
@@ -124,7 +124,7 @@ func TestGranularityAliasingCorrectness(t *testing.T) {
 	cfg.LockBits = 2
 	cfg.GranShift = 4
 	e := newTestEngine(t, cfg)
-	setup := e.MustAttachThread()
+	setup := e.BorrowThread()
 	const slots = 64
 	var base memory.Addr
 	setup.Run(func(tx *Tx) error {
@@ -134,7 +134,7 @@ func TestGranularityAliasingCorrectness(t *testing.T) {
 		}
 		return nil
 	})
-	e.DetachThread(setup)
+	e.ReturnThread(setup)
 
 	const workers, perW = 8, 500
 	var wg sync.WaitGroup
@@ -142,8 +142,8 @@ func TestGranularityAliasingCorrectness(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			th := e.MustAttachThread()
-			defer e.DetachThread(th)
+			th := e.BorrowThread()
+			defer e.ReturnThread(th)
 			for i := 0; i < perW; i++ {
 				slot := memory.Addr((id*perW + i) % slots)
 				th.Run(func(tx *Tx) error {
@@ -154,7 +154,7 @@ func TestGranularityAliasingCorrectness(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	check := e.MustAttachThread()
+	check := e.BorrowThread()
 	check.Run(func(tx *Tx) error {
 		var sum uint64
 		for i := 0; i < slots; i++ {
@@ -174,7 +174,7 @@ func TestCTLSymmetricOrders(t *testing.T) {
 	cfg := DefaultPartConfig()
 	cfg.Acquire = CommitTime
 	e := newTestEngine(t, cfg)
-	setup := e.MustAttachThread()
+	setup := e.BorrowThread()
 	var a, b memory.Addr
 	setup.Run(func(tx *Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)
@@ -183,7 +183,7 @@ func TestCTLSymmetricOrders(t *testing.T) {
 		tx.Store(b, 0)
 		return nil
 	})
-	e.DetachThread(setup)
+	e.ReturnThread(setup)
 
 	const workers, perW = 6, 1000
 	var wg sync.WaitGroup
@@ -191,8 +191,8 @@ func TestCTLSymmetricOrders(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			th := e.MustAttachThread()
-			defer e.DetachThread(th)
+			th := e.BorrowThread()
+			defer e.ReturnThread(th)
 			for i := 0; i < perW; i++ {
 				if id%2 == 0 {
 					th.Run(func(tx *Tx) error {
@@ -211,7 +211,7 @@ func TestCTLSymmetricOrders(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	check := e.MustAttachThread()
+	check := e.BorrowThread()
 	check.Run(func(tx *Tx) error {
 		va, vb := tx.Load(a), tx.Load(b)
 		if va != workers*perW || vb != workers*perW {
@@ -228,8 +228,8 @@ func TestWriteThroughUndoVisibility(t *testing.T) {
 	cfg := DefaultPartConfig()
 	cfg.Write = WriteThrough
 	e := newTestEngine(t, cfg)
-	th := e.MustAttachThread()
-	defer e.DetachThread(th)
+	th := e.BorrowThread()
+	defer e.ReturnThread(th)
 	var a memory.Addr
 	th.Run(func(tx *Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)
@@ -262,7 +262,7 @@ func TestWriteThroughUndoVisibility(t *testing.T) {
 // see the two words equal (single snapshot across modes).
 func TestMixedVisibilityOpacity(t *testing.T) {
 	e, s := installFourConfigPlan(t)
-	setup := e.MustAttachThread()
+	setup := e.BorrowThread()
 	var inv, vis memory.Addr
 	setup.Run(func(tx *Tx) error {
 		inv = tx.Alloc(s[0], 1) // invisible/WB partition
@@ -271,15 +271,15 @@ func TestMixedVisibilityOpacity(t *testing.T) {
 		tx.Store(vis, 0)
 		return nil
 	})
-	e.DetachThread(setup)
+	e.ReturnThread(setup)
 
 	stop := make(chan struct{})
 	var writerWg, wg sync.WaitGroup
 	writerWg.Add(1)
 	go func() {
 		defer writerWg.Done()
-		th := e.MustAttachThread()
-		defer e.DetachThread(th)
+		th := e.BorrowThread()
+		defer e.ReturnThread(th)
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
@@ -300,8 +300,8 @@ func TestMixedVisibilityOpacity(t *testing.T) {
 		wg.Add(1)
 		go func(flip bool) {
 			defer wg.Done()
-			th := e.MustAttachThread()
-			defer e.DetachThread(th)
+			th := e.BorrowThread()
+			defer e.ReturnThread(th)
 			for i := 0; i < 2000; i++ {
 				th.Run(func(tx *Tx) error {
 					var x, y uint64
@@ -331,8 +331,8 @@ func TestMixedVisibilityOpacity(t *testing.T) {
 // exactly the balance a plain model computes.
 func TestMixedModeSequentialEquivalence(t *testing.T) {
 	e, s := installFourConfigPlan(t)
-	th := e.MustAttachThread()
-	defer e.DetachThread(th)
+	th := e.BorrowThread()
+	defer e.ReturnThread(th)
 	var cells [4]memory.Addr
 	th.Run(func(tx *Tx) error {
 		for i, site := range s {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/memory"
 )
@@ -26,7 +27,7 @@ func TestInstallPlanRoutesSitesToPartitions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	th := e.MustAttachThread()
+	th := e.BorrowThread()
 	var aA, aB, aD memory.Addr
 	th.Run(func(tx *Tx) error {
 		aA = tx.Alloc(sA, 2)
@@ -83,7 +84,7 @@ func TestCrossPartitionAtomicity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	setup := e.MustAttachThread()
+	setup := e.BorrowThread()
 	var accA, accB memory.Addr
 	setup.Run(func(tx *Tx) error {
 		accA = tx.Alloc(sA, 1)
@@ -92,7 +93,7 @@ func TestCrossPartitionAtomicity(t *testing.T) {
 		tx.Store(accB, 10000)
 		return nil
 	})
-	e.DetachThread(setup)
+	e.ReturnThread(setup)
 
 	const workers = 6
 	const iters = 2000
@@ -102,8 +103,8 @@ func TestCrossPartitionAtomicity(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			th := e.MustAttachThread()
-			defer e.DetachThread(th)
+			th := e.BorrowThread()
+			defer e.ReturnThread(th)
 			for i := 0; i < iters; i++ {
 				if id%2 == 0 {
 					th.Run(func(tx *Tx) error {
@@ -132,7 +133,7 @@ func TestCrossPartitionAtomicity(t *testing.T) {
 		t.Fatalf("%d transactions observed a broken cross-partition sum", n)
 	}
 	var final uint64
-	check := e.MustAttachThread()
+	check := e.BorrowThread()
 	check.Run(func(tx *Tx) error { final = tx.Load(accA) + tx.Load(accB); return nil })
 	if final != 20000 {
 		t.Fatalf("final sum = %d, want 20000", final)
@@ -143,14 +144,14 @@ func TestReconfigureUnderLoad(t *testing.T) {
 	// Flip the global partition between configurations while workers hammer
 	// a counter; the count must be exact and the engine must not deadlock.
 	e := newTestEngine(t, DefaultPartConfig())
-	setup := e.MustAttachThread()
+	setup := e.BorrowThread()
 	var a memory.Addr
 	setup.Run(func(tx *Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)
 		tx.Store(a, 0)
 		return nil
 	})
-	e.DetachThread(setup)
+	e.ReturnThread(setup)
 	e.SetYieldEveryOps(4) // interleave inside transactions on one CPU too
 
 	// Event-driven in both directions, so the outcome does not depend on
@@ -166,8 +167,8 @@ func TestReconfigureUnderLoad(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			th := e.MustAttachThread()
-			defer e.DetachThread(th)
+			th := e.BorrowThread()
+			defer e.ReturnThread(th)
 			for reconfigs.Load() < wantReconfigs {
 				th.Run(func(tx *Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 				committed.Add(1)
@@ -198,7 +199,7 @@ func TestReconfigureUnderLoad(t *testing.T) {
 	if got := e.STWCount(); got == 0 {
 		t.Fatal("STWCount = 0")
 	}
-	check := e.MustAttachThread()
+	check := e.BorrowThread()
 	check.Run(func(tx *Tx) error {
 		if got := tx.Load(a); got != uint64(committed.Load()) {
 			t.Errorf("counter = %d, want %d (lost updates across reconfiguration)", got, committed.Load())
@@ -233,7 +234,7 @@ func TestGenerationAdvances(t *testing.T) {
 
 func TestStatsAccounting(t *testing.T) {
 	e := newTestEngine(t, DefaultPartConfig())
-	th := e.MustAttachThread()
+	th := e.BorrowThread()
 	var a memory.Addr
 	th.Run(func(tx *Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)
@@ -292,7 +293,7 @@ func TestAdvanceClockStress(t *testing.T) {
 	// Jump the clock far ahead; transactions must keep working (snapshot
 	// extension against large timestamps).
 	e := newTestEngine(t, DefaultPartConfig())
-	th := e.MustAttachThread()
+	th := e.BorrowThread()
 	var a memory.Addr
 	th.Run(func(tx *Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)
@@ -312,28 +313,34 @@ func TestAdvanceClockStress(t *testing.T) {
 	}
 }
 
+// TestThreadSlotExhaustionAndReuse: the pool creates at most MaxThreads
+// Threads; a borrow beyond them parks until a Thread comes back, and then
+// gets that very Thread.
 func TestThreadSlotExhaustionAndReuse(t *testing.T) {
 	e := newTestEngine(t, DefaultPartConfig())
 	var ths []*Thread
 	for i := 0; i < MaxThreads; i++ {
-		ths = append(ths, e.MustAttachThread())
+		ths = append(ths, e.BorrowThread())
 	}
-	if _, err := e.AttachThread(); err == nil {
-		t.Fatal("65th attach succeeded")
+	if ps := e.PoolStats(); ps.Size != MaxThreads || ps.Idle != 0 {
+		t.Fatalf("pool after %d borrows: %+v", MaxThreads, ps)
 	}
-	e.DetachThread(ths[10])
-	th, err := e.AttachThread()
-	if err != nil {
-		t.Fatalf("reattach after detach: %v", err)
+	got := make(chan *Thread)
+	go func() { got <- e.BorrowThread() }()
+	select {
+	case th := <-got:
+		t.Fatalf("borrow %d got slot %d with every slot busy", MaxThreads+1, th.slot)
+	case <-time.After(20 * time.Millisecond):
 	}
-	if th.Slot() != 10 {
-		t.Fatalf("reused slot = %d, want 10", th.Slot())
+	e.ReturnThread(ths[10])
+	if th := <-got; th != ths[10] || th.slot != 10 {
+		t.Fatalf("parked borrow got slot %d, want the returned slot 10", th.slot)
 	}
 }
 
 func TestExplicitAbortRetries(t *testing.T) {
 	e := newTestEngine(t, DefaultPartConfig())
-	th := e.MustAttachThread()
+	th := e.BorrowThread()
 	var a memory.Addr
 	th.Run(func(tx *Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)

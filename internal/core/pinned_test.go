@@ -20,8 +20,8 @@ const pinObjWords = 8
 func pinObjects(t testing.TB, e *Engine, n int, balance uint64) []memory.Addr {
 	t.Helper()
 	objs := make([]memory.Addr, n)
-	th := e.MustAttachThread()
-	defer e.DetachThread(th)
+	th := e.BorrowThread()
+	defer e.ReturnThread(th)
 	for base := 0; base < n; base += 64 {
 		th.Run(func(tx *Tx) error {
 			for i := base; i < min(base+64, n); i++ {
@@ -44,8 +44,8 @@ func startTransfers(e *Engine, objs []memory.Addr) (budget *atomic.Int64, stop f
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		th := e.MustAttachThread()
-		defer e.DetachThread(th)
+		th := e.BorrowThread()
+		defer e.ReturnThread(th)
 		rng := rand.New(rand.NewSource(1))
 		var a, b [pinObjWords]uint64
 		for !halt.Load() {
@@ -80,8 +80,8 @@ func TestPinnedScanKeepsNoReadSet(t *testing.T) {
 	e := newTestEngine(t, cfg)
 	const objects, balance = 4096, 1 << 20
 	objs := pinObjects(t, e, objects, balance)
-	th := e.MustAttachThread()
-	defer e.DetachThread(th)
+	th := e.BorrowThread()
+	defer e.ReturnThread(th)
 
 	var words [pinObjWords]uint64
 	var sum uint64
@@ -133,9 +133,9 @@ func TestPinnedScanKeepsNoReadSet(t *testing.T) {
 func TestSnapshotWithoutStoreStillLogs(t *testing.T) {
 	const cells = 32
 	e, base := snapTestSetup(t, DefaultPartConfig(), cells, 7)
-	reader, writer := e.MustAttachThread(), e.MustAttachThread()
-	defer e.DetachThread(reader)
-	defer e.DetachThread(writer)
+	reader, writer := e.BorrowThread(), e.BorrowThread()
+	defer e.ReturnThread(reader)
+	defer e.ReturnThread(writer)
 
 	attempts := 0
 	err := reader.Run(func(tx *Tx) error {
@@ -185,8 +185,8 @@ func TestPinnedMissDegradesToLogging(t *testing.T) {
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		th := e.MustAttachThread()
-		defer e.DetachThread(th)
+		th := e.BorrowThread()
+		defer e.ReturnThread(th)
 		rng := rand.New(rand.NewSource(1))
 		for !halt.Load() {
 			i, j := memory.Addr(rng.Intn(cells)), memory.Addr(rng.Intn(cells))
@@ -200,7 +200,7 @@ func TestPinnedMissDegradesToLogging(t *testing.T) {
 		}
 	}()
 
-	th := e.MustAttachThread()
+	th := e.BorrowThread()
 	var sum uint64
 	attempt, retriesDone, loggedRetries := 0, 0, 0
 	body := func(tx *Tx) error {
@@ -242,7 +242,7 @@ func TestPinnedMissDegradesToLogging(t *testing.T) {
 	}
 	halt.Store(true)
 	<-writerDone
-	e.DetachThread(th)
+	e.ReturnThread(th)
 
 	if loggedRetries == 0 {
 		t.Errorf("none of %d completed retries had a read set", retriesDone)
@@ -272,9 +272,9 @@ func TestMixedFootprintNeverExtendsOnceUnlogged(t *testing.T) {
 	if err := e.InstallPlan(sitePart, []string{"g", "backed", "bare"}, cfgs); err != nil {
 		t.Fatal(err)
 	}
-	reader, writer := e.MustAttachThread(), e.MustAttachThread()
-	defer e.DetachThread(reader)
-	defer e.DetachThread(writer)
+	reader, writer := e.BorrowThread(), e.BorrowThread()
+	defer e.ReturnThread(reader)
+	defer e.ReturnThread(writer)
 	var backed, bare memory.Addr
 	writer.Run(func(tx *Tx) error {
 		backed, bare = tx.Alloc(backedSite, 1), tx.Alloc(bareSite, 2)
@@ -349,9 +349,9 @@ func TestSnapshotPartialObjectWrite(t *testing.T) {
 	cfg.HistCap = 1 << 10
 	e := newTestEngine(t, cfg)
 	obj := pinObjects(t, e, 1, 100)[0]
-	reader, writer := e.MustAttachThread(), e.MustAttachThread()
-	defer e.DetachThread(reader)
-	defer e.DetachThread(writer)
+	reader, writer := e.BorrowThread(), e.BorrowThread()
+	defer e.ReturnThread(reader)
+	defer e.ReturnThread(writer)
 
 	var got [pinObjWords]uint64
 	attempts := 0

@@ -4,6 +4,8 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/memory"
 )
 
 // This file implements the engine's Thread slot pool: the machinery that
@@ -28,11 +30,10 @@ import (
 //     pooled Thread), the overflow level behind the cache. A borrow
 //     claims a specific bit with CAS; a return sets it back with an
 //     atomic OR.
-//   - Pooled Threads are created lazily, one registry slot at a time
-//     under the registry lock, only when cache and bitmap are empty — so
-//     pinned AttachThread workers and the pool share the same 64 slots
-//     and all engine machinery (reader bitmaps, kill, quiescence, stats)
-//     sees pooled Threads as ordinary attached threads.
+//   - Threads are created lazily, one registry slot at a time under the
+//     registry lock, only when cache and bitmap are empty, and are never
+//     destroyed: a slot, once created, belongs to the pool for the
+//     engine's lifetime.
 //
 // When every slot is busy a borrower parks on a FIFO waiter queue and a
 // returning Thread is handed to the oldest waiter directly — admission
@@ -77,9 +78,6 @@ func (e *Engine) BorrowThread() *Thread {
 // either this return sees the waiter's count and wakes it, or the
 // waiter's re-claim sees this return's slot — a wakeup cannot be lost.
 func (e *Engine) ReturnThread(th *Thread) {
-	if th == nil || !th.pooled {
-		panic("core: ReturnThread on a Thread not borrowed from the pool")
-	}
 	// Epoch hygiene: a returned slot is outside any transaction, so its
 	// published reclamation stamp must be idle. finish() already cleared it
 	// on every exit path; this defensive clear guarantees a parked pooled
@@ -147,8 +145,7 @@ func (e *Engine) wakeWaiter() {
 // RunPooled runs fn as a transaction on a Thread borrowed from the slot
 // pool, in the mode selected by opts (see Run). It is the goroutine-
 // native entrypoint: safe to call from any goroutine, with admission
-// control (FIFO waiting) instead of attach failures when all slots are
-// busy.
+// control (FIFO waiting) when all slots are busy.
 func (e *Engine) RunPooled(fn func(*Tx) error, opts ...TxOpt) error {
 	th := e.BorrowThread()
 	defer e.ReturnThread(th)
@@ -176,17 +173,25 @@ func (e *Engine) claimAnyFree() *Thread {
 	}
 }
 
-// growPool attaches one more pooled Thread (claimed by the caller), or
-// returns nil when the registry is full — pinned threads and pooled
-// threads share the MaxThreads slots.
+// growPool creates the Thread of the next unused registry slot (claimed
+// by the caller), or returns nil when all MaxThreads slots exist.
 func (e *Engine) growPool() *Thread {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	th, err := e.attachLocked()
-	if err != nil {
+	slot := int(e.poolSize.Load())
+	if slot == MaxThreads {
 		return nil
 	}
-	th.pooled = true
+	th := &Thread{
+		eng:   e,
+		slot:  slot,
+		alloc: memory.NewAllocator(e.arena),
+		rng:   uint64(slot)*0x9E3779B97F4A7C15 + 0x1234567,
+	}
+	st := make([]PartThreadStats, len(e.topo.Load().parts))
+	th.stats.Store(&st)
+	th.tx.init(e, th)
+	e.threads[slot].Store(th)
 	e.poolSize.Add(1)
 	return th
 }
@@ -233,8 +238,8 @@ func (e *Engine) cancelWaiter(ch chan *Thread) bool {
 
 // PoolStats is a momentary reading of the slot pool.
 type PoolStats struct {
-	// Size is the number of pooled Threads created so far (they are never
-	// destroyed; at most MaxThreads minus pinned attachments).
+	// Size is the number of Threads created so far (they are never
+	// destroyed; at most MaxThreads).
 	Size int
 	// Idle is the number of pooled Threads currently idle (victim cache
 	// plus free bitmap).

@@ -13,8 +13,8 @@ import (
 // poolCounter allocates a one-word counter for the pool tests.
 func poolCounter(t *testing.T, e *Engine) memory.Addr {
 	t.Helper()
-	th := e.MustAttachThread()
-	defer e.DetachThread(th)
+	th := e.BorrowThread()
+	defer e.ReturnThread(th)
 	var a memory.Addr
 	th.Run(func(tx *Tx) error {
 		a = tx.Alloc(memory.SiteID(0), 1)
@@ -159,21 +159,21 @@ func TestPooledRunTortureMixedModes(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPooledRunHandsOffToWaiter drives the pool into saturation with the
-// registry otherwise full, proving waiters are served by direct handoff
-// rather than failing.
+// TestPooledRunHandsOffToWaiter drives the pool into saturation with all
+// slots but one held, proving waiters are served by direct handoff rather
+// than failing.
 func TestPooledRunHandsOffToWaiter(t *testing.T) {
 	e := newTestEngine(t, DefaultPartConfig())
 	a := poolCounter(t, e)
-	// Pin all slots but one, so the pool can hold at most one Thread and
-	// every concurrent Run beyond the first must park.
-	pinned := make([]*Thread, 0, MaxThreads-1)
+	// Hold all slots but one, so every concurrent Run beyond the first
+	// must park.
+	held := make([]*Thread, 0, MaxThreads-1)
 	for i := 0; i < MaxThreads-1; i++ {
-		pinned = append(pinned, e.MustAttachThread())
+		held = append(held, e.BorrowThread())
 	}
 	defer func() {
-		for _, th := range pinned {
-			e.DetachThread(th)
+		for _, th := range held {
+			e.ReturnThread(th)
 		}
 	}()
 	const goroutines = 8
@@ -194,28 +194,14 @@ func TestPooledRunHandsOffToWaiter(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if ps := e.PoolStats(); ps.Size != 1 {
-		t.Fatalf("pool size = %d with one free registry slot", ps.Size)
+	if ps := e.PoolStats(); ps.Size != MaxThreads {
+		t.Fatalf("pool size = %d, want %d", ps.Size, MaxThreads)
 	}
 	var got uint64
-	pinned[0].Run(func(tx *Tx) error { got = tx.Load(a); return nil })
+	held[0].Run(func(tx *Tx) error { got = tx.Load(a); return nil })
 	if got != goroutines*25 {
 		t.Fatalf("counter = %d, want %d", got, goroutines*25)
 	}
-}
-
-// TestPooledThreadCannotDetach: returning pooled Threads through
-// DetachThread would leak them out of the pool; the registry rejects it.
-func TestPooledThreadCannotDetach(t *testing.T) {
-	e := newTestEngine(t, DefaultPartConfig())
-	th := e.BorrowThread()
-	defer e.ReturnThread(th)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("DetachThread accepted a pooled Thread")
-		}
-	}()
-	e.DetachThread(th)
 }
 
 // TestPoolNoGoroutineLeak: the pool spawns no service goroutines, and a

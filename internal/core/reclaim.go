@@ -68,14 +68,14 @@ func (e *Engine) ReclaimStats() ReclaimStats {
 	}
 }
 
-// ReclaimNow sweeps the horizon once and drains every claimable limbo
-// against it: all currently idle pooled Threads' limbos plus the arena's
-// shared overflow. It returns the words reclaimed. Commit paths already
-// reclaim incrementally (one sweep per ReclaimBatch retires); this is the
+// ReclaimNow sweeps the horizon once and drains every idle Thread's limbo
+// against it, returning the words reclaimed. Commit paths already reclaim
+// incrementally (one sweep per ReclaimBatch retires); this is the
 // quiesce/maintenance entry point — call it after a churn phase to verify
 // RetiredWords == ReclaimedWords, or periodically from a server's
-// housekeeping loop. Pinned Threads' limbos belong to their owners (see
-// Thread.Reclaim). Must not be called from inside a transaction.
+// housekeeping loop. A Thread busy at the call keeps its limbo until its
+// next commit-path reclaim or a later ReclaimNow. Must not be called from
+// inside a transaction.
 func (e *Engine) ReclaimNow() uint64 {
 	h := e.epochs.Horizon()
 	var claimed []*Thread
@@ -86,30 +86,14 @@ func (e *Engine) ReclaimNow() uint64 {
 		}
 		claimed = append(claimed, th)
 	}
-	if len(claimed) == 0 {
-		// No pooled Thread exists yet (pinned-only usage): try to create
-		// one so the shared overflow still drains; if the registry is full
-		// the drain simply waits for the next commit-path reclaim.
-		if th := e.growPool(); th != nil {
-			claimed = append(claimed, th)
-		}
-	}
 	var words uint64
 	for _, th := range claimed {
-		words += th.alloc.Reclaim(h) // also drains the shared overflow
+		words += th.alloc.Reclaim(h)
 	}
 	for _, th := range claimed {
 		e.ReturnThread(th)
 	}
 	return words
-}
-
-// Reclaim drains this thread's own limbo (and the shared overflow)
-// against the current horizon, returning the words reclaimed. For pinned
-// workers that want deterministic reclamation points; must be called by
-// the owning goroutine, outside a transaction.
-func (th *Thread) Reclaim() uint64 {
-	return th.alloc.Reclaim(th.eng.epochs.Horizon())
 }
 
 // EpochStamp returns the stamp slot currently publishes for the given

@@ -15,7 +15,7 @@ import (
 func TestEpochStampHygienePooled(t *testing.T) {
 	e := newTestEngine(t, DefaultPartConfig())
 	th := e.BorrowThread()
-	slot := th.Slot()
+	slot := th.slot
 	if got := e.EpochStamp(slot); got != HorizonIdle {
 		t.Fatalf("borrowed idle slot publishes stamp %d, want HorizonIdle", got)
 	}
@@ -166,8 +166,8 @@ func TestReclaimChurnTorture(t *testing.T) {
 // leaked it; this test pins the regression.
 func TestChurnArenaFlat(t *testing.T) {
 	e := newTestEngine(t, DefaultPartConfig())
-	th := e.MustAttachThread()
-	defer e.DetachThread(th)
+	th := e.BorrowThread()
+	defer e.ReturnThread(th)
 
 	sizes := []int{1, 7, 64, 100, 1500} // small, boundary, large, block-spanning
 	const perSize = 8
@@ -192,7 +192,7 @@ func TestChurnArenaFlat(t *testing.T) {
 		})
 		// Horizon is idle here (no live transaction): drain the limbo so
 		// the next round reuses this round's memory.
-		th.Reclaim()
+		th.alloc.Reclaim(e.Horizon())
 	}
 
 	round() // prime the free lists

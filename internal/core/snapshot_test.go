@@ -16,7 +16,7 @@ func snapTestSetup(t *testing.T, cfg PartConfig, cells int, initVal uint64) (*En
 	t.Helper()
 	e := newTestEngine(t, cfg)
 	var base memory.Addr
-	setup := e.MustAttachThread()
+	setup := e.BorrowThread()
 	setup.Run(func(tx *Tx) error {
 		base = tx.Alloc(memory.SiteID(0), cells)
 		for j := 0; j < cells; j++ {
@@ -24,7 +24,7 @@ func snapTestSetup(t *testing.T, cfg PartConfig, cells int, initVal uint64) (*En
 		}
 		return nil
 	})
-	e.DetachThread(setup)
+	e.ReturnThread(setup)
 	return e, base
 }
 
@@ -68,8 +68,8 @@ func TestSnapshotTortureWriteModes(t *testing.T) {
 				wg.Add(1)
 				go func(seed int64) {
 					defer wg.Done()
-					th := e.MustAttachThread()
-					defer e.DetachThread(th)
+					th := e.BorrowThread()
+					defer e.ReturnThread(th)
 					rng := rand.New(rand.NewSource(seed))
 					for !stop.Load() {
 						i := memory.Addr(rng.Intn(cells))
@@ -92,8 +92,8 @@ func TestSnapshotTortureWriteModes(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					th := e.MustAttachThread()
-					defer e.DetachThread(th)
+					th := e.BorrowThread()
+					defer e.ReturnThread(th)
 					for !stop.Load() {
 						attempts := uint64(0)
 						th.Run(func(tx *Tx) error {
@@ -161,8 +161,8 @@ func TestSnapshotOverflowFallsBack(t *testing.T) {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
-			th := e.MustAttachThread()
-			defer e.DetachThread(th)
+			th := e.BorrowThread()
+			defer e.ReturnThread(th)
 			rng := rand.New(rand.NewSource(seed))
 			for !stop.Load() {
 				i := memory.Addr(rng.Intn(cells))
@@ -182,8 +182,8 @@ func TestSnapshotOverflowFallsBack(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		th := e.MustAttachThread()
-		defer e.DetachThread(th)
+		th := e.BorrowThread()
+		defer e.ReturnThread(th)
 		for !stop.Load() {
 			th.Run(func(tx *Tx) error {
 				var sum uint64
@@ -219,8 +219,8 @@ func TestSnapshotUpgradeOnWrite(t *testing.T) {
 	cfg := DefaultPartConfig()
 	cfg.HistCap = 64
 	e, base := snapTestSetup(t, cfg, 4, 7)
-	th := e.MustAttachThread()
-	defer e.DetachThread(th)
+	th := e.BorrowThread()
+	defer e.ReturnThread(th)
 	sawSnap, sawUpdate := false, false
 	th.Run(func(tx *Tx) error {
 		if tx.SnapshotMode() {
@@ -253,10 +253,10 @@ func TestSnapshotReadsHistoricalValue(t *testing.T) {
 	cfg.HistCap = 256
 	const cells = 8
 	e, base := snapTestSetup(t, cfg, cells, 11)
-	reader := e.MustAttachThread()
-	writer := e.MustAttachThread()
-	defer e.DetachThread(reader)
-	defer e.DetachThread(writer)
+	reader := e.BorrowThread()
+	writer := e.BorrowThread()
+	defer e.ReturnThread(reader)
+	defer e.ReturnThread(writer)
 
 	var hits uint64
 	reader.Run(func(tx *Tx) error {
@@ -312,7 +312,7 @@ func TestInstallPlanSiteKeyedCarryover(t *testing.T) {
 	}
 	install(1, 2, []string{"g", "a", "b"})
 
-	th := e.MustAttachThread()
+	th := e.BorrowThread()
 	var aAddr, bAddr memory.Addr
 	th.Run(func(tx *Tx) error {
 		aAddr = tx.Alloc(sa, 1)
@@ -368,5 +368,5 @@ func TestInstallPlanSiteKeyedCarryover(t *testing.T) {
 	if totalAfter < totalBefore {
 		t.Errorf("engine-wide commits dropped across installs: %d -> %d", totalBefore, totalAfter)
 	}
-	e.DetachThread(th)
+	e.ReturnThread(th)
 }

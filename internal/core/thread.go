@@ -7,20 +7,22 @@ import (
 	"repro/internal/memory"
 )
 
-// MaxThreads is the maximum number of concurrently attached threads. The
-// bound comes from the visible-reader bitmap: one bit per thread slot in a
-// 64-bit word, exactly as in reader-bitmap STM designs.
+// MaxThreads is the number of Thread slots, and so the number of
+// transactions that can run at once. The bound comes from the
+// visible-reader bitmap: one bit per thread slot in a 64-bit word, exactly
+// as in reader-bitmap STM designs.
 const MaxThreads = 64
 
 // cacheLine is the assumed coherence granule for the padding that keeps
 // the Thread's cross-thread control words off the owner's hot state.
 const cacheLine = 64
 
-// Thread is a per-goroutine transaction context. Pinned workers attach
-// one explicitly (Engine.AttachThread) and run transactions through
-// Thread.Run; ordinary goroutines never see one — Engine.RunPooled (the
-// facade's Runtime.Run) borrows a pooled Thread per call. A Thread must
-// not be shared across goroutines. A panic in a transaction's fn rolls the
+// Thread is a transaction context bound to one of the MaxThreads slots.
+// Threads are created only by the engine's slot pool and live for the
+// engine's lifetime: Engine.RunPooled (the facade's Runtime.Run) borrows
+// one per call, and BorrowThread/ReturnThread lend one to a caller that
+// runs several transactions through Thread.Run. A borrowed Thread must not
+// be shared across goroutines. A panic in a transaction's fn rolls the
 // transaction back and propagates to Run's caller; the Thread stays
 // reusable.
 //
@@ -32,10 +34,6 @@ const cacheLine = 64
 type Thread struct {
 	eng  *Engine
 	slot int
-	// pooled marks Threads owned by the engine's slot pool: they are
-	// attached once, borrowed and returned by RunPooled, and never
-	// detached (DetachThread rejects them).
-	pooled bool
 
 	alloc *memory.Allocator
 
@@ -78,15 +76,6 @@ type Thread struct {
 
 	tx Tx // reusable transaction descriptor
 }
-
-// Slot returns the thread's slot index (0..MaxThreads-1).
-func (th *Thread) Slot() int { return th.slot }
-
-// Engine returns the engine this thread is attached to.
-func (th *Thread) Engine() *Engine { return th.eng }
-
-// Allocator returns the thread-local heap allocator.
-func (th *Thread) Allocator() *memory.Allocator { return th.alloc }
 
 // readerBit returns this thread's bit in visible-reader bitmaps.
 func (th *Thread) readerBit() uint64 { return uint64(1) << uint(th.slot) }

@@ -58,7 +58,7 @@ func TestTortureMixedEverything(t *testing.T) {
 	const cellsPer = 16
 	const initVal = 100
 	var bases [nParts]memory.Addr
-	setup := e.MustAttachThread()
+	setup := e.BorrowThread()
 	setup.Run(func(tx *Tx) error {
 		for i := 0; i < nParts; i++ {
 			bases[i] = tx.Alloc(siteIDs[i], cellsPer)
@@ -68,7 +68,7 @@ func TestTortureMixedEverything(t *testing.T) {
 		}
 		return nil
 	})
-	e.DetachThread(setup)
+	e.ReturnThread(setup)
 	const wantTotal = nParts * cellsPer * initVal
 
 	stop := make(chan struct{})
@@ -80,8 +80,8 @@ func TestTortureMixedEverything(t *testing.T) {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
-			th := e.MustAttachThread()
-			defer e.DetachThread(th)
+			th := e.BorrowThread()
+			defer e.ReturnThread(th)
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; ; i++ {
 				select {
@@ -186,8 +186,8 @@ func TestTortureMixedEverything(t *testing.T) {
 	if n := badSum.Load(); n != 0 {
 		t.Fatalf("%d scans observed a broken global sum", n)
 	}
-	check := e.MustAttachThread()
-	defer e.DetachThread(check)
+	check := e.BorrowThread()
+	defer e.ReturnThread(check)
 	check.Run(func(tx *Tx) error {
 		var sum uint64
 		for p := 0; p < nParts; p++ {

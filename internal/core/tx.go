@@ -94,9 +94,8 @@ type Tx struct {
 	// reads are answered at the snapshot sampled at begin, and a location a
 	// commit has since overwritten is reconstructed from the partition's
 	// multi-version store (partState.hist) instead of extending; snapHits
-	// counts the words so reconstructed, snapMisses the stale words the
-	// store could not serve (both are the attempt's totals, summed over the
-	// touched partitions by finish).
+	// counts the words so reconstructed (the attempt's total, summed over
+	// the touched partitions by finish; see SnapshotHits).
 	//
 	// unlogged marks the FIRST attempt of a snapshot-mode Run: on a
 	// partition that has a store, a read valid at the snapshot — fresh or
@@ -110,34 +109,23 @@ type Tx struct {
 	// correctness nor the progress of a scan over a too-small ring depends
 	// on retention. Partitions without a store always log — there is
 	// nothing to pin against.
-	snapMode   bool
-	unlogged   bool
-	pinned     bool
-	snapHits   uint64
-	snapMisses uint64
-	opCount    uint64
+	snapMode bool
+	unlogged bool
+	pinned   bool
+	snapHits uint64
+	opCount  uint64
 	// seq is this Run's CMTimestamp ordinal, 0 until drawn (see ordinal).
 	seq uint64
-	// wait is the attempt's wait accounting summed over the touched
-	// partitions by finish; it rides into AttemptEvent next to opCount.
 	// stallMark is the clock reading of the last stall iteration (the
 	// attribution scheme is documented in wait.go).
-	wait      waitAcct
 	stallMark time.Duration
 	// timed marks an attempt whose duration is being measured (latency
-	// tracking enabled or a tracer attached): attemptStart is sampled at
-	// begin and durationNs computed at finish, so committed attempts can
-	// record into the touched partitions' latency histograms and the trace
-	// event can carry the attempt duration.
+	// tracking enabled): attemptStart is sampled at begin and durationNs
+	// computed at finish, so committed attempts can record into the
+	// touched partitions' latency histograms.
 	timed        bool
 	attemptStart time.Time
 	durationNs   uint64
-	// retiredWords/reclaimedWords count heap words this attempt retired
-	// into limbo at commit and migrated back to free lists (finish's
-	// commit-path reclaim); they ride into AttemptEvent next to the wait
-	// counters.
-	retiredWords   uint64
-	reclaimedWords uint64
 
 	rs      []readEntry
 	ws      []writeEntry
@@ -219,9 +207,6 @@ func (tx *Tx) SnapshotHits() uint64 {
 	return n
 }
 
-// Thread returns the owning thread.
-func (tx *Tx) Thread() *Thread { return tx.th }
-
 func (tx *Tx) begin(readOnly, snap, unlogged bool) {
 	tx.topo = tx.eng.topo.Load()
 	tx.readOnly = readOnly
@@ -230,15 +215,11 @@ func (tx *Tx) begin(readOnly, snap, unlogged bool) {
 	tx.unlogged = unlogged && tx.snapMode
 	tx.pinned = false
 	tx.snapHits = 0
-	tx.snapMisses = 0
 	tx.opCount = 0
-	tx.wait = waitAcct{}
-	tx.retiredWords = 0
-	tx.reclaimedWords = 0
 	tx.durationNs = 0
 	tx.walSeq = 0
 	tx.walDst = nil
-	tx.timed = tx.eng.latency.Load() || tx.eng.tracer.Load() != nil
+	tx.timed = tx.eng.latency.Load()
 	if tx.timed {
 		tx.attemptStart = time.Now()
 	}
@@ -1658,8 +1639,7 @@ func (tx *Tx) flushStats(cause AbortCause) {
 		addNonZero(&st.SnapHits, tr.snapHits)
 		addNonZero(&st.SnapMisses, tr.snapMisses)
 		tx.snapHits += tr.snapHits
-		tx.snapMisses += tr.snapMisses
-		tx.flushWait(st, &tr.wait)
+		flushWait(st, &tr.wait)
 		switch {
 		case cause != AbortNone:
 			st.Aborts[cause].Add(1)
@@ -1710,14 +1690,13 @@ func (tx *Tx) finish(cause AbortCause) {
 			stamp := tx.tb.Ceiling()
 			for _, f := range tx.frees {
 				tx.th.alloc.Retire(f.addr, f.n, stamp)
-				tx.retiredWords += uint64(f.n)
 			}
 		}
 		if tx.th.alloc.NeedsReclaim() {
 			// Amortized reclamation: one horizon sweep per ReclaimBatch
 			// retires (the allocator re-arms the trigger), so a stalled
 			// horizon costs a bounded fraction of commit work.
-			tx.reclaimedWords += tx.th.alloc.Reclaim(tx.eng.epochs.Horizon())
+			tx.th.alloc.Reclaim(tx.eng.epochs.Horizon())
 		}
 	}
 	tx.flushStats(cause)

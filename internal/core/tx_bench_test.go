@@ -56,8 +56,8 @@ func BenchmarkWriteSetProbe(b *testing.B) {
 func BenchmarkRepeatedReadTx(b *testing.B) {
 	const words = 64
 	e := newTestEngine(b, DefaultPartConfig())
-	th := e.MustAttachThread()
-	defer e.DetachThread(th)
+	th := e.BorrowThread()
+	defer e.ReturnThread(th)
 	var base memory.Addr
 	th.Run(func(tx *Tx) error {
 		base = tx.Alloc(memory.SiteID(0), words)
@@ -105,8 +105,8 @@ func BenchmarkWideWriteTx(b *testing.B) {
 				cfg := DefaultPartConfig()
 				m.mut(&cfg)
 				e := newTestEngine(b, cfg)
-				th := e.MustAttachThread()
-				defer e.DetachThread(th)
+				th := e.BorrowThread()
+				defer e.ReturnThread(th)
 				var base memory.Addr
 				th.Run(func(tx *Tx) error {
 					base = tx.Alloc(memory.SiteID(0), n)

@@ -199,7 +199,7 @@ func TestRepeatReadAtDifferentVersion(t *testing.T) {
 		cfg := DefaultPartConfig()
 		cfg.GranShift = 0
 		e := newTestEngine(t, cfg)
-		th := e.MustAttachThread()
+		th := e.BorrowThread()
 		var base memory.Addr
 		th.Run(func(tx *Tx) error {
 			base = tx.Alloc(memory.DefaultSite, prior+1)
@@ -241,7 +241,7 @@ func TestRepeatReadAtDifferentVersion(t *testing.T) {
 			tx.rs = tx.rs[:n] // drop the fabricated entry so the commit is clean
 			return nil
 		}, ReadOnly())
-		e.DetachThread(th)
+		e.ReturnThread(th)
 	}
 }
 
@@ -255,8 +255,8 @@ func TestFilterFalsePositivesConfirmed(t *testing.T) {
 	cfg := DefaultPartConfig()
 	cfg.GranShift = 0
 	e := newTestEngine(t, cfg)
-	th := e.MustAttachThread()
-	defer e.DetachThread(th)
+	th := e.BorrowThread()
+	defer e.ReturnThread(th)
 	const words = 500
 	var base memory.Addr
 	th.Run(func(tx *Tx) error {
@@ -304,8 +304,8 @@ func TestFilterWriteSetExact(t *testing.T) {
 			cfg := DefaultPartConfig()
 			mode.mut(&cfg)
 			e := newTestEngine(t, cfg)
-			th := e.MustAttachThread()
-			defer e.DetachThread(th)
+			th := e.BorrowThread()
+			defer e.ReturnThread(th)
 			const words = 300
 			var base memory.Addr
 			th.Run(func(tx *Tx) error {

@@ -28,7 +28,7 @@ import (
 // 8x-budget karma/timestamp patience) are the ones the yield and park
 // phases exist for. Every stall counts one WaitCycle; phases 2 and 3
 // additionally count Yields and Parks, so the tuner's spin-budget
-// heuristic and the trace recorder see exactly how often waits escalate
+// heuristic and PartStats readers see exactly how often waits escalate
 // into the scheduler.
 //
 // Wait TIME is attributed alongside the counts (SpinNs/YieldNs/ParkNs):
@@ -43,22 +43,22 @@ import (
 //
 // Counts and time are booked once, in plain words, on the waitAcct of the
 // touchRec of the partition whose orec is being waited on, and flushed into
-// PartThreadStats and the attempt's total when the attempt finishes
-// (flushWait). An on-CPU iteration executes no atomic instruction; one that
-// escalates into the scheduler flushes first — it is about to spend far
-// longer than the adds cost, the wait may be unbounded, and the escalation
-// is the signal the tuner must see while the waiter is still stuck.
+// PartThreadStats when the attempt finishes (flushWait). An on-CPU
+// iteration executes no atomic instruction; one that escalates into the
+// scheduler flushes first — it is about to spend far longer than the adds
+// cost, the wait may be unbounded, and the escalation is the signal the
+// tuner must see while the waiter is still stuck.
 
-// waitAcct is one attempt's wait accounting, per touched partition
-// (touchRec.wait) and summed for the attempt (Tx.wait).
+// waitAcct is one attempt's wait accounting for one touched partition
+// (touchRec.wait).
 type waitAcct struct {
 	cycles, yields, parks   uint64
 	spinNs, yieldNs, parkNs uint64
 }
 
 // flushWait moves the partition wait account w into the partition's
-// counter block st and into the attempt's total.
-func (tx *Tx) flushWait(st *PartThreadStats, w *waitAcct) {
+// counter block st.
+func flushWait(st *PartThreadStats, w *waitAcct) {
 	if w.cycles == 0 {
 		return
 	}
@@ -68,12 +68,6 @@ func (tx *Tx) flushWait(st *PartThreadStats, w *waitAcct) {
 	addNonZero(&st.SpinNs, w.spinNs)
 	addNonZero(&st.YieldNs, w.yieldNs)
 	addNonZero(&st.ParkNs, w.parkNs)
-	tx.wait.cycles += w.cycles
-	tx.wait.yields += w.yields
-	tx.wait.parks += w.parks
-	tx.wait.spinNs += w.spinNs
-	tx.wait.yieldNs += w.yieldNs
-	tx.wait.parkNs += w.parkNs
 	*w = waitAcct{}
 }
 
@@ -119,12 +113,12 @@ func (tx *Tx) stall(spins, budget, ti int) {
 	st := &(*tx.th.stats.Load())[tx.touched[ti].p.id]
 	if spins <= parkFactor*budget {
 		w.yields++
-		tx.flushWait(st, w)
+		flushWait(st, w)
 		runtime.Gosched()
 		return
 	}
 	w.parks++
-	tx.flushWait(st, w)
+	flushWait(st, w)
 	over := spins - parkFactor*budget
 	if over > maxParkMicros {
 		over = maxParkMicros

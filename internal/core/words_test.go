@@ -22,8 +22,8 @@ func TestLoadStoreWordsMatchesPerWord(t *testing.T) {
 			cfg.GranShift = gran
 			t.Run(name+"/gran="+string(rune('0'+gran)), func(t *testing.T) {
 				e := newTestEngine(t, cfg)
-				th := e.MustAttachThread()
-				defer e.DetachThread(th)
+				th := e.BorrowThread()
+				defer e.ReturnThread(th)
 				const n = 24
 				var base memory.Addr
 				th.Run(func(tx *Tx) error {
@@ -95,8 +95,8 @@ func TestWordsAcrossBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewEngine(arena, DefaultPartConfig())
-	th := e.MustAttachThread()
-	defer e.DetachThread(th)
+	th := e.BorrowThread()
+	defer e.ReturnThread(th)
 	const n = 40 // 3 blocks of 16 words
 	var base memory.Addr
 	th.Run(func(tx *Tx) error {
@@ -129,8 +129,8 @@ func TestLoadWordsReadSetGrouping(t *testing.T) {
 	cfg := DefaultPartConfig()
 	cfg.GranShift = 3 // 8 words per orec
 	e := newTestEngine(t, cfg)
-	th := e.MustAttachThread()
-	defer e.DetachThread(th)
+	th := e.BorrowThread()
+	defer e.ReturnThread(th)
 	const n = 64
 	var base memory.Addr
 	th.Run(func(tx *Tx) error {
@@ -184,8 +184,8 @@ func TestLoadWordsSpanWrap(t *testing.T) {
 	cfg := DefaultPartConfig()
 	cfg.LockBits = 4
 	e := newTestEngine(t, cfg)
-	th := e.MustAttachThread()
-	defer e.DetachThread(th)
+	th := e.BorrowThread()
+	defer e.ReturnThread(th)
 	const n = 64
 	var base memory.Addr
 	th.Run(func(tx *Tx) error {
@@ -231,8 +231,8 @@ func TestSnapshotWordsGroupedReconstruction(t *testing.T) {
 	cfg := DefaultPartConfig()
 	cfg.HistCap = 1 << 10
 	e := newTestEngine(t, cfg)
-	th := e.MustAttachThread()
-	defer e.DetachThread(th)
+	th := e.BorrowThread()
+	defer e.ReturnThread(th)
 	const n = 8
 	var base memory.Addr
 	th.Run(func(tx *Tx) error {
@@ -247,8 +247,8 @@ func TestSnapshotWordsGroupedReconstruction(t *testing.T) {
 
 	// Pin a snapshot, then overwrite the whole object from a second
 	// thread mid-transaction.
-	th2 := e.MustAttachThread()
-	defer e.DetachThread(th2)
+	th2 := e.BorrowThread()
+	defer e.ReturnThread(th2)
 	var got [n]uint64
 	var hits uint64
 	th.Run(func(tx *Tx) error {
@@ -298,8 +298,8 @@ func TestSnapshotWordsGroupedReconstruction(t *testing.T) {
 func parkWriter(e *Engine, a memory.Addr, v uint64, held, release, done chan struct{}) {
 	go func() {
 		defer close(done)
-		th := e.MustAttachThread()
-		defer e.DetachThread(th)
+		th := e.BorrowThread()
+		defer e.ReturnThread(th)
 		first := true
 		th.Run(func(tx *Tx) error {
 			tx.Store(a, v)
@@ -324,8 +324,8 @@ func TestSweepFallbackLockedWord(t *testing.T) {
 	const n, locked = 8, 5
 	setup := func(t *testing.T, cfg PartConfig) (*Engine, memory.Addr) {
 		e := newTestEngine(t, cfg)
-		th := e.MustAttachThread()
-		defer e.DetachThread(th)
+		th := e.BorrowThread()
+		defer e.ReturnThread(th)
 		var base memory.Addr
 		th.Run(func(tx *Tx) error {
 			base = tx.Alloc(memory.DefaultSite, n)
@@ -346,8 +346,8 @@ func TestSweepFallbackLockedWord(t *testing.T) {
 		readerDone := make(chan struct{})
 		go func() {
 			defer close(readerDone)
-			th := e.MustAttachThread()
-			defer e.DetachThread(th)
+			th := e.BorrowThread()
+			defer e.ReturnThread(th)
 			th.Run(func(tx *Tx) error {
 				tx.LoadWords(base, got[:])
 				hits = tx.SnapshotHits()
@@ -393,8 +393,8 @@ func TestSweepFallbackLockedWord(t *testing.T) {
 		held, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
 		parkWriter(e, base+locked, 99, held, release, done)
 		<-held
-		th := e.MustAttachThread()
-		defer e.DetachThread(th)
+		th := e.BorrowThread()
+		defer e.ReturnThread(th)
 		var got [n]uint64
 		err := th.Run(func(tx *Tx) error {
 			tx.LoadWords(base, got[:])
@@ -434,7 +434,7 @@ func TestSweepTorture(t *testing.T) {
 			e.SetYieldEveryOps(16)
 			const objects, objWords, init = 32, 20, 1000
 			objs := make([]memory.Addr, objects)
-			setup := e.MustAttachThread()
+			setup := e.BorrowThread()
 			setup.Run(func(tx *Tx) error {
 				vals := make([]uint64, objWords)
 				for i := range vals {
@@ -446,15 +446,15 @@ func TestSweepTorture(t *testing.T) {
 				}
 				return nil
 			})
-			e.DetachThread(setup)
+			e.ReturnThread(setup)
 			const total = objects * objWords * init
 
 			var stop atomic.Bool
 			var writers sync.WaitGroup
 			writer := func(seed int64, step func(tx *Tx, rng *rand.Rand)) {
 				defer writers.Done()
-				th := e.MustAttachThread()
-				defer e.DetachThread(th)
+				th := e.BorrowThread()
+				defer e.ReturnThread(th)
 				rng := rand.New(rand.NewSource(seed))
 				for !stop.Load() {
 					th.Run(func(tx *Tx) error { step(tx, rng); return nil })
@@ -493,8 +493,8 @@ func TestSweepTorture(t *testing.T) {
 				scanners.Add(1)
 				go func(opt TxOpt) {
 					defer scanners.Done()
-					th := e.MustAttachThread()
-					defer e.DetachThread(th)
+					th := e.BorrowThread()
+					defer e.ReturnThread(th)
 					var words [objWords]uint64
 					for scan := 0; scan < 150; scan++ {
 						var sum uint64
@@ -527,8 +527,8 @@ func TestSweepTorture(t *testing.T) {
 // per word and allocates nothing once the attempt's scratch has grown.
 func TestReadOnlyRangeAllocFree(t *testing.T) {
 	e := newTestEngine(t, DefaultPartConfig())
-	th := e.MustAttachThread()
-	defer e.DetachThread(th)
+	th := e.BorrowThread()
+	defer e.ReturnThread(th)
 	const n = 256
 	var base memory.Addr
 	th.Run(func(tx *Tx) error {

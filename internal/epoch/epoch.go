@@ -74,8 +74,8 @@ func (t *Table) Publish(i int, stamp uint64) {
 }
 
 // Clear marks slot i idle. Called by the owning thread when its attempt
-// finishes, and defensively by pool return / thread detach so a parked or
-// recycled slot can never strand a stale stamp and stall the horizon.
+// finishes, and defensively by pool return so a parked slot can never
+// strand a stale stamp and stall the horizon.
 func (t *Table) Clear(i int) {
 	t.slots[i].stamp.Store(Idle)
 }

@@ -16,6 +16,7 @@ import (
 // clock, because transfers inside a branch are single-partition update
 // transactions while cross-branch transfers span two partitions.
 type branchBank struct {
+	rt       *stm.Runtime
 	branches []*txds.CounterArray
 	perBr    int
 	// crossRatio is the fraction of transfers that cross branches.
@@ -23,7 +24,7 @@ type branchBank struct {
 }
 
 func newBranchBank(rt *stm.Runtime, nBranches, perBranch int, crossRatio float64) (*branchBank, error) {
-	b := &branchBank{perBr: perBranch, crossRatio: crossRatio}
+	b := &branchBank{rt: rt, perBr: perBranch, crossRatio: crossRatio}
 	groups := make(map[string][]string, nBranches)
 	for i := 0; i < nBranches; i++ {
 		name := fmt.Sprintf("branch%d", i)
@@ -39,14 +40,14 @@ func newBranchBank(rt *stm.Runtime, nBranches, perBranch int, crossRatio float64
 	return b, nil
 }
 
-func (b *branchBank) op(th *stm.Thread, rng *workload.Rng) {
+func (b *branchBank) op(rng *workload.Rng) {
 	fb := rng.Intn(len(b.branches))
 	tb := fb
 	if rng.Float64() < b.crossRatio {
 		tb = rng.Intn(len(b.branches))
 	}
 	fi, ti := rng.Intn(b.perBr), rng.Intn(b.perBr)
-	th.Run(func(tx *stm.Tx) error {
+	b.rt.Run(func(tx *stm.Tx) error {
 		amt := 1 + rng.Uint64()%10
 		v := b.branches[fb].Get(tx, fi)
 		if v < amt || (fb == tb && fi == ti) {

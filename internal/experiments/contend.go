@@ -64,11 +64,11 @@ func Contend(o Options) (*Report, error) {
 				Warmup:  o.Warmup,
 				Measure: o.PointDuration,
 				Seed:    uint64(threads)*31 + 7,
-			}, func(th *stm.Thread, rng *workload.Rng) {
+			}, func(rng *workload.Rng) {
 				start := rng.Intn(cells)
 				i := stm.Addr(rng.Intn(cells))
 				j := stm.Addr(rng.Intn(cells))
-				th.Run(func(tx *stm.Tx) error {
+				rt.Run(func(tx *stm.Tx) error {
 					var sum uint64
 					for k := 0; k < scan; k++ {
 						sum += tx.Load(base + stm.Addr((start+k)%cells))

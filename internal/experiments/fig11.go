@@ -68,13 +68,11 @@ func Fig11(o Options) (*Report, error) {
 	for i, c := range cases {
 		cfg := c.cfg
 		rt := newRuntime(o, &cfg)
-		th := rt.MustAttach()
-		l := apps.NewLabyrinth(rt, th, lcfg)
-		rt.Detach(th)
+		l := apps.NewLabyrinth(rt, lcfg)
 		res := bench.Run(rt, bench.RunConfig{
 			Threads: o.Threads, Warmup: o.Warmup, Measure: o.PointDuration,
 			Seed: uint64(i) + 701,
-		}, func(th *stm.Thread, rng *workload.Rng) { l.Op(th, rng) })
+		}, func(rng *workload.Rng) { l.Op(rng) })
 
 		// Aggregate abort causes across partitions for the window.
 		var val, lock, killed, total uint64

@@ -63,7 +63,7 @@ func Fig3(o Options) (*Report, error) {
 				Warmup:  o.Warmup,
 				Measure: o.PointDuration,
 				Seed:    uint64(ratio*100) + 11,
-			}, scanUpdateOp(c, ratio))
+			}, scanUpdateOp(rt, c, ratio))
 			thr.SeriesNamed(m.name).Add(ratio*100, res.Throughput)
 			ab.SeriesNamed(m.name).Add(ratio*100, res.AbortRate*1000)
 			if m.name == "invisible" {
@@ -110,11 +110,11 @@ func Fig3(o Options) (*Report, error) {
 // for its fullest slot and moves one unit to a random slot — the write is
 // unconditional (except in the degenerate same-slot draw), so rebalances
 // always churn the array.
-func scanUpdateOp(c *txds.CounterArray, ratio float64) bench.OpFunc {
-	return func(th *stm.Thread, rng *workload.Rng) {
+func scanUpdateOp(rt *stm.Runtime, c *txds.CounterArray, ratio float64) bench.OpFunc {
+	return func(rng *workload.Rng) {
 		if rng.Float64() < ratio {
 			to := rng.Intn(c.N())
-			th.Run(func(tx *stm.Tx) error {
+			rt.Run(func(tx *stm.Tx) error {
 				maxI := 0
 				maxV := uint64(0)
 				for i := 0; i < c.N(); i++ {
@@ -130,7 +130,7 @@ func scanUpdateOp(c *txds.CounterArray, ratio float64) bench.OpFunc {
 			return
 		}
 		from, to := rng.Intn(c.N()), rng.Intn(c.N())
-		th.Run(func(tx *stm.Tx) error { c.Transfer(tx, from, to, 1); return nil })
+		rt.Run(func(tx *stm.Tx) error { c.Transfer(tx, from, to, 1); return nil })
 	}
 }
 

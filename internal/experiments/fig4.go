@@ -30,14 +30,14 @@ func Fig4(o Options) (*Report, error) {
 		slots = 1 << 10
 	}
 
-	op := func(c *txds.CounterArray) bench.OpFunc {
-		return func(th *stm.Thread, rng *workload.Rng) {
+	op := func(rt *stm.Runtime, c *txds.CounterArray) bench.OpFunc {
+		return func(rng *workload.Rng) {
 			if rng.Float64() < 0.02 {
-				th.Run(func(tx *stm.Tx) error { c.Sum(tx); return nil }, stm.ReadOnly())
+				rt.Run(func(tx *stm.Tx) error { c.Sum(tx); return nil }, stm.ReadOnly())
 				return
 			}
 			from, to := rng.Intn(c.N()), rng.Intn(c.N())
-			th.Run(func(tx *stm.Tx) error { c.Transfer(tx, from, to, 1); return nil })
+			rt.Run(func(tx *stm.Tx) error { c.Transfer(tx, from, to, 1); return nil })
 		}
 	}
 
@@ -55,7 +55,7 @@ func Fig4(o Options) (*Report, error) {
 			Warmup:  o.Warmup,
 			Measure: o.PointDuration,
 			Seed:    uint64(bits),
-		}, op(c))
+		}, op(rt, c))
 		fig.SeriesNamed("static").Add(float64(bits), res.Throughput)
 		if res.Throughput > best {
 			best, bestBits = res.Throughput, bits
@@ -83,7 +83,7 @@ func Fig4(o Options) (*Report, error) {
 		Warmup:  4 * o.PointDuration, // give the climber room to move
 		Measure: o.PointDuration,
 		Seed:    99,
-	}, op(c))
+	}, op(rt, c))
 	trace := rt.StopTuner()
 	finalCfg, err := rt.PartitionConfig(stm.GlobalPartition)
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/bench"
 	"repro/internal/stats"
-	"repro/internal/workload"
 	"repro/stm"
 )
 
@@ -55,9 +54,7 @@ func Fig6(o Options) (*Report, error) {
 	for _, c := range cases {
 		cfg := c.global
 		rt := newRuntime(o, &cfg)
-		th := rt.MustAttach()
-		p := apps.NewPhases(rt, th, pcfg)
-		rt.Detach(th)
+		p := apps.NewPhases(rt, pcfg)
 		if c.adaptive {
 			tc := stm.DefaultTunerConfig()
 			tc.Interval = 20 * time.Millisecond
@@ -69,8 +66,7 @@ func Fig6(o Options) (*Report, error) {
 		t0 := time.Now()
 		var totalOps uint64
 		for seg := 0; seg < segments; seg++ {
-			res := bench.RunOps(rt, o.Threads, opsPerThread, uint64(seg)+5,
-				func(th *stm.Thread, rng *workload.Rng) { p.Op(th, rng) })
+			res := bench.RunOps(rt, o.Threads, opsPerThread, uint64(seg)+5, p.Op)
 			totalOps += res.Ops
 			fig.SeriesNamed(c.name).Add(float64(seg), res.Throughput)
 		}
@@ -84,12 +80,9 @@ func Fig6(o Options) (*Report, error) {
 			bestStatic = total
 		}
 		// Money is conserved across every regime or the experiment is void.
-		chk := rt.MustAttach()
-		if msg := p.CheckInvariants(chk); msg != "" {
-			rt.Detach(chk)
+		if msg := p.CheckInvariants(); msg != "" {
 			return nil, fmt.Errorf("fig6 (%s): %s", c.name, msg)
 		}
-		rt.Detach(chk)
 		tbl.AddRow(c.name, fmt.Sprintf("%.0f", total), fmt.Sprintf("%d", decisions))
 	}
 

@@ -43,7 +43,7 @@ func Fig7(o Options) (*Report, error) {
 				Warmup:  o.Warmup,
 				Measure: o.PointDuration,
 				Seed:    uint64(len(row)) + 3,
-			}, built(rt, intSetApp(s)))
+			}, intSetApp(s).build(rt))
 			row = append(row, fmt.Sprintf("%.0f", res.Throughput))
 			if res.Throughput > best {
 				best, bestName = res.Throughput, strat.name

@@ -58,23 +58,21 @@ func Fig8(o Options) (*Report, error) {
 
 		// High contention: transfers over a tiny account array.
 		rtHot := newRuntime(o, &pol)
-		th := rtHot.MustAttach()
-		bank := apps.NewBank(rtHot, th, apps.BankConfig{
+		bank := apps.NewBank(rtHot, apps.BankConfig{
 			Accounts: accounts, InitialBalance: 1000, MaxTransfer: 10,
 		})
-		rtHot.Detach(th)
 		hot := bench.Run(rtHot, bench.RunConfig{
 			Threads: o.Threads, Warmup: o.Warmup, Measure: o.PointDuration,
 			Seed: uint64(i) + 101,
-		}, func(th *stm.Thread, rng *workload.Rng) {
-			bank.Transfer(th, rng, 10)
+		}, func(rng *workload.Rng) {
+			bank.Transfer(rng, 10)
 		})
 
 		// Low contention: wide red/black tree, 20% updates.
 		rtTree := newRuntime(o, &pol)
-		treeOp := built(rtTree, intSetApp(apps.IntSetSpec{
+		treeOp := intSetApp(apps.IntSetSpec{
 			Kind: apps.SetRBTree, Name: "fig8.tree", KeyRange: keyRange, UpdateRatio: 0.2,
-		}))
+		}).build(rtTree)
 		tree := bench.Run(rtTree, bench.RunConfig{
 			Threads: o.Threads, Warmup: o.Warmup, Measure: o.PointDuration,
 			Seed: uint64(i) + 201,

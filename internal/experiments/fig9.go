@@ -70,15 +70,15 @@ func Fig9(o Options) (*Report, error) {
 			res := bench.Run(rt, bench.RunConfig{
 				Threads: o.Threads, Warmup: o.Warmup, Measure: o.PointDuration,
 				Seed: uint64(hot*100) + 900,
-			}, func(th *stm.Thread, rng *workload.Rng) {
+			}, func(rng *workload.Rng) {
 				k := gen.Next(rng)
 				switch mix.Next(rng) {
 				case workload.OpInsert:
-					th.Run(func(tx *stm.Tx) error { hs.Insert(tx, k, k); return nil })
+					rt.Run(func(tx *stm.Tx) error { hs.Insert(tx, k, k); return nil })
 				case workload.OpRemove:
-					th.Run(func(tx *stm.Tx) error { hs.Remove(tx, k); return nil })
+					rt.Run(func(tx *stm.Tx) error { hs.Remove(tx, k); return nil })
 				default:
-					th.Run(func(tx *stm.Tx) error { hs.Contains(tx, k); return nil }, stm.ReadOnly())
+					rt.Run(func(tx *stm.Tx) error { hs.Contains(tx, k); return nil }, stm.ReadOnly())
 				}
 			})
 			fig.SeriesNamed(g.name).Add(hot*100, res.Throughput)

@@ -24,13 +24,12 @@ func newRuntime(o Options, cfg *stm.PartConfig) *stm.Runtime {
 }
 
 // application is one benchmark program of the evaluation: build
-// constructs it on rt, running its setup transactions on th, and returns
-// its operation.
+// constructs it on rt and returns its operation.
 type application struct {
 	name string
 	// extension marks the STAMP-inspired programs beyond the paper's suite.
 	extension bool
-	build     func(rt *stm.Runtime, th *stm.Thread) bench.OpFunc
+	build     func(rt *stm.Runtime) bench.OpFunc
 }
 
 // catalog returns the evaluation's applications in Table 1 order, each
@@ -46,20 +45,20 @@ func catalog(o Options) []application {
 		kcfg.Points = 512
 	}
 	return []application{
-		{"intset-multi", false, func(rt *stm.Runtime, th *stm.Thread) bench.OpFunc {
-			return apps.NewMultiSetApp(rt, th, mcfg).Op
+		{"intset-multi", false, func(rt *stm.Runtime) bench.OpFunc {
+			return apps.NewMultiSetApp(rt, mcfg).Op
 		}},
 		vacationApp(vacationConfig(o)),
-		{"bank", false, func(rt *stm.Runtime, th *stm.Thread) bench.OpFunc {
-			b := apps.NewBank(rt, th, bcfg)
-			return func(th *stm.Thread, rng *workload.Rng) { b.Op(th, rng, bcfg) }
+		{"bank", false, func(rt *stm.Runtime) bench.OpFunc {
+			b := apps.NewBank(rt, bcfg)
+			return func(rng *workload.Rng) { b.Op(rng, bcfg) }
 		}},
-		{"genome", true, func(rt *stm.Runtime, th *stm.Thread) bench.OpFunc {
-			return apps.NewGenome(rt, th, gcfg).Op
+		{"genome", true, func(rt *stm.Runtime) bench.OpFunc {
+			return apps.NewGenome(rt, gcfg).Op
 		}},
-		{"kmeans", true, func(rt *stm.Runtime, th *stm.Thread) bench.OpFunc {
-			km := apps.NewKMeans(rt, th, kcfg, 11)
-			return func(th *stm.Thread, rng *workload.Rng) { km.Op(th, rng, kcfg) }
+		{"kmeans", true, func(rt *stm.Runtime) bench.OpFunc {
+			km := apps.NewKMeans(rt, kcfg, 11)
+			return func(rng *workload.Rng) { km.Op(rng, kcfg) }
 		}},
 	}
 }
@@ -86,24 +85,17 @@ func vacationConfig(o Options) apps.VacationConfig {
 
 // vacationApp is vacation under cfg (Fig. 5 raises its contention).
 func vacationApp(cfg apps.VacationConfig) application {
-	return application{"vacation", false, func(rt *stm.Runtime, th *stm.Thread) bench.OpFunc {
-		v := apps.NewVacation(rt, th, cfg)
-		return func(th *stm.Thread, rng *workload.Rng) { v.Op(th, rng) }
+	return application{"vacation", false, func(rt *stm.Runtime) bench.OpFunc {
+		v := apps.NewVacation(rt, cfg)
+		return func(rng *workload.Rng) { v.Op(rng) }
 	}}
 }
 
 // intSetApp is one intset structure on its own.
 func intSetApp(spec apps.IntSetSpec) application {
-	return application{spec.Name, false, func(rt *stm.Runtime, th *stm.Thread) bench.OpFunc {
-		return apps.NewIntSet(rt, th, spec).Op
+	return application{spec.Name, false, func(rt *stm.Runtime) bench.OpFunc {
+		return apps.NewIntSet(rt, spec).Op
 	}}
-}
-
-// built constructs a on rt and returns its operation.
-func built(rt *stm.Runtime, a application) bench.OpFunc {
-	th := rt.MustAttach()
-	defer rt.Detach(th)
-	return a.build(rt, th)
 }
 
 // partitioned constructs a on rt under profiling, runs 300 of its
@@ -111,13 +103,11 @@ func built(rt *stm.Runtime, a application) bench.OpFunc {
 // and installs the discovered plan.
 func partitioned(rt *stm.Runtime, a application) (bench.OpFunc, *stm.Plan, error) {
 	rt.StartProfiling()
-	th := rt.MustAttach()
-	op := a.build(rt, th)
+	op := a.build(rt)
 	rng := workload.NewRng(123)
 	for i := 0; i < 300; i++ {
-		op(th, rng)
+		op(rng)
 	}
-	rt.Detach(th)
 	plan, err := rt.StopProfilingAndPartition()
 	if err != nil {
 		return nil, nil, fmt.Errorf("partitioning %s: %w", a.name, err)
@@ -163,7 +153,7 @@ func runRegime(o Options, a application, r int, tc stm.TunerConfig, threads int,
 	} else {
 		global := [...]stm.PartConfig{stm.DefaultPartConfig(), visibleConfig()}[r]
 		rt = newRuntime(o, &global)
-		op = built(rt, a)
+		op = a.build(rt)
 	}
 	res := bench.Run(rt, bench.RunConfig{
 		Threads: threads,

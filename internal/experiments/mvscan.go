@@ -63,14 +63,12 @@ func MVScan(o Options) (*Report, error) {
 			wg.Add(1)
 			go func(seed uint64) {
 				defer wg.Done()
-				th := rt.MustAttach()
-				defer rt.Detach(th)
 				rng := workload.NewRng(seed)
 				for !stop.Load() {
 					i := stm.Addr(rng.Intn(cells))
 					j := stm.Addr(rng.Intn(cells))
 					d := rng.Uint64() % 16
-					th.Run(func(tx *stm.Tx) error {
+					rt.Run(func(tx *stm.Tx) error {
 						vi := tx.Load(base + i)
 						if vi < d {
 							return nil
@@ -92,15 +90,13 @@ func MVScan(o Options) (*Report, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			th := rt.MustAttach()
-			defer rt.Detach(th)
 			mode := stm.ReadOnly()
 			if snapshot {
 				mode = stm.Snapshot()
 			}
 			for !stop.Load() {
 				attempts := uint64(0)
-				th.Run(func(tx *stm.Tx) error {
+				rt.Run(func(tx *stm.Tx) error {
 					attempts++
 					var sum uint64
 					for c := 0; c < cells; c++ {
@@ -211,14 +207,12 @@ func MVScan(o Options) (*Report, error) {
 			wg.Add(1)
 			go func(seed uint64) {
 				defer wg.Done()
-				wth := srt.MustAttach()
-				defer srt.Detach(wth)
 				rng := workload.NewRng(seed)
 				for !stop.Load() {
 					i := stm.Addr(rng.Intn(cells))
 					j := stm.Addr(rng.Intn(cells))
 					d := rng.Uint64() % 16
-					wth.Run(func(tx *stm.Tx) error {
+					srt.Run(func(tx *stm.Tx) error {
 						vi := tx.Load(sbase + i)
 						if vi < d {
 							return nil
@@ -231,7 +225,6 @@ func MVScan(o Options) (*Report, error) {
 			}(uint64(w) + 31)
 		}
 		st0 := srt.PartitionStats(stm.GlobalPartition)
-		rth := srt.MustAttach()
 		for s := 0; s < sweepScans; s++ {
 			// Only the scan's first attempt ages its snapshot: a stale
 			// attempt usually dies (reconstructed reads pin the snapshot,
@@ -240,7 +233,7 @@ func MVScan(o Options) (*Report, error) {
 			// retries scan fresh and commit; the aged attempt is the one
 			// that exercises — and times — the miss path.
 			aged := false
-			rth.Run(func(tx *stm.Tx) error {
+			srt.Run(func(tx *stm.Tx) error {
 				attempts++
 				sum := tx.Load(sbase) // first access pins the snapshot
 				if !aged {
@@ -267,7 +260,6 @@ func MVScan(o Options) (*Report, error) {
 				return nil
 			}, stm.Snapshot())
 		}
-		srt.Detach(rth)
 		stop.Store(true)
 		wg.Wait()
 		if badSum != 0 {

@@ -51,8 +51,8 @@ func RsDedup(o Options) (*Report, error) {
 	var rsLen int
 	for _, passes := range passesSweep {
 		p := passes
-		res := bench.MeasureOp(rt, iters/4, iters, func(th *stm.Thread, _ *workload.Rng) {
-			th.Run(func(tx *stm.Tx) error {
+		res := bench.MeasureOp(rt, iters/4, iters, func(_ *workload.Rng) {
+			rt.Run(func(tx *stm.Tx) error {
 				var sink uint64
 				for k := 0; k < p; k++ {
 					for i := 0; i < words; i++ {
@@ -112,8 +112,8 @@ func RsDedup(o Options) (*Report, error) {
 			if o.Quick {
 				witers = 400
 			}
-			res := bench.MeasureOp(wrt, witers/4, witers, func(th *stm.Thread, _ *workload.Rng) {
-				th.Run(func(tx *stm.Tx) error {
+			res := bench.MeasureOp(wrt, witers/4, witers, func(_ *workload.Rng) {
+				wrt.Run(func(tx *stm.Tx) error {
 					// Two rounds per address: the second round must dedup.
 					for round := 0; round < 2; round++ {
 						for i := 0; i < wn; i++ {

@@ -67,7 +67,7 @@ func measureSingle(o Options, spec apps.IntSetSpec, partition bool) float64 {
 			panic(err) // configuration error in the experiment itself
 		}
 	} else {
-		op = built(rt, a)
+		op = a.build(rt)
 	}
 	res := bench.Run(rt, bench.RunConfig{
 		Threads: 1,

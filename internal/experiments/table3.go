@@ -43,7 +43,7 @@ func Table3(o Options) (*Report, error) {
 				Measure:       o.PointDuration,
 				Seed:          uint64(rows) + 31,
 				SampleLatency: true,
-			}, built(rt, intSetApp(s)))
+			}, intSetApp(s).build(rt))
 			if res.Latency == nil || res.Latency.Count() == 0 {
 				continue
 			}

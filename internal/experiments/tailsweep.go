@@ -52,7 +52,7 @@ func TailSweep(o Options) (*Report, error) {
 		Measure:       o.PointDuration,
 		Seed:          41,
 		SampleLatency: true,
-	}, func(th *stm.Thread, rng *workload.Rng) { bankC.op(th, rng) })
+	}, bankC.op)
 	capacity := closed.Throughput
 	if capacity <= 0 {
 		return nil, fmt.Errorf("tailsweep: closed-loop capacity measured as 0")
@@ -83,7 +83,7 @@ func TailSweep(o Options) (*Report, error) {
 			Warmup:  o.Warmup,
 			Measure: o.PointDuration,
 			Seed:    43,
-		}, func(th *stm.Thread, rng *workload.Rng, _ uint64) { bank.op(th, rng) })
+		}, func(rng *workload.Rng, _ uint64) { bank.op(rng) })
 		engine := rt.LatencyStats()
 
 		fig.SeriesNamed("open/p50").Add(f, float64(res.Latency.Quantile(0.50)))

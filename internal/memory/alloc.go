@@ -24,10 +24,9 @@ type retiredObj struct {
 
 // Allocator is a per-thread allocation cache over an Arena. Each worker
 // thread owns one Allocator; free lists, bump regions and the limbo list
-// are thread-local, and only grabbing a fresh block from the arena (or
-// draining the arena's shared limbo) takes a lock. This keeps the
-// allocator off the measured critical path the same way TinySTM's malloc
-// wrappers do.
+// are thread-local, and only grabbing a fresh block from the arena takes
+// a lock. This keeps the allocator off the measured critical path the same
+// way TinySTM's malloc wrappers do.
 //
 // Transactionally freed objects do not reach the free lists directly: the
 // engine retires them into the limbo list stamped with the freeing
@@ -201,10 +200,8 @@ func (al *Allocator) LimboWords() uint64 { return al.limboWords }
 func (al *Allocator) NeedsReclaim() bool { return al.LimboLen() >= al.reclaimAt }
 
 // Reclaim moves every limbo object whose retire stamp the horizon has
-// passed (stamp < horizon) onto the real free lists, then drains any
-// eligible objects from the arena's shared overflow limbo into this
-// allocator. It returns the number of words reclaimed and re-arms
-// NeedsReclaim.
+// passed (stamp < horizon) onto the real free lists. It returns the
+// number of words reclaimed and re-arms NeedsReclaim.
 func (al *Allocator) Reclaim(horizon uint64) uint64 {
 	var words uint64
 	i := al.limboHead
@@ -229,21 +226,6 @@ func (al *Allocator) Reclaim(horizon uint64) uint64 {
 	if words > 0 {
 		al.arena.reclaimedWords.Add(words)
 	}
-	words += al.arena.drainShared(al, horizon)
 	al.reclaimAt = al.LimboLen() + ReclaimBatch
 	return words
-}
-
-// FlushLimbo hands every limbo entry to the arena's shared overflow
-// drain. Called when the allocator's owning thread detaches, so retired
-// objects are not stranded in a dead allocator: any thread's next Reclaim
-// picks them up once the horizon allows.
-func (al *Allocator) FlushLimbo() {
-	if al.limboHead < len(al.limbo) {
-		al.arena.flushShared(al.limbo[al.limboHead:])
-	}
-	al.limbo = al.limbo[:0]
-	al.limboHead = 0
-	al.limboWords = 0
-	al.reclaimAt = ReclaimBatch
 }

@@ -20,8 +20,7 @@
 // reading (Allocator.Retire) and migrate to the real free lists only once
 // the engine's published-reader horizon (internal/epoch) passes their
 // stamp (Allocator.Reclaim) — so an address is never recycled while any
-// live snapshot reader could still reconstruct it. A shared overflow
-// limbo on the arena catches retires from detached allocators, and
+// live snapshot reader could still reconstruct it.
 // Arena.ReclaimStats exposes the retire/reclaim/limbo word counters.
 package memory
 
@@ -84,16 +83,10 @@ type Arena struct {
 
 	allocated atomic.Uint64 // words handed out (for stats)
 
-	// Epoch-based reclamation state (see reclaim.go): cumulative retire and
-	// reclaim word counters (their difference is the live limbo footprint),
-	// and the shared overflow limbo where detached allocators flush pending
-	// retires. sharedLive mirrors "sharedLimbo non-empty" so the drain's
-	// common case skips the mutex.
+	// Epoch-based reclamation counters (see reclaim.go): cumulative retire
+	// and reclaim words; their difference is the live limbo footprint.
 	retiredWords   atomic.Uint64
 	reclaimedWords atomic.Uint64
-	limboMu        sync.Mutex
-	sharedLimbo    []retiredObj
-	sharedLive     atomic.Uint32
 }
 
 // NewArena creates an arena with the given configuration.

@@ -1,9 +1,7 @@
 package memory
 
 // This file holds the arena-level half of epoch-based reclamation: the
-// shared overflow limbo (where detached allocators flush their pending
-// retires so no retired object is ever stranded) and the arena-wide
-// retire/reclaim counters behind ReclaimStats.
+// arena-wide retire/reclaim counters behind ReclaimStats.
 //
 // The per-thread half — limbo lists, free-list migration — lives on
 // Allocator (alloc.go); the horizon itself is owned by the engine, which
@@ -12,7 +10,7 @@ package memory
 // ReclaimStats is a momentary reading of the arena's reclamation
 // counters. RetiredWords and ReclaimedWords are cumulative and monotonic;
 // LimboWords is their difference — the words currently awaiting the
-// horizon, across every allocator's limbo plus the shared overflow.
+// horizon, across every allocator's limbo.
 type ReclaimStats struct {
 	RetiredWords   uint64
 	ReclaimedWords uint64
@@ -30,60 +28,4 @@ func (a *Arena) ReclaimStats() ReclaimStats {
 		ReclaimedWords: rec,
 		LimboWords:     ret - rec,
 	}
-}
-
-// flushShared appends limbo entries to the shared overflow limbo.
-func (a *Arena) flushShared(recs []retiredObj) {
-	if len(recs) == 0 {
-		return
-	}
-	a.limboMu.Lock()
-	a.sharedLimbo = append(a.sharedLimbo, recs...)
-	a.limboMu.Unlock()
-	a.sharedLive.Store(1)
-}
-
-// drainShared moves every shared-limbo entry whose stamp the horizon has
-// passed into al's free lists, returning the words reclaimed. Entries from
-// different threads interleave arbitrarily, so this filters rather than
-// popping a prefix. The sharedLive flag keeps the common case — nothing
-// ever flushed — to one atomic load, off the mutex.
-func (a *Arena) drainShared(al *Allocator, horizon uint64) uint64 {
-	if a.sharedLive.Load() == 0 {
-		return 0
-	}
-	a.limboMu.Lock()
-	var words uint64
-	kept := a.sharedLimbo[:0]
-	var take []retiredObj
-	for _, r := range a.sharedLimbo {
-		if r.stamp < horizon {
-			take = append(take, r)
-			words += uint64(r.n)
-		} else {
-			kept = append(kept, r)
-		}
-	}
-	a.sharedLimbo = kept
-	if len(kept) == 0 {
-		a.sharedLive.Store(0)
-	}
-	a.limboMu.Unlock()
-	// Recycling touches only the calling thread's allocator; no need to
-	// hold the shared lock for it.
-	for _, r := range take {
-		al.recycle(r.addr, r.n)
-	}
-	if words > 0 {
-		a.reclaimedWords.Add(words)
-	}
-	return words
-}
-
-// SharedLimboLen returns the number of objects in the shared overflow
-// limbo (for tests and diagnostics).
-func (a *Arena) SharedLimboLen() int {
-	a.limboMu.Lock()
-	defer a.limboMu.Unlock()
-	return len(a.sharedLimbo)
 }

@@ -96,41 +96,6 @@ func TestLargeObjectRecycling(t *testing.T) {
 	}
 }
 
-// TestFlushLimboSharedDrain: a flushed limbo survives its allocator and is
-// drained into another allocator's free lists once the horizon allows.
-func TestFlushLimboSharedDrain(t *testing.T) {
-	arena := MustNewArena(Config{CapacityWords: 1 << 16, BlockShift: 8})
-	site := arena.Sites().Register("s")
-	a1 := NewAllocator(arena)
-	a2 := NewAllocator(arena)
-	addr := a1.MustAlloc(site, 8)
-	a1.Retire(addr, 8, 5)
-	a1.FlushLimbo()
-	if a1.LimboLen() != 0 {
-		t.Fatalf("limbo not empty after flush")
-	}
-	if arena.SharedLimboLen() != 1 {
-		t.Fatalf("shared limbo len = %d, want 1", arena.SharedLimboLen())
-	}
-	// Horizon not yet past the stamp: drain keeps the entry.
-	if w := a2.Reclaim(5); w != 0 {
-		t.Fatalf("premature shared drain reclaimed %d words", w)
-	}
-	if arena.SharedLimboLen() != 1 {
-		t.Fatalf("shared limbo drained early")
-	}
-	if w := a2.Reclaim(6); w != 8 {
-		t.Fatalf("shared drain reclaimed %d words, want 8", w)
-	}
-	if got := a2.MustAlloc(site, 8); got != addr {
-		t.Fatalf("drained object not recycled into draining allocator: got %d, want %d", got, addr)
-	}
-	st := arena.ReclaimStats()
-	if st.LimboWords != 0 {
-		t.Fatalf("limbo words = %d after full drain, want 0", st.LimboWords)
-	}
-}
-
 // TestNeedsReclaimArming: NeedsReclaim fires once per ReclaimBatch of
 // growth, and a fruitless reclaim (stalled horizon) re-arms rather than
 // firing on every subsequent retire.

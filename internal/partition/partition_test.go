@@ -146,7 +146,7 @@ func TestPlanInstallAndRun(t *testing.T) {
 	// Profile: link each structure internally.
 	an := NewAnalyzer()
 	e.SetProfiler(an, true)
-	th := e.MustAttachThread()
+	th := e.BorrowThread()
 	var headL, headT memory.Addr
 	th.Run(func(tx *core.Tx) error {
 		headL = tx.Alloc(sL, 2)

@@ -216,9 +216,7 @@ func TestTypedErrorsRoundTrip(t *testing.T) {
 	holderDone := make(chan struct{})
 	go func() {
 		defer close(holderDone)
-		th := rt.MustAttach()
-		defer rt.Detach(th)
-		th.Run(func(tx *stm.Tx) error {
+		rt.Run(func(tx *stm.Tx) error {
 			tx.Store(hot, 99)
 			close(held)
 			<-release

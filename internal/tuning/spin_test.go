@@ -17,8 +17,8 @@ import (
 func holdLock(e *core.Engine, a memory.Addr, held, release, done chan struct{}) {
 	go func() {
 		defer close(done)
-		th := e.MustAttachThread()
-		defer e.DetachThread(th)
+		th := e.BorrowThread()
+		defer e.ReturnThread(th)
 		first := true
 		th.Run(func(tx *core.Tx) error {
 			tx.Store(a, 7)
@@ -44,8 +44,8 @@ func TestSpinBudgetShrinksOnEscalatedWaits(t *testing.T) {
 	cfg.MinCommits = 1
 	tn := New(e, cfg)
 
-	th := e.MustAttachThread()
-	defer e.DetachThread(th)
+	th := e.BorrowThread()
+	defer e.ReturnThread(th)
 	var a memory.Addr
 	th.Run(func(tx *core.Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)
@@ -69,8 +69,8 @@ func TestSpinBudgetShrinksOnEscalatedWaits(t *testing.T) {
 		readerDone := make(chan struct{})
 		go func() {
 			defer close(readerDone)
-			rth := e.MustAttachThread()
-			defer e.DetachThread(rth)
+			rth := e.BorrowThread()
+			defer e.ReturnThread(rth)
 			rth.Run(func(tx *core.Tx) error { tx.Load(a); return nil }, core.Snapshot())
 		}()
 		// Wait until the reader has demonstrably escalated: the yield and
@@ -116,8 +116,8 @@ func TestSpinBudgetGrowsOnNonEscalatingLockAborts(t *testing.T) {
 	cfg.MinCommits = 1
 	tn := New(e, cfg)
 
-	th := e.MustAttachThread()
-	defer e.DetachThread(th)
+	th := e.BorrowThread()
+	defer e.ReturnThread(th)
 	var a memory.Addr
 	th.Run(func(tx *core.Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)

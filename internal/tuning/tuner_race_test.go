@@ -20,7 +20,7 @@ func TestTunerInstallPlanStatsRace(t *testing.T) {
 	sa := sites.Register("trace.a")
 	sb := sites.Register("trace.b")
 	var addrs [2]memory.Addr
-	setup := e.MustAttachThread()
+	setup := e.BorrowThread()
 	setup.Run(func(tx *core.Tx) error {
 		addrs[0] = tx.Alloc(sa, 4)
 		addrs[1] = tx.Alloc(sb, 4)
@@ -31,7 +31,7 @@ func TestTunerInstallPlanStatsRace(t *testing.T) {
 		}
 		return nil
 	})
-	e.DetachThread(setup)
+	e.ReturnThread(setup)
 
 	cfg := DefaultConfig()
 	cfg.Interval = time.Millisecond
@@ -45,8 +45,8 @@ func TestTunerInstallPlanStatsRace(t *testing.T) {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
-			th := e.MustAttachThread()
-			defer e.DetachThread(th)
+			th := e.BorrowThread()
+			defer e.ReturnThread(th)
 			rng := rand.New(rand.NewSource(seed))
 			for {
 				select {

@@ -22,8 +22,8 @@ func newEngine(t testing.TB) *core.Engine {
 // Tick between bursts, and returns all decisions.
 func drive(t *testing.T, e *core.Engine, tn *Tuner, epochs int, burst func(th *core.Thread)) []Decision {
 	t.Helper()
-	th := e.MustAttachThread()
-	defer e.DetachThread(th)
+	th := e.BorrowThread()
+	defer e.ReturnThread(th)
 	var all []Decision
 	for i := 0; i < epochs; i++ {
 		burst(th)
@@ -49,7 +49,7 @@ func TestVisibilitySwitchToVisible(t *testing.T) {
 	cfg.MinCommits = 10
 	tn := New(e, cfg)
 
-	th := e.MustAttachThread()
+	th := e.BorrowThread()
 	var a memory.Addr
 	th.Run(func(tx *core.Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)
@@ -63,8 +63,8 @@ func TestVisibilitySwitchToVisible(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		th2 := e.MustAttachThread()
-		defer e.DetachThread(th2)
+		th2 := e.BorrowThread()
+		defer e.ReturnThread(th2)
 		for {
 			select {
 			case <-stop:
@@ -111,7 +111,7 @@ func TestVisibilitySwitchBackToInvisible(t *testing.T) {
 	cfg.Hysteresis = 2
 	tn := New(e, cfg)
 
-	th := e.MustAttachThread()
+	th := e.BorrowThread()
 	var a memory.Addr
 	th.Run(func(tx *core.Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 8)
@@ -211,8 +211,8 @@ func TestIdlePartitionLeftAlone(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MinCommits = 1000000 // everything is idle
 	tn := New(e, cfg)
-	th := e.MustAttachThread()
-	defer e.DetachThread(th)
+	th := e.BorrowThread()
+	defer e.ReturnThread(th)
 	var a memory.Addr
 	th.Run(func(tx *core.Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 1)
@@ -252,7 +252,7 @@ func TestCMAdaptationToArbiter(t *testing.T) {
 	cfg.ToSpinConflictRate = 0
 	tn := New(e, cfg)
 
-	th := e.MustAttachThread()
+	th := e.BorrowThread()
 	const span = 32
 	var a memory.Addr
 	th.Run(func(tx *core.Tx) error {
@@ -280,8 +280,8 @@ func TestCMAdaptationToArbiter(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		th2 := e.MustAttachThread()
-		defer e.DetachThread(th2)
+		th2 := e.BorrowThread()
+		defer e.ReturnThread(th2)
 		for {
 			select {
 			case <-stop:
@@ -305,7 +305,7 @@ func TestCMAdaptationToArbiter(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	e.DetachThread(th)
+	e.ReturnThread(th)
 	if !switched {
 		s := e.StatsSnapshot(core.GlobalPartition)
 		t.Fatalf("tuner never switched CM (abort rate %.2f, aborts %v)", s.AbortRate(), s.Aborts)
@@ -380,7 +380,7 @@ func TestTimeBaseAdaptation(t *testing.T) {
 	tn := New(e, cfg)
 
 	var aa, ab memory.Addr
-	setup := e.MustAttachThread()
+	setup := e.BorrowThread()
 	setup.Run(func(tx *core.Tx) error {
 		aa = tx.Alloc(sa, 1)
 		ab = tx.Alloc(sb, 1)
@@ -388,7 +388,7 @@ func TestTimeBaseAdaptation(t *testing.T) {
 		tx.Store(ab, 0)
 		return nil
 	})
-	e.DetachThread(setup)
+	e.ReturnThread(setup)
 
 	// Phase 1: partition-confined updates — expect the switch to
 	// partition-local.
@@ -482,8 +482,8 @@ func TestSnapshotAdaptation(t *testing.T) {
 	cfg.SnapshotHistCap = 64
 	tn := New(e, cfg)
 
-	th := e.MustAttachThread()
-	defer e.DetachThread(th)
+	th := e.BorrowThread()
+	defer e.ReturnThread(th)
 	var a memory.Addr
 	th.Run(func(tx *core.Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 4)
@@ -549,9 +549,9 @@ func TestSnapshotAdaptation(t *testing.T) {
 				// committing an update to word 1 before reading it.
 				_ = tx.Load(a)
 				if tx.SnapshotMode() {
-					th2 := e.MustAttachThread()
+					th2 := e.BorrowThread()
 					th2.Run(func(wtx *core.Tx) error { wtx.Store(a+1, wtx.Load(a+1)+1); return nil })
-					e.DetachThread(th2)
+					e.ReturnThread(th2)
 				}
 				_ = tx.Load(a + 1)
 				return nil
@@ -598,8 +598,8 @@ func TestSnapshotRetentionGrowth(t *testing.T) {
 	cfg.Hysteresis = 2
 	tn := New(e, cfg)
 
-	th := e.MustAttachThread()
-	defer e.DetachThread(th)
+	th := e.BorrowThread()
+	defer e.ReturnThread(th)
 	var a memory.Addr
 	th.Run(func(tx *core.Tx) error {
 		a = tx.Alloc(memory.DefaultSite, 2)
@@ -617,11 +617,11 @@ func TestSnapshotRetentionGrowth(t *testing.T) {
 			th.Run(func(tx *core.Tx) error {
 				_ = tx.Load(a)
 				if tx.SnapshotMode() {
-					th2 := e.MustAttachThread()
+					th2 := e.BorrowThread()
 					for j := 0; j < 16; j++ {
 						th2.Run(func(wtx *core.Tx) error { wtx.Store(a+1, wtx.Load(a+1)+1); return nil })
 					}
-					e.DetachThread(th2)
+					e.ReturnThread(th2)
 				}
 				_ = tx.Load(a + 1)
 				return nil

@@ -77,22 +77,20 @@ func ExampleRuntime_ManualPartition() {
 	// Output: hot partition: visible
 }
 
-// ExampleThread_Run shows aborting a transaction from user code: the
+// ExampleRuntime_Run shows aborting a transaction from user code: the
 // error is returned and all effects are discarded.
-func ExampleThread_Run() {
+func ExampleRuntime_Run() {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 16})
 	site := rt.RegisterSite("example.balance")
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 
 	var balance stm.Addr
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		balance = tx.Alloc(site, 1)
 		tx.Store(balance, 30)
 		return nil
 	})
 	withdraw := func(amount uint64) error {
-		return th.Run(func(tx *stm.Tx) error {
+		return rt.Run(func(tx *stm.Tx) error {
 			b := tx.Load(balance)
 			if b < amount {
 				return fmt.Errorf("insufficient funds: %d < %d", b, amount)
@@ -103,7 +101,7 @@ func ExampleThread_Run() {
 	}
 	fmt.Println(withdraw(20))
 	fmt.Println(withdraw(20))
-	th.Run(func(tx *stm.Tx) error { fmt.Println("balance:", tx.Load(balance)); return nil }, stm.ReadOnly())
+	rt.Run(func(tx *stm.Tx) error { fmt.Println("balance:", tx.Load(balance)); return nil }, stm.ReadOnly())
 	// Output:
 	// <nil>
 	// insufficient funds: 10 < 20

@@ -16,16 +16,14 @@ func TestUnPartitionRestoresSingleGlobal(t *testing.T) {
 	rt.StartProfiling()
 	sA := rt.RegisterSite("up.a")
 	sB := rt.RegisterSite("up.b")
-	th := rt.MustAttach()
 	var a, b stm.Addr
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		a = tx.Alloc(sA, 2)
 		b = tx.Alloc(sB, 2)
 		tx.StoreAddr(a, a+1) // self-edges so both sites appear in the graph
 		tx.StoreAddr(b, b+1)
 		return nil
 	})
-	rt.Detach(th)
 	if _, err := rt.StopProfilingAndPartition(); err != nil {
 		t.Fatal(err)
 	}
@@ -41,10 +39,8 @@ func TestUnPartitionRestoresSingleGlobal(t *testing.T) {
 	if got := rt.PartitionOf(b); got != stm.GlobalPartition {
 		t.Fatalf("b in partition %d after UnPartition", got)
 	}
-	th = rt.MustAttach()
-	defer rt.Detach(th)
-	th.Run(func(tx *stm.Tx) error { tx.Store(a, 42); return nil })
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error { tx.Store(a, 42); return nil })
+	rt.Run(func(tx *stm.Tx) error {
 		if tx.Load(a) != 42 {
 			t.Error("lost store after UnPartition")
 		}
@@ -109,9 +105,7 @@ func TestHeapInUseBlocksGrows(t *testing.T) {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 16, BlockShift: 8})
 	before := rt.HeapInUseBlocks()
 	site := rt.RegisterSite("hb")
-	th := rt.MustAttach()
-	defer rt.Detach(th)
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		for i := 0; i < 10; i++ {
 			tx.Alloc(site, 200) // most of a block each
 		}
@@ -125,24 +119,22 @@ func TestHeapInUseBlocksGrows(t *testing.T) {
 // TestRunPropagatesUserError checks user errors abort and surface.
 func TestRunPropagatesUserError(t *testing.T) {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 14})
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	site := rt.RegisterSite("ae")
 	var a stm.Addr
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		a = tx.Alloc(site, 1)
 		tx.Store(a, 1)
 		return nil
 	})
 	sentinel := errSentinel{}
-	err := th.Run(func(tx *stm.Tx) error {
+	err := rt.Run(func(tx *stm.Tx) error {
 		tx.Store(a, 999)
 		return sentinel
 	})
 	if err != sentinel {
 		t.Fatalf("err = %v, want sentinel", err)
 	}
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		if got := tx.Load(a); got != 1 {
 			t.Fatalf("error abort leaked store: %d", got)
 		}
@@ -154,8 +146,8 @@ type errSentinel struct{}
 
 func (errSentinel) Error() string { return "sentinel" }
 
-// TestReconfigureWhileDetachedThreads reconfigures with no attached
-// threads (quiescence must not hang on an empty thread set).
+// TestReconfigureWhileDetachedThreads reconfigures before any transaction
+// has run (quiescence must not hang on an empty thread set).
 func TestReconfigureWhileDetachedThreads(t *testing.T) {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 14})
 	cfg := stm.DefaultPartConfig()
@@ -172,37 +164,6 @@ func TestReconfigureWhileDetachedThreads(t *testing.T) {
 	}
 }
 
-// TestTracingLifecycle checks StartTracing records attempts and
-// StopTracing detaches cleanly.
-func TestTracingLifecycle(t *testing.T) {
-	rt := stm.MustNew(stm.Config{HeapWords: 1 << 14})
-	site := rt.RegisterSite("tl")
-	th := rt.MustAttach()
-	defer rt.Detach(th)
-	rec := rt.StartTracing(128)
-	var a stm.Addr
-	th.Run(func(tx *stm.Tx) error {
-		a = tx.Alloc(site, 1)
-		tx.Store(a, 0)
-		return nil
-	})
-	for i := 0; i < 20; i++ {
-		th.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
-	}
-	rt.StopTracing()
-	if got := rec.Commits(); got != 21 {
-		t.Fatalf("traced commits = %d, want 21", got)
-	}
-	if len(rec.Snapshot()) != 21 {
-		t.Fatalf("snapshot = %d events", len(rec.Snapshot()))
-	}
-	before := rec.Len()
-	th.Run(func(tx *stm.Tx) error { tx.Store(a, 0); return nil })
-	if rec.Len() != before {
-		t.Fatal("recorder still attached after StopTracing")
-	}
-}
-
 // TestPlanPersistenceAcrossRuntimes saves a discovered-and-specialized
 // plan from one runtime and warm-starts a second runtime with it: the
 // partitioning and the tuned configuration must carry over.
@@ -213,8 +174,7 @@ func TestPlanPersistenceAcrossRuntimes(t *testing.T) {
 	for _, s := range []string{"pp.a.head", "pp.a.node", "pp.b.head", "pp.b.node"} {
 		rt1.RegisterSite(s)
 	}
-	th := rt1.MustAttach()
-	th.Run(func(tx *stm.Tx) error {
+	rt1.Run(func(tx *stm.Tx) error {
 		sa, _ := rt1.Sites().Lookup("pp.a.head")
 		san, _ := rt1.Sites().Lookup("pp.a.node")
 		sb, _ := rt1.Sites().Lookup("pp.b.head")
@@ -227,7 +187,6 @@ func TestPlanPersistenceAcrossRuntimes(t *testing.T) {
 		tx.StoreAddr(b, bn)
 		return nil
 	})
-	rt1.Detach(th)
 	plan, err := rt1.StopProfilingAndPartition()
 	if err != nil {
 		t.Fatal(err)
@@ -274,10 +233,8 @@ func TestPlanPersistenceAcrossRuntimes(t *testing.T) {
 		t.Fatalf("tuned configuration lost across runtimes\nsaved: %s", buf.String())
 	}
 	// And the reloaded runtime must still run transactions.
-	th2 := rt2.MustAttach()
-	defer rt2.Detach(th2)
 	site, _ := rt2.Sites().Lookup("pp.a.node")
-	th2.Run(func(tx *stm.Tx) error {
+	rt2.Run(func(tx *stm.Tx) error {
 		a := tx.Alloc(site, 1)
 		tx.Store(a, 42)
 		if tx.Load(a) != 42 {
@@ -287,43 +244,48 @@ func TestPlanPersistenceAcrossRuntimes(t *testing.T) {
 	})
 }
 
-// TestManyThreadsAttachDetachChurn churns attach/detach concurrently with
-// running transactions.
+// TestManyThreadsAttachDetachChurn churns goroutines: every round starts
+// a fresh set of goroutines that run transactions through Runtime.Run and
+// exit. No update may be lost, and the statistics must count every commit
+// exactly once — slots are borrowed and returned, never released, so no
+// counter depends on a fold at release time.
 func TestManyThreadsAttachDetachChurn(t *testing.T) {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 18})
 	site := rt.RegisterSite("churn")
-	setup := rt.MustAttach()
 	var a stm.Addr
-	setup.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		a = tx.Alloc(site, 1)
 		tx.Store(a, 0)
 		return nil
 	})
-	rt.Detach(setup)
 	const workers, rounds, perRound = 8, 20, 50
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				th := rt.MustAttach()
+	for r := 0; r < rounds; r++ {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
 				for i := 0; i < perRound; i++ {
-					th.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
+					rt.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 				}
-				rt.Detach(th)
-			}
-		}()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
-	th := rt.MustAttach()
-	defer rt.Detach(th)
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		if got := tx.Load(a); got != workers*rounds*perRound {
 			t.Fatalf("counter = %d, want %d", got, workers*rounds*perRound)
 		}
 		return nil
-	})
+	}, stm.ReadOnly())
+	// The setup transaction, every increment and the read-only check.
+	var commits uint64
+	for _, ps := range rt.Stats() {
+		commits += ps.Commits
+	}
+	if want := uint64(1 + workers*rounds*perRound + 1); commits != want {
+		t.Fatalf("Stats() commits = %d, want %d", commits, want)
+	}
 }
 
 // TestTimeBaseFacade covers the time-base surface of the public API:
@@ -337,16 +299,14 @@ func TestTimeBaseFacade(t *testing.T) {
 
 	sA := rt.RegisterSite("tbf.a")
 	sB := rt.RegisterSite("tbf.b")
-	th := rt.MustAttach()
 	var a, b stm.Addr
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		a = tx.Alloc(sA, 1)
 		b = tx.Alloc(sB, 1)
 		tx.Store(a, 10)
 		tx.Store(b, 20)
 		return nil
 	})
-	rt.Detach(th)
 	if _, err := rt.ManualPartition(map[string][]string{"pa": {"tbf.a"}, "pb": {"tbf.b"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -361,10 +321,9 @@ func TestTimeBaseFacade(t *testing.T) {
 
 	// Partition-confined updates move only their own counters; the
 	// cross-partition epoch stays put.
-	th = rt.MustAttach()
 	for i := 0; i < 50; i++ {
-		th.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
-		th.Run(func(tx *stm.Tx) error { tx.Store(b, tx.Load(b)+1); return nil })
+		rt.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
+		rt.Run(func(tx *stm.Tx) error { tx.Store(b, tx.Load(b)+1); return nil })
 	}
 	cs2 := rt.ClockStats()
 	if cs2.SharedRMWs != cs.SharedRMWs {
@@ -383,11 +342,10 @@ func TestTimeBaseFacade(t *testing.T) {
 			t.Fatalf("migration moved time backwards: %v -> %v", before.Parts, after.Parts)
 		}
 	}
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		if got := tx.Load(a) + tx.Load(b); got != 10+20+100 {
 			t.Fatalf("sum = %d", got)
 		}
 		return nil
 	})
-	rt.Detach(th)
 }

@@ -31,8 +31,6 @@ type subWordAligned struct{ A, B uint32 }
 func TestRefRoundTrip(t *testing.T) {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 16})
 	site := rt.RegisterSite("ref.rt")
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 
 	if w := stm.WordsOf[account](); w != 3 {
 		t.Fatalf("WordsOf[account] = %d, want 3", w)
@@ -47,7 +45,7 @@ func TestRefRoundTrip(t *testing.T) {
 	want := account{Balance: 12345, Limit: 99, Flags: 0xDEAD}
 	wantOdd := oddSized{V: [4]uint32{1 << 30, 7, 65535, 200}, T: 0xBEEF}
 	wantSub := subWordAligned{A: 0xA5A5A5A5, B: 0x5A5A5A5A}
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		ar = stm.AllocRef[account](tx, site)
 		ar.Store(tx, want)
 		or = stm.AllocRef[oddSized](tx, site)
@@ -56,7 +54,7 @@ func TestRefRoundTrip(t *testing.T) {
 		sr.Store(tx, wantSub)
 		return nil
 	})
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		if got := ar.Load(tx); got != want {
 			t.Errorf("account round trip: %+v, want %+v", got, want)
 		}
@@ -101,12 +99,10 @@ type bigOdd struct{ V [17]uint32 }
 func TestRefStagingDoesNotAllocate(t *testing.T) {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 16})
 	site := rt.RegisterSite("ref.staging")
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 
 	var r stm.Ref[twelveBytes]
 	var big stm.Ref[bigOdd]
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		r = stm.AllocRef[twelveBytes](tx, site)
 		// Stale contents in both words, as recycled memory would hold.
 		tx.Store(r.WordAddr(0), ^uint64(0))
@@ -118,8 +114,8 @@ func TestRefStagingDoesNotAllocate(t *testing.T) {
 		t.Fatalf("words = %d and %d, want 2 and 9", r.Words(), big.Words())
 	}
 	want := twelveBytes{A: 0xA1A2A3A4, B: 0xB1B2B3B4, C: 0xC1C2C3C4}
-	th.Run(func(tx *stm.Tx) error { r.Store(tx, want); return nil })
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error { r.Store(tx, want); return nil })
+	rt.Run(func(tx *stm.Tx) error {
 		if got := r.Load(tx); got != want {
 			t.Fatalf("round trip = %+v, want %+v", got, want)
 		}
@@ -133,8 +129,8 @@ func TestRefStagingDoesNotAllocate(t *testing.T) {
 	store := func(tx *stm.Tx) error { r.Store(tx, want); return nil }
 	load := func(tx *stm.Tx) error { sink = r.Load(tx); return nil }
 	if n := testing.AllocsPerRun(200, func() {
-		th.Run(store)
-		th.Run(load, stm.ReadOnly())
+		rt.Run(store)
+		rt.Run(load, stm.ReadOnly())
 	}); n != 0 {
 		t.Fatalf("Store+Load of a 12-byte struct allocates %.1f times per run, want 0", n)
 	}
@@ -146,8 +142,8 @@ func TestRefStagingDoesNotAllocate(t *testing.T) {
 	for i := range bw.V {
 		bw.V[i] = uint32(i + 1)
 	}
-	th.Run(func(tx *stm.Tx) error { big.Store(tx, bw); return nil })
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error { big.Store(tx, bw); return nil })
+	rt.Run(func(tx *stm.Tx) error {
 		if got := big.Load(tx); got != bw {
 			t.Fatalf("9-word round trip = %+v, want %+v", got, bw)
 		}
@@ -201,14 +197,12 @@ func TestRefTorture(t *testing.T) {
 			m.mut(&cfg)
 			rt := stm.MustNew(stm.Config{HeapWords: 1 << 16, Default: &cfg, YieldEveryOps: 8})
 			site := rt.RegisterSite("ref.torture")
-			setup := rt.MustAttach()
 			var r stm.Ref[obj]
-			setup.Run(func(tx *stm.Tx) error {
+			rt.Run(func(tx *stm.Tx) error {
 				r = stm.AllocRef[obj](tx, site)
 				r.Store(tx, obj{A: total})
 				return nil
 			})
-			rt.Detach(setup)
 
 			const workers, opsEach = 8, 300
 			var wg sync.WaitGroup
@@ -216,10 +210,8 @@ func TestRefTorture(t *testing.T) {
 				wg.Add(1)
 				go func(seed uint64) {
 					defer wg.Done()
-					th := rt.MustAttach()
-					defer rt.Detach(th)
 					for i := 0; i < opsEach; i++ {
-						th.Run(func(tx *stm.Tx) error {
+						rt.Run(func(tx *stm.Tx) error {
 							o := r.Load(tx)
 							if o.A+o.B != total {
 								t.Errorf("torn read: A+B = %d", o.A+o.B)
@@ -238,9 +230,7 @@ func TestRefTorture(t *testing.T) {
 				}(uint64(w)*7 + 1)
 			}
 			wg.Wait()
-			check := rt.MustAttach()
-			defer rt.Detach(check)
-			check.Run(func(tx *stm.Tx) error {
+			rt.Run(func(tx *stm.Tx) error {
 				o := r.Load(tx)
 				if o.A+o.B != total {
 					t.Fatalf("invariant broken: A+B = %d, want %d", o.A+o.B, total)
@@ -268,23 +258,19 @@ func TestRefSnapshotScan(t *testing.T) {
 	site := rt.RegisterSite("ref.snap")
 	const nObjs = 32
 	refs := make([]stm.Ref[obj], nObjs)
-	setup := rt.MustAttach()
-	setup.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		for i := range refs {
 			refs[i] = stm.AllocRef[obj](tx, site)
 			refs[i].Store(tx, obj{})
 		}
 		return nil
 	})
-	rt.Detach(setup)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
 	go func() { // writer: bump whole objects
 		defer wg.Done()
-		th := rt.MustAttach()
-		defer rt.Detach(th)
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
@@ -292,7 +278,7 @@ func TestRefSnapshotScan(t *testing.T) {
 			default:
 			}
 			r := refs[i%nObjs]
-			th.Run(func(tx *stm.Tx) error {
+			rt.Run(func(tx *stm.Tx) error {
 				o := r.Load(tx)
 				g := o.Gen + 1
 				r.Store(tx, obj{A: g, B: g, C: g, D: g, Gen: g})
@@ -302,8 +288,7 @@ func TestRefSnapshotScan(t *testing.T) {
 	}()
 	var snapHits uint64
 	for round := 0; round < 200; round++ {
-		th := rt.MustAttach()
-		th.Run(func(tx *stm.Tx) error {
+		rt.Run(func(tx *stm.Tx) error {
 			for i := range refs {
 				o := refs[i].Load(tx)
 				if o.A != o.Gen || o.B != o.Gen || o.C != o.Gen || o.D != o.Gen {
@@ -313,7 +298,6 @@ func TestRefSnapshotScan(t *testing.T) {
 			snapHits += tx.SnapshotHits()
 			return nil
 		}, stm.Snapshot())
-		rt.Detach(th)
 	}
 	close(stop)
 	wg.Wait()

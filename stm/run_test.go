@@ -14,10 +14,8 @@ import (
 func TestRunMaxAttempts(t *testing.T) {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 14})
 	site := rt.RegisterSite("ma")
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	var a stm.Addr
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		a = tx.Alloc(site, 1)
 		tx.Store(a, 7)
 		return nil
@@ -25,7 +23,7 @@ func TestRunMaxAttempts(t *testing.T) {
 
 	var causes []stm.AbortCause
 	var attempts []int
-	err := th.Run(func(tx *stm.Tx) error {
+	err := rt.Run(func(tx *stm.Tx) error {
 		tx.Store(a, 1000)
 		tx.Abort()
 		return nil
@@ -49,7 +47,7 @@ func TestRunMaxAttempts(t *testing.T) {
 			t.Fatalf("attempt[%d] = %d, want %d", i, attempts[i], i+1)
 		}
 	}
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		if got := tx.Load(a); got != 7 {
 			t.Fatalf("exhausted transaction leaked a store: %d", got)
 		}
@@ -57,7 +55,7 @@ func TestRunMaxAttempts(t *testing.T) {
 	}, stm.ReadOnly())
 
 	// A committing transaction under a budget returns nil.
-	if err := th.Run(func(tx *stm.Tx) error {
+	if err := rt.Run(func(tx *stm.Tx) error {
 		tx.Store(a, 8)
 		return nil
 	}, stm.MaxAttempts(1)); err != nil {
@@ -71,16 +69,14 @@ func TestRunMaxAttempts(t *testing.T) {
 func TestRunUpgradeCountsAgainstBudget(t *testing.T) {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 14})
 	site := rt.RegisterSite("up")
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	var a stm.Addr
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		a = tx.Alloc(site, 1)
 		tx.Store(a, 0)
 		return nil
 	})
 	var sawUpgrade bool
-	err := th.Run(func(tx *stm.Tx) error {
+	err := rt.Run(func(tx *stm.Tx) error {
 		tx.Store(a, 1) // write in a read-only transaction: upgrade restart
 		return nil
 	},
@@ -97,7 +93,7 @@ func TestRunUpgradeCountsAgainstBudget(t *testing.T) {
 	if !sawUpgrade {
 		t.Fatal("OnAbort did not observe the upgrade restart")
 	}
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		if got := tx.Load(a); got != 1 {
 			t.Fatalf("upgraded store lost: %d", got)
 		}

@@ -29,24 +29,23 @@
 //		return nil
 //	})
 //
-// Underneath, Run borrows one of the MaxThreads Thread slots from the
-// runtime's pool for the duration of the call: the steady-state
-// borrow/return is lock-free (one CAS each way through a small victim
-// cache, so a hot goroutine keeps re-claiming the Thread it used last
-// with its allocator and transaction state warm), and when every slot is
-// busy the call parks on a FIFO queue until one frees — admission
-// control, never a failure. Long-lived workers that want to shave even
-// that cost can still pin a Thread explicitly (Runtime.Attach /
-// MustAttach / Detach) and call Thread.Run; pinned threads and the pool
-// share the same MaxThreads slot space.
+// Underneath, Run borrows one of the MaxThreads slots from the runtime's
+// pool for the duration of the call: the steady-state borrow/return is
+// lock-free (one CAS each way through a small victim cache, so a hot
+// goroutine keeps re-claiming the slot it used last with its allocator
+// and transaction state warm), and when every slot is busy the call parks
+// on a FIFO queue until one frees — admission control, never a failure.
+// Slots are created on demand and never released.
 //
 // Functional options select the execution mode: Run(fn) is an update
 // transaction retried until commit; Run(fn, stm.ReadOnly()) takes the
 // read-only fast path; Run(fn, stm.Snapshot()) reads at a pinned snapshot
 // served by the multi-version store (see below); stm.MaxAttempts bounds
 // the retry loop (ErrMaxAttempts) and stm.OnAbort observes every aborted
-// attempt. Runtime.Run and Thread.Run are the only two ways to start a
-// transaction, and they take the same function and options.
+// attempt. Runtime.Run is the only way to start a transaction. What runs
+// did is read from per-partition counters (Stats, PartitionStats),
+// commit latency (LatencyStats), reclamation (ReclaimStats) and the redo
+// log (WALStats).
 //
 // # Words and objects
 //
@@ -134,7 +133,6 @@ import (
 	"repro/internal/mvstore"
 	"repro/internal/partition"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/tuning"
 	"repro/internal/wal"
 )
@@ -148,8 +146,6 @@ type (
 	SiteID = memory.SiteID
 	// Tx is a transaction handle, valid only inside Run's fn.
 	Tx = core.Tx
-	// Thread is a per-goroutine transaction context.
-	Thread = core.Thread
 	// PartConfig is a partition's concurrency-control configuration.
 	PartConfig = core.PartConfig
 	// ReadMode selects invisible vs visible reads.
@@ -174,10 +170,6 @@ type (
 	TunerConfig = tuning.Config
 	// TunerDecision records one tuner actuation.
 	TunerDecision = tuning.Decision
-	// TraceRecorder is a ring-buffer recorder of transaction attempts.
-	TraceRecorder = trace.Recorder
-	// AttemptEvent is one traced transaction attempt outcome.
-	AttemptEvent = core.AttemptEvent
 	// TimeBaseMode selects the commit time base (global vs partition-local
 	// counters).
 	TimeBaseMode = core.TimeBaseMode
@@ -292,7 +284,8 @@ const (
 // GlobalPartition is the id of the default partition.
 const GlobalPartition = core.GlobalPartition
 
-// MaxThreads is the maximum number of simultaneously attached threads.
+// MaxThreads is the number of transactions that can run at once (the
+// size of the Run slot pool).
 const MaxThreads = core.MaxThreads
 
 // DefaultPartConfig returns the TinySTM-style default configuration.
@@ -434,36 +427,18 @@ func (r *Runtime) Sites() *memory.Sites { return r.arena.Sites() }
 
 // Run runs fn as one transaction from any goroutine, in the mode
 // selected by opts (ReadOnly, Snapshot, MaxAttempts, OnAbort), retrying
-// on conflict until it commits. No Thread management is needed: a pooled
-// Thread is borrowed from the runtime's slot pool for the duration of the
-// call and returned on completion, a hot goroutine transparently
-// re-claims the Thread it used last (keeping its allocator and
-// transaction state warm), and when all MaxThreads slots are busy the
-// call parks on a FIFO queue until one frees — admission control, never
-// a failure. This is the recommended entrypoint; see Attach for when to
-// pin a Thread instead.
+// on conflict until it commits. No per-goroutine setup is needed: a slot
+// is borrowed from the runtime's pool for the duration of the call and
+// returned on completion, a hot goroutine transparently re-claims the
+// slot it used last (keeping its allocator and transaction state warm),
+// and when all MaxThreads slots are busy the call parks on a FIFO queue
+// until one frees — admission control, never a failure.
 func (r *Runtime) Run(fn func(*Tx) error, opts ...TxOpt) error {
 	return r.eng.RunPooled(fn, opts...)
 }
 
-// Attach registers the calling goroutine and returns a pinned Thread.
-//
-// Most code should use Runtime.Run and never see a Thread. Pin one only
-// when a long-lived worker runs many transactions back to back and wants
-// to shave the (small) borrow/return cost per call, or when a test needs
-// a stable slot identity. Pinned threads consume slots from the same
-// MaxThreads space as the Run pool for as long as they stay attached —
-// a pinned Thread held idle is admission capacity taken from Run.
-func (r *Runtime) Attach() (*Thread, error) { return r.eng.AttachThread() }
-
-// MustAttach is Attach that panics when all thread slots are taken.
-func (r *Runtime) MustAttach() *Thread { return r.eng.MustAttachThread() }
-
-// Detach releases a pinned thread's slot.
-func (r *Runtime) Detach(th *Thread) { r.eng.DetachThread(th) }
-
 // PoolStats returns a momentary reading of the Run slot pool (size, idle
-// Threads, warm-path hits, handoffs to parked borrowers, waits).
+// slots, warm-path hits, handoffs to parked borrowers, waits).
 func (r *Runtime) PoolStats() PoolStats { return r.eng.PoolStats() }
 
 // StartProfiling begins recording pointer-store connectivity for the
@@ -640,21 +615,6 @@ func (r *Runtime) TunerTrace() []TunerDecision {
 	}
 	return r.tuner.Trace()
 }
-
-// StartTracing installs a ring-buffer attempt tracer keeping the last
-// capacity events, and returns it. Use the recorder's Snapshot/Summary
-// after StopTracing; tracing adds one atomic pointer load per attempt.
-func (r *Runtime) StartTracing(capacity int) *TraceRecorder {
-	rec := trace.NewRecorder(capacity)
-	if r.wal != nil {
-		rec.SetWALStatsSource(r.WALStats)
-	}
-	r.eng.SetTracer(rec)
-	return rec
-}
-
-// StopTracing detaches the tracer installed by StartTracing.
-func (r *Runtime) StopTracing() { r.eng.SetTracer(nil) }
 
 // TimeBase reports which commit time base the runtime is using.
 func (r *Runtime) TimeBase() TimeBaseMode { return r.eng.TimeBaseMode() }

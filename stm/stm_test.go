@@ -37,28 +37,26 @@ func TestNewValidation(t *testing.T) {
 func TestBasicTransactions(t *testing.T) {
 	rt := newRT(t)
 	site := rt.RegisterSite("t.basic")
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	var a stm.Addr
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		a = tx.Alloc(site, 2)
 		tx.Store(a, 7)
 		tx.Store(a+1, 8)
 		return nil
 	})
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		if tx.Load(a) != 7 || tx.Load(a+1) != 8 {
 			t.Error("values lost")
 		}
 		return nil
 	})
-	if err := th.Run(func(tx *stm.Tx) error {
+	if err := rt.Run(func(tx *stm.Tx) error {
 		tx.Store(a, 99)
 		return fmt.Errorf("user abort")
 	}); err == nil {
 		t.Fatal("Run swallowed the error")
 	}
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		if got := tx.Load(a); got != 7 {
 			t.Errorf("aborted write visible: %d", got)
 		}
@@ -106,10 +104,8 @@ func TestManualPartitionAndReconfigure(t *testing.T) {
 
 	// Allocations route to the right partitions.
 	sa, _ := rt.Sites().Lookup("mp.a")
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	var addr stm.Addr
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		addr = tx.Alloc(sa, 1)
 		tx.Store(addr, 1)
 		return nil
@@ -132,9 +128,7 @@ func TestProfilingPipeline(t *testing.T) {
 	rt.StartProfiling()
 	sHead := rt.RegisterSite("pp.head")
 	sNode := rt.RegisterSite("pp.node")
-	th := rt.MustAttach()
-	defer rt.Detach(th)
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		h := tx.Alloc(sHead, 1)
 		n := tx.Alloc(sNode, 2)
 		tx.StoreAddr(h, n)
@@ -171,17 +165,15 @@ func TestTunerLifecycle(t *testing.T) {
 
 func TestStatsSurface(t *testing.T) {
 	rt := newRT(t)
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	site := rt.RegisterSite("ss.x")
 	var a stm.Addr
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		a = tx.Alloc(site, 1)
 		tx.Store(a, 0)
 		return nil
 	})
 	for i := 0; i < 5; i++ {
-		th.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
+		rt.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
 	}
 	all := rt.Stats()
 	if len(all) != 1 {
@@ -199,28 +191,24 @@ func TestStatsSurface(t *testing.T) {
 func TestConcurrentFacadeUse(t *testing.T) {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 18, BlockShift: 8, YieldEveryOps: 8})
 	site := rt.RegisterSite("cf.slots")
-	setup := rt.MustAttach()
 	var base stm.Addr
 	const slots = 16
-	setup.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		base = tx.Alloc(site, slots)
 		for i := 0; i < slots; i++ {
 			tx.Store(base+stm.Addr(i), 100)
 		}
 		return nil
 	})
-	rt.Detach(setup)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(seed uint64) {
 			defer wg.Done()
-			th := rt.MustAttach()
-			defer rt.Detach(th)
 			for i := 0; i < 2000; i++ {
 				from := stm.Addr(seed+uint64(i)) % slots
 				to := stm.Addr(seed+uint64(i)*7+3) % slots
-				th.Run(func(tx *stm.Tx) error {
+				rt.Run(func(tx *stm.Tx) error {
 					v := tx.Load(base + from)
 					if v == 0 {
 						return nil
@@ -233,9 +221,7 @@ func TestConcurrentFacadeUse(t *testing.T) {
 		}(uint64(w))
 	}
 	wg.Wait()
-	th := rt.MustAttach()
-	defer rt.Detach(th)
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		var sum uint64
 		for i := 0; i < slots; i++ {
 			sum += tx.Load(base + stm.Addr(i))
@@ -263,7 +249,7 @@ func TestDefaultConfigOverride(t *testing.T) {
 
 // TestSnapshotModeFacade exercises the snapshot surface end to end:
 // Config.SnapshotHistory attaches stores to every partition,
-// Thread.Run with Snapshot reads a pinned snapshot through writer traffic,
+// Run with Snapshot reads a pinned snapshot through writer traffic,
 // and SnapshotHistory/stats report the reconstructions.
 func TestSnapshotModeFacade(t *testing.T) {
 	rt, err := stm.New(stm.Config{HeapWords: 1 << 18, BlockShift: 8, SnapshotHistory: 256})
@@ -275,14 +261,10 @@ func TestSnapshotModeFacade(t *testing.T) {
 		t.Fatalf("HistCap = %d (%v), want 256", cfg.HistCap, err)
 	}
 
-	reader := rt.MustAttach()
-	writer := rt.MustAttach()
-	defer rt.Detach(reader)
-	defer rt.Detach(writer)
 	site := rt.RegisterSite("snap.cells")
 	const cells = 8
 	var base stm.Addr
-	writer.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		base = tx.Alloc(site, cells)
 		for i := 0; i < cells; i++ {
 			tx.Store(base+stm.Addr(i), 5)
@@ -290,11 +272,11 @@ func TestSnapshotModeFacade(t *testing.T) {
 		return nil
 	})
 
-	reader.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		if got := tx.Load(base); got != 5 {
 			t.Errorf("pin read = %d, want 5", got)
 		}
-		writer.Run(func(wtx *stm.Tx) error {
+		rt.Run(func(wtx *stm.Tx) error {
 			for i := 0; i < cells; i++ {
 				wtx.Store(base+stm.Addr(i), 6)
 			}

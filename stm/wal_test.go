@@ -302,32 +302,3 @@ func TestDurabilityOffHasNoLog(t *testing.T) {
 		t.Errorf("Close without a log: %v", err)
 	}
 }
-
-// TestWALTraceSummary: tracing on a durable runtime reports the log's
-// group-commit behaviour in the summary.
-func TestWALTraceSummary(t *testing.T) {
-	dir := t.TempDir()
-	rt := newDurableRuntime(t, dir, stm.DurabilitySync)
-	defer rt.Close()
-	rec := rt.StartTracing(64)
-	site := rt.RegisterSite("app.t")
-	rt.Run(func(tx *stm.Tx) error {
-		a := tx.Alloc(site, 1)
-		tx.Store(a, 1)
-		return nil
-	})
-	rt.StopTracing()
-	sum := rec.Summary()
-	if !containsStr(sum, "wal:") {
-		t.Errorf("Summary lacks wal line:\n%s", sum)
-	}
-}
-
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}

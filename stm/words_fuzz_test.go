@@ -33,11 +33,9 @@ func FuzzLoadStoreWords(f *testing.F) {
 		data = data[1:]
 		rt := stm.MustNew(stm.Config{HeapWords: 1 << 14, Default: &cfg})
 		site := rt.RegisterSite("fuzz.words")
-		th := rt.MustAttach()
-		defer rt.Detach(th)
 		var base stm.Addr
 		shadow := make([]uint64, region)
-		th.Run(func(tx *stm.Tx) error {
+		rt.Run(func(tx *stm.Tx) error {
 			base = tx.Alloc(site, region)
 			for i := range shadow {
 				shadow[i] = uint64(i) * 31
@@ -46,7 +44,7 @@ func FuzzLoadStoreWords(f *testing.F) {
 			return nil
 		})
 
-		th.Run(func(tx *stm.Tx) error {
+		rt.Run(func(tx *stm.Tx) error {
 			for i := 0; i+3 < len(data); i += 4 {
 				op := data[i] % 5
 				off := int(data[i+1]) % region
@@ -91,7 +89,7 @@ func FuzzLoadStoreWords(f *testing.F) {
 		})
 
 		// Committed state must match the shadow, read both ways.
-		th.Run(func(tx *stm.Tx) error {
+		rt.Run(func(tx *stm.Tx) error {
 			dst := make([]uint64, region)
 			tx.LoadWords(base, dst)
 			for i := range dst {

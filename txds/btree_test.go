@@ -14,10 +14,8 @@ import (
 // model, checking every result plus structural invariants periodically.
 func TestBTreeAgainstModel(t *testing.T) {
 	rt := newRT(t)
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	var bt *BTree
-	th.Run(func(tx *stm.Tx) error { bt = NewBTree(tx, rt, "btm"); return nil })
+	rt.Run(func(tx *stm.Tx) error { bt = NewBTree(tx, rt, "btm"); return nil })
 
 	model := make(map[uint64]uint64)
 	rng := rand.New(rand.NewSource(61))
@@ -28,7 +26,7 @@ func TestBTreeAgainstModel(t *testing.T) {
 		switch rng.Intn(5) {
 		case 0, 1: // insert
 			var got bool
-			th.Run(func(tx *stm.Tx) error { got = bt.Insert(tx, k, v); return nil })
+			rt.Run(func(tx *stm.Tx) error { got = bt.Insert(tx, k, v); return nil })
 			_, existed := model[k]
 			if got == existed {
 				t.Fatalf("op %d: Insert(%d) = %v, existed=%v", i, k, got, existed)
@@ -37,12 +35,12 @@ func TestBTreeAgainstModel(t *testing.T) {
 				model[k] = v
 			}
 		case 2: // set (upsert)
-			th.Run(func(tx *stm.Tx) error { bt.Set(tx, k, v); return nil })
+			rt.Run(func(tx *stm.Tx) error { bt.Set(tx, k, v); return nil })
 			model[k] = v
 		case 3: // remove
 			var got uint64
 			var ok bool
-			th.Run(func(tx *stm.Tx) error { got, ok = bt.Remove(tx, k); return nil })
+			rt.Run(func(tx *stm.Tx) error { got, ok = bt.Remove(tx, k); return nil })
 			want, existed := model[k]
 			if ok != existed || (ok && got != want) {
 				t.Fatalf("op %d: Remove(%d) = (%d,%v), model (%d,%v)", i, k, got, ok, want, existed)
@@ -51,14 +49,14 @@ func TestBTreeAgainstModel(t *testing.T) {
 		default: // lookup
 			var got uint64
 			var ok bool
-			th.Run(func(tx *stm.Tx) error { got, ok = bt.Lookup(tx, k); return nil }, stm.ReadOnly())
+			rt.Run(func(tx *stm.Tx) error { got, ok = bt.Lookup(tx, k); return nil }, stm.ReadOnly())
 			want, existed := model[k]
 			if ok != existed || (ok && got != want) {
 				t.Fatalf("op %d: Lookup(%d) = (%d,%v), model (%d,%v)", i, k, got, ok, want, existed)
 			}
 		}
 		if i%250 == 0 {
-			th.Run(func(tx *stm.Tx) error {
+			rt.Run(func(tx *stm.Tx) error {
 				if msg := bt.CheckInvariants(tx); msg != "" {
 					t.Fatalf("op %d: %s", i, msg)
 				}
@@ -75,7 +73,7 @@ func TestBTreeAgainstModel(t *testing.T) {
 		want = append(want, k)
 	}
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		got := bt.Keys(tx)
 		if len(got) != len(want) {
 			t.Fatalf("Keys len %d, want %d", len(got), len(want))
@@ -93,22 +91,20 @@ func TestBTreeAgainstModel(t *testing.T) {
 // borrows, merges and root shrinks all occur, then drains it to empty.
 func TestBTreeSplitsAndMerges(t *testing.T) {
 	rt := newRT(t)
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	var bt *BTree
-	th.Run(func(tx *stm.Tx) error { bt = NewBTree(tx, rt, "btsm"); return nil })
+	rt.Run(func(tx *stm.Tx) error { bt = NewBTree(tx, rt, "btsm"); return nil })
 	const n = 2000
 	perm := rand.New(rand.NewSource(67)).Perm(n)
 	for _, k := range perm {
 		kk := uint64(k)
-		th.Run(func(tx *stm.Tx) error {
+		rt.Run(func(tx *stm.Tx) error {
 			if !bt.Insert(tx, kk, kk*2) {
 				t.Fatalf("fresh key %d rejected", kk)
 			}
 			return nil
 		})
 	}
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		if msg := bt.CheckInvariants(tx); msg != "" {
 			t.Fatal(msg)
 		}
@@ -122,7 +118,7 @@ func TestBTreeSplitsAndMerges(t *testing.T) {
 	perm2 := rand.New(rand.NewSource(71)).Perm(n)
 	for i, k := range perm2 {
 		kk := uint64(k)
-		th.Run(func(tx *stm.Tx) error {
+		rt.Run(func(tx *stm.Tx) error {
 			v, ok := bt.Remove(tx, kk)
 			if !ok || v != kk*2 {
 				t.Fatalf("Remove(%d) = (%d,%v)", kk, v, ok)
@@ -130,7 +126,7 @@ func TestBTreeSplitsAndMerges(t *testing.T) {
 			return nil
 		})
 		if i%200 == 0 {
-			th.Run(func(tx *stm.Tx) error {
+			rt.Run(func(tx *stm.Tx) error {
 				if msg := bt.CheckInvariants(tx); msg != "" {
 					t.Fatalf("after %d removals: %s", i+1, msg)
 				}
@@ -138,7 +134,7 @@ func TestBTreeSplitsAndMerges(t *testing.T) {
 			}, stm.ReadOnly())
 		}
 	}
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		if got := bt.Len(tx); got != 0 {
 			t.Fatalf("Len = %d after draining", got)
 		}
@@ -151,26 +147,24 @@ func TestBTreeSplitsAndMerges(t *testing.T) {
 // invariants intact.
 func TestBTreeProperty(t *testing.T) {
 	rt := newRT(t)
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	idx := 0
 	f := func(ins []uint16, del []uint16) bool {
 		idx++
 		var bt *BTree
-		th.Run(func(tx *stm.Tx) error { bt = NewBTree(tx, rt, "btp"+itoa(idx)); return nil })
+		rt.Run(func(tx *stm.Tx) error { bt = NewBTree(tx, rt, "btp"+itoa(idx)); return nil })
 		model := map[uint64]bool{}
 		for _, k := range ins {
 			kk := uint64(k)
-			th.Run(func(tx *stm.Tx) error { bt.Insert(tx, kk, kk); return nil })
+			rt.Run(func(tx *stm.Tx) error { bt.Insert(tx, kk, kk); return nil })
 			model[kk] = true
 		}
 		for _, k := range del {
 			kk := uint64(k)
-			th.Run(func(tx *stm.Tx) error { bt.Remove(tx, kk); return nil })
+			rt.Run(func(tx *stm.Tx) error { bt.Remove(tx, kk); return nil })
 			delete(model, kk)
 		}
 		ok := true
-		th.Run(func(tx *stm.Tx) error {
+		rt.Run(func(tx *stm.Tx) error {
 			if msg := bt.CheckInvariants(tx); msg != "" {
 				ok = false
 				return nil
@@ -199,21 +193,17 @@ func TestBTreeProperty(t *testing.T) {
 // inserts and a shared mixed phase with invariants at the end.
 func TestBTreeConcurrent(t *testing.T) {
 	rt := newRT(t)
-	setup := rt.MustAttach()
 	var bt *BTree
-	setup.Run(func(tx *stm.Tx) error { bt = NewBTree(tx, rt, "btc"); return nil })
-	rt.Detach(setup)
+	rt.Run(func(tx *stm.Tx) error { bt = NewBTree(tx, rt, "btc"); return nil })
 	const workers, perW = 4, 500
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			th := rt.MustAttach()
-			defer rt.Detach(th)
 			for i := 0; i < perW; i++ {
 				k := uint64(id*perW + i) // disjoint ranges: all inserts fresh
-				th.Run(func(tx *stm.Tx) error {
+				rt.Run(func(tx *stm.Tx) error {
 					if !bt.Insert(tx, k, k) {
 						t.Errorf("fresh key %d rejected", k)
 					}
@@ -223,9 +213,7 @@ func TestBTreeConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	th := rt.MustAttach()
-	defer rt.Detach(th)
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		if got := bt.Len(tx); got != workers*perW {
 			t.Fatalf("Len = %d, want %d", got, workers*perW)
 		}
@@ -239,18 +227,16 @@ func TestBTreeConcurrent(t *testing.T) {
 // TestBTreeZeroAndMaxKeys exercises the key-domain edges.
 func TestBTreeZeroAndMaxKeys(t *testing.T) {
 	rt := newRT(t)
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	var bt *BTree
-	th.Run(func(tx *stm.Tx) error { bt = NewBTree(tx, rt, "btz"); return nil })
+	rt.Run(func(tx *stm.Tx) error { bt = NewBTree(tx, rt, "btz"); return nil })
 	maxK := ^uint64(0)
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		bt.Insert(tx, 0, 10)
 		bt.Insert(tx, maxK, 20)
 		bt.Insert(tx, 1, 11)
 		return nil
 	})
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		if v, ok := bt.Lookup(tx, 0); !ok || v != 10 {
 			t.Fatalf("Lookup(0) = (%d,%v)", v, ok)
 		}
@@ -263,7 +249,7 @@ func TestBTreeZeroAndMaxKeys(t *testing.T) {
 		}
 		return nil
 	}, stm.ReadOnly())
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		if _, ok := bt.Remove(tx, 0); !ok {
 			t.Fatal("Remove(0) failed")
 		}

@@ -14,10 +14,8 @@ import (
 // slice model and compares every result and the full contents.
 func TestDequeAgainstModel(t *testing.T) {
 	rt := newRT(t)
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	var d *Deque
-	th.Run(func(tx *stm.Tx) error { d = NewDeque(tx, rt, "dqm"); return nil })
+	rt.Run(func(tx *stm.Tx) error { d = NewDeque(tx, rt, "dqm"); return nil })
 
 	var model []uint64
 	rng := rand.New(rand.NewSource(17))
@@ -25,15 +23,15 @@ func TestDequeAgainstModel(t *testing.T) {
 		v := rng.Uint64() % 1000
 		switch rng.Intn(6) {
 		case 0, 1:
-			th.Run(func(tx *stm.Tx) error { d.PushFront(tx, v); return nil })
+			rt.Run(func(tx *stm.Tx) error { d.PushFront(tx, v); return nil })
 			model = append([]uint64{v}, model...)
 		case 2, 3:
-			th.Run(func(tx *stm.Tx) error { d.PushBack(tx, v); return nil })
+			rt.Run(func(tx *stm.Tx) error { d.PushBack(tx, v); return nil })
 			model = append(model, v)
 		case 4:
 			var got uint64
 			var ok bool
-			th.Run(func(tx *stm.Tx) error { got, ok = d.PopFront(tx); return nil })
+			rt.Run(func(tx *stm.Tx) error { got, ok = d.PopFront(tx); return nil })
 			if ok != (len(model) > 0) {
 				t.Fatalf("op %d: PopFront ok=%v, model len %d", i, ok, len(model))
 			}
@@ -46,7 +44,7 @@ func TestDequeAgainstModel(t *testing.T) {
 		case 5:
 			var got uint64
 			var ok bool
-			th.Run(func(tx *stm.Tx) error { got, ok = d.PopBack(tx); return nil })
+			rt.Run(func(tx *stm.Tx) error { got, ok = d.PopBack(tx); return nil })
 			if ok != (len(model) > 0) {
 				t.Fatalf("op %d: PopBack ok=%v, model len %d", i, ok, len(model))
 			}
@@ -58,7 +56,7 @@ func TestDequeAgainstModel(t *testing.T) {
 			}
 		}
 		if i%500 == 0 {
-			th.Run(func(tx *stm.Tx) error {
+			rt.Run(func(tx *stm.Tx) error {
 				vals := d.Values(tx)
 				if len(vals) != len(model) {
 					t.Fatalf("op %d: Values len %d, model %d", i, len(vals), len(model))
@@ -85,16 +83,14 @@ func TestDequeAgainstModel(t *testing.T) {
 // from the back is LIFO.
 func TestDequeSymmetry(t *testing.T) {
 	rt := newRT(t)
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	idx := 0
 	f := func(vals []uint64, lifo bool) bool {
 		idx++
 		var d *Deque
-		th.Run(func(tx *stm.Tx) error { d = NewDeque(tx, rt, "dqs"+itoa(idx)); return nil })
+		rt.Run(func(tx *stm.Tx) error { d = NewDeque(tx, rt, "dqs"+itoa(idx)); return nil })
 		for _, v := range vals {
 			vv := v
-			th.Run(func(tx *stm.Tx) error { d.PushBack(tx, vv); return nil })
+			rt.Run(func(tx *stm.Tx) error { d.PushBack(tx, vv); return nil })
 		}
 		for i := range vals {
 			want := vals[i]
@@ -103,7 +99,7 @@ func TestDequeSymmetry(t *testing.T) {
 			}
 			var got uint64
 			var ok bool
-			th.Run(func(tx *stm.Tx) error {
+			rt.Run(func(tx *stm.Tx) error {
 				if lifo {
 					got, ok = d.PopBack(tx)
 				} else {
@@ -116,7 +112,7 @@ func TestDequeSymmetry(t *testing.T) {
 			}
 		}
 		var empty bool
-		th.Run(func(tx *stm.Tx) error { empty = d.Len(tx) == 0; return nil })
+		rt.Run(func(tx *stm.Tx) error { empty = d.Len(tx) == 0; return nil })
 		return empty
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -127,22 +123,20 @@ func TestDequeSymmetry(t *testing.T) {
 // TestStackAgainstModel runs random push/pop against a slice model.
 func TestStackAgainstModel(t *testing.T) {
 	rt := newRT(t)
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	var s *Stack
-	th.Run(func(tx *stm.Tx) error { s = NewStack(tx, rt, "stm"); return nil })
+	rt.Run(func(tx *stm.Tx) error { s = NewStack(tx, rt, "stm"); return nil })
 	var model []uint64
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 6000; i++ {
 		v := rng.Uint64() % 1000
 		if rng.Intn(2) == 0 {
-			th.Run(func(tx *stm.Tx) error { s.Push(tx, v); return nil })
+			rt.Run(func(tx *stm.Tx) error { s.Push(tx, v); return nil })
 			model = append(model, v)
 			continue
 		}
 		var got uint64
 		var ok bool
-		th.Run(func(tx *stm.Tx) error { got, ok = s.Pop(tx); return nil })
+		rt.Run(func(tx *stm.Tx) error { got, ok = s.Pop(tx); return nil })
 		if ok != (len(model) > 0) {
 			t.Fatalf("op %d: Pop ok=%v, model len %d", i, ok, len(model))
 		}
@@ -153,7 +147,7 @@ func TestStackAgainstModel(t *testing.T) {
 			model = model[:len(model)-1]
 		}
 		if i%500 == 0 {
-			th.Run(func(tx *stm.Tx) error {
+			rt.Run(func(tx *stm.Tx) error {
 				if n := s.Len(tx); n != len(model) {
 					t.Fatalf("op %d: Len = %d, model %d", i, n, len(model))
 				}

@@ -30,17 +30,15 @@ func FuzzBTreeOps(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		th := rt.MustAttach()
-		defer rt.Detach(th)
 		var bt *BTree
-		th.Run(func(tx *stm.Tx) error { bt = NewBTree(tx, rt, "fz"); return nil })
+		rt.Run(func(tx *stm.Tx) error { bt = NewBTree(tx, rt, "fz"); return nil })
 		model := map[uint64]uint64{}
 		for i := 0; i+1 < len(script); i += 2 {
 			op, k := script[i]%3, uint64(script[i+1]%64)
 			switch op {
 			case 0:
 				var got bool
-				th.Run(func(tx *stm.Tx) error { got = bt.Insert(tx, k, k); return nil })
+				rt.Run(func(tx *stm.Tx) error { got = bt.Insert(tx, k, k); return nil })
 				_, existed := model[k]
 				if got == existed {
 					t.Fatalf("op %d: Insert(%d)=%v existed=%v", i, k, got, existed)
@@ -48,20 +46,20 @@ func FuzzBTreeOps(f *testing.F) {
 				model[k] = k
 			case 1:
 				var ok bool
-				th.Run(func(tx *stm.Tx) error { _, ok = bt.Remove(tx, k); return nil })
+				rt.Run(func(tx *stm.Tx) error { _, ok = bt.Remove(tx, k); return nil })
 				if _, existed := model[k]; ok != existed {
 					t.Fatalf("op %d: Remove(%d)=%v existed=%v", i, k, ok, existed)
 				}
 				delete(model, k)
 			default:
 				var ok bool
-				th.Run(func(tx *stm.Tx) error { ok = bt.Contains(tx, k); return nil }, stm.ReadOnly())
+				rt.Run(func(tx *stm.Tx) error { ok = bt.Contains(tx, k); return nil }, stm.ReadOnly())
 				if _, existed := model[k]; ok != existed {
 					t.Fatalf("op %d: Contains(%d)=%v existed=%v", i, k, ok, existed)
 				}
 			}
 		}
-		th.Run(func(tx *stm.Tx) error {
+		rt.Run(func(tx *stm.Tx) error {
 			if msg := bt.CheckInvariants(tx); msg != "" {
 				t.Fatal(msg)
 			}
@@ -84,24 +82,22 @@ func FuzzDequeOps(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		th := rt.MustAttach()
-		defer rt.Detach(th)
 		var d *Deque
-		th.Run(func(tx *stm.Tx) error { d = NewDeque(tx, rt, "fzd"); return nil })
+		rt.Run(func(tx *stm.Tx) error { d = NewDeque(tx, rt, "fzd"); return nil })
 		var model []uint64
 		for i, b := range script {
 			v := uint64(b)
 			switch b % 4 {
 			case 0:
-				th.Run(func(tx *stm.Tx) error { d.PushFront(tx, v); return nil })
+				rt.Run(func(tx *stm.Tx) error { d.PushFront(tx, v); return nil })
 				model = append([]uint64{v}, model...)
 			case 1:
-				th.Run(func(tx *stm.Tx) error { d.PushBack(tx, v); return nil })
+				rt.Run(func(tx *stm.Tx) error { d.PushBack(tx, v); return nil })
 				model = append(model, v)
 			case 2:
 				var got uint64
 				var ok bool
-				th.Run(func(tx *stm.Tx) error { got, ok = d.PopFront(tx); return nil })
+				rt.Run(func(tx *stm.Tx) error { got, ok = d.PopFront(tx); return nil })
 				if ok != (len(model) > 0) || (ok && got != model[0]) {
 					t.Fatalf("op %d: PopFront mismatch", i)
 				}
@@ -111,7 +107,7 @@ func FuzzDequeOps(f *testing.F) {
 			default:
 				var got uint64
 				var ok bool
-				th.Run(func(tx *stm.Tx) error { got, ok = d.PopBack(tx); return nil })
+				rt.Run(func(tx *stm.Tx) error { got, ok = d.PopBack(tx); return nil })
 				if ok != (len(model) > 0) || (ok && got != model[len(model)-1]) {
 					t.Fatalf("op %d: PopBack mismatch", i)
 				}
@@ -120,7 +116,7 @@ func FuzzDequeOps(f *testing.F) {
 				}
 			}
 		}
-		th.Run(func(tx *stm.Tx) error {
+		rt.Run(func(tx *stm.Tx) error {
 			if got := d.Len(tx); got != len(model) {
 				t.Fatalf("Len=%d model=%d", got, len(model))
 			}
@@ -141,17 +137,15 @@ func FuzzPriorityQueueOps(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		th := rt.MustAttach()
-		defer rt.Detach(th)
 		var q *PriorityQueue
-		th.Run(func(tx *stm.Tx) error { q = NewPriorityQueue(tx, rt, "fzq", 1); return nil })
+		rt.Run(func(tx *stm.Tx) error { q = NewPriorityQueue(tx, rt, "fzq", 1); return nil })
 		counts := map[uint64]int{} // priority multiset
 		size := 0
 		for i, b := range script {
 			if b%3 != 0 && size > 0 {
 				var prio uint64
 				var ok bool
-				th.Run(func(tx *stm.Tx) error { prio, _, ok = q.PopMin(tx); return nil })
+				rt.Run(func(tx *stm.Tx) error { prio, _, ok = q.PopMin(tx); return nil })
 				if !ok {
 					t.Fatalf("op %d: PopMin failed with size %d", i, size)
 				}
@@ -166,11 +160,11 @@ func FuzzPriorityQueueOps(f *testing.F) {
 				continue
 			}
 			p := uint64(b % 32)
-			th.Run(func(tx *stm.Tx) error { q.Insert(tx, p, p); return nil })
+			rt.Run(func(tx *stm.Tx) error { q.Insert(tx, p, p); return nil })
 			counts[p]++
 			size++
 		}
-		th.Run(func(tx *stm.Tx) error {
+		rt.Run(func(tx *stm.Tx) error {
 			if got := q.Len(tx); got != size {
 				t.Fatalf("Len=%d model=%d", got, size)
 			}

@@ -15,15 +15,14 @@ func TestHashSetInsertRefProfilingEdge(t *testing.T) {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 20})
 	valSite := rt.RegisterSite("dir.value")
 	rt.StartProfiling()
-	th := rt.MustAttach()
 	var hs *HashSet
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		hs = NewHashSet(tx, rt, "dir", 16)
 		return nil
 	})
 	vals := make(map[uint64]stm.Addr)
 	for i := uint64(0); i < 32; i++ {
-		th.Run(func(tx *stm.Tx) error {
+		rt.Run(func(tx *stm.Tx) error {
 			obj := tx.Alloc(valSite, 4)
 			tx.Store(obj, i*100)
 			if !hs.InsertRef(tx, i, obj) {
@@ -39,7 +38,7 @@ func TestHashSetInsertRefProfilingEdge(t *testing.T) {
 	}
 	// dir.buckets, dir.node and dir.value must share one partition.
 	var part stm.PartID
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		addr, ok := hs.Lookup(tx, 3)
 		if !ok {
 			t.Fatal("key 3 lost")
@@ -55,11 +54,10 @@ func TestHashSetInsertRefProfilingEdge(t *testing.T) {
 			part, dirPart, plan.Describe(rt.Sites()))
 	}
 	// InsertRef refuses duplicates like Insert.
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		if hs.InsertRef(tx, 3, vals[3]) {
 			t.Fatal("duplicate InsertRef succeeded")
 		}
 		return nil
 	})
-	rt.Detach(th)
 }

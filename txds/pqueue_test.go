@@ -14,22 +14,20 @@ import (
 // yields them in non-decreasing order, duplicates included.
 func TestPriorityQueueOrdering(t *testing.T) {
 	rt := newRT(t)
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	var q *PriorityQueue
-	th.Run(func(tx *stm.Tx) error { q = NewPriorityQueue(tx, rt, "pqo", 1); return nil })
+	rt.Run(func(tx *stm.Tx) error { q = NewPriorityQueue(tx, rt, "pqo", 1); return nil })
 
 	rng := rand.New(rand.NewSource(11))
 	want := make([]uint64, 0, 500)
 	for i := 0; i < 500; i++ {
 		p := uint64(rng.Intn(50)) // few distinct priorities: force duplicates
 		want = append(want, p)
-		th.Run(func(tx *stm.Tx) error { q.Insert(tx, p, uint64(i)); return nil })
+		rt.Run(func(tx *stm.Tx) error { q.Insert(tx, p, uint64(i)); return nil })
 	}
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 
 	var got []uint64
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		if n := q.Len(tx); n != len(want) {
 			t.Fatalf("Len = %d, want %d", n, len(want))
 		}
@@ -44,7 +42,7 @@ func TestPriorityQueueOrdering(t *testing.T) {
 			t.Fatalf("pop %d: priority %d, want %d", i, got[i], want[i])
 		}
 	}
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		if _, _, ok := q.PopMin(tx); ok {
 			t.Fatal("PopMin succeeded on empty queue")
 		}
@@ -62,19 +60,17 @@ func TestPriorityQueueOrdering(t *testing.T) {
 // PopMin removes.
 func TestPriorityQueueMinMatchesPop(t *testing.T) {
 	rt := newRT(t)
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	var q *PriorityQueue
-	th.Run(func(tx *stm.Tx) error { q = NewPriorityQueue(tx, rt, "pqm", 3); return nil })
+	rt.Run(func(tx *stm.Tx) error { q = NewPriorityQueue(tx, rt, "pqm", 3); return nil })
 	rng := rand.New(rand.NewSource(13))
 	live := 0
 	for i := 0; i < 2000; i++ {
 		if live == 0 || rng.Intn(3) != 0 {
-			th.Run(func(tx *stm.Tx) error { q.Insert(tx, uint64(rng.Intn(1000)), uint64(i)); return nil })
+			rt.Run(func(tx *stm.Tx) error { q.Insert(tx, uint64(rng.Intn(1000)), uint64(i)); return nil })
 			live++
 			continue
 		}
-		th.Run(func(tx *stm.Tx) error {
+		rt.Run(func(tx *stm.Tx) error {
 			mp, mv, mok := q.Min(tx)
 			pp, pv, pok := q.PopMin(tx)
 			if !mok || !pok || mp != pp || mv != pv {
@@ -90,19 +86,17 @@ func TestPriorityQueueMinMatchesPop(t *testing.T) {
 // multiset, draining the queue returns exactly the sorted multiset.
 func TestPriorityQueueProperty(t *testing.T) {
 	rt := newRT(t)
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	idx := 0
 	f := func(prios []uint16) bool {
 		idx++
 		var q *PriorityQueue
-		th.Run(func(tx *stm.Tx) error {
+		rt.Run(func(tx *stm.Tx) error {
 			q = NewPriorityQueue(tx, rt, "pqq"+string(rune('a'+idx%26))+itoa(idx), uint64(idx))
 			return nil
 		})
 		for i, p := range prios {
 			pp := uint64(p)
-			th.Run(func(tx *stm.Tx) error { q.Insert(tx, pp, uint64(i)); return nil })
+			rt.Run(func(tx *stm.Tx) error { q.Insert(tx, pp, uint64(i)); return nil })
 		}
 		want := make([]uint64, len(prios))
 		for i, p := range prios {
@@ -110,7 +104,7 @@ func TestPriorityQueueProperty(t *testing.T) {
 		}
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		var got []uint64
-		th.Run(func(tx *stm.Tx) error { got, _ = q.Drain(tx); return nil })
+		rt.Run(func(tx *stm.Tx) error { got, _ = q.Drain(tx); return nil })
 		if len(got) != len(want) {
 			return false
 		}
@@ -143,10 +137,8 @@ func itoa(n int) string {
 // exactly once (no loss, no duplication under contention).
 func TestPriorityQueueConcurrent(t *testing.T) {
 	rt := newRT(t)
-	setup := rt.MustAttach()
 	var q *PriorityQueue
-	setup.Run(func(tx *stm.Tx) error { q = NewPriorityQueue(tx, rt, "pqc", 5); return nil })
-	rt.Detach(setup)
+	rt.Run(func(tx *stm.Tx) error { q = NewPriorityQueue(tx, rt, "pqc", 5); return nil })
 
 	const producers, perP = 4, 300
 	var wg sync.WaitGroup
@@ -154,11 +146,9 @@ func TestPriorityQueueConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			th := rt.MustAttach()
-			defer rt.Detach(th)
 			for i := 0; i < perP; i++ {
 				tag := uint64(id*perP + i)
-				th.Run(func(tx *stm.Tx) error { q.Insert(tx, tag%37, tag); return nil })
+				rt.Run(func(tx *stm.Tx) error { q.Insert(tx, tag%37, tag); return nil })
 			}
 		}(w)
 	}
@@ -169,8 +159,6 @@ func TestPriorityQueueConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			th := rt.MustAttach()
-			defer rt.Detach(th)
 			misses := 0
 			for {
 				mu.Lock()
@@ -181,7 +169,7 @@ func TestPriorityQueueConcurrent(t *testing.T) {
 				}
 				var tag uint64
 				var ok bool
-				th.Run(func(tx *stm.Tx) error { _, tag, ok = q.PopMin(tx); return nil })
+				rt.Run(func(tx *stm.Tx) error { _, tag, ok = q.PopMin(tx); return nil })
 				if !ok {
 					misses++
 					if misses > 1_000_000 {

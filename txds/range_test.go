@@ -29,17 +29,15 @@ func makeRangers(tx *stm.Tx, rt *stm.Runtime, prefix string) map[string]ranger {
 // model.
 func TestRangeAgainstModel(t *testing.T) {
 	rt := newRT(t)
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	var rs map[string]ranger
-	th.Run(func(tx *stm.Tx) error { rs = makeRangers(tx, rt, "rng"); return nil })
+	rt.Run(func(tx *stm.Tx) error { rs = makeRangers(tx, rt, "rng"); return nil })
 
 	rng := rand.New(rand.NewSource(83))
 	model := map[uint64]uint64{}
 	for i := 0; i < 400; i++ {
 		k := uint64(rng.Intn(1000))
 		v := uint64(i)
-		th.Run(func(tx *stm.Tx) error {
+		rt.Run(func(tx *stm.Tx) error {
 			for _, r := range rs {
 				r.Insert(tx, k, v)
 			}
@@ -68,7 +66,7 @@ func TestRangeAgainstModel(t *testing.T) {
 				}
 			}
 			var got [][2]uint64
-			th.Run(func(tx *stm.Tx) error {
+			rt.Run(func(tx *stm.Tx) error {
 				got = got[:0]
 				r.Range(tx, lo, hi, func(k, v uint64) bool {
 					got = append(got, [2]uint64{k, v})
@@ -92,11 +90,9 @@ func TestRangeAgainstModel(t *testing.T) {
 // structure's scan immediately.
 func TestRangeEarlyStop(t *testing.T) {
 	rt := newRT(t)
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	var rs map[string]ranger
-	th.Run(func(tx *stm.Tx) error { rs = makeRangers(tx, rt, "res"); return nil })
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error { rs = makeRangers(tx, rt, "res"); return nil })
+	rt.Run(func(tx *stm.Tx) error {
 		for k := uint64(0); k < 100; k++ {
 			for _, r := range rs {
 				r.Insert(tx, k, k)
@@ -106,7 +102,7 @@ func TestRangeEarlyStop(t *testing.T) {
 	})
 	for name, r := range rs {
 		count := 0
-		th.Run(func(tx *stm.Tx) error {
+		rt.Run(func(tx *stm.Tx) error {
 			count = 0
 			r.Range(tx, 0, 99, func(k, v uint64) bool {
 				count++
@@ -124,17 +120,15 @@ func TestRangeEarlyStop(t *testing.T) {
 // visits exactly the inserted key set ascending, on every structure.
 func TestRangeProperty(t *testing.T) {
 	rt := newRT(t)
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	idx := 0
 	f := func(ks []uint16) bool {
 		idx++
 		var rs map[string]ranger
-		th.Run(func(tx *stm.Tx) error { rs = makeRangers(tx, rt, "rp"+itoa(idx)); return nil })
+		rt.Run(func(tx *stm.Tx) error { rs = makeRangers(tx, rt, "rp"+itoa(idx)); return nil })
 		set := map[uint64]bool{}
 		for _, k := range ks {
 			kk := uint64(k)
-			th.Run(func(tx *stm.Tx) error {
+			rt.Run(func(tx *stm.Tx) error {
 				for _, r := range rs {
 					r.Insert(tx, kk, kk)
 				}
@@ -143,7 +137,7 @@ func TestRangeProperty(t *testing.T) {
 			set[kk] = true
 		}
 		ok := true
-		th.Run(func(tx *stm.Tx) error {
+		rt.Run(func(tx *stm.Tx) error {
 			for _, r := range rs {
 				var got []uint64
 				r.Range(tx, 0, ^uint64(0), func(k, v uint64) bool {

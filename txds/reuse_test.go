@@ -16,10 +16,8 @@ func TestNodeRecyclingBoundsHeap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	structures := map[string]setAPI{}
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		structures["list"] = NewList(tx, rt, "reuse.list")
 		structures["skiplist"] = NewSkipList(tx, rt, "reuse.skip", 9)
 		structures["rbtree"] = NewRBTree(tx, rt, "reuse.tree")
@@ -30,10 +28,10 @@ func TestNodeRecyclingBoundsHeap(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			// Prime: one full population to reach the steady footprint.
 			for k := uint64(0); k < 64; k++ {
-				th.Run(func(tx *stm.Tx) error { s.Insert(tx, k, k); return nil })
+				rt.Run(func(tx *stm.Tx) error { s.Insert(tx, k, k); return nil })
 			}
 			for k := uint64(0); k < 64; k++ {
-				th.Run(func(tx *stm.Tx) error { s.Remove(tx, k); return nil })
+				rt.Run(func(tx *stm.Tx) error { s.Remove(tx, k); return nil })
 			}
 			base := rt.HeapInUseBlocks()
 			// Churn: 50 more populate/drain cycles must not grow the heap by
@@ -41,10 +39,10 @@ func TestNodeRecyclingBoundsHeap(t *testing.T) {
 			// ~50x growth leaking nodes would cause.
 			for cycle := 0; cycle < 50; cycle++ {
 				for k := uint64(0); k < 64; k++ {
-					th.Run(func(tx *stm.Tx) error { s.Insert(tx, k, k); return nil })
+					rt.Run(func(tx *stm.Tx) error { s.Insert(tx, k, k); return nil })
 				}
 				for k := uint64(0); k < 64; k++ {
-					th.Run(func(tx *stm.Tx) error { s.Remove(tx, k); return nil })
+					rt.Run(func(tx *stm.Tx) error { s.Remove(tx, k); return nil })
 				}
 			}
 			grown := rt.HeapInUseBlocks() - base
@@ -62,13 +60,11 @@ func TestQueueDequeStackRecycling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	var q *Queue
 	var d *Deque
 	var s *Stack
 	var p *PriorityQueue
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		q = NewQueue(tx, rt, "reuse.q")
 		d = NewDeque(tx, rt, "reuse.d")
 		s = NewStack(tx, rt, "reuse.s")
@@ -85,17 +81,17 @@ func TestQueueDequeStackRecycling(t *testing.T) {
 			}
 		}
 	}
-	churn(func(i uint64) { th.Run(func(tx *stm.Tx) error { q.Enqueue(tx, i); return nil }) },
-		func(i uint64) { th.Run(func(tx *stm.Tx) error { q.Dequeue(tx); return nil }) })
+	churn(func(i uint64) { rt.Run(func(tx *stm.Tx) error { q.Enqueue(tx, i); return nil }) },
+		func(i uint64) { rt.Run(func(tx *stm.Tx) error { q.Dequeue(tx); return nil }) })
 	base := rt.HeapInUseBlocks()
-	churn(func(i uint64) { th.Run(func(tx *stm.Tx) error { q.Enqueue(tx, i); return nil }) },
-		func(i uint64) { th.Run(func(tx *stm.Tx) error { q.Dequeue(tx); return nil }) })
-	churn(func(i uint64) { th.Run(func(tx *stm.Tx) error { d.PushFront(tx, i); return nil }) },
-		func(i uint64) { th.Run(func(tx *stm.Tx) error { d.PopBack(tx); return nil }) })
-	churn(func(i uint64) { th.Run(func(tx *stm.Tx) error { s.Push(tx, i); return nil }) },
-		func(i uint64) { th.Run(func(tx *stm.Tx) error { s.Pop(tx); return nil }) })
-	churn(func(i uint64) { th.Run(func(tx *stm.Tx) error { p.Insert(tx, i%7, i); return nil }) },
-		func(i uint64) { th.Run(func(tx *stm.Tx) error { p.PopMin(tx); return nil }) })
+	churn(func(i uint64) { rt.Run(func(tx *stm.Tx) error { q.Enqueue(tx, i); return nil }) },
+		func(i uint64) { rt.Run(func(tx *stm.Tx) error { q.Dequeue(tx); return nil }) })
+	churn(func(i uint64) { rt.Run(func(tx *stm.Tx) error { d.PushFront(tx, i); return nil }) },
+		func(i uint64) { rt.Run(func(tx *stm.Tx) error { d.PopBack(tx); return nil }) })
+	churn(func(i uint64) { rt.Run(func(tx *stm.Tx) error { s.Push(tx, i); return nil }) },
+		func(i uint64) { rt.Run(func(tx *stm.Tx) error { s.Pop(tx); return nil }) })
+	churn(func(i uint64) { rt.Run(func(tx *stm.Tx) error { p.Insert(tx, i%7, i); return nil }) },
+		func(i uint64) { rt.Run(func(tx *stm.Tx) error { p.PopMin(tx); return nil }) })
 	if grown := rt.HeapInUseBlocks() - base; grown > 6 {
 		t.Fatalf("containers grew %d blocks over churn; nodes are leaking", grown)
 	}
@@ -106,36 +102,30 @@ func TestQueueDequeStackRecycling(t *testing.T) {
 // concurrent mixed operations.
 func TestRBTreeInvariantsUnderConcurrentChurn(t *testing.T) {
 	rt := newRT(t)
-	setup := rt.MustAttach()
 	var tree *RBTree
-	setup.Run(func(tx *stm.Tx) error { tree = NewRBTree(tx, rt, "churn.tree"); return nil })
-	rt.Detach(setup)
+	rt.Run(func(tx *stm.Tx) error { tree = NewRBTree(tx, rt, "churn.tree"); return nil })
 	const workers, perW, keyRange = 6, 1200, 512
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
-			th := rt.MustAttach()
-			defer rt.Detach(th)
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < perW; i++ {
 				k := uint64(rng.Intn(keyRange))
 				switch rng.Intn(3) {
 				case 0:
-					th.Run(func(tx *stm.Tx) error { tree.Insert(tx, k, k); return nil })
+					rt.Run(func(tx *stm.Tx) error { tree.Insert(tx, k, k); return nil })
 				case 1:
-					th.Run(func(tx *stm.Tx) error { tree.Remove(tx, k); return nil })
+					rt.Run(func(tx *stm.Tx) error { tree.Remove(tx, k); return nil })
 				default:
-					th.Run(func(tx *stm.Tx) error { tree.Contains(tx, k); return nil }, stm.ReadOnly())
+					rt.Run(func(tx *stm.Tx) error { tree.Contains(tx, k); return nil }, stm.ReadOnly())
 				}
 			}
 		}(int64(w) + 41)
 	}
 	wg.Wait()
-	th := rt.MustAttach()
-	defer rt.Detach(th)
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		if msg := tree.CheckInvariants(tx); msg != "" {
 			t.Fatal(msg)
 		}
@@ -153,12 +143,10 @@ func TestRBTreeInvariantsUnderConcurrentChurn(t *testing.T) {
 // ascending order after random upserts.
 func TestKeysSortedEverywhere(t *testing.T) {
 	rt := newRT(t)
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	var list *List
 	var skip *SkipList
 	var tree *RBTree
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		list = NewList(tx, rt, "sort.list")
 		skip = NewSkipList(tx, rt, "sort.skip", 77)
 		tree = NewRBTree(tx, rt, "sort.tree")
@@ -167,14 +155,14 @@ func TestKeysSortedEverywhere(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 400; i++ {
 		k := rng.Uint64() % 10000
-		th.Run(func(tx *stm.Tx) error {
+		rt.Run(func(tx *stm.Tx) error {
 			list.Insert(tx, k, uint64(i))
 			skip.Insert(tx, k, uint64(i))
 			tree.Insert(tx, k, uint64(i))
 			return nil
 		})
 	}
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		for name, keys := range map[string][]uint64{
 			"list": list.Keys(tx), "skiplist": skip.Keys(tx), "rbtree": tree.Keys(tx),
 		} {

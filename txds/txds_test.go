@@ -45,10 +45,8 @@ func makeSets(tx *stm.Tx, rt *stm.Runtime, prefix string) map[string]setAPI {
 // map[uint64]uint64 model and checks every result.
 func TestSetsAgainstModel(t *testing.T) {
 	rt := newRT(t)
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	var sets map[string]setAPI
-	th.Run(func(tx *stm.Tx) error { sets = makeSets(tx, rt, "model"); return nil })
+	rt.Run(func(tx *stm.Tx) error { sets = makeSets(tx, rt, "model"); return nil })
 
 	for name, s := range sets {
 		t.Run(name, func(t *testing.T) {
@@ -61,7 +59,7 @@ func TestSetsAgainstModel(t *testing.T) {
 				switch rng.Intn(4) {
 				case 0: // insert
 					var got bool
-					th.Run(func(tx *stm.Tx) error { got = s.Insert(tx, k, v); return nil })
+					rt.Run(func(tx *stm.Tx) error { got = s.Insert(tx, k, v); return nil })
 					_, existed := model[k]
 					if got == existed {
 						t.Fatalf("op %d: Insert(%d) = %v, model existed=%v", i, k, got, existed)
@@ -72,7 +70,7 @@ func TestSetsAgainstModel(t *testing.T) {
 				case 1: // remove
 					var got uint64
 					var ok bool
-					th.Run(func(tx *stm.Tx) error { got, ok = s.Remove(tx, k); return nil })
+					rt.Run(func(tx *stm.Tx) error { got, ok = s.Remove(tx, k); return nil })
 					want, existed := model[k]
 					if ok != existed || (ok && got != want) {
 						t.Fatalf("op %d: Remove(%d) = (%d,%v), model (%d,%v)", i, k, got, ok, want, existed)
@@ -81,21 +79,21 @@ func TestSetsAgainstModel(t *testing.T) {
 				case 2: // lookup
 					var got uint64
 					var ok bool
-					th.Run(func(tx *stm.Tx) error { got, ok = s.Lookup(tx, k); return nil })
+					rt.Run(func(tx *stm.Tx) error { got, ok = s.Lookup(tx, k); return nil })
 					want, existed := model[k]
 					if ok != existed || (ok && got != want) {
 						t.Fatalf("op %d: Lookup(%d) = (%d,%v), model (%d,%v)", i, k, got, ok, want, existed)
 					}
 				case 3: // contains
 					var got bool
-					th.Run(func(tx *stm.Tx) error { got = s.Contains(tx, k); return nil })
+					rt.Run(func(tx *stm.Tx) error { got = s.Contains(tx, k); return nil })
 					if _, existed := model[k]; got != existed {
 						t.Fatalf("op %d: Contains(%d) = %v, model %v", i, k, got, existed)
 					}
 				}
 			}
 			var n int
-			th.Run(func(tx *stm.Tx) error { n = s.Len(tx); return nil })
+			rt.Run(func(tx *stm.Tx) error { n = s.Len(tx); return nil })
 			if n != len(model) {
 				t.Fatalf("Len = %d, model %d", n, len(model))
 			}
@@ -106,12 +104,10 @@ func TestSetsAgainstModel(t *testing.T) {
 // TestSortedKeys checks the ordered structures return ascending keys.
 func TestSortedKeys(t *testing.T) {
 	rt := newRT(t)
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	var l *List
 	var sl *SkipList
 	var rb *RBTree
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		l = NewList(tx, rt, "sk.list")
 		sl = NewSkipList(tx, rt, "sk.skip", 9)
 		rb = NewRBTree(tx, rt, "sk.tree")
@@ -119,7 +115,7 @@ func TestSortedKeys(t *testing.T) {
 	})
 	keys := []uint64{42, 7, 0, 99, 13, 55, 1, 100, 64}
 	for _, k := range keys {
-		th.Run(func(tx *stm.Tx) error {
+		rt.Run(func(tx *stm.Tx) error {
 			l.Insert(tx, k, k*10)
 			sl.Insert(tx, k, k*10)
 			rb.Insert(tx, k, k*10)
@@ -138,7 +134,7 @@ func TestSortedKeys(t *testing.T) {
 			}
 		}
 	}
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		check("list", l.Keys(tx))
 		check("skiplist", sl.Keys(tx))
 		check("rbtree", rb.Keys(tx))
@@ -148,17 +144,15 @@ func TestSortedKeys(t *testing.T) {
 
 func TestUpsert(t *testing.T) {
 	rt := newRT(t)
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	var sets map[string]setAPI
-	th.Run(func(tx *stm.Tx) error { sets = makeSets(tx, rt, "ups"); return nil })
+	rt.Run(func(tx *stm.Tx) error { sets = makeSets(tx, rt, "ups"); return nil })
 	for name, s := range sets {
 		up, ok := s.(upserter)
 		if !ok {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
-			th.Run(func(tx *stm.Tx) error {
+			rt.Run(func(tx *stm.Tx) error {
 				if !up.Set(tx, 5, 50) {
 					t.Error("Set of fresh key reported update")
 				}
@@ -178,14 +172,12 @@ func TestUpsert(t *testing.T) {
 // validates the red-black properties after every batch.
 func TestRBTreeInvariants(t *testing.T) {
 	rt := newRT(t)
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	var rb *RBTree
-	th.Run(func(tx *stm.Tx) error { rb = NewRBTree(tx, rt, "inv.tree"); return nil })
+	rt.Run(func(tx *stm.Tx) error { rb = NewRBTree(tx, rt, "inv.tree"); return nil })
 	rng := rand.New(rand.NewSource(3))
 	live := make(map[uint64]bool)
 	for batch := 0; batch < 60; batch++ {
-		th.Run(func(tx *stm.Tx) error {
+		rt.Run(func(tx *stm.Tx) error {
 			for i := 0; i < 40; i++ {
 				k := uint64(rng.Intn(300))
 				if rng.Intn(2) == 0 {
@@ -200,7 +192,7 @@ func TestRBTreeInvariants(t *testing.T) {
 			}
 			return nil
 		})
-		th.Run(func(tx *stm.Tx) error {
+		rt.Run(func(tx *stm.Tx) error {
 			if msg := rb.CheckInvariants(tx); msg != "" {
 				t.Fatalf("batch %d: %s", batch, msg)
 			}
@@ -216,11 +208,9 @@ func TestRBTreeInvariants(t *testing.T) {
 
 func TestRBTreeMin(t *testing.T) {
 	rt := newRT(t)
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	var rb *RBTree
-	th.Run(func(tx *stm.Tx) error { rb = NewRBTree(tx, rt, "min.tree"); return nil })
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error { rb = NewRBTree(tx, rt, "min.tree"); return nil })
+	rt.Run(func(tx *stm.Tx) error {
 		if _, ok := rb.Min(tx); ok {
 			t.Error("Min on empty tree")
 		}
@@ -245,10 +235,8 @@ func TestConcurrentSetMembership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	setup := rt.MustAttach()
 	var sets map[string]setAPI
-	setup.Run(func(tx *stm.Tx) error { sets = makeSets(tx, rt, "conc"); return nil })
-	rt.Detach(setup)
+	rt.Run(func(tx *stm.Tx) error { sets = makeSets(tx, rt, "conc"); return nil })
 
 	for name, s := range sets {
 		t.Run(name, func(t *testing.T) {
@@ -258,23 +246,19 @@ func TestConcurrentSetMembership(t *testing.T) {
 				wg.Add(1)
 				go func(base uint64) {
 					defer wg.Done()
-					th := rt.MustAttach()
-					defer rt.Detach(th)
 					for i := uint64(0); i < perW; i++ {
 						k := base*perW + i
-						th.Run(func(tx *stm.Tx) error { s.Insert(tx, k, k); return nil })
+						rt.Run(func(tx *stm.Tx) error { s.Insert(tx, k, k); return nil })
 					}
 				}(uint64(w))
 			}
 			wg.Wait()
-			th := rt.MustAttach()
-			defer rt.Detach(th)
 			var n int
-			th.Run(func(tx *stm.Tx) error { n = s.Len(tx); return nil })
+			rt.Run(func(tx *stm.Tx) error { n = s.Len(tx); return nil })
 			if n != workers*perW {
 				t.Fatalf("Len = %d, want %d", n, workers*perW)
 			}
-			th.Run(func(tx *stm.Tx) error {
+			rt.Run(func(tx *stm.Tx) error {
 				for w := 0; w < workers; w++ {
 					for i := uint64(0); i < perW; i += 37 {
 						k := uint64(w)*perW + i
@@ -296,32 +280,26 @@ func TestConcurrentRBTreeShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	setup := rt.MustAttach()
 	var rb *RBTree
-	setup.Run(func(tx *stm.Tx) error { rb = NewRBTree(tx, rt, "cshape"); return nil })
-	rt.Detach(setup)
+	rt.Run(func(tx *stm.Tx) error { rb = NewRBTree(tx, rt, "cshape"); return nil })
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
-			th := rt.MustAttach()
-			defer rt.Detach(th)
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 1200; i++ {
 				k := uint64(rng.Intn(500))
 				if rng.Intn(100) < 50 {
-					th.Run(func(tx *stm.Tx) error { rb.Insert(tx, k, k); return nil })
+					rt.Run(func(tx *stm.Tx) error { rb.Insert(tx, k, k); return nil })
 				} else {
-					th.Run(func(tx *stm.Tx) error { rb.Remove(tx, k); return nil })
+					rt.Run(func(tx *stm.Tx) error { rb.Remove(tx, k); return nil })
 				}
 			}
 		}(int64(w) + 1)
 	}
 	wg.Wait()
-	th := rt.MustAttach()
-	defer rt.Detach(th)
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		if msg := rb.CheckInvariants(tx); msg != "" {
 			t.Fatal(msg)
 		}
@@ -331,11 +309,9 @@ func TestConcurrentRBTreeShape(t *testing.T) {
 
 func TestQueueFIFO(t *testing.T) {
 	rt := newRT(t)
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	var q *Queue
-	th.Run(func(tx *stm.Tx) error { q = NewQueue(tx, rt, "fifo"); return nil })
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error { q = NewQueue(tx, rt, "fifo"); return nil })
+	rt.Run(func(tx *stm.Tx) error {
 		if _, ok := q.Dequeue(tx); ok {
 			t.Error("dequeue from empty queue")
 		}
@@ -345,9 +321,9 @@ func TestQueueFIFO(t *testing.T) {
 		return nil
 	})
 	for i := uint64(1); i <= 5; i++ {
-		th.Run(func(tx *stm.Tx) error { q.Enqueue(tx, i); return nil })
+		rt.Run(func(tx *stm.Tx) error { q.Enqueue(tx, i); return nil })
 	}
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		if n := q.Len(tx); n != 5 {
 			t.Errorf("Len = %d", n)
 		}
@@ -357,7 +333,7 @@ func TestQueueFIFO(t *testing.T) {
 		return nil
 	})
 	for i := uint64(1); i <= 5; i++ {
-		th.Run(func(tx *stm.Tx) error {
+		rt.Run(func(tx *stm.Tx) error {
 			v, ok := q.Dequeue(tx)
 			if !ok || v != i {
 				t.Errorf("Dequeue = (%d,%v), want %d", v, ok, i)
@@ -366,7 +342,7 @@ func TestQueueFIFO(t *testing.T) {
 		})
 	}
 	// Empty again; enqueue after drain must relink head.
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		q.Enqueue(tx, 42)
 		if v, ok := q.Dequeue(tx); !ok || v != 42 {
 			t.Errorf("after drain: (%d,%v)", v, ok)
@@ -382,28 +358,24 @@ func TestQueueConcurrentTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	setup := rt.MustAttach()
 	var q1, q2 *Queue
 	const tokens = 500
-	setup.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		q1 = NewQueue(tx, rt, "xfer.q1")
 		q2 = NewQueue(tx, rt, "xfer.q2")
 		return nil
 	})
 	for i := uint64(0); i < tokens; i++ {
-		setup.Run(func(tx *stm.Tx) error { q1.Enqueue(tx, i); return nil })
+		rt.Run(func(tx *stm.Tx) error { q1.Enqueue(tx, i); return nil })
 	}
-	rt.Detach(setup)
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			th := rt.MustAttach()
-			defer rt.Detach(th)
 			for {
 				moved := false
-				th.Run(func(tx *stm.Tx) error {
+				rt.Run(func(tx *stm.Tx) error {
 					if v, ok := q1.Dequeue(tx); ok {
 						q2.Enqueue(tx, v)
 						moved = true
@@ -417,9 +389,7 @@ func TestQueueConcurrentTransfer(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	th := rt.MustAttach()
-	defer rt.Detach(th)
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		if n := q1.Len(tx); n != 0 {
 			t.Errorf("q1 still has %d", n)
 		}
@@ -431,7 +401,7 @@ func TestQueueConcurrentTransfer(t *testing.T) {
 	// All tokens distinct.
 	seen := make(map[uint64]bool)
 	for i := 0; i < tokens; i++ {
-		th.Run(func(tx *stm.Tx) error {
+		rt.Run(func(tx *stm.Tx) error {
 			v, ok := q2.Dequeue(tx)
 			if !ok {
 				t.Fatal("queue drained early")
@@ -447,14 +417,12 @@ func TestQueueConcurrentTransfer(t *testing.T) {
 
 func TestCounterArray(t *testing.T) {
 	rt := newRT(t)
-	th := rt.MustAttach()
-	defer rt.Detach(th)
 	var c *CounterArray
-	th.Run(func(tx *stm.Tx) error { c = NewCounterArray(tx, rt, "cnt", 16, 100); return nil })
+	rt.Run(func(tx *stm.Tx) error { c = NewCounterArray(tx, rt, "cnt", 16, 100); return nil })
 	if c.N() != 16 {
 		t.Fatalf("N = %d", c.N())
 	}
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		if s := c.Sum(tx); s != 1600 {
 			t.Errorf("Sum = %d", s)
 		}
@@ -485,29 +453,23 @@ func TestCounterConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	setup := rt.MustAttach()
 	var c *CounterArray
 	const n, initBal = 32, 1000
-	setup.Run(func(tx *stm.Tx) error { c = NewCounterArray(tx, rt, "bankc", n, initBal); return nil })
-	rt.Detach(setup)
+	rt.Run(func(tx *stm.Tx) error { c = NewCounterArray(tx, rt, "bankc", n, initBal); return nil })
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
-			th := rt.MustAttach()
-			defer rt.Detach(th)
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 2000; i++ {
 				from, to := rng.Intn(n), rng.Intn(n)
-				th.Run(func(tx *stm.Tx) error { c.Transfer(tx, from, to, uint64(rng.Intn(20))); return nil })
+				rt.Run(func(tx *stm.Tx) error { c.Transfer(tx, from, to, uint64(rng.Intn(20))); return nil })
 			}
 		}(int64(w) * 13)
 	}
 	wg.Wait()
-	th := rt.MustAttach()
-	defer rt.Detach(th)
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		if s := c.Sum(tx); s != n*initBal {
 			t.Fatalf("Sum = %d, want %d", s, n*initBal)
 		}
@@ -520,12 +482,11 @@ func TestCounterConservation(t *testing.T) {
 func TestStructuresFormDistinctPartitions(t *testing.T) {
 	rt := newRT(t)
 	rt.StartProfiling()
-	th := rt.MustAttach()
 	var l *List
 	var sl *SkipList
 	var rb *RBTree
 	var hs *HashSet
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		l = NewList(tx, rt, "pp.list")
 		sl = NewSkipList(tx, rt, "pp.skip", 1)
 		rb = NewRBTree(tx, rt, "pp.tree")
@@ -533,7 +494,7 @@ func TestStructuresFormDistinctPartitions(t *testing.T) {
 		return nil
 	})
 	for i := uint64(0); i < 30; i++ {
-		th.Run(func(tx *stm.Tx) error {
+		rt.Run(func(tx *stm.Tx) error {
 			l.Insert(tx, i, i)
 			sl.Insert(tx, i, i)
 			rb.Insert(tx, i, i)
@@ -550,11 +511,10 @@ func TestStructuresFormDistinctPartitions(t *testing.T) {
 		t.Fatalf("NumPartitions = %d, want 5\n%s", got, plan.Describe(rt.Sites()))
 	}
 	// Structures keep working after partitioning, in their own partitions.
-	th.Run(func(tx *stm.Tx) error {
+	rt.Run(func(tx *stm.Tx) error {
 		if !l.Contains(tx, 7) || !sl.Contains(tx, 7) || !rb.Contains(tx, 7) || !hs.Contains(tx, 7) {
 			t.Error("data lost across partitioning")
 		}
 		return nil
 	})
-	rt.Detach(th)
 }
