@@ -74,10 +74,6 @@ func BenchmarkFig9(b *testing.B)   { runExperiment(b, "fig9") }
 func BenchmarkFig10(b *testing.B)  { runExperiment(b, "fig10") }
 func BenchmarkFig11(b *testing.B)  { runExperiment(b, "fig11") }
 
-// BenchmarkClockScale compares the global commit counter against
-// partition-local commit counters on the partitioned workloads.
-func BenchmarkClockScale(b *testing.B) { runExperiment(b, "clockscale") }
-
 // BenchmarkRsDedup measures footprint-bounded bookkeeping: validate cost
 // as loads grow over a fixed footprint, and write-set indexing across
 // write modes.
@@ -492,34 +488,6 @@ func BenchmarkUncontendedIncrement(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			cfg := mode.cfg
 			rt := stm.MustNew(stm.Config{HeapWords: 1 << 16, Default: &cfg})
-			var a stm.Addr
-			rt.Run(func(tx *stm.Tx) error {
-				a = tx.Alloc(stm.SiteID(0), 1)
-				tx.Store(a, 0)
-				return nil
-			})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rt.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
-			}
-		})
-	}
-}
-
-// BenchmarkTimeBaseIncrement measures the commit-path cost of the two
-// time bases on the minimal update transaction (single thread, single
-// partition): the partition-local bookkeeping must not tax the
-// uncontended fast path.
-func BenchmarkTimeBaseIncrement(b *testing.B) {
-	for _, m := range []struct {
-		name string
-		tb   stm.TimeBaseMode
-	}{
-		{"global", stm.TimeBaseGlobal},
-		{"plocal", stm.TimeBasePartitionLocal},
-	} {
-		b.Run(m.name, func(b *testing.B) {
-			rt := stm.MustNew(stm.Config{HeapWords: 1 << 16, TimeBase: m.tb})
 			var a stm.Addr
 			rt.Run(func(tx *stm.Tx) error {
 				a = tx.Alloc(stm.SiteID(0), 1)

@@ -2,8 +2,8 @@
 // structures — a priority queue of pending tasks, a deque of running
 // tasks (stolen from both ends), and a stack of completed task records —
 // each discovered as its own partition with its own contention profile.
-// The run enables the tuner's contention-manager adaptation (heuristic 3)
-// so the hottest partition can switch to older-wins arbitration.
+// The tuner adapts each partition's read visibility and lock granularity
+// from that profile.
 package main
 
 import (
@@ -53,12 +53,10 @@ func main() {
 	}
 	fmt.Print(plan.Describe(rt.Sites()))
 
-	// Tuner with CM adaptation: the stack and queue ends are single hot
-	// words, exactly the case older-wins arbitration protects.
+	// Short epochs and a low activity floor, so the tuner acts within
+	// this brief run.
 	tc := stm.DefaultTunerConfig()
 	tc.Interval = 20 * time.Millisecond
-	tc.AdaptCM = true
-	tc.ToArbiterConflictRate = 0.05
 	tc.MinCommits = 50
 	rt.StartTuner(tc)
 

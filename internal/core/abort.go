@@ -5,7 +5,7 @@ import "fmt"
 // AbortCause classifies why a transaction attempt aborted. Per-partition
 // abort-cause counters are a key input to the runtime tuner (a partition
 // aborting mostly on validation wants visible reads; one aborting on lock
-// conflicts wants finer granularity or a different CM).
+// conflicts wants finer granularity).
 type AbortCause uint8
 
 const (

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"repro/internal/clock"
 	"repro/internal/memory"
 	"repro/internal/wal"
 )
@@ -14,9 +13,8 @@ import (
 // ONLINE scan — concurrent transactions keep committing while the image
 // is taken at a pinned snapshot — and falls back to a stop-the-world
 // copy under the quiescence gate when the online scan cannot prove
-// consistency (partition-local time base, a word overwritten past the
-// snapshot with no multi-version record retained, a scan chasing a
-// too-hot orec).
+// consistency (a word overwritten past the snapshot with no multi-version
+// record retained, a scan chasing a too-hot orec).
 //
 // The consistency argument for the online image: the log's publish
 // horizon h0 is sampled BEFORE the snapshot version S. A commit tees
@@ -50,16 +48,10 @@ func (e *Engine) Checkpoint(log *wal.Log) (online bool, err error) {
 // proven consistent at the snapshot — the caller then takes the
 // stop-the-world image instead.
 func (e *Engine) checkpointImageOnline(log *wal.Log) (*wal.Checkpoint, bool) {
-	if e.timeBase().Mode() != clock.ModeGlobal {
-		// Partition-local counters are not comparable to one global S;
-		// the STW image (where every commit has fully finished) is the
-		// correct cut there.
-		return nil, false
-	}
 	th := e.BorrowThread()
 	defer e.ReturnThread(th)
 	h0 := log.SeqHorizon()
-	s := e.timeBase().Ceiling()
+	s := e.Clock()
 	// Pin reclamation at S for the duration of the scan, exactly like a
 	// long snapshot reader.
 	e.epochs.Publish(th.slot, s)
@@ -118,7 +110,7 @@ func (e *Engine) checkpointImageSTW(log *wal.Log) *wal.Checkpoint {
 		for a := uint64(0); a < nWords; a++ {
 			words[a] = e.arena.LoadAtomic(memory.Addr(a))
 		}
-		cp = e.fillCheckpoint(log.SeqHorizon(), e.timeBase().Ceiling(), nextBlock, blockSite, words)
+		cp = e.fillCheckpoint(log.SeqHorizon(), e.Clock(), nextBlock, blockSite, words)
 	})
 	return cp
 }

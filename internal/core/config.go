@@ -12,11 +12,9 @@
 // vs. write-through with an undo log), conflict-detection granularity
 // (lock-array size and words-per-lock), and contention-management policy.
 //
-// Commit time itself is a pluggable policy (internal/clock): the default
-// global counter keeps all partitions on one shared timeline, while the
-// partition-local time base gives every partition its own commit counter
-// and keeps cross-partition transactions serializable through snapshot
-// alignment and commit-time validation. See TimeBaseMode.
+// Commit time is one engine-wide counter (Engine.Clock): every partition
+// shares one timeline, so a transaction spanning partitions is ordered
+// exactly like one that stays inside a single partition.
 //
 // Transactions run through Engine.RunPooled (which borrows a Thread and
 // calls Thread.Run), the single options-driven entrypoint: TxOpt options
@@ -34,9 +32,8 @@
 // Set-membership lookups run as inline linear scans behind a one-word
 // first-touch filter while sets are small, and as one find-or-insert probe
 // of a generation-stamped open-addressed index (txIndex) beyond.
-// Commit-time validation is skipped when no foreign commit has landed in
-// the footprint (the TL2 rule, generalized per partition). See tx.go and
-// txindex.go.
+// Commit-time validation is skipped when no foreign commit has landed
+// since the snapshot (the TL2 rule). See tx.go and txindex.go.
 //
 // The access path of a transaction that conflicts with nobody executes no
 // locked instruction, reads no clock and writes nothing outside its own
@@ -60,24 +57,7 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/clock"
 	"repro/internal/mvstore"
-)
-
-// TimeBaseMode selects the engine's commit time base (see internal/clock
-// for the implementations and their protocol contracts).
-type TimeBaseMode = clock.Mode
-
-const (
-	// TimeBaseGlobal is the single shared commit counter — the default,
-	// with exact TL2/TinySTM semantics. Every update commit performs one
-	// shared read-modify-write.
-	TimeBaseGlobal = clock.ModeGlobal
-	// TimeBasePartitionLocal gives each partition its own commit counter
-	// plus a global cross-partition epoch. Update commits confined to one
-	// partition never touch shared clock state; transactions spanning
-	// partitions pay snapshot alignment and commit-time validation.
-	TimeBasePartitionLocal = clock.ModePartitionLocal
 )
 
 // ReadMode selects how a partition's reads are performed.

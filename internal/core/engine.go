@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/epoch"
 	"repro/internal/memory"
 	"repro/internal/mvstore"
@@ -38,27 +37,21 @@ func (t *topology) partForSite(site memory.SiteID) *Partition {
 	return t.parts[GlobalPartition]
 }
 
-// Engine is the STM runtime: commit time base, partitions, the Thread
-// slot pool, and the quiescence gate used for reconfiguration.
+// Engine is the STM runtime: commit clock, partitions, the Thread slot
+// pool, and the quiescence gate used for reconfiguration.
 type Engine struct {
 	arena      *memory.Arena
 	blockShift uint
 	blockSite  []memory.SiteID // arena's block→site table (shared slice)
-
-	// tb is the commit time base (internal/clock). It is replaced only
-	// under quiescence (mode migration), but monitor threads — the tuner,
-	// stats snapshots — read it concurrently with transactions, hence the
-	// atomic pointer (interfaces are two words and not directly atomic).
-	tb atomic.Pointer[tbBox]
 
 	// gate, when nonzero, blocks new transaction attempts; reconfigurers
 	// raise it and wait for all threads to go inactive.
 	gate atomic.Uint32
 
 	// epochs is the published-reader table behind the reclamation horizon:
-	// every transaction publishes a clock-ceiling stamp at begin and clears
-	// it at finish, and retired heap objects recycle only once the minimum
-	// over live stamps passes their retire stamp (see reclaim.go).
+	// every transaction publishes a clock stamp at begin and clears it at
+	// finish, and retired heap objects recycle only once the minimum over
+	// live stamps passes their retire stamp (see reclaim.go).
 	epochs *epoch.Table
 
 	topo atomic.Pointer[topology]
@@ -104,23 +97,28 @@ type Engine struct {
 	// the protocol logic run with it off.
 	yieldMask atomic.Uint64
 
-	// txSeq issues CMTimestamp ordinals (Tx.ordinal): the one engine word
-	// transactions write besides the time base. It gets a line of its own
-	// so those writes never invalidate the read-mostly fields above, which
-	// every attempt of every thread loads.
+	// clock is the commit counter (TL2/TinySTM's global version clock):
+	// every update commit ticks it once and every attempt samples it at
+	// begin. txSeq issues CMTimestamp ordinals (Tx.ordinal). These are the
+	// only engine words transactions write, and each gets a line of its
+	// own so those writes never invalidate the read-mostly fields above,
+	// which every attempt of every thread loads, nor each other.
 	_     [cacheLine]byte
+	clock atomic.Uint64
+	_     [cacheLine - 8]byte
 	txSeq atomic.Uint64
 	_     [cacheLine - 8]byte
 }
 
-// tbBox wraps the TimeBase interface so the engine can store it in an
-// atomic.Pointer.
-type tbBox struct{ tb clock.TimeBase }
+// initialStamp is the value the commit clock starts at. It must be at
+// least 1: a freshly built ownership-record table has every version at 0,
+// and the protocol's readability rule is "version ≤ snapshot", so keeping
+// the clock (and hence every snapshot) at or above 1 guarantees a fresh
+// orec is always readable.
+const initialStamp = 1
 
 // NewEngine creates an engine over arena with a single global partition
-// configured by cfg and the default (global-counter) time base. The
-// counter start value — and the "fresh orec always readable" rule behind
-// it — is owned by internal/clock (clock.InitialStamp).
+// configured by cfg.
 func NewEngine(arena *memory.Arena, cfg PartConfig) *Engine {
 	e := &Engine{
 		arena:      arena,
@@ -130,43 +128,21 @@ func NewEngine(arena *memory.Arena, cfg PartConfig) *Engine {
 	}
 	global := newPartition(GlobalPartition, "global", cfg)
 	e.topo.Store(&topology{parts: []*Partition{global}})
-	e.tb.Store(&tbBox{tb: clock.New(clock.ModeGlobal, 1)})
+	e.clock.Store(initialStamp)
 	return e
 }
 
 // Arena returns the transactional heap.
 func (e *Engine) Arena() *memory.Arena { return e.arena }
 
-// timeBase returns the current commit time base.
-func (e *Engine) timeBase() clock.TimeBase { return e.tb.Load().tb }
+// Clock returns the commit clock: an upper bound on every version stored
+// in any orec.
+func (e *Engine) Clock() uint64 { return e.clock.Load() }
 
-// Clock returns the current time-base ceiling: the maximum commit-counter
-// reading, i.e. an upper bound on every version stored in any orec. With
-// the default global counter this is exactly the classic global timestamp.
-func (e *Engine) Clock() uint64 { return e.timeBase().Ceiling() }
-
-// TimeBaseMode reports which commit time base the engine runs.
-func (e *Engine) TimeBaseMode() TimeBaseMode { return e.timeBase().Mode() }
-
-// SetTimeBaseMode switches the commit time base under quiescence. The
-// successor starts every counter at the predecessor's ceiling, so versions
-// already stored in orecs stay at or below every future snapshot — commit
-// time never moves backwards across a migration.
-func (e *Engine) SetTimeBaseMode(m TimeBaseMode) {
-	e.quiesce(func() {
-		old := e.timeBase()
-		if old.Mode() == m {
-			return
-		}
-		nparts := len(e.topo.Load().parts)
-		e.tb.Store(&tbBox{tb: clock.NewAt(m, nparts, old.Ceiling())})
-	})
-}
-
-// AdvanceClock adds delta to every commit counter of the time base; used
-// by stress tests to exercise large-timestamp behaviour. Monotonicity is
-// the time base's responsibility.
-func (e *Engine) AdvanceClock(delta uint64) { e.timeBase().Advance(delta) }
+// AdvanceClock adds delta to the commit clock; WAL recovery uses it to
+// re-seed the clock past every recovered version, and stress tests to
+// exercise large-timestamp behaviour.
+func (e *Engine) AdvanceClock(delta uint64) { e.clock.Add(delta) }
 
 // SetYieldEveryOps enables interleaving simulation: each transactional
 // operation yields the processor with probability 1/n (n must be a power
@@ -273,10 +249,6 @@ func (e *Engine) InstallPlan(sitePart []PartID, names []string, cfgs []PartConfi
 		defer e.mu.Unlock()
 		oldTopo := e.topo.Load()
 		e.topo.Store(&topology{sitePart: sp, parts: parts})
-		// Counters for new partitions start at the time base's current
-		// ceiling, keeping every partition's timeline monotone across the
-		// install.
-		e.timeBase().Resize(len(parts))
 		// A partition's identity is its site membership. When a new
 		// partition owns exactly the sites an old one did, its history is
 		// still attributable and is carried over onto the new PartID

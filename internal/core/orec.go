@@ -11,8 +11,8 @@ import (
 // The lock word encodes, TinySTM-style:
 //
 //	unlocked: version<<1        (version = commit timestamp, minted by the
-//	                             owning partition's time base, of the last
-//	                             commit that wrote a word mapping here)
+//	                             engine's commit clock, of the last commit
+//	                             that wrote a word mapping here)
 //	locked:   ownerSlot<<1 | 1  (ownerSlot = thread slot of the writer)
 //
 // The lock array is dense, as in TinySTM: an orec is its lock word alone,

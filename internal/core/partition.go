@@ -23,9 +23,8 @@ type partState struct {
 	table *orecTable
 	gen   uint64 // configuration generation, bumped on every reconfigure
 	// part points back to the owning partition, so protocol code holding a
-	// state (write entries, lock records) can recover the partition id —
-	// which the partition-local time base keys its commit counters by —
-	// without re-running the address→partition lookup.
+	// state (write entries) can recover the partition id without
+	// re-running the address→partition lookup.
 	part *Partition
 	// hist is the partition's multi-version snapshot store (nil when
 	// cfg.HistCap == 0). It lives in the state, not the partition, because

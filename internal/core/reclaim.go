@@ -2,14 +2,13 @@ package core
 
 // This file is the engine-level face of epoch-based memory reclamation:
 // the horizon computed from the published-reader table (internal/epoch),
-// the aggregate reclamation statistics, and the maintenance entry points
-// (ReclaimNow, KillHorizonPinner) that tests, servers and the tuner's
-// horizon-stall heuristic drive.
+// the aggregate reclamation statistics, and the maintenance entry point
+// (ReclaimNow) that tests and servers drive.
 //
-// The protocol pieces live elsewhere: tx.begin publishes a clock-ceiling
-// stamp before sampling any snapshot, tx.finish clears it and retires
-// commit-time frees at a post-commit ceiling (tx.go), and the limbo lists
-// that hold retired objects until the horizon passes belong to the
+// The protocol pieces live elsewhere: tx.begin publishes a clock stamp
+// before sampling its snapshot, tx.finish clears it and retires
+// commit-time frees at a post-commit clock reading (tx.go), and the limbo
+// lists that hold retired objects until the horizon passes belong to the
 // allocators (internal/memory).
 
 import "repro/internal/epoch"
@@ -31,11 +30,11 @@ type ReclaimStats struct {
 	// Horizon is the minimum live begin stamp (HorizonIdle when no
 	// transaction is running).
 	Horizon uint64
-	// Ceiling is the commit clock's current ceiling, the reference point
+	// Ceiling is the commit clock's current reading, the reference point
 	// for lag.
 	Ceiling uint64
 	// HorizonLag is how far the oldest live reader's stamp trails the
-	// clock ceiling (0 when idle): the age, in commit ticks, of the reader
+	// commit clock (0 when idle): the age, in commit ticks, of the reader
 	// currently gating all reclamation. A lag that keeps growing while
 	// limbo is non-empty is a horizon stall — typically one parked
 	// long-running snapshot transaction.
@@ -54,7 +53,7 @@ func (e *Engine) ReclaimStats() ReclaimStats {
 	h := e.epochs.Horizon()
 	c := e.Clock()
 	var lag uint64
-	if h < c { // h == HorizonIdle exceeds any real ceiling: lag 0
+	if h < c { // h == HorizonIdle exceeds any real clock: lag 0
 		lag = c - h
 	}
 	m := e.arena.ReclaimStats()
@@ -104,24 +103,4 @@ func (e *Engine) EpochStamp(slot int) uint64 {
 		return HorizonIdle
 	}
 	return e.epochs.Load(slot)
-}
-
-// KillHorizonPinner kills the transaction currently pinning the horizon
-// (the live attempt with the minimum published stamp), returning that
-// stamp. The victim observes the kill at its next transactional operation,
-// aborts, and retries with a fresh — current — stamp, which releases the
-// horizon. This is the tuner's mitigation for horizon stalls caused by a
-// parked long-running snapshot reader; the reader itself loses only its
-// current attempt.
-func (e *Engine) KillHorizonPinner() (uint64, bool) {
-	slot, stamp := e.epochs.MinSlot()
-	if slot < 0 {
-		return 0, false
-	}
-	th := e.threadBySlot(slot)
-	if th == nil {
-		return 0, false
-	}
-	th.kill()
-	return stamp, true
 }

@@ -32,8 +32,8 @@ func snapTestSetup(t *testing.T, cfg PartConfig, cells int, initVal uint64) (*En
 // transactions in all three write modes. Writers conserve the array sum;
 // every snapshot scan must observe exactly that sum — a torn snapshot
 // (two instants mixed in one scan) breaks it immediately. The snapshot
-// store is sized generously, so under the global time base the scans
-// must additionally be abort-free.
+// store is sized generously, so the scans must additionally be
+// abort-free.
 func TestSnapshotTortureWriteModes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("torture test skipped in -short mode")

@@ -3,7 +3,6 @@ package core
 import (
 	"sync/atomic"
 
-	"repro/internal/clock"
 	"repro/internal/stats"
 )
 
@@ -23,7 +22,7 @@ import (
 // counter is still monotone, and a Run's counters are all visible by the
 // time Run returns. The one exception is deliberate: a wait that escalates
 // past the spin budget flushes its wait accounting at every yield and park
-// (Tx.stall), so the tuner sees a stuck waiter while it is stuck.
+// (Tx.stall), so a monitor sees a stuck waiter while it is stuck.
 type PartThreadStats struct {
 	Loads  atomic.Uint64
 	Stores atomic.Uint64
@@ -39,8 +38,7 @@ type PartThreadStats struct {
 	// Yields counts wait-loop iterations that escalated past the spin
 	// budget into a scheduler yield (runtime.Gosched), and Parks those
 	// that escalated further into a timed sleep — the scheduler-
-	// cooperation signals the tuner's spin-budget heuristic keys on. Both
-	// are subsets of WaitCycles.
+	// cooperation signals. Both are subsets of WaitCycles.
 	Yields atomic.Uint64
 	Parks  atomic.Uint64
 	// SpinNs/YieldNs/ParkNs break wait time down by phase: nanoseconds
@@ -64,8 +62,7 @@ type PartThreadStats struct {
 	// SnapMisses counts snapshot-mode reads of a stale orec the store
 	// could not serve — the covering record was evicted, or the partition
 	// has no store at all — forcing the validate/extend fallback. It is
-	// the partition's unserved snapshot demand, the signal the tuner's
-	// AdaptSnapshot heuristic keys on.
+	// the partition's unserved snapshot demand.
 	SnapMisses atomic.Uint64
 }
 
@@ -163,16 +160,6 @@ func (s *PartStats) UpdateRatio() float64 {
 	}
 	return float64(s.UpdateCommits) / float64(s.Commits)
 }
-
-// ClockStats returns a momentary reading of the commit time base:
-// per-partition counter values plus the shared-RMW figures the clockscale
-// experiment and the tuner's time-base heuristic consume. Fields are
-// monotone only within one time base: a SetTimeBaseMode switch installs
-// fresh counters (deltas straddling it are meaningless — the tuner guards
-// for this), and AdvanceClock inflates every figure by its delta. Deltas
-// between snapshots are exact when taken in the same mode with no
-// Advance in between.
-func (e *Engine) ClockStats() clock.Stats { return e.timeBase().Stats() }
 
 // Sub returns s - old, counter-wise; used by the tuner to derive per-epoch
 // deltas from monotonic totals.

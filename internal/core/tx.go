@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/memory"
 	"repro/internal/mvstore"
 	"repro/internal/wal"
@@ -38,9 +37,6 @@ type writeEntry struct {
 type lockRec struct {
 	o    *orec
 	prev uint64
-	// pid is the owning partition: the partition-local time base mints
-	// this lock's release version from that partition's commit counter.
-	pid PartID
 }
 
 type allocRec struct {
@@ -49,13 +45,7 @@ type allocRec struct {
 }
 
 type touchRec struct {
-	p *Partition
-	// snap is the transaction's snapshot of this partition's commit
-	// counter. Under the global time base every entry mirrors tx.snapshot
-	// (one shared timeline); under the partition-local time base each
-	// partition has its own, sampled at first touch and re-anchored
-	// together by extensions and footprint alignment.
-	snap  uint64
+	p     *Partition
 	wrote bool
 	// The attempt's counters for this partition, accumulated in plain words
 	// and flushed into the thread's PartThreadStats block once, by finish,
@@ -75,19 +65,9 @@ type Tx struct {
 	th   *Thread
 	topo *topology
 
-	// tb and pl cache the engine's time base for the attempt (the time
-	// base only changes under quiescence, never while an attempt runs).
-	tb clock.TimeBase
-	pl bool // tb is partition-local
-
-	// snapshot is the global snapshot under the global time base. Under
-	// the partition-local time base per-partition snapshots live in
-	// touched[].snap and this field tracks the first-touched partition's
-	// (see Snapshot).
-	snapshot uint64
-	// beginEpoch is the cross-partition epoch sampled at begin and
-	// refreshed by every successful extension (partition-local mode only).
-	beginEpoch uint64
+	// snapshot is the commit-clock reading every read is checked against:
+	// sampled at begin, moved forward only by a successful extension.
+	snapshot   uint64
 	readOnly   bool
 	hasVisible bool
 	// snapMode marks a snapshot read-only attempt (Run with Snapshot()):
@@ -154,17 +134,13 @@ type Tx struct {
 	touchGen    []uint64
 	touchGenVal uint64
 
-	// Commit/extension scratch, reused across attempts: the deduplicated
-	// written partitions, their assigned write versions (also mirrored into
-	// wvByPid for O(1) lookup at lock release), extension's resampled
-	// snapshots, and appendHistory's per-partition record buckets (indexed
-	// by the partition's position in tx.touched).
-	commitParts []uint32
-	commitWV    []uint64
-	wvByPid     []uint64
-	extSnaps    []uint64
-	histRecs    [][]mvstore.Record
-	histBufs    []*mvstore.Buffer
+	// wv is the commit's write version (assignWriteVersions), and
+	// histRecs/histBufs are appendHistory's per-partition record buckets
+	// (indexed by the partition's position in tx.touched), reused across
+	// attempts.
+	wv       uint64
+	histRecs [][]mvstore.Record
+	histBufs []*mvstore.Buffer
 
 	// Redo-log scratch (wal.go): the record built under this commit's
 	// write locks, the log sequence it claimed (0 when nothing was
@@ -183,10 +159,8 @@ func (tx *Tx) init(e *Engine, th *Thread) {
 	tx.th = th
 }
 
-// Snapshot returns the transaction's current snapshot timestamp: the
-// global snapshot under the global time base, or the first-touched
-// partition's snapshot under the partition-local one (0 before any
-// access). In both modes it never moves backwards within an attempt.
+// Snapshot returns the transaction's current snapshot timestamp. It never
+// moves backwards within an attempt.
 func (tx *Tx) Snapshot() uint64 { return tx.snapshot }
 
 // ReadOnly reports whether this attempt runs in read-only mode.
@@ -247,27 +221,18 @@ func (tx *Tx) begin(readOnly, snap, unlogged bool) {
 	if tx.th.progress.Load() != 0 {
 		tx.th.progress.Store(0)
 	}
-	tx.tb = tx.eng.timeBase()
-	tx.pl = tx.tb.Mode() == clock.ModePartitionLocal
-	// Publish the reclamation stamp BEFORE sampling any snapshot: the
+	// Publish the reclamation stamp BEFORE sampling the snapshot: the
 	// horizon sweep must be able to see this transaction before it bases a
 	// single read on the clock, else a reclaimer that misses the slot could
 	// recycle an address an already-sampled snapshot can still reach (the
-	// ordering contract in internal/epoch). The stamp is a ceiling sample —
-	// comparable across both time-base modes, and a lower bound on every
-	// snapshot this attempt will ever hold, pinned or extended. All modes
-	// publish: snapshot readers reconstruct freed addresses from history,
-	// and update/read-only attempts also gate on it so extension never
-	// revalidates against a recycled word.
-	tx.eng.epochs.Publish(tx.th.slot, tx.tb.Ceiling())
-	if tx.pl {
-		// Per-partition snapshots are sampled lazily at first touch; the
-		// epoch sample anchors the cross-partition staleness check.
-		tx.beginEpoch = tx.tb.Begin()
-		tx.snapshot = 0
-	} else {
-		tx.snapshot = tx.tb.Begin()
-	}
+	// ordering contract in internal/epoch). The stamp is a clock load of
+	// its own, a lower bound on every snapshot this attempt will ever
+	// hold, pinned or extended. All modes publish: snapshot readers
+	// reconstruct freed addresses from history, and update/read-only
+	// attempts also gate on it so extension never revalidates against a
+	// recycled word.
+	tx.eng.epochs.Publish(tx.th.slot, tx.eng.clock.Load())
+	tx.snapshot = tx.eng.clock.Load()
 }
 
 func (tx *Tx) abort(cause AbortCause) {
@@ -288,10 +253,6 @@ func (tx *Tx) checkKilled() {
 // touch registers partition p in the transaction's footprint and returns
 // its index in tx.touched. Repeat touches resolve in O(1) through the
 // generation-stamped touchIdx table (sized to the topology at begin).
-// First touches sample the partition's snapshot; under the partition-local
-// time base, widening the footprint beyond one partition first re-anchors
-// the existing snapshots (alignFootprint), so all per-partition snapshots
-// always correspond to one common instant.
 func (tx *Tx) touch(p *Partition, wrote bool) int {
 	id := int(p.id)
 	if tx.touchGen[id] == tx.touchGenVal {
@@ -301,15 +262,6 @@ func (tx *Tx) touch(p *Partition, wrote bool) int {
 		}
 		return i
 	}
-	snap := tx.snapshot
-	if tx.pl {
-		if len(tx.touched) > 0 {
-			snap = tx.alignFootprint(p)
-		} else {
-			snap = tx.tb.Now(uint32(p.id))
-			tx.snapshot = snap
-		}
-	}
 	n := len(tx.touched)
 	if n < cap(tx.touched) {
 		tx.touched = tx.touched[:n+1]
@@ -317,7 +269,7 @@ func (tx *Tx) touch(p *Partition, wrote bool) int {
 		tx.touched = append(tx.touched, touchRec{})
 	}
 	// Filled in place: the record is a cache line and a half of counters.
-	tx.touched[n] = touchRec{p: p, snap: snap, wrote: wrote}
+	tx.touched[n] = touchRec{p: p, wrote: wrote}
 	tx.touchIdx[id] = int32(n)
 	tx.touchGen[id] = tx.touchGenVal
 	return n
@@ -410,56 +362,6 @@ func (tx *Tx) ReadSetLen() int { return len(tx.rs) }
 // unique address written).
 func (tx *Tx) WriteSetLen() int { return len(tx.ws) }
 
-// alignFootprint re-anchors a partition-local transaction's snapshots to a
-// single common instant when a new partition p joins the footprint, and
-// returns p's snapshot. If nothing has committed in any touched partition
-// since its snapshot was taken — checked via the O(1) cross-partition
-// epoch, then the touched partitions' counters — the read set is
-// trivially still current and p's fresh sample shares the same instant.
-// Otherwise the snapshots are extended together (full read-set
-// validation), which either establishes a fresh common instant or aborts,
-// and the sample-and-check is retried. This is what keeps transactions
-// spanning partitions serializable when commit time is per-partition:
-// without it, two partitions' snapshots could straddle a writer that
-// committed between them.
-//
-// Ordering matters: p's counter is sampled BEFORE the staleness checks.
-// A cross-partition writer bumps the epoch before ticking any counter
-// (clock.PartitionLocal.Commit), so any writer whose tick the sample
-// already covers — i.e. whose new versions the fresh snapshot would
-// accept — is guaranteed to be visible to the epoch load that follows,
-// and a writer confined to a touched partition is caught by that
-// partition's counter comparison. Checking first and sampling after would
-// let a writer that commits between the two slip half-visible through.
-func (tx *Tx) alignFootprint(p *Partition) uint64 {
-	// The retry budget breaks a livelock this loop is otherwise open to:
-	// any commit in a touched partition — or any cross-partition commit
-	// anywhere (epoch) — between an extension and the re-check dirties the
-	// check again, and unlike the per-orec conflict loops there is no
-	// single contended word whose release would end the wait. After a few
-	// rounds, abort and let the engine's randomized backoff desynchronize
-	// the attempt (and release any held locks in the meantime).
-	const retryBudget = 8
-	for try := 0; ; try++ {
-		snap := tx.tb.Now(uint32(p.id))
-		dirty := tx.tb.Epoch() != tx.beginEpoch
-		if !dirty {
-			for i := range tx.touched {
-				if tx.tb.Now(uint32(tx.touched[i].p.id)) != tx.touched[i].snap {
-					dirty = true
-					break
-				}
-			}
-		}
-		if !dirty {
-			return snap
-		}
-		if try >= retryBudget || !tx.extend() {
-			tx.abort(AbortValidation)
-		}
-	}
-}
-
 // tick counts one transactional operation; the count reaches other threads
 // only when one of them can need it (publishOwner).
 func (tx *Tx) tick() {
@@ -535,9 +437,8 @@ func (tx *Tx) wsBuffered(addr memory.Addr) (uint64, bool) {
 
 // loadInvisible implements the timestamp-validated invisible read: sample
 // lock word, read value, resample; extend the snapshot when the version is
-// newer than it. ti indexes the partition's entry in tx.touched, whose
-// snap is the snapshot the version is checked against (the global
-// snapshot mirrored there under the global time base).
+// newer than it. ti indexes the partition's entry in tx.touched (for its
+// counters).
 func (tx *Tx) loadInvisible(ps *partState, o *orec, addr memory.Addr, ti int) uint64 {
 	spins := 0
 	// probedHead caches the store's append counter across spin iterations:
@@ -585,16 +486,14 @@ func (tx *Tx) loadInvisible(ps *partState, o *orec, addr memory.Addr, ti int) ui
 			spins++
 			continue
 		}
-		if ver := versionOf(l1); ver > tx.touched[ti].snap {
+		if ver := versionOf(l1); ver > tx.snapshot {
 			// A commit moved the orec past the snapshot. In snapshot mode,
 			// reconstruct the value at the snapshot from the partition's
 			// multi-version store; the covering record exists unless the
 			// ring has evicted it (then fall back to the validate/extend
 			// path — correctness never depends on retention). A miss is
 			// counted whether the record was evicted or no store exists at
-			// all: SnapMisses is the partition's unserved snapshot demand,
-			// which is what the tuner's AdaptSnapshot heuristic keys
-			// attachment and retention growth on.
+			// all: SnapMisses is the partition's unserved snapshot demand.
 			if tx.snapMode {
 				if ps.hist != nil {
 					if hv, ok := tx.snapRead(ps, addr, ti); ok {
@@ -691,7 +590,7 @@ func (tx *Tx) loadVisible(ps *partState, o *orec, addr memory.Addr, ti int) uint
 			tx.cmConflict(ps, o, l2, AbortLockedOnRead, &spins, ti)
 			continue
 		}
-		if ver := versionOf(l2); ver > tx.touched[ti].snap {
+		if ver := versionOf(l2); ver > tx.snapshot {
 			if !tx.extend() {
 				tx.abort(AbortValidation)
 			}
@@ -825,7 +724,7 @@ func (tx *Tx) loadWordsChunk(addr memory.Addr, dst []uint64) {
 	}
 	for len(dst) > 0 {
 		c := min(len(dst), sweepWords)
-		if !tx.sweep(ps, addr, dst[:c], ti) {
+		if !tx.sweep(ps, addr, dst[:c]) {
 			tx.loadGroups(ps, addr, dst[:c], ti)
 		}
 		addr += memory.Addr(c)
@@ -838,9 +737,9 @@ func (tx *Tx) loadWordsChunk(addr memory.Addr, dst []uint64) {
 // and reports whether every word was certified; on false the caller
 // re-reads dst on the per-orec path, which owns every conflict case and
 // serves a span that wraps the table end.
-func (tx *Tx) sweep(ps *partState, addr memory.Addr, dst []uint64, ti int) bool {
+func (tx *Tx) sweep(ps *partState, addr memory.Addr, dst []uint64) bool {
 	var lbuf [sweepWords]uint64
-	t, snap := ps.table, tx.touched[ti].snap
+	t, snap := ps.table, tx.snapshot
 	i0 := t.indexOf(addr)
 	n := (uint64(addr)+uint64(len(dst))-1)>>t.granShift - uint64(addr)>>t.granShift + 1
 	if i0+n > uint64(len(t.orecs)) {
@@ -955,7 +854,7 @@ func (tx *Tx) loadGroup(ps *partState, o *orec, addr memory.Addr, dst []uint64, 
 			spins++
 			continue
 		}
-		if ver := versionOf(l1); ver > tx.touched[ti].snap {
+		if ver := versionOf(l1); ver > tx.snapshot {
 			if tx.snapMode {
 				if ps.hist != nil {
 					if n := tx.snapReadFrom(ps, addr, dst, i, end, ti); n > i {
@@ -975,14 +874,14 @@ func (tx *Tx) loadGroup(ps *partState, o *orec, addr memory.Addr, dst []uint64, 
 }
 
 // snapReadFrom reconstructs dst[i:] — or, failing that, only the group
-// dst[i:end) whose orec is stale — at the partition's snapshot from the
+// dst[i:end) whose orec is stale — at the snapshot from the partition's
 // multi-version store, and returns the next unserved position (i on a
 // miss). The narrower retry serves a commit that wrote only part of an
 // object: the unwritten words have no record, so the all-or-nothing range
 // read fails, yet their own orecs are fresh and the caller's loop reads
 // them from memory.
 func (tx *Tx) snapReadFrom(ps *partState, addr memory.Addr, dst []uint64, i, end, ti int) int {
-	base, snap := uint64(addr)+uint64(i), tx.touched[ti].snap
+	base, snap := uint64(addr)+uint64(i), tx.snapshot
 	n := len(dst)
 	if !ps.hist.ReadRangeAt(base, snap, dst[i:]) {
 		if end == n || !ps.hist.ReadRangeAt(base, snap, dst[i:end]) {
@@ -1083,7 +982,7 @@ func (tx *Tx) acquire(ps *partState, o *orec, addr memory.Addr, ti int) {
 			tx.cmConflict(ps, o, l, AbortLockedOnWrite, &spins, ti)
 			continue
 		}
-		if versionOf(l) > tx.touched[ti].snap && len(tx.rs) > 0 {
+		if versionOf(l) > tx.snapshot && len(tx.rs) > 0 {
 			// The location moved past our snapshot; extend now so commit
 			// validation is not doomed.
 			if !tx.extend() {
@@ -1092,7 +991,7 @@ func (tx *Tx) acquire(ps *partState, o *orec, addr memory.Addr, ti int) {
 		}
 		tx.publishOwner(ps)
 		if o.lock.CompareAndSwap(l, lockWordFor(tx.th.slot)) {
-			tx.locks = append(tx.locks, lockRec{o: o, prev: l, pid: ps.part.id})
+			tx.locks = append(tx.locks, lockRec{o: o, prev: l})
 			if ps.cfg.Read == VisibleReads {
 				tx.drainReaders(ps, ps.table.readersOf(addr), ti)
 			}
@@ -1239,10 +1138,10 @@ func (tx *Tx) cmConflict(ps *partState, o *orec, l uint64, cause AbortCause, spi
 }
 
 // snapRead attempts to serve a snapshot-mode read of addr at the pinned
-// partition snapshot from the multi-version store. A hit pins the
+// snapshot from the multi-version store. A hit pins the
 // snapshot for the rest of the attempt (see extend).
 func (tx *Tx) snapRead(ps *partState, addr memory.Addr, ti int) (uint64, bool) {
-	v, ok := ps.hist.ReadAt(uint64(addr), tx.touched[ti].snap)
+	v, ok := ps.hist.ReadAt(uint64(addr), tx.snapshot)
 	if ok {
 		tx.touched[ti].snapHits++
 		tx.pinned = true
@@ -1251,7 +1150,7 @@ func (tx *Tx) snapRead(ps *partState, addr memory.Addr, ti int) (uint64, bool) {
 }
 
 // extend attempts a snapshot extension: validate the invisible read set
-// and, on success, move the snapshot(s) forward. The new snapshots are
+// and, on success, move the snapshot forward. The new snapshot is
 // sampled before validating (TL2 order): a commit that lands between the
 // sample and the validation carries a version above the new snapshot, so
 // later reads of it re-trigger extension — validation passing means every
@@ -1267,55 +1166,17 @@ func (tx *Tx) extend() bool {
 	if tx.pinned {
 		return false
 	}
-	if tx.pl {
-		return tx.extendPartitionLocal()
-	}
 	// No "clock unchanged" short-circuit here: every extension trigger has
 	// already observed a version above the snapshot, and versions never
 	// exceed the clock, so the fresh sample always postdates the snapshot.
 	// The reachable form of that optimization lives at commit time
 	// (assignWriteVersions), where validation is skipped when no foreign
-	// commit has landed in the footprint.
-	now := tx.tb.Now(0)
+	// commit has landed since the snapshot.
+	now := tx.eng.clock.Load()
 	if !tx.validate() {
 		return false
 	}
 	tx.snapshot = now
-	for i := range tx.touched {
-		tx.touched[i].snap = now
-	}
-	return true
-}
-
-// extendPartitionLocal is extension under the partition-local time base:
-// all touched partitions' snapshots (and the epoch anchor) move forward
-// together, so a successful extension re-establishes one common instant
-// at which the entire read set is valid.
-func (tx *Tx) extendPartitionLocal() bool {
-	ep := tx.tb.Epoch()
-	n := len(tx.touched)
-	if cap(tx.extSnaps) < n {
-		tx.extSnaps = make([]uint64, n)
-	}
-	s := tx.extSnaps[:n]
-	for i := range tx.touched {
-		s[i] = tx.tb.Now(uint32(tx.touched[i].p.id))
-	}
-	// As in extend, a "counters and epoch unchanged" short-circuit would be
-	// dead code here: every caller (alignFootprint's dirty path, a version
-	// above a per-partition snapshot) has already observed monotone clock
-	// state past the anchors. Commit-time validation has the reachable
-	// equivalent (assignWriteVersions).
-	if !tx.validate() {
-		return false
-	}
-	for i := range tx.touched {
-		tx.touched[i].snap = s[i]
-	}
-	tx.beginEpoch = ep
-	if n > 0 {
-		tx.snapshot = tx.touched[0].snap
-	}
 	return true
 }
 
@@ -1353,7 +1214,7 @@ func (tx *Tx) prevFor(o *orec) (uint64, bool) {
 }
 
 // commit finishes the transaction: commit-time lock acquisition (CTL
-// partitions), write-version assignment by the time base, read-set
+// partitions), write-version assignment by the commit clock, read-set
 // validation, write-back, lock release, visible-reader deregistration,
 // bookkeeping.
 func (tx *Tx) commit() {
@@ -1388,107 +1249,22 @@ func (tx *Tx) commit() {
 			tx.eng.arena.StoreAtomic(en.addr, en.val)
 		}
 	}
-	if tx.pl {
-		for i := range tx.locks {
-			tx.locks[i].o.lock.Store(versionWord(tx.wvFor(tx.locks[i].pid)))
-		}
-	} else {
-		wv := versionWord(tx.commitWV[0])
-		for i := range tx.locks {
-			tx.locks[i].o.lock.Store(wv)
-		}
+	wv := versionWord(tx.wv)
+	for i := range tx.locks {
+		tx.locks[i].o.lock.Store(wv)
 	}
 	tx.finish(AbortNone)
 }
 
-// assignWriteVersions asks the time base for this commit's write versions
-// — one per written partition, deduplicated from the lock set — and
-// reports whether read-set validation is required before write-back.
-//
-// Under the global time base the classic TL2 rule applies: skip
-// validation only when the single counter moved exactly one past our
-// snapshot (no foreign commit in between). Under the partition-local time
-// base the rule generalizes per partition across the whole footprint: all
-// per-partition snapshots are anchored at one common instant (begin,
-// alignFootprint, extension), and an orec can only change when a commit
-// ticks its partition's counter — so if every written partition's assigned
-// version is exactly one past its snapshot (our own tick) and every
-// read-only touched partition's counter still equals its snapshot, no
-// foreign commit has landed anywhere in the footprint since the anchor and
-// the read set is trivially valid at the commit point. The counters are
-// sampled while every write lock is held and a writer ticks before it
-// publishes versions, so a foreign commit that escapes the sample
-// serializes after this one. The time base is invoked while every write
-// lock is held and before any is released, so the cross-partition epoch
-// bump is visible before the new versions are (the ordering the alignment
-// check relies on).
+// assignWriteVersions ticks the commit clock for this commit's write
+// version and reports whether read-set validation is required before
+// write-back: the classic TL2 rule skips it only when the clock moved
+// exactly one past our snapshot (no foreign commit in between). It runs
+// while every write lock is held and before any is released, so the new
+// version is never visible in an orec before the clock covers it.
 func (tx *Tx) assignWriteVersions() bool {
-	if !tx.pl {
-		// Global counter: one tick covers every lock regardless of
-		// partition — skip the dedup scan entirely (this is the hottest
-		// path in the default configuration).
-		tx.commitParts = append(tx.commitParts[:0], uint32(GlobalPartition))
-		if cap(tx.commitWV) < 1 {
-			tx.commitWV = make([]uint64, 1)
-		}
-		tx.commitWV = tx.commitWV[:1]
-		tx.tb.Commit(tx.commitParts, tx.commitWV)
-		return tx.commitWV[0] > tx.snapshot+1
-	}
-	tx.commitParts = tx.commitParts[:0]
-	for i := range tx.locks {
-		pid := uint32(tx.locks[i].pid)
-		dup := false
-		for _, q := range tx.commitParts {
-			if q == pid {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			tx.commitParts = append(tx.commitParts, pid)
-		}
-	}
-	n := len(tx.commitParts)
-	if cap(tx.commitWV) < n {
-		tx.commitWV = make([]uint64, n)
-	}
-	tx.commitWV = tx.commitWV[:n]
-	tx.tb.Commit(tx.commitParts, tx.commitWV)
-	// Mirror the versions into a pid-indexed table so the release loop
-	// looks each lock's version up in O(1) (wvFor). Stale entries from
-	// earlier commits are harmless: wvFor is only asked about partitions
-	// registered by this commit, which were just overwritten.
-	if len(tx.wvByPid) < len(tx.topo.parts) {
-		tx.wvByPid = make([]uint64, len(tx.topo.parts))
-	}
-	for i, pid := range tx.commitParts {
-		tx.wvByPid[pid] = tx.commitWV[i]
-	}
-	for i := range tx.touched {
-		pid := uint32(tx.touched[i].p.id)
-		written := false
-		for _, q := range tx.commitParts {
-			if q == pid {
-				written = true
-				break
-			}
-		}
-		if written {
-			if tx.wvByPid[pid] != tx.touched[i].snap+1 {
-				return true
-			}
-		} else if tx.tb.Now(pid) != tx.touched[i].snap {
-			return true
-		}
-	}
-	return false
-}
-
-// wvFor returns the write version assigned to partition pid by
-// assignWriteVersions.
-func (tx *Tx) wvFor(pid PartID) uint64 {
-	return tx.wvByPid[pid]
+	tx.wv = tx.eng.clock.Add(1)
+	return tx.wv > tx.snapshot+1
 }
 
 // appendHistory publishes one multi-version record per written address
@@ -1545,17 +1321,12 @@ func (tx *Tx) appendHistory() {
 		if en.mode != modeWT {
 			old = tx.eng.arena.LoadAtomic(en.addr)
 		}
-		pid := en.ps.part.id
-		wv := tx.commitWV[0]
-		if tx.pl {
-			wv = tx.wvFor(pid)
-		}
 		// A written partition is always in the footprint (Store touches
 		// it), so touchIdx is current for this attempt.
-		ti := int(tx.touchIdx[pid])
+		ti := int(tx.touchIdx[en.ps.part.id])
 		tx.histBufs[ti] = en.ps.hist
 		tx.histRecs[ti] = append(tx.histRecs[ti], mvstore.Record{
-			Addr: uint64(en.addr), Val: old, PrevVer: versionOf(prev), NewVer: wv,
+			Addr: uint64(en.addr), Val: old, PrevVer: versionOf(prev), NewVer: tx.wv,
 		})
 	}
 	for ti := range tx.histRecs {
@@ -1583,7 +1354,7 @@ func (tx *Tx) acquireAtCommit(en *writeEntry) {
 		}
 		tx.publishOwner(en.ps)
 		if en.o.lock.CompareAndSwap(l, lockWordFor(tx.th.slot)) {
-			tx.locks = append(tx.locks, lockRec{o: en.o, prev: l, pid: en.ps.part.id})
+			tx.locks = append(tx.locks, lockRec{o: en.o, prev: l})
 			if en.ps.cfg.Read == VisibleReads {
 				tx.drainReaders(en.ps, en.ps.table.readersOf(en.addr), ti)
 			}
@@ -1680,14 +1451,13 @@ func (tx *Tx) finish(cause AbortCause) {
 			r.And(^bit)
 		}
 		if len(tx.frees) > 0 {
-			// Commit-time frees enter limbo stamped with a ceiling sampled
-			// after this commit's write versions published (tb.Commit ran,
-			// locks may or may not be released yet — either way the unlink
-			// is at or below this reading on every timeline). They recycle
-			// only once the horizon passes the stamp; contrast the abort
-			// path in rollback, which recycles never-published allocations
-			// immediately.
-			stamp := tx.tb.Ceiling()
+			// Commit-time frees enter limbo stamped with a clock reading
+			// taken after this commit's write version was assigned (locks
+			// may or may not be released yet — either way the unlink is at
+			// or below this reading). They recycle only once the horizon
+			// passes the stamp; contrast the abort path in rollback, which
+			// recycles never-published allocations immediately.
+			stamp := tx.eng.clock.Load()
 			for _, f := range tx.frees {
 				tx.th.alloc.Retire(f.addr, f.n, stamp)
 			}

@@ -27,9 +27,8 @@ import (
 // 1; the unbounded waits (snapshot lock waits, reader draining, the
 // 8x-budget karma/timestamp patience) are the ones the yield and park
 // phases exist for. Every stall counts one WaitCycle; phases 2 and 3
-// additionally count Yields and Parks, so the tuner's spin-budget
-// heuristic and PartStats readers see exactly how often waits escalate
-// into the scheduler.
+// additionally count Yields and Parks, so PartStats readers see exactly
+// how often waits escalate into the scheduler.
 //
 // Wait TIME is attributed alongside the counts (SpinNs/YieldNs/ParkNs):
 // stall samples the monotonic clock once per iteration and charges the
@@ -46,8 +45,8 @@ import (
 // PartThreadStats when the attempt finishes (flushWait). An on-CPU
 // iteration executes no atomic instruction; one that escalates into the
 // scheduler flushes first — it is about to spend far longer than the adds
-// cost, the wait may be unbounded, and the escalation is the signal the
-// tuner must see while the waiter is still stuck.
+// cost, the wait may be unbounded, and the escalation is the signal a
+// monitor must see while the waiter is still stuck.
 
 // waitAcct is one attempt's wait accounting for one touched partition
 // (touchRec.wait).

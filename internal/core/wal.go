@@ -94,14 +94,6 @@ func (tx *Tx) teeWAL() {
 	// post-commit durability wait keys off it, so a concurrent SetWAL
 	// cannot change which commits owe a durability promise.
 	tx.walDst = box
-	ver := tx.commitWV[0]
-	if tx.pl {
-		for _, wv := range tx.commitWV {
-			if wv > ver {
-				ver = wv
-			}
-		}
-	}
 	ops := tx.walOps[:0]
 	for i := range tx.ws {
 		en := &tx.ws[i]
@@ -114,5 +106,5 @@ func (tx *Tx) teeWAL() {
 		ops = append(ops, wal.Op{Addr: uint64(en.addr), Val: v})
 	}
 	tx.walOps = ops
-	tx.walSeq = box.log.PublishCommit(ver, ops)
+	tx.walSeq = box.log.PublishCommit(tx.wv, ops)
 }

@@ -3,25 +3,24 @@
 //
 // The paper's STM derives all consistency from a scalable time base; this
 // package extends the same idea to storage reclamation. Every transaction,
-// at begin, publishes a stamp — a commit-clock ceiling sample taken before
-// the transaction bases any read on the clock — into a slot of a fixed
+// at begin, publishes a stamp — a commit-clock sample taken before the
+// transaction bases any read on the clock — into a slot of a fixed
 // 64-entry table (one slot per engine thread slot, matching the
 // reader-bitmap bound), and clears it when the attempt finishes, commit or
 // abort alike. The table's minimum over live slots is the global horizon:
 // a lower bound on "how old can a live reader be", expressed on the commit
 // timeline.
 //
-// The reclamation contract, mode-independent across both time bases:
+// The reclamation contract:
 //
 //   - A freeing commit retires an object with a stamp R sampled from the
-//     clock ceiling AFTER the commit published its write versions (so the
-//     unlink that made the object unreachable is at or below R on every
-//     timeline).
-//   - A transaction publishes its stamp B (a ceiling sample) BEFORE
+//     commit clock AFTER the commit published its write version (so the
+//     unlink that made the object unreachable is at or below R).
+//   - A transaction publishes its stamp B (a clock sample) BEFORE
 //     sampling any snapshot, so every snapshot it ever reads at is taken
 //     after B was visible to horizon sweeps.
 //   - An object retired at R may be recycled once Horizon() > R: every
-//     live reader then has B > R, which (ceilings are monotone) means it
+//     live reader then has B > R, which (the clock is monotone) means it
 //     sampled B after the freeing commit completed — so each of its
 //     snapshots postdates the unlink and can never reach the object, not
 //     even through multi-version reconstruction, which only rebuilds
@@ -41,7 +40,7 @@ const Slots = 64
 // Idle is the stamp of a slot with no live transaction. It is the maximum
 // uint64, so the minimum sweep needs no liveness special-casing: an idle
 // slot can never be the minimum unless every slot is idle — and a real
-// stamp (a clock ceiling) never reaches it. Horizon() == Idle therefore
+// stamp (a clock reading) never reaches it. Horizon() == Idle therefore
 // means "no live reader: everything retired is reclaimable".
 const Idle = ^uint64(0)
 
@@ -96,19 +95,4 @@ func (t *Table) Horizon() uint64 {
 		}
 	}
 	return min
-}
-
-// MinSlot returns the slot index holding the minimum stamp and that stamp,
-// or (-1, Idle) when every slot is idle. The tuner's horizon-stall
-// mitigation uses it to identify the transaction pinning the horizon.
-func (t *Table) MinSlot() (int, uint64) {
-	min := uint64(Idle)
-	idx := -1
-	for i := range t.slots {
-		if s := t.slots[i].stamp.Load(); s < min {
-			min = s
-			idx = i
-		}
-	}
-	return idx, min
 }

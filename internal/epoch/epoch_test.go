@@ -11,9 +11,6 @@ func TestNewTableIdle(t *testing.T) {
 	if h := tb.Horizon(); h != Idle {
 		t.Fatalf("fresh table horizon = %d, want Idle", h)
 	}
-	if i, s := tb.MinSlot(); i != -1 || s != Idle {
-		t.Fatalf("fresh table MinSlot = (%d, %d), want (-1, Idle)", i, s)
-	}
 	for i := 0; i < Slots; i++ {
 		if s := tb.Load(i); s != Idle {
 			t.Fatalf("slot %d = %d, want Idle", i, s)
@@ -28,9 +25,6 @@ func TestHorizonMinimum(t *testing.T) {
 	tb.Publish(63, 7000)
 	if h := tb.Horizon(); h != 42 {
 		t.Fatalf("horizon = %d, want 42", h)
-	}
-	if i, s := tb.MinSlot(); i != 17 || s != 42 {
-		t.Fatalf("MinSlot = (%d, %d), want (17, 42)", i, s)
 	}
 	tb.Clear(17)
 	if h := tb.Horizon(); h != 100 {

@@ -102,7 +102,6 @@ func All() []Experiment {
 		{"fig9", "Conflict-detection granularity vs access skew", Fig9},
 		{"fig10", "Extension applications (genome, kmeans)", Fig10},
 		{"fig11", "Long transactions (labyrinth): contention-management policies", Fig11},
-		{"clockscale", "Commit-clock scaling: global vs partition-local time bases", ClockScale},
 		{"rsdedup", "Footprint-bounded bookkeeping: validate cost vs loads executed", RsDedup},
 		{"contend", "Contention sweep: read-set extension and CM pauses at scale", Contend},
 		{"mvscan", "Multi-version snapshot store: abort-free read-only scans under writers", MVScan},

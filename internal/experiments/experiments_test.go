@@ -77,10 +77,6 @@ func TestAllExperimentsSmoke(t *testing.T) {
 		"fig2":  regimes,
 		"fig5":  regimes,
 		"fig10": append([]string{"\ngenome ", "\nkmeans ", "app", "tuned/best-global"}, regimes...),
-		"clockscale": {
-			"bank/global", "bank/plocal", "intset/global", "intset/plocal",
-			"vacation/global", "vacation/plocal",
-		},
 	}
 	for _, e := range All() {
 		e := e

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/bench"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -28,31 +29,29 @@ import (
 // external views.
 func TailSweep(o Options) (*Report, error) {
 	o = o.normalized()
-	branches, per := 4, 64
+	cfg := apps.DefaultBankConfig()
+	cfg.Accounts = 256
 	if o.Quick {
-		branches, per = 2, 32
+		cfg.Accounts = 64
 	}
-	build := func(rt *stm.Runtime) (*branchBank, error) {
-		// Few branches, small arrays, frequent cross-branch transfers:
-		// saturating write contention so waits and retries stretch the
-		// service-time tail that queueing then amplifies.
-		return newBranchBank(rt, branches, per, 0.30)
+	build := func(rt *stm.Runtime) bench.OpFunc {
+		// A small account array and transfers only: saturating write
+		// contention so waits and retries stretch the service-time tail
+		// that queueing then amplifies.
+		b := apps.NewBank(rt, cfg)
+		return func(rng *workload.Rng) { b.Transfer(rng, cfg.MaxTransfer) }
 	}
 
 	// Closed-loop reference: capacity (ops/s at full speed) and the
 	// service-time distribution the closed harness reports.
 	rtC := newRuntime(o, nil)
-	bankC, err := build(rtC)
-	if err != nil {
-		return nil, fmt.Errorf("tailsweep: %w", err)
-	}
 	closed := bench.Run(rtC, bench.RunConfig{
 		Threads:       o.Threads,
 		Warmup:        o.Warmup,
 		Measure:       o.PointDuration,
 		Seed:          41,
 		SampleLatency: true,
-	}, bankC.op)
+	}, build(rtC))
 	capacity := closed.Throughput
 	if capacity <= 0 {
 		return nil, fmt.Errorf("tailsweep: closed-loop capacity measured as 0")
@@ -72,10 +71,7 @@ func TailSweep(o Options) (*Report, error) {
 	var lastOpen, lastSvc uint64
 	for _, f := range fractions {
 		rt := newRuntime(o, nil)
-		bank, err := build(rt)
-		if err != nil {
-			return nil, fmt.Errorf("tailsweep: %w", err)
-		}
+		op := build(rt)
 		rt.SetLatencyTracking(true)
 		res := bench.RunOpenLoop(rt, bench.OpenLoopConfig{
 			Threads: o.Threads,
@@ -83,7 +79,7 @@ func TailSweep(o Options) (*Report, error) {
 			Warmup:  o.Warmup,
 			Measure: o.PointDuration,
 			Seed:    43,
-		}, func(rng *workload.Rng, _ uint64) { bank.op(rng) })
+		}, func(rng *workload.Rng, _ uint64) { op(rng) })
 		engine := rt.LatencyStats()
 
 		fig.SeriesNamed("open/p50").Add(f, float64(res.Latency.Quantile(0.50)))

@@ -42,7 +42,7 @@ type Allocator struct {
 	caches []siteCache // indexed by SiteID; grown on demand
 
 	// limbo is the FIFO of retired-not-yet-reclaimable objects. Stamps are
-	// non-decreasing (each is a clock-ceiling sample taken by the owning
+	// non-decreasing (each is a commit-clock sample taken by the owning
 	// thread's successive commits), so Reclaim pops a prefix. limboHead
 	// avoids re-slicing the backing array on every pop; the slice compacts
 	// when the dead prefix dominates.
@@ -177,7 +177,7 @@ func (al *Allocator) recycle(addr Addr, n int) {
 // Retire places an object in limbo stamped with the freeing commit's
 // clock reading. The object reaches a free list only when a Reclaim sees
 // the global horizon pass the stamp. Stamps across successive Retire
-// calls must be non-decreasing (they are: each is a ceiling sample from
+// calls must be non-decreasing (they are: each is a clock sample from
 // the owning thread's commit sequence).
 func (al *Allocator) Retire(addr Addr, n int, stamp uint64) {
 	if addr == Nil || n <= 0 {

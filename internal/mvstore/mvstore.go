@@ -14,7 +14,7 @@
 //
 // prevValue is the committed value the commit overwrote, prevVersion is
 // the covering ownership record's version before the commit, and
-// newVersion is the commit timestamp the partition's time base assigned.
+// newVersion is the commit timestamp the engine's commit clock assigned.
 // The record therefore certifies: "addr held prevValue at every snapshot
 // S with prevVersion <= S < newVersion". prevVersion is an upper bound on
 // the last commit that actually wrote addr (the orec may have ticked for
@@ -99,8 +99,7 @@
 // misses.
 //
 // Buffers are bounded and per partition; capacity is a per-partition
-// configuration knob (core.PartConfig.HistCap) the runtime tuner may
-// adjust. A buffer belongs to one partition state (one orec table): the
+// configuration knob (core.PartConfig.HistCap). A buffer belongs to one partition state (one orec table): the
 // engine creates a fresh buffer whenever it rebuilds the table, because
 // records are only meaningful against the version timeline of the table
 // whose orecs minted their prevVersions.
@@ -148,7 +147,7 @@ type Buffer struct {
 	// these): probes/hits partition every ReadAt, chainSteps counts walked
 	// chain links beyond the newest record, and truncMisses counts misses
 	// caused by an evicted chain link or a stolen/stale index entry — the
-	// capacity-curable signal the tuner's growth heuristic keys on.
+	// capacity-curable misses.
 	stats [statStripes]statBlock
 
 	// steals counts index entries reclaimed from another address at
@@ -512,8 +511,8 @@ func (b *Buffer) ReadRangeAt(addr, at uint64, dst []uint64) bool {
 	return true
 }
 
-// Stats is a momentary reading of a buffer, for experiments, the tuner
-// and the engine's observability surface.
+// Stats is a momentary reading of a buffer, for experiments and the
+// engine's observability surface.
 type Stats struct {
 	// Cap is the ring capacity in records.
 	Cap int
@@ -534,7 +533,7 @@ type Stats struct {
 	// chain link, or by a stale/stolen index entry: the record existed
 	// but is no longer reachable. This is the capacity-shortfall signal
 	// — the miss kinds that growing the ring (and with it the index) can
-	// cure — and what the tuner's AdaptSnapshot growth step keys on.
+	// cure.
 	TruncMisses uint64
 	// Steals counts index entries reclaimed for a different address at
 	// append time: the addresses ever appended outgrew the index's probe
@@ -553,22 +552,6 @@ type Stats struct {
 	// which show up in Probes as usual.
 	RangeReads    uint64
 	RangeFastHits uint64
-}
-
-// HorizonShortfall reports how far the given reclamation horizon (the
-// oldest live reader's begin stamp, core.Engine.Horizon) trails the
-// buffer's retained version span: OldestVersion - horizon when the reader
-// predates every retained record, else 0. A zero shortfall means the
-// stalled reader's snapshot is still servable, so growing retention (the
-// AdaptSnapshot response to TruncMisses) can help it; a positive shortfall
-// means the reader already outlived the ring and only unpinning it —
-// waiting it out or killing it — can move the horizon. An idle horizon
-// (no live reader, all bits set) never reports a shortfall.
-func (s Stats) HorizonShortfall(horizon uint64) uint64 {
-	if s.Live == 0 || horizon >= s.OldestVersion {
-		return 0
-	}
-	return s.OldestVersion - horizon
 }
 
 // Stats scans the ring and reports capacity, append count, live records,

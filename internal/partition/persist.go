@@ -43,6 +43,7 @@ type SavedConfig struct {
 	CM         string `json:"cm"`
 	ReaderCM   string `json:"readerCM"`
 	SpinBudget int    `json:"spinBudget"`
+	HistCap    uint   `json:"histCap,omitempty"`
 }
 
 // savedPlanVersion is the current format version.
@@ -58,6 +59,7 @@ func configToSaved(c core.PartConfig) SavedConfig {
 		CM:         c.CM.String(),
 		ReaderCM:   c.ReaderCM.String(),
 		SpinBudget: c.SpinBudget,
+		HistCap:    c.HistCap,
 	}
 }
 
@@ -118,6 +120,7 @@ func savedToConfig(s SavedConfig) (core.PartConfig, error) {
 	if s.SpinBudget != 0 {
 		c.SpinBudget = s.SpinBudget
 	}
+	c.HistCap = s.HistCap
 	return c.Normalize(), nil
 }
 

@@ -37,6 +37,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	tuned.LockBits = 7
 	tuned.GranShift = 2
 	tuned.ReaderCM = core.WriterYieldsToReaders
+	tuned.HistCap = 1024
 	if err := orig.SetConfig(1, tuned); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		got := loaded.Configs[id]
 		if got.Read != core.VisibleReads || got.CM != core.CMTimestamp ||
 			got.LockBits != 7 || got.GranShift != 2 ||
-			got.ReaderCM != core.WriterYieldsToReaders {
+			got.ReaderCM != core.WriterYieldsToReaders || got.HistCap != 1024 {
 			t.Fatalf("queue config lost in round trip: %v", got)
 		}
 	}

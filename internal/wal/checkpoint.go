@@ -21,7 +21,7 @@ import (
 type Checkpoint struct {
 	// LastSeq is the highest log sequence number the image covers.
 	LastSeq uint64
-	// Clock is the commit time-base ceiling at the snapshot; recovery
+	// Clock is the commit clock's reading at the snapshot; recovery
 	// re-seeds the clock at least this far.
 	Clock uint64
 	// BlockShift is the arena's block geometry; a restart must be

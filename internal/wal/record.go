@@ -74,10 +74,8 @@ type Record struct {
 	// Kind is KindCommit or KindGrab.
 	Kind uint8
 
-	// Ver is the commit's write version (KindCommit). Under the
-	// partition-local time base it is the maximum over the commit's
-	// per-partition versions — an upper bound suitable for re-seeding the
-	// clock after recovery.
+	// Ver is the commit's write version (KindCommit); recovery re-seeds
+	// the commit clock past the largest one replayed.
 	Ver uint64
 	// Ops are the commit's word writes (KindCommit).
 	Ops []Op

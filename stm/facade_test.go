@@ -287,65 +287,3 @@ func TestManyThreadsAttachDetachChurn(t *testing.T) {
 		t.Fatalf("Stats() commits = %d, want %d", commits, want)
 	}
 }
-
-// TestTimeBaseFacade covers the time-base surface of the public API:
-// construction-time selection, live switching, and the clock statistics
-// that expose per-partition commit counters.
-func TestTimeBaseFacade(t *testing.T) {
-	rt := stm.MustNew(stm.Config{HeapWords: 1 << 16, TimeBase: stm.TimeBasePartitionLocal})
-	if rt.TimeBase() != stm.TimeBasePartitionLocal {
-		t.Fatalf("TimeBase = %v", rt.TimeBase())
-	}
-
-	sA := rt.RegisterSite("tbf.a")
-	sB := rt.RegisterSite("tbf.b")
-	var a, b stm.Addr
-	rt.Run(func(tx *stm.Tx) error {
-		a = tx.Alloc(sA, 1)
-		b = tx.Alloc(sB, 1)
-		tx.Store(a, 10)
-		tx.Store(b, 20)
-		return nil
-	})
-	if _, err := rt.ManualPartition(map[string][]string{"pa": {"tbf.a"}, "pb": {"tbf.b"}}); err != nil {
-		t.Fatal(err)
-	}
-
-	cs := rt.ClockStats()
-	if cs.Mode != stm.TimeBasePartitionLocal {
-		t.Fatalf("ClockStats.Mode = %v", cs.Mode)
-	}
-	if len(cs.Parts) != rt.NumPartitions() {
-		t.Fatalf("%d clock counters for %d partitions", len(cs.Parts), rt.NumPartitions())
-	}
-
-	// Partition-confined updates move only their own counters; the
-	// cross-partition epoch stays put.
-	for i := 0; i < 50; i++ {
-		rt.Run(func(tx *stm.Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
-		rt.Run(func(tx *stm.Tx) error { tx.Store(b, tx.Load(b)+1); return nil })
-	}
-	cs2 := rt.ClockStats()
-	if cs2.SharedRMWs != cs.SharedRMWs {
-		t.Fatalf("single-partition commits performed %d shared RMWs", cs2.SharedRMWs-cs.SharedRMWs)
-	}
-
-	// Live switch back to the global counter: data intact, time monotone.
-	before := cs2
-	rt.SetTimeBase(stm.TimeBaseGlobal)
-	if rt.TimeBase() != stm.TimeBaseGlobal {
-		t.Fatalf("TimeBase = %v after switch", rt.TimeBase())
-	}
-	after := rt.ClockStats()
-	for _, v := range before.Parts {
-		if after.Parts[0] < v {
-			t.Fatalf("migration moved time backwards: %v -> %v", before.Parts, after.Parts)
-		}
-	}
-	rt.Run(func(tx *stm.Tx) error {
-		if got := tx.Load(a) + tx.Load(b); got != 10+20+100 {
-			t.Fatalf("sum = %d", got)
-		}
-		return nil
-	})
-}

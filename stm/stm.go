@@ -75,21 +75,6 @@
 //	fmt.Print(plan.Describe(rt.Sites()))
 //	rt.StartTuner(stm.DefaultTunerConfig())
 //
-// # Time bases
-//
-// Commit time itself is a pluggable layer (internal/clock). The default
-// TimeBaseGlobal orders all commits on one shared counter — TL2/TinySTM
-// semantics, with every update commit paying one shared read-modify-write.
-// TimeBasePartitionLocal gives each partition its own commit counter plus
-// a cheap global epoch: update transactions confined to a single
-// partition (the common case once AutoPartition has split the heap) never
-// touch shared clock state, so disjoint partitions stop contending on
-// commit. Transactions that span partitions stay serializable through
-// snapshot alignment and commit-time validation. Select the mode at
-// construction (Config.TimeBase), switch it live with SetTimeBase, or let
-// the tuner decide (TunerConfig.AdaptTimeBase); ClockStats exposes the
-// per-partition counters and shared-RMW figures.
-//
 // # Snapshot mode
 //
 // Partitions can retain a bounded multi-version history of overwritten
@@ -112,22 +97,18 @@
 // and progress never depend on retention. Partitions without a store are
 // unaffected: snapshot-mode reads there are logged, validated and
 // extended from the first attempt, as any invisible read is.
-// Enable per partition with PartConfig.HistCap, for the whole runtime
-// with Config.SnapshotHistory, or let the tuner manage stores itself
-// (TunerConfig.AdaptSnapshot: attach on unserved snapshot demand or a
-// read-dominated mix, double retention while misses persist, drop when
-// demand dries up); SnapshotHistoryStats reports capacity, appends and
-// the retained version span.
+// Enable per partition with PartConfig.HistCap, or for the whole runtime
+// with Config.SnapshotHistory; SnapshotHistoryStats reports capacity,
+// appends and the retained version span.
 //
-// All transactions remain serializable across partitions: the time base
-// orders commits, partitioning only splits conflict detection.
+// All transactions remain serializable across partitions: one commit
+// clock orders every commit, partitioning only splits conflict detection.
 package stm
 
 import (
 	"fmt"
 	"io"
 
-	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/memory"
 	"repro/internal/mvstore"
@@ -170,12 +151,6 @@ type (
 	TunerConfig = tuning.Config
 	// TunerDecision records one tuner actuation.
 	TunerDecision = tuning.Decision
-	// TimeBaseMode selects the commit time base (global vs partition-local
-	// counters).
-	TimeBaseMode = core.TimeBaseMode
-	// ClockStats is a momentary reading of the commit time base:
-	// per-partition counters plus shared-RMW contention figures.
-	ClockStats = clock.Stats
 	// SnapshotHistoryStats is a momentary reading of one partition's
 	// multi-version snapshot store: capacity, appends, live records and
 	// the retained version span.
@@ -263,11 +238,6 @@ const (
 
 	WriterKillsReaders    = core.WriterKillsReaders
 	WriterYieldsToReaders = core.WriterYieldsToReaders
-
-	// TimeBaseGlobal is the single shared commit counter (the default).
-	TimeBaseGlobal = core.TimeBaseGlobal
-	// TimeBasePartitionLocal gives each partition its own commit counter.
-	TimeBasePartitionLocal = core.TimeBasePartitionLocal
 )
 
 // Abort causes, for indexing PartStats.Aborts.
@@ -311,16 +281,12 @@ type Config struct {
 	// 1/YieldEveryOps. Use on hosts with fewer cores than workers so
 	// transaction conflict windows actually overlap.
 	YieldEveryOps uint64
-	// TimeBase selects the commit time base. Zero value: TimeBaseGlobal
-	// (classic single shared counter).
-	TimeBase TimeBaseMode
 	// SnapshotHistory, when nonzero, attaches a multi-version snapshot
 	// store of that many overwrite records to every partition (it fills
 	// PartConfig.HistCap on the default configuration), enabling
 	// abort-free read-only transactions via Run(fn, Snapshot()). Zero
 	// leaves snapshot history off; individual partitions can still opt in
-	// through their own HistCap, and the tuner can attach stores
-	// adaptively (TunerConfig.AdaptSnapshot).
+	// through their own HistCap.
 	//
 	// Precedence against Default is explicit: SnapshotHistory fills
 	// Default.HistCap only when the latter is zero (or when both agree);
@@ -391,9 +357,6 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	if cfg.YieldEveryOps > 0 {
 		rt.eng.SetYieldEveryOps(cfg.YieldEveryOps)
-	}
-	if cfg.TimeBase != TimeBaseGlobal {
-		rt.eng.SetTimeBaseMode(cfg.TimeBase)
 	}
 	if cfg.LatencyStats {
 		rt.eng.SetLatencyTracking(true)
@@ -616,18 +579,6 @@ func (r *Runtime) TunerTrace() []TunerDecision {
 	return r.tuner.Trace()
 }
 
-// TimeBase reports which commit time base the runtime is using.
-func (r *Runtime) TimeBase() TimeBaseMode { return r.eng.TimeBaseMode() }
-
-// SetTimeBase switches the commit time base under quiescence. Safe to
-// call mid-traffic: counters migrate monotonically, so transactions
-// observe time moving only forwards.
-func (r *Runtime) SetTimeBase(m TimeBaseMode) { r.eng.SetTimeBaseMode(m) }
-
-// ClockStats returns a momentary reading of the commit time base
-// (per-partition counters, cross-partition epoch, shared-RMW counts).
-func (r *Runtime) ClockStats() ClockStats { return r.eng.ClockStats() }
-
 // SnapshotHistory returns a momentary reading of partition id's
 // multi-version snapshot store (the zero value when the partition has no
 // store configured).
@@ -675,8 +626,7 @@ func (r *Runtime) Horizon() uint64 { return r.eng.Horizon() }
 // the horizon, its lag behind the commit clock, and the cumulative
 // retired/reclaimed word counts (LimboWords is their difference). A
 // HorizonLag that keeps growing while LimboWords is non-zero is a horizon
-// stall — one parked long-running transaction gating all reclamation
-// (see TunerConfig.AdaptHorizon for the automatic mitigation).
+// stall — one parked long-running transaction gating all reclamation.
 func (r *Runtime) ReclaimStats() ReclaimStats { return r.eng.ReclaimStats() }
 
 // Reclaim sweeps the horizon once and drains every idle pooled thread's
