@@ -74,20 +74,6 @@ func BenchmarkFig9(b *testing.B)   { runExperiment(b, "fig9") }
 func BenchmarkFig10(b *testing.B)  { runExperiment(b, "fig10") }
 func BenchmarkFig11(b *testing.B)  { runExperiment(b, "fig11") }
 
-// BenchmarkRsDedup measures footprint-bounded bookkeeping: validate cost
-// as loads grow over a fixed footprint, and write-set indexing across
-// write modes.
-func BenchmarkRsDedup(b *testing.B) { runExperiment(b, "rsdedup") }
-
-// BenchmarkContend sweeps contention-management policies over a
-// contended scan+transfer mix across threads.
-func BenchmarkContend(b *testing.B) { runExperiment(b, "contend") }
-
-// BenchmarkMVScan exercises the multi-version snapshot store: abort-free
-// read-only scans against saturating writers, and the commit-path append
-// price.
-func BenchmarkMVScan(b *testing.B) { runExperiment(b, "mvscan") }
-
 // BenchmarkSnapshotAppend measures the commit-path cost the snapshot
 // store adds to a small update transaction, against the store-less
 // baseline (the regression tripwire for "free when off").
@@ -700,7 +686,7 @@ func BenchmarkScatteredLoad(b *testing.B) {
 // structure at 20% updates (the per-structure baseline of the intset
 // microbenchmarks).
 func BenchmarkIntsetStructures(b *testing.B) {
-	for _, kind := range []apps.IntSetKind{apps.SetList, apps.SetSkipList, apps.SetRBTree, apps.SetHash, apps.SetBTree} {
+	for _, kind := range []apps.IntSetKind{apps.SetList, apps.SetSkipList, apps.SetRBTree, apps.SetHash} {
 		b.Run(kind.String(), func(b *testing.B) {
 			rt := stm.MustNew(stm.Config{HeapWords: 1 << 20})
 			is := apps.NewIntSet(rt, apps.IntSetSpec{
@@ -727,46 +713,6 @@ func BenchmarkVacationOps(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		v.Op(rng)
 	}
-}
-
-// BenchmarkRangeScan measures ordered-structure range scans (B-tree's
-// wide nodes vs the binary trees' pointer chases).
-func BenchmarkRangeScan(b *testing.B) {
-	const n, span = 4096, 256
-	rt := stm.MustNew(stm.Config{HeapWords: 1 << 21})
-	var rb *txds.RBTree
-	var bt *txds.BTree
-	rt.Run(func(tx *stm.Tx) error {
-		rb = txds.NewRBTree(tx, rt, "rs.rb")
-		bt = txds.NewBTree(tx, rt, "rs.bt")
-		return nil
-	})
-	for k := uint64(0); k < n; k++ {
-		rt.Run(func(tx *stm.Tx) error {
-			rb.Insert(tx, k, k)
-			bt.Insert(tx, k, k)
-			return nil
-		})
-	}
-	rng := workload.NewRng(5)
-	b.Run("rbtree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			lo := rng.Uint64() % (n - span)
-			rt.Run(func(tx *stm.Tx) error {
-				rb.Range(tx, lo, lo+span, func(k, v uint64) bool { return true })
-				return nil
-			}, stm.ReadOnly())
-		}
-	})
-	b.Run("btree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			lo := rng.Uint64() % (n - span)
-			rt.Run(func(tx *stm.Tx) error {
-				bt.Range(tx, lo, lo+span, func(k, v uint64) bool { return true })
-				return nil
-			}, stm.ReadOnly())
-		}
-	})
 }
 
 // BenchmarkOpenLoopLatency is the tail-latency smoke bench: a contended

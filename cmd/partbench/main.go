@@ -21,7 +21,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment id (table1, table2, fig2..fig10, or 'all'; see -list)")
+		exp     = flag.String("exp", "all", "experiment id, or 'all' (see -list)")
 		threads = flag.Int("threads", 8, "maximum worker threads (sweeps use powers of two up to this)")
 		point   = flag.Duration("point", 400*time.Millisecond, "measured window per data point")
 		warmup  = flag.Duration("warmup", 100*time.Millisecond, "warm-up before each measured window")

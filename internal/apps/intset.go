@@ -17,7 +17,6 @@ const (
 	SetSkipList
 	SetRBTree
 	SetHash
-	SetBTree
 	NumSetKinds
 )
 
@@ -31,8 +30,6 @@ func (k IntSetKind) String() string {
 		return "rbtree"
 	case SetHash:
 		return "hashset"
-	case SetBTree:
-		return "btree"
 	default:
 		return fmt.Sprintf("set(%d)", int(k))
 	}
@@ -90,8 +87,6 @@ func NewIntSet(rt *stm.Runtime, spec IntSetSpec) *IntSet {
 				b = 1024
 			}
 			is.s = txds.NewHashSet(tx, rt, spec.Name, b)
-		case SetBTree:
-			is.s = txds.NewBTree(tx, rt, spec.Name)
 		default:
 			panic(fmt.Sprintf("apps: unknown set kind %d", spec.Kind))
 		}

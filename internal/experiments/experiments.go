@@ -102,10 +102,6 @@ func All() []Experiment {
 		{"fig9", "Conflict-detection granularity vs access skew", Fig9},
 		{"fig10", "Extension applications (genome, kmeans)", Fig10},
 		{"fig11", "Long transactions (labyrinth): contention-management policies", Fig11},
-		{"rsdedup", "Footprint-bounded bookkeeping: validate cost vs loads executed", RsDedup},
-		{"contend", "Contention sweep: read-set extension and CM pauses at scale", Contend},
-		{"mvscan", "Multi-version snapshot store: abort-free read-only scans under writers", MVScan},
-		{"tailsweep", "Open- vs closed-loop tail latency across offered load", TailSweep},
 		{"waltorture", "Durable log crash torture: conservation and acked floors across recoveries", WALTorture},
 	}
 }

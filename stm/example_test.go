@@ -32,15 +32,15 @@ func ExampleRuntime_StopProfilingAndPartition() {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 18})
 	rt.StartProfiling()
 	var tree *txds.RBTree
-	var queue *txds.Queue
+	var inbox *txds.List
 	rt.Run(func(tx *stm.Tx) error {
 		tree = txds.NewRBTree(tx, rt, "orders.index")
-		queue = txds.NewQueue(tx, rt, "orders.inbox")
+		inbox = txds.NewList(tx, rt, "orders.inbox")
 		return nil
 	})
 	rt.Run(func(tx *stm.Tx) error {
 		tree.Insert(tx, 1, 100)
-		queue.Enqueue(tx, 1)
+		inbox.Insert(tx, 1, 1)
 		return nil
 	})
 	plan, err := rt.StopProfilingAndPartition()

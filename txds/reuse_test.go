@@ -53,50 +53,6 @@ func TestNodeRecyclingBoundsHeap(t *testing.T) {
 	}
 }
 
-// TestQueueDequeStackRecycling does the same bounded-footprint check for
-// the container structures.
-func TestQueueDequeStackRecycling(t *testing.T) {
-	rt, err := stm.New(stm.Config{HeapWords: 1 << 16, BlockShift: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var q *Queue
-	var d *Deque
-	var s *Stack
-	var p *PriorityQueue
-	rt.Run(func(tx *stm.Tx) error {
-		q = NewQueue(tx, rt, "reuse.q")
-		d = NewDeque(tx, rt, "reuse.d")
-		s = NewStack(tx, rt, "reuse.s")
-		p = NewPriorityQueue(tx, rt, "reuse.p", 3)
-		return nil
-	})
-	churn := func(fill, drain func(i uint64)) {
-		for c := 0; c < 30; c++ {
-			for i := uint64(0); i < 32; i++ {
-				fill(i)
-			}
-			for i := uint64(0); i < 32; i++ {
-				drain(i)
-			}
-		}
-	}
-	churn(func(i uint64) { rt.Run(func(tx *stm.Tx) error { q.Enqueue(tx, i); return nil }) },
-		func(i uint64) { rt.Run(func(tx *stm.Tx) error { q.Dequeue(tx); return nil }) })
-	base := rt.HeapInUseBlocks()
-	churn(func(i uint64) { rt.Run(func(tx *stm.Tx) error { q.Enqueue(tx, i); return nil }) },
-		func(i uint64) { rt.Run(func(tx *stm.Tx) error { q.Dequeue(tx); return nil }) })
-	churn(func(i uint64) { rt.Run(func(tx *stm.Tx) error { d.PushFront(tx, i); return nil }) },
-		func(i uint64) { rt.Run(func(tx *stm.Tx) error { d.PopBack(tx); return nil }) })
-	churn(func(i uint64) { rt.Run(func(tx *stm.Tx) error { s.Push(tx, i); return nil }) },
-		func(i uint64) { rt.Run(func(tx *stm.Tx) error { s.Pop(tx); return nil }) })
-	churn(func(i uint64) { rt.Run(func(tx *stm.Tx) error { p.Insert(tx, i%7, i); return nil }) },
-		func(i uint64) { rt.Run(func(tx *stm.Tx) error { p.PopMin(tx); return nil }) })
-	if grown := rt.HeapInUseBlocks() - base; grown > 6 {
-		t.Fatalf("containers grew %d blocks over churn; nodes are leaking", grown)
-	}
-}
-
 // TestRBTreeInvariantsUnderConcurrentChurn checks the red/black structure
 // invariants (BST order, red-red, black height) hold after heavy
 // concurrent mixed operations.

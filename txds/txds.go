@@ -1,6 +1,5 @@
 // Package txds provides transactional data structures built on the stm
-// heap: a sorted linked list, a skip list, a red-black tree, a hash set,
-// a FIFO queue, a double-ended queue, a LIFO stack, a min-priority queue
+// heap: a sorted linked list, a skip list, a red-black tree, a hash set
 // and a counter array.
 //
 // These are the workloads of the paper's evaluation: the integer-set
@@ -13,7 +12,7 @@
 // so a profiling run discovers each structure as one connected component
 // and the partitioner places it in its own partition.
 //
-// Structures with fixed-size nodes (list, queue) model them as typed
+// Structures with fixed-size nodes (list) model them as typed
 // objects (stm.Ref): a traversal loads each node with one multi-word
 // read instead of one word at a time, and node publication is one
 // multi-word write whose snapshot-history records group contiguously —

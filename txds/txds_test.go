@@ -307,114 +307,6 @@ func TestConcurrentRBTreeShape(t *testing.T) {
 	})
 }
 
-func TestQueueFIFO(t *testing.T) {
-	rt := newRT(t)
-	var q *Queue
-	rt.Run(func(tx *stm.Tx) error { q = NewQueue(tx, rt, "fifo"); return nil })
-	rt.Run(func(tx *stm.Tx) error {
-		if _, ok := q.Dequeue(tx); ok {
-			t.Error("dequeue from empty queue")
-		}
-		if _, ok := q.Peek(tx); ok {
-			t.Error("peek on empty queue")
-		}
-		return nil
-	})
-	for i := uint64(1); i <= 5; i++ {
-		rt.Run(func(tx *stm.Tx) error { q.Enqueue(tx, i); return nil })
-	}
-	rt.Run(func(tx *stm.Tx) error {
-		if n := q.Len(tx); n != 5 {
-			t.Errorf("Len = %d", n)
-		}
-		if v, _ := q.Peek(tx); v != 1 {
-			t.Errorf("Peek = %d", v)
-		}
-		return nil
-	})
-	for i := uint64(1); i <= 5; i++ {
-		rt.Run(func(tx *stm.Tx) error {
-			v, ok := q.Dequeue(tx)
-			if !ok || v != i {
-				t.Errorf("Dequeue = (%d,%v), want %d", v, ok, i)
-			}
-			return nil
-		})
-	}
-	// Empty again; enqueue after drain must relink head.
-	rt.Run(func(tx *stm.Tx) error {
-		q.Enqueue(tx, 42)
-		if v, ok := q.Dequeue(tx); !ok || v != 42 {
-			t.Errorf("after drain: (%d,%v)", v, ok)
-		}
-		return nil
-	})
-}
-
-// TestQueueConcurrentTransfer pushes tokens through two queues and checks
-// none are lost or duplicated.
-func TestQueueConcurrentTransfer(t *testing.T) {
-	rt, err := stm.New(stm.Config{HeapWords: 1 << 21, BlockShift: 10, YieldEveryOps: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var q1, q2 *Queue
-	const tokens = 500
-	rt.Run(func(tx *stm.Tx) error {
-		q1 = NewQueue(tx, rt, "xfer.q1")
-		q2 = NewQueue(tx, rt, "xfer.q2")
-		return nil
-	})
-	for i := uint64(0); i < tokens; i++ {
-		rt.Run(func(tx *stm.Tx) error { q1.Enqueue(tx, i); return nil })
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				moved := false
-				rt.Run(func(tx *stm.Tx) error {
-					if v, ok := q1.Dequeue(tx); ok {
-						q2.Enqueue(tx, v)
-						moved = true
-					}
-					return nil
-				})
-				if !moved {
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	rt.Run(func(tx *stm.Tx) error {
-		if n := q1.Len(tx); n != 0 {
-			t.Errorf("q1 still has %d", n)
-		}
-		if n := q2.Len(tx); n != tokens {
-			t.Errorf("q2 has %d, want %d", n, tokens)
-		}
-		return nil
-	})
-	// All tokens distinct.
-	seen := make(map[uint64]bool)
-	for i := 0; i < tokens; i++ {
-		rt.Run(func(tx *stm.Tx) error {
-			v, ok := q2.Dequeue(tx)
-			if !ok {
-				t.Fatal("queue drained early")
-			}
-			if seen[v] {
-				t.Fatalf("duplicate token %d", v)
-			}
-			seen[v] = true
-			return nil
-		})
-	}
-}
-
 func TestCounterArray(t *testing.T) {
 	rt := newRT(t)
 	var c *CounterArray
