@@ -474,9 +474,10 @@ func (e *Engine) run(th *Thread, cfg runCfg, fn func(*Tx) error) error {
 		*cfg.deferSeq = 0
 	}
 	readOnly, snap := cfg.readOnly, cfg.snap
-	// Only the first attempt of a snapshot Run goes without a read set; any
-	// abort degrades the rest of the Run to logged reads (see Tx.unlogged).
-	unlogged := snap
+	// Only the first attempt of a read-only Run goes without a read set;
+	// any abort degrades the rest of the Run to logged reads (see
+	// Tx.unlogged).
+	unlogged := readOnly
 	attempt := 0
 	for {
 		attempt++

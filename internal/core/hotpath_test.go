@@ -13,7 +13,9 @@ import (
 
 // TestReadSetBoundedByFootprint is the regression test for read-set
 // deduplication: len(tx.rs) must be bounded by the number of unique orecs
-// read, no matter how many loads the transaction executes.
+// read, no matter how many loads the transaction executes. The reads run
+// in an update Run that writes nothing: a ReadOnly() first attempt keeps
+// no read set at all.
 func TestReadSetBoundedByFootprint(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -57,7 +59,7 @@ func TestReadSetBoundedByFootprint(t *testing.T) {
 						got, tc.passes*tc.words, tc.wantOrecs)
 				}
 				return nil
-			}, ReadOnly())
+			})
 		})
 	}
 }

@@ -52,9 +52,15 @@ type runCfg struct {
 type TxOpt func(*runCfg)
 
 // ReadOnly marks the transaction read-only: it takes the read-only fast
-// path (no write set, no locks, cheap commit). A write inside the
-// transaction restarts it transparently in update mode, so the hint is
-// safe even when occasionally wrong.
+// path (no write set, no locks, cheap commit). Its first attempt runs as a
+// TL2 read-only transaction: it keeps no read set, every read is checked
+// against the snapshot sampled at begin, and the snapshot never moves. A
+// read made stale by a later commit aborts that attempt (AbortValidation),
+// as does committing one that also read a visible-reads partition, and
+// every retry of the Run logs its reads and validates and extends as an
+// update transaction does. A write inside the transaction restarts it
+// transparently in update mode, so the hint is safe even when occasionally
+// wrong.
 func ReadOnly() TxOpt {
 	return func(c *runCfg) { c.readOnly = true }
 }
@@ -81,8 +87,11 @@ func Snapshot() TxOpt {
 
 // MaxAttempts bounds the retry loop: after n aborted attempts Run gives up
 // and returns ErrMaxAttempts (n <= 0 means unlimited, the default). Every
-// abort cause counts against the budget, including explicit Tx.Abort and
-// the internal read-only→update upgrade restart.
+// abort cause counts against the budget, including explicit Tx.Abort, the
+// internal read-only→update upgrade restart, and the unlogged first
+// attempt of a ReadOnly or Snapshot Run, which a stale read aborts where a
+// logged attempt would have extended — such a Run may spend one attempt
+// of its budget on it.
 func MaxAttempts(n int) TxOpt {
 	return func(c *runCfg) { c.maxAttempts = n }
 }

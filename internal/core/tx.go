@@ -77,18 +77,22 @@ type Tx struct {
 	// counts the words so reconstructed (the attempt's total, summed over
 	// the touched partitions by finish; see SnapshotHits).
 	//
-	// unlogged marks the FIRST attempt of a snapshot-mode Run: on a
-	// partition that has a store, a read valid at the snapshot — fresh or
-	// reconstructed — is not recorded (rs and rsIdx stay untouched).
-	// pinned is set by the first such read, and by every reconstructed read,
-	// logged or not: from then on the snapshot cannot move (extend refuses),
-	// because unrecorded reads cannot be revalidated and reconstructed
-	// values are correct only at that instant. A miss then aborts the
-	// attempt, and Engine.run retries with unlogged off: retries log every
-	// read and take the ordinary validate/extend path, so neither
-	// correctness nor the progress of a scan over a too-small ring depends
-	// on retention. Partitions without a store always log — there is
-	// nothing to pin against.
+	// unlogged marks the FIRST attempt of a read-only Run (ReadOnly or
+	// Snapshot), as TL2 runs its read-only transactions: a read valid at the
+	// snapshot is not recorded (rs and rsIdx stay untouched) on an invisible
+	// partition — in snapshot mode only on one with a store, whose reads
+	// may also be reconstructed. pinned is set by the first such read, and
+	// by every reconstructed read, logged or not: from then on the snapshot
+	// cannot move (extend refuses), because unrecorded reads cannot be
+	// revalidated and reconstructed values are correct only at that
+	// instant. A stale read the store cannot serve then aborts the attempt
+	// (AbortValidation), as does the commit of a pinned attempt that also
+	// read a visible partition (its serialization point is commit time),
+	// and Engine.run retries with unlogged off: retries log every read and
+	// take the ordinary validate/extend path, so neither correctness nor
+	// the progress of a scan over a too-small ring depends on retention.
+	// Store-less partitions in snapshot mode always log — there is nothing
+	// to pin against.
 	snapMode bool
 	unlogged bool
 	pinned   bool
@@ -133,6 +137,15 @@ type Tx struct {
 	touchIdx    []int32
 	touchGen    []uint64
 	touchGenVal uint64
+
+	// memoBlock is the heap block of the last access resolved by resolve,
+	// memoPS and memoTI its partition's state and touched index. A block's
+	// site never changes once allocated and plans and configurations change
+	// only under quiescence, so the memo holds for the whole attempt; begin
+	// clears it.
+	memoBlock uint64
+	memoPS    *partState
+	memoTI    int
 
 	// wv is the commit's write version (assignWriteVersions), and
 	// histRecs/histBufs are appendHistory's per-partition record buckets
@@ -186,7 +199,7 @@ func (tx *Tx) begin(readOnly, snap, unlogged bool) {
 	tx.readOnly = readOnly
 	tx.hasVisible = false
 	tx.snapMode = snap && readOnly
-	tx.unlogged = unlogged && tx.snapMode
+	tx.unlogged = unlogged && readOnly
 	tx.pinned = false
 	tx.snapHits = 0
 	tx.opCount = 0
@@ -213,6 +226,7 @@ func (tx *Tx) begin(readOnly, snap, unlogged bool) {
 		tx.touchGen = make([]uint64, n)
 	}
 	tx.touchGenVal++
+	tx.memoBlock = ^uint64(0)
 	// Stale arbitration state from a previous attempt does not apply; both
 	// words are almost always zero already, and finding that out is free.
 	if tx.th.killed.Load() != 0 {
@@ -253,14 +267,10 @@ func (tx *Tx) checkKilled() {
 // touch registers partition p in the transaction's footprint and returns
 // its index in tx.touched. Repeat touches resolve in O(1) through the
 // generation-stamped touchIdx table (sized to the topology at begin).
-func (tx *Tx) touch(p *Partition, wrote bool) int {
+func (tx *Tx) touch(p *Partition) int {
 	id := int(p.id)
 	if tx.touchGen[id] == tx.touchGenVal {
-		i := int(tx.touchIdx[id])
-		if wrote {
-			tx.touched[i].wrote = true
-		}
-		return i
+		return int(tx.touchIdx[id])
 	}
 	n := len(tx.touched)
 	if n < cap(tx.touched) {
@@ -269,10 +279,29 @@ func (tx *Tx) touch(p *Partition, wrote bool) int {
 		tx.touched = append(tx.touched, touchRec{})
 	}
 	// Filled in place: the record is a cache line and a half of counters.
-	tx.touched[n] = touchRec{p: p, wrote: wrote}
+	tx.touched[n] = touchRec{p: p}
 	tx.touchIdx[id] = int32(n)
 	tx.touchGen[id] = tx.touchGenVal
 	return n
+}
+
+// resolve returns the state and touched index of addr's partition,
+// registering the partition in the footprint. The lookup runs once per
+// heap block: repeat accesses to the block of the previous one reuse its
+// result (see memoBlock).
+func (tx *Tx) resolve(addr memory.Addr) (*partState, int) {
+	if uint64(addr)>>tx.eng.blockShift != tx.memoBlock {
+		tx.resolveBlock(addr)
+	}
+	return tx.memoPS, tx.memoTI
+}
+
+// resolveBlock looks addr's partition up and memoises it for addr's block
+// (resolve's slow path, kept out of line so resolve inlines).
+func (tx *Tx) resolveBlock(addr memory.Addr) {
+	p := tx.eng.partOf(tx.topo, addr)
+	tx.memoBlock = uint64(addr) >> tx.eng.blockShift
+	tx.memoPS, tx.memoTI = p.loadState(), tx.touch(p)
 }
 
 // Small-set thresholds: up to these many entries, set membership runs as an
@@ -400,9 +429,7 @@ func (tx *Tx) publishOwner(ps *partState) {
 func (tx *Tx) Load(addr memory.Addr) uint64 {
 	tx.checkKilled()
 	tx.tick()
-	p := tx.eng.partOf(tx.topo, addr)
-	ps := p.loadState()
-	ti := tx.touch(p, false)
+	ps, ti := tx.resolve(addr)
 	tx.touched[ti].loads++
 
 	// Read-after-write: buffered values win; write-through values are
@@ -513,8 +540,9 @@ func (tx *Tx) loadInvisible(ps *partState, o *orec, addr memory.Addr, ti int) ui
 }
 
 // logRead records a read of orec o that observed version ver, valid at the
-// snapshot. The first attempt of a snapshot-mode Run keeps no read set on a
-// store-backed partition: it pins the snapshot instead (see Tx.unlogged).
+// snapshot. The first attempt of a read-only Run keeps no read set (in
+// snapshot mode, on a store-backed partition): it pins the snapshot instead
+// (see Tx.unlogged).
 //
 // Otherwise, dedup per orec: a repeat read of an orec whose recorded
 // version still matches adds nothing to validate — the read set stays
@@ -526,7 +554,7 @@ func (tx *Tx) loadInvisible(ps *partState, o *orec, addr memory.Addr, ti int) ui
 // The first touch of an orec — the common case of a large scan — costs a
 // filter test while the set is small and one find-or-insert probe after.
 func (tx *Tx) logRead(ps *partState, o *orec, ver uint64) {
-	if tx.unlogged && ps.hist != nil {
+	if tx.pins(ps) {
 		tx.pinned = true
 		return
 	}
@@ -555,6 +583,12 @@ func (tx *Tx) logRead(ps *partState, o *orec, ver uint64) {
 		s.pos = int32(n)
 	}
 	tx.rs = append(tx.rs, readEntry{o: o, ver: ver})
+}
+
+// pins reports whether this attempt answers a current read of ps by pinning
+// the snapshot instead of logging it (see Tx.unlogged).
+func (tx *Tx) pins(ps *partState) bool {
+	return tx.unlogged && (!tx.snapMode || ps.hist != nil)
 }
 
 // loadVisible implements the visible read: register in the orec's reader
@@ -607,10 +641,10 @@ func (tx *Tx) Store(addr memory.Addr, v uint64) {
 	if tx.readOnly {
 		tx.abort(AbortUpgrade)
 	}
-	p := tx.eng.partOf(tx.topo, addr)
-	ps := p.loadState()
-	ti := tx.touch(p, true)
-	tx.touched[ti].stores++
+	ps, ti := tx.resolve(addr)
+	tr := &tx.touched[ti]
+	tr.stores++
+	tr.wrote = true
 	if ps.cfg.Read == VisibleReads {
 		tx.hasVisible = true
 	}
@@ -666,13 +700,13 @@ func (tx *Tx) blockChunk(addr memory.Addr, n int) int {
 
 // LoadWords transactionally reads the len(dst) consecutive words starting
 // at addr into dst. It is equivalent to len(dst) calls of Load but pays
-// the per-access overhead (partition lookup, footprint touch, statistics)
-// once per object instead of once per word. An attempt that has written
-// nothing yet (every read-only one) reads up to sweepWords words in one
-// sweep: sample the object's orec span, load every word, re-sample the
-// span; each word is then certified by two identical unlocked samples of
-// its own orec at or below the snapshot, and the read set gets one entry
-// per orec of the span (or, on a pinned snapshot attempt, none). A locked,
+// the per-access overhead (footprint touch, statistics) once per object
+// instead of once per word. An attempt that has written nothing yet
+// (every read-only one) reads up to sweepWords words in one sweep: sample
+// the object's orec span, load every word, re-sample the span; each word
+// is then certified by two identical unlocked samples of its own orec at
+// or below the snapshot, and the read set gets one entry per orec of the
+// span (or, on the unlogged first attempt of a read-only Run, none). A locked,
 // stale or changed orec, or a span that wraps the table end, sends that
 // window to the per-orec path, which also serves attempts with buffered
 // writes: words sharing an ownership record are read under a single
@@ -702,9 +736,7 @@ const sweepWords = 16
 // loadWordsChunk reads a word range confined to one heap block (one
 // partition), a sweep per window when nothing is buffered, else per orec.
 func (tx *Tx) loadWordsChunk(addr memory.Addr, dst []uint64) {
-	p := tx.eng.partOf(tx.topo, addr)
-	ps := p.loadState()
-	ti := tx.touch(p, false)
+	ps, ti := tx.resolve(addr)
 	tx.touched[ti].loads += uint64(len(dst))
 	if ps.cfg.Read == VisibleReads && !tx.snapMode {
 		tx.hasVisible = true
@@ -761,7 +793,7 @@ func (tx *Tx) sweep(ps *partState, addr memory.Addr, dst []uint64) bool {
 			return false
 		}
 	}
-	if tx.unlogged && ps.hist != nil {
+	if tx.pins(ps) {
 		tx.pinned = true
 		return true
 	}
@@ -921,10 +953,10 @@ func (tx *Tx) StoreWords(addr memory.Addr, src []uint64) {
 // storeWordsChunk writes a word range confined to one heap block (one
 // partition).
 func (tx *Tx) storeWordsChunk(addr memory.Addr, src []uint64) {
-	p := tx.eng.partOf(tx.topo, addr)
-	ps := p.loadState()
-	ti := tx.touch(p, true)
-	tx.touched[ti].stores += uint64(len(src))
+	ps, ti := tx.resolve(addr)
+	tr := &tx.touched[ti]
+	tr.stores += uint64(len(src))
+	tr.wrote = true
 	if ps.cfg.Read == VisibleReads {
 		tx.hasVisible = true
 	}
@@ -1156,9 +1188,9 @@ func (tx *Tx) snapRead(ps *partState, addr memory.Addr, ti int) (uint64, bool) {
 // later reads of it re-trigger extension — validation passing means every
 // read was current at some instant at or after the sample.
 //
-// A pinned snapshot-mode attempt — one that has reconstructed a read from
-// the multi-version store, or served one without logging it (Tx.unlogged)
-// — refuses extension: reconstructed values are correct only at the pinned
+// A pinned attempt — one that has reconstructed a read from the
+// multi-version store, or served one without logging it (Tx.unlogged) —
+// refuses extension: reconstructed values are correct only at the pinned
 // instant and unlogged reads cannot be revalidated, so moving the snapshot
 // would mix two instants. The caller then aborts and the retry, which logs
 // every read, samples a fresher snapshot.
@@ -1223,8 +1255,9 @@ func (tx *Tx) commit() {
 		// Read-only commit. Invisible entries were continuously valid at
 		// the snapshot; if any visible-mode partition was touched the
 		// serialization point is commit time, so validate the invisible
-		// entries against it.
-		if tx.hasVisible && len(tx.rs) > 0 && !tx.validate() {
+		// entries against it — which a pinned attempt cannot do for the
+		// reads it did not log: it aborts, and the retry logs them.
+		if tx.hasVisible && (tx.pinned || len(tx.rs) > 0 && !tx.validate()) {
 			tx.abort(AbortValidation)
 		}
 		tx.finish(AbortNone)

@@ -193,7 +193,8 @@ func TestTxIndexGenerationWrap(t *testing.T) {
 // check) but dedup must still handle exactly: both observations stay in the
 // read set, a further repeat at the newer version adds nothing, and
 // validation — the orec can match at most one of them — fails. Checked in
-// the scanned and in the indexed regime.
+// the scanned and in the indexed regime, in an update Run that writes
+// nothing (a ReadOnly() first attempt logs no reads).
 func TestRepeatReadAtDifferentVersion(t *testing.T) {
 	for _, prior := range []int{2, rsSmallMax + 8} {
 		cfg := DefaultPartConfig()
@@ -240,7 +241,7 @@ func TestRepeatReadAtDifferentVersion(t *testing.T) {
 			}
 			tx.rs = tx.rs[:n] // drop the fabricated entry so the commit is clean
 			return nil
-		}, ReadOnly())
+		})
 		e.ReturnThread(th)
 	}
 }
@@ -251,6 +252,7 @@ func TestRepeatReadAtDifferentVersion(t *testing.T) {
 // holds one entry per unique orec no matter how often each is re-read.
 // A false positive that skipped the scan's confirmation would appear as
 // either a duplicate entry (dedup missed) or a wrongly-skipped append.
+// The reads run in an update Run that writes nothing, which logs them.
 func TestFilterFalsePositivesConfirmed(t *testing.T) {
 	cfg := DefaultPartConfig()
 	cfg.GranShift = 0
@@ -283,7 +285,7 @@ func TestFilterFalsePositivesConfirmed(t *testing.T) {
 			t.Fatalf("read set = %d entries after 3 passes over %d distinct orecs", got, len(distinct))
 		}
 		return nil
-	}, ReadOnly())
+	})
 }
 
 // TestFilterWriteSetExact mirrors the read-set check for writes: repeated

@@ -124,7 +124,7 @@ func TestWordsAcrossBlocks(t *testing.T) {
 // multi-word read of words sharing one orec (GranShift > 0) contributes
 // one read-set entry per orec, not per word — also when the range is not
 // aligned to the orec grain, so its orec span has a partial orec at each
-// end.
+// end. The reads run in update Runs that write nothing, which log them.
 func TestLoadWordsReadSetGrouping(t *testing.T) {
 	cfg := DefaultPartConfig()
 	cfg.GranShift = 3 // 8 words per orec
@@ -152,7 +152,7 @@ func TestLoadWordsReadSetGrouping(t *testing.T) {
 			t.Fatalf("read set = %d entries for %d distinct orecs", got, len(distinct))
 		}
 		return nil
-	}, ReadOnly())
+	})
 
 	// GranShift 2: eight words starting two words into a 4-word grain
 	// touch 2 + 4 + 2 words of three orecs.
@@ -173,7 +173,7 @@ func TestLoadWordsReadSetGrouping(t *testing.T) {
 			t.Fatalf("misaligned 8-word read logged %d entries, want 3", got)
 		}
 		return nil
-	}, ReadOnly())
+	})
 }
 
 // TestLoadWordsSpanWrap: on a 16-orec table, a range whose orec span runs
@@ -523,8 +523,9 @@ func TestSweepTorture(t *testing.T) {
 }
 
 // TestReadOnlyRangeAllocFree: a ReadOnly() LoadRange of 256 words — four
-// LoadRange chunks of four sweep windows each — logs one read-set entry
-// per word and allocates nothing once the attempt's scratch has grown.
+// LoadRange chunks of four sweep windows each — keeps no read set and
+// allocates nothing once the attempt's scratch has grown; the same scan in
+// an update Run that writes nothing logs one read-set entry per word.
 func TestReadOnlyRangeAllocFree(t *testing.T) {
 	e := newTestEngine(t, DefaultPartConfig())
 	th := e.BorrowThread()
@@ -551,10 +552,18 @@ func TestReadOnlyRangeAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(5, func() { th.Run(body, opts...) }); allocs != 0 {
 		t.Errorf("a read-only 256-word LoadRange allocated %v times, want 0", allocs)
 	}
-	if want := uint64(n * (n - 1) / 2); sum != want {
+	want := uint64(n * (n - 1) / 2)
+	if sum != want {
 		t.Fatalf("LoadRange sum = %d, want %d", sum, want)
 	}
+	if rsLen != 0 {
+		t.Fatalf("read-only read set = %d entries, want 0", rsLen)
+	}
+	th.Run(body)
+	if sum != want {
+		t.Fatalf("logged LoadRange sum = %d, want %d", sum, want)
+	}
 	if rsLen != n {
-		t.Fatalf("read set = %d entries, want %d (one per orec)", rsLen, n)
+		t.Fatalf("logged read set = %d entries, want %d (one per orec)", rsLen, n)
 	}
 }

@@ -24,7 +24,7 @@ func Fig6(o Options) (*Report, error) {
 	if o.Quick {
 		pcfg.Slots = 256
 		pcfg.AuditRange = 64
-		pcfg.PhaseOps = 30_000
+		pcfg.PhaseOps = 3_000
 	}
 	segments := 6 // three full read/update cycles
 	opsPerThread := pcfg.PhaseOps / o.Threads

@@ -93,7 +93,10 @@ type Config struct {
 	DirBuckets int
 	// MaxAttempts bounds each batch's retry loop; past it the batch
 	// fails with StatusMaxAttempts instead of retrying forever. 0 means
-	// unlimited (the default).
+	// unlimited (the default). A read-only batch may spend one attempt of
+	// the bound on its unlogged first attempt: a FlagUpdate GET batch
+	// (run as ReadOnly) when a commit to a key it read lands mid-batch, a
+	// snapshot GET batch when the store cannot serve a stale read.
 	MaxAttempts int
 }
 

@@ -181,7 +181,12 @@ var ErrMaxAttempts = core.ErrMaxAttempts
 type MaxAttemptsError = core.MaxAttemptsError
 
 // ReadOnly marks a Run transaction read-only: it takes the read-only fast
-// path, and transparently restarts in update mode if it writes.
+// path, and transparently restarts in update mode if it writes. The first
+// attempt keeps no read set, as TL2's read-only transactions do: its reads
+// must all be current at the snapshot sampled at begin. A read made stale
+// by a later commit (or a commit that also read a visible-reads partition)
+// aborts it, and every retry of that Run logs its reads and validates and
+// extends as usual.
 func ReadOnly() TxOpt { return core.ReadOnly() }
 
 // Snapshot runs a Run transaction in snapshot mode (implies ReadOnly):
@@ -196,7 +201,9 @@ func ReadOnly() TxOpt { return core.ReadOnly() }
 func Snapshot() TxOpt { return core.Snapshot() }
 
 // MaxAttempts bounds Run's retry loop: after n aborted attempts Run
-// returns ErrMaxAttempts (n <= 0 means retry forever, the default).
+// returns ErrMaxAttempts (n <= 0 means retry forever, the default). A
+// ReadOnly or Snapshot Run may spend one attempt of the budget on its
+// unlogged first attempt.
 func MaxAttempts(n int) TxOpt { return core.MaxAttempts(n) }
 
 // OnAbort installs a hook observing every aborted attempt of a Run

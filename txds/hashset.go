@@ -163,6 +163,3 @@ func (h *HashSet) Len(tx *stm.Tx) int {
 	}
 	return total
 }
-
-// NumBuckets returns the bucket count.
-func (h *HashSet) NumBuckets() uint64 { return h.nbuckets }
