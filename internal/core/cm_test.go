@@ -124,10 +124,123 @@ func TestVisibleReaderArbitration(t *testing.T) {
 			}
 			for i := range ps.table.readers {
 				if r := ps.table.readers[i].Load(); r != 0 {
-					t.Fatalf("orec %d leaked reader bits %b", i, r)
+					t.Fatalf("reader word %d leaked bits %b", i, r)
 				}
 			}
 		})
+	}
+}
+
+// TestVisibleReadsRegisterPerStripe pins the reader-bitmap striping: a
+// visible read registers once per readerStripe consecutive orecs, every
+// bit an attempt set is clear once it commits or aborts, and a writer
+// meets the readers of its orec's whole stripe, not of its orec alone.
+func TestVisibleReadsRegisterPerStripe(t *testing.T) {
+	cfg := DefaultPartConfig()
+	cfg.Read = VisibleReads
+	cfg.ReaderCM = WriterYieldsToReaders
+	cfg.GranShift = 0
+	e := newTestEngine(t, cfg)
+	ps := e.Partition(GlobalPartition).loadState()
+	if got, want := len(ps.table.readers), len(ps.table.orecs)/8; got != want {
+		t.Fatalf("%d reader words for %d orecs, want %d", got, len(ps.table.orecs), want)
+	}
+	if small := newOrecTable(2, 0, true); len(small.readers) != 1 || small.readersOf(3) != &small.readers[0] {
+		t.Fatalf("a 4-orec table has %d reader words, want 1 covering every orec", len(small.readers))
+	}
+	held := func() int {
+		n := 0
+		for i := range ps.table.readers {
+			if ps.table.readers[i].Load() != 0 {
+				n++
+			}
+		}
+		return n
+	}
+	reader, writer := e.BorrowThread(), e.BorrowThread()
+	defer e.ReturnThread(reader)
+	defer e.ReturnThread(writer)
+	const words = 1024
+	var base memory.Addr
+	writer.Run(func(tx *Tx) error {
+		base = (tx.Alloc(memory.DefaultSite, words+8) + 7) &^ 7 // stripe-aligned
+		return nil
+	})
+	scan := func(tx *Tx) {
+		for i := 0; i < words; i++ {
+			tx.Load(base + memory.Addr(i))
+		}
+	}
+
+	var vreads int
+	if err := reader.Run(func(tx *Tx) error {
+		scan(tx)
+		vreads = len(tx.vreads)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if vreads != words/8 {
+		t.Fatalf("scan of %d words registered %d times, want %d", words, vreads, words/8)
+	}
+	if n := held(); n != 0 {
+		t.Fatalf("%d reader words still set after commit", n)
+	}
+	attempt := 0
+	if err := reader.Run(func(tx *Tx) error {
+		if attempt++; attempt == 1 {
+			scan(tx)
+			tx.Abort()
+		}
+		if n := held(); n != 0 {
+			t.Errorf("%d reader words still set after an aborted attempt", n)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	// A live visible read of base holds stripe 0. Under
+	// WriterYieldsToReaders a writer to base+1 (same stripe, other orec)
+	// waits out its spin budget and yields; a writer to base+8 (next
+	// stripe) commits at once.
+	registered, release, done := make(chan struct{}), make(chan struct{}), make(chan error)
+	go func() {
+		first := true
+		done <- reader.Run(func(tx *Tx) error {
+			tx.Load(base)
+			if first {
+				first = false
+				close(registered)
+				<-release
+			}
+			return nil
+		})
+	}()
+	<-registered
+	waits := func() uint64 { return e.StatsSnapshot(GlobalPartition).WaitCycles }
+	w0 := waits()
+	var mae *MaxAttemptsError
+	err := writer.Run(func(tx *Tx) error { tx.Store(base+1, 1); return nil }, MaxAttempts(1))
+	if !errors.As(err, &mae) || mae.Cause != AbortReaderWall {
+		t.Fatalf("writer in the reader's stripe: %v, want %v", err, AbortReaderWall)
+	}
+	w1 := waits()
+	if w1 == w0 {
+		t.Fatal("writer in the reader's stripe yielded without waiting")
+	}
+	if err := writer.Run(func(tx *Tx) error { tx.Store(base+8, 1); return nil }, MaxAttempts(1)); err != nil {
+		t.Fatalf("writer in the next stripe: %v", err)
+	}
+	if w2 := waits(); w2 != w1 {
+		t.Fatalf("writer in the next stripe waited %d cycles", w2-w1)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if n := held(); n != 0 {
+		t.Fatalf("%d reader words still set after the reader committed", n)
 	}
 }
 

@@ -183,7 +183,8 @@ func (p CMPolicy) String() string {
 }
 
 // ReaderPolicy arbitrates between a writer acquiring an orec and the
-// visible readers registered at it.
+// visible readers registered at its stripe (orecTable.readers): readers
+// of any of the stripe's eight orecs count, not only of the written one.
 type ReaderPolicy uint8
 
 const (
@@ -215,8 +216,9 @@ type PartConfig struct {
 	Acquire AcquireMode
 	Write   WriteMode
 	// LockBits: the partition's orec table has 1<<LockBits entries and
-	// takes 8<<LockBits bytes (512 KiB at 16), twice that under
-	// VisibleReads, whose reader bitmaps sit beside the lock words.
+	// takes 8<<LockBits bytes (512 KiB at 16), an eighth more under
+	// VisibleReads, whose reader bitmaps (one word per eight orecs) sit
+	// beside the lock words.
 	LockBits uint
 	// GranShift: 1<<GranShift consecutive words share one orec
 	// (conflict-detection granularity).

@@ -71,8 +71,7 @@ type Engine struct {
 	profMu    sync.Mutex
 	profiler  PointerRecorder
 
-	// stwCount counts quiescent reconfigurations (exposed for tests and
-	// the tuner's trace).
+	// stwCount counts quiescent reconfigurations.
 	stwCount atomic.Uint64
 
 	// walState, when set, makes every update commit tee its write set
@@ -218,9 +217,6 @@ func (e *Engine) SetProfiler(p PointerRecorder, enabled bool) {
 	e.profMu.Unlock()
 	e.profiling.Store(enabled)
 }
-
-// Profiling reports whether pointer-store profiling is enabled.
-func (e *Engine) Profiling() bool { return e.profiling.Load() }
 
 // InstallPlan replaces the partitioning topology: sitePart[s] gives the
 // partition index for site s, and names/cfgs describe the partitions
@@ -369,9 +365,6 @@ func (e *Engine) quiesce(fn func()) {
 	e.stwCount.Add(1)
 	e.gate.Store(0)
 }
-
-// STWCount returns the number of quiescent reconfigurations performed.
-func (e *Engine) STWCount() uint64 { return e.stwCount.Load() }
 
 // StatsSnapshot aggregates per-thread counters for partition id. Counters
 // are atomics their owning threads add to once per attempt (see

@@ -77,7 +77,7 @@ func assertCleanOrecs(t *testing.T, e *Engine) {
 		}
 		for i := range ps.table.readers {
 			if r := ps.table.readers[i].Load(); r != 0 {
-				t.Fatalf("partition %d orec %d leaked readers %b", p.ID(), i, r)
+				t.Fatalf("partition %d reader word %d leaked bits %b", p.ID(), i, r)
 			}
 		}
 	}

@@ -19,12 +19,17 @@ import (
 // so eight consecutive orecs share a cache line and a table of 1<<LockBits
 // entries is 8<<LockBits bytes — 512 KiB per partition at the default
 // LockBits 16, 8 MiB at the tuner's MaxLockBits 20. Visible-reader
-// bitmaps live in a parallel array (orecTable.readers).
+// bitmaps live in a parallel array (orecTable.readers), one word per such
+// cache line of lock words.
 type orec struct {
 	lock atomic.Uint64
 }
 
 const lockedBit uint64 = 1
+
+// readerStripe is how many consecutive orecs share one visible-reader
+// bitmap word: one 64-byte cache line of lock words.
+const readerStripe = 8
 
 func isLocked(l uint64) bool { return l&lockedBit != 0 }
 
@@ -46,9 +51,14 @@ func versionWord(ts uint64) uint64 { return ts << 1 }
 // GranShift and read mode.
 type orecTable struct {
 	orecs []orec
-	// readers[i] is orecs[i]'s visible-reader bitmap: bit s set means the
-	// thread in slot s holds a visible read on it. Only a VisibleReads
-	// partition's table has them (same length as orecs); otherwise nil.
+	// readers[i] is the visible-reader bitmap of the readerStripe orecs
+	// from i*readerStripe on: bit s set means the thread in slot s holds a
+	// visible read on at least one of them. A stripe is one cache line of
+	// lock words, so a scan registers (one locked Or) once per eight orecs,
+	// and the bitmaps take 64 KiB at LockBits 16. The price is false
+	// reader conflicts: a writer to any orec of the stripe waits for,
+	// yields to or (WriterKillsReaders) kills its readers. Only a
+	// VisibleReads partition's table has them; otherwise nil.
 	readers   []atomic.Uint64
 	mask      uint64
 	granShift uint
@@ -58,7 +68,7 @@ func newOrecTable(lockBits, granShift uint, visible bool) *orecTable {
 	n := uint64(1) << lockBits
 	t := &orecTable{orecs: make([]orec, n), mask: n - 1, granShift: granShift}
 	if visible {
-		t.readers = make([]atomic.Uint64, n)
+		t.readers = make([]atomic.Uint64, max(n/readerStripe, 1))
 	}
 	return t
 }
@@ -74,7 +84,7 @@ func (t *orecTable) indexOf(addr memory.Addr) uint64 {
 	return (uint64(addr) >> t.granShift) & t.mask
 }
 
-// readersOf returns the visible-reader bitmap of addr's orec.
+// readersOf returns the visible-reader bitmap of addr's orec's stripe.
 func (t *orecTable) readersOf(addr memory.Addr) *atomic.Uint64 {
-	return &t.readers[t.indexOf(addr)]
+	return &t.readers[t.indexOf(addr)/readerStripe]
 }

@@ -72,10 +72,6 @@ func (p *Partition) Name() string { return p.name }
 // Config returns the partition's current configuration.
 func (p *Partition) Config() PartConfig { return p.state.Load().cfg }
 
-// Generation returns the configuration generation (number of
-// reconfigurations applied).
-func (p *Partition) Generation() uint64 { return p.state.Load().gen }
-
 // loadState returns the current state; stable for the duration of a
 // transaction because reconfiguration only happens while no transaction
 // is active (see Engine.Reconfigure).

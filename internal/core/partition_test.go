@@ -196,8 +196,8 @@ func TestReconfigureUnderLoad(t *testing.T) {
 	}()
 	wg.Wait()
 
-	if got := e.STWCount(); got == 0 {
-		t.Fatal("STWCount = 0")
+	if got := e.stwCount.Load(); got == 0 {
+		t.Fatal("stwCount = 0")
 	}
 	check := e.BorrowThread()
 	check.Run(func(tx *Tx) error {
@@ -218,14 +218,14 @@ func TestReconfigureUnknownPartition(t *testing.T) {
 func TestGenerationAdvances(t *testing.T) {
 	e := newTestEngine(t, DefaultPartConfig())
 	p := e.Partition(GlobalPartition)
-	g0 := p.Generation()
+	g0 := p.state.Load().gen
 	cfg := p.Config()
 	cfg.LockBits = 8
 	if err := e.Reconfigure(GlobalPartition, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if p.Generation() != g0+1 {
-		t.Fatalf("generation %d -> %d, want +1", g0, p.Generation())
+	if p.state.Load().gen != g0+1 {
+		t.Fatalf("generation %d -> %d, want +1", g0, p.state.Load().gen)
 	}
 	if p.Config().LockBits != 8 {
 		t.Fatalf("LockBits = %d after reconfigure", p.Config().LockBits)

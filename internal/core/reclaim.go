@@ -94,13 +94,3 @@ func (e *Engine) ReclaimNow() uint64 {
 	}
 	return words
 }
-
-// EpochStamp returns the stamp slot currently publishes for the given
-// thread slot (HorizonIdle when no transaction is live there). Exposed
-// for tests and diagnostics.
-func (e *Engine) EpochStamp(slot int) uint64 {
-	if slot < 0 || slot >= MaxThreads {
-		return HorizonIdle
-	}
-	return e.epochs.Load(slot)
-}

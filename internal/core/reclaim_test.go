@@ -16,24 +16,24 @@ func TestEpochStampHygienePooled(t *testing.T) {
 	e := newTestEngine(t, DefaultPartConfig())
 	th := e.BorrowThread()
 	slot := th.slot
-	if got := e.EpochStamp(slot); got != HorizonIdle {
+	if got := e.epochs.Load(slot); got != HorizonIdle {
 		t.Fatalf("borrowed idle slot publishes stamp %d, want HorizonIdle", got)
 	}
 	var inside uint64
 	th.Run(func(tx *Tx) error {
 		a := tx.Alloc(memory.DefaultSite, 1)
 		tx.Store(a, 1)
-		inside = e.EpochStamp(slot)
+		inside = e.epochs.Load(slot)
 		return nil
 	})
 	if inside == HorizonIdle {
 		t.Fatal("live transaction did not publish a stamp")
 	}
-	if got := e.EpochStamp(slot); got != HorizonIdle {
+	if got := e.epochs.Load(slot); got != HorizonIdle {
 		t.Fatalf("slot still publishes %d after commit, want HorizonIdle", got)
 	}
 	e.ReturnThread(th)
-	if got := e.EpochStamp(slot); got != HorizonIdle {
+	if got := e.epochs.Load(slot); got != HorizonIdle {
 		t.Fatalf("slot publishes %d after return, want HorizonIdle", got)
 	}
 	if h := e.Horizon(); h != HorizonIdle {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -31,9 +32,11 @@ func snapTestSetup(t *testing.T, cfg PartConfig, cells int, initVal uint64) (*En
 // TestSnapshotTortureWriteModes mixes snapshot-mode scans with transfer
 // transactions in all three write modes. Writers conserve the array sum;
 // every snapshot scan must observe exactly that sum — a torn snapshot
-// (two instants mixed in one scan) breaks it immediately. The snapshot
-// store is sized generously, so the scans must additionally be
-// abort-free.
+// (two instants mixed in one scan) breaks it immediately. Each writer
+// runs a fixed number of transfers whose history records (at most two per
+// transfer) all fit in the snapshot store's ring, so no record a scan
+// needs is ever evicted, however long the scan is descheduled, and the
+// scans must additionally be abort-free.
 func TestSnapshotTortureWriteModes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("torture test skipped in -short mode")
@@ -49,7 +52,7 @@ func TestSnapshotTortureWriteModes(t *testing.T) {
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
 			cfg := DefaultPartConfig()
-			cfg.HistCap = 1 << 16 // ample: a 32-cell scan never outlives the ring
+			cfg.HistCap = 1 << 16
 			m.mut(&cfg)
 			const cells = 32
 			const initVal = 1000
@@ -58,20 +61,20 @@ func TestSnapshotTortureWriteModes(t *testing.T) {
 
 			var (
 				stop        atomic.Bool
-				wg          sync.WaitGroup
+				wg, writing sync.WaitGroup
 				scanAborts  atomic.Uint64
 				scans       atomic.Uint64
 				sumViolated atomic.Uint64
 			)
-			const writers = 3
+			const writers, transfers = 3, 5000 // 30 000 records at most
 			for w := 0; w < writers; w++ {
-				wg.Add(1)
+				writing.Add(1)
 				go func(seed int64) {
-					defer wg.Done()
+					defer writing.Done()
 					th := e.BorrowThread()
 					defer e.ReturnThread(th)
 					rng := rand.New(rand.NewSource(seed))
-					for !stop.Load() {
+					for range transfers {
 						i := memory.Addr(rng.Intn(cells))
 						j := memory.Addr(rng.Intn(cells))
 						d := uint64(rng.Intn(5))
@@ -94,7 +97,7 @@ func TestSnapshotTortureWriteModes(t *testing.T) {
 					defer wg.Done()
 					th := e.BorrowThread()
 					defer e.ReturnThread(th)
-					for !stop.Load() {
+					for {
 						attempts := uint64(0)
 						th.Run(func(tx *Tx) error {
 							attempts++
@@ -109,10 +112,13 @@ func TestSnapshotTortureWriteModes(t *testing.T) {
 						}, Snapshot())
 						scans.Add(1)
 						scanAborts.Add(attempts - 1)
+						if stop.Load() {
+							return
+						}
 					}
 				}()
 			}
-			time.Sleep(300 * time.Millisecond)
+			writing.Wait()
 			stop.Store(true)
 			wg.Wait()
 
@@ -122,14 +128,23 @@ func TestSnapshotTortureWriteModes(t *testing.T) {
 			if scans.Load() == 0 {
 				t.Fatal("no snapshot scans completed")
 			}
-			if a := scanAborts.Load(); a != 0 {
-				t.Errorf("snapshot scans aborted %d times (retention was ample; expected abort-free)", a)
-			}
 			st := e.StatsSnapshot(GlobalPartition)
+			hist := e.SnapshotHistory(GlobalPartition)
+			if hist.Appends > uint64(hist.Cap) {
+				t.Fatalf("%d history records appended into a ring of %d: retention is not ample", hist.Appends, hist.Cap)
+			}
+			if a := scanAborts.Load(); a != 0 {
+				var causes []string
+				for c, n := range st.Aborts {
+					if n != 0 {
+						causes = append(causes, fmt.Sprintf("%v=%d", AbortCause(c), n))
+					}
+				}
+				t.Errorf("snapshot scans aborted %d times with every record retained (expected abort-free); aborts by cause: %v", a, causes)
+			}
 			if st.SnapHits == 0 {
 				t.Error("no snapshot-store hits recorded under saturating writers")
 			}
-			hist := e.SnapshotHistory(GlobalPartition)
 			if hist.Cap == 0 || hist.Appends == 0 {
 				t.Errorf("snapshot store idle: %+v", hist)
 			}

@@ -210,7 +210,7 @@ func TestTortureMixedEverything(t *testing.T) {
 		}
 		for i := range ps.table.readers {
 			if r := ps.table.readers[i].Load(); r != 0 {
-				t.Fatalf("partition %s orec %d leaked readers %b", p.Name(), i, r)
+				t.Fatalf("partition %s reader word %d leaked bits %b", p.Name(), i, r)
 			}
 		}
 	}

@@ -591,11 +591,14 @@ func (tx *Tx) pins(ps *partState) bool {
 	return tx.unlogged && (!tx.snapMode || ps.hist != nil)
 }
 
-// loadVisible implements the visible read: register in the orec's reader
-// bitmap, re-check the lock, and pin the location until commit/abort. The
-// version check against the snapshot is kept so that a transaction mixing
-// visible and invisible partitions still observes one consistent snapshot
-// (opacity); visible entries themselves never need commit validation.
+// loadVisible implements the visible read: register in the reader bitmap
+// of the orec's stripe, re-check the lock, and pin the location until
+// commit/abort. A bit already set is this attempt's own registration
+// (finish and rollback clear every bit an attempt set), so a read of an
+// already registered stripe pays a plain load. The version check against
+// the snapshot is kept so that a transaction mixing visible and invisible
+// partitions still observes one consistent snapshot (opacity); visible
+// entries themselves never need commit validation.
 func (tx *Tx) loadVisible(ps *partState, o *orec, addr memory.Addr, ti int) uint64 {
 	bit, readers := tx.th.readerBit(), ps.table.readersOf(addr)
 	spins := 0
@@ -608,23 +611,18 @@ func (tx *Tx) loadVisible(ps *partState, o *orec, addr memory.Addr, ti int) uint
 			tx.cmConflict(ps, o, l, AbortLockedOnRead, &spins, ti)
 			continue
 		}
-		old := readers.Or(bit)
-		mine := old&bit != 0
-		if !mine {
+		if readers.Load()&bit == 0 {
+			readers.Or(bit)
+			if l = o.lock.Load(); isLocked(l) {
+				// A writer slipped in between the check and the
+				// registration; withdraw and arbitrate.
+				readers.And(^bit)
+				tx.cmConflict(ps, o, l, AbortLockedOnRead, &spins, ti)
+				continue
+			}
 			tx.vreads = append(tx.vreads, readers)
 		}
-		l2 := o.lock.Load()
-		if isLocked(l2) {
-			// A writer slipped in between the check and the registration;
-			// withdraw and arbitrate.
-			if !mine {
-				readers.And(^bit)
-				tx.vreads = tx.vreads[:len(tx.vreads)-1]
-			}
-			tx.cmConflict(ps, o, l2, AbortLockedOnRead, &spins, ti)
-			continue
-		}
-		if ver := versionOf(l2); ver > tx.snapshot {
+		if ver := versionOf(l); ver > tx.snapshot {
 			if !tx.extend() {
 				tx.abort(AbortValidation)
 			}

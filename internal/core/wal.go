@@ -60,14 +60,6 @@ func (e *Engine) SetWAL(log *wal.Log, syncCommits bool) {
 	e.walState.Store(&walBox{log: log, sync: syncCommits})
 }
 
-// WALLog returns the attached redo log, or nil.
-func (e *Engine) WALLog() *wal.Log {
-	if box := e.walState.Load(); box != nil {
-		return box.log
-	}
-	return nil
-}
-
 // WALStats returns the attached log's counters (zero Stats, false when
 // no log is attached).
 func (e *Engine) WALStats() (wal.Stats, bool) {
