@@ -489,8 +489,9 @@ func BenchmarkUncontendedIncrement(b *testing.B) {
 }
 
 // BenchmarkRepeatedReadSweep measures loop-heavy re-reading of a fixed
-// footprint through the public facade: per-load cost must stay flat as
-// passes multiply, because the read set is deduplicated per orec.
+// footprint through the public facade, in a Run that writes nothing and
+// so logs every read: per-load cost stays flat as passes multiply,
+// because each load appends one read-set entry.
 func BenchmarkRepeatedReadSweep(b *testing.B) {
 	const words = 64
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 16})
@@ -514,7 +515,7 @@ func BenchmarkRepeatedReadSweep(b *testing.B) {
 					}
 					_ = sink
 					return nil
-				}, stm.ReadOnly())
+				})
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*passes*words), "ns/load")
 		})

@@ -36,6 +36,12 @@ func (e *Engine) Checkpoint(log *wal.Log) (online bool, err error) {
 	if cp == nil {
 		cp = e.checkpointImageSTW(log)
 	}
+	// The floor must not outrun the log: a crash after the image lands
+	// but before the flusher syncs through cp.LastSeq would leave a
+	// floor above every record on disk.
+	if cp.LastSeq > 0 && !log.WaitDurable(cp.LastSeq) {
+		return online, fmt.Errorf("core: checkpoint at seq %d: the log stopped below it (durable %d)", cp.LastSeq, log.DurableSeq())
+	}
 	if err := wal.WriteCheckpoint(log.Dir(), cp); err != nil {
 		return online, err
 	}

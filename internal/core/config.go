@@ -25,13 +25,13 @@
 // words sharing an orec with one protocol round trip — the primitives
 // behind the public typed object layer (stm.Ref).
 //
-// Per-transaction bookkeeping is footprint-bounded: the read set is
-// deduplicated per orec and the write set holds one entry per unique
-// address, so validation, extension and commit cost scale with the unique
-// locations a transaction touches, never with the operations it executes.
-// Set-membership lookups run as inline linear scans behind a one-word
-// first-touch filter while sets are small, and as one find-or-insert probe
-// of a generation-stamped open-addressed index (txIndex) beyond.
+// The read set is an append log, as in TL2: every logged read adds one
+// entry, so validation and extension cost scale with the reads executed.
+// The write set holds one entry per unique address and the lock set one
+// per orec, so commit cost scales with the unique locations written. Their
+// lookups run as inline linear scans behind a one-word first-touch filter
+// while the sets are small, and as one find-or-insert probe of a
+// generation-stamped open-addressed index (txIndex) beyond.
 // Commit-time validation is skipped when no foreign commit has landed
 // since the snapshot (the TL2 rule). See tx.go and txindex.go.
 //

@@ -11,41 +11,34 @@ import (
 	"repro/internal/memory"
 )
 
-// TestReadSetBoundedByFootprint is the regression test for read-set
-// deduplication: len(tx.rs) must be bounded by the number of unique orecs
-// read, no matter how many loads the transaction executes. The reads run
-// in an update Run that writes nothing: a ReadOnly() first attempt keeps
-// no read set at all.
-func TestReadSetBoundedByFootprint(t *testing.T) {
-	cases := []struct {
-		name      string
-		words     int
-		granShift uint
-		passes    int
-		wantOrecs int
-	}{
-		// Small footprint: the linear-scan fast path.
-		{"small", 8, 0, 100, 8},
-		// Large footprint: the open-addressed index path.
-		{"large", 200, 0, 20, 200},
-		// Several words per orec: the bound is orecs, not addresses.
-		{"coarse-grain", 64, 3, 50, 8},
+// TestReadSetLogsEveryRead pins the read set's cost model: it is an append
+// log, as in TL2, so every logged read adds one entry. k passes of Load
+// over w words leave exactly k·w entries, and one LoadWords adds one entry
+// per orec of each window's span. The reads run in an update Run that
+// writes nothing: a ReadOnly() first attempt keeps no read set at all.
+func TestReadSetLogsEveryRead(t *testing.T) {
+	setup := func(t *testing.T, granShift uint, words int) (*Thread, memory.Addr) {
+		cfg := DefaultPartConfig()
+		cfg.GranShift = granShift
+		e := newTestEngine(t, cfg)
+		th := e.BorrowThread()
+		t.Cleanup(func() { e.ReturnThread(th) })
+		var base memory.Addr
+		th.Run(func(tx *Tx) error {
+			base = tx.Alloc(memory.SiteID(0), words)
+			for i := 0; i < words; i++ {
+				tx.Store(base+memory.Addr(i), uint64(i))
+			}
+			return nil
+		})
+		return th, base
 	}
-	for _, tc := range cases {
+	for _, tc := range []struct {
+		name          string
+		words, passes int
+	}{{"small", 8, 100}, {"large", 200, 20}} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultPartConfig()
-			cfg.GranShift = tc.granShift
-			e := newTestEngine(t, cfg)
-			th := e.BorrowThread()
-			defer e.ReturnThread(th)
-			var base memory.Addr
-			th.Run(func(tx *Tx) error {
-				base = tx.Alloc(memory.SiteID(0), tc.words)
-				for i := 0; i < tc.words; i++ {
-					tx.Store(base+memory.Addr(i), uint64(i))
-				}
-				return nil
-			})
+			th, base := setup(t, 0, tc.words)
 			th.Run(func(tx *Tx) error {
 				for p := 0; p < tc.passes; p++ {
 					for i := 0; i < tc.words; i++ {
@@ -54,14 +47,31 @@ func TestReadSetBoundedByFootprint(t *testing.T) {
 						}
 					}
 				}
-				if got := tx.ReadSetLen(); got != tc.wantOrecs {
-					t.Fatalf("read set has %d entries after %d loads; want %d (unique orecs)",
-						got, tc.passes*tc.words, tc.wantOrecs)
+				if got, want := len(tx.rs), tc.passes*tc.words; got != want {
+					t.Fatalf("%d passes over %d words: read set has %d entries, want %d",
+						tc.passes, tc.words, got, want)
 				}
 				return nil
 			})
 		})
 	}
+	t.Run("coarse-grain", func(t *testing.T) {
+		const words = 64
+		th, base := setup(t, 3, words) // 8 words per orec
+		want := 0                      // orecs in each sweepWords window's span
+		for w := uint64(base); w < uint64(base)+words; w += sweepWords {
+			want += int((w+sweepWords-1)>>3 - w>>3 + 1)
+		}
+		th.Run(func(tx *Tx) error {
+			dst := make([]uint64, words)
+			tx.LoadWords(base, dst)
+			if got := len(tx.rs); got != want {
+				t.Fatalf("LoadWords of %d words logged %d entries, want %d (one per orec of each window)",
+					words, got, want)
+			}
+			return nil
+		})
+	})
 }
 
 // TestWriteSetDedupAllModes checks the open-addressed write-set index in
@@ -103,7 +113,7 @@ func TestWriteSetDedupAllModes(t *testing.T) {
 							tx.Store(base+memory.Addr(i), uint64(round*1000+i))
 						}
 					}
-					if got := tx.WriteSetLen(); got != words {
+					if got := len(tx.ws); got != words {
 						t.Fatalf("write set has %d entries after %d stores; want %d",
 							got, 5*words, words)
 					}
@@ -454,8 +464,8 @@ func TestStatsExactAcrossAttempts(t *testing.T) {
 
 // TestTortureWriteModes is the write-set-index torture: for each write
 // mode (WB, WT, CTL) several workers hammer wide transfers (write sets
-// beyond the inline-probe threshold) and full scans (read sets beyond the
-// linear fast path) while the total is conserved.
+// beyond the inline-probe threshold) and full scans (long read-set logs,
+// validated and extended under contention) while the total is conserved.
 func TestTortureWriteModes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("torture test skipped in -short mode")

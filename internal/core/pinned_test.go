@@ -92,7 +92,7 @@ func TestPinnedScanKeepsNoReadSet(t *testing.T) {
 			tx.LoadWords(o, words[:])
 			sum += words[0]
 		}
-		rsLen = tx.ReadSetLen()
+		rsLen = len(tx.rs)
 		return nil
 	}
 	opts := []TxOpt{Snapshot(), OnAbort(func(AbortCause, int) { aborts++ })}
@@ -143,7 +143,7 @@ func TestSnapshotWithoutStoreStillLogs(t *testing.T) {
 		for j := 0; j < cells/2; j++ {
 			tx.Load(base + memory.Addr(j))
 		}
-		if got := tx.ReadSetLen(); got != cells/2 {
+		if got := len(tx.rs); got != cells/2 {
 			t.Errorf("read set = %d entries after %d loads, want one per orec", got, cells/2)
 		}
 		before := tx.Snapshot()
@@ -209,7 +209,7 @@ func TestPinnedMissDegradesToLogging(t *testing.T) {
 		for j := 0; j < cells; j++ {
 			sum += tx.Load(base + memory.Addr(j))
 		}
-		rs, hits := tx.ReadSetLen(), int(tx.SnapshotHits())
+		rs, hits := len(tx.rs), int(tx.SnapshotHits())
 		if attempt == 1 && rs != 0 {
 			t.Errorf("first attempt logged %d reads on a store-backed partition", rs)
 		}
@@ -295,13 +295,13 @@ func TestMixedFootprintNeverExtendsOnceUnlogged(t *testing.T) {
 		before := tx.Snapshot()
 		bump(bare + 1)
 		tx.Load(bare + 1)
-		if tx.Snapshot() <= before || tx.ReadSetLen() != 2 {
+		if tx.Snapshot() <= before || len(tx.rs) != 2 {
 			t.Errorf("logged-only attempt: snapshot %d -> %d, read set %d; want an extension and 2 entries",
-				before, tx.Snapshot(), tx.ReadSetLen())
+				before, tx.Snapshot(), len(tx.rs))
 		}
 		tx.Load(backed) // fresh at the extended snapshot: unlogged
-		if tx.ReadSetLen() != 2 {
-			t.Errorf("store-backed read was logged (read set %d)", tx.ReadSetLen())
+		if len(tx.rs) != 2 {
+			t.Errorf("store-backed read was logged (read set %d)", len(tx.rs))
 		}
 		return nil
 	}, Snapshot(), onAbort)
@@ -323,8 +323,8 @@ func TestMixedFootprintNeverExtendsOnceUnlogged(t *testing.T) {
 		tx.Load(bare)
 		if attempt == 1 {
 			t.Error("first attempt survived a stale read after an unlogged one")
-		} else if tx.ReadSetLen() != 2 {
-			t.Errorf("retry logged %d reads, want 2 (both partitions)", tx.ReadSetLen())
+		} else if len(tx.rs) != 2 {
+			t.Errorf("retry logged %d reads, want 2 (both partitions)", len(tx.rs))
 		}
 		return nil
 	}, Snapshot(), onAbort)

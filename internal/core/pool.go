@@ -23,7 +23,7 @@ import (
 //     slot in an empty entry with one CAS; the next borrow lifts it out
 //     with one CAS and owns the Thread directly, touching nothing else —
 //     a hot goroutine keeps getting the same Thread, so its allocator
-//     magazines, transaction index and first-touch filters stay warm
+//     magazines, transaction indexes and write-set filter stay warm
 //     across calls. Unlike tokens in a sync.Pool, cached claims live in
 //     an Engine field, so a GC can never drop one and strand its slot.
 //   - poolFree is a 64-bit bitmap with one bit per slot (set = idle

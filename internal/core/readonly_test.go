@@ -56,7 +56,7 @@ func TestReadOnlyFirstAttemptLogsNothing(t *testing.T) {
 		for _, v := range rest {
 			sum += v
 		}
-		rsLen = tx.ReadSetLen()
+		rsLen = len(tx.rs)
 		return nil
 	}, ReadOnly(), OnAbort(func(AbortCause, int) { aborts++ }))
 	if err != nil || aborts != 0 {
@@ -117,7 +117,7 @@ func TestReadOnlyStaleReadRetriesLogged(t *testing.T) {
 		if tx.Snapshot() <= before {
 			t.Errorf("retry did not extend: snapshot %d -> %d", before, tx.Snapshot())
 		}
-		if n := tx.ReadSetLen(); n != 2 {
+		if n := len(tx.rs); n != 2 {
 			t.Errorf("retry logged %d reads, want 2", n)
 		}
 		return nil

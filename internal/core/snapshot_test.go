@@ -238,7 +238,7 @@ func TestSnapshotUpgradeOnWrite(t *testing.T) {
 	defer e.ReturnThread(th)
 	sawSnap, sawUpdate := false, false
 	th.Run(func(tx *Tx) error {
-		if tx.SnapshotMode() {
+		if tx.snapMode {
 			sawSnap = true
 		} else {
 			sawUpdate = true

@@ -79,7 +79,7 @@ type Tx struct {
 	//
 	// unlogged marks the FIRST attempt of a read-only Run (ReadOnly or
 	// Snapshot), as TL2 runs its read-only transactions: a read valid at the
-	// snapshot is not recorded (rs and rsIdx stay untouched) on an invisible
+	// snapshot is not recorded (rs stays untouched) on an invisible
 	// partition — in snapshot mode only on one with a store, whose reads
 	// may also be reconstructed. pinned is set by the first such read, and
 	// by every reconstructed read, logged or not: from then on the snapshot
@@ -119,14 +119,13 @@ type Tx struct {
 	frees   []allocRec
 	touched []touchRec
 
-	// Footprint-bounded lookup structure (txindex.go): every per-access
-	// search (read-set dedup, write-set probe, own-lock lookup) runs an
-	// inline linear scan behind a one-word first-touch filter while the set
-	// is small, and one find-or-insert probe of a generation-stamped index
-	// once it outgrows the scan. The lock set, searched only by validation
-	// and history publication, mirrors new entries lazily (lkIndexed counts
-	// those mirrored so far).
-	rsIdx     txIndex
+	// Footprint-bounded lookup structure (txindex.go) for the write and
+	// lock sets (the read set is a plain append log): a write-set probe
+	// runs an inline linear scan behind a one-word first-touch filter while
+	// the set is small, and one find-or-insert probe of a
+	// generation-stamped index once it outgrows the scan. The lock set,
+	// searched only by validation and history publication, mirrors new
+	// entries lazily (lkIndexed counts those mirrored so far).
 	wsIdx     txIndex
 	lkIdx     txIndex
 	lkIndexed int
@@ -179,10 +178,6 @@ func (tx *Tx) Snapshot() uint64 { return tx.snapshot }
 // ReadOnly reports whether this attempt runs in read-only mode.
 func (tx *Tx) ReadOnly() bool { return tx.readOnly }
 
-// SnapshotMode reports whether this attempt runs as a snapshot read-only
-// transaction (see the Snapshot option).
-func (tx *Tx) SnapshotMode() bool { return tx.snapMode }
-
 // SnapshotHits reports how many reads of this attempt were reconstructed
 // from a partition's multi-version store (exposed for tests and
 // experiments).
@@ -217,7 +212,6 @@ func (tx *Tx) begin(readOnly, snap, unlogged bool) {
 	tx.allocs = tx.allocs[:0]
 	tx.frees = tx.frees[:0]
 	tx.touched = tx.touched[:0]
-	tx.rsIdx.reset()
 	tx.wsIdx.reset()
 	tx.lkIdx.reset()
 	tx.lkIndexed = 0
@@ -309,7 +303,6 @@ func (tx *Tx) resolveBlock(addr memory.Addr) {
 // a couple of cache lines and a scan beats a hash probe); above, lookups go
 // through the generation-stamped index.
 const (
-	rsSmallMax = 16
 	wsSmallMax = 8
 	lkSmallMax = 8
 )
@@ -381,15 +374,6 @@ func (tx *Tx) lkFind(o *orec) int {
 	}
 	return tx.lkIdx.get(orecKey(o))
 }
-
-// ReadSetLen reports the current number of read-set entries. Deduplication
-// bounds it by the number of unique orecs the transaction has read, not by
-// the number of loads executed (exposed for tests and experiments).
-func (tx *Tx) ReadSetLen() int { return len(tx.rs) }
-
-// WriteSetLen reports the current number of write-set entries (one per
-// unique address written).
-func (tx *Tx) WriteSetLen() int { return len(tx.ws) }
 
 // tick counts one transactional operation; the count reaches other threads
 // only when one of them can need it (publishOwner).
@@ -542,45 +526,13 @@ func (tx *Tx) loadInvisible(ps *partState, o *orec, addr memory.Addr, ti int) ui
 // logRead records a read of orec o that observed version ver, valid at the
 // snapshot. The first attempt of a read-only Run keeps no read set (in
 // snapshot mode, on a store-backed partition): it pins the snapshot instead
-// (see Tx.unlogged).
-//
-// Otherwise, dedup per orec: a repeat read of an orec whose recorded
-// version still matches adds nothing to validate — the read set stays
-// bounded by the unique orecs touched, not the loads executed. (A version
-// mismatch on a repeat read cannot pass the callers' snapshot check — any
-// commit to the orec postdates the snapshot — but if it ever did,
-// appending a second entry keeps validation exact, and the index is
-// repointed at it so the next repeat dedups against the newer version.)
-// The first touch of an orec — the common case of a large scan — costs a
-// filter test while the set is small and one find-or-insert probe after.
+// (see Tx.unlogged). Otherwise the read is appended, as in TL2: a repeat
+// read of an orec adds one more entry, and validate checks each (two
+// entries for one orec at different versions fail validation).
 func (tx *Tx) logRead(ps *partState, o *orec, ver uint64) {
 	if tx.pins(ps) {
 		tx.pinned = true
 		return
-	}
-	k, n := orecKey(o), len(tx.rs)
-	if !tx.rsIdx.live() && n < rsSmallMax {
-		if tx.rsIdx.hint(k) {
-			for i := range tx.rs {
-				if tx.rs[i].o == o && tx.rs[i].ver == ver {
-					return
-				}
-			}
-		}
-		tx.rsIdx.mark(k)
-	} else {
-		if tx.rsIdx.full() {
-			// The set outgrows the scan, or the table: (re)build the index.
-			tx.rsIdx.grow(n + 1)
-			for i := range tx.rs {
-				tx.rsIdx.put(orecKey(tx.rs[i].o), i)
-			}
-		}
-		s, found := tx.rsIdx.probe(k)
-		if found && tx.rs[s.pos].ver == ver {
-			return
-		}
-		s.pos = int32(n)
 	}
 	tx.rs = append(tx.rs, readEntry{o: o, ver: ver})
 }

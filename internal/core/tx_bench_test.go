@@ -48,11 +48,11 @@ func BenchmarkWriteSetProbe(b *testing.B) {
 	}
 }
 
-// BenchmarkRepeatedReadTx measures a read-only transaction that sweeps a
-// fixed footprint of 64 words `passes` times. With read-set
-// deduplication, per-load cost must stay flat (or fall, as the fixed
-// begin/commit cost amortizes) as the loads multiply — the read set and
-// the validation work are bounded by the footprint.
+// BenchmarkRepeatedReadTx measures a transaction that sweeps a fixed
+// footprint of 64 words `passes` times and writes nothing. It runs as an
+// update Run, which logs every read (a ReadOnly() first attempt logs
+// none): the read set is an append log, so each load adds one entry and
+// per-load cost stays flat as the passes multiply.
 func BenchmarkRepeatedReadTx(b *testing.B) {
 	const words = 64
 	e := newTestEngine(b, DefaultPartConfig())
@@ -78,7 +78,7 @@ func BenchmarkRepeatedReadTx(b *testing.B) {
 					}
 					_ = sink
 					return nil
-				}, ReadOnly())
+				})
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*passes*words), "ns/load")
 		})

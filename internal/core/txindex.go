@@ -5,15 +5,15 @@ import (
 	"unsafe"
 )
 
-// txIndex is the one membership structure behind each of the transaction's
-// bookkeeping slices (read set, write set, lock set): it maps a uint64 key
-// (a heap address or an orec's pointer bits) to a position in the slice.
+// txIndex is the one membership structure behind the transaction's write
+// set and lock set (the read set is an append log and needs none): it maps
+// a uint64 key (a heap address or an orec's pointer bits) to a position in
+// the slice.
 //
 // While the set is small the table is not engaged (live() is false): the
-// caller scans its slice inline (see logRead/wsEntry/lkFind in tx.go), and
-// the one-word first-touch filter (hint/mark) lets the common query of a
-// scan — the first touch of a key, which will NOT be found — skip even
-// that. Once the set outgrows the scan every access is one find-or-insert
+// caller scans its slice inline (see wsEntry/lkFind in tx.go), and the
+// one-word first-touch filter (hint/mark) lets the common query — the
+// first touch of a key, which will NOT be found — skip even that. Once the set outgrows the scan every access is one find-or-insert
 // probe: one hash, one 16-byte slot holding key, generation stamp and
 // position, so a probe touches one cache line whether it finds the key,
 // misses, or inserts it.
@@ -22,7 +22,7 @@ import (
 // (which includes "not engaged yet") the caller grows it and puts its
 // entries back in. Growth therefore needs no rehash, and the geometry is per
 // attempt: reset disengages the table but keeps its memory, so a thread
-// that once ran a 30 000-read scan does not spread every later 100-read
+// that once wrote 30 000 words does not spread every later 100-write
 // transaction's probes over the same megabyte.
 //
 // Slots are generation-stamped: every grow starts a new generation, which

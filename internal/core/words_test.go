@@ -148,7 +148,7 @@ func TestLoadWordsReadSetGrouping(t *testing.T) {
 	th.Run(func(tx *Tx) error {
 		dst := make([]uint64, n)
 		tx.LoadWords(base, dst)
-		if got := tx.ReadSetLen(); got != len(distinct) {
+		if got := len(tx.rs); got != len(distinct) {
 			t.Fatalf("read set = %d entries for %d distinct orecs", got, len(distinct))
 		}
 		return nil
@@ -169,7 +169,7 @@ func TestLoadWordsReadSetGrouping(t *testing.T) {
 				t.Fatalf("word %d = %d, want %d", i, v, want)
 			}
 		}
-		if got := tx.ReadSetLen(); got != 3 {
+		if got := len(tx.rs); got != 3 {
 			t.Fatalf("misaligned 8-word read logged %d entries, want 3", got)
 		}
 		return nil
@@ -179,7 +179,7 @@ func TestLoadWordsReadSetGrouping(t *testing.T) {
 // TestLoadWordsSpanWrap: on a 16-orec table, a range whose orec span runs
 // past the table end (and, at 20 words, aliases its own first orecs)
 // reads the right words and logs exactly the read set of one Load per
-// word.
+// word. The reads run in update Runs that write nothing, which log them.
 func TestLoadWordsSpanWrap(t *testing.T) {
 	cfg := DefaultPartConfig()
 	cfg.LockBits = 4
@@ -203,9 +203,9 @@ func TestLoadWordsSpanWrap(t *testing.T) {
 			for i := 0; i < words; i++ {
 				tx.Load(start + memory.Addr(i))
 			}
-			perWord = tx.ReadSetLen()
+			perWord = len(tx.rs)
 			return nil
-		}, ReadOnly())
+		})
 		th.Run(func(tx *Tx) error {
 			dst := make([]uint64, words)
 			tx.LoadWords(start, dst)
@@ -214,11 +214,11 @@ func TestLoadWordsSpanWrap(t *testing.T) {
 					t.Fatalf("%d words: word %d = %d, want %d", words, i, v, want)
 				}
 			}
-			if got := tx.ReadSetLen(); got != perWord {
+			if got := len(tx.rs); got != perWord {
 				t.Fatalf("%d words: read set = %d entries, per-word path %d", words, got, perWord)
 			}
 			return nil
-		}, ReadOnly())
+		})
 	}
 }
 
@@ -545,7 +545,7 @@ func TestReadOnlyRangeAllocFree(t *testing.T) {
 	body := func(tx *Tx) error {
 		sum = 0
 		tx.LoadRange(base, n, add)
-		rsLen = tx.ReadSetLen()
+		rsLen = len(tx.rs)
 		return nil
 	}
 	opts := []TxOpt{ReadOnly()}

@@ -184,11 +184,10 @@ func TestSyncHeldRepliesAreBounded(t *testing.T) {
 			}
 		}
 	}()
-	peak, held := 0, 0
+	peak := 0
 	p.readAll(n, func(resp *wire.TxnResp) {
 		if resp.ID%8 == 0 {
 			peak = max(peak, runtime.NumGoroutine())
-			held = max(held, srv.HeldReplies())
 		}
 	})
 	// The connection's reader and releaser are in the baseline; on top of
@@ -197,8 +196,10 @@ func TestSyncHeldRepliesAreBounded(t *testing.T) {
 	if limit := base + 1 + 4; peak > limit {
 		t.Fatalf("goroutines mid-flight: %d (baseline %d), want at most %d", peak, base, limit)
 	}
-	if held == 0 || held > server.MaxHeld {
-		t.Fatalf("most replies seen held at once: %d, want 1..%d", held, server.MaxHeld)
+	// The server records its own peak: a sample taken from here can miss
+	// every held reply when the releaser drains them first (one P).
+	if held := srv.HeldPeak(); held == 0 || held > server.MaxHeld {
+		t.Fatalf("most replies held at once: %d, want 1..%d", held, server.MaxHeld)
 	}
 	p.write(reqFrame(t, 1, getAll(nKeys)...))
 	if sum := sumWord0(p.readOK().Results); sum != 0 {

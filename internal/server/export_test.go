@@ -18,5 +18,18 @@ func (s *Server) HeldReplies() int {
 	return n
 }
 
+// HeldPeak is the most replies any live connection has held at once.
+func (s *Server) HeldPeak() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for c := range s.conns {
+		c.hmu.Lock()
+		n = max(n, c.hpeak)
+		c.hmu.Unlock()
+	}
+	return n
+}
+
 // MaxHeld is the per-connection bound on held replies.
 const MaxHeld = maxHeld

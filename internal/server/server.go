@@ -294,6 +294,7 @@ type conn struct {
 	hcond    sync.Cond
 	held     []heldReply
 	hframes  []byte        // the held replies' frames, back to back
+	hpeak    int           // the most replies ever held at once
 	hdone    bool          // the reader has finished
 	released chan struct{} // closed when the releaser has; nil without one
 }
@@ -413,6 +414,7 @@ func (c *conn) hold(id, gate uint64, reply []byte) {
 	}
 	c.hframes = wire.AppendFrame(c.hframes, reply)
 	c.held = append(c.held, heldReply{id: id, gate: gate, end: len(c.hframes)})
+	c.hpeak = max(c.hpeak, len(c.held))
 	c.hmu.Unlock()
 	c.hcond.Signal()
 }

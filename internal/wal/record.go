@@ -347,9 +347,10 @@ func readSegment(path string) (data []byte, zeros int64, err error) {
 
 // RecoveryInfo summarizes what Open found and repaired.
 type RecoveryInfo struct {
-	// Segments is the number of valid segment files found.
+	// Segments is the number of valid segment files kept: a segment the
+	// checkpoint floor wholly covers is removed and not counted.
 	Segments int
-	// Records is the number of validated records across all segments.
+	// Records is the number of validated records across the kept segments.
 	Records uint64
 	// LastSeq is the highest durable sequence number recovered (0 when
 	// the log is empty and no checkpoint floor was given).
@@ -401,8 +402,11 @@ func recoverSegments(dir string, floor uint64) ([]segmentInfo, *RecoveryInfo, er
 			}
 			return nil, nil, err
 		}
-		if len(out) > 0 && start != info.LastSeq+1 {
-			return nil, nil, fmt.Errorf("wal: segment %s starts at seq %d, want %d (gap)", seg.path, start, info.LastSeq+1)
+		// LastSeq never drops below the floor, so the first segment past
+		// the floor must start at or before floor+1, and every later one
+		// right after its predecessor's last record.
+		if want := info.LastSeq + 1; start > want || len(out) > 0 && start != want {
+			return nil, nil, fmt.Errorf("wal: segment %s starts at seq %d, want %d (gap)", seg.path, start, want)
 		}
 		expect := start
 		valid, torn, err := walkFrames(data[segHeaderSize:], zeros, func(payload []byte) error {
@@ -433,10 +437,18 @@ func recoverSegments(dir string, floor uint64) ([]segmentInfo, *RecoveryInfo, er
 				return nil, nil, err
 			}
 		}
-		info.Records += expect - start
-		if expect > start {
-			info.LastSeq = expect - 1
+		if expect <= floor+1 {
+			// Every record is at or below the floor: the checkpoint
+			// covers the segment, so it goes, as TruncateBefore would
+			// have removed it (an empty segment at 1 goes with floor 0,
+			// as the empty tail below would).
+			if err := os.Remove(seg.path); err != nil {
+				return nil, nil, err
+			}
+			continue
 		}
+		info.Records += expect - start
+		info.LastSeq = max(info.LastSeq, expect-1)
 		lastRecs = expect - start
 		out = append(out, seg)
 	}
@@ -456,9 +468,6 @@ func recoverSegments(dir string, floor uint64) ([]segmentInfo, *RecoveryInfo, er
 		out = out[:n-1]
 	}
 	info.Segments = len(out)
-	if info.LastSeq < floor {
-		info.LastSeq = floor
-	}
 	return out, info, nil
 }
 

@@ -44,6 +44,15 @@
 // (Crashpoint) turns every window of the protocol into a testable SIGKILL
 // site.
 //
+// The checkpoint floor (Options.StartSeq) obeys one rule on each side. A
+// checkpoint never records a sequence above the durable watermark: the
+// engine waits for the log to sync through the image's floor before it
+// writes the image, and fails the checkpoint if the log stops first.
+// Recovery measures gaps from the floor: the first segment kept must
+// start at or below floor+1, and a segment whose records all lie at or
+// below the floor is removed, as TruncateBefore would have removed it. So
+// a directory whose floor already lies above its log still reopens.
+//
 // A stated limit. A process crash (SIGKILL, panic, OOM) leaves the file
 // as the page cache has it: a prefix of what was written, then zeros.
 // A power loss is not bound to that: the blocks of the last, never-acked

@@ -307,6 +307,35 @@ func TestReopenReusesEmptyTailSegment(t *testing.T) {
 	}
 }
 
+// TestFloorAheadOfTheLogReopens: a checkpoint floor above the log's last
+// record (the shape a checkpoint of an unsynced horizon left behind when
+// the process died) must reopen twice. The first reopen resumes at the
+// floor; the second must measure the next segment's start from the floor,
+// not from the covered segment's last record, and drop that segment.
+func TestFloorAheadOfTheLogReopens(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openTest(t, dir, Options{})
+	publishN(t, l, 1, 42)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, info := openTest(t, dir, Options{StartSeq: 43})
+	if info.LastSeq != 43 {
+		t.Fatalf("first reopen: LastSeq = %d, want the floor 43", info.LastSeq)
+	}
+	publishN(t, l2, 44, 3)
+	if err := l2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs := collect(t, dir, 43)
+	if len(recs) != 3 || recs[0].Seq != 44 || recs[2].Seq != 46 {
+		t.Fatalf("second reopen replayed %+v, want seqs 44..46", recs)
+	}
+	if _, err := os.Stat(filepath.Join(dir, segName(1))); !os.IsNotExist(err) {
+		t.Fatalf("segment wholly below the floor still on disk (stat: %v)", err)
+	}
+}
+
 // TestCorruptLengthMidLogFails: corrupting a frame's LENGTH field (not
 // its payload) in the middle of the log must still be detected as
 // mid-log corruption — the search for surviving later frames cannot

@@ -1,52 +1,13 @@
 package stm_test
 
 import (
-	"bytes"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"repro/stm"
 )
-
-// TestUnPartitionRestoresSingleGlobal checks the partition→unpartition
-// round trip: after UnPartition every address routes to the global
-// partition again and transactions still run.
-func TestUnPartitionRestoresSingleGlobal(t *testing.T) {
-	rt := stm.MustNew(stm.Config{HeapWords: 1 << 16})
-	rt.StartProfiling()
-	sA := rt.RegisterSite("up.a")
-	sB := rt.RegisterSite("up.b")
-	var a, b stm.Addr
-	rt.Run(func(tx *stm.Tx) error {
-		a = tx.Alloc(sA, 2)
-		b = tx.Alloc(sB, 2)
-		tx.StoreAddr(a, a+1) // self-edges so both sites appear in the graph
-		tx.StoreAddr(b, b+1)
-		return nil
-	})
-	if _, err := rt.StopProfilingAndPartition(); err != nil {
-		t.Fatal(err)
-	}
-	if rt.NumPartitions() < 2 {
-		t.Fatalf("expected >1 partitions, got %d", rt.NumPartitions())
-	}
-	if err := rt.UnPartition(); err != nil {
-		t.Fatal(err)
-	}
-	if got := rt.PartitionOf(a); got != stm.GlobalPartition {
-		t.Fatalf("a in partition %d after UnPartition", got)
-	}
-	if got := rt.PartitionOf(b); got != stm.GlobalPartition {
-		t.Fatalf("b in partition %d after UnPartition", got)
-	}
-	rt.Run(func(tx *stm.Tx) error { tx.Store(a, 42); return nil })
-	rt.Run(func(tx *stm.Tx) error {
-		if tx.Load(a) != 42 {
-			t.Error("lost store after UnPartition")
-		}
-		return nil
-	})
-}
 
 // TestPartitionNamesAndConfig covers the read-side inspection surface.
 func TestPartitionNamesAndConfig(t *testing.T) {
@@ -201,19 +162,20 @@ func TestPlanPersistenceAcrossRuntimes(t *testing.T) {
 	if err := rt1.Reconfigure(stm.PartID(1), cfg); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := rt1.SavePlan(&buf, plan); err != nil {
+	path := filepath.Join(t.TempDir(), "plan.json")
+	if err := rt1.SavePlanFile(path, plan); err != nil {
 		t.Fatal(err)
 	}
+	saved, _ := os.ReadFile(path)
 
 	// Second run: same sites (fresh runtime), load the plan.
 	rt2 := stm.MustNew(stm.Config{HeapWords: 1 << 16})
 	for _, s := range []string{"pp.a.head", "pp.a.node", "pp.b.head", "pp.b.node"} {
 		rt2.RegisterSite(s)
 	}
-	loaded, err := rt2.LoadAndInstallPlan(bytes.NewReader(buf.Bytes()))
+	loaded, err := rt2.LoadAndInstallPlanFile(path)
 	if err != nil {
-		t.Fatalf("load failed: %v\nsaved: %s", err, buf.String())
+		t.Fatalf("load failed: %v\nsaved: %s", err, saved)
 	}
 	if loaded.NumPartitions() != plan.NumPartitions() {
 		t.Fatalf("partitions %d != %d", loaded.NumPartitions(), plan.NumPartitions())
@@ -230,7 +192,7 @@ func TestPlanPersistenceAcrossRuntimes(t *testing.T) {
 		}
 	}
 	if !carried {
-		t.Fatalf("tuned configuration lost across runtimes\nsaved: %s", buf.String())
+		t.Fatalf("tuned configuration lost across runtimes\nsaved: %s", saved)
 	}
 	// And the reloaded runtime must still run transactions.
 	site, _ := rt2.Sites().Lookup("pp.a.node")

@@ -22,7 +22,7 @@ import (
 // publishes its snapshot-history records as one contiguous group that
 // snapshot readers reconstruct with a single index probe.
 //
-// The zero Ref is nil: IsNil reports it and Load/Store panic on it.
+// The zero Ref is nil: its Addr is Nil and Load/Store panic on it.
 type Ref[T any] struct {
 	addr  Addr
 	words int32
@@ -63,9 +63,6 @@ func (r Ref[T]) Addr() Addr { return r.addr }
 
 // Words returns the object's size in heap words (0 for the nil Ref).
 func (r Ref[T]) Words() int { return int(r.words) }
-
-// IsNil reports whether the Ref is the nil handle.
-func (r Ref[T]) IsNil() bool { return r.addr == Nil }
 
 // WordAddr returns the heap address of the object's i-th word, for mixing
 // Ref objects with the word-level escape hatch (e.g. Tx.StoreAddr on a

@@ -27,7 +27,7 @@ type oddSized struct {
 type subWordAligned struct{ A, B uint32 }
 
 // TestRefRoundTrip checks Load(Store(v)) == v for word-multiple and
-// odd-sized types, plus the handle surface (Addr, Words, RefAt, IsNil).
+// odd-sized types, plus the handle surface (Addr, Words, RefAt, the nil Ref).
 func TestRefRoundTrip(t *testing.T) {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 16})
 	site := rt.RegisterSite("ref.rt")
@@ -75,11 +75,11 @@ func TestRefRoundTrip(t *testing.T) {
 		return nil
 	}, stm.ReadOnly())
 
-	if !stm.RefAt[account](stm.Nil).IsNil() {
+	if stm.RefAt[account](stm.Nil).Addr() != stm.Nil {
 		t.Fatal("RefAt(Nil) is not nil")
 	}
 	var zero stm.Ref[account]
-	if !zero.IsNil() {
+	if zero.Addr() != stm.Nil {
 		t.Fatal("zero Ref is not nil")
 	}
 }

@@ -453,15 +453,11 @@ func (r *Runtime) ManualPartition(groups map[string][]string) (*Plan, error) {
 	return p, nil
 }
 
-// UnPartition reinstalls the single-global-partition baseline.
-func (r *Runtime) UnPartition() error {
-	return r.InstallPlan(partition.SingleGlobalPlan(r.arena.Sites(), r.baseCfg))
-}
-
 // SavePlan serializes the plan together with each partition's CURRENT
 // engine configuration (i.e. what the tuner learned, not the plan's
 // initial configs) as reviewable JSON. Reload it in a later run with
-// LoadAndInstallPlan to warm-start partitioning and tuning.
+// LoadAndInstallPlanFile to warm-start partitioning and tuning (SavePlanFile
+// writes it atomically, with a checksum).
 func (r *Runtime) SavePlan(w io.Writer, p *Plan) error {
 	return p.Save(w, r.arena.Sites(), r.currentConfigs(p))
 }
@@ -479,20 +475,6 @@ func (r *Runtime) currentConfigs(p *Plan) []PartConfig {
 		}
 	}
 	return configs
-}
-
-// LoadAndInstallPlan reads a plan saved by SavePlan, rebinds it to the
-// current site table (every saved site must already be registered), and
-// installs it. It returns the loaded plan.
-func (r *Runtime) LoadAndInstallPlan(rd io.Reader) (*Plan, error) {
-	p, err := partition.LoadPlan(rd, r.arena.Sites(), r.baseCfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.InstallPlan(p); err != nil {
-		return nil, err
-	}
-	return p, nil
 }
 
 // ErrCorruptPlan marks a plan file that failed integrity validation (torn
@@ -611,10 +593,6 @@ func (r *Runtime) LatencyStats() LatencyStats { return r.eng.LatencySnapshot() }
 
 // PartitionStats returns the snapshot for one partition.
 func (r *Runtime) PartitionStats(id PartID) PartStats { return r.eng.StatsSnapshot(id) }
-
-// Engine exposes the underlying engine for benchmarks and tests that need
-// low-level control.
-func (r *Runtime) Engine() *core.Engine { return r.eng }
 
 // HeapInUseBlocks reports how many heap blocks have been handed out.
 func (r *Runtime) HeapInUseBlocks() uint64 { return r.arena.BlocksInUse() }

@@ -113,14 +113,6 @@ func TestManualPartitionAndReconfigure(t *testing.T) {
 	if rt.PartitionOf(addr) != 1 {
 		t.Fatalf("addr in partition %d", rt.PartitionOf(addr))
 	}
-
-	// Back to the baseline.
-	if err := rt.UnPartition(); err != nil {
-		t.Fatal(err)
-	}
-	if rt.NumPartitions() != 1 {
-		t.Fatalf("UnPartition left %d partitions", rt.NumPartitions())
-	}
 }
 
 func TestProfilingPipeline(t *testing.T) {

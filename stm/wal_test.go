@@ -2,8 +2,11 @@ package stm_test
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/stm"
 )
@@ -123,7 +126,7 @@ func TestWALRecoveryIdempotent(t *testing.T) {
 		defer func() {
 			r.WAL().Abandon() // do not extend the log with flush artifacts
 		}()
-		arena := r.Engine().Arena()
+		arena := stm.ArenaOf(r)
 		used := arena.BlocksInUse() << arena.BlockShift()
 		out := make([]uint64, used)
 		for a := uint64(0); a < used; a++ {
@@ -279,6 +282,48 @@ func TestAsyncRunAfterCrashStaysSilent(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatalf("async Run after crash = %v, want nil", err)
+	}
+}
+
+// TestCheckpointFloorIsDurable: a checkpoint never records a floor the
+// log has not synced. On a live log whose flusher would otherwise sit out
+// an hour-long window it waits for the sync; on a log that died with the
+// record unsynced it fails and writes no image.
+func TestCheckpointFloorIsDurable(t *testing.T) {
+	for _, dies := range []bool{false, true} {
+		dir := t.TempDir()
+		rt, err := stm.New(stm.Config{
+			HeapWords:  1 << 16,
+			BlockShift: 8,
+			WAL:        &stm.WALConfig{Dir: dir, Durability: stm.DurabilityAsync, GroupCommitInterval: time.Hour},
+		})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		site := rt.RegisterSite("ckpt.cell")
+		if err := rt.Run(func(tx *stm.Tx) error {
+			tx.Store(tx.Alloc(site, 1), 1)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if dies {
+			rt.WAL().Abandon()
+		}
+		_, err = rt.Checkpoint()
+		_, statErr := os.Stat(filepath.Join(dir, "CHECKPOINT"))
+		switch {
+		case dies && (err == nil || statErr == nil):
+			t.Fatalf("checkpoint over a dead log: err %v, image present %v", err, statErr == nil)
+		case !dies && err != nil:
+			t.Fatalf("checkpoint over a live log: %v", err)
+		case !dies && rt.WAL().DurableSeq() < rt.WAL().SeqHorizon():
+			t.Fatalf("checkpoint returned with durable %d below horizon %d",
+				rt.WAL().DurableSeq(), rt.WAL().SeqHorizon())
+		}
+		if !dies {
+			rt.Close()
+		}
 	}
 }
 
