@@ -18,6 +18,8 @@
 // batch (served from the snapshot store, abort-free, when the server has
 // history); otherwise a two-key transfer batch (ADD −d / ADD +d) — the
 // conserved-sum workload the integration tests verify.
+//
+// netbench exits 1 when any request failed.
 package main
 
 import (
@@ -83,6 +85,7 @@ func main() {
 	if *csv {
 		fmt.Println("rate,achieved,p50_us,p99_us,p999_us,lag_ms")
 	}
+	var failed uint64
 	for _, rate := range sweep {
 		res, errs := runPoint(*addr, bench.OpenLoopConfig{
 			Threads: *threads,
@@ -91,6 +94,7 @@ func main() {
 			Measure: *measure,
 			Seed:    *seed,
 		}, *conns, *keys, *readFrac, *batchGet)
+		failed += errs
 
 		lat := res.Latency
 		if *csv {
@@ -110,11 +114,15 @@ func main() {
 	// One last connection for the server's view of the run.
 	if c, err := stmnet.Dial(*addr); err == nil {
 		if p, err := c.Stats(); err == nil {
-			fmt.Printf("server: %d txns (%d read-only, %d snapshot), %d aborts (%d snapshot), %d keys, %d collisions\n",
+			fmt.Printf("server: %d txns (%d read-only, %d snapshot), %d aborts (%d snapshot), %d keys\n",
 				p.Server.Txns, p.Server.ReadOnlyTxns, p.Server.SnapshotTxns,
-				p.Server.TxnAborts, p.Server.SnapshotAborts, p.Server.Keys, p.Server.DirCollisions)
+				p.Server.TxnAborts, p.Server.SnapshotAborts, p.Server.Keys)
 		}
 		c.Close()
+	}
+	if failed > 0 {
+		fmt.Fprintf(os.Stderr, "netbench: %d requests failed\n", failed)
+		os.Exit(1)
 	}
 }
 

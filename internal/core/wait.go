@@ -8,27 +8,27 @@ import (
 // Waiting discipline. Every bounded wait loop in the transaction
 // protocol — the snapshot reader waiting out a lock holder, a writer
 // draining visible readers, the spinning contention managers — advances
-// through stall, which escalates in three phases keyed to the
-// partition's tuned SpinBudget:
+// through stall, which escalates in three phases keyed to spinBudget:
 //
-//  1. spins <= budget: stay on-CPU. A short jittered pause (spinWait)
-//     keeps re-probes off the contended cache line without entering the
-//     scheduler, so waits shorter than a lock hold resolve in nanoseconds.
-//  2. budget < spins <= parkFactor*budget: yield. On oversubscribed
-//     hosts (goroutines >> GOMAXPROCS >> slots) the lock owner may simply
-//     not be running; runtime.Gosched every iteration gives it the
-//     processor instead of burning the core.
-//  3. spins > parkFactor*budget: park. A hold this long means the owner
-//     is descheduled or wedged; escalating time.Sleep takes this waiter
-//     off the run queue entirely so pathological holds cannot starve the
-//     scheduler.
+//  1. spins <= spinBudget: stay on-CPU. A short jittered pause
+//     (spinWait) keeps re-probes off the contended cache line without
+//     entering the scheduler, so waits shorter than a lock hold resolve
+//     in nanoseconds.
+//  2. spinBudget < spins <= parkFactor*spinBudget: yield. On
+//     oversubscribed hosts (goroutines >> GOMAXPROCS >> slots) the lock
+//     owner may simply not be running; runtime.Gosched every iteration
+//     gives it the processor instead of burning the core.
+//  3. spins > parkFactor*spinBudget: park. A hold this long means the
+//     owner is descheduled or wedged; escalating time.Sleep takes this
+//     waiter off the run queue entirely so pathological holds cannot
+//     starve the scheduler.
 //
-// Loops whose contention manager aborts at the budget never leave phase
+// Loops whose contention manager aborts at spinBudget never leave phase
 // 1; the unbounded waits (snapshot lock waits, reader draining, the
-// 8x-budget karma/timestamp patience) are the ones the yield and park
-// phases exist for. Every stall counts one WaitCycle; phases 2 and 3
-// additionally count Yields and Parks, so PartStats readers see exactly
-// how often waits escalate into the scheduler.
+// parkFactor*spinBudget karma/timestamp patience) are the ones the yield
+// and park phases exist for. Every stall counts one WaitCycle; phases 2
+// and 3 additionally count Yields and Parks, so PartStats readers see
+// exactly how often waits escalate into the scheduler.
 //
 // Wait TIME is attributed alongside the counts (SpinNs/YieldNs/ParkNs):
 // stall samples the monotonic clock once per iteration and charges the
@@ -74,10 +74,14 @@ func flushWait(st *PartThreadStats, w *waitAcct) {
 // single monotonic-clock read, half the cost of time.Now.
 var stallEpoch = time.Now()
 
-// parkFactor is the multiple of the spin budget past which a waiter
-// stops yielding and starts sleeping. It deliberately equals the
-// patience bound of the waiting contention managers (8x budget), so CM
-// waits abort before ever sleeping.
+// spinBudget bounds the contention managers' wait loops (iterations)
+// and is the number of on-CPU iterations a wait spends before it yields.
+const spinBudget = 128
+
+// parkFactor is the multiple of spinBudget past which a waiter stops
+// yielding and starts sleeping. It deliberately equals the patience
+// bound of the waiting contention managers (parkFactor*spinBudget), so
+// CM waits abort before ever sleeping.
 const parkFactor = 8
 
 // maxParkMicros caps one park at 100µs: long enough to take a wedged
@@ -85,9 +89,9 @@ const parkFactor = 8
 const maxParkMicros = 100
 
 // stall advances one iteration of a bounded wait loop; spins is the
-// 1-based iteration count, budget the partition's SpinBudget and ti the
-// partition's position in tx.touched.
-func (tx *Tx) stall(spins, budget, ti int) {
+// 1-based iteration count and ti the partition's position in
+// tx.touched.
+func (tx *Tx) stall(spins, ti int) {
 	w := &tx.touched[ti].wait
 	w.cycles++
 	now := time.Since(stallEpoch)
@@ -96,21 +100,21 @@ func (tx *Tx) stall(spins, budget, ti int) {
 		// that iteration's pause.
 		d := uint64(now - tx.stallMark)
 		switch prev := spins - 1; {
-		case prev <= budget:
+		case prev <= spinBudget:
 			w.spinNs += d
-		case prev <= parkFactor*budget:
+		case prev <= parkFactor*spinBudget:
 			w.yieldNs += d
 		default:
 			w.parkNs += d
 		}
 	}
 	tx.stallMark = now
-	if spins <= budget {
+	if spins <= spinBudget {
 		spinWait(tx.th.nextRand() & 15)
 		return
 	}
 	st := &(*tx.th.stats.Load())[tx.touched[ti].p.id]
-	if spins <= parkFactor*budget {
+	if spins <= parkFactor*spinBudget {
 		w.yields++
 		flushWait(st, w)
 		runtime.Gosched()
@@ -118,7 +122,7 @@ func (tx *Tx) stall(spins, budget, ti int) {
 	}
 	w.parks++
 	flushWait(st, w)
-	over := spins - parkFactor*budget
+	over := spins - parkFactor*spinBudget
 	if over > maxParkMicros {
 		over = maxParkMicros
 	}

@@ -215,19 +215,6 @@ func TestManualPlan(t *testing.T) {
 	if _, err := ManualPlan(sites, core.DefaultPartConfig(), map[string][]string{"x": {"m.a"}, "y": {"m.a"}}); err == nil {
 		t.Fatal("duplicate site accepted")
 	}
-}
-
-func TestSingleGlobalPlan(t *testing.T) {
-	sites := newSites(t, "s.one", "s.two")
-	p := SingleGlobalPlan(sites, core.DefaultPartConfig())
-	if p.NumPartitions() != 1 {
-		t.Fatalf("NumPartitions = %d", p.NumPartitions())
-	}
-	for s := 0; s < sites.Count(); s++ {
-		if p.PartitionOfSite(memory.SiteID(s)) != core.GlobalPartition {
-			t.Fatalf("site %d not global", s)
-		}
-	}
 	if err := p.SetConfig(7, core.DefaultPartConfig()); err == nil {
 		t.Fatal("SetConfig out of range accepted")
 	}

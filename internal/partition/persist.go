@@ -35,15 +35,14 @@ type SavedPartition struct {
 // SavedConfig is the serialized PartConfig (enums as strings, so the
 // JSON is reviewable and hand-editable).
 type SavedConfig struct {
-	Read       string `json:"read"`
-	Acquire    string `json:"acquire"`
-	Write      string `json:"write"`
-	LockBits   uint   `json:"lockBits"`
-	GranShift  uint   `json:"granShift"`
-	CM         string `json:"cm"`
-	ReaderCM   string `json:"readerCM"`
-	SpinBudget int    `json:"spinBudget"`
-	HistCap    uint   `json:"histCap,omitempty"`
+	Read      string `json:"read"`
+	Acquire   string `json:"acquire"`
+	Write     string `json:"write"`
+	LockBits  uint   `json:"lockBits"`
+	GranShift uint   `json:"granShift"`
+	CM        string `json:"cm"`
+	ReaderCM  string `json:"readerCM"`
+	HistCap   uint   `json:"histCap,omitempty"`
 }
 
 // savedPlanVersion is the current format version.
@@ -51,15 +50,14 @@ const savedPlanVersion = 1
 
 func configToSaved(c core.PartConfig) SavedConfig {
 	return SavedConfig{
-		Read:       c.Read.String(),
-		Acquire:    c.Acquire.String(),
-		Write:      c.Write.String(),
-		LockBits:   c.LockBits,
-		GranShift:  c.GranShift,
-		CM:         c.CM.String(),
-		ReaderCM:   c.ReaderCM.String(),
-		SpinBudget: c.SpinBudget,
-		HistCap:    c.HistCap,
+		Read:      c.Read.String(),
+		Acquire:   c.Acquire.String(),
+		Write:     c.Write.String(),
+		LockBits:  c.LockBits,
+		GranShift: c.GranShift,
+		CM:        c.CM.String(),
+		ReaderCM:  c.ReaderCM.String(),
+		HistCap:   c.HistCap,
 	}
 }
 
@@ -117,9 +115,6 @@ func savedToConfig(s SavedConfig) (core.PartConfig, error) {
 		c.LockBits = s.LockBits
 	}
 	c.GranShift = s.GranShift
-	if s.SpinBudget != 0 {
-		c.SpinBudget = s.SpinBudget
-	}
 	c.HistCap = s.HistCap
 	return c.Normalize(), nil
 }

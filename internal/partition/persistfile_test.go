@@ -2,6 +2,7 @@ package partition
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -121,6 +122,31 @@ func TestLoadPlanFileLegacyFormat(t *testing.T) {
 	}
 	if loaded.NumPartitions() != p.NumPartitions() {
 		t.Fatalf("legacy load lost partitions: %d != %d", loaded.NumPartitions(), p.NumPartitions())
+	}
+
+	// Enveloped files written before the spin budget became a constant
+	// carry a "spinBudget" key: the checksum covers it as written and
+	// the decoder ignores it.
+	old := []byte(`{"version":1,"partitions":[{"name":"tree","sites":["t.head","t.node"],
+		"config":{"read":"visible","lockBits":7,"cm":"karma","spinBudget":16}}]}`)
+	sum, err := planChecksum(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := json.Marshal(savedPlanFile{Version: savedPlanFileVersion, CRC32C: sum, Plan: old})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, env, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err = LoadPlanFile(path, sites, core.DefaultPartConfig())
+	if err != nil {
+		t.Fatalf("plan file with spinBudget rejected: %v", err)
+	}
+	if got := loaded.Configs[1]; loaded.NumPartitions() != 2 || got.Read != core.VisibleReads ||
+		got.LockBits != 7 || got.CM != core.CMKarma {
+		t.Fatalf("plan file with spinBudget loaded as %d partitions, config %v", loaded.NumPartitions(), got)
 	}
 }
 

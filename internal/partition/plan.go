@@ -58,17 +58,6 @@ func BuildPlan(a *Analyzer, sites *memory.Sites, defaultCfg core.PartConfig) *Pl
 	return p
 }
 
-// SingleGlobalPlan returns the baseline plan: every site in partition 0.
-// Installing it reproduces a classic unpartitioned STM.
-func SingleGlobalPlan(sites *memory.Sites, cfg core.PartConfig) *Plan {
-	return &Plan{
-		SitePart: make([]core.PartID, sites.Count()),
-		Names:    []string{"global"},
-		Groups:   [][]memory.SiteID{nil},
-		Configs:  []core.PartConfig{cfg},
-	}
-}
-
 // ManualPlan builds a plan from explicit site-name groups; used by tests,
 // by benchmarks that want a known partitioning, and as the escape hatch
 // the paper gives programmers who know better than the analysis.

@@ -83,14 +83,9 @@ type Config struct {
 	// its shutdown: Close drains in-flight transactions and then calls
 	// Runtime.Close (flushing the redo log, when one is attached).
 	Runtime *stm.Runtime
-	// SpaceName prefixes the keyed space's allocation sites. Default
-	// "kv".
-	SpaceName string
 	// Arity is the value vector size in words (1..wire.MaxArity).
 	// Default 8.
 	Arity int
-	// DirBuckets sizes the transactional key directory. Default 4096.
-	DirBuckets int
 	// MaxAttempts bounds each batch's retry loop; past it the batch
 	// fails with StatusMaxAttempts instead of retrying forever. 0 means
 	// unlimited (the default). A read-only batch may spend one attempt of
@@ -143,16 +138,13 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Runtime == nil {
 		return nil, fmt.Errorf("server: Config.Runtime is required")
 	}
-	if cfg.SpaceName == "" {
-		cfg.SpaceName = "kv"
-	}
 	if cfg.Arity == 0 {
 		cfg.Arity = 8
 	}
 	if cfg.Arity < 1 || cfg.Arity > wire.MaxArity {
 		return nil, fmt.Errorf("server: arity %d (want 1..%d)", cfg.Arity, wire.MaxArity)
 	}
-	space, err := NewKeySpace(cfg.Runtime, cfg.SpaceName, cfg.Arity, cfg.DirBuckets)
+	space, err := NewKeySpace(cfg.Runtime, cfg.Arity)
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +245,6 @@ func (s *Server) Stats() wire.ServerStats {
 		SnapshotAborts: s.stat.SnapshotAborts.Load(),
 		BadRequests:    s.stat.BadRequests.Load(),
 		Keys:           uint64(s.space.Len()),
-		DirCollisions:  s.space.DirCollisions(),
 	}
 }
 

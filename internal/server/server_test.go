@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -316,6 +317,49 @@ func TestCloseBeforeServeStarts(t *testing.T) {
 	if c, err := net.DialTimeout("tcp", lis.Addr().String(), time.Second); err == nil {
 		c.Close()
 		t.Fatal("listener still accepting after Serve returned")
+	}
+}
+
+// TestKeyCreationCost pins what creating a key costs, whatever the
+// number of keys already interned: one update commit that stores the
+// value object's arity words and loads nothing. The intern map is the
+// key space's only table; no transactional index shadows it.
+func TestKeyCreationCost(t *testing.T) {
+	const arity, n = 8, 1 << 16
+	rt := stm.MustNew(stm.Config{HeapWords: 1 << 21})
+	srv, err := server.New(server.Config{Runtime: rt, Arity: arity})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	sum := func() (st stm.PartStats) {
+		for _, p := range rt.Stats() {
+			st.Loads += p.Loads
+			st.Stores += p.Stores
+			st.UpdateCommits += p.UpdateCommits
+		}
+		return st
+	}
+	before := sum()
+	for i := 0; i < n; i++ {
+		if _, err := srv.Space().Intern(fmt.Sprintf("k%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := sum()
+	if d := got.Stores - before.Stores; d != arity*n {
+		t.Errorf("%d keys stored %d words, want %d (%.1f per key)", n, d, arity*n, float64(d)/n)
+	}
+	if d := got.Loads - before.Loads; d != 0 {
+		t.Errorf("%d keys loaded %d words, want 0 (%.1f per key)", n, d, float64(d)/n)
+	}
+	if d := got.UpdateCommits - before.UpdateCommits; d != n {
+		t.Errorf("%d keys took %d update commits, want %d", n, d, n)
+	}
+	for _, name := range rt.Sites().Names() {
+		if strings.HasPrefix(name, "kv.dir.") {
+			t.Errorf("site %q registered: the key space keeps a second table", name)
+		}
 	}
 }
 

@@ -2,40 +2,22 @@ package server
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync"
-	"sync/atomic"
 
 	"repro/stm"
-	"repro/txds"
 )
 
 // KeySpace is the server's keyed object space: string key → one
-// fixed-arity vector of 64-bit heap words. Keys are INTERNED — the
-// first write-class touch of a key allocates its value object once, at
-// a dedicated allocation site, and the key resolves to that stable
-// heap address forever after. Interning is what makes the space cheap
-// AND observable:
+// fixed-arity vector of 64-bit heap words. Keys are INTERNED: the first
+// write-class touch of a key allocates its value object once, at the
+// "kv.value" allocation site, and the key resolves to that stable heap
+// address forever after. Request execution never parses or hashes keys
+// inside the transaction: ops resolve to plain Addrs up front and the
+// batch transaction touches only heap words.
 //
-//   - Request execution never parses or hashes keys inside the
-//     transaction: ops resolve to plain Addrs up front and the batch
-//     transaction touches only heap words, so the STM's partition
-//     profiling and tuning see the keyed traffic exactly as they see
-//     any in-process workload.
-//   - The value site ("<name>.value") plus the directory's sites are
-//     ordinary profiling sites, so AutoPartition can split the keyed
-//     space away from other structures and the tuner specializes its
-//     partition (read visibility, snapshot retention, spin budgets)
-//     against real request traffic.
-//
-// The authoritative string→Addr mapping is a Go-side intern table
-// (immutable entries, RWMutex + map). A transactional directory — the
-// Ref-migrated txds.HashSet, key-hash → value address inserted through
-// InsertRef — shadows it so the pointer graph bucket→node→value exists
-// IN the heap for the profiler to walk. A 64-bit hash collision between
-// distinct keys cannot be represented there; the entry is skipped (and
-// counted) while the intern table keeps both keys correct — collisions
-// cost profiling fidelity, never correctness.
+// The one string→Addr table is a Go-side intern map (immutable entries,
+// RWMutex + map). Creating a key costs one transaction that allocates
+// the value object and stores its arity zero words, nothing else.
 //
 // Value objects start zeroed: a key created by ADD or CAS reads as zero
 // words until the creating batch's writes commit. Interning commits in
@@ -47,40 +29,23 @@ type KeySpace struct {
 	rt      *stm.Runtime
 	arity   int
 	valSite stm.SiteID
-	dir     *txds.HashSet
 
 	mu   sync.RWMutex
 	keys map[string]stm.Addr
-
-	collisions atomic.Uint64
 }
 
-// NewKeySpace creates a keyed space over rt. name prefixes the
-// allocation sites ("<name>.value" plus the directory's
-// "<name>.dir.buckets"/"<name>.dir.node"); arity is the value vector
-// size in words (1..wire MaxArity enforced by the caller); buckets
-// sizes the transactional directory's chain table.
-func NewKeySpace(rt *stm.Runtime, name string, arity, buckets int) (*KeySpace, error) {
+// NewKeySpace creates a keyed space over rt whose value objects are
+// arity words (1..wire MaxArity, enforced by the caller).
+func NewKeySpace(rt *stm.Runtime, arity int) (*KeySpace, error) {
 	if arity <= 0 {
 		return nil, fmt.Errorf("server: arity %d (want >= 1)", arity)
 	}
-	if buckets <= 0 {
-		buckets = 1 << 12
-	}
-	ks := &KeySpace{
+	return &KeySpace{
 		rt:      rt,
 		arity:   arity,
-		valSite: rt.RegisterSite(name + ".value"),
+		valSite: rt.RegisterSite("kv.value"),
 		keys:    make(map[string]stm.Addr),
-	}
-	err := rt.Run(func(tx *stm.Tx) error {
-		ks.dir = txds.NewHashSet(tx, rt, name+".dir", buckets)
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("server: creating key directory: %w", err)
-	}
-	return ks, nil
+	}, nil
 }
 
 // Arity returns the value vector size in words.
@@ -92,10 +57,6 @@ func (ks *KeySpace) Len() int {
 	defer ks.mu.RUnlock()
 	return len(ks.keys)
 }
-
-// DirCollisions returns how many interned keys could not be indexed in
-// the transactional directory because of a 64-bit hash collision.
-func (ks *KeySpace) DirCollisions() uint64 { return ks.collisions.Load() }
 
 // Lookup resolves key without creating it (the GET path).
 func (ks *KeySpace) Lookup(key string) (stm.Addr, bool) {
@@ -142,11 +103,6 @@ func (ks *KeySpace) create(key string) (addr stm.Addr, seq uint64, err error) {
 		for i := 0; i < ks.arity; i++ {
 			tx.Store(addr+stm.Addr(i), 0)
 		}
-		if !ks.dir.InsertRef(tx, hashKey(key), addr) {
-			// A different key already owns this 64-bit hash: the
-			// directory cannot hold both, the intern table can.
-			ks.collisions.Add(1)
-		}
 		return nil
 	}, stm.DeferDurable(&seq))
 	if err != nil {
@@ -154,11 +110,4 @@ func (ks *KeySpace) create(key string) (addr stm.Addr, seq uint64, err error) {
 	}
 	ks.keys[key] = addr
 	return addr, seq, nil
-}
-
-// hashKey maps a key onto the directory's uint64 key space (FNV-1a).
-func hashKey(key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return h.Sum64()
 }

@@ -271,13 +271,8 @@ type ServerStats struct {
 	SnapshotAborts uint64
 	// BadRequests counts batches refused before execution.
 	BadRequests uint64
-	// Keys counts interned keys (live objects in the keyed space);
-	// DirCollisions counts 64-bit key-hash collisions the transactional
-	// directory could not index (the Go-side intern table stays
-	// authoritative, so collisions cost profiling fidelity, not
-	// correctness).
-	Keys          uint64
-	DirCollisions uint64
+	// Keys counts interned keys (live objects in the keyed space).
+	Keys uint64
 }
 
 // StatsPayload is the JSON body of a StatsResp: the server's counters

@@ -39,7 +39,7 @@ func AllocRef[T any](tx *Tx, site SiteID) Ref[T] {
 }
 
 // RefAt wraps existing heap storage at addr as a Ref[T]. The caller
-// asserts that WordsOf[T] words at addr belong to one object; RefAt
+// asserts that the words of a T at addr belong to one object; RefAt
 // panics if T is not a valid heap object type. RefAt(Nil) is the nil
 // Ref.
 func RefAt[T any](addr Addr) Ref[T] {
@@ -49,11 +49,6 @@ func RefAt[T any](addr Addr) Ref[T] {
 	}
 	return Ref[T]{addr: addr, words: int32(w)}
 }
-
-// WordsOf returns the number of 64-bit heap words an object of type T
-// occupies (its size rounded up to whole words). It panics if T is not a
-// valid heap object type.
-func WordsOf[T any]() int { return refWords[T]() }
 
 // Addr returns the object's heap address (Nil for the nil Ref) — the
 // currency for linking objects: store it in another object's Addr field,

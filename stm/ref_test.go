@@ -32,11 +32,11 @@ func TestRefRoundTrip(t *testing.T) {
 	rt := stm.MustNew(stm.Config{HeapWords: 1 << 16})
 	site := rt.RegisterSite("ref.rt")
 
-	if w := stm.WordsOf[account](); w != 3 {
-		t.Fatalf("WordsOf[account] = %d, want 3", w)
+	if w := stm.RefAt[account](1).Words(); w != 3 {
+		t.Fatalf("Ref[account] words = %d, want 3", w)
 	}
-	if w := stm.WordsOf[oddSized](); w != 3 {
-		t.Fatalf("WordsOf[oddSized] = %d, want 3 (20 bytes rounded up)", w)
+	if w := stm.RefAt[oddSized](1).Words(); w != 3 {
+		t.Fatalf("Ref[oddSized] words = %d, want 3 (20 bytes rounded up)", w)
 	}
 
 	var ar stm.Ref[account]
@@ -165,11 +165,11 @@ func TestRefRejectsPointerTypes(t *testing.T) {
 		}()
 		fn()
 	}
-	assertPanics("pointer field", func() { stm.WordsOf[struct{ P *int }]() })
-	assertPanics("slice", func() { stm.WordsOf[[]uint64]() })
-	assertPanics("string field", func() { stm.WordsOf[struct{ S string }]() })
-	assertPanics("map", func() { stm.WordsOf[map[int]int]() })
-	assertPanics("zero size", func() { stm.WordsOf[struct{}]() })
+	assertPanics("pointer field", func() { stm.RefAt[struct{ P *int }](stm.Nil) })
+	assertPanics("slice", func() { stm.RefAt[[]uint64](stm.Nil) })
+	assertPanics("string field", func() { stm.RefAt[struct{ S string }](stm.Nil) })
+	assertPanics("map", func() { stm.RefAt[map[int]int](stm.Nil) })
+	assertPanics("zero size", func() { stm.RefAt[struct{}](stm.Nil) })
 }
 
 // TestRefTorture hammers one typed object from concurrent workers under
@@ -301,6 +301,6 @@ func TestRefSnapshotScan(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	st := rt.PartitionStats(stm.GlobalPartition)
+	st := rt.Stats()[stm.GlobalPartition]
 	t.Logf("snapshot scan: %d reconstructed reads (SnapHits=%d SnapMisses=%d)", snapHits, st.SnapHits, st.SnapMisses)
 }

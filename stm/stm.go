@@ -43,7 +43,7 @@
 // served by the multi-version store (see below); stm.MaxAttempts bounds
 // the retry loop (ErrMaxAttempts) and stm.OnAbort observes every aborted
 // attempt. Runtime.Run is the only way to start a transaction. What runs
-// did is read from per-partition counters (Stats, PartitionStats),
+// did is read from per-partition counters (Stats),
 // commit latency (LatencyStats), reclamation (ReclaimStats) and the redo
 // log (WALStats).
 //
@@ -512,11 +512,6 @@ func (r *Runtime) Reconfigure(id PartID, cfg PartConfig) error {
 	return r.eng.Reconfigure(id, cfg)
 }
 
-// PartitionOf reports the partition currently owning addr.
-func (r *Runtime) PartitionOf(addr Addr) PartID {
-	return r.eng.PartitionOfAddr(addr).ID()
-}
-
 // PartitionConfig returns partition id's current configuration.
 func (r *Runtime) PartitionConfig(id PartID) (PartConfig, error) {
 	p := r.eng.Partition(id)
@@ -582,30 +577,18 @@ func (r *Runtime) Stats() []PartStats { return r.eng.AllStats() }
 // recording (see Config.LatencyStats). Safe to toggle live.
 func (r *Runtime) SetLatencyTracking(on bool) { r.eng.SetLatencyTracking(on) }
 
-// LatencyTracking reports whether commit-latency recording is on.
-func (r *Runtime) LatencyTracking() bool { return r.eng.LatencyTracking() }
-
 // LatencyStats returns the runtime-wide commit-latency histogram —
 // every partition's per-thread shards merged. Empty unless latency
 // tracking is (or was) enabled via Config.LatencyStats or
 // SetLatencyTracking. Per-partition breakdowns are on PartStats.Latency.
 func (r *Runtime) LatencyStats() LatencyStats { return r.eng.LatencySnapshot() }
 
-// PartitionStats returns the snapshot for one partition.
-func (r *Runtime) PartitionStats(id PartID) PartStats { return r.eng.StatsSnapshot(id) }
-
 // HeapInUseBlocks reports how many heap blocks have been handed out.
 func (r *Runtime) HeapInUseBlocks() uint64 { return r.arena.BlocksInUse() }
 
-// HorizonIdle is the Horizon reading when no transaction is live anywhere:
-// everything retired is immediately reclaimable.
+// HorizonIdle is the ReclaimStats().Horizon reading when no transaction
+// is live anywhere: everything retired is immediately reclaimable.
 const HorizonIdle = core.HorizonIdle
-
-// Horizon returns the global reclamation horizon: the minimum begin stamp
-// over all live transactions, or HorizonIdle when none is running. Words
-// freed by Tx.Free (and by Ref.Free) sit in limbo until the horizon passes
-// the freeing commit's stamp; see ReclaimStats for the running totals.
-func (r *Runtime) Horizon() uint64 { return r.eng.Horizon() }
 
 // ReclaimStats returns a momentary reading of epoch-based reclamation:
 // the horizon, its lag behind the commit clock, and the cumulative

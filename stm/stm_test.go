@@ -110,8 +110,14 @@ func TestManualPartitionAndReconfigure(t *testing.T) {
 		tx.Store(addr, 1)
 		return nil
 	})
-	if rt.PartitionOf(addr) != 1 {
-		t.Fatalf("addr in partition %d", rt.PartitionOf(addr))
+	for id, st := range rt.Stats() {
+		want := uint64(0)
+		if id == 1 {
+			want = 1
+		}
+		if st.Stores != want {
+			t.Fatalf("partition %d counted %d stores, want %d", id, st.Stores, want)
+		}
 	}
 }
 
@@ -171,9 +177,8 @@ func TestStatsSurface(t *testing.T) {
 	if len(all) != 1 {
 		t.Fatalf("Stats len = %d", len(all))
 	}
-	one := rt.PartitionStats(stm.GlobalPartition)
-	if one.Commits != all[0].Commits || one.Commits < 6 {
-		t.Fatalf("commits: %d vs %d", one.Commits, all[0].Commits)
+	if all[0].Commits != 6 {
+		t.Fatalf("commits: %d, want 6", all[0].Commits)
 	}
 	if rt.HeapInUseBlocks() == 0 {
 		t.Fatal("no heap blocks in use")
@@ -286,7 +291,7 @@ func TestSnapshotModeFacade(t *testing.T) {
 	if hist.Cap != 256 || hist.Appends == 0 {
 		t.Fatalf("history stats = %+v", hist)
 	}
-	st := rt.PartitionStats(stm.GlobalPartition)
+	st := rt.Stats()[stm.GlobalPartition]
 	if st.SnapHits == 0 {
 		t.Fatalf("no snapshot hits in stats: %+v", st)
 	}

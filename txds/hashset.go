@@ -20,19 +20,14 @@ type HashSet struct {
 	nodeSite stm.SiteID
 }
 
-// hsNode is the heap layout of one chain node. Field order mirrors the
-// word offsets (hsKey, hsVal, hsNext).
+// hsNode is the heap layout of one chain node; Next is word hsNext.
 type hsNode struct {
 	Key  uint64
 	Val  uint64
 	Next stm.Addr
 }
 
-const (
-	hsKey  = 0
-	hsVal  = 1
-	hsNext = 2
-)
+const hsNext = 2
 
 // NewHashSet creates a hash set with nbuckets chains (rounded up to a
 // power of two) and sites "<name>.buckets" and "<name>.node".
@@ -83,19 +78,6 @@ func (h *HashSet) Contains(tx *stm.Tx, k uint64) bool {
 
 // Insert adds k→v if absent; reports whether it inserted.
 func (h *HashSet) Insert(tx *stm.Tx, k, v uint64) bool {
-	return h.insert(tx, k, v, false)
-}
-
-// InsertRef adds k→addr if absent, storing the value word through
-// StoreAddr so a profiling run records the node→target pointer edge —
-// the entry point for directories whose values are heap objects (e.g.
-// the network server's keyed object space, which maps interned key
-// hashes to value-object addresses). Reports whether it inserted.
-func (h *HashSet) InsertRef(tx *stm.Tx, k uint64, addr stm.Addr) bool {
-	return h.insert(tx, k, uint64(addr), true)
-}
-
-func (h *HashSet) insert(tx *stm.Tx, k, v uint64, link bool) bool {
 	cell := h.bucketCell(k)
 	for a := tx.LoadAddr(cell); a != stm.Nil; {
 		n := stm.RefAt[hsNode](a).Load(tx)
@@ -107,11 +89,6 @@ func (h *HashSet) insert(tx *stm.Tx, k, v uint64, link bool) bool {
 	head := tx.LoadAddr(cell)
 	n := stm.AllocRef[hsNode](tx, h.nodeSite)
 	n.Store(tx, hsNode{Key: k, Val: v, Next: head})
-	if link {
-		// Re-store the value word through StoreAddr: same committed
-		// bits, plus the profiling edge node→value-object.
-		tx.StoreAddr(n.WordAddr(hsVal), stm.Addr(v))
-	}
 	tx.StoreAddr(n.WordAddr(hsNext), head)
 	tx.StoreAddr(cell, n.Addr())
 	return true
