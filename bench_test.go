@@ -68,7 +68,6 @@ func BenchmarkFig3(b *testing.B)   { runExperiment(b, "fig3") }
 func BenchmarkFig4(b *testing.B)   { runExperiment(b, "fig4") }
 func BenchmarkFig5(b *testing.B)   { runExperiment(b, "fig5") }
 func BenchmarkFig6(b *testing.B)   { runExperiment(b, "fig6") }
-func BenchmarkFig7(b *testing.B)   { runExperiment(b, "fig7") }
 func BenchmarkFig8(b *testing.B)   { runExperiment(b, "fig8") }
 func BenchmarkFig9(b *testing.B)   { runExperiment(b, "fig9") }
 func BenchmarkFig10(b *testing.B)  { runExperiment(b, "fig10") }
@@ -467,8 +466,6 @@ func BenchmarkUncontendedIncrement(b *testing.B) {
 		cfg  stm.PartConfig
 	}{
 		{"etl-wb", stm.DefaultPartConfig()},
-		{"etl-wt", func() stm.PartConfig { c := stm.DefaultPartConfig(); c.Write = stm.WriteThrough; return c }()},
-		{"ctl", func() stm.PartConfig { c := stm.DefaultPartConfig(); c.Acquire = stm.CommitTime; return c }()},
 		{"visible", func() stm.PartConfig { c := stm.DefaultPartConfig(); c.Read = stm.VisibleReads; return c }()},
 	} {
 		b.Run(mode.name, func(b *testing.B) {

@@ -19,8 +19,8 @@ const (
 	AbortLockedOnWrite
 	// AbortValidation: read-set validation or snapshot extension failed.
 	AbortValidation
-	// AbortKilled: another transaction killed us (karma/aggressive CM or
-	// a writer draining visible readers).
+	// AbortKilled: a writer draining the visible readers of its stripe
+	// (WriterKillsReaders) killed us.
 	AbortKilled
 	// AbortReaderWall: a writer yielded to visible readers
 	// (WriterYieldsToReaders) and aborted itself.

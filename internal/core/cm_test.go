@@ -16,11 +16,11 @@ func cmConfig(p CMPolicy) PartConfig {
 	return cfg
 }
 
-// TestCMPoliciesProgress checks that every contention-management policy
-// lets a contended counter workload finish with the exact count (no lost
+// TestCMPoliciesProgress checks that both contention-management policies
+// let a contended counter workload finish with the exact count (no lost
 // updates, no livelock).
 func TestCMPoliciesProgress(t *testing.T) {
-	for _, pol := range []CMPolicy{CMSuicide, CMSpin, CMKarma, CMAggressive, CMBackoff, CMTimestamp} {
+	for _, pol := range []CMPolicy{CMSuicide, CMSpin} {
 		t.Run(pol.String(), func(t *testing.T) {
 			e := newTestEngine(t, cmConfig(pol))
 			setup := e.BorrowThread()
@@ -271,282 +271,6 @@ func TestKillFlagAbortsVictim(t *testing.T) {
 	}
 }
 
-// TestTimestampCMOlderWins pits one long transaction (many reads before
-// its write) against a stream of short writers under CMTimestamp. With
-// older-wins arbitration the long transaction must complete in a bounded
-// number of attempts; suicide CM under the same schedule starves it much
-// longer, which is exactly the behaviour the policy exists to fix.
-func TestTimestampCMOlderWins(t *testing.T) {
-	e := newTestEngine(t, cmConfig(CMTimestamp))
-	setup := e.BorrowThread()
-	const words = 32
-	var base memory.Addr
-	setup.Run(func(tx *Tx) error {
-		base = tx.Alloc(memory.DefaultSite, words)
-		for i := 0; i < words; i++ {
-			tx.Store(base+memory.Addr(i), 1)
-		}
-		return nil
-	})
-	e.ReturnThread(setup)
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func(seed int) {
-			defer wg.Done()
-			th := e.BorrowThread()
-			defer e.ReturnThread(th)
-			i := seed
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				i++
-				th.Run(func(tx *Tx) error {
-					a := base + memory.Addr(i%words)
-					tx.Store(a, tx.Load(a))
-					return nil
-				})
-			}
-		}(w * 7)
-	}
-
-	long := e.BorrowThread()
-	attempts := 0
-	long.Run(func(tx *Tx) error {
-		attempts++
-		var s uint64
-		for i := 0; i < words; i++ {
-			s += tx.Load(base + memory.Addr(i))
-		}
-		tx.Store(base, s-uint64(words)+1) // keep the constant-sum invariant
-		return nil
-	})
-	e.ReturnThread(long)
-	close(stop)
-	wg.Wait()
-	// The long transaction gets the oldest ordinal as soon as its first
-	// attempt predates the current short writers, so it must not need an
-	// unbounded number of attempts.
-	if attempts > 200 {
-		t.Fatalf("long transaction needed %d attempts under older-wins CM", attempts)
-	}
-}
-
-// TestKarmaOwnerProgressPublishedAtAcquire pins karma arbitration after
-// lazy publication: an owner's operation count reaches other threads when
-// it takes a lock — at encounter time or at commit time — not on every
-// operation, and that is enough: a challenger that has done less work than
-// the owner had done when it acquired does not kill it, one that has done
-// more does.
-func TestKarmaOwnerProgressPublishedAtAcquire(t *testing.T) {
-	for _, acq := range []AcquireMode{EncounterTime, CommitTime} {
-		t.Run(acq.String(), func(t *testing.T) {
-			cfg := cmConfig(CMKarma)
-			cfg.Acquire = acq
-			e := newTestEngine(t, cfg)
-			setup := e.BorrowThread()
-			const pad = 32
-			var base memory.Addr
-			setup.Run(func(tx *Tx) error {
-				base = tx.Alloc(memory.DefaultSite, pad+1)
-				for i := 0; i <= pad; i++ {
-					tx.Store(base+memory.Addr(i), 1)
-				}
-				return nil
-			})
-			e.ReturnThread(setup)
-			hot := base + pad
-
-			const ownerOps = 10
-			owner := e.BorrowThread()
-			held, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
-			ownerAttempts := 0
-			go func() {
-				defer close(done)
-				owner.Run(func(tx *Tx) error {
-					ownerAttempts++
-					for i := 0; i < ownerOps; i++ {
-						tx.Load(base + memory.Addr(i))
-					}
-					tx.Store(hot, 2)
-					if ownerAttempts > 1 {
-						return nil
-					}
-					if acq == CommitTime {
-						// Take the commit-time lock now, as commit would, and
-						// keep it while the challengers run.
-						tx.acquireAtCommit(&tx.ws[0])
-					}
-					close(held)
-					<-release
-					return nil
-				})
-			}()
-			<-held
-			if got := owner.progress.Load(); got != ownerOps+1 {
-				t.Fatalf("owner published progress %d at acquisition, want %d", got, ownerOps+1)
-			}
-
-			challenge := func(ops int) error {
-				th := e.BorrowThread()
-				defer e.ReturnThread(th)
-				return th.Run(func(tx *Tx) error {
-					for i := 0; i < ops; i++ {
-						tx.Load(base + memory.Addr(ownerOps+i))
-					}
-					tx.Load(hot)
-					return nil
-				}, MaxAttempts(1))
-			}
-			var mae *MaxAttemptsError
-			if err := challenge(ownerOps / 2); !errors.As(err, &mae) || mae.Cause != AbortLockedOnRead {
-				t.Fatalf("weaker challenger: err = %v, want a lock-conflict abort", err)
-			}
-			if owner.killed.Load() != 0 {
-				t.Fatal("a challenger with fewer operations than the owner killed it")
-			}
-			if err := challenge(2 * ownerOps); !errors.As(err, &mae) || mae.Cause != AbortLockedOnRead {
-				t.Fatalf("stronger challenger: err = %v, want a lock-conflict abort (victim parked in user code)", err)
-			}
-			if owner.killed.Load() == 0 {
-				t.Fatal("a challenger with more operations than the owner did not kill it")
-			}
-			close(release)
-			<-done
-			if ownerAttempts != 2 {
-				t.Fatalf("owner ran %d attempts, want 2 (killed once)", ownerAttempts)
-			}
-			if got := e.StatsSnapshot(GlobalPartition).Aborts[AbortKilled]; got != 1 {
-				t.Fatalf("killed aborts = %d, want 1", got)
-			}
-			e.ReturnThread(owner)
-		})
-	}
-}
-
-// TestTimestampOrdinalDrawnOnDemand pins where CMTimestamp ordinals come
-// from now that Run no longer draws one unconditionally: a Run confined to
-// partitions under other policies leaves the engine's sequence alone; a Run
-// that locks in a CMTimestamp partition draws exactly one ordinal, keeps it
-// across its retries (older still wins), and the next Run starts without
-// one.
-func TestTimestampOrdinalDrawnOnDemand(t *testing.T) {
-	e := newTestEngine(t, DefaultPartConfig())
-	sites := e.Arena().Sites()
-	sa := sites.Register("ts.a")
-	sitePart := make([]PartID, sites.Count())
-	sitePart[sa] = 1
-	if err := e.InstallPlan(sitePart, []string{"g", "ts"},
-		[]PartConfig{DefaultPartConfig(), cmConfig(CMTimestamp)}); err != nil {
-		t.Fatal(err)
-	}
-	th := e.BorrowThread()
-	defer e.ReturnThread(th)
-	var plain, stamped memory.Addr
-	th.Run(func(tx *Tx) error {
-		plain = tx.Alloc(memory.DefaultSite, 1)
-		tx.Store(plain, 0)
-		return nil
-	})
-	for i := 0; i < 10; i++ {
-		th.Run(func(tx *Tx) error { tx.Store(plain, tx.Load(plain)+1); return nil })
-		th.Run(func(tx *Tx) error { tx.Load(plain); return nil }, ReadOnly())
-	}
-	if got := e.txSeq.Load(); got != 0 {
-		t.Fatalf("Runs confined to a CMSpin partition drew %d ordinals", got)
-	}
-	if got := th.beginSeq.Load(); got != 0 {
-		t.Fatalf("beginSeq = %d with no ordinal drawn", got)
-	}
-
-	var seen []uint64
-	attempts := 0
-	th.Run(func(tx *Tx) error {
-		attempts++
-		if tx.seq != 0 && attempts == 1 {
-			t.Errorf("ordinal %d held before any CMTimestamp access", tx.seq)
-		}
-		if attempts == 1 {
-			stamped = tx.Alloc(sa, 1)
-		}
-		tx.Store(stamped, uint64(attempts)) // locks in the CMTimestamp partition
-		seen = append(seen, tx.seq)
-		if attempts < 3 {
-			tx.Abort()
-		}
-		return nil
-	})
-	if len(seen) != 3 || seen[0] != 1 || seen[1] != 1 || seen[2] != 1 {
-		t.Fatalf("ordinals over three attempts of one Run = %v, want [1 1 1]", seen)
-	}
-	if got := e.txSeq.Load(); got != 1 {
-		t.Fatalf("engine sequence = %d after one stamped Run, want 1", got)
-	}
-	if got := th.beginSeq.Load(); got != 1 {
-		t.Fatalf("published ordinal = %d, want 1", got)
-	}
-	// The next Run starts clean; a read-only one in the stamped partition
-	// meets no lock and no conflict, so it draws nothing.
-	th.Run(func(tx *Tx) error {
-		if th.beginSeq.Load() != 0 || tx.seq != 0 {
-			t.Errorf("stale ordinal %d/%d carried into the next Run", tx.seq, th.beginSeq.Load())
-		}
-		tx.Load(stamped)
-		return nil
-	}, ReadOnly())
-	if got := e.txSeq.Load(); got != 1 {
-		t.Fatalf("a conflict-free read in the stamped partition drew an ordinal (sequence %d)", got)
-	}
-	th.Run(func(tx *Tx) error { tx.Store(stamped, 9); return nil })
-	if got := e.txSeq.Load(); got != 2 {
-		t.Fatalf("engine sequence = %d after a second stamped Run, want 2", got)
-	}
-}
-
-// TestBackoffCMRecordsWaitCycles verifies CMBackoff waits (rather than
-// aborting immediately) and accounts its waiting in the partition stats.
-func TestBackoffCMRecordsWaitCycles(t *testing.T) {
-	e := newTestEngine(t, cmConfig(CMBackoff))
-	setup := e.BorrowThread()
-	var a memory.Addr
-	setup.Run(func(tx *Tx) error {
-		a = tx.Alloc(memory.DefaultSite, 1)
-		tx.Store(a, 0)
-		return nil
-	})
-	e.ReturnThread(setup)
-	var wg sync.WaitGroup
-	const workers, perW = 4, 400
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			th := e.BorrowThread()
-			defer e.ReturnThread(th)
-			for i := 0; i < perW; i++ {
-				th.Run(func(tx *Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
-			}
-		}()
-	}
-	wg.Wait()
-	check := e.BorrowThread()
-	check.Run(func(tx *Tx) error {
-		if got := tx.Load(a); got != workers*perW {
-			t.Errorf("counter = %d, want %d", got, workers*perW)
-		}
-		return nil
-	})
-	s := e.StatsSnapshot(GlobalPartition)
-	if s.Commits < workers*perW {
-		t.Fatalf("commits = %d, want >= %d", s.Commits, workers*perW)
-	}
-}
-
 func TestOrecEncoding(t *testing.T) {
 	f := func(ts uint64) bool {
 		ts >>= 1 // version space is 63 bits
@@ -585,11 +309,8 @@ func TestOrecTableMapping(t *testing.T) {
 }
 
 func TestConfigNormalize(t *testing.T) {
-	c := PartConfig{Acquire: CommitTime, Write: WriteThrough, LockBits: 1, GranShift: 40}
+	c := PartConfig{LockBits: 1, GranShift: 40}
 	n := c.Normalize()
-	if n.Write != WriteBack {
-		t.Error("CTL must force write-back")
-	}
 	if n.LockBits < 2 || n.LockBits > 24 {
 		t.Errorf("LockBits = %d", n.LockBits)
 	}
@@ -605,10 +326,7 @@ func TestEnumStrings(t *testing.T) {
 	// Exhaustive String() coverage, including out-of-range values.
 	for _, s := range []string{
 		InvisibleReads.String(), VisibleReads.String(), ReadMode(9).String(),
-		EncounterTime.String(), CommitTime.String(), AcquireMode(9).String(),
-		WriteBack.String(), WriteThrough.String(), WriteMode(9).String(),
-		CMSuicide.String(), CMSpin.String(), CMKarma.String(), CMAggressive.String(),
-		CMBackoff.String(), CMTimestamp.String(), CMPolicy(99).String(),
+		CMSuicide.String(), CMSpin.String(), CMPolicy(99).String(),
 		WriterKillsReaders.String(), WriterYieldsToReaders.String(), ReaderPolicy(9).String(),
 	} {
 		if s == "" {
@@ -625,11 +343,12 @@ func TestEnumStrings(t *testing.T) {
 	}
 }
 
-func TestWriteThroughVisibleCombination(t *testing.T) {
-	// WT + visible reads + writer-kills: heavy single-word contention.
+// TestVisibleWriterKillsContention: visible reads under writer-kills, with
+// every transaction reading and then writing the same word — each writer
+// kills the other readers it meets, and no increment may be lost.
+func TestVisibleWriterKillsContention(t *testing.T) {
 	cfg := DefaultPartConfig()
 	cfg.Read = VisibleReads
-	cfg.Write = WriteThrough
 	cfg.ReaderCM = WriterKillsReaders
 	e := newTestEngine(t, cfg)
 	setup := e.BorrowThread()

@@ -7,10 +7,12 @@
 //
 // Every partition owns its own ownership-record table and its own
 // configuration: read visibility (invisible, timestamp-validated reads vs.
-// visible reads through per-orec reader bitmaps), lock acquisition time
-// (encounter-time vs. commit-time), write strategy (write-back buffering
-// vs. write-through with an undo log), conflict-detection granularity
-// (lock-array size and words-per-lock), and contention-management policy.
+// visible reads through per-orec reader bitmaps), conflict-detection
+// granularity (lock-array size and words-per-lock), and contention
+// management (bounded spinning or immediate self-abort). Every partition
+// writes the same way: the orec is locked at the first write (encounter
+// time) and the new value is buffered in the write set until commit
+// (write-back).
 //
 // Commit time is one engine-wide counter (Engine.Clock): every partition
 // shares one timeline, so a transaction spanning partitions is ordered
@@ -39,8 +41,7 @@
 // locked instruction, reads no clock and writes nothing outside its own
 // descriptor: per-access statistics accumulate in plain words per touched
 // partition and reach the shared counter blocks once per attempt
-// (PartThreadStats), and the state other threads' contention managers read
-// about a lock owner is published when a lock is taken (Tx.publishOwner).
+// (PartThreadStats).
 //
 // Partitions may additionally retain a bounded multi-version history of
 // overwritten values (PartConfig.HistCap, internal/mvstore), indexed by
@@ -88,53 +89,6 @@ func (m ReadMode) String() string {
 	}
 }
 
-// AcquireMode selects when write locks are taken.
-type AcquireMode uint8
-
-const (
-	// EncounterTime acquires the orec at first write (eager; conflicts
-	// detected early, as in TinySTM's default).
-	EncounterTime AcquireMode = iota
-	// CommitTime buffers writes and acquires all orecs at commit (lazy;
-	// short lock hold times, doomed transactions run longer).
-	CommitTime
-)
-
-func (m AcquireMode) String() string {
-	switch m {
-	case EncounterTime:
-		return "encounter"
-	case CommitTime:
-		return "commit"
-	default:
-		return fmt.Sprintf("AcquireMode(%d)", uint8(m))
-	}
-}
-
-// WriteMode selects how writes reach memory (meaningful only with
-// EncounterTime; CommitTime implies write-back buffering).
-type WriteMode uint8
-
-const (
-	// WriteBack buffers new values in the write set and applies them at
-	// commit.
-	WriteBack WriteMode = iota
-	// WriteThrough writes in place under the orec lock and keeps an undo
-	// log for abort. Cheaper commits, dearer aborts.
-	WriteThrough
-)
-
-func (m WriteMode) String() string {
-	switch m {
-	case WriteBack:
-		return "write-back"
-	case WriteThrough:
-		return "write-through"
-	default:
-		return fmt.Sprintf("WriteMode(%d)", uint8(m))
-	}
-}
-
 // CMPolicy is the contention-management policy applied when a transaction
 // finds an orec locked by another transaction.
 type CMPolicy uint8
@@ -144,23 +98,6 @@ const (
 	CMSuicide CMPolicy = iota
 	// CMSpin spins for spinBudget iterations, then aborts self.
 	CMSpin
-	// CMKarma compares accumulated work (reads+writes); the transaction
-	// with less work yields: if the requester has strictly more work it
-	// kills the owner, otherwise it aborts itself.
-	CMKarma
-	// CMAggressive kills the lock owner and takes the lock.
-	CMAggressive
-	// CMBackoff waits with randomized exponential backoff between probes
-	// of the lock word, aborting itself when the budget is exhausted.
-	// Compared to CMSpin's tight polling it trades latency for much less
-	// cache-line traffic on hot orecs.
-	CMBackoff
-	// CMTimestamp is Greedy-style older-wins arbitration: the transaction
-	// with the older begin ordinal has priority. A younger requester waits
-	// briefly and aborts itself; an older requester kills the owner. The
-	// strictly increasing ordinal gives livelock freedom: the oldest
-	// transaction in the system is never killed by this policy.
-	CMTimestamp
 )
 
 func (p CMPolicy) String() string {
@@ -169,14 +106,6 @@ func (p CMPolicy) String() string {
 		return "suicide"
 	case CMSpin:
 		return "spin"
-	case CMKarma:
-		return "karma"
-	case CMAggressive:
-		return "aggressive"
-	case CMBackoff:
-		return "backoff"
-	case CMTimestamp:
-		return "timestamp"
 	default:
 		return fmt.Sprintf("CMPolicy(%d)", uint8(p))
 	}
@@ -212,9 +141,7 @@ func (p ReaderPolicy) String() string {
 // partition. The runtime tuner mutates these per partition; a single
 // global STM corresponds to one partition holding everything.
 type PartConfig struct {
-	Read    ReadMode
-	Acquire AcquireMode
-	Write   WriteMode
+	Read ReadMode
 	// LockBits: the partition's orec table has 1<<LockBits entries and
 	// takes 8<<LockBits bytes (512 KiB at 16), an eighth more under
 	// VisibleReads, whose reader bitmaps (one word per eight orecs) sit
@@ -239,14 +166,11 @@ type PartConfig struct {
 	HistCap uint
 }
 
-// DefaultPartConfig mirrors TinySTM's defaults: encounter-time locking,
-// write-back, invisible reads, 2^16 orecs mapping one word per orec
-// stripe, bounded spinning.
+// DefaultPartConfig mirrors TinySTM's defaults: invisible reads, 2^16
+// orecs mapping one word per orec stripe, bounded spinning.
 func DefaultPartConfig() PartConfig {
 	return PartConfig{
 		Read:      InvisibleReads,
-		Acquire:   EncounterTime,
-		Write:     WriteBack,
 		LockBits:  16,
 		GranShift: 0,
 		CM:        CMSpin,
@@ -254,12 +178,9 @@ func DefaultPartConfig() PartConfig {
 	}
 }
 
-// Normalize clamps invalid combinations and ranges; it returns the
-// effective configuration the engine will run.
+// Normalize clamps out-of-range values; it returns the effective
+// configuration the engine will run.
 func (c PartConfig) Normalize() PartConfig {
-	if c.Acquire == CommitTime {
-		c.Write = WriteBack // commit-time locking cannot write through
-	}
 	if c.LockBits < 2 {
 		c.LockBits = 2
 	}
@@ -279,10 +200,10 @@ func (c PartConfig) Normalize() PartConfig {
 }
 
 // String renders the configuration compactly, e.g.
-// "invisible/encounter/write-back lockBits=16 gran=1 cm=spin".
+// "invisible lockBits=16 gran=1 cm=spin rcm=writer-kills".
 func (c PartConfig) String() string {
-	s := fmt.Sprintf("%s/%s/%s lockBits=%d gran=%d cm=%s rcm=%s",
-		c.Read, c.Acquire, c.Write, c.LockBits, uint64(1)<<c.GranShift, c.CM, c.ReaderCM)
+	s := fmt.Sprintf("%s lockBits=%d gran=%d cm=%s rcm=%s",
+		c.Read, c.LockBits, uint64(1)<<c.GranShift, c.CM, c.ReaderCM)
 	if c.HistCap > 0 {
 		s += fmt.Sprintf(" hist=%d", c.HistCap)
 	}

@@ -98,14 +98,11 @@ type Engine struct {
 
 	// clock is the commit counter (TL2/TinySTM's global version clock):
 	// every update commit ticks it once and every attempt samples it at
-	// begin. txSeq issues CMTimestamp ordinals (Tx.ordinal). These are the
-	// only engine words transactions write, and each gets a line of its
-	// own so those writes never invalidate the read-mostly fields above,
-	// which every attempt of every thread loads, nor each other.
+	// begin. It is the only engine word transactions write, and it gets a
+	// line of its own so those writes never invalidate the read-mostly
+	// fields above, which every attempt of every thread loads.
 	_     [cacheLine]byte
 	clock atomic.Uint64
-	_     [cacheLine - 8]byte
-	txSeq atomic.Uint64
 	_     [cacheLine - 8]byte
 }
 
@@ -454,12 +451,6 @@ func (e *Engine) AllStats() []PartStats {
 
 func (e *Engine) run(th *Thread, cfg runCfg, fn func(*Tx) error) error {
 	tx := &th.tx
-	// The CMTimestamp ordinal is drawn on demand (Tx.ordinal); forget the
-	// previous Run's.
-	tx.seq = 0
-	if th.beginSeq.Load() != 0 {
-		th.beginSeq.Store(0)
-	}
 	if cfg.deferSeq != nil {
 		*cfg.deferSeq = 0
 	}

@@ -20,27 +20,16 @@ func newTestEngine(t testing.TB, cfg PartConfig) *Engine {
 	return NewEngine(arena, cfg)
 }
 
-// allModeConfigs enumerates the meaningful (read, acquire, write) mode
-// combinations; the protocol tests run under each.
+// allModeConfigs enumerates the read modes; the protocol tests run under
+// each. Every partition locks at the first write and buffers the value
+// until commit, so each name ends in that one write path.
 func allModeConfigs() map[string]PartConfig {
 	out := make(map[string]PartConfig)
 	for _, read := range []ReadMode{InvisibleReads, VisibleReads} {
-		for _, mode := range []struct {
-			acq AcquireMode
-			wr  WriteMode
-		}{
-			{EncounterTime, WriteBack},
-			{EncounterTime, WriteThrough},
-			{CommitTime, WriteBack},
-		} {
-			cfg := DefaultPartConfig()
-			cfg.Read = read
-			cfg.Acquire = mode.acq
-			cfg.Write = mode.wr
-			cfg.LockBits = 10
-			name := fmt.Sprintf("%s-%s-%s", read, mode.acq, mode.wr)
-			out[name] = cfg
-		}
+		cfg := DefaultPartConfig()
+		cfg.Read = read
+		cfg.LockBits = 10
+		out[read.String()+"-encounter-write-back"] = cfg
 	}
 	return out
 }
@@ -108,7 +97,6 @@ func TestAbortDiscardsWrites(t *testing.T) {
 // (here Reconfigure) waits on the panicked slot.
 func TestUserPanicRollsBackAndPropagates(t *testing.T) {
 	cfg := DefaultPartConfig()
-	cfg.Write = WriteThrough
 	for _, pooled := range []bool{false, true} {
 		t.Run(fmt.Sprintf("pooled=%v", pooled), func(t *testing.T) {
 			e := newTestEngine(t, cfg)
@@ -145,7 +133,7 @@ func TestUserPanicRollsBackAndPropagates(t *testing.T) {
 			}
 			run(func(tx *Tx) error {
 				if got := tx.Load(a); got != 5 {
-					t.Errorf("write-through undo failed: %d", got)
+					t.Errorf("panicked write leaked: %d", got)
 				}
 				return nil
 			})

@@ -11,8 +11,11 @@ import (
 
 // TestKillStorm floods a worker with kill requests while it runs
 // transactions: every kill must either hit between transactions (ignored)
-// or abort exactly one attempt; the final counter must be exact and no
-// locks or reader bits may leak.
+// or abort exactly one attempt; the final counter must equal the number of
+// Runs done and no locks or reader bits may leak. A kill only counts when
+// it lands inside an attempt, which on a loaded host can take a while, so
+// the worker keeps going past its minimum until one has (or a deadline
+// passes).
 func TestKillStorm(t *testing.T) {
 	for _, read := range []ReadMode{InvisibleReads, VisibleReads} {
 		t.Run(read.String(), func(t *testing.T) {
@@ -43,22 +46,27 @@ func TestKillStorm(t *testing.T) {
 					}
 				}
 			}()
-			const iters = 5000
-			for i := 0; i < iters; i++ {
-				victim.Run(func(tx *Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
+			const minRuns, batch = 5000, 500
+			killed := func() uint64 { return e.StatsSnapshot(GlobalPartition).Aborts[AbortKilled] }
+			deadline := time.Now().Add(30 * time.Second)
+			runs := 0
+			for runs < minRuns || killed() == 0 && time.Now().Before(deadline) {
+				for range batch {
+					victim.Run(func(tx *Tx) error { tx.Store(a, tx.Load(a)+1); return nil })
+				}
+				runs += batch
 			}
 			close(stop)
 			wg.Wait()
 			victim.Run(func(tx *Tx) error {
-				if got := tx.Load(a); got != iters {
-					t.Errorf("counter = %d, want %d", got, iters)
+				if got := tx.Load(a); got != uint64(runs) {
+					t.Errorf("counter = %d after %d Runs", got, runs)
 				}
 				return nil
 			})
 			assertCleanOrecs(t, e)
-			s := e.StatsSnapshot(GlobalPartition)
-			if s.Aborts[AbortKilled] == 0 {
-				t.Error("kill storm produced no killed aborts")
+			if killed() == 0 {
+				t.Errorf("kill storm produced no killed aborts in %d Runs", runs)
 			}
 		})
 	}
@@ -224,7 +232,7 @@ func TestFreeRecyclesAfterCommit(t *testing.T) {
 	// Free in a committed tx: must recycle once reclaimed. No transaction
 	// is live here, so the horizon is idle and one drain suffices.
 	th.Run(func(tx *Tx) error { tx.Free(a, 7); return nil })
-	th.alloc.Reclaim(e.Horizon())
+	th.alloc.Reclaim(e.ReclaimStats().Horizon)
 	var c memory.Addr
 	th.Run(func(tx *Tx) error { c = tx.Alloc(memory.DefaultSite, 7); return nil })
 	if c != a {

@@ -74,66 +74,54 @@ func TestReadSetLogsEveryRead(t *testing.T) {
 	})
 }
 
-// TestWriteSetDedupAllModes checks the open-addressed write-set index in
-// all three write modes: one entry per unique address regardless of write
-// count, correct read-after-write, and correct committed values — for both
-// the inline-probe (≤8 entries) and indexed (larger) regimes.
+// TestWriteSetDedupAllModes checks the open-addressed write-set index of
+// the write-back write set: one entry per unique address regardless of
+// write count, correct read-after-write, and correct committed values —
+// for both the inline-probe (≤8 entries) and indexed (larger) regimes.
 func TestWriteSetDedupAllModes(t *testing.T) {
-	modes := []struct {
-		name string
-		mut  func(*PartConfig)
-	}{
-		{"wb", func(c *PartConfig) {}},
-		{"wt", func(c *PartConfig) { c.Write = WriteThrough }},
-		{"ctl", func(c *PartConfig) { c.Acquire = CommitTime }},
-	}
-	for _, m := range modes {
-		for _, words := range []int{4, 64} {
-			name := m.name + "-small"
-			if words > wsSmallMax {
-				name = m.name + "-large"
-			}
-			t.Run(name, func(t *testing.T) {
-				cfg := DefaultPartConfig()
-				m.mut(&cfg)
-				e := newTestEngine(t, cfg)
-				th := e.BorrowThread()
-				defer e.ReturnThread(th)
-				var base memory.Addr
-				th.Run(func(tx *Tx) error {
-					base = tx.Alloc(memory.SiteID(0), words)
-					for i := 0; i < words; i++ {
-						tx.Store(base+memory.Addr(i), 0)
-					}
-					return nil
-				})
-				th.Run(func(tx *Tx) error {
-					for round := 0; round < 5; round++ {
-						for i := 0; i < words; i++ {
-							tx.Store(base+memory.Addr(i), uint64(round*1000+i))
-						}
-					}
-					if got := len(tx.ws); got != words {
-						t.Fatalf("write set has %d entries after %d stores; want %d",
-							got, 5*words, words)
-					}
-					for i := 0; i < words; i++ {
-						if got := tx.Load(base + memory.Addr(i)); got != uint64(4000+i) {
-							t.Fatalf("read-after-write %d = %d, want %d", i, got, 4000+i)
-						}
-					}
-					return nil
-				})
-				th.Run(func(tx *Tx) error {
-					for i := 0; i < words; i++ {
-						if got := tx.Load(base + memory.Addr(i)); got != uint64(4000+i) {
-							t.Fatalf("committed %d = %d, want %d", i, got, 4000+i)
-						}
-					}
-					return nil
-				}, ReadOnly())
-			})
+	for _, words := range []int{4, 64} {
+		name := "wb-small"
+		if words > wsSmallMax {
+			name = "wb-large"
 		}
+		t.Run(name, func(t *testing.T) {
+			e := newTestEngine(t, DefaultPartConfig())
+			th := e.BorrowThread()
+			defer e.ReturnThread(th)
+			var base memory.Addr
+			th.Run(func(tx *Tx) error {
+				base = tx.Alloc(memory.SiteID(0), words)
+				for i := 0; i < words; i++ {
+					tx.Store(base+memory.Addr(i), 0)
+				}
+				return nil
+			})
+			th.Run(func(tx *Tx) error {
+				for round := 0; round < 5; round++ {
+					for i := 0; i < words; i++ {
+						tx.Store(base+memory.Addr(i), uint64(round*1000+i))
+					}
+				}
+				if got := len(tx.ws); got != words {
+					t.Fatalf("write set has %d entries after %d stores; want %d",
+						got, 5*words, words)
+				}
+				for i := 0; i < words; i++ {
+					if got := tx.Load(base + memory.Addr(i)); got != uint64(4000+i) {
+						t.Fatalf("read-after-write %d = %d, want %d", i, got, 4000+i)
+					}
+				}
+				return nil
+			})
+			th.Run(func(tx *Tx) error {
+				for i := 0; i < words; i++ {
+					if got := tx.Load(base + memory.Addr(i)); got != uint64(4000+i) {
+						t.Fatalf("committed %d = %d, want %d", i, got, 4000+i)
+					}
+				}
+				return nil
+			}, ReadOnly())
+		})
 	}
 }
 
@@ -462,27 +450,18 @@ func TestStatsExactAcrossAttempts(t *testing.T) {
 	}
 }
 
-// TestTortureWriteModes is the write-set-index torture: for each write
-// mode (WB, WT, CTL) several workers hammer wide transfers (write sets
+// TestTortureWriteSetIndex is the write-set-index torture: under each
+// contention manager several workers hammer wide transfers (write sets
 // beyond the inline-probe threshold) and full scans (long read-set logs,
 // validated and extended under contention) while the total is conserved.
-func TestTortureWriteModes(t *testing.T) {
+func TestTortureWriteSetIndex(t *testing.T) {
 	if testing.Short() {
 		t.Skip("torture test skipped in -short mode")
 	}
-	modes := []struct {
-		name string
-		mut  func(*PartConfig)
-	}{
-		{"wb", func(c *PartConfig) {}},
-		{"wt", func(c *PartConfig) { c.Write = WriteThrough }},
-		{"ctl", func(c *PartConfig) { c.Acquire = CommitTime }},
-	}
-	for _, m := range modes {
-		t.Run(m.name, func(t *testing.T) {
+	for _, cm := range []CMPolicy{CMSpin, CMSuicide} {
+		t.Run(cm.String(), func(t *testing.T) {
 			cfg := DefaultPartConfig()
-			cfg.CM = CMBackoff // exercise the repaired pause under load
-			m.mut(&cfg)
+			cfg.CM = cm
 			e := newTestEngine(t, cfg)
 			e.SetYieldEveryOps(16)
 			const cells = 64

@@ -10,24 +10,25 @@ import (
 )
 
 // installFourConfigPlan builds an engine with four partitions covering the
-// configuration space: invisible/WB (default), visible/WB, invisible/WT
-// and CTL. Returns the engine and one allocation site per partition.
+// configuration space: invisible reads (default), visible reads, CMSuicide,
+// and a small coarse orec table (16 orecs of 4 words each). Returns the
+// engine and one allocation site per partition.
 func installFourConfigPlan(t *testing.T) (*Engine, [4]memory.SiteID) {
 	t.Helper()
 	e := newTestEngine(t, DefaultPartConfig())
 	sites := e.Arena().Sites()
 	var s [4]memory.SiteID
-	s[0] = sites.Register("m.invwb")
-	s[1] = sites.Register("m.viswb")
-	s[2] = sites.Register("m.invwt")
-	s[3] = sites.Register("m.ctl")
+	s[0] = sites.Register("m.inv")
+	s[1] = sites.Register("m.vis")
+	s[2] = sites.Register("m.suicide")
+	s[3] = sites.Register("m.coarse")
 
 	vis := DefaultPartConfig()
 	vis.Read = VisibleReads
-	wt := DefaultPartConfig()
-	wt.Write = WriteThrough
-	ctl := DefaultPartConfig()
-	ctl.Acquire = CommitTime
+	suicide := DefaultPartConfig()
+	suicide.CM = CMSuicide
+	coarse := DefaultPartConfig()
+	coarse.LockBits, coarse.GranShift = 4, 2
 
 	sitePart := make([]PartID, sites.Count())
 	sitePart[s[0]] = 1
@@ -35,8 +36,8 @@ func installFourConfigPlan(t *testing.T) (*Engine, [4]memory.SiteID) {
 	sitePart[s[2]] = 3
 	sitePart[s[3]] = 4
 	if err := e.InstallPlan(sitePart,
-		[]string{"g", "invwb", "viswb", "invwt", "ctl"},
-		[]PartConfig{DefaultPartConfig(), DefaultPartConfig(), vis, wt, ctl}); err != nil {
+		[]string{"g", "inv", "vis", "suicide", "coarse"},
+		[]PartConfig{DefaultPartConfig(), DefaultPartConfig(), vis, suicide, coarse}); err != nil {
 		t.Fatal(err)
 	}
 	return e, s
@@ -167,95 +168,6 @@ func TestGranularityAliasingCorrectness(t *testing.T) {
 	})
 }
 
-// TestCTLSymmetricOrders has workers updating the same pair of words in
-// opposite program orders under commit-time locking. Address-ordered
-// commit acquisition must prevent both deadlock and lost updates.
-func TestCTLSymmetricOrders(t *testing.T) {
-	cfg := DefaultPartConfig()
-	cfg.Acquire = CommitTime
-	e := newTestEngine(t, cfg)
-	setup := e.BorrowThread()
-	var a, b memory.Addr
-	setup.Run(func(tx *Tx) error {
-		a = tx.Alloc(memory.DefaultSite, 1)
-		b = tx.Alloc(memory.DefaultSite, 1)
-		tx.Store(a, 0)
-		tx.Store(b, 0)
-		return nil
-	})
-	e.ReturnThread(setup)
-
-	const workers, perW = 6, 1000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			th := e.BorrowThread()
-			defer e.ReturnThread(th)
-			for i := 0; i < perW; i++ {
-				if id%2 == 0 {
-					th.Run(func(tx *Tx) error {
-						tx.Store(a, tx.Load(a)+1)
-						tx.Store(b, tx.Load(b)+1)
-						return nil
-					})
-				} else {
-					th.Run(func(tx *Tx) error {
-						tx.Store(b, tx.Load(b)+1)
-						tx.Store(a, tx.Load(a)+1)
-						return nil
-					})
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	check := e.BorrowThread()
-	check.Run(func(tx *Tx) error {
-		va, vb := tx.Load(a), tx.Load(b)
-		if va != workers*perW || vb != workers*perW {
-			t.Fatalf("a=%d b=%d, want both %d", va, vb, workers*perW)
-		}
-		return nil
-	})
-}
-
-// TestWriteThroughUndoVisibility verifies a write-through transaction that
-// aborts restores pre-images before anyone can commit against them: a
-// concurrent reader may never observe the doomed intermediate value.
-func TestWriteThroughUndoVisibility(t *testing.T) {
-	cfg := DefaultPartConfig()
-	cfg.Write = WriteThrough
-	e := newTestEngine(t, cfg)
-	th := e.BorrowThread()
-	defer e.ReturnThread(th)
-	var a memory.Addr
-	th.Run(func(tx *Tx) error {
-		a = tx.Alloc(memory.DefaultSite, 1)
-		tx.Store(a, 7)
-		return nil
-	})
-	attempts := 0
-	err := th.Run(func(tx *Tx) error {
-		attempts++
-		tx.Store(a, 999) // written in place under lock
-		return ErrExplicitAbort
-	})
-	if err == nil {
-		t.Fatal("expected user error")
-	}
-	th.Run(func(tx *Tx) error {
-		if got := tx.Load(a); got != 7 {
-			t.Fatalf("pre-image not restored: %d", got)
-		}
-		return nil
-	})
-	if attempts != 1 {
-		t.Fatalf("user-error abort retried: attempts=%d", attempts)
-	}
-}
-
 // TestMixedVisibilityOpacity runs writers that update one word in a
 // visible-reads partition and one in an invisible-reads partition
 // atomically, with readers loading them in both orders; every reader must
@@ -265,8 +177,8 @@ func TestMixedVisibilityOpacity(t *testing.T) {
 	setup := e.BorrowThread()
 	var inv, vis memory.Addr
 	setup.Run(func(tx *Tx) error {
-		inv = tx.Alloc(s[0], 1) // invisible/WB partition
-		vis = tx.Alloc(s[1], 1) // visible/WB partition
+		inv = tx.Alloc(s[0], 1) // invisible-reads partition
+		vis = tx.Alloc(s[1], 1) // visible-reads partition
 		tx.Store(inv, 0)
 		tx.Store(vis, 0)
 		return nil

@@ -77,10 +77,11 @@ func TestCrossPartitionAtomicity(t *testing.T) {
 	sitePart[sB] = 2
 	cfgVis := DefaultPartConfig()
 	cfgVis.Read = VisibleReads
-	cfgCTL := DefaultPartConfig()
-	cfgCTL.Acquire = CommitTime
-	if err := e.InstallPlan(sitePart, []string{"g", "vis", "ctl"},
-		[]PartConfig{DefaultPartConfig(), cfgVis, cfgCTL}); err != nil {
+	cfgCoarse := DefaultPartConfig()
+	cfgCoarse.CM = CMSuicide
+	cfgCoarse.LockBits, cfgCoarse.GranShift = 8, 2
+	if err := e.InstallPlan(sitePart, []string{"g", "vis", "coarse"},
+		[]PartConfig{DefaultPartConfig(), cfgVis, cfgCoarse}); err != nil {
 		t.Fatal(err)
 	}
 

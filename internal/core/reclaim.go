@@ -17,18 +17,14 @@ import "repro/internal/epoch"
 // everything retired is immediately reclaimable.
 const HorizonIdle = epoch.Idle
 
-// Horizon returns the global reclamation horizon: the minimum published
-// begin stamp over all live transactions, or HorizonIdle when none is
-// active. An object retired at stamp R may be recycled once Horizon() > R
-// — every live reader then provably began after the freeing commit
-// completed, so no snapshot it reads at (pinned or extended) can reach
-// the object.
-func (e *Engine) Horizon() uint64 { return e.epochs.Horizon() }
-
 // ReclaimStats is a momentary reading of the engine's reclamation state.
 type ReclaimStats struct {
-	// Horizon is the minimum live begin stamp (HorizonIdle when no
-	// transaction is running).
+	// Horizon is the global reclamation horizon: the minimum published
+	// begin stamp over all live transactions (HorizonIdle when none is
+	// running). An object retired at stamp R may be recycled once
+	// Horizon > R — every live reader then provably began after the
+	// freeing commit completed, so no snapshot it reads at (pinned or
+	// extended) can reach the object.
 	Horizon uint64
 	// Ceiling is the commit clock's current reading, the reference point
 	// for lag.

@@ -36,7 +36,7 @@ func TestEpochStampHygienePooled(t *testing.T) {
 	if got := e.epochs.Load(slot); got != HorizonIdle {
 		t.Fatalf("slot publishes %d after return, want HorizonIdle", got)
 	}
-	if h := e.Horizon(); h != HorizonIdle {
+	if h := e.ReclaimStats().Horizon; h != HorizonIdle {
 		t.Fatalf("horizon %d with no live transaction, want HorizonIdle", h)
 	}
 }
@@ -192,7 +192,7 @@ func TestChurnArenaFlat(t *testing.T) {
 		})
 		// Horizon is idle here (no live transaction): drain the limbo so
 		// the next round reuses this round's memory.
-		th.alloc.Reclaim(e.Horizon())
+		th.alloc.Reclaim(e.ReclaimStats().Horizon)
 	}
 
 	round() // prime the free lists

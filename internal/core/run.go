@@ -15,7 +15,7 @@ var ErrMaxAttempts = errors.New("core: transaction aborted more than MaxAttempts
 // MaxAttemptsError is the concrete error Run returns when a MaxAttempts
 // budget runs out. It records how many attempts were made and why the last
 // one aborted — so a caller can tell a lock-conflict livelock from, say,
-// contention-manager kills — while still matching the ErrMaxAttempts
+// a writer's reader kills — while still matching the ErrMaxAttempts
 // sentinel through errors.Is.
 type MaxAttemptsError struct {
 	// Attempts is the number of attempts made (equal to the budget).

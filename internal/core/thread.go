@@ -46,31 +46,19 @@ type Thread struct {
 	// plan installs.
 	stats atomic.Pointer[[]PartThreadStats]
 
-	rng uint64 // xorshift state for backoff jitter
+	rng uint64 // xorshift state for stall and retry-backoff jitter
 	cfg runCfg // Run's option scratch
 
 	_ [cacheLine]byte
-	// Owner-written, cross-thread-read; they share a line because the owner
-	// writes all three and nobody else writes any. active gates quiescence
-	// and is stored twice per attempt (enterGate/exitGate). progress and
-	// beginSeq feed karma/timestamp arbitration in other threads and are
-	// written only when that can matter: progress (the attempt's operation
-	// count) when the attempt takes a lock in a CMKarma partition, beginSeq
-	// when a Run first locks or conflicts in a CMTimestamp partition
-	// (Tx.publishOwner, Tx.ordinal) — a transactional operation by itself
-	// writes nothing here.
-	active   atomic.Uint32
-	progress atomic.Uint64
-	// beginSeq is the Run's CMTimestamp ordinal (0: none drawn), assigned
-	// at most once per top-level transaction (not per attempt) so that
-	// older-wins arbitration gives long-retrying transactions priority.
-	beginSeq atomic.Uint64
-	_        [cacheLine - 20]byte
+	// Owner-written, cross-thread-read: active gates quiescence and is
+	// stored twice per attempt (enterGate/exitGate).
+	active atomic.Uint32
+	_      [cacheLine - 4]byte
 
-	// killed is the one word other threads write (contention managers'
-	// kill); polled at every transactional operation and at commit. It
-	// gets a line of its own so a kill storm against this thread does not
-	// bounce the owner-written line above.
+	// killed is the one word other threads write (a writer draining the
+	// visible readers of its stripe); polled at every transactional
+	// operation and at commit. It gets a line of its own so a kill storm
+	// against this thread does not bounce the owner-written line above.
 	killed atomic.Uint32
 	_      [cacheLine - 4]byte
 
@@ -85,7 +73,7 @@ func (th *Thread) readerBit() uint64 { return uint64(1) << uint(th.slot) }
 // operation or at commit.
 func (th *Thread) kill() { th.killed.Store(1) }
 
-// nextRand is a small xorshift64* generator for backoff jitter.
+// nextRand is a small xorshift64* generator for stall and backoff jitter.
 func (th *Thread) nextRand() uint64 {
 	x := th.rng
 	x ^= x << 13

@@ -11,15 +11,6 @@ import (
 	"repro/internal/wal"
 )
 
-// writeMode tags how a write-set entry reaches memory.
-type writeMode uint8
-
-const (
-	modeWB  writeMode = iota // buffered, applied at commit (ETL write-back)
-	modeWT                   // written in place under lock, old value kept for undo
-	modeCTL                  // buffered, orec acquired at commit time
-)
-
 type readEntry struct {
 	o   *orec
 	ver uint64
@@ -27,11 +18,9 @@ type readEntry struct {
 
 type writeEntry struct {
 	addr memory.Addr
-	val  uint64 // new value (WB/CTL)
-	old  uint64 // pre-image (WT undo)
+	val  uint64 // new value, applied at commit
 	o    *orec
 	ps   *partState
-	mode writeMode
 }
 
 type lockRec struct {
@@ -97,9 +86,6 @@ type Tx struct {
 	unlogged bool
 	pinned   bool
 	snapHits uint64
-	opCount  uint64
-	// seq is this Run's CMTimestamp ordinal, 0 until drawn (see ordinal).
-	seq uint64
 	// stallMark is the clock reading of the last stall iteration (the
 	// attribution scheme is documented in wait.go).
 	stallMark time.Duration
@@ -197,7 +183,6 @@ func (tx *Tx) begin(readOnly, snap, unlogged bool) {
 	tx.unlogged = unlogged && readOnly
 	tx.pinned = false
 	tx.snapHits = 0
-	tx.opCount = 0
 	tx.durationNs = 0
 	tx.walSeq = 0
 	tx.walDst = nil
@@ -221,13 +206,10 @@ func (tx *Tx) begin(readOnly, snap, unlogged bool) {
 	}
 	tx.touchGenVal++
 	tx.memoBlock = ^uint64(0)
-	// Stale arbitration state from a previous attempt does not apply; both
-	// words are almost always zero already, and finding that out is free.
+	// A kill aimed at a previous attempt does not apply; the word is almost
+	// always zero already, and finding that out is free.
 	if tx.th.killed.Load() != 0 {
 		tx.th.killed.Store(0)
-	}
-	if tx.th.progress.Load() != 0 {
-		tx.th.progress.Store(0)
 	}
 	// Publish the reclamation stamp BEFORE sampling the snapshot: the
 	// horizon sweep must be able to see this transaction before it bases a
@@ -375,37 +357,11 @@ func (tx *Tx) lkFind(o *orec) int {
 	return tx.lkIdx.get(orecKey(o))
 }
 
-// tick counts one transactional operation; the count reaches other threads
-// only when one of them can need it (publishOwner).
+// tick marks one transactional operation: a potential scheduling point
+// while the engine's yield mask is set.
 func (tx *Tx) tick() {
-	tx.opCount++
 	if m := tx.eng.yieldMask.Load(); m != 0 && tx.th.nextRand()&m == 0 {
 		runtime.Gosched()
-	}
-}
-
-// ordinal returns this Run's CMTimestamp ordinal, drawn from the engine's
-// sequence on first use and kept across retries (older still wins); a Run
-// that never meets a CMTimestamp partition never touches the shared word.
-func (tx *Tx) ordinal() uint64 {
-	if tx.seq == 0 {
-		tx.seq = tx.eng.txSeq.Add(1)
-		tx.th.beginSeq.Store(tx.seq)
-	}
-	return tx.seq
-}
-
-// publishOwner publishes what ps's contention manager lets a challenger
-// read about a lock owner — karma's operation count, timestamp's ordinal —
-// just before the lock CAS that can make this attempt an owner in ps, so
-// whoever sees the lock also sees the state. A challenger only consults
-// the owner of an orec of its own partition, under that partition's policy.
-func (tx *Tx) publishOwner(ps *partState) {
-	switch ps.cfg.CM {
-	case CMKarma:
-		tx.th.progress.Store(tx.opCount)
-	case CMTimestamp:
-		tx.ordinal()
 	}
 }
 
@@ -416,8 +372,7 @@ func (tx *Tx) Load(addr memory.Addr) uint64 {
 	ps, ti := tx.resolve(addr)
 	tx.touched[ti].loads++
 
-	// Read-after-write: buffered values win; write-through values are
-	// already in memory and flow through the normal paths below.
+	// Read-after-write: buffered values win.
 	if v, ok := tx.wsBuffered(addr); ok {
 		return v
 	}
@@ -436,10 +391,10 @@ func (tx *Tx) Load(addr memory.Addr) uint64 {
 }
 
 // wsBuffered returns the transaction's own buffered value for addr, when
-// a write-back or commit-time write covers it (read-after-write).
+// it has written addr (read-after-write).
 func (tx *Tx) wsBuffered(addr memory.Addr) (uint64, bool) {
 	if len(tx.ws) > 0 {
-		if i := tx.wsFind(addr); i >= 0 && tx.ws[i].mode != modeWT {
+		if i := tx.wsFind(addr); i >= 0 {
 			return tx.ws[i].val, true
 		}
 	}
@@ -460,10 +415,10 @@ func (tx *Tx) loadInvisible(ps *partState, o *orec, addr memory.Addr, ti int) ui
 		l1 := o.lock.Load()
 		if isLocked(l1) {
 			if lockOwner(l1) == tx.th.slot {
-				// Self-locked: for WB the buffered value was returned by the
+				// Self-locked: the buffered value was returned by the
 				// caller's write-set probe; reaching here means a different
 				// word sharing the orec, whose memory is stable under our
-				// own lock. For WT the current value is in memory.
+				// own lock.
 				return tx.eng.arena.LoadAtomic(addr)
 			}
 			// Snapshot mode: the writer holding this orec cannot change
@@ -489,7 +444,7 @@ func (tx *Tx) loadInvisible(ps *partState, o *orec, addr memory.Addr, ti int) ui
 				tx.stall(spins, ti)
 				continue
 			}
-			tx.cmConflict(ps, o, l1, AbortLockedOnRead, &spins, ti)
+			tx.cmConflict(ps, AbortLockedOnRead, &spins, ti)
 			continue
 		}
 		v := tx.eng.arena.LoadAtomic(addr)
@@ -560,7 +515,7 @@ func (tx *Tx) loadVisible(ps *partState, o *orec, addr memory.Addr, ti int) uint
 			if lockOwner(l) == tx.th.slot {
 				return tx.eng.arena.LoadAtomic(addr)
 			}
-			tx.cmConflict(ps, o, l, AbortLockedOnRead, &spins, ti)
+			tx.cmConflict(ps, AbortLockedOnRead, &spins, ti)
 			continue
 		}
 		if readers.Load()&bit == 0 {
@@ -569,7 +524,7 @@ func (tx *Tx) loadVisible(ps *partState, o *orec, addr memory.Addr, ti int) uint
 				// A writer slipped in between the check and the
 				// registration; withdraw and arbitrate.
 				readers.And(^bit)
-				tx.cmConflict(ps, o, l, AbortLockedOnRead, &spins, ti)
+				tx.cmConflict(ps, AbortLockedOnRead, &spins, ti)
 				continue
 			}
 			tx.vreads = append(tx.vreads, readers)
@@ -599,41 +554,18 @@ func (tx *Tx) Store(addr memory.Addr, v uint64) {
 		tx.hasVisible = true
 	}
 	o := ps.table.of(addr)
-	mode := ps.cfg.writeMode()
-	if mode != modeCTL {
-		tx.acquire(ps, o, addr, ti)
-	}
-	tx.wsPut(addr, v, o, ps, mode)
+	tx.acquire(ps, o, addr, ti)
+	tx.wsPut(addr, v, o, ps)
 }
 
-// writeMode is how a write to a partition configured by c reaches memory.
-func (c *PartConfig) writeMode() writeMode {
-	switch {
-	case c.Acquire == CommitTime:
-		return modeCTL
-	case c.Write == WriteBack:
-		return modeWB
-	default:
-		return modeWT
-	}
-}
-
-// wsPut records the write of v to addr: buffered in the write set (WB/CTL),
-// or stored in place under the already-held lock with the pre-image kept
-// for undo by the address's first write (WT).
-func (tx *Tx) wsPut(addr memory.Addr, v uint64, o *orec, ps *partState, mode writeMode) {
+// wsPut buffers the write of v to addr, whose orec o is already locked, in
+// the write set.
+func (tx *Tx) wsPut(addr memory.Addr, v uint64, o *orec, ps *partState) {
 	en, fresh := tx.wsEntry(addr)
 	if fresh {
-		en.o, en.ps, en.mode = o, ps, mode
-		if mode == modeWT {
-			en.old = tx.eng.arena.LoadAtomic(addr)
-		}
+		en.o, en.ps = o, ps
 	}
-	if mode == modeWT {
-		tx.eng.arena.StoreAtomic(addr, v)
-	} else {
-		en.val = v
-	}
+	en.val = v
 }
 
 // blockChunk bounds a multi-word access at the enclosing heap block: all
@@ -802,15 +734,15 @@ func (tx *Tx) loadGroup(ps *partState, o *orec, addr memory.Addr, dst []uint64, 
 		l1 := o.lock.Load()
 		if isLocked(l1) {
 			if lockOwner(l1) == tx.th.slot {
-				// Self-locked: memory is stable under our own lock (WB
-				// buffered values were peeled off by the caller).
+				// Self-locked: memory is stable under our own lock
+				// (buffered values were peeled off by the caller).
 				for j := i; j < end; j++ {
 					dst[j] = tx.eng.arena.LoadAtomic(addr + memory.Addr(j))
 				}
 				return end
 			}
 			if !tx.snapMode {
-				tx.cmConflict(ps, o, l1, AbortLockedOnRead, &spins, ti)
+				tx.cmConflict(ps, AbortLockedOnRead, &spins, ti)
 				continue
 			}
 			// As in the per-word snapshot read: reconstruct past the lock
@@ -910,16 +842,15 @@ func (tx *Tx) storeWordsChunk(addr memory.Addr, src []uint64) {
 	if ps.cfg.Read == VisibleReads {
 		tx.hasVisible = true
 	}
-	mode := ps.cfg.writeMode()
 	var held *orec // last orec acquired by this chunk: skip re-acquisition
 	for i := range src {
 		a := addr + memory.Addr(i)
 		o := ps.table.of(a)
-		if mode != modeCTL && o != held {
+		if o != held {
 			tx.acquire(ps, o, a, ti)
 			held = o
 		}
-		tx.wsPut(a, src[i], o, ps, mode)
+		tx.wsPut(a, src[i], o, ps)
 	}
 }
 
@@ -961,7 +892,7 @@ func (tx *Tx) acquire(ps *partState, o *orec, addr memory.Addr, ti int) {
 			if lockOwner(l) == tx.th.slot {
 				return
 			}
-			tx.cmConflict(ps, o, l, AbortLockedOnWrite, &spins, ti)
+			tx.cmConflict(ps, AbortLockedOnWrite, &spins, ti)
 			continue
 		}
 		if versionOf(l) > tx.snapshot && len(tx.rs) > 0 {
@@ -971,7 +902,6 @@ func (tx *Tx) acquire(ps *partState, o *orec, addr memory.Addr, ti int) {
 				tx.abort(AbortValidation)
 			}
 		}
-		tx.publishOwner(ps)
 		if o.lock.CompareAndSwap(l, lockWordFor(tx.th.slot)) {
 			tx.locks = append(tx.locks, lockRec{o: o, prev: l})
 			if ps.cfg.Read == VisibleReads {
@@ -1020,103 +950,16 @@ func (tx *Tx) drainReaders(ps *partState, readers *atomic.Uint64, ti int) {
 	}
 }
 
-// cmConflict arbitrates a lock conflict per the partition's CM policy. It
-// either returns (caller retries the protocol loop) or aborts by panic.
-func (tx *Tx) cmConflict(ps *partState, o *orec, l uint64, cause AbortCause, spins *int, ti int) {
+// cmConflict arbitrates a lock conflict per the partition's CM policy: it
+// either returns (the caller retries the protocol loop) or aborts by panic.
+// CMSuicide aborts at once; CMSpin stalls until spinBudget is spent.
+func (tx *Tx) cmConflict(ps *partState, cause AbortCause, spins *int, ti int) {
 	tx.checkKilled()
-	switch ps.cfg.CM {
-	case CMSuicide:
-		tx.abort(cause)
-	case CMSpin:
-		*spins++
-		if *spins > spinBudget {
-			tx.abort(cause)
-		}
-		tx.stall(*spins, ti)
-	case CMKarma:
-		owner := tx.eng.threadBySlot(lockOwner(l))
-		*spins++
-		if owner == nil {
-			if *spins > spinBudget {
-				tx.abort(cause)
-			}
-			tx.stall(*spins, ti)
-			return
-		}
-		if tx.opCount > owner.progress.Load() {
-			owner.kill()
-			if *spins > parkFactor*spinBudget {
-				tx.abort(cause) // victim is not dying; give up
-			}
-			// The victim needs the processor to notice the kill; past the
-			// budget, stall yields it ours.
-			tx.stall(*spins, ti)
-			return
-		}
-		if *spins > spinBudget {
-			tx.abort(cause)
-		}
-		tx.stall(*spins, ti)
-	case CMAggressive:
-		owner := tx.eng.threadBySlot(lockOwner(l))
-		if owner != nil {
-			owner.kill()
-		}
-		*spins++
-		if *spins > parkFactor*spinBudget {
-			tx.abort(cause)
-		}
-		tx.stall(*spins, ti)
-	case CMBackoff:
-		*spins++
-		tx.touched[ti].wait.cycles++
-		if *spins > spinBudget {
-			tx.abort(cause)
-		}
-		// Randomized exponential pause: busy-wait a jittered
-		// 2^min(spins,10)-bounded number of spin quanta between probes of
-		// the lock word, so hot orecs see far fewer cache-line reads. The
-		// pause is pure spinning (spinWait — a real pause the compiler
-		// cannot delete); yield to the scheduler only once per long pause
-		// (a Gosched per iteration costs more than the lock hold times it
-		// waits out).
-		shift := *spins
-		if shift > 10 {
-			shift = 10
-		}
-		pause := tx.th.nextRand() & ((uint64(1) << uint(shift)) - 1)
-		spinWait(pause)
-		if pause > 256 {
-			runtime.Gosched()
-		}
-	case CMTimestamp:
-		owner := tx.eng.threadBySlot(lockOwner(l))
-		*spins++
-		if owner == nil || owner == tx.th {
-			if *spins > spinBudget {
-				tx.abort(cause)
-			}
-			tx.stall(*spins, ti)
-			return
-		}
-		if tx.ordinal() < owner.beginSeq.Load() {
-			// We are older: kill the owner and wait for the lock to drain
-			// (stall yields past the budget so the victim can run and die).
-			owner.kill()
-			if *spins > parkFactor*spinBudget {
-				tx.abort(cause) // victim is not dying; give up
-			}
-			tx.stall(*spins, ti)
-			return
-		}
-		// We are younger: wait briefly for the elder, then step aside.
-		if *spins > spinBudget {
-			tx.abort(cause)
-		}
-		tx.stall(*spins, ti)
-	default:
+	*spins++
+	if ps.cfg.CM == CMSuicide || *spins > spinBudget {
 		tx.abort(cause)
 	}
+	tx.stall(*spins, ti)
 }
 
 // snapRead attempts to serve a snapshot-mode read of addr at the pinned
@@ -1195,10 +1038,9 @@ func (tx *Tx) prevFor(o *orec) (uint64, bool) {
 	return 0, false
 }
 
-// commit finishes the transaction: commit-time lock acquisition (CTL
-// partitions), write-version assignment by the commit clock, read-set
-// validation, write-back, lock release, visible-reader deregistration,
-// bookkeeping.
+// commit finishes the transaction: write-version assignment by the commit
+// clock, read-set validation, write-back, lock release, visible-reader
+// deregistration, bookkeeping.
 func (tx *Tx) commit() {
 	tx.checkKilled()
 	if len(tx.ws) == 0 && len(tx.locks) == 0 {
@@ -1213,12 +1055,6 @@ func (tx *Tx) commit() {
 		tx.finish(AbortNone)
 		return
 	}
-	for i := range tx.ws {
-		en := &tx.ws[i]
-		if en.mode == modeCTL {
-			tx.acquireAtCommit(en)
-		}
-	}
 	if tx.assignWriteVersions() || tx.hasVisible {
 		if !tx.validate() {
 			tx.abort(AbortValidation)
@@ -1227,10 +1063,7 @@ func (tx *Tx) commit() {
 	tx.appendHistory()
 	tx.teeWAL()
 	for i := range tx.ws {
-		en := &tx.ws[i]
-		if en.mode != modeWT {
-			tx.eng.arena.StoreAtomic(en.addr, en.val)
-		}
+		tx.eng.arena.StoreAtomic(tx.ws[i].addr, tx.ws[i].val)
 	}
 	wv := versionWord(tx.wv)
 	for i := range tx.locks {
@@ -1300,10 +1133,7 @@ func (tx *Tx) appendHistory() {
 		if !ok {
 			continue // unreachable: every written orec is in the lock set
 		}
-		old := en.old // WT captured the pre-image at first write
-		if en.mode != modeWT {
-			old = tx.eng.arena.LoadAtomic(en.addr)
-		}
+		old := tx.eng.arena.LoadAtomic(en.addr)
 		// A written partition is always in the footprint (Store touches
 		// it), so touchIdx is current for this attempt.
 		ti := int(tx.touchIdx[en.ps.part.id])
@@ -1319,43 +1149,10 @@ func (tx *Tx) appendHistory() {
 	}
 }
 
-// acquireAtCommit locks a CTL entry's orec, deduplicating entries that
-// share an orec and draining visible readers when required.
-func (tx *Tx) acquireAtCommit(en *writeEntry) {
-	// A written partition is always in the footprint (Store touches it), so
-	// touchIdx is current for this attempt.
-	ti := int(tx.touchIdx[en.ps.part.id])
-	spins := 0
-	for {
-		l := en.o.lock.Load()
-		if isLocked(l) {
-			if lockOwner(l) == tx.th.slot {
-				return // another entry already acquired this orec
-			}
-			tx.cmConflict(en.ps, en.o, l, AbortLockedOnWrite, &spins, ti)
-			continue
-		}
-		tx.publishOwner(en.ps)
-		if en.o.lock.CompareAndSwap(l, lockWordFor(tx.th.slot)) {
-			tx.locks = append(tx.locks, lockRec{o: en.o, prev: l})
-			if en.ps.cfg.Read == VisibleReads {
-				tx.drainReaders(en.ps, en.ps.table.readersOf(en.addr), ti)
-			}
-			return
-		}
-	}
-}
-
-// rollback undoes an attempt: restore write-through pre-images, release
-// locks to their previous words, clear reader bits, recycle allocations
-// made by the attempt, and record the abort cause.
+// rollback undoes an attempt: release locks to their previous words,
+// clear reader bits, recycle allocations made by the attempt, and record
+// the abort cause.
 func (tx *Tx) rollback(cause AbortCause) {
-	for i := len(tx.ws) - 1; i >= 0; i-- {
-		en := &tx.ws[i]
-		if en.mode == modeWT {
-			tx.eng.arena.StoreAtomic(en.addr, en.old)
-		}
-	}
 	for i := len(tx.locks) - 1; i >= 0; i-- {
 		lr := &tx.locks[i]
 		lr.o.lock.Store(lr.prev)

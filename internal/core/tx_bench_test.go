@@ -86,17 +86,15 @@ func BenchmarkRepeatedReadTx(b *testing.B) {
 }
 
 // BenchmarkWideWriteTx measures update transactions across write-set
-// sizes spanning the inline-probe and indexed regimes, in all three write
-// modes — plus write-back with a snapshot store attached, which prices
-// the per-partition batched history publication on the widest commits.
+// sizes spanning the inline-probe and indexed regimes, without and with a
+// snapshot store attached — the latter prices the per-partition batched
+// history publication on the widest commits.
 func BenchmarkWideWriteTx(b *testing.B) {
 	modes := []struct {
 		name string
 		mut  func(*PartConfig)
 	}{
 		{"wb", func(c *PartConfig) {}},
-		{"wt", func(c *PartConfig) { c.Write = WriteThrough }},
-		{"ctl", func(c *PartConfig) { c.Acquire = CommitTime }},
 		{"wb-hist", func(c *PartConfig) { c.HistCap = 4096 }},
 	}
 	for _, m := range modes {

@@ -233,56 +233,45 @@ func TestRepeatReadAtDifferentVersion(t *testing.T) {
 // value for every address — which fails if the filter word or the index
 // ever reports a false negative.
 func TestFilterWriteSetExact(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		mut  func(*PartConfig)
-	}{
-		{"wb", func(c *PartConfig) {}},
-		{"wt", func(c *PartConfig) { c.Write = WriteThrough }},
-		{"ctl", func(c *PartConfig) { c.Acquire = CommitTime }},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			cfg := DefaultPartConfig()
-			mode.mut(&cfg)
-			e := newTestEngine(t, cfg)
-			th := e.BorrowThread()
-			defer e.ReturnThread(th)
-			const words = 300
-			var base memory.Addr
-			th.Run(func(tx *Tx) error {
-				base = tx.Alloc(memory.DefaultSite, words)
-				for i := 0; i < words; i++ {
-					tx.Store(base+memory.Addr(i), 0)
-				}
-				return nil
-			})
-			th.Run(func(tx *Tx) error {
-				for pass := 0; pass < 2; pass++ {
-					for i := 0; i < words; i++ {
-						tx.Store(base+memory.Addr(i), uint64(1000+pass*words+i))
-					}
-				}
-				if got := len(tx.ws); got != words {
-					t.Fatalf("write set = %d entries, want %d (one per address)", got, words)
-				}
-				for i := 0; i < words; i++ {
-					want := uint64(1000 + words + i) // last pass's value
-					if got := tx.Load(base + memory.Addr(i)); got != want {
-						t.Fatalf("read-after-write at %d = %d, want %d", i, got, want)
-					}
-				}
-				return nil
-			})
-			// Committed state must reflect the buffered values.
-			th.Run(func(tx *Tx) error {
-				for i := 0; i < words; i++ {
-					want := uint64(1000 + words + i)
-					if got := tx.Load(base + memory.Addr(i)); got != want {
-						t.Fatalf("committed value at %d = %d, want %d", i, got, want)
-					}
-				}
-				return nil
-			}, ReadOnly())
+	t.Run("wb", func(t *testing.T) {
+		e := newTestEngine(t, DefaultPartConfig())
+		th := e.BorrowThread()
+		defer e.ReturnThread(th)
+		const words = 300
+		var base memory.Addr
+		th.Run(func(tx *Tx) error {
+			base = tx.Alloc(memory.DefaultSite, words)
+			for i := 0; i < words; i++ {
+				tx.Store(base+memory.Addr(i), 0)
+			}
+			return nil
 		})
-	}
+		th.Run(func(tx *Tx) error {
+			for pass := 0; pass < 2; pass++ {
+				for i := 0; i < words; i++ {
+					tx.Store(base+memory.Addr(i), uint64(1000+pass*words+i))
+				}
+			}
+			if got := len(tx.ws); got != words {
+				t.Fatalf("write set = %d entries, want %d (one per address)", got, words)
+			}
+			for i := 0; i < words; i++ {
+				want := uint64(1000 + words + i) // last pass's value
+				if got := tx.Load(base + memory.Addr(i)); got != want {
+					t.Fatalf("read-after-write at %d = %d, want %d", i, got, want)
+				}
+			}
+			return nil
+		})
+		// Committed state must reflect the buffered values.
+		th.Run(func(tx *Tx) error {
+			for i := 0; i < words; i++ {
+				want := uint64(1000 + words + i)
+				if got := tx.Load(base + memory.Addr(i)); got != want {
+					t.Fatalf("committed value at %d = %d, want %d", i, got, want)
+				}
+			}
+			return nil
+		}, ReadOnly())
+	})
 }

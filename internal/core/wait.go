@@ -7,8 +7,8 @@ import (
 
 // Waiting discipline. Every bounded wait loop in the transaction
 // protocol — the snapshot reader waiting out a lock holder, a writer
-// draining visible readers, the spinning contention managers — advances
-// through stall, which escalates in three phases keyed to spinBudget:
+// draining visible readers, CMSpin's bounded spin — advances through
+// stall, which escalates in three phases keyed to spinBudget:
 //
 //  1. spins <= spinBudget: stay on-CPU. A short jittered pause
 //     (spinWait) keeps re-probes off the contended cache line without
@@ -24,9 +24,8 @@ import (
 //     starve the scheduler.
 //
 // Loops whose contention manager aborts at spinBudget never leave phase
-// 1; the unbounded waits (snapshot lock waits, reader draining, the
-// parkFactor*spinBudget karma/timestamp patience) are the ones the yield
-// and park phases exist for. Every stall counts one WaitCycle; phases 2
+// 1; the unbounded waits (snapshot lock waits, draining killed readers)
+// are the ones the yield and park phases exist for. Every stall counts one WaitCycle; phases 2
 // and 3 additionally count Yields and Parks, so PartStats readers see
 // exactly how often waits escalate into the scheduler.
 //
@@ -74,14 +73,13 @@ func flushWait(st *PartThreadStats, w *waitAcct) {
 // single monotonic-clock read, half the cost of time.Now.
 var stallEpoch = time.Now()
 
-// spinBudget bounds the contention managers' wait loops (iterations)
-// and is the number of on-CPU iterations a wait spends before it yields.
+// spinBudget bounds CMSpin's wait and WriterYieldsToReaders' patience
+// (iterations) and is the number of on-CPU iterations a wait spends before
+// it yields.
 const spinBudget = 128
 
 // parkFactor is the multiple of spinBudget past which a waiter stops
-// yielding and starts sleeping. It deliberately equals the patience
-// bound of the waiting contention managers (parkFactor*spinBudget), so
-// CM waits abort before ever sleeping.
+// yielding and starts sleeping.
 const parkFactor = 8
 
 // maxParkMicros caps one park at 100µs: long enough to take a wedged

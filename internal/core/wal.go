@@ -88,14 +88,7 @@ func (tx *Tx) teeWAL() {
 	tx.walDst = box
 	ops := tx.walOps[:0]
 	for i := range tx.ws {
-		en := &tx.ws[i]
-		v := en.val
-		if en.mode == modeWT {
-			// Write-through stored the new value in place at encounter
-			// time; the entry only keeps the undo pre-image.
-			v = tx.eng.arena.LoadAtomic(en.addr)
-		}
-		ops = append(ops, wal.Op{Addr: uint64(en.addr), Val: v})
+		ops = append(ops, wal.Op{Addr: uint64(tx.ws[i].addr), Val: tx.ws[i].val})
 	}
 	tx.walOps = ops
 	tx.walSeq = box.log.PublishCommit(tx.wv, ops)

@@ -97,7 +97,6 @@ func All() []Experiment {
 		{"fig4", "Conflict-detection granularity sweep and hill-climbing tuner", Fig4},
 		{"fig5", "Vacation application: partitioned+tuned vs global configs", Fig5},
 		{"fig6", "Dynamic workload phases: adaptive vs static configurations", Fig6},
-		{"fig7", "Write-strategy ablation (ETL-WB / ETL-WT / CTL) per structure", Fig7},
 		{"fig8", "Contention-manager ablation at high and low contention", Fig8},
 		{"fig9", "Conflict-detection granularity vs access skew", Fig9},
 		{"fig10", "Extension applications (genome, kmeans)", Fig10},

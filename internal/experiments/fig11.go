@@ -15,7 +15,7 @@ import (
 // tens in one transaction, so one short conflicting commit can doom
 // an almost-finished route. Two mechanisms could help:
 //
-//   - CM policy (suicide/spin/timestamp) — arbitrates what a route does
+//   - CM policy (suicide/spin) — arbitrates what a route does
 //     when its BFS hits a cell another route has locked. Waiting rarely
 //     pays here: the lock holder is about to commit a conflicting
 //     version, so patience only converts a lock abort into a validation
@@ -55,7 +55,6 @@ func Fig11(o Options) (*Report, error) {
 	}{
 		{"invisible/suicide", mk(stm.InvisibleReads, stm.CMSuicide, stm.WriterKillsReaders)},
 		{"invisible/spin", mk(stm.InvisibleReads, stm.CMSpin, stm.WriterKillsReaders)},
-		{"invisible/timestamp", mk(stm.InvisibleReads, stm.CMTimestamp, stm.WriterKillsReaders)},
 		{"visible/writer-kills", mk(stm.VisibleReads, stm.CMSpin, stm.WriterKillsReaders)},
 		{"visible/writer-yields", mk(stm.VisibleReads, stm.CMSpin, stm.WriterYieldsToReaders)},
 	}

@@ -36,8 +36,6 @@ type SavedPartition struct {
 // JSON is reviewable and hand-editable).
 type SavedConfig struct {
 	Read      string `json:"read"`
-	Acquire   string `json:"acquire"`
-	Write     string `json:"write"`
 	LockBits  uint   `json:"lockBits"`
 	GranShift uint   `json:"granShift"`
 	CM        string `json:"cm"`
@@ -51,8 +49,6 @@ const savedPlanVersion = 1
 func configToSaved(c core.PartConfig) SavedConfig {
 	return SavedConfig{
 		Read:      c.Read.String(),
-		Acquire:   c.Acquire.String(),
-		Write:     c.Write.String(),
 		LockBits:  c.LockBits,
 		GranShift: c.GranShift,
 		CM:        c.CM.String(),
@@ -71,35 +67,11 @@ func savedToConfig(s SavedConfig) (core.PartConfig, error) {
 	default:
 		return c, fmt.Errorf("partition: unknown read mode %q", s.Read)
 	}
-	switch s.Acquire {
-	case "encounter", "":
-		c.Acquire = core.EncounterTime
-	case "commit":
-		c.Acquire = core.CommitTime
-	default:
-		return c, fmt.Errorf("partition: unknown acquire mode %q", s.Acquire)
-	}
-	switch s.Write {
-	case "write-back", "":
-		c.Write = core.WriteBack
-	case "write-through":
-		c.Write = core.WriteThrough
-	default:
-		return c, fmt.Errorf("partition: unknown write mode %q", s.Write)
-	}
 	switch s.CM {
 	case "suicide":
 		c.CM = core.CMSuicide
 	case "spin", "":
 		c.CM = core.CMSpin
-	case "karma":
-		c.CM = core.CMKarma
-	case "aggressive":
-		c.CM = core.CMAggressive
-	case "backoff":
-		c.CM = core.CMBackoff
-	case "timestamp":
-		c.CM = core.CMTimestamp
 	default:
 		return c, fmt.Errorf("partition: unknown CM policy %q", s.CM)
 	}

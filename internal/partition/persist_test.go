@@ -33,7 +33,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	// Tune partition "queue" (id depends on sort order: queue < tree).
 	tuned := core.DefaultPartConfig()
 	tuned.Read = core.VisibleReads
-	tuned.CM = core.CMTimestamp
+	tuned.CM = core.CMSuicide
 	tuned.LockBits = 7
 	tuned.GranShift = 2
 	tuned.ReaderCM = core.WriterYieldsToReaders
@@ -66,7 +66,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			continue
 		}
 		got := loaded.Configs[id]
-		if got.Read != core.VisibleReads || got.CM != core.CMTimestamp ||
+		if got.Read != core.VisibleReads || got.CM != core.CMSuicide ||
 			got.LockBits != 7 || got.GranShift != 2 ||
 			got.ReaderCM != core.WriterYieldsToReaders || got.HistCap != 1024 {
 			t.Fatalf("queue config lost in round trip: %v", got)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -125,28 +126,39 @@ func TestLoadPlanFileLegacyFormat(t *testing.T) {
 	}
 
 	// Enveloped files written before the spin budget became a constant
-	// carry a "spinBudget" key: the checksum covers it as written and
-	// the decoder ignores it.
-	old := []byte(`{"version":1,"partitions":[{"name":"tree","sites":["t.head","t.node"],
-		"config":{"read":"visible","lockBits":7,"cm":"karma","spinBudget":16}}]}`)
-	sum, err := planChecksum(old)
-	if err != nil {
-		t.Fatal(err)
+	// carry a "spinBudget" key, and those written while partitions still
+	// chose a lock-acquisition time and write strategy carry "acquire" and
+	// "write": the checksum covers them as written and the decoder ignores
+	// them. A contention manager that no longer exists is refused.
+	writeEnveloped := func(plan string) {
+		t.Helper()
+		sum, err := planChecksum([]byte(plan))
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := json.Marshal(savedPlanFile{Version: savedPlanFileVersion, CRC32C: sum, Plan: []byte(plan)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, env, 0o666); err != nil {
+			t.Fatal(err)
+		}
 	}
-	env, err := json.Marshal(savedPlanFile{Version: savedPlanFileVersion, CRC32C: sum, Plan: old})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, env, 0o666); err != nil {
-		t.Fatal(err)
-	}
+	writeEnveloped(`{"version":1,"partitions":[{"name":"tree","sites":["t.head","t.node"],
+		"config":{"read":"visible","acquire":"commit","write":"write-through","lockBits":7,"cm":"suicide","spinBudget":16}}]}`)
 	loaded, err = LoadPlanFile(path, sites, core.DefaultPartConfig())
 	if err != nil {
-		t.Fatalf("plan file with spinBudget rejected: %v", err)
+		t.Fatalf("plan file with spinBudget/acquire/write rejected: %v", err)
 	}
 	if got := loaded.Configs[1]; loaded.NumPartitions() != 2 || got.Read != core.VisibleReads ||
-		got.LockBits != 7 || got.CM != core.CMKarma {
-		t.Fatalf("plan file with spinBudget loaded as %d partitions, config %v", loaded.NumPartitions(), got)
+		got.LockBits != 7 || got.CM != core.CMSuicide {
+		t.Fatalf("plan file with spinBudget/acquire/write loaded as %d partitions, config %v", loaded.NumPartitions(), got)
+	}
+	writeEnveloped(`{"version":1,"partitions":[{"name":"tree","sites":["t.head","t.node"],
+		"config":{"read":"visible","acquire":"encounter","write":"write-back","lockBits":7,"cm":"karma"}}]}`)
+	if _, err := LoadPlanFile(path, sites, core.DefaultPartConfig()); err == nil ||
+		!strings.Contains(err.Error(), `unknown CM policy "karma"`) {
+		t.Fatalf("plan file naming a deleted CM policy: err = %v, want unknown CM policy", err)
 	}
 }
 

@@ -144,14 +144,10 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Arity < 1 || cfg.Arity > wire.MaxArity {
 		return nil, fmt.Errorf("server: arity %d (want 1..%d)", cfg.Arity, wire.MaxArity)
 	}
-	space, err := NewKeySpace(cfg.Runtime, cfg.Arity)
-	if err != nil {
-		return nil, err
-	}
 	return &Server{
 		cfg:         cfg,
 		rt:          cfg.Runtime,
-		space:       space,
+		space:       newKeySpace(cfg.Runtime, cfg.Arity),
 		syncCommits: cfg.Runtime.Durability() == stm.DurabilitySync,
 		conns:       make(map[*conn]struct{}),
 		closed:      make(chan struct{}),

@@ -34,18 +34,15 @@ type KeySpace struct {
 	keys map[string]stm.Addr
 }
 
-// NewKeySpace creates a keyed space over rt whose value objects are
-// arity words (1..wire MaxArity, enforced by the caller).
-func NewKeySpace(rt *stm.Runtime, arity int) (*KeySpace, error) {
-	if arity <= 0 {
-		return nil, fmt.Errorf("server: arity %d (want >= 1)", arity)
-	}
+// newKeySpace creates a keyed space over rt whose value objects are
+// arity words (1..wire.MaxArity, checked by New).
+func newKeySpace(rt *stm.Runtime, arity int) *KeySpace {
 	return &KeySpace{
 		rt:      rt,
 		arity:   arity,
 		valSite: rt.RegisterSite("kv.value"),
 		keys:    make(map[string]stm.Addr),
-	}, nil
+	}
 }
 
 // Arity returns the value vector size in words.

@@ -158,7 +158,7 @@ func TestPlanPersistenceAcrossRuntimes(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Read = stm.VisibleReads
-	cfg.CM = stm.CMTimestamp
+	cfg.CM = stm.CMSuicide
 	if err := rt1.Reconfigure(stm.PartID(1), cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestPlanPersistenceAcrossRuntimes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.Read == stm.VisibleReads && c.CM == stm.CMTimestamp {
+		if c.Read == stm.VisibleReads && c.CM == stm.CMSuicide {
 			carried = true
 		}
 	}

@@ -172,8 +172,8 @@ func TestRefRejectsPointerTypes(t *testing.T) {
 	assertPanics("zero size", func() { stm.RefAt[struct{}](stm.Nil) })
 }
 
-// TestRefTorture hammers one typed object from concurrent workers under
-// every write mode: each transaction moves value between the object's
+// TestRefTorture hammers one typed object from concurrent workers: each
+// transaction moves value between the object's
 // two balance fields and bumps its op counter, so Total is invariant and
 // Ops counts commits exactly. Torn multi-word reads or lost writes —
 // e.g. a Store that skipped a word's lock — would break one of the two.
@@ -183,65 +183,53 @@ func TestRefTorture(t *testing.T) {
 		Ops  uint64
 	}
 	const total = 1 << 20
-	modes := []struct {
-		name string
-		mut  func(*stm.PartConfig)
-	}{
-		{"wb", func(c *stm.PartConfig) {}},
-		{"wt", func(c *stm.PartConfig) { c.Write = stm.WriteThrough }},
-		{"ctl", func(c *stm.PartConfig) { c.Acquire = stm.CommitTime }},
-	}
-	for _, m := range modes {
-		t.Run(m.name, func(t *testing.T) {
-			cfg := stm.DefaultPartConfig()
-			m.mut(&cfg)
-			rt := stm.MustNew(stm.Config{HeapWords: 1 << 16, Default: &cfg, YieldEveryOps: 8})
-			site := rt.RegisterSite("ref.torture")
-			var r stm.Ref[obj]
-			rt.Run(func(tx *stm.Tx) error {
-				r = stm.AllocRef[obj](tx, site)
-				r.Store(tx, obj{A: total})
-				return nil
-			})
-
-			const workers, opsEach = 8, 300
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(seed uint64) {
-					defer wg.Done()
-					for i := 0; i < opsEach; i++ {
-						rt.Run(func(tx *stm.Tx) error {
-							o := r.Load(tx)
-							if o.A+o.B != total {
-								t.Errorf("torn read: A+B = %d", o.A+o.B)
-							}
-							move := (seed + uint64(i)) % 100
-							if move > o.A {
-								move = o.A
-							}
-							o.A -= move
-							o.B += move
-							o.Ops++
-							r.Store(tx, o)
-							return nil
-						})
-					}
-				}(uint64(w)*7 + 1)
-			}
-			wg.Wait()
-			rt.Run(func(tx *stm.Tx) error {
-				o := r.Load(tx)
-				if o.A+o.B != total {
-					t.Fatalf("invariant broken: A+B = %d, want %d", o.A+o.B, total)
-				}
-				if o.Ops != workers*opsEach {
-					t.Fatalf("lost updates: Ops = %d, want %d", o.Ops, workers*opsEach)
-				}
-				return nil
-			}, stm.ReadOnly())
+	t.Run("wb", func(t *testing.T) {
+		rt := stm.MustNew(stm.Config{HeapWords: 1 << 16, YieldEveryOps: 8})
+		site := rt.RegisterSite("ref.torture")
+		var r stm.Ref[obj]
+		rt.Run(func(tx *stm.Tx) error {
+			r = stm.AllocRef[obj](tx, site)
+			r.Store(tx, obj{A: total})
+			return nil
 		})
-	}
+
+		const workers, opsEach = 8, 300
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(seed uint64) {
+				defer wg.Done()
+				for i := 0; i < opsEach; i++ {
+					rt.Run(func(tx *stm.Tx) error {
+						o := r.Load(tx)
+						if o.A+o.B != total {
+							t.Errorf("torn read: A+B = %d", o.A+o.B)
+						}
+						move := (seed + uint64(i)) % 100
+						if move > o.A {
+							move = o.A
+						}
+						o.A -= move
+						o.B += move
+						o.Ops++
+						r.Store(tx, o)
+						return nil
+					})
+				}
+			}(uint64(w)*7 + 1)
+		}
+		wg.Wait()
+		rt.Run(func(tx *stm.Tx) error {
+			o := r.Load(tx)
+			if o.A+o.B != total {
+				t.Fatalf("invariant broken: A+B = %d, want %d", o.A+o.B, total)
+			}
+			if o.Ops != workers*opsEach {
+				t.Fatalf("lost updates: Ops = %d, want %d", o.Ops, workers*opsEach)
+			}
+			return nil
+		}, stm.ReadOnly())
+	})
 }
 
 // TestRefSnapshotScan checks typed objects under snapshot mode: readers

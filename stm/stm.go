@@ -131,10 +131,6 @@ type (
 	PartConfig = core.PartConfig
 	// ReadMode selects invisible vs visible reads.
 	ReadMode = core.ReadMode
-	// AcquireMode selects encounter-time vs commit-time locking.
-	AcquireMode = core.AcquireMode
-	// WriteMode selects write-back vs write-through.
-	WriteMode = core.WriteMode
 	// CMPolicy selects the lock-conflict contention manager.
 	CMPolicy = core.CMPolicy
 	// ReaderPolicy arbitrates writers against visible readers.
@@ -232,16 +228,8 @@ const Nil = memory.Nil
 const (
 	InvisibleReads = core.InvisibleReads
 	VisibleReads   = core.VisibleReads
-	EncounterTime  = core.EncounterTime
-	CommitTime     = core.CommitTime
-	WriteBack      = core.WriteBack
-	WriteThrough   = core.WriteThrough
 	CMSuicide      = core.CMSuicide
 	CMSpin         = core.CMSpin
-	CMKarma        = core.CMKarma
-	CMAggressive   = core.CMAggressive
-	CMBackoff      = core.CMBackoff
-	CMTimestamp    = core.CMTimestamp
 
 	WriterKillsReaders    = core.WriterKillsReaders
 	WriterYieldsToReaders = core.WriterYieldsToReaders

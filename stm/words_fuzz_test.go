@@ -12,7 +12,8 @@ import (
 // expected contents (per-word semantics), every multi-word load must
 // agree with the shadow — including read-after-write — and the committed
 // state must equal the shadow afterwards. The first input byte selects
-// the write mode so WB, WT and CTL all get coverage.
+// the read mode and the granularity, so the invisible and visible
+// multi-word paths both get coverage.
 func FuzzLoadStoreWords(f *testing.F) {
 	f.Add([]byte{0, 2, 10, 4, 42, 3, 8, 8, 7, 1, 5, 0, 0})
 	f.Add([]byte{1, 2, 0, 16, 1, 4, 0, 60, 0, 2, 60, 8, 9})
@@ -23,11 +24,8 @@ func FuzzLoadStoreWords(f *testing.F) {
 		}
 		const region = 64
 		cfg := stm.DefaultPartConfig()
-		switch data[0] % 3 {
-		case 1:
-			cfg.Write = stm.WriteThrough
-		case 2:
-			cfg.Acquire = stm.CommitTime
+		if data[0]&1 == 1 {
+			cfg.Read = stm.VisibleReads
 		}
 		cfg.GranShift = uint(data[0]>>2) % 4 // 1..8 words per orec
 		data = data[1:]
