@@ -56,6 +56,64 @@ func TestCMPoliciesProgress(t *testing.T) {
 	}
 }
 
+// TestBackoffCMRecordsWaitCycles verifies that the waiting manager backs
+// off before it gives up and accounts its waiting in the partition stats:
+// against a lock its owner keeps, a CMSpin reader stalls exactly
+// spinBudget times (each a jittered spinWait pause) and then aborts,
+// while a CMSuicide reader aborts at once without a wait cycle.
+func TestBackoffCMRecordsWaitCycles(t *testing.T) {
+	for _, pol := range []CMPolicy{CMSpin, CMSuicide} {
+		t.Run(pol.String(), func(t *testing.T) {
+			e := newTestEngine(t, cmConfig(pol))
+			setup := e.BorrowThread()
+			var a memory.Addr
+			setup.Run(func(tx *Tx) error {
+				a = tx.Alloc(memory.DefaultSite, 1)
+				tx.Store(a, 0)
+				return nil
+			})
+			e.ReturnThread(setup)
+
+			held, release, done := make(chan struct{}), make(chan struct{}), make(chan error)
+			go func() {
+				owner := e.BorrowThread()
+				defer e.ReturnThread(owner)
+				first := true
+				done <- owner.Run(func(tx *Tx) error {
+					tx.Store(a, 1) // encounter-time: the orec is locked from here
+					if first {
+						first = false
+						close(held)
+						<-release
+					}
+					return nil
+				})
+			}()
+			<-held
+			waits := func() uint64 { return e.StatsSnapshot(GlobalPartition).WaitCycles }
+			w0 := waits()
+			th := e.BorrowThread()
+			var mae *MaxAttemptsError
+			err := th.Run(func(tx *Tx) error { tx.Load(a); return nil }, MaxAttempts(1))
+			e.ReturnThread(th)
+			if !errors.As(err, &mae) || mae.Cause != AbortLockedOnRead {
+				t.Fatalf("reader of a held lock: %v, want %v", err, AbortLockedOnRead)
+			}
+			want := uint64(0)
+			if pol == CMSpin {
+				want = spinBudget
+			}
+			if got := waits() - w0; got != want {
+				t.Fatalf("reader of a held lock recorded %d wait cycles, want %d", got, want)
+			}
+			close(release)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestVisibleReaderArbitration exercises writer-vs-reader policies on a
 // visible-reads partition under contention.
 func TestVisibleReaderArbitration(t *testing.T) {

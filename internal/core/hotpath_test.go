@@ -450,18 +450,25 @@ func TestStatsExactAcrossAttempts(t *testing.T) {
 	}
 }
 
-// TestTortureWriteSetIndex is the write-set-index torture: under each
-// contention manager several workers hammer wide transfers (write sets
-// beyond the inline-probe threshold) and full scans (long read-set logs,
-// validated and extended under contention) while the total is conserved.
-func TestTortureWriteSetIndex(t *testing.T) {
+// TestTortureWriteModes is the write-set-index torture: under the write
+// mode (encounter-time write-back, "wb") and each contention manager,
+// several workers hammer wide transfers (write sets beyond the
+// inline-probe threshold) and full scans (long read-set logs, validated
+// and extended under contention) while the total is conserved.
+func TestTortureWriteModes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("torture test skipped in -short mode")
 	}
-	for _, cm := range []CMPolicy{CMSpin, CMSuicide} {
-		t.Run(cm.String(), func(t *testing.T) {
+	for _, m := range []struct {
+		name string
+		cm   CMPolicy
+	}{
+		{"wb", CMSpin},
+		{"wb-suicide", CMSuicide},
+	} {
+		t.Run(m.name, func(t *testing.T) {
 			cfg := DefaultPartConfig()
-			cfg.CM = cm
+			cfg.CM = m.cm
 			e := newTestEngine(t, cfg)
 			e.SetYieldEveryOps(16)
 			const cells = 64

@@ -29,114 +29,117 @@ func snapTestSetup(t *testing.T, cfg PartConfig, cells int, initVal uint64) (*En
 	return e, base
 }
 
-// TestSnapshotTorture mixes snapshot-mode scans with transfer
-// transactions. Writers conserve the array sum;
-// every snapshot scan must observe exactly that sum — a torn snapshot
+// TestSnapshotTortureWriteModes mixes snapshot-mode scans with transfer
+// transactions under the write mode (encounter-time write-back, "wb").
+// Writers conserve the array sum; every snapshot scan must observe
+// exactly that sum — a torn snapshot
 // (two instants mixed in one scan) breaks it immediately. Each writer
 // runs a fixed number of transfers whose history records (at most two per
 // transfer) all fit in the snapshot store's ring, so no record a scan
 // needs is ever evicted, however long the scan is descheduled, and the
 // scans must additionally be abort-free.
-func TestSnapshotTorture(t *testing.T) {
+func TestSnapshotTortureWriteModes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("torture test skipped in -short mode")
 	}
-	cfg := DefaultPartConfig()
-	cfg.HistCap = 1 << 16
-	const cells = 32
-	const initVal = 1000
-	e, base := snapTestSetup(t, cfg, cells, initVal)
-	e.SetYieldEveryOps(16)
+	t.Run("wb", func(t *testing.T) {
+		cfg := DefaultPartConfig()
+		cfg.HistCap = 1 << 16
+		const cells = 32
+		const initVal = 1000
+		e, base := snapTestSetup(t, cfg, cells, initVal)
+		e.SetYieldEveryOps(16)
 
-	var (
-		stop        atomic.Bool
-		wg, writing sync.WaitGroup
-		scanAborts  atomic.Uint64
-		scans       atomic.Uint64
-		sumViolated atomic.Uint64
-	)
-	const writers, transfers = 3, 5000 // 30 000 records at most
-	for w := 0; w < writers; w++ {
-		writing.Add(1)
-		go func(seed int64) {
-			defer writing.Done()
-			th := e.BorrowThread()
-			defer e.ReturnThread(th)
-			rng := rand.New(rand.NewSource(seed))
-			for range transfers {
-				i := memory.Addr(rng.Intn(cells))
-				j := memory.Addr(rng.Intn(cells))
-				d := uint64(rng.Intn(5))
-				th.Run(func(tx *Tx) error {
-					vi := tx.Load(base + i)
-					if vi < d {
+		var (
+			stop        atomic.Bool
+			wg, writing sync.WaitGroup
+			scanAborts  atomic.Uint64
+			scans       atomic.Uint64
+			sumViolated atomic.Uint64
+		)
+		const writers, transfers = 3, 5000 // 30 000 records at most
+		for w := 0; w < writers; w++ {
+			writing.Add(1)
+			go func(seed int64) {
+				defer writing.Done()
+				th := e.BorrowThread()
+				defer e.ReturnThread(th)
+				rng := rand.New(rand.NewSource(seed))
+				for range transfers {
+					i := memory.Addr(rng.Intn(cells))
+					j := memory.Addr(rng.Intn(cells))
+					d := uint64(rng.Intn(5))
+					th.Run(func(tx *Tx) error {
+						vi := tx.Load(base + i)
+						if vi < d {
+							return nil
+						}
+						tx.Store(base+i, vi-d)
+						tx.Store(base+j, tx.Load(base+j)+d)
 						return nil
+					})
+				}
+			}(int64(w) + 1)
+		}
+		const readers = 2
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				th := e.BorrowThread()
+				defer e.ReturnThread(th)
+				for {
+					attempts := uint64(0)
+					th.Run(func(tx *Tx) error {
+						attempts++
+						var sum uint64
+						for j := 0; j < cells; j++ {
+							sum += tx.Load(base + memory.Addr(j))
+						}
+						if sum != cells*initVal {
+							sumViolated.Store(sum)
+						}
+						return nil
+					}, Snapshot())
+					scans.Add(1)
+					scanAborts.Add(attempts - 1)
+					if stop.Load() {
+						return
 					}
-					tx.Store(base+i, vi-d)
-					tx.Store(base+j, tx.Load(base+j)+d)
-					return nil
-				})
-			}
-		}(int64(w) + 1)
-	}
-	const readers = 2
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			th := e.BorrowThread()
-			defer e.ReturnThread(th)
-			for {
-				attempts := uint64(0)
-				th.Run(func(tx *Tx) error {
-					attempts++
-					var sum uint64
-					for j := 0; j < cells; j++ {
-						sum += tx.Load(base + memory.Addr(j))
-					}
-					if sum != cells*initVal {
-						sumViolated.Store(sum)
-					}
-					return nil
-				}, Snapshot())
-				scans.Add(1)
-				scanAborts.Add(attempts - 1)
-				if stop.Load() {
-					return
+				}
+			}()
+		}
+		writing.Wait()
+		stop.Store(true)
+		wg.Wait()
+
+		if v := sumViolated.Load(); v != 0 {
+			t.Fatalf("snapshot scan observed sum %d, want %d (torn snapshot)", v, cells*initVal)
+		}
+		if scans.Load() == 0 {
+			t.Fatal("no snapshot scans completed")
+		}
+		st := e.StatsSnapshot(GlobalPartition)
+		hist := e.SnapshotHistory(GlobalPartition)
+		if hist.Appends > uint64(hist.Cap) {
+			t.Fatalf("%d history records appended into a ring of %d: retention is not ample", hist.Appends, hist.Cap)
+		}
+		if a := scanAborts.Load(); a != 0 {
+			var causes []string
+			for c, n := range st.Aborts {
+				if n != 0 {
+					causes = append(causes, fmt.Sprintf("%v=%d", AbortCause(c), n))
 				}
 			}
-		}()
-	}
-	writing.Wait()
-	stop.Store(true)
-	wg.Wait()
-
-	if v := sumViolated.Load(); v != 0 {
-		t.Fatalf("snapshot scan observed sum %d, want %d (torn snapshot)", v, cells*initVal)
-	}
-	if scans.Load() == 0 {
-		t.Fatal("no snapshot scans completed")
-	}
-	st := e.StatsSnapshot(GlobalPartition)
-	hist := e.SnapshotHistory(GlobalPartition)
-	if hist.Appends > uint64(hist.Cap) {
-		t.Fatalf("%d history records appended into a ring of %d: retention is not ample", hist.Appends, hist.Cap)
-	}
-	if a := scanAborts.Load(); a != 0 {
-		var causes []string
-		for c, n := range st.Aborts {
-			if n != 0 {
-				causes = append(causes, fmt.Sprintf("%v=%d", AbortCause(c), n))
-			}
+			t.Errorf("snapshot scans aborted %d times with every record retained (expected abort-free); aborts by cause: %v", a, causes)
 		}
-		t.Errorf("snapshot scans aborted %d times with every record retained (expected abort-free); aborts by cause: %v", a, causes)
-	}
-	if st.SnapHits == 0 {
-		t.Error("no snapshot-store hits recorded under saturating writers")
-	}
-	if hist.Cap == 0 || hist.Appends == 0 {
-		t.Errorf("snapshot store idle: %+v", hist)
-	}
+		if st.SnapHits == 0 {
+			t.Error("no snapshot-store hits recorded under saturating writers")
+		}
+		if hist.Cap == 0 || hist.Appends == 0 {
+			t.Errorf("snapshot store idle: %+v", hist)
+		}
+	})
 }
 
 // TestSnapshotOverflowFallsBack shrinks the store to the minimum ring so
